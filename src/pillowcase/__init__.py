@@ -8,7 +8,7 @@ Subpackage layout:
 - ``quat``        unit-quaternion arithmetic over numpy arrays
 - ``words``       group words, tangle presentations, the gauge slice, and the
                   defining functions of the two varieties
-- ``variety``     per-fiber solving, fold circles, topology checks, and the
+- ``variety``     batched fiber solving, fold circles, topology checks, and the
                   closed-form circles over the bottom edge
 - ``projection``  pillowcase points, the two restriction maps, and all
                   symmetries / involutions
@@ -16,8 +16,9 @@ Subpackage layout:
 - ``compose``     correspondence composition via pseudo-arclength continuation
 - ``cli``         command-line surface (trace / compose / scene / verify)
 
-Hot kernels live in ``_kernels`` and are numba-compiled by default; set
-``PILLOWCASE_NUMBA=0`` for the pure-numpy fallback.
+Hot kernels live in ``_kernels``; they run on numpy, and the scalar ones are
+numba-compiled when the optional ``numba`` extra is installed (set
+``PILLOWCASE_NUMBA=0`` to keep numpy then).
 """
 
 __version__ = "0.1.0"

@@ -2,15 +2,17 @@
 
 Everything here evaluates the two defining functions of the perturbed
 varieties in chart coordinates (s, gamma, theta, nu, tau) and runs the small
-Newton loops built on them: per-fiber root finding and the corrector step of
+Newton loops built on them: fiber root finding and the corrector step of
 pseudo-arclength continuation.  These dominate the runtime of grid traces,
 fold extraction, and curve composition.
 
-Each kernel is written once, in scalar form that also broadcasts over numpy
-arrays.  By default the scalar forms are compiled with numba.njit and used
-inside the tight loops; setting the environment variable PILLOWCASE_NUMBA=0
-(or running without numba installed) selects the pure-numpy path instead.
-``benchmarks/bench_kernels.py`` times the two paths against each other.
+The defining pair is written once, in scalar form that also broadcasts over
+numpy arrays; fiber Newton is written once, over arrays of fibers
+(``newton_fibers``), and ``newton_fiber`` is its one-point face.  When numba
+is installed (the optional ``numba`` extra) the scalar pair and the
+continuation kernels are compiled with numba.njit; setting the environment
+variable PILLOWCASE_NUMBA=0, or running without numba, selects the
+pure-numpy path.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ try:
     from numba.extending import register_jitable as _register_jitable
 
     _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a hard dep, but stay usable
+except ImportError:  # numba is an optional extra
     _HAVE_NUMBA = False
 
     def _register_jitable(f):
@@ -129,70 +131,6 @@ def _g_impl(variant, s, gamma, theta, nu, tau):
     if variant == EARRING:
         return _g_earring_impl(s, gamma, theta, nu, tau)
     return _g_bypass_impl(s, gamma, theta, nu, tau)
-
-
-# ---------------------------------------------------------------------------
-# Newton refinement of a single fiber root in (nu, tau)
-# ---------------------------------------------------------------------------
-
-def _newton_fiber_impl(variant, s, gamma, theta, nu0, tau0, tol, maxit):
-    """Damped Newton on (nu, tau); returns (nu, tau, ok, cond).
-
-    ``cond`` is the 2x2 Jacobian condition estimate at the last iterate, used
-    upstream for fold detection.
-    """
-    nu = nu0
-    tau = tau0
-    fd = 1e-6
-    cond = 1.0
-    for _ in range(maxit):
-        f1, f2 = _g_impl(variant, s, gamma, theta, nu, tau)
-        res = max(abs(f1), abs(f2))
-        a11p, a21p = _g_impl(variant, s, gamma, theta, nu + fd, tau)
-        a11m, a21m = _g_impl(variant, s, gamma, theta, nu - fd, tau)
-        a12p, a22p = _g_impl(variant, s, gamma, theta, nu, tau + fd)
-        a12m, a22m = _g_impl(variant, s, gamma, theta, nu, tau - fd)
-        j11 = (a11p - a11m) / (2 * fd)
-        j21 = (a21p - a21m) / (2 * fd)
-        j12 = (a12p - a12m) / (2 * fd)
-        j22 = (a22p - a22m) / (2 * fd)
-        det = j11 * j22 - j12 * j21
-        t = j11 * j11 + j12 * j12 + j21 * j21 + j22 * j22
-        disc = t * t - 4.0 * det * det
-        if disc < 0.0:
-            disc = 0.0
-        s1sq = 0.5 * (t + np.sqrt(disc))
-        s2sq = 0.5 * (t - np.sqrt(disc))
-        if s2sq <= 1e-300 * s1sq:
-            cond = 1e300
-        else:
-            cond = np.sqrt(s1sq / s2sq)
-        if res < tol:
-            return nu, tau, True, cond
-        if abs(det) < 1e-300:
-            return nu, tau, False, cond
-        dnu = -(f1 * j22 - f2 * j12) / det
-        dtau = -(j11 * f2 - j21 * f1) / det
-        scale = 1.0
-        improved = False
-        nu_t = nu
-        tau_t = tau
-        # backtracking keeps |nu| < 1 and the residual monotone
-        for _ in range(8):
-            nu_t = nu + scale * dnu
-            tau_t = tau + scale * dtau
-            if abs(nu_t) < 0.999:
-                h1, h2 = _g_impl(variant, s, gamma, theta, nu_t, tau_t)
-                if max(abs(h1), abs(h2)) < res:
-                    improved = True
-                    break
-            scale *= 0.5
-        if not improved:
-            return nu, tau, False, cond
-        nu = nu_t
-        tau = tau_t
-    f1, f2 = _g_impl(variant, s, gamma, theta, nu, tau)
-    return nu, tau, max(abs(f1), abs(f2)) < tol, cond
 
 
 # ---------------------------------------------------------------------------
@@ -306,18 +244,15 @@ def _corrector_impl(variant, s, breaks, cg, ct, u0, u1, u2, t0, t1, t2, tol, max
 
 # pure-python/numpy face (elementwise forms broadcast over arrays)
 g_scalar_py = _g_impl
-newton_fiber_py = _newton_fiber_impl
 tangent_py = _tangent_impl
 corrector_py = _corrector_impl
 
 if NUMBA_ENABLED:
     g_scalar = _njit(cache=True)(_g_impl)
-    newton_fiber = _njit(cache=True)(_newton_fiber_impl)
     tangent = _njit(cache=True)(_tangent_impl)
     corrector = _njit(cache=True)(_corrector_impl)
 else:  # pure-numpy fallback
     g_scalar = _g_impl
-    newton_fiber = _newton_fiber_impl
     tangent = _tangent_impl
     corrector = _corrector_impl
 
@@ -335,64 +270,107 @@ def g_pair(variant, s, gamma, theta, nu, tau):
     return np.asarray(g1, dtype=float), np.asarray(g2, dtype=float) + np.zeros_like(gamma)
 
 
-def newton_fiber_batch(variant, s, gamma, theta, nu0, tau0, tol=1e-12, maxit=50):
-    """Vectorized damped Newton over many fibers at once.
+# ---------------------------------------------------------------------------
+# Newton refinement of fiber roots in (nu, tau)
+# ---------------------------------------------------------------------------
 
-    Returns (nu, tau, ok) arrays; non-converged entries keep their last
-    accepted iterate with ok = False.
+def newton_fibers(variant, s, gamma, theta, nu0, tau0, tol=1e-12, maxit=50):
+    """Damped Newton on (nu, tau) over many fibers at once.
+
+    Returns (nu, tau, ok, cond) arrays of the broadcast input shape.  Each
+    element iterates on its own: a central-difference Jacobian, then a full
+    step halved up to 8 times until the residual drops; a trial step that
+    leaves |nu| < 0.999 is rejected.  An element stops when its residual is
+    below ``tol`` (ok), its Jacobian is singular or no trial step improves
+    (not ok, last accepted iterate kept), or after ``maxit`` steps.  ``cond``
+    is the 2x2 Jacobian condition estimate at the last iterate, used
+    upstream for fold detection.
     """
     code = variant_code(variant)
+    s = float(s)
     gamma, theta, nu, tau = np.broadcast_arrays(
         np.asarray(gamma, dtype=float),
         np.asarray(theta, dtype=float),
         np.asarray(nu0, dtype=float),
         np.asarray(tau0, dtype=float),
     )
-    nu = nu.astype(float).copy()
-    tau = tau.astype(float).copy()
+    shape = gamma.shape
+    gamma = gamma.ravel()
+    theta = theta.ravel()
+    nu = nu.flatten()
+    tau = tau.flatten()
+    ok = np.zeros(nu.size, dtype=bool)
+    cond = np.ones(nu.size)
     fd = 1e-6
-    s = float(s)
-
-    def ev(nu_a, tau_a):
-        f1, f2 = _g_impl(code, s, gamma, theta, nu_a, tau_a)
-        return f1, f2 + np.zeros_like(f1)
-
+    idx = np.arange(nu.size)  # elements still iterating
     for _ in range(maxit):
-        f1, f2 = ev(nu, tau)
+        if not idx.size:
+            break
+        g = gamma[idx]
+        t = theta[idx]
+        x = nu[idx]
+        y = tau[idx]
+        f1, f2 = _g_impl(code, s, g, t, x, y)
         res = np.maximum(np.abs(f1), np.abs(f2))
-        active = res >= tol
-        if not np.any(active):
-            break
-        f1p, f2p = ev(nu + fd, tau)
-        f1m, f2m = ev(nu - fd, tau)
-        j11 = (f1p - f1m) / (2 * fd)
-        j21 = (f2p - f2m) / (2 * fd)
-        f1p, f2p = ev(nu, tau + fd)
-        f1m, f2m = ev(nu, tau - fd)
-        j12 = (f1p - f1m) / (2 * fd)
-        j22 = (f2p - f2m) / (2 * fd)
+        a11p, a21p = _g_impl(code, s, g, t, x + fd, y)
+        a11m, a21m = _g_impl(code, s, g, t, x - fd, y)
+        a12p, a22p = _g_impl(code, s, g, t, x, y + fd)
+        a12m, a22m = _g_impl(code, s, g, t, x, y - fd)
+        j11 = (a11p - a11m) / (2 * fd)
+        j21 = (a21p - a21m) / (2 * fd)
+        j12 = (a12p - a12m) / (2 * fd)
+        j22 = (a22p - a22m) / (2 * fd)
         det = j11 * j22 - j12 * j21
-        bad = np.abs(det) < 1e-300
-        det = np.where(bad, 1.0, det)
-        dnu = np.where(active & ~bad, -(f1 * j22 - f2 * j12) / det, 0.0)
-        dtau = np.where(active & ~bad, -(j11 * f2 - j21 * f1) / det, 0.0)
-        scale = np.ones_like(dnu)
-        nu_t = nu
-        tau_t = tau
-        better = np.zeros(nu.shape, dtype=bool)
+        tr = j11 * j11 + j12 * j12 + j21 * j21 + j22 * j22
+        disc = tr * tr - 4.0 * det * det
+        disc = np.where(disc < 0.0, 0.0, disc)
+        s1sq = 0.5 * (tr + np.sqrt(disc))
+        s2sq = 0.5 * (tr - np.sqrt(disc))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond[idx] = np.where(s2sq <= 1e-300 * s1sq, 1e300,
+                                 np.sqrt(s1sq / s2sq))
+        done = res < tol
+        ok[idx[done]] = True
+        go = ~done & ~(np.abs(det) < 1e-300)
+        idx, g, t, x, y, res = idx[go], g[go], t[go], x[go], y[go], res[go]
+        f1, f2, j11, j12, j21, j22, det = (
+            a[go] for a in (f1, f2, j11, j12, j21, j22, det))
+        dnu = -(f1 * j22 - f2 * j12) / det
+        dtau = -(j11 * f2 - j21 * f1) / det
+        # backtracking keeps |nu| < 1 and the residual monotone
+        improved = np.zeros(idx.size, dtype=bool)
+        scale = 1.0
         for _ in range(8):
-            nu_t = np.clip(nu + scale * dnu, -0.999, 0.999)
-            tau_t = tau + scale * dtau
-            h1, h2 = ev(nu_t, tau_t)
-            better = np.maximum(np.abs(h1), np.abs(h2)) < res
-            if np.all(better | ~active):
+            k = np.nonzero(~improved)[0]
+            if not k.size:
                 break
-            scale = np.where(better | ~active, scale, scale * 0.5)
-        step = active & better
-        nu = np.where(step, nu_t, nu)
-        tau = np.where(step, tau_t, tau)
-        if not np.any(step):
-            break
-    f1, f2 = ev(nu, tau)
-    ok = np.maximum(np.abs(f1), np.abs(f2)) < tol
-    return nu, tau, ok
+            nu_t = x[k] + scale * dnu[k]
+            tau_t = y[k] + scale * dtau[k]
+            inside = np.abs(nu_t) < 0.999
+            k, nu_t, tau_t = k[inside], nu_t[inside], tau_t[inside]
+            if k.size:
+                h1, h2 = _g_impl(code, s, g[k], t[k], nu_t, tau_t)
+                better = np.maximum(np.abs(h1), np.abs(h2)) < res[k]
+                k = k[better]
+                improved[k] = True
+                nu[idx[k]] = nu_t[better]
+                tau[idx[k]] = tau_t[better]
+            scale *= 0.5
+        idx = idx[improved]
+    if idx.size:
+        f1, f2 = _g_impl(code, s, gamma[idx], theta[idx], nu[idx], tau[idx])
+        ok[idx] = np.maximum(np.abs(f1), np.abs(f2)) < tol
+    return (nu.reshape(shape), tau.reshape(shape), ok.reshape(shape),
+            cond.reshape(shape))
+
+
+def newton_fiber(variant, s, gamma, theta, nu0, tau0, tol, maxit):
+    """One fiber root by ``newton_fibers``; returns (nu, tau, ok, cond)."""
+    nu, tau, ok, cond = newton_fibers(variant, s, gamma, theta, nu0, tau0,
+                                      tol, maxit)
+    return float(nu), float(tau), bool(ok), float(cond)
+
+
+def newton_fiber_batch(variant, s, gamma, theta, nu0, tau0, tol=1e-12, maxit=50):
+    """``newton_fibers`` without the condition estimates: (nu, tau, ok)."""
+    return newton_fibers(variant, s, gamma, theta, nu0, tau0, tol, maxit)[:3]

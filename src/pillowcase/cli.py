@@ -10,8 +10,8 @@ Subcommands:
                length-three composition
 - ``verify``   run the full invariant battery and exit nonzero on failure
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 numerical
-failure (non-convergence or tangency).  The output directory defaults to
+Exit codes: 0 success, 1 verification failure, 2 usage error or bad curve
+file, 3 numerical failure (non-convergence or tangency).  The output directory defaults to
 ``--out`` and is overridden by the PILLOWCASE_OUT environment variable.
 """
 
@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +37,7 @@ from .compose import (TangencyError, bottom_edge_prediction, compose_curve,
 from .projection import (characters_in_out, u_involution,
                          verify_factorization)
 from .variety import (ContinuationError, fold_locus, fold_jacobian_data,
-                      k_circle, solve_fiber, verify_topology)
+                      k_circle, solve_fiber, solve_fibers, verify_topology)
 from .words import (BYPASS, EARRING, ChartPoint, G, Gp, check_identities,
                     embed_L, g_of_rep, gp_of_rep, rho_eps, w2_value)
 
@@ -51,19 +50,6 @@ NAMED_CURVES = {
     "dt_b_ver": lambda: twisted_double(vertical_circle()),
     "d_dt_b_ver": lambda: double(twisted_double(vertical_circle())),
 }
-
-
-@dataclass
-class Scene:
-    side: str
-    curves: list  # (name, ImmersedCurve)
-    annotations: dict
-
-    def validate(self):
-        for _, c in self.curves:
-            if c.side != self.side:
-                raise ValueError("scene curves live on different factors")
-        return self
 
 
 def _outdir(args) -> Path:
@@ -83,9 +69,7 @@ def cmd_trace(args) -> int:
     report = verify_topology(variant, s, grid=args.grid)
     (out / "topology.json").write_text(json.dumps(report.to_dict(), indent=2)
                                        + "\n")
-    from .variety import classify_grid
-
-    gs, ts, status = classify_grid(variant, s, args.grid)
+    gs, ts, status = report.fibers
     lines = ["# fiber classification",
              f"# variant={variant} s={s} grid={args.grid}",
              "gamma,theta,status"]
@@ -95,7 +79,7 @@ def cmd_trace(args) -> int:
     (out / "fibers.csv").write_text("\n".join(lines) + "\n")
 
     if s != 0.0:
-        circles = fold_locus(variant, s)
+        circles = report.circles
         lines = ["# fold circle samples",
                  f"# variant={variant} s={s}",
                  "eps_gamma,eps_theta,tau,gamma,theta,nu,sin_gamma,sin_theta"]
@@ -129,7 +113,15 @@ def cmd_trace(args) -> int:
 def cmd_compose(args) -> int:
     out = _outdir(args)
     if args.curve_file:
-        curve = ImmersedCurve.from_json(Path(args.curve_file).read_text())
+        try:
+            curve = ImmersedCurve.from_json(
+                Path(args.curve_file).read_text()).validate()
+        # JSONDecodeError and CurveError are ValueErrors; a JSON value of the
+        # wrong shape raises KeyError or TypeError
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            print(f"bad curve file {args.curve_file}: "
+                  f"{type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
         curve.name = Path(args.curve_file).stem
     else:
         curve = NAMED_CURVES[args.name]()
@@ -208,8 +200,7 @@ def cmd_scene(args) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     for side in ("P0", "P1"):
-        scene = Scene(side, data["curves"][side], {"s": args.s}).validate()
-        svg = _svg.scene_svg(scene.curves, fold_image=data["fold"],
+        svg = _svg.scene_svg(data["curves"][side], fold_image=data["fold"],
                              title=f"K(3,7) scene {side} {args.variant} s={args.s}")
         (out / f"scene_{side.lower()}.svg").write_text(svg)
     payload = {k: data[k] for k in ("variant", "s", "forward", "pullback")}
@@ -248,7 +239,13 @@ def _random_chart_points(rng, n, s_range=(-0.2, 0.2), variant=EARRING):
 
 def _variety_points(rng, variant, s, n):
     pts = []
+    attempts = 0
     while len(pts) < n:
+        if attempts == 100 * n:
+            raise ContinuationError(
+                f"found {len(pts)} of {n} two-sheeted fibers for {variant} "
+                f"at s={s} in {attempts} attempts")
+        attempts += 1
         g = float(rng.uniform(0.3, np.pi - 0.3))
         t = float(rng.uniform(0.3, np.pi - 0.3))
         fs = solve_fiber(variant, s, g, t)
@@ -326,10 +323,11 @@ def verification_suite(variant: str, s: float, seed: int = 0,
     bases = [(float(rng.uniform(0.3, np.pi - 0.3)),
               float(rng.uniform(0.3, np.pi - 0.3))) for _ in range(n_asym)]
     res = {s: [], s / 2: []}
+    fibers = {sv: solve_fibers(variant, sv, *zip(*bases)) for sv in res}
     exact_nu = True
-    for g0, t0 in bases:
+    for k, (g0, t0) in enumerate(bases):
         for sv in (s, s / 2):
-            fs = solve_fiber(variant, sv, g0, t0)
+            fs = fibers[sv][k]
             if fs.status != "two_sheets":
                 continue
             nu, tau = fs.solutions[0]
@@ -346,7 +344,8 @@ def verification_suite(variant: str, s: float, seed: int = 0,
                  f"rms ratio {ratio:.2f}, second bypass component exact: "
                  f"{exact_nu}"))
 
-    # fold structure
+    # fold structure; the circles are shared by the checks below
+    circles = None
     try:
         from .variety import _corner_distance
 
@@ -371,7 +370,8 @@ def verification_suite(variant: str, s: float, seed: int = 0,
         rows.append(("fold_structure", False, str(exc)))
 
     # topology
-    rep = verify_topology(variant, s, grid=32 if quick else 64)
+    rep = verify_topology(variant, s, grid=32 if quick else 64,
+                          circles=circles)
     rows.append(("topology", rep.consistent and rep.genus_cover == 5
                  and rep.genus_quotient == 3,
                  f"chi {rep.euler_characteristic}, genus "
@@ -386,11 +386,13 @@ def verification_suite(variant: str, s: float, seed: int = 0,
 
     # composed bottom edge against the closed form
     try:
-        out = compose_curve(bottom_edge(), variant, s, max_step=1.5e-3)
+        out = compose_curve(bottom_edge(), variant, s, max_step=1.5e-3,
+                            circles=circles)
         pred = bottom_edge_prediction(variant, s)
         hd = hausdorff_r3(out, pred) + abs(g_bias)
         rows.append(("composed_edge", hd < 1e-6, f"hausdorff {hd:.2e}"))
-        repB = verify_theorem_B(vertical_circle(), variant, s)
+        repB = verify_theorem_B(vertical_circle(), variant, s,
+                                circles=circles)
         rows.append(("composed_circles", repB.ok and repB.hausdorff <= 5 * s,
                      f"components {repB.component_count}, hausdorff "
                      f"{repB.hausdorff:.3f}"))

@@ -85,10 +85,6 @@ class CurveComponent:
             d = _corner_lattice_distance(interior)
             if np.min(d) < 1e-9:
                 raise CurveError("good arc passes through a corner")
-            # the equivariant double must be smooth through both corners
-            for t0, t1 in ((self.lift[1] - self.lift[0], self.lift[0]),
-                           (self.lift[-2] - self.lift[-1], self.lift[-1])):
-                pass  # point reflection preserves tangents; nothing to check
         return self
 
 
@@ -669,10 +665,3 @@ def hausdorff_r3(a: ImmersedCurve, b: ImmersedCurve) -> float:
     for poly in polys_a:
         d_ba = np.minimum(d_ba, _points_to_polyline_dist(pb, poly))
     return float(max(d_ab.max(), d_ba.max()))
-
-
-def component_hausdorff_r3(a: CurveComponent, b: CurveComponent) -> float:
-    pa = lift_to_r3(a.lift)
-    pb = lift_to_r3(b.lift)
-    return float(max(_points_to_polyline_dist(pa, pb).max(),
-                     _points_to_polyline_dist(pb, pa).max()))

@@ -16,7 +16,6 @@ J = np.array([0.0, 0.0, 1.0, 0.0])
 K = np.array([0.0, 0.0, 0.0, 1.0])
 
 UNIT_TOL = 1e-12
-PURE_TOL = 1e-12
 
 # Long word evaluations renormalize the running product this often to bound
 # rounding drift.
@@ -70,10 +69,6 @@ def is_unit(q: np.ndarray, tol: float = UNIT_TOL) -> bool:
     return bool(np.all(np.abs(np.sum(np.asarray(q) ** 2, axis=-1) - 1.0) <= tol))
 
 
-def is_pure(q: np.ndarray, tol: float = PURE_TOL) -> bool:
-    return bool(np.all(np.abs(np.asarray(q)[..., 0]) <= tol))
-
-
 def conj_inv(q: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Inverse of a unit quaternion (its conjugate).
 
@@ -108,12 +103,6 @@ def from_parts(w, x, y, z) -> np.ndarray:
                      np.asarray(x, dtype=float),
                      np.asarray(y, dtype=float),
                      np.asarray(z, dtype=float)], axis=-1)
-
-
-def exp_axis_angle(axis: np.ndarray, angle) -> np.ndarray:
-    """exp(angle * axis) for a pure unit axis."""
-    angle = np.asarray(angle, dtype=float)
-    return qexp(np.asarray(axis) * angle[..., None])
 
 
 def rotate(u: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -55,133 +55,222 @@ class FiberSolutions:
                 for nu, tau in self.solutions]
 
 
-def _dedup(roots: list[tuple[float, float]], radius: float = 1e-6):
-    out: list[tuple[float, float]] = []
-    for nu, tau in roots:
-        tau = float(np.mod(tau, 2 * np.pi))
-        dup = False
-        for nu2, tau2 in out:
-            dtau = abs(np.mod(tau - tau2 + np.pi, 2 * np.pi) - np.pi)
-            if np.hypot(nu - nu2, dtau) < radius:
-                dup = True
+def _dedup(nu: np.ndarray, tau: np.ndarray, valid: np.ndarray,
+           radius: float):
+    """Greedy first-come dedup of padded (fibers, slots) root arrays.
+
+    Returns the kept mask and tau reduced to [0, 2 pi).
+    """
+    tau = np.mod(tau, 2 * np.pi)
+    keep = np.zeros_like(valid)
+    for k in range(valid.shape[1]):
+        dup = np.zeros(valid.shape[0], dtype=bool)
+        for j in range(k):
+            dtau = np.abs(np.mod(tau[:, k] - tau[:, j] + np.pi, 2 * np.pi) - np.pi)
+            dup |= keep[:, j] & (np.hypot(nu[:, k] - nu[:, j], dtau) < radius)
+        keep[:, k] = valid[:, k] & ~dup
+    return keep, tau
+
+
+def _padded(fiber: np.ndarray, n_fibers: int, *columns):
+    """Scatter per-root values, grouped by ascending ``fiber``, into
+    (n_fibers, slots) arrays; returns the columns and the valid mask."""
+    counts = np.bincount(fiber, minlength=n_fibers)
+    slot = np.arange(fiber.size) - (np.cumsum(counts) - counts)[fiber]
+    shape = (n_fibers, int(counts.max(initial=0)))
+    valid = np.zeros(shape, dtype=bool)
+    valid[fiber, slot] = True
+    out = []
+    for col in columns:
+        arr = np.zeros(shape)
+        arr[fiber, slot] = col
+        out.append(arr)
+    return out, valid
+
+
+# fibers solved together: FIBER_BLOCK per Newton batch and SCAN_BLOCK per
+# (fibers, N_TAU) tau scan, which keeps the working arrays small
+FIBER_BLOCK = 512
+SCAN_BLOCK = 32
+N_TAU = 96
+
+
+def _scan_roots(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
+    """Independent root sweep at fixed (gamma, theta), per fiber: solve the
+    second defining equation for nu along a tau grid, then bracket sign
+    changes of the first.  Returns the bracketed roots as (fiber, nu, tau)
+    arrays in tau order per fiber, and the minimum and maximum |g1| over
+    each fiber's grid for fold-band detection."""
+    taus = np.linspace(0.0, 2 * np.pi, N_TAU, endpoint=False)
+    gamma = gamma[:, None]
+    theta = theta[:, None]
+    if variant == BYPASS:
+        nus = np.zeros((gamma.shape[0], N_TAU))
+    else:
+        nus = np.repeat(s * np.cos(gamma), N_TAU, axis=1)
+        live = np.arange(gamma.shape[0])
+        for _ in range(8):
+            g, t, x = gamma[live], theta[live], nus[live]
+            g1, g2 = _kernels.g_pair(variant, s, g, t, x, taus)
+            d = (_kernels.g_pair(variant, s, g, t, x + 1e-6, taus)[1]
+                 - _kernels.g_pair(variant, s, g, t, x - 1e-6, taus)[1]) / 2e-6
+            step = np.where(np.abs(d) > 1e-12, -g2 / d, 0.0)
+            nus[live] = np.clip(x + step, -0.49, 0.49)
+            live = live[~(np.max(np.abs(g2), axis=1) < 1e-13)]
+            if not live.size:
                 break
-        if not dup:
-            out.append((float(nu), tau))
+    g1, _ = _kernels.g_pair(variant, s, gamma, theta, nus, taus)
+    g1n = np.roll(g1, -1, axis=1)
+    nun = np.roll(nus, -1, axis=1)
+    fiber, i = np.nonzero((g1 == 0.0) | ((g1 < 0) != (g1n < 0)))
+    a = np.abs(g1[fiber, i])
+    frac = a / np.maximum(a + np.abs(g1n[fiber, i]), 1e-300)
+    tau0 = taus[i] + frac * (2 * np.pi / N_TAU)
+    nu0 = nus[fiber, i] + frac * (nun[fiber, i] - nus[fiber, i])
+    ag1 = np.abs(g1)
+    return (fiber, nu0, tau0), np.min(ag1, axis=1), np.max(ag1, axis=1)
+
+
+def _solve_block(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray,
+                 s_step: float, tol: float, dedup_radius: float):
+    """``solve_fibers`` on one block of fibers, s != 0."""
+    code = _kernels.variant_code(variant)
+    m = gamma.size
+    amp = np.hypot(np.sin(gamma), np.sin(theta))
+    n_steps = max(1, int(np.ceil(abs(s) / s_step)))
+    worst = np.ones(m)
+
+    # both seeds of every fiber, continued from s = 0; element e is seed
+    # e // m of fiber e % m
+    t0 = np.arctan2(np.sin(theta), np.sin(gamma))
+    sg = np.concatenate([gamma, gamma])
+    st = np.concatenate([theta, theta])
+    nu = np.zeros(2 * m)
+    tau = np.concatenate([t0, t0 + np.pi])
+    live = np.arange(2 * m)
+    for i in range(1, n_steps + 1):
+        si = s * i / n_steps
+        nu2, tau2, ok, cond = _kernels.newton_fibers(
+            code, si, sg[live], st[live], nu[live], tau[live], 1e-12, 50)
+        # retry failed steps in quarter increments before giving up on a seed
+        retry = live[~ok]
+        nu_r, tau_r, cond_r = nu[retry], tau[retry], cond[~ok]
+        for k in range(1, 5):
+            if not retry.size:
+                break
+            sk = s * (i - 1 + k / 4) / n_steps
+            nu_r, tau_r, ok_r, cond_r = _kernels.newton_fibers(
+                code, sk, sg[retry], st[retry], nu_r, tau_r, 1e-12, 50)
+            retry, nu_r, tau_r, cond_r = (
+                retry[ok_r], nu_r[ok_r], tau_r[ok_r], cond_r[ok_r])
+        live = live[ok]
+        nu[live], tau[live] = nu2[ok], tau2[ok]
+        nu[retry], tau[retry] = nu_r, tau_r
+        np.maximum.at(worst, live % m, cond[ok])
+        np.maximum.at(worst, retry % m, cond_r)
+        live = np.sort(np.concatenate([live, retry]))
+    seeds = live[amp[live % m] >= 1e-12]
+
+    # the tau scan, SCAN_BLOCK fibers at a time, then Newton on its brackets
+    sf, snu, stau, g1_min, g1_max = [], [], [], [], []
+    for a in range(0, m, SCAN_BLOCK):
+        (f, nu0, tau0), lo, hi = _scan_roots(variant, s, gamma[a:a + SCAN_BLOCK],
+                                             theta[a:a + SCAN_BLOCK])
+        sf.append(f + a)
+        snu.append(nu0)
+        stau.append(tau0)
+        g1_min.append(lo)
+        g1_max.append(hi)
+    sf, snu, stau, g1_min, g1_max = map(np.concatenate,
+                                        (sf, snu, stau, g1_min, g1_max))
+    snu, stau, ok, cond = _kernels.newton_fibers(
+        code, s, gamma[sf], theta[sf], snu, stau, 1e-12, 50)
+    np.maximum.at(worst, sf[ok], cond[ok])
+
+    # seeds first (sheet order), then scan roots in tau order, per fiber
+    fiber = np.concatenate([seeds % m, sf[ok]])
+    order = np.argsort(fiber, kind="stable")
+    (rnu, rtau), valid = _padded(fiber[order], m,
+                                 np.concatenate([nu[seeds], snu[ok]])[order],
+                                 np.concatenate([tau[seeds], stau[ok]])[order])
+    keep, rtau = _dedup(rnu, rtau, valid, dedup_radius)
+
+    # final polish and residual gate
+    fiber, slot = np.nonzero(keep)
+    pnu, ptau, ok, cond = _kernels.newton_fibers(
+        code, s, gamma[fiber], theta[fiber], rnu[fiber, slot],
+        rtau[fiber, slot], 1e-13, 50)
+    g1, g2 = _kernels.g_pair(variant, s, gamma[fiber], theta[fiber], pnu, ptau)
+    ok &= np.maximum(np.abs(g1), np.abs(g2)) < tol
+    np.maximum.at(worst, fiber[ok], cond[ok])
+    (rnu, rtau), valid = _padded(fiber[ok], m, pnu[ok], ptau[ok])
+    keep, rtau = _dedup(rnu, rtau, valid, dedup_radius)
+
+    solutions = [[] for _ in range(m)]
+    for f, k in zip(*np.nonzero(keep)):
+        solutions[f].append((float(rnu[f, k]), float(rtau[f, k])))
+    out = []
+    for f in range(m):
+        n_roots = len(solutions[f])
+        if n_roots >= 2:
+            status = ("two_sheets" if worst[f] < FOLD_COND_THRESHOLD
+                      else "fold_region")
+        elif n_roots == 1:
+            status = "fold_region"
+        else:
+            # no roots: empty when the sweep stayed uniformly away from
+            # zero, fold band when it grazed
+            status = ("empty" if g1_min[f] > 0.02 * max(g1_max[f], 1e-12)
+                      else "fold_region")
+        out.append(FiberSolutions(variant, s, float(gamma[f]), float(theta[f]),
+                                  solutions[f], status, cond=float(worst[f])))
     return out
 
 
-def _scan_roots(variant: str, s: float, gamma: float, theta: float, n_tau: int = 96):
-    """Independent root sweep at fixed (gamma, theta): solve the second
-    defining equation for nu along a tau grid, then bracket sign changes of
-    the first.  Also reports the minimum |g1| over the grid for fold-band
-    detection."""
-    taus = np.linspace(0.0, 2 * np.pi, n_tau, endpoint=False)
-    if variant == BYPASS:
-        nus = np.zeros_like(taus)
-    else:
-        nus = np.full_like(taus, s * np.cos(gamma))
-        for _ in range(8):
-            g1, g2 = _kernels.g_pair(variant, s, gamma, theta, nus, taus)
-            d = (_kernels.g_pair(variant, s, gamma, theta, nus + 1e-6, taus)[1]
-                 - _kernels.g_pair(variant, s, gamma, theta, nus - 1e-6, taus)[1]) / 2e-6
-            step = np.where(np.abs(d) > 1e-12, -g2 / d, 0.0)
-            nus = np.clip(nus + step, -0.49, 0.49)
-            if np.max(np.abs(g2)) < 1e-13:
-                break
-    g1, _ = _kernels.g_pair(variant, s, gamma, theta, nus, taus)
-    roots = []
-    for i in range(n_tau):
-        j = (i + 1) % n_tau
-        if g1[i] == 0.0 or (g1[i] < 0) != (g1[j] < 0):
-            frac = abs(g1[i]) / max(abs(g1[i]) + abs(g1[j]), 1e-300)
-            tau0 = taus[i] + frac * (2 * np.pi / n_tau)
-            nu0 = nus[i] + frac * (nus[j] - nus[i])
-            roots.append((float(nu0), float(tau0)))
-    return roots, float(np.min(np.abs(g1))), float(np.max(np.abs(g1)))
-
-
-def solve_fiber(variant: str, s: float, gamma: float, theta: float, *,
-                s_step: float = 0.01, tol: float = 1e-10,
-                dedup_radius: float = 1e-6) -> FiberSolutions:
-    """Roots of the defining pair in (nu, tau) over one base point.
+def solve_fibers(variant: str, s: float, gammas, thetas, *,
+                 s_step: float = 0.01, tol: float = 1e-10,
+                 dedup_radius: float = 1e-6) -> list[FiberSolutions]:
+    """Roots of the defining pair in (nu, tau) over many base points.
 
     Seeds come from the closed-form s = 0 solutions and are continued to the
     target s in steps of at most ``s_step``; an independent tau sweep at the
     target guards against lost roots.  Status is ``fold_region`` when roots
     merge or the Jacobian degenerates, ``empty`` when no root survives.
+    Every fiber is solved on its own; the work is batched across fibers.
     """
-    code = _kernels.variant_code(variant)
-    amp = float(np.hypot(np.sin(gamma), np.sin(theta)))
+    gammas, thetas = np.broadcast_arrays(np.asarray(gammas, dtype=float),
+                                         np.asarray(thetas, dtype=float))
+    gammas = gammas.ravel()
+    thetas = thetas.ravel()
     if s == 0.0:
-        if amp < 1e-12:
-            # a whole circle of solutions over a half-lattice point
-            return FiberSolutions(variant, s, gamma, theta, [], "fold_region",
-                                  cond=np.inf)
-        t0 = tau_seed(gamma, theta)
-        sols = [(0.0, float(np.mod(t0, 2 * np.pi))),
-                (0.0, float(np.mod(t0 + np.pi, 2 * np.pi)))]
-        return FiberSolutions(variant, s, gamma, theta, sols, "two_sheets")
+        amp = np.hypot(np.sin(gammas), np.sin(thetas))
+        t0 = np.arctan2(np.sin(thetas), np.sin(gammas))
+        out = []
+        for g, t, a, tau in zip(gammas, thetas, amp, t0):
+            if a < 1e-12:
+                # a whole circle of solutions over a half-lattice point
+                out.append(FiberSolutions(variant, s, float(g), float(t), [],
+                                          "fold_region", cond=np.inf))
+            else:
+                sols = [(0.0, float(np.mod(tau, 2 * np.pi))),
+                        (0.0, float(np.mod(tau + np.pi, 2 * np.pi)))]
+                out.append(FiberSolutions(variant, s, float(g), float(t), sols,
+                                          "two_sheets"))
+        return out
+    out = []
+    for a in range(0, gammas.size, FIBER_BLOCK):
+        out += _solve_block(variant, s, gammas[a:a + FIBER_BLOCK],
+                            thetas[a:a + FIBER_BLOCK], s_step, tol,
+                            dedup_radius)
+    return out
 
-    n_steps = max(1, int(np.ceil(abs(s) / s_step)))
-    roots: list[tuple[float, float]] = []
-    worst_cond = 1.0
-    t0 = tau_seed(gamma, theta)
-    for tau0 in (t0, t0 + np.pi):
-        nu, tau = 0.0, tau0
-        alive = amp >= 1e-12
-        for i in range(1, n_steps + 1):
-            si = s * i / n_steps
-            nu2, tau2, ok, cond = _kernels.newton_fiber(code, si, gamma, theta,
-                                                        nu, tau, 1e-12, 50)
-            if not ok:
-                # retry in quarter increments before giving up on this seed
-                sub_ok = True
-                nu_r, tau_r = nu, tau
-                for k in range(1, 5):
-                    sk = s * (i - 1 + k / 4) / n_steps
-                    nu_r, tau_r, ok_r, cond = _kernels.newton_fiber(
-                        code, sk, gamma, theta, nu_r, tau_r, 1e-12, 50)
-                    if not ok_r:
-                        sub_ok = False
-                        break
-                if not sub_ok:
-                    alive = False
-                    break
-                nu2, tau2 = nu_r, tau_r
-            nu, tau = nu2, tau2
-            worst_cond = max(worst_cond, cond)
-        if alive:
-            roots.append((nu, tau))
 
-    scan, g1_min, g1_max = _scan_roots(variant, s, gamma, theta)
-    for nu0, tau0 in scan:
-        nu, tau, ok, cond = _kernels.newton_fiber(code, s, gamma, theta, nu0,
-                                                  tau0, 1e-12, 50)
-        if ok:
-            roots.append((nu, tau))
-            worst_cond = max(worst_cond, cond)
-
-    # final polish and residual gate
-    polished = []
-    for nu, tau in _dedup(roots, dedup_radius):
-        nu, tau, ok, cond = _kernels.newton_fiber(code, s, gamma, theta, nu,
-                                                  tau, 1e-13, 50)
-        g1, g2 = _kernels.g_scalar(code, s, gamma, theta, nu, tau)
-        if ok and max(abs(g1), abs(g2)) < tol:
-            polished.append((nu, tau))
-            worst_cond = max(worst_cond, cond)
-    polished = _dedup(polished, dedup_radius)
-
-    if len(polished) >= 2:
-        status = "two_sheets" if worst_cond < FOLD_COND_THRESHOLD else "fold_region"
-    elif len(polished) == 1:
-        status = "fold_region"
-    else:
-        # no roots: empty when the sweep stayed uniformly away from zero,
-        # fold band when it grazed
-        status = "empty" if g1_min > 0.02 * max(g1_max, 1e-12) else "fold_region"
-    return FiberSolutions(variant, s, gamma, theta, polished, status,
-                          cond=worst_cond)
+def solve_fiber(variant: str, s: float, gamma: float, theta: float, *,
+                s_step: float = 0.01, tol: float = 1e-10,
+                dedup_radius: float = 1e-6) -> FiberSolutions:
+    """Roots of the defining pair over one base point; see ``solve_fibers``."""
+    return solve_fibers(variant, s, [gamma], [theta], s_step=s_step, tol=tol,
+                        dedup_radius=dedup_radius)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -231,14 +320,14 @@ def _solve_chart(variant_code: int, s: float, x: float, tau: float,
         fd = 1e-7
         gp, tp, _, _ = _chart_angles(x, y + fd, tau, eps)
         gm, tm, _, _ = _chart_angles(x, y - fd, tau, eps)
-        a11 = (_kernels.g_scalar(variant_code, s, gp, tp, nu, tau)[0]
-               - _kernels.g_scalar(variant_code, s, gm, tm, nu, tau)[0]) / (2 * fd)
-        a21 = (_kernels.g_scalar(variant_code, s, gp, tp, nu, tau)[1]
-               - _kernels.g_scalar(variant_code, s, gm, tm, nu, tau)[1]) / (2 * fd)
-        a12 = (_kernels.g_scalar(variant_code, s, g, t, nu + fd, tau)[0]
-               - _kernels.g_scalar(variant_code, s, g, t, nu - fd, tau)[0]) / (2 * fd)
-        a22 = (_kernels.g_scalar(variant_code, s, g, t, nu + fd, tau)[1]
-               - _kernels.g_scalar(variant_code, s, g, t, nu - fd, tau)[1]) / (2 * fd)
+        yp = _kernels.g_scalar(variant_code, s, gp, tp, nu, tau)
+        ym = _kernels.g_scalar(variant_code, s, gm, tm, nu, tau)
+        np_ = _kernels.g_scalar(variant_code, s, g, t, nu + fd, tau)
+        nm = _kernels.g_scalar(variant_code, s, g, t, nu - fd, tau)
+        a11 = (yp[0] - ym[0]) / (2 * fd)
+        a21 = (yp[1] - ym[1]) / (2 * fd)
+        a12 = (np_[0] - nm[0]) / (2 * fd)
+        a22 = (np_[1] - nm[1]) / (2 * fd)
         det = a11 * a22 - a12 * a21
         if abs(det) < 1e-300:
             return y, nu, False
@@ -388,6 +477,10 @@ class TopologyReport:
     genus_cover: int | None
     genus_quotient: int | None
     notes: list[str] = field(default_factory=list)
+    # (gammas, thetas, statuses) of the grid and the fold circles behind the
+    # report, for writers; not part of to_dict()
+    fibers: tuple | None = field(default=None, repr=False, compare=False)
+    circles: list = field(default_factory=list, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -417,67 +510,70 @@ def classify_grid(variant: str, s: float, grid: int = 64):
 
     Fibers well away from the four corners are classified in bulk with the
     vectorized Newton (both sheets continued from the s = 0 seeds at once);
-    the slow careful solver handles the near-corner band.
+    ``solve_fibers`` handles the near-corner band and every fiber the bulk
+    pass does not settle.
     """
     gs = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
     ts = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
-    status = np.empty((grid, grid), dtype=object)
-    if s == 0.0:
-        for i, g in enumerate(gs):
-            for j, t in enumerate(ts):
-                status[i, j] = solve_fiber(variant, s, g, t).status
-        return gs, ts, status
-
     gg, tt = np.meshgrid(gs, ts, indexing="ij")
     gflat = gg.ravel()
     tflat = tt.ravel()
-    dist = np.array([_corner_distance(g, t) for g, t in zip(gflat, tflat)])
-    band = dist <= max(4.0 * abs(s), 0.25)
-
-    t0 = np.arctan2(np.sin(tflat), np.sin(gflat))
-    nus = np.zeros((2, gflat.size))
-    taus = np.stack([t0, t0 + np.pi])
-    ok = np.ones((2, gflat.size), dtype=bool)
-    n_steps = max(1, int(np.ceil(abs(s) / 0.01)))
-    for i in range(1, n_steps + 1):
-        si = s * i / n_steps
-        for sheet in range(2):
-            nus[sheet], taus[sheet], oki = _kernels.newton_fiber_batch(
-                variant, si, gflat, tflat, nus[sheet], taus[sheet])
-            ok[sheet] &= oki
-    dtau = np.abs(np.mod(taus[0] - taus[1] + np.pi, 2 * np.pi) - np.pi)
-    sep = np.hypot(nus[0] - nus[1], dtau) > 1e-4
-    bulk_two = ok[0] & ok[1] & sep & ~band
-
     flat_status = np.empty(gflat.size, dtype=object)
-    flat_status[bulk_two] = "two_sheets"
-    for idx in np.nonzero(~bulk_two)[0]:
-        flat_status[idx] = solve_fiber(variant, s, gflat[idx], tflat[idx]).status
+    rest = np.arange(gflat.size)
+    if s != 0.0:
+        dist = np.array([_corner_distance(g, t) for g, t in zip(gflat, tflat)])
+        band = dist <= max(4.0 * abs(s), 0.25)
+
+        t0 = np.arctan2(np.sin(tflat), np.sin(gflat))
+        nus = np.zeros((2, gflat.size))
+        taus = np.stack([t0, t0 + np.pi])
+        ok = np.ones((2, gflat.size), dtype=bool)
+        n_steps = max(1, int(np.ceil(abs(s) / 0.01)))
+        for i in range(1, n_steps + 1):
+            si = s * i / n_steps
+            for sheet in range(2):
+                nus[sheet], taus[sheet], oki = _kernels.newton_fiber_batch(
+                    variant, si, gflat, tflat, nus[sheet], taus[sheet])
+                ok[sheet] &= oki
+        dtau = np.abs(np.mod(taus[0] - taus[1] + np.pi, 2 * np.pi) - np.pi)
+        sep = np.hypot(nus[0] - nus[1], dtau) > 1e-4
+        bulk_two = ok[0] & ok[1] & sep & ~band
+        flat_status[bulk_two] = "two_sheets"
+        rest = np.nonzero(~bulk_two)[0]
+    for idx, fs in zip(rest, solve_fibers(variant, s, gflat[rest], tflat[rest])):
+        flat_status[idx] = fs.status
     return gs, ts, flat_status.reshape(grid, grid)
 
 
-def verify_topology(variant: str, s: float, grid: int = 64) -> TopologyReport:
+def verify_topology(variant: str, s: float, grid: int = 64, *,
+                    circles: list[FoldCircle] | None = None) -> TopologyReport:
     """Check the two-sheets-outside / empty-inside / four-circles model and
-    derive the Euler characteristic and genera."""
+    derive the Euler characteristic and genera.
+
+    ``circles`` are the fold circles at (variant, s) if already computed.
+    The report carries the fiber grid and the fold circles it was built on.
+    """
     notes: list[str] = []
+    fibers = classify_grid(variant, s, grid)
     if s == 0.0:
         # degenerate fibers over the fixed points are whole circles
-        fixed = [solve_fiber(variant, 0.0, g0, t0).status
-                 for g0, t0 in CORNER_BASE.values()]
+        g0, t0 = zip(*CORNER_BASE.values())
+        fixed = [fs.status for fs in solve_fibers(variant, 0.0, g0, t0)]
         ok = all(st == "fold_region" for st in fixed)
         notes.append("s = 0: circle fibers over the four fixed points; the "
                      "quotient is not a manifold quotient of a smooth family")
         return TopologyReport(variant, s, grid, {"fixed_points": fixed}, 0,
-                              ok, True, None, None, None, notes)
+                              ok, True, None, None, None, notes, fibers=fibers)
 
-    circles = fold_locus(variant, s)
+    if circles is None:
+        circles = fold_locus(variant, s)
     r_max = max(float(np.max(c.radii)) for c in circles)
     r_min = min(float(np.min(c.radii)) for c in circles)
     # fold radii in angle coordinates agree with sin-coordinates to O(r^3)
     band_out = 1.3 * r_max
     band_in = 0.7 * r_min
 
-    gs, ts, status = classify_grid(variant, s, grid)
+    gs, ts, status = fibers
     counts = {"two_sheets": 0, "fold_region": 0, "empty": 0}
     consistent = True
     for i, g in enumerate(gs):
@@ -494,18 +590,19 @@ def verify_topology(variant: str, s: float, grid: int = 64) -> TopologyReport:
 
     # refined sweep near the fold band
     refine = 4
+    local = np.linspace(-2 * r_max, 2 * r_max, refine * 8)
+    dgs, dts = (a.ravel() for a in np.meshgrid(local, local, indexing="ij"))
     for g0, t0 in CORNER_BASE.values():
-        local = np.linspace(-2 * r_max, 2 * r_max, refine * 8)
-        for dg in local:
-            for dt in local:
-                st = solve_fiber(variant, s, g0 + dg, t0 + dt).status
-                d = float(np.hypot(dg, dt))
-                if d > band_out and st != "two_sheets":
-                    consistent = False
-                    notes.append(f"refined fiber near {g0, t0} at d={d:.4f} is {st}")
-                if d < band_in and st != "empty":
-                    consistent = False
-                    notes.append(f"refined fiber near {g0, t0} at d={d:.4f} is {st}")
+        sweep = solve_fibers(variant, s, g0 + dgs, t0 + dts)
+        for dg, dt, fs in zip(dgs, dts, sweep):
+            st = fs.status
+            d = float(np.hypot(dg, dt))
+            if d > band_out and st != "two_sheets":
+                consistent = False
+                notes.append(f"refined fiber near {g0, t0} at d={d:.4f} is {st}")
+            if d < band_in and st != "empty":
+                consistent = False
+                notes.append(f"refined fiber near {g0, t0} at d={d:.4f} is {st}")
 
     n_circ = len(circles)
     # two copies of (torus minus 4 disks) glued along 4 circles
@@ -513,7 +610,8 @@ def verify_topology(variant: str, s: float, grid: int = 64) -> TopologyReport:
     genus_cover = (2 - chi) // 2 if chi is not None else None
     genus_quot = (2 - chi // 2) // 2 if chi is not None else None
     return TopologyReport(variant, s, grid, counts, n_circ, consistent, False,
-                          chi, genus_cover, genus_quot, notes[:20])
+                          chi, genus_cover, genus_quot, notes[:20],
+                          fibers=fibers, circles=circles)
 
 
 # ---------------------------------------------------------------------------

@@ -254,10 +254,6 @@ def Gp(pt: ChartPoint) -> tuple[float, float]:
     return float(g1), float(g2)
 
 
-def g_chart(variant: str, pt: ChartPoint) -> tuple[float, float]:
-    return G(pt) if variant == EARRING else Gp(pt)
-
-
 @dataclass
 class IdentityReport:
     slice_relation: float

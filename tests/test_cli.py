@@ -117,3 +117,36 @@ def test_svg_well_formed(tmp_path):
     root = ET.fromstring((tmp_path / "composed.svg").read_text())
     assert root.tag.endswith("svg")
     assert len(root) > 5
+
+
+def test_compose_rejects_bad_curve_files(tmp_path, capsys):
+    bad_json = tmp_path / "bad.json"
+    bad_json.write_text("{not json")
+    no_components = tmp_path / "keys.json"
+    no_components.write_text('{"side": "P0"}')
+    not_an_object = tmp_path / "list.json"
+    not_an_object.write_text("[1, 2]")
+    # a "circle" whose lift does not close modulo the lattice
+    half = C.ImmersedCurve([C.CurveComponent(
+        "circle",
+        C._polyline(lambda t: (1.0 + 0.3 * np.cos(t), 1.0 + 0.3 * np.sin(t)),
+                    0, np.pi, 200))], "P0")
+    open_circle = tmp_path / "open.json"
+    open_circle.write_text(half.to_json())
+    for src in (bad_json, no_components, not_an_object, open_circle):
+        code = run(["compose", "--curve-file", str(src), "--variant",
+                    "earring", "--s", "0.05", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"bad curve file {src}") and err.count("\n") == 1
+    assert not (tmp_path / "composed.json").exists()
+
+
+def test_variety_points_gives_up(monkeypatch):
+    from pillowcase.variety import ContinuationError, FiberSolutions
+
+    monkeypatch.setattr(cli, "solve_fiber", lambda variant, s, g, t:
+                        FiberSolutions(variant, s, g, t, [], "empty"))
+    with pytest.raises(ContinuationError, match="earring at s=0.05 in 300 "
+                                                "attempts"):
+        cli._variety_points(np.random.default_rng(0), "earring", 0.05, 3)

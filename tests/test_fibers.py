@@ -1,0 +1,135 @@
+"""The batched fiber solver and the batched Newton against their one-point
+faces."""
+
+import numpy as np
+import pytest
+
+from pillowcase import _kernels as K
+from pillowcase import variety as V
+
+S = 0.05
+
+
+def _base_points(s):
+    """Exact half-lattice points, fold-band rings of radius 2|s| around two
+    corners, and random base points."""
+    g = [0.0, np.pi, 0.0, np.pi]
+    t = [0.0, np.pi, np.pi, 0.0]
+    ang = np.linspace(0.0, 2 * np.pi, 9, endpoint=False)
+    for g0, t0 in ((0.0, 0.0), (np.pi, np.pi)):
+        g += list(g0 + 2 * abs(s) * np.cos(ang))
+        t += list(t0 + 2 * abs(s) * np.sin(ang))
+    rng = np.random.default_rng(5)
+    g += list(rng.uniform(0, 2 * np.pi, 6))
+    t += list(rng.uniform(0, 2 * np.pi, 6))
+    return np.array(g), np.array(t)
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+@pytest.mark.parametrize("blocks", [None, (8, 3)])
+def test_solve_fibers_matches_one_at_a_time(variant, blocks, monkeypatch):
+    if blocks is not None:
+        # 28 fibers: not a multiple of either block size
+        monkeypatch.setattr(V, "FIBER_BLOCK", blocks[0])
+        monkeypatch.setattr(V, "SCAN_BLOCK", blocks[1])
+    g, t = _base_points(S)
+    batch = V.solve_fibers(variant, S, g, t)
+    assert len(batch) == g.size
+    for fs, gi, ti in zip(batch, g, t):
+        one = V.solve_fiber(variant, S, gi, ti)
+        assert (fs.gamma, fs.theta) == (gi, ti)
+        assert fs.status == one.status
+        assert fs.solutions == one.solutions  # bit-equal roots
+        assert fs.cond == one.cond
+    statuses = [fs.status for fs in batch]
+    # the half-lattice points lie inside the fold disks
+    assert statuses[:4] == ["empty"] * 4
+    assert {"two_sheets", "empty"} <= set(statuses)
+
+
+def test_solve_fibers_at_s0_is_closed_form():
+    g, t = _base_points(0.05)
+    batch = V.solve_fibers("earring", 0.0, g, t)
+    for fs, gi, ti in zip(batch, g, t):
+        assert fs.solutions == V.solve_fiber("earring", 0.0, gi, ti).solutions
+    assert [fs.status for fs in batch[:4]] == ["fold_region"] * 4
+    assert all(fs.cond == np.inf for fs in batch[:4])
+    assert V.solve_fibers("earring", S, [], []) == []
+
+
+def _newton_reference(code, s, gamma, theta, nu, tau, tol, maxit):
+    """The scalar loop the batched Newton replaced: (nu, tau, ok, cond)."""
+    fd = 1e-6
+    cond = 1.0
+    for _ in range(maxit):
+        f1, f2 = K.g_scalar_py(code, s, gamma, theta, nu, tau)
+        res = max(abs(f1), abs(f2))
+        a11p, a21p = K.g_scalar_py(code, s, gamma, theta, nu + fd, tau)
+        a11m, a21m = K.g_scalar_py(code, s, gamma, theta, nu - fd, tau)
+        a12p, a22p = K.g_scalar_py(code, s, gamma, theta, nu, tau + fd)
+        a12m, a22m = K.g_scalar_py(code, s, gamma, theta, nu, tau - fd)
+        j11 = (a11p - a11m) / (2 * fd)
+        j21 = (a21p - a21m) / (2 * fd)
+        j12 = (a12p - a12m) / (2 * fd)
+        j22 = (a22p - a22m) / (2 * fd)
+        det = j11 * j22 - j12 * j21
+        t = j11 * j11 + j12 * j12 + j21 * j21 + j22 * j22
+        disc = max(t * t - 4.0 * det * det, 0.0)
+        s1sq = 0.5 * (t + np.sqrt(disc))
+        s2sq = 0.5 * (t - np.sqrt(disc))
+        cond = 1e300 if s2sq <= 1e-300 * s1sq else np.sqrt(s1sq / s2sq)
+        if res < tol:
+            return nu, tau, True, cond
+        if abs(det) < 1e-300:
+            return nu, tau, False, cond
+        dnu = -(f1 * j22 - f2 * j12) / det
+        dtau = -(j11 * f2 - j21 * f1) / det
+        scale = 1.0
+        for _ in range(8):
+            nu_t = nu + scale * dnu
+            tau_t = tau + scale * dtau
+            if abs(nu_t) < 0.999:
+                h1, h2 = K.g_scalar_py(code, s, gamma, theta, nu_t, tau_t)
+                if max(abs(h1), abs(h2)) < res:
+                    break
+            scale *= 0.5
+        else:
+            return nu, tau, False, cond
+        nu, tau = nu_t, tau_t
+    f1, f2 = K.g_scalar_py(code, s, gamma, theta, nu, tau)
+    return nu, tau, max(abs(f1), abs(f2)) < tol, cond
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+@pytest.mark.parametrize("tol, maxit", [(1e-12, 50), (1e-13, 50), (1e-12, 3)])
+def test_newton_fibers_matches_scalar_loop(variant, tol, maxit):
+    rng = np.random.default_rng(6)
+    n = 300
+    g = rng.uniform(0, 2 * np.pi, n)
+    t = rng.uniform(0, 2 * np.pi, n)
+    g[:15] = rng.uniform(-0.05, 0.05, 15)  # inside a fold disk: no root
+    t[:15] = rng.uniform(-0.05, 0.05, 15)
+    nu0 = rng.uniform(-0.99, 0.99, n)
+    tau0 = rng.uniform(0, 2 * np.pi, n)
+    # near |nu| = 1 some full steps leave |nu| < 0.999 and must be rejected
+    nu0[15:215] = rng.choice([-1.0, 1.0], 200) * rng.uniform(0.9, 0.998, 200)
+    nu0[250:] = 0.0
+    tau0[250:] = np.arctan2(np.sin(t[250:]), np.sin(g[250:]))
+    code = K.variant_code(variant)
+    nu, tau, ok, cond = K.newton_fibers(code, S, g, t, nu0, tau0, tol, maxit)
+    assert np.any(ok) and not np.all(ok)
+    for i in range(n):
+        args = (code, S, g[i], t[i], nu0[i], tau0[i], tol, maxit)
+        one = K.newton_fiber(*args)
+        assert one == (nu[i], tau[i], ok[i], cond[i])
+        assert one == _newton_reference(*args)
+    three = K.newton_fiber_batch(variant, S, g, t, nu0, tau0, tol, maxit)
+    for a, b in zip(three, (nu, tau, ok)):
+        assert np.array_equal(a, b)
+
+
+def test_classify_grid_counts_pinned():
+    _, _, status = V.classify_grid("earring", 0.05, 64)
+    kinds, counts = np.unique(status.astype(str), return_counts=True)
+    assert dict(zip(kinds, counts.tolist())) == {
+        "two_sheets": 4076, "fold_region": 16, "empty": 4}

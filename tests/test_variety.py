@@ -202,6 +202,12 @@ def test_topology_reports():
     assert rep.consistent
     assert rep.euler_characteristic == -8
     assert rep.genus_cover == 5 and rep.genus_quotient == 3
+    # the grid and the circles come back with the report, not in its dict
+    gs, ts, status = rep.fibers
+    assert status.shape == (32, 32) and len(rep.circles) == 4
+    assert (status == V.classify_grid("earring", 0.05, 32)[2]).all()
+    assert sum(rep.counts.values()) == 32 * 32
+    assert "fibers" not in rep.to_dict() and "circles" not in rep.to_dict()
     rep = V.verify_topology("bypass", 0.05, grid=32)
     assert rep.consistent and rep.genus_cover == 5
 
