@@ -16,7 +16,9 @@ Subpackage layout:
 - ``compose``     correspondence composition via pseudo-arclength continuation
 - ``cli``         command-line surface (trace / compose / scene / verify)
 
-Hot kernels live in ``_kernels``; they run on numpy, and the scalar ones are
+Hot kernels live in ``_kernels``: the defining pair on numpy arrays, batched
+fiber Newton, and the defining pair with its exact Jacobian one point at a
+time for continuation and fold extraction.  The scalar pair is
 numba-compiled when the optional ``numba`` extra is installed (set
 ``PILLOWCASE_NUMBA=0`` to keep numpy then).
 """

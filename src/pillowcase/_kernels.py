@@ -8,15 +8,19 @@ fold extraction, and curve composition.
 
 The defining pair is written once, in scalar form that also broadcasts over
 numpy arrays; fiber Newton is written once, over arrays of fibers
-(``newton_fibers``), and ``newton_fiber`` is its one-point face.  When numba
-is installed (the optional ``numba`` extra) the scalar pair and the
-continuation kernels are compiled with numba.njit; setting the environment
-variable PILLOWCASE_NUMBA=0, or running without numba, selects the
-pure-numpy path.
+(``newton_fibers``), and ``newton_fiber`` is its one-point face.  ``g_jac``
+evaluates the pair at one point together with its exact Jacobian, by
+forward-mode differentiation on Python floats; the continuation corrector
+and tangent, the corner-chart solves of the fold circles and the fold rank
+data take their derivatives from it.  When numba is installed (the optional
+``numba`` extra) the scalar pair ``g_scalar`` is compiled with numba.njit;
+setting the environment variable PILLOWCASE_NUMBA=0, or running without
+numba, selects the pure-numpy path.
 """
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -134,6 +138,101 @@ def _g_impl(variant, s, gamma, theta, nu, tau):
 
 
 # ---------------------------------------------------------------------------
+# the defining pair with its exact Jacobian, one point at a time
+# ---------------------------------------------------------------------------
+
+def _qexp_jvp(x, y, z, dirs):
+    """exp of the pure quaternion v = (x, y, z) and its derivatives along the
+    pure directions w in ``dirs``.
+
+    d exp(v)[w] = (-sinc(n) v.w, sinc(n) w + (cos n - sinc n)/n^2 (v.w) v),
+    n = |v|.  The second factor needs no series for small n: its rounding
+    error is multiplied by (v.w) v = O(n^2).
+    """
+    n = math.sqrt(x * x + y * y + z * z)
+    nn = max(n, 1e-300)
+    sc = math.sin(nn) / nn
+    c = math.cos(n)
+    k = (c - sc) / max(n * n, 1e-300)
+    out = []
+    for a, b, d in dirs:
+        vw = x * a + y * b + z * d
+        kv = k * vw
+        out.append((-sc * vw, sc * a + kv * x, sc * b + kv * y, sc * d + kv * z))
+    return (c, sc * x, sc * y, sc * z), out
+
+
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def g_jac(code, s, gamma, theta, nu, tau):
+    """The defining pair at one point and its exact 2x4 Jacobian.
+
+    Returns (g1, g2, J) with J = ((dg1/dgamma, dg1/dtheta, dg1/dnu,
+    dg1/dtau), (dg2/...)), by forward-mode differentiation of ``_g_impl``
+    through ``_qexp_pure`` and ``_qmul`` on Python floats.
+    """
+    s, nu = float(s), float(nu)  # numpy scalars would slow every operation
+    cg, sg = math.cos(gamma), math.sin(gamma)
+    ct, st = math.cos(theta), math.sin(theta)
+    cu, su = math.cos(tau), math.sin(tau)
+    r = math.sqrt(1.0 - nu * nu)
+    h = (nu, r * cu, r * su)
+    h_nu = (1.0, -nu / r * cu, -nu / r * su)
+    h_tau = (0.0, -h[2], h[1])
+
+    def bxh(bx, by, v):  # s Im(b v) = s b x v for b = (bx, by, 0)
+        return s * (by * v[2]), s * (-bx * v[2]), s * (bx * v[1] - by * v[0])
+
+    def rot(c, sn, v):  # s Im(e^{theta k} v)
+        return (s * (c * v[0] - sn * v[1]), s * (c * v[1] + sn * v[0]),
+                s * (c * v[2]))
+
+    p, (p_g, p_nu, p_tau) = _qexp_jvp(
+        *bxh(cg, sg, h),
+        (bxh(-sg, cg, h), bxh(cg, sg, h_nu), bxh(cg, sg, h_tau)))
+    q, (q_t, q_nu, q_tau) = _qexp_jvp(
+        *rot(ct, st, h),
+        (rot(-st, ct, h), rot(ct, st, h_nu), rot(ct, st, h_tau)))
+    m = _qmul(*p, *q)
+    # derivatives of m = p q and of h along gamma, theta, nu, tau
+    dm = (_qmul(*p_g, *q), _qmul(*p, *q_t),
+          _add(_qmul(*p_nu, *q), _qmul(*p, *q_nu)),
+          _add(_qmul(*p_tau, *q), _qmul(*p, *q_tau)))
+    dh = (None, None, h_nu, h_tau)
+    nh = (0.0, -h[0], -h[1], -h[2])
+    if code == EARRING:
+        # z = (p q) conj(h); g2 = Re(z i) = -z_x; g1 = Re(z i conj(h))
+        zw, zx, zy, zz = _qmul(*m, *nh)
+        row1, row2 = [], []
+        for dm_k, dh_k in zip(dm, dh):
+            dz = _qmul(*dm_k, *nh)
+            d1 = 0.0
+            if dh_k is not None:
+                dz = _add(dz, _qmul(*m, 0.0, -dh_k[0], -dh_k[1], -dh_k[2]))
+                d1 = zw * dh_k[0] + zz * dh_k[1] - zy * dh_k[2]
+            row1.append(dz[0] * h[0] + dz[3] * h[1] - dz[2] * h[2] + d1)
+            row2.append(-dz[1])
+        return (zw * h[0] + zz * h[1] - zy * h[2], -zx,
+                (tuple(row1), tuple(row2)))
+    # t = conj(pq) h (pq); z = t conj(h); g1 = Re(z i) = -z_x; g2 = nu
+    mc = (m[0], -m[1], -m[2], -m[3])
+    t1 = _qmul(*mc, 0.0, *h)
+    t = _qmul(*t1, *m)
+    row1 = []
+    for dm_k, dh_k in zip(dm, dh):
+        dt1 = _qmul(dm_k[0], -dm_k[1], -dm_k[2], -dm_k[3], 0.0, *h)
+        if dh_k is not None:
+            dt1 = _add(dt1, _qmul(*mc, 0.0, *dh_k))
+        dz = _qmul(*_add(_qmul(*dt1, *m), _qmul(*t1, *dm_k)), *nh)
+        if dh_k is not None:
+            dz = _add(dz, _qmul(*t, 0.0, -dh_k[0], -dh_k[1], -dh_k[2]))
+        row1.append(-dz[1])
+    return -_qmul(*t, *nh)[1], nu, (tuple(row1), (0.0, 0.0, 1.0, 0.0))
+
+
+# ---------------------------------------------------------------------------
 # cubic piecewise-polynomial evaluation (scipy PPoly layout: c[k, i])
 # ---------------------------------------------------------------------------
 
@@ -149,59 +248,69 @@ def _ppoly_eval(breaks, c, x):
     return ((c[0, i] * dx + c[1, i]) * dx + c[2, i]) * dx + c[3, i]
 
 
-@_register_jitable
-def _curve_g(variant, s, breaks, cg, ct, t, nu, tau):
-    gamma = _ppoly_eval(breaks, cg, t)
-    theta = _ppoly_eval(breaks, ct, t)
-    return _g_impl(variant, s, gamma, theta, nu, tau)
+def _spline_jet(breaks, cg, ct, t):
+    """Values and t-derivatives of both curve splines at t:
+    (gamma, gamma', theta, theta'), over one interval search."""
+    i = min(max(int(np.searchsorted(breaks, t)) - 1, 0), len(breaks) - 2)
+    dx = float(t - breaks[i])
+    a0, a1, a2, a3 = cg[:, i].tolist()
+    b0, b1, b2, b3 = ct[:, i].tolist()
+    return (((a0 * dx + a1) * dx + a2) * dx + a3,
+            (3.0 * a0 * dx + 2.0 * a1) * dx + a2,
+            ((b0 * dx + b1) * dx + b2) * dx + b3,
+            (3.0 * b0 * dx + 2.0 * b1) * dx + b2)
 
 
-@_register_jitable
-def _jac23(variant, s, breaks, cg, ct, u0, u1, u2):
-    fd = 1e-6
-    j = np.empty((2, 3))
-    f1p, f2p = _curve_g(variant, s, breaks, cg, ct, u0 + fd, u1, u2)
-    f1m, f2m = _curve_g(variant, s, breaks, cg, ct, u0 - fd, u1, u2)
-    j[0, 0] = (f1p - f1m) / (2 * fd)
-    j[1, 0] = (f2p - f2m) / (2 * fd)
-    f1p, f2p = _curve_g(variant, s, breaks, cg, ct, u0, u1 + fd, u2)
-    f1m, f2m = _curve_g(variant, s, breaks, cg, ct, u0, u1 - fd, u2)
-    j[0, 1] = (f1p - f1m) / (2 * fd)
-    j[1, 1] = (f2p - f2m) / (2 * fd)
-    f1p, f2p = _curve_g(variant, s, breaks, cg, ct, u0, u1, u2 + fd)
-    f1m, f2m = _curve_g(variant, s, breaks, cg, ct, u0, u1, u2 - fd)
-    j[0, 2] = (f1p - f1m) / (2 * fd)
-    j[1, 2] = (f2p - f2m) / (2 * fd)
-    return j
+# ---------------------------------------------------------------------------
+# pseudo-arclength continuation over a curve: unknowns u = (t, nu, tau)
+# ---------------------------------------------------------------------------
+
+def _curve_jac(code, s, breaks, cg, ct, u0, u1, u2):
+    """The defining pair at u and its 2x3 Jacobian in u, rows flattened."""
+    gamma, dgamma, theta, dtheta = _spline_jet(breaks, cg, ct, u0)
+    f1, f2, (j1, j2) = g_jac(code, s, gamma, theta, u1, u2)
+    return f1, f2, (j1[0] * dgamma + j1[1] * dtheta, j1[2], j1[3],
+                    j2[0] * dgamma + j2[1] * dtheta, j2[2], j2[3])
 
 
-def _tangent_impl(variant, s, breaks, cg, ct, u0, u1, u2):
-    """Unit null vector of the 2x3 Jacobian (cross product of its rows)."""
-    j = _jac23(variant, s, breaks, cg, ct, u0, u1, u2)
-    tx = j[0, 1] * j[1, 2] - j[0, 2] * j[1, 1]
-    ty = j[0, 2] * j[1, 0] - j[0, 0] * j[1, 2]
-    tz = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
-    nrm = np.sqrt(tx * tx + ty * ty + tz * tz)
+def _null(j):
+    """Unit null vector of a 2x3 Jacobian (cross product of its rows), or
+    None where the rows are dependent."""
+    a00, a01, a02, a10, a11, a12 = j
+    tx = a01 * a12 - a02 * a11
+    ty = a02 * a10 - a00 * a12
+    tz = a00 * a11 - a01 * a10
+    nrm = math.sqrt(tx * tx + ty * ty + tz * tz)
     if nrm < 1e-300:
+        return None
+    return tx / nrm, ty / nrm, tz / nrm
+
+
+def tangent(code, s, breaks, cg, ct, u0, u1, u2):
+    """Unit tangent of the solution curve at u: (t0, t1, t2, ok)."""
+    tn = _null(_curve_jac(code, s, breaks, cg, ct, u0, u1, u2)[2])
+    if tn is None:
         return 0.0, 0.0, 0.0, False
-    return tx / nrm, ty / nrm, tz / nrm, True
+    return tn[0], tn[1], tn[2], True
 
 
-def _corrector_impl(variant, s, breaks, cg, ct, u0, u1, u2, t0, t1, t2, tol, maxit):
-    """Newton on {G = 0, tangent . (u - u_pred) = 0}; returns u and ok."""
+def corrector(code, s, breaks, cg, ct, u0, u1, u2, t0, t1, t2, tol, maxit):
+    """Newton on {G = 0, tangent . (u - u_pred) = 0}.
+
+    Returns (u0, u1, u2, ok, tangent): the unit tangent at the returned
+    point, from the Jacobian its last iteration evaluated there, or None
+    when it degenerates or the correction failed.
+    """
+    u0, u1, u2, t0, t1, t2 = map(float, (u0, u1, u2, t0, t1, t2))
     p0, p1, p2 = u0, u1, u2
-    for _ in range(maxit):
-        f1, f2 = _curve_g(variant, s, breaks, cg, ct, u0, u1, u2)
+    for it in range(maxit + 1):
+        f1, f2, j = _curve_jac(code, s, breaks, cg, ct, u0, u1, u2)
+        if it == maxit:
+            return u0, u1, u2, max(abs(f1), abs(f2)) < tol, _null(j)
         f3 = t0 * (u0 - p0) + t1 * (u1 - p1) + t2 * (u2 - p2)
         if max(abs(f1), abs(f2)) < tol and abs(f3) < 1e-9:
-            return u0, u1, u2, True
-        j = _jac23(variant, s, breaks, cg, ct, u0, u1, u2)
-        a00 = j[0, 0]
-        a01 = j[0, 1]
-        a02 = j[0, 2]
-        a10 = j[1, 0]
-        a11 = j[1, 1]
-        a12 = j[1, 2]
+            return u0, u1, u2, True, _null(j)
+        a00, a01, a02, a10, a11, a12 = j
         r0 = -f1
         r1 = -f2
         r2 = -f3
@@ -211,7 +320,7 @@ def _corrector_impl(variant, s, breaks, cg, ct, u0, u1, u2, t0, t1, t2, tol, max
             + a02 * (a10 * t1 - a11 * t0)
         )
         if abs(det) < 1e-300:
-            return u0, u1, u2, False
+            return u0, u1, u2, False, None
         du0 = (
             r0 * (a11 * t2 - a12 * t1)
             - a01 * (r1 * t2 - a12 * r2)
@@ -228,14 +337,12 @@ def _corrector_impl(variant, s, breaks, cg, ct, u0, u1, u2, t0, t1, t2, tol, max
             + r0 * (a10 * t1 - a11 * t0)
         ) / det
         if abs(u1 + du1) > 0.999:
-            return u0, u1, u2, False
+            return u0, u1, u2, False, None
         if abs(du0) + abs(du1) + abs(du2) > 1.0:
-            return u0, u1, u2, False
+            return u0, u1, u2, False, None
         u0 += du0
         u1 += du1
         u2 += du2
-    f1, f2 = _curve_g(variant, s, breaks, cg, ct, u0, u1, u2)
-    return u0, u1, u2, max(abs(f1), abs(f2)) < tol
 
 
 # ---------------------------------------------------------------------------
@@ -244,17 +351,7 @@ def _corrector_impl(variant, s, breaks, cg, ct, u0, u1, u2, t0, t1, t2, tol, max
 
 # pure-python/numpy face (elementwise forms broadcast over arrays)
 g_scalar_py = _g_impl
-tangent_py = _tangent_impl
-corrector_py = _corrector_impl
-
-if NUMBA_ENABLED:
-    g_scalar = _njit(cache=True)(_g_impl)
-    tangent = _njit(cache=True)(_tangent_impl)
-    corrector = _njit(cache=True)(_corrector_impl)
-else:  # pure-numpy fallback
-    g_scalar = _g_impl
-    tangent = _tangent_impl
-    corrector = _corrector_impl
+g_scalar = _njit(cache=True)(_g_impl) if NUMBA_ENABLED else _g_impl
 
 
 def g_pair(variant, s, gamma, theta, nu, tau):

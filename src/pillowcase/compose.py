@@ -151,19 +151,17 @@ def _trace_loop(code, s, breaks, cg, ct, period, u_start, *, max_step,
             pred = u + h * tang
             r = _kernels.corrector(code, s, breaks, cg, ct, pred[0], pred[1],
                                    pred[2], tang[0], tang[1], tang[2], tol, 40)
-            if r[3]:
+            # r[4] is the tangent at the corrected point
+            if r[3] and r[4] is not None:
                 u_new = np.array(r[:3])
-                tn = _kernels.tangent(code, s, breaks, cg, ct, u_new[0],
-                                      u_new[1], u_new[2])
-                if tn[3]:
-                    t_new = np.array(tn[:3])
-                    if np.dot(t_new, tang) < 0:
-                        t_new = -t_new
-                    # reject steps that double back or jump
-                    jump = np.linalg.norm(u_new - u)
-                    if jump <= 4 * h and np.dot(t_new, tang) > 0.2:
-                        stepped = True
-                        break
+                t_new = np.array(r[4])
+                if np.dot(t_new, tang) < 0:
+                    t_new = -t_new
+                # reject steps that double back or jump
+                jump = np.linalg.norm(u_new - u)
+                if jump <= 4 * h and np.dot(t_new, tang) > 0.2:
+                    stepped = True
+                    break
             h *= 0.5
         if not stepped:
             raise ContinuationError("continuation step rejection cascade")

@@ -300,34 +300,46 @@ def figure_eight(arc: ImmersedCurve, s: float, n: int = 1440) -> ImmersedCurve:
 # intersections in the quotient
 # ---------------------------------------------------------------------------
 
+def _box_cells(P0, P1, cell):
+    """(segment, cell, first cell of the segment's box) for every
+    uniform-grid cell that a segment's bounding box touches; cells are
+    integer (x, y) rows, listed x-major per segment."""
+    lo = np.floor(np.minimum(P0, P1) / cell).astype(np.int64)
+    span = np.floor(np.maximum(P0, P1) / cell).astype(np.int64) - lo + 1
+    count = span[:, 0] * span[:, 1]
+    seg = np.repeat(np.arange(len(P0)), count)
+    k = np.arange(seg.size) - np.repeat(np.cumsum(count) - count, count)
+    off = np.column_stack([k // span[seg, 1], k % span[seg, 1]])
+    return seg, lo[seg] + off, lo[seg]
+
+
 def _candidate_pairs(P0, P1, Q0, Q1):
     """Index pairs of segments whose bounding boxes can meet, found with a
     uniform grid over segment boxes (both families are short-segment
-    polylines, so each segment touches a handful of cells)."""
+    polylines, so each segment touches a handful of cells).
+
+    Pairs come ordered by i, then by the first cell of i's box they share,
+    then by j; each pair once.
+    """
     lens = np.concatenate([np.linalg.norm(P1 - P0, axis=1),
                            np.linalg.norm(Q1 - Q0, axis=1)])
     cell = max(1e-6, 2.0 * float(np.max(lens)))
-    loQ = np.floor(np.minimum(Q0, Q1) / cell).astype(np.int64)
-    hiQ = np.floor(np.maximum(Q0, Q1) / cell).astype(np.int64)
-    grid: dict[tuple[int, int], list[int]] = {}
-    for j in range(len(Q0)):
-        for cx in range(loQ[j, 0], hiQ[j, 0] + 1):
-            for cy in range(loQ[j, 1], hiQ[j, 1] + 1):
-                grid.setdefault((cx, cy), []).append(j)
-    loP = np.floor(np.minimum(P0, P1) / cell).astype(np.int64)
-    hiP = np.floor(np.maximum(P0, P1) / cell).astype(np.int64)
-    ii: list[int] = []
-    jj: list[int] = []
-    for i in range(len(P0)):
-        seen: set[int] = set()
-        for cx in range(loP[i, 0], hiP[i, 0] + 1):
-            for cy in range(loP[i, 1], hiP[i, 1] + 1):
-                for j in grid.get((cx, cy), ()):
-                    if j not in seen:
-                        seen.add(j)
-                        ii.append(i)
-                        jj.append(j)
-    return np.asarray(ii, dtype=np.int64), np.asarray(jj, dtype=np.int64)
+    ip, cp, lop = _box_cells(P0, P1, cell)
+    jq, cq, loq = _box_cells(Q0, Q1, cell)
+    # one integer key per cell; Q's cells sorted by (key, j)
+    y0 = min(cp[:, 1].min(initial=0), cq[:, 1].min(initial=0))
+    width = max(cp[:, 1].max(initial=0), cq[:, 1].max(initial=0)) - y0 + 1
+    kp = cp[:, 0] * width + (cp[:, 1] - y0)
+    kq = cq[:, 0] * width + (cq[:, 1] - y0)
+    order = np.lexsort((jq, kq))
+    kq, jq, loq = kq[order], jq[order], loq[order]
+    first = np.searchsorted(kq, kp, side="left")
+    n = np.searchsorted(kq, kp, side="right") - first
+    e = np.repeat(np.arange(kp.size), n)  # P cell entry of each match
+    f = np.repeat(first - np.cumsum(n) + n, n) + np.arange(e.size)
+    # two boxes share a block of cells; keep the pair at its first cell
+    once = np.all(cp[e] == np.maximum(lop[e], loq[f]), axis=1)
+    return ip[e[once]], jq[f[once]]
 
 
 def _segment_crossings(P0, P1, Q0, Q1, angle_tol):

@@ -11,6 +11,7 @@ and provides the closed-form circle of representations over the bottom edge.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -307,55 +308,70 @@ def _chart_angles(x: float, y: float, tau: float, eps: tuple[int, int]):
     return g, t, sg, st
 
 
+def _chart_pair(variant_code: int, s: float, x: float, y: float, nu: float,
+                tau: float, eps: tuple[int, int]):
+    """The defining pair at a corner-chart point and its 2x4 Jacobian in
+    (x, y, nu, tau), by the chain rule through ``_chart_angles``."""
+    g, t, sg, st = _chart_angles(x, y, tau, eps)
+    sg, st = float(sg), float(st)
+    f1, f2, jac = _kernels.g_jac(variant_code, s, g, t, nu, tau)
+    # d gamma / d sg and d theta / d st; zero where the sines were clipped
+    dg = eps[0] / math.sqrt(1.0 - sg * sg) if abs(sg) < 1.0 else 0.0
+    dt = eps[1] / math.sqrt(1.0 - st * st) if abs(st) < 1.0 else 0.0
+    cu, su = math.cos(tau), math.sin(tau)
+    rows = []
+    for jg, jt, jn, ju in jac:
+        jg *= dg
+        jt *= dt
+        # sg = x cos tau - y sin tau, st = x sin tau + y cos tau
+        rows.append((jg * cu + jt * su, jt * cu - jg * su, jn,
+                     ju - jg * st + jt * sg))
+    return f1, f2, rows
+
+
 def _solve_chart(variant_code: int, s: float, x: float, tau: float,
                  eps: tuple[int, int], y0: float, nu0: float):
     """Solve the defining pair for (y, nu) at fixed (x, tau) in the corner
-    chart, where the system is regular through the fold."""
+    chart, where the system is regular through the fold.
+
+    Returns (y, nu, ok, jac), ``jac`` the chart Jacobian at (y, nu).
+    """
     y, nu = y0, nu0
     for _ in range(60):
-        g, t, _, _ = _chart_angles(x, y, tau, eps)
-        f1, f2 = _kernels.g_scalar(variant_code, s, g, t, nu, tau)
+        f1, f2, jac = _chart_pair(variant_code, s, x, y, nu, tau, eps)
         if max(abs(f1), abs(f2)) < 1e-13:
-            return y, nu, True
-        fd = 1e-7
-        gp, tp, _, _ = _chart_angles(x, y + fd, tau, eps)
-        gm, tm, _, _ = _chart_angles(x, y - fd, tau, eps)
-        yp = _kernels.g_scalar(variant_code, s, gp, tp, nu, tau)
-        ym = _kernels.g_scalar(variant_code, s, gm, tm, nu, tau)
-        np_ = _kernels.g_scalar(variant_code, s, g, t, nu + fd, tau)
-        nm = _kernels.g_scalar(variant_code, s, g, t, nu - fd, tau)
-        a11 = (yp[0] - ym[0]) / (2 * fd)
-        a21 = (yp[1] - ym[1]) / (2 * fd)
-        a12 = (np_[0] - nm[0]) / (2 * fd)
-        a22 = (np_[1] - nm[1]) / (2 * fd)
+            return y, nu, True, jac
+        (_, a11, a12, _), (_, a21, a22, _) = jac
         det = a11 * a22 - a12 * a21
         if abs(det) < 1e-300:
-            return y, nu, False
+            return y, nu, False, jac
         dy = -(f1 * a22 - f2 * a12) / det
         dnu = -(a11 * f2 - a21 * f1) / det
         y += dy
         nu += dnu
         if abs(nu) > 0.6 or abs(y) > 0.9:
-            return y, nu, False
-    return y, nu, False
+            return y, nu, False, jac
+    return y, nu, False, jac
 
 
 def _det_dgamma(variant_code: int, s: float, x: float, tau: float,
                 eps: tuple[int, int], seed):
     """det of the chart-coordinate differential along the solved sheet:
-    dY/dtau + x + Y dY/dx, whose zero set is the critical circle."""
-    fd = 1e-5
-    y, nu, ok = _solve_chart(variant_code, s, x, tau, eps, seed[0], seed[1])
+    dY/dtau + x + Y dY/dx, whose zero set is the critical circle.
+
+    dY/dx and dY/dtau come from the implicit function theorem at the
+    solution: d(y, nu) = -[F_y F_nu]^-1 [F_x F_tau] d(x, tau).
+    """
+    y, nu, ok, jac = _solve_chart(variant_code, s, x, tau, eps, seed[0],
+                                  seed[1])
     if not ok:
         raise ContinuationError("corner-chart solve failed")
-    yxp, _, ok1 = _solve_chart(variant_code, s, x + fd, tau, eps, y, nu)
-    yxm, _, ok2 = _solve_chart(variant_code, s, x - fd, tau, eps, y, nu)
-    ytp, _, ok3 = _solve_chart(variant_code, s, x, tau + fd, eps, y, nu)
-    ytm, _, ok4 = _solve_chart(variant_code, s, x, tau - fd, eps, y, nu)
-    if not (ok1 and ok2 and ok3 and ok4):
-        raise ContinuationError("corner-chart solve failed in FD stencil")
-    dydx = (yxp - yxm) / (2 * fd)
-    dydt = (ytp - ytm) / (2 * fd)
+    (b1, a11, a12, c1), (b2, a21, a22, c2) = jac
+    det = a11 * a22 - a12 * a21
+    if abs(det) < 1e-300:
+        raise ContinuationError("corner-chart Jacobian is singular")
+    dydx = -(a22 * b1 - a12 * b2) / det
+    dydt = -(a22 * c1 - a12 * c2) / det
     return dydt + x + y * dydx, y, nu
 
 
@@ -377,8 +393,9 @@ def fold_locus(variant: str, s: float, n_samples: int = 192) -> list[FoldCircle]
         seed = (-2.0 * s * eps[0] * eps[1], s * np.cos(0.0) * eps[0])
         for tau in np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False):
             f0, y, nu = _det_dgamma(code, s, x, tau, eps, seed)
-            # the inner solves leave FD noise on the determinant, so keep the
-            # best iterate and accept roots to ~1e-8 in x (<< the s^2 scale)
+            # the slope is a secant and the determinant carries the inner
+            # solve's residual, so keep the best iterate and accept roots to
+            # ~1e-8 in x (<< the s^2 scale)
             best = (abs(f0), x, y, nu)
             for _ in range(40):
                 if abs(f0) < 1e-10:
@@ -430,15 +447,7 @@ def fold_jacobian_data(pt: ChartPoint):
 
     code = _kernels.variant_code(pt.variant)
     x = np.array([pt.gamma, pt.theta, pt.nu, pt.tau])
-    fd = 1e-6
-    dg = np.zeros((2, 4))
-    for k in range(4):
-        xp = x.copy(); xp[k] += fd
-        xm = x.copy(); xm[k] -= fd
-        fp = _kernels.g_scalar(code, pt.s, xp[0], xp[1], xp[2], xp[3])
-        fm = _kernels.g_scalar(code, pt.s, xm[0], xm[1], xm[2], xm[3])
-        dg[0, k] = (fp[0] - fm[0]) / (2 * fd)
-        dg[1, k] = (fp[1] - fm[1]) / (2 * fd)
+    dg = np.array(_kernels.g_jac(code, pt.s, *x)[2])
     _, _, vt = np.linalg.svd(dg)
     t1, t2 = vt[2], vt[3]  # orthonormal basis of the tangent plane
 

@@ -34,7 +34,12 @@ def fold(variant: str, s: float):
 def variety_points(variant: str, s: float, n: int, seed: int = 0):
     rng = np.random.default_rng(seed)
     pts = []
+    attempts = 0
     while len(pts) < n:
+        assert attempts < 100 * n, (
+            f"found {len(pts)} of {n} two-sheeted fibers for {variant} at "
+            f"s={s} in {attempts} attempts")
+        attempts += 1
         g = float(rng.uniform(0.25, np.pi - 0.25))
         t = float(rng.uniform(0.25, np.pi - 0.25))
         fs = V.solve_fiber(variant, s, g, t)
@@ -122,7 +127,12 @@ def test_criterion_05_asymptotics():
     for variant in VARIANTS:
         res = {0.05: [], 0.025: []}
         made = 0
+        attempts = 0
         while made < 100:
+            assert attempts < 100 * 100, (
+                f"found {made} of 100 two-sheeted fiber pairs for {variant} "
+                f"at s=0.05 and s=0.025 in {attempts} attempts")
+            attempts += 1
             g0 = float(rng.uniform(0.3, np.pi - 0.3))
             t0 = float(rng.uniform(0.3, np.pi - 0.3))
             vals = {}

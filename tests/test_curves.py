@@ -255,3 +255,57 @@ def test_figure_eight_single_double_point_across_s():
         for s in (0.01, 0.05, 0.1):
             f8 = C.figure_eight(arc, s)
             assert len(C.self_intersections(f8.components[0])) == 1, (arc.name, s)
+
+
+def _dict_candidate_pairs(P0, P1, Q0, Q1):
+    """The replaced dict-of-lists grid, kept as the reference."""
+    lens = np.concatenate([np.linalg.norm(P1 - P0, axis=1),
+                           np.linalg.norm(Q1 - Q0, axis=1)])
+    cell = max(1e-6, 2.0 * float(np.max(lens)))
+    loQ = np.floor(np.minimum(Q0, Q1) / cell).astype(np.int64)
+    hiQ = np.floor(np.maximum(Q0, Q1) / cell).astype(np.int64)
+    grid = {}
+    for j in range(len(Q0)):
+        for cx in range(loQ[j, 0], hiQ[j, 0] + 1):
+            for cy in range(loQ[j, 1], hiQ[j, 1] + 1):
+                grid.setdefault((cx, cy), []).append(j)
+    loP = np.floor(np.minimum(P0, P1) / cell).astype(np.int64)
+    hiP = np.floor(np.maximum(P0, P1) / cell).astype(np.int64)
+    ii, jj = [], []
+    for i in range(len(P0)):
+        seen = set()
+        for cx in range(loP[i, 0], hiP[i, 0] + 1):
+            for cy in range(loP[i, 1], hiP[i, 1] + 1):
+                for j in grid.get((cx, cy), ()):
+                    if j not in seen:
+                        seen.add(j)
+                        ii.append(i)
+                        jj.append(j)
+    return np.asarray(ii, dtype=np.int64), np.asarray(jj, dtype=np.int64)
+
+
+def _assert_same_pairs(P, Q):
+    got = C._candidate_pairs(P[:-1], P[1:], Q[:-1], Q[1:])
+    ref = _dict_candidate_pairs(P[:-1], P[1:], Q[:-1], Q[1:])
+    assert set(zip(*got)) == set(zip(*ref))
+    # each pair once, in the reference's order
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
+def test_candidate_pairs_match_dict_grid():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        # random walks with step scales from far below to above the cell
+        P = np.cumsum(rng.normal(0, 0.1, (rng.integers(2, 200), 2)), axis=0)
+        Q = np.cumsum(rng.normal(0, rng.choice([1e-3, 0.05, 0.5]),
+                                 (rng.integers(2, 200), 2)), axis=0)
+        _assert_same_pairs(P - rng.uniform(-2, 2, 2), Q)
+    # the torus-knot scene's input curves, under the translates intersect uses
+    a1 = C.slope_one_arc()
+    a2 = C.slope_two_arc()
+    dd = C.double(C.twisted_double(C.vertical_circle()))
+    comps = [c.lift for cur in (a1, a2, dd) for c in cur.components]
+    for A in comps:
+        for B in comps:
+            for sign, shift in C._translates(A, B):
+                _assert_same_pairs(A, sign * B + shift)

@@ -1,0 +1,252 @@
+"""The analytic Jacobian of the defining pair and the solvers built on it,
+against central differences and against the finite-difference versions
+they replaced (kept here as references)."""
+
+import numpy as np
+import pytest
+from scipy.interpolate import CubicSpline
+
+from pillowcase import _kernels as K
+from pillowcase import compose as X
+from pillowcase import curves as C
+from pillowcase import variety as V
+
+S = 0.05
+CODES = (K.EARRING, K.BYPASS)
+
+
+def _points(rng, n):
+    """n random (s, gamma, theta, nu, tau), among them s = 0 and points where
+    b = (cos gamma, sin gamma, 0) is parallel to h, so |v_p| = 0."""
+    pts = np.column_stack([rng.uniform(-0.2, 0.2, n),
+                           rng.uniform(0, 2 * np.pi, (n, 2)),
+                           rng.uniform(-0.5, 0.5, n),
+                           rng.uniform(0, 2 * np.pi, n)])
+    pts[:50, 0] = 0.0
+    # gamma = pi/2, nu = cos gamma, tau = 0 gives h = b exactly
+    pts[50:100, 1] = np.pi / 2
+    pts[50:100, 3] = np.cos(np.pi / 2)
+    pts[50:100, 4] = 0.0
+    return pts
+
+
+@pytest.mark.parametrize("code", CODES)
+def test_g_jac_value_matches_g_impl(code):
+    for s, g, t, nu, tau in _points(np.random.default_rng(0), 500):
+        g1, g2, _ = K.g_jac(code, s, g, t, nu, tau)
+        a1, a2 = K._g_impl(code, s, g, t, nu, tau)
+        assert abs(g1 - a1) <= 1e-15 and abs(g2 - a2) <= 1e-15
+
+
+def test_bypass_second_row_is_exact():
+    for s, g, t, nu, tau in _points(np.random.default_rng(1), 200):
+        _, g2, jac = K.g_jac(K.BYPASS, s, g, t, nu, tau)
+        assert g2 == nu
+        assert jac[1] == (0.0, 0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize("code", CODES)
+def test_g_jac_matches_central_differences(code):
+    pts = _points(np.random.default_rng(2), 2000)
+    # |v_p| is exactly zero at the parallel points
+    s, g, _, nu, tau = pts[50]
+    r = np.sqrt(1 - nu * nu)
+    assert (np.cos(g) * r * np.cos(tau) - np.sin(g) * nu) == 0.0
+    fd = 1e-6
+    fd_jac = np.empty((len(pts), 2, 4))
+    for k in range(4):
+        dx = np.zeros(4)
+        dx[k] = fd
+        plus = K._g_impl(code, pts[:, 0], *(pts[:, 1:] + dx).T)
+        minus = K._g_impl(code, pts[:, 0], *(pts[:, 1:] - dx).T)
+        for row in range(2):
+            fd_jac[:, row, k] = (plus[row] - minus[row]) / (2 * fd)
+    jac = np.array([K.g_jac(code, *p)[2] for p in pts])
+    assert np.max(np.abs(jac - fd_jac)) <= 1e-8
+
+
+def test_spline_jet_matches_scipy():
+    x = np.concatenate([[0.0], np.cumsum(np.random.default_rng(3)
+                                          .uniform(0.01, 0.1, 60))])
+    sg = CubicSpline(x, np.sin(3 * x) + x)
+    st = CubicSpline(x, np.cos(5 * x))
+    cg, ct = np.ascontiguousarray(sg.c), np.ascontiguousarray(st.c)
+    # interior points, the breaks themselves, and a little past both ends
+    for t in np.concatenate([np.linspace(-0.01, x[-1] + 0.01, 301), x]):
+        g, dg, th, dth = K._spline_jet(sg.x, cg, ct, t)
+        assert g == K._ppoly_eval(sg.x, cg, t)
+        assert th == K._ppoly_eval(sg.x, ct, t)
+        assert abs(g - float(sg(t, 0))) < 1e-13
+        assert abs(dg - float(sg(t, 1))) < 1e-12
+        assert abs(th - float(st(t, 0))) < 1e-13
+        assert abs(dth - float(st(t, 1))) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the replaced finite-difference corrector, kept as the reference
+# ---------------------------------------------------------------------------
+
+def _ref_curve_g(code, s, breaks, cg, ct, t, nu, tau):
+    return K._g_impl(code, s, K._ppoly_eval(breaks, cg, t),
+                     K._ppoly_eval(breaks, ct, t), nu, tau)
+
+
+def _ref_jac23(code, s, breaks, cg, ct, u0, u1, u2):
+    fd = 1e-6
+    j = np.empty((2, 3))
+    u = np.array([u0, u1, u2])
+    for k in range(3):
+        du = np.zeros(3)
+        du[k] = fd
+        fp = _ref_curve_g(code, s, breaks, cg, ct, *(u + du))
+        fm = _ref_curve_g(code, s, breaks, cg, ct, *(u - du))
+        j[0, k] = (fp[0] - fm[0]) / (2 * fd)
+        j[1, k] = (fp[1] - fm[1]) / (2 * fd)
+    return j
+
+
+def _ref_corrector(code, s, breaks, cg, ct, u0, u1, u2, t0, t1, t2, tol,
+                   maxit):
+    p = np.array([u0, u1, u2])
+    u = p.copy()
+    tang = np.array([t0, t1, t2])
+    for _ in range(maxit):
+        f1, f2 = _ref_curve_g(code, s, breaks, cg, ct, *u)
+        f3 = float(tang @ (u - p))
+        if max(abs(f1), abs(f2)) < tol and abs(f3) < 1e-9:
+            return u, True
+        a = np.vstack([_ref_jac23(code, s, breaks, cg, ct, *u), tang])
+        if abs(np.linalg.det(a)) < 1e-300:
+            return u, False
+        du = np.linalg.solve(a, -np.array([f1, f2, f3]))
+        if abs(u[1] + du[1]) > 0.999 or np.sum(np.abs(du)) > 1.0:
+            return u, False
+        u = u + du
+    f1, f2 = _ref_curve_g(code, s, breaks, cg, ct, *u)
+    return u, max(abs(f1), abs(f2)) < tol
+
+
+def _ref_tangent(code, s, breaks, cg, ct, u):
+    j = _ref_jac23(code, s, breaks, cg, ct, *u)
+    t = np.cross(j[0], j[1])
+    return t / np.linalg.norm(t)
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_corrector_matches_finite_difference_reference(variant, monkeypatch):
+    calls = []
+    corrector = K.corrector
+
+    def record(*args):
+        calls.append(args)
+        return corrector(*args)
+
+    monkeypatch.setattr(K, "corrector", record)
+    # the forward pairing's input arc of the torus-knot scene
+    X.fiber_product(C.slope_one_arc(), variant, S)
+    assert len(calls) > 1000
+    # every step there converges; predictors moved 0.5 off the curve in
+    # (nu, tau) exercise the failure exits too
+    far = [args[:6] + (args[6] + 0.5, args[7] + 0.5) + args[8:]
+           for args in calls[::20]]
+    verdicts = set()
+    for args in calls[::10] + far:
+        u0, u1, u2, ok, tang = corrector(*args)
+        u_ref, ok_ref = _ref_corrector(*args)
+        assert ok == ok_ref
+        verdicts.add(ok)
+        if not ok:
+            continue
+        assert np.max(np.abs(np.array([u0, u1, u2]) - u_ref)) < 1e-10
+        t_ref = _ref_tangent(*args[:5], u_ref)
+        assert min(np.max(np.abs(np.array(tang) - t_ref)),
+                   np.max(np.abs(np.array(tang) + t_ref))) < 1e-8
+    assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the replaced five-solve fold determinant, kept as the reference
+# ---------------------------------------------------------------------------
+
+def _ref_solve_chart(code, s, x, tau, eps, y0, nu0):
+    y, nu = y0, nu0
+    fd = 1e-7
+    for _ in range(60):
+        g, t, _, _ = V._chart_angles(x, y, tau, eps)
+        f1, f2 = K._g_impl(code, s, g, t, nu, tau)
+        if max(abs(f1), abs(f2)) < 1e-13:
+            return y, nu, True
+        gp, tp, _, _ = V._chart_angles(x, y + fd, tau, eps)
+        gm, tm, _, _ = V._chart_angles(x, y - fd, tau, eps)
+        yp = K._g_impl(code, s, gp, tp, nu, tau)
+        ym = K._g_impl(code, s, gm, tm, nu, tau)
+        np_ = K._g_impl(code, s, g, t, nu + fd, tau)
+        nm = K._g_impl(code, s, g, t, nu - fd, tau)
+        a = np.array([[yp[0] - ym[0], np_[0] - nm[0]],
+                      [yp[1] - ym[1], np_[1] - nm[1]]]) / (2 * fd)
+        dy, dnu = np.linalg.solve(a, -np.array([f1, f2]))
+        y += dy
+        nu += dnu
+        if abs(nu) > 0.6 or abs(y) > 0.9:
+            return y, nu, False
+    return y, nu, False
+
+
+def _ref_det_dgamma(code, s, x, tau, eps, seed):
+    fd = 1e-5
+    y, nu, ok = _ref_solve_chart(code, s, x, tau, eps, *seed)
+    assert ok
+    yxp = _ref_solve_chart(code, s, x + fd, tau, eps, y, nu)[0]
+    yxm = _ref_solve_chart(code, s, x - fd, tau, eps, y, nu)[0]
+    ytp = _ref_solve_chart(code, s, x, tau + fd, eps, y, nu)[0]
+    ytm = _ref_solve_chart(code, s, x, tau - fd, eps, y, nu)[0]
+    dydx = (yxp - yxm) / (2 * fd)
+    dydt = (ytp - ytm) / (2 * fd)
+    return dydt + x + y * dydx, y, nu
+
+
+@pytest.mark.parametrize("code", CODES)
+def test_det_dgamma_matches_five_solve_reference(code):
+    rng = np.random.default_rng(4)
+    for eps in [(1, 1), (-1, 1), (1, -1), (-1, -1)]:
+        seed = (-2.0 * S * eps[0] * eps[1], S * eps[0])
+        for _ in range(10):
+            tau = rng.uniform(0, 2 * np.pi)
+            # on both sides of the fold, at radius ~2|s|
+            x = rng.uniform(-0.2, 0.2)
+            new = V._det_dgamma(code, S, x, tau, eps, seed)
+            ref = _ref_det_dgamma(code, S, x, tau, eps, seed)
+            assert np.max(np.abs(np.array(new) - np.array(ref))) < 1e-6
+
+
+def _ref_fold_jacobian_data(pt, monkeypatch):
+    """``fold_jacobian_data`` with dG from the replaced central differences."""
+    def fd_g_jac(code, s, *x):
+        fd = 1e-6
+        dg = np.zeros((2, 4))
+        for k in range(4):
+            dx = np.zeros(4)
+            dx[k] = fd
+            fp = K._g_impl(code, s, *(np.array(x) + dx))
+            fm = K._g_impl(code, s, *(np.array(x) - dx))
+            dg[:, k] = (np.array(fp) - np.array(fm)) / (2 * fd)
+        return None, None, dg
+
+    with monkeypatch.context() as m:
+        m.setattr(K, "g_jac", fd_g_jac)
+        return V.fold_jacobian_data(pt)
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_fold_jacobian_data_matches_finite_differences(variant, monkeypatch):
+    for circle in V.fold_locus(variant, S):
+        for pt in circle.points[::48]:
+            sv0, k0, sv1, k1 = V.fold_jacobian_data(pt)
+            r0, q0, r1, q1 = _ref_fold_jacobian_data(pt, monkeypatch)
+            # both restriction maps drop rank at a fold point
+            assert sv0[1] / sv0[0] < 1e-4 and sv1[1] / sv1[0] < 1e-4
+            assert np.max(np.abs(sv0 - r0)) < 1e-7
+            assert np.max(np.abs(sv1 - r1)) < 1e-7
+            # kernel lines agree up to sign
+            assert 1 - abs(float(np.dot(k0, q0))) < 1e-8
+            assert 1 - abs(float(np.dot(k1, q1))) < 1e-6

@@ -10,7 +10,12 @@ from pillowcase import words as W
 def variety_points(variant, s, n, seed=0):
     rng = np.random.default_rng(seed)
     pts = []
+    attempts = 0
     while len(pts) < n:
+        assert attempts < 100 * n, (
+            f"found {len(pts)} of {n} two-sheeted fibers for {variant} at "
+            f"s={s} in {attempts} attempts")
+        attempts += 1
         g = float(rng.uniform(0.3, np.pi - 0.3))
         t = float(rng.uniform(0.3, np.pi - 0.3))
         fs = V.solve_fiber(variant, s, g, t)
