@@ -14,17 +14,13 @@ Subpackage layout:
                   symmetries / involutions
 - ``curves``      immersed-curve calculus in the pillowcase
 - ``compose``     correspondence composition via pseudo-arclength continuation
+- ``verify``      the invariant battery: every check of the paper's claims
+                  with its thresholds
 - ``cli``         command-line surface (trace / compose / scene / verify)
 
 Hot kernels live in ``_kernels``: the defining pair on numpy arrays, batched
 fiber Newton, and the defining pair with its exact Jacobian one point at a
-time for continuation and fold extraction.  The scalar pair is
-numba-compiled when the optional ``numba`` extra is installed (set
-``PILLOWCASE_NUMBA=0`` to keep numpy then).
+time for continuation and fold extraction.
 """
 
 __version__ = "0.1.0"
-
-EARRING = "earring"
-BYPASS = "bypass"
-VARIANTS = (EARRING, BYPASS)

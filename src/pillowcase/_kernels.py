@@ -12,32 +12,19 @@ numpy arrays; fiber Newton is written once, over arrays of fibers
 evaluates the pair at one point together with its exact Jacobian, by
 forward-mode differentiation on Python floats; the continuation corrector
 and tangent, the corner-chart solves of the fold circles and the fold rank
-data take their derivatives from it.  When numba is installed (the optional
-``numba`` extra) the scalar pair ``g_scalar`` is compiled with numba.njit;
-setting the environment variable PILLOWCASE_NUMBA=0, or running without
-numba, selects the pure-numpy path.
+data take their derivatives from it.  Everything runs on numpy and Python
+floats.  ``NUMBA_ENABLED`` (always False) and the aliases ``g_scalar`` and
+``g_scalar_py`` of ``_g_impl`` stay because the benchmark in ``perfbench/``
+reads them.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit as _njit
-    from numba.extending import register_jitable as _register_jitable
-
-    _HAVE_NUMBA = True
-except ImportError:  # numba is an optional extra
-    _HAVE_NUMBA = False
-
-    def _register_jitable(f):
-        return f
-
-
-NUMBA_ENABLED = _HAVE_NUMBA and os.environ.get("PILLOWCASE_NUMBA", "1") != "0"
+NUMBA_ENABLED = False
 
 EARRING = 0
 BYPASS = 1
@@ -55,7 +42,6 @@ def variant_code(variant) -> int:
 # scalar/broadcast quaternion helpers (tuple-of-components form)
 # ---------------------------------------------------------------------------
 
-@_register_jitable
 def _qmul(aw, ax, ay, az, bw, bx, by, bz):
     return (
         aw * bw - ax * bx - ay * by - az * bz,
@@ -65,7 +51,6 @@ def _qmul(aw, ax, ay, az, bw, bx, by, bz):
     )
 
 
-@_register_jitable
 def _qexp_pure(x, y, z):
     n = np.sqrt(x * x + y * y + z * z)
     nn = np.maximum(n, 1e-300)
@@ -73,7 +58,6 @@ def _qexp_pure(x, y, z):
     return np.cos(n), sc * x, sc * y, sc * z
 
 
-@_register_jitable
 def _g_earring_impl(s, gamma, theta, nu, tau):
     """G = (Re(p q h^- a h^-), Re(p q h^- a)) on the gauge slice."""
     cg = np.cos(gamma)
@@ -103,7 +87,6 @@ def _g_earring_impl(s, gamma, theta, nu, tau):
     return g1, g2
 
 
-@_register_jitable
 def _g_bypass_impl(s, gamma, theta, nu, tau):
     """G' = (Re(q^- p^- h p q h^- a), Re(h^- a)); the second component is nu."""
     cg = np.cos(gamma)
@@ -130,11 +113,13 @@ def _g_bypass_impl(s, gamma, theta, nu, tau):
     return g1, g2
 
 
-@_register_jitable
 def _g_impl(variant, s, gamma, theta, nu, tau):
     if variant == EARRING:
         return _g_earring_impl(s, gamma, theta, nu, tau)
     return _g_bypass_impl(s, gamma, theta, nu, tau)
+
+
+g_scalar = g_scalar_py = _g_impl
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +221,8 @@ def g_jac(code, s, gamma, theta, nu, tau):
 # cubic piecewise-polynomial evaluation (scipy PPoly layout: c[k, i])
 # ---------------------------------------------------------------------------
 
-@_register_jitable
 def _ppoly_eval(breaks, c, x):
-    n = len(breaks) - 1
-    i = int(np.searchsorted(breaks, x)) - 1
-    if i < 0:
-        i = 0
-    if i > n - 1:
-        i = n - 1
+    i = min(max(int(np.searchsorted(breaks, x)) - 1, 0), len(breaks) - 2)
     dx = x - breaks[i]
     return ((c[0, i] * dx + c[1, i]) * dx + c[2, i]) * dx + c[3, i]
 
@@ -343,15 +322,6 @@ def corrector(code, s, breaks, cg, ct, u0, u1, u2, t0, t1, t2, tol, maxit):
         u0 += du0
         u1 += du1
         u2 += du2
-
-
-# ---------------------------------------------------------------------------
-# instantiate both paths
-# ---------------------------------------------------------------------------
-
-# pure-python/numpy face (elementwise forms broadcast over arrays)
-g_scalar_py = _g_impl
-g_scalar = _njit(cache=True)(_g_impl) if NUMBA_ENABLED else _g_impl
 
 
 def g_pair(variant, s, gamma, theta, nu, tau):

@@ -328,8 +328,12 @@ def push_forward(fp: FiberProduct, *, turn_limit_deg: float = 15.0) -> ImmersedC
             ts = samp[:, 0]
             gs = np.array([_kernels._ppoly_eval(breaks, cg, t) for t in ts])
             th = np.array([_kernels._ppoly_eval(breaks, ct, t) for t in ts])
-            r3 = pi1_r3_of_chart(fp.s, gs, th, samp[:, 1], samp[:, 2],
-                                 variant=fp.variant)
+            try:
+                r3 = pi1_r3_of_chart(fp.s, gs, th, samp[:, 1], samp[:, 2],
+                                     variant=fp.variant)
+            except ValueError as exc:
+                raise ContinuationError(
+                    f"fiber-product sample outside the chart: {exc}") from exc
             return _unwrap_orbit_path(r3)
 
         lift = image_of(samples)

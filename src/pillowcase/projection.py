@@ -139,8 +139,8 @@ def pi1_r3(rep: Rep) -> np.ndarray:
 
 def pi1_r3_of_chart(s, gamma, theta, nu, tau, variant=EARRING) -> np.ndarray:
     """pi1 characters straight from chart coordinates (vectorized over
-    broadcastable inputs)."""
-    vals = embed_arrays(s, gamma, theta, np.clip(nu, -0.5, 0.5), tau)
+    broadcastable inputs); raises ValueError for |nu| > 1/2."""
+    vals = embed_arrays(s, gamma, theta, nu, tau)
     return np.stack([quat.real_part(eval_word(vals, w)) for w in CHARS_P1],
                     axis=-1)
 

@@ -262,17 +262,24 @@ class IdentityReport:
     perturbation_p: float
     perturbation_q: float
     max_residual: float = field(init=False)
-    tol: float = 1e-10
-    ok: bool = field(init=False)
 
     def __post_init__(self):
         self.max_residual = max(self.slice_relation, self.relator_p,
                                 self.relator_q, self.perturbation_p,
                                 self.perturbation_q)
-        self.ok = self.max_residual < self.tol
 
 
-def check_identities(pt: ChartPoint, tol: float = 1e-10) -> IdentityReport:
+def perturbation_residuals(rep: Rep) -> tuple[float, float]:
+    """Distances of p from exp(s Im lambda_p) and of q from
+    exp(s Im lambda_q)."""
+    def miss(x, lam):
+        return float(np.max(np.abs(
+            x - quat.qexp(rep.s * quat.ima(eval_word(rep, lam))))))
+
+    return miss(rep.p, LAMBDA_P), miss(rep.q, LAMBDA_Q)
+
+
+def check_identities(pt: ChartPoint) -> IdentityReport:
     """Residuals of the slice relation, the relators, and the perturbation
     conditions at one chart point."""
     rep = embed_L(pt)
@@ -283,17 +290,13 @@ def check_identities(pt: ChartPoint, tol: float = 1e-10) -> IdentityReport:
     def dist_one(w):
         return float(np.max(np.abs(eval_word(rep, w) - quat.ONE)))
 
-    pert_p = float(np.max(np.abs(
-        rep.p - quat.qexp(pt.s * quat.ima(eval_word(rep, LAMBDA_P))))))
-    pert_q = float(np.max(np.abs(
-        rep.q - quat.qexp(pt.s * quat.ima(eval_word(rep, LAMBDA_Q))))))
+    pert_p, pert_q = perturbation_residuals(rep)
     report = IdentityReport(
         slice_relation=dist("PaFqf", "hpqHa"),
         relator_p=dist_one(commutator("p", LAMBDA_P.text)),
         relator_q=dist_one(commutator("q", LAMBDA_Q.text)),
         perturbation_p=pert_p,
         perturbation_q=pert_q,
-        tol=tol,
     )
     return report
 

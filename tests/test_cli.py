@@ -84,13 +84,37 @@ def test_scene_command(tmp_path):
     assert (tmp_path / "scene_p1.svg").exists()
 
 
-def test_verify_json_and_fault(tmp_path):
-    code = run(["verify", "--variant", "bypass", "--s", "0.05",
-                "--out", str(tmp_path), "--json"])
-    assert code == 0
-    code = run(["verify", "--variant", "bypass", "--s", "0.05",
-                "--out", str(tmp_path), "--inject-fault", "g-bias"])
-    assert code == 1
+def _verify_rows(capsys, variant):
+    code = run(["verify", "--variant", variant, "--s", "0.05", "--json"])
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 11
+    return code, {r["check"] for r in rows if not r["ok"]}, rows
+
+
+def test_verify_json_and_fault(capsys, monkeypatch):
+    assert _verify_rows(capsys, "bypass")[:2] == (0, set())
+    # a wrong fixed-point angle on the circles over the bottom edge
+    from pillowcase import compose, variety
+
+    eta = variety.eta
+    for mod in (variety, compose):
+        monkeypatch.setattr(mod, "eta", lambda s, sigma: -eta(s, sigma))
+    code, failing, _ = _verify_rows(capsys, "earring")
+    assert code == 1 and {"k_circle", "composed_edge"} <= failing
+
+
+def test_verify_reports_both_rows_when_composition_fails(capsys,
+                                                         monkeypatch):
+    from pillowcase.variety import ContinuationError
+
+    def refuse(*args, **kwargs):
+        raise ContinuationError("loop failed to close")
+
+    monkeypatch.setattr(cli, "compose_curve", refuse)
+    code, failing, rows = _verify_rows(capsys, "bypass")
+    assert code == 1 and failing == {"composed_edge", "composed_circles"}
+    assert {r["detail"] for r in rows if not r["ok"]} == {
+        "loop failed to close"}
 
 
 def test_usage_error_exit_code():

@@ -1,21 +1,9 @@
-"""Parity of the compiled kernels against the pure-numpy forms."""
+"""The kernels against the word evaluation, their batch forms and scipy."""
 
 import numpy as np
 
 from pillowcase import _kernels as k
 from pillowcase import words as W
-
-
-def test_scalar_matches_numpy_path():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        s = rng.uniform(-0.2, 0.2)
-        g, t, tau = rng.uniform(0, 2 * np.pi, 3)
-        nu = rng.uniform(-0.5, 0.5)
-        for code in (k.EARRING, k.BYPASS):
-            a = k.g_scalar(code, s, g, t, nu, tau)
-            b = k.g_scalar_py(code, s, g, t, nu, tau)
-            assert a[0] == b[0] and a[1] == b[1]
 
 
 def test_kernel_matches_word_evaluation():

@@ -3,25 +3,13 @@ import pytest
 
 from pillowcase import projection as P
 from pillowcase import quat
-from pillowcase import variety as V
+from pillowcase import verify as VF
 from pillowcase import words as W
+from pillowcase.cli import _variety_points
 
 
 def variety_points(variant, s, n, seed=0):
-    rng = np.random.default_rng(seed)
-    pts = []
-    attempts = 0
-    while len(pts) < n:
-        assert attempts < 100 * n, (
-            f"found {len(pts)} of {n} two-sheeted fibers for {variant} at "
-            f"s={s} in {attempts} attempts")
-        attempts += 1
-        g = float(rng.uniform(0.3, np.pi - 0.3))
-        t = float(rng.uniform(0.3, np.pi - 0.3))
-        fs = V.solve_fiber(variant, s, g, t)
-        if fs.status == "two_sheets":
-            pts.append(fs.chart_points()[int(rng.integers(0, 2))])
-    return pts
+    return _variety_points(np.random.default_rng(seed), variant, s, n)
 
 
 def test_canonical_orbit():
@@ -190,6 +178,4 @@ def test_factorization():
         for e2 in (1, -1):
             assert P.verify_factorization(W.rho_eps(e1, e2, 0.05)) < 1e-10
     for variant in ("earring", "bypass"):
-        for pt in variety_points(variant, 0.05, 15, seed=5):
-            pt.variant = variant
-            assert P.verify_factorization(W.embed_L(pt)) < 1e-7
+        assert VF.factorization(variety_points(variant, 0.05, 15, seed=5))[1]

@@ -4,6 +4,7 @@ import pytest
 from pillowcase import _kernels
 from pillowcase import quat
 from pillowcase import variety as V
+from pillowcase import verify as VF
 from pillowcase import words as W
 
 
@@ -98,13 +99,12 @@ def test_eta():
 
 
 def test_k_circle_on_variety():
+    sigmas = np.linspace(0, 2 * np.pi, 36, endpoint=False)
+    assert VF.k_circles(("earring", "bypass"), (0.05, 0.1), sigmas)[1]
     for s in (0.05, 0.1):
-        for sig in np.linspace(0, 2 * np.pi, 36, endpoint=False):
-            re = V.k_circle("earring", s, float(sig))
-            assert float(np.max(np.abs(np.stack(W.g_of_rep(re))))) < 1e-9
-            rb = V.k_circle("bypass", s, float(sig))
-            assert float(np.max(np.abs(np.stack(W.gp_of_rep(rb))))) < 1e-9
-            for rep in (re, rb):
+        for sig in sigmas:
+            for variant in ("earring", "bypass"):
+                rep = V.k_circle(variant, s, float(sig))
                 assert np.allclose(rep.a, quat.I)
                 assert np.allclose(rep.f, quat.I)
 
@@ -188,20 +188,13 @@ def test_fold_circle_iota_invariance():
 
 def test_fold_jacobians_rank_one_transverse():
     circles = V.fold_locus("earring", 0.05, n_samples=32)
-    for c in circles[:2]:
-        for pt in (c.points[3], c.points[17]):
-            sv0, k0, sv1, k1 = V.fold_jacobian_data(pt)
-            assert sv0[1] / sv0[0] < 1e-4
-            assert sv1[1] / sv1[0] < 1e-4
-            ang = np.arccos(min(1.0, abs(float(np.dot(k0, k1)))))
-            assert ang > 1e-3
+    rank_points = [c.points[i] for c in circles[:2] for i in (3, 17)]
+    assert VF.fold_structure(circles, 0.05, rank_points)[3]
 
 
 def test_topology_reports():
     rep = V.verify_topology("earring", 0.05, grid=32)
-    assert rep.consistent
-    assert rep.euler_characteristic == -8
-    assert rep.genus_cover == 5 and rep.genus_quotient == 3
+    assert VF.topology(rep)
     # the grid and the circles come back with the report, not in its dict
     gs, ts, status = rep.fibers
     assert status.shape == (32, 32) and len(rep.circles) == 4
