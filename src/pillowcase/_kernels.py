@@ -11,11 +11,12 @@ numpy arrays; fiber Newton is written once, over arrays of fibers
 (``newton_fibers``), and ``newton_fiber`` is its one-point face.  ``g_jac``
 evaluates the pair at one point together with its exact Jacobian, by
 forward-mode differentiation on Python floats; the continuation corrector
-and tangent, the corner-chart solves of the fold circles and the fold rank
-data take their derivatives from it.  Everything runs on numpy and Python
-floats.  ``NUMBA_ENABLED`` (always False) and the aliases ``g_scalar`` and
-``g_scalar_py`` of ``_g_impl`` stay because the benchmark in ``perfbench/``
-reads them.
+and tangent, the fold-circle Newton and the fold rank data take their
+derivatives from it.  Both 3x3 Newton steps, the corrector's and the fold
+circles', go through one Cramer solve, ``_solve3``.  Everything runs on
+numpy and Python floats.  ``NUMBA_ENABLED`` (always False) and the aliases
+``g_scalar`` and ``g_scalar_py`` of ``_g_impl`` stay because the benchmark
+in ``perfbench/`` reads them.
 """
 
 from __future__ import annotations
@@ -273,6 +274,34 @@ def tangent(code, s, breaks, cg, ct, u0, u1, u2):
     return tn[0], tn[1], tn[2], True
 
 
+def _solve3(a00, a01, a02, a10, a11, a12, a20, a21, a22, r0, r1, r2):
+    """The solution of the 3x3 system A x = r by Cramer's rule, rows of A
+    given in order, or None when det A vanishes."""
+    det = (
+        a00 * (a11 * a22 - a12 * a21)
+        - a01 * (a10 * a22 - a12 * a20)
+        + a02 * (a10 * a21 - a11 * a20)
+    )
+    if abs(det) < 1e-300:
+        return None
+    x0 = (
+        r0 * (a11 * a22 - a12 * a21)
+        - a01 * (r1 * a22 - a12 * r2)
+        + a02 * (r1 * a21 - a11 * r2)
+    ) / det
+    x1 = (
+        a00 * (r1 * a22 - a12 * r2)
+        - r0 * (a10 * a22 - a12 * a20)
+        + a02 * (a10 * r2 - r1 * a20)
+    ) / det
+    x2 = (
+        a00 * (a11 * r2 - r1 * a21)
+        - a01 * (a10 * r2 - r1 * a20)
+        + r0 * (a10 * a21 - a11 * a20)
+    ) / det
+    return x0, x1, x2
+
+
 def corrector(code, s, breaks, cg, ct, u0, u1, u2, t0, t1, t2, tol, maxit):
     """Newton on {G = 0, tangent . (u - u_pred) = 0}.
 
@@ -289,32 +318,10 @@ def corrector(code, s, breaks, cg, ct, u0, u1, u2, t0, t1, t2, tol, maxit):
         f3 = t0 * (u0 - p0) + t1 * (u1 - p1) + t2 * (u2 - p2)
         if max(abs(f1), abs(f2)) < tol and abs(f3) < 1e-9:
             return u0, u1, u2, True, _null(j)
-        a00, a01, a02, a10, a11, a12 = j
-        r0 = -f1
-        r1 = -f2
-        r2 = -f3
-        det = (
-            a00 * (a11 * t2 - a12 * t1)
-            - a01 * (a10 * t2 - a12 * t0)
-            + a02 * (a10 * t1 - a11 * t0)
-        )
-        if abs(det) < 1e-300:
+        step = _solve3(*j, t0, t1, t2, -f1, -f2, -f3)
+        if step is None:
             return u0, u1, u2, False, None
-        du0 = (
-            r0 * (a11 * t2 - a12 * t1)
-            - a01 * (r1 * t2 - a12 * r2)
-            + a02 * (r1 * t1 - a11 * r2)
-        ) / det
-        du1 = (
-            a00 * (r1 * t2 - a12 * r2)
-            - r0 * (a10 * t2 - a12 * t0)
-            + a02 * (a10 * r2 - r1 * t0)
-        ) / det
-        du2 = (
-            a00 * (a11 * r2 - r1 * t1)
-            - a01 * (a10 * r2 - r1 * t0)
-            + r0 * (a10 * t1 - a11 * t0)
-        ) / det
+        du0, du1, du2 = step
         if abs(u1 + du1) > 0.999:
             return u0, u1, u2, False, None
         if abs(du0) + abs(du1) + abs(du2) > 1.0:

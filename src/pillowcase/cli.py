@@ -10,15 +10,17 @@ Subcommands:
                length-three composition
 - ``verify``   run the full invariant battery and exit nonzero on failure
 
-Exit codes: 0 success, 1 verification failure, 2 usage error or bad curve
-file, 3 numerical failure (non-convergence or tangency).  The output directory defaults to
-``--out`` and is overridden by the PILLOWCASE_OUT environment variable.
+Exit codes: 0 success, 1 verification failure, 2 usage error, bad option
+value or bad curve file, 3 numerical failure (non-convergence or tangency).
+The output directory defaults to ``--out`` and is overridden by the
+PILLOWCASE_OUT environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -346,6 +348,27 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _checked(cast, ok, why):
+    """An argparse type: ``cast`` the text, then reject it unless ``ok``."""
+    def parse(text: str):
+        x = cast(text)
+        if not ok(x):
+            raise argparse.ArgumentTypeError(f"{text!r} {why}")
+        return x
+    parse.__name__ = cast.__name__  # argparse names it in "invalid float value"
+    return parse
+
+
+# |s| < 1/2 is the condition of variety.eta; NaN fails every comparison
+_S = _checked(float, lambda s: abs(s) < 0.5, "is not finite with |s| < 1/2")
+_NONZERO_S = _checked(float, lambda s: 0.0 < abs(s) < 0.5,
+                      "is not finite with 0 < |s| < 1/2 (fold circles need "
+                      "s != 0)")
+_GRID = _checked(int, lambda n: n >= 1, "is not >= 1")
+_MAX_STEP = _checked(float, lambda h: 0.0 < h < math.inf,
+                     "is not finite and > 0")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pillowcase",
@@ -354,17 +377,17 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, s_default=0.05):
+    def common(p, s_type=_NONZERO_S):
         p.add_argument("--variant", choices=[EARRING, BYPASS], default=EARRING)
-        p.add_argument("--s", type=float, default=s_default)
+        p.add_argument("--s", type=s_type, default=0.05)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out")
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("trace", help="fiber classification, fold circles, "
                                      "topology report")
-    common(p)
-    p.add_argument("--grid", type=int, default=64)
+    common(p, s_type=_S)  # s = 0 gives the degenerate report
+    p.add_argument("--grid", type=_GRID, default=64)
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("compose", help="compose a curve with the "
@@ -373,12 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", choices=sorted(NAMED_CURVES), default="beta")
     p.add_argument("--curve-file", default=None,
                    help="JSON curve file (overrides --name)")
-    p.add_argument("--max-step", type=float, default=4e-3)
+    p.add_argument("--max-step", type=_MAX_STEP, default=4e-3)
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("scene", help="torus-knot example, both pairings")
     common(p)
-    p.add_argument("--max-step", type=float, default=4e-3)
+    p.add_argument("--max-step", type=_MAX_STEP, default=4e-3)
     p.set_defaults(func=cmd_scene)
 
     p = sub.add_parser("verify", help="run the invariant battery")

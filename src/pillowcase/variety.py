@@ -5,13 +5,13 @@ either variety to (gamma, theta) is a two-sheeted cover; over small disks
 around those points (radius about 2|s|) the fibers are empty, and the two
 regimes are separated by four fold circles.  This module solves fibers by
 continuation in s from the closed-form s = 0 solutions, extracts the fold
-circles in rotated corner charts, verifies the resulting surface topology,
-and provides the closed-form circle of representations over the bottom edge.
+circles as solutions of the extended system {G = 0, det dG/d(nu, tau) = 0} at
+fixed tau, verifies the resulting surface topology, and provides the
+closed-form circle of representations over the bottom edge.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -275,7 +275,7 @@ def solve_fiber(variant: str, s: float, gamma: float, theta: float, *,
 
 
 # ---------------------------------------------------------------------------
-# fold circles via rotated corner charts
+# fold circles: the extended system {G = 0, det dG/d(nu, tau) = 0}
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -296,131 +296,72 @@ class FoldCircle:
         return int(np.round(np.sum(d) / (2 * np.pi)))
 
 
-def _chart_angles(x: float, y: float, tau: float, eps: tuple[int, int]):
-    sg = x * np.cos(tau) - y * np.sin(tau)
-    st = x * np.sin(tau) + y * np.cos(tau)
-    g = np.arcsin(np.clip(sg, -1.0, 1.0))
-    if eps[0] < 0:
-        g = np.pi - g
-    t = np.arcsin(np.clip(st, -1.0, 1.0))
-    if eps[1] < 0:
-        t = np.pi - t
-    return g, t, sg, st
+FOLD_TOL = 1e-13  # residual of (G1, G2, det) at an accepted fold point
+FOLD_FD = 1e-7  # forward-difference step of the determinant's gradient
+FOLD_MAXIT = 30
 
 
-def _chart_pair(variant_code: int, s: float, x: float, y: float, nu: float,
-                tau: float, eps: tuple[int, int]):
-    """The defining pair at a corner-chart point and its 2x4 Jacobian in
-    (x, y, nu, tau), by the chain rule through ``_chart_angles``."""
-    g, t, sg, st = _chart_angles(x, y, tau, eps)
-    sg, st = float(sg), float(st)
-    f1, f2, jac = _kernels.g_jac(variant_code, s, g, t, nu, tau)
-    # d gamma / d sg and d theta / d st; zero where the sines were clipped
-    dg = eps[0] / math.sqrt(1.0 - sg * sg) if abs(sg) < 1.0 else 0.0
-    dt = eps[1] / math.sqrt(1.0 - st * st) if abs(st) < 1.0 else 0.0
-    cu, su = math.cos(tau), math.sin(tau)
-    rows = []
-    for jg, jt, jn, ju in jac:
-        jg *= dg
-        jt *= dt
-        # sg = x cos tau - y sin tau, st = x sin tau + y cos tau
-        rows.append((jg * cu + jt * su, jt * cu - jg * su, jn,
-                     ju - jg * st + jt * sg))
-    return f1, f2, rows
+def _fold_system(code: int, s: float, x, tau: float):
+    """F(x) = (G1, G2, det dG/d(nu, tau)) at x = (gamma, theta, nu) and fixed
+    tau, with the exact rows dG1/dx and dG2/dx (six numbers)."""
+    if not abs(x[2]) < 1.0:
+        raise ContinuationError(f"fold Newton left the chart at nu = {x[2]:.3g}")
+    g1, g2, ((a0, a1, a2, a3), (b0, b1, b2, b3)) = _kernels.g_jac(
+        code, s, *x, tau)
+    return (g1, g2, a2 * b3 - a3 * b2), (a0, a1, a2, b0, b1, b2)
 
 
-def _solve_chart(variant_code: int, s: float, x: float, tau: float,
-                 eps: tuple[int, int], y0: float, nu0: float):
-    """Solve the defining pair for (y, nu) at fixed (x, tau) in the corner
-    chart, where the system is regular through the fold.
+def _fold_point(code: int, s: float, x, tau: float):
+    """Newton on F(gamma, theta, nu) = 0 at fixed tau from the seed x.
 
-    Returns (y, nu, ok, jac), ``jac`` the chart Jacobian at (y, nu).
+    G and det are exact; the gradient of det is a forward difference of the
+    exact Jacobian at the seed, kept for every iteration, so it sets the
+    convergence rate but not the root.
     """
-    y, nu = y0, nu0
-    for _ in range(60):
-        f1, f2, jac = _chart_pair(variant_code, s, x, y, nu, tau, eps)
-        if max(abs(f1), abs(f2)) < 1e-13:
-            return y, nu, True, jac
-        (_, a11, a12, _), (_, a21, a22, _) = jac
-        det = a11 * a22 - a12 * a21
-        if abs(det) < 1e-300:
-            return y, nu, False, jac
-        dy = -(f1 * a22 - f2 * a12) / det
-        dnu = -(a11 * f2 - a21 * f1) / det
-        y += dy
-        nu += dnu
-        if abs(nu) > 0.6 or abs(y) > 0.9:
-            return y, nu, False, jac
-    return y, nu, False, jac
-
-
-def _det_dgamma(variant_code: int, s: float, x: float, tau: float,
-                eps: tuple[int, int], seed):
-    """det of the chart-coordinate differential along the solved sheet:
-    dY/dtau + x + Y dY/dx, whose zero set is the critical circle.
-
-    dY/dx and dY/dtau come from the implicit function theorem at the
-    solution: d(y, nu) = -[F_y F_nu]^-1 [F_x F_tau] d(x, tau).
-    """
-    y, nu, ok, jac = _solve_chart(variant_code, s, x, tau, eps, seed[0],
-                                  seed[1])
-    if not ok:
-        raise ContinuationError("corner-chart solve failed")
-    (b1, a11, a12, c1), (b2, a21, a22, c2) = jac
-    det = a11 * a22 - a12 * a21
-    if abs(det) < 1e-300:
-        raise ContinuationError("corner-chart Jacobian is singular")
-    dydx = -(a22 * b1 - a12 * b2) / det
-    dydt = -(a22 * c1 - a12 * c2) / det
-    return dydt + x + y * dydx, y, nu
+    x = tuple(float(v) for v in x)
+    f, rows = _fold_system(code, s, x, tau)
+    ddet = []
+    for k in range(3):
+        xk = list(x)
+        xk[k] += FOLD_FD
+        ddet.append((_fold_system(code, s, xk, tau)[0][2] - f[2]) / FOLD_FD)
+    for _ in range(FOLD_MAXIT):
+        if max(map(abs, f)) < FOLD_TOL:
+            return x
+        step = _kernels._solve3(*rows, *ddet, -f[0], -f[1], -f[2])
+        if step is None:
+            raise ContinuationError("fold Newton met a singular Jacobian")
+        x = tuple(a + b for a, b in zip(x, step))
+        f, rows = _fold_system(code, s, x, tau)
+    raise ContinuationError(f"fold Newton did not converge at tau = {tau:.4f}")
 
 
 def fold_locus(variant: str, s: float, n_samples: int = 192) -> list[FoldCircle]:
     """The four fold circles of the projection to the base torus.
 
-    For each corner sign pair the critical set is cut out, in the rotated
-    chart (x, y, tau), by the vanishing of the sheet's Jacobian determinant;
-    that equation is solved for x along a tau grid.
+    A fold point is a solution of G = 0 where dG/d(nu, tau) is singular;
+    the solutions near each corner form a circle along which tau turns once.
+    Each sample solves that square system in (gamma, theta, nu) at one tau
+    of an even grid, seeded by the corner and then by extrapolation along
+    the circle.
     """
     if s == 0.0:
         raise ValueError("fold circles require s != 0")
     code = _kernels.variant_code(variant)
+    taus = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
     out = []
     for eps in [(1, 1), (-1, 1), (1, -1), (-1, -1)]:
-        pts = []
-        img = []
-        x = 0.0
-        seed = (-2.0 * s * eps[0] * eps[1], s * np.cos(0.0) * eps[0])
-        for tau in np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False):
-            f0, y, nu = _det_dgamma(code, s, x, tau, eps, seed)
-            # the slope is a secant and the determinant carries the inner
-            # solve's residual, so keep the best iterate and accept roots to
-            # ~1e-8 in x (<< the s^2 scale)
-            best = (abs(f0), x, y, nu)
-            for _ in range(40):
-                if abs(f0) < 1e-10:
-                    break
-                f1, _, _ = _det_dgamma(code, s, x + 1e-6, tau, eps, (y, nu))
-                d = (f1 - f0) / 1e-6
-                if abs(d) < 1e-12:
-                    break
-                step = -f0 / d
-                x = x + step
-                if abs(x) > 0.5:
-                    raise ContinuationError("fold circle left the corner chart")
-                f0, y, nu = _det_dgamma(code, s, x, tau, eps, (y, nu))
-                if abs(f0) < best[0]:
-                    best = (abs(f0), x, y, nu)
-                if abs(step) < 1e-11:
-                    break
-            if best[0] > 1e-8:
-                raise ContinuationError("fold root Newton did not converge")
-            _, x, y, nu = best
-            seed = (y, nu)
-            g, t, sg, st = _chart_angles(x, y, tau, eps)
-            pts.append(ChartPoint(s, g, t, nu, tau, variant))
-            img.append((sg, st))
-        img = np.asarray(img)
+        g0, t0 = CORNER_BASE[eps]
+        seed = (g0, t0 - 2 * s * eps[0], s * eps[0])
+        sols = []
+        for tau in taus:
+            x = _fold_point(code, s, seed, float(tau))
+            # linear extrapolation from the last two samples
+            seed = [2 * a - b for a, b in zip(x, sols[-1])] if sols else x
+            sols.append(x)
+        pts = [ChartPoint(s, g, t, nu, float(tau), variant)
+               for (g, t, nu), tau in zip(sols, taus)]
+        img = np.sin(np.array(sols)[:, :2])
         circ = FoldCircle(eps, variant, s, pts, img)
         # closure and winding checks
         gap = np.linalg.norm(img[0] - img[-1])
@@ -507,11 +448,11 @@ class TopologyReport:
         }
 
 
-def _corner_distance(gamma: float, theta: float) -> float:
-    """Torus distance to the nearest half-lattice fixed point."""
-    dg = min(abs(np.mod(gamma, np.pi)), np.pi - abs(np.mod(gamma, np.pi)))
-    dt = min(abs(np.mod(theta, np.pi)), np.pi - abs(np.mod(theta, np.pi)))
-    return float(np.hypot(dg, dt))
+def _corner_distance(gamma, theta):
+    """Torus distance to the nearest half-lattice fixed point; broadcasts."""
+    dg = np.mod(gamma, np.pi)
+    dt = np.mod(theta, np.pi)
+    return np.hypot(np.minimum(dg, np.pi - dg), np.minimum(dt, np.pi - dt))
 
 
 def classify_grid(variant: str, s: float, grid: int = 64):
@@ -530,8 +471,7 @@ def classify_grid(variant: str, s: float, grid: int = 64):
     flat_status = np.empty(gflat.size, dtype=object)
     rest = np.arange(gflat.size)
     if s != 0.0:
-        dist = np.array([_corner_distance(g, t) for g, t in zip(gflat, tflat)])
-        band = dist <= max(4.0 * abs(s), 0.25)
+        band = _corner_distance(gflat, tflat) <= max(4.0 * abs(s), 0.25)
 
         t0 = np.arctan2(np.sin(tflat), np.sin(gflat))
         nus = np.zeros((2, gflat.size))
@@ -583,19 +523,16 @@ def verify_topology(variant: str, s: float, grid: int = 64, *,
     band_in = 0.7 * r_min
 
     gs, ts, status = fibers
-    counts = {"two_sheets": 0, "fold_region": 0, "empty": 0}
-    consistent = True
-    for i, g in enumerate(gs):
-        for j, t in enumerate(ts):
-            st = status[i, j]
-            counts[st] += 1
-            d = _corner_distance(g, t)
-            if d > band_out and st != "two_sheets":
-                consistent = False
-                notes.append(f"fiber ({g:.3f},{t:.3f}) outside fold disks is {st}")
-            if d < band_in and st != "empty":
-                consistent = False
-                notes.append(f"fiber ({g:.3f},{t:.3f}) inside fold disks is {st}")
+    counts = {st: int(np.sum(status == st))
+              for st in ("two_sheets", "fold_region", "empty")}
+    dist = _corner_distance(*np.meshgrid(gs, ts, indexing="ij"))
+    outside = (dist > band_out) & (status != "two_sheets")
+    inside = (dist < band_in) & (status != "empty")
+    consistent = not (outside.any() or inside.any())
+    for i, j in zip(*np.nonzero(outside | inside)):
+        where = "outside" if outside[i, j] else "inside"
+        notes.append(f"fiber ({gs[i]:.3f},{ts[j]:.3f}) {where} fold disks is "
+                     f"{status[i, j]}")
 
     # refined sweep near the fold band
     refine = 4

@@ -123,6 +123,24 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "trace --s nan", "trace --s inf", "trace --s -0.5",
+    "compose --s 0", "scene --s 0", "verify --s 0",
+    "trace --grid 0", "trace --grid -3",
+    "compose --max-step 0", "scene --max-step nan", "scene --max-step -0.001",
+])
+def test_bad_option_values_exit_2(argv, capsys):
+    # rejected while parsing: no fiber is solved and no file is written
+    command, option, value = argv.split()
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args([command, option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith(
+        f"pillowcase {command}: error: argument {option}: '{value}' is not")
+
+
 def test_env_out_override(tmp_path, monkeypatch):
     monkeypatch.setenv("PILLOWCASE_OUT", str(tmp_path / "env_dir"))
     code = run(["trace", "--variant", "earring", "--s", "0", "--grid", "8",

@@ -82,8 +82,7 @@ def test_fiber_product_beta_matches_k_circle():
         for t, nu, tau in samples:
             g = _kernels._ppoly_eval(breaks, cg, t)
             th = _kernels._ppoly_eval(breaks, ct, t)
-            rep = W.embed_L(W.ChartPoint(0.05, g, th, np.clip(nu, -0.5, 0.5),
-                                         tau, variant))
+            rep = W.embed_L(W.ChartPoint(0.05, g, th, nu, tau, variant))
             pts.append([float(quat.real_part(quat.mul(rep.b, quat.conj(rep.a)))),
                         float(quat.real_part(quat.mul(rep.b, quat.conj(rep.h))))])
         pts = np.asarray(pts)
@@ -115,8 +114,7 @@ def test_push_forward_factorization_consistency():
             t, nu, tau = b.samples[k]
             g = _kernels._ppoly_eval(breaks, cg, t)
             th = _kernels._ppoly_eval(breaks, ct, t)
-            rep = W.embed_L(W.ChartPoint(0.05, g, th, np.clip(nu, -0.5, 0.5),
-                                         tau, "bypass"))
+            rep = W.embed_L(W.ChartPoint(0.05, g, th, nu, tau, "bypass"))
             via_inv = P.theta_r3(np.asarray(P.pi0_of_rep(
                 P.u_involution(rep)).r3))
             direct = P.pi1_r3(rep)

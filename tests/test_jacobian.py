@@ -164,61 +164,6 @@ def test_corrector_matches_finite_difference_reference(variant, monkeypatch):
     assert verdicts == {True, False}
 
 
-# ---------------------------------------------------------------------------
-# the replaced five-solve fold determinant, kept as the reference
-# ---------------------------------------------------------------------------
-
-def _ref_solve_chart(code, s, x, tau, eps, y0, nu0):
-    y, nu = y0, nu0
-    fd = 1e-7
-    for _ in range(60):
-        g, t, _, _ = V._chart_angles(x, y, tau, eps)
-        f1, f2 = K._g_impl(code, s, g, t, nu, tau)
-        if max(abs(f1), abs(f2)) < 1e-13:
-            return y, nu, True
-        gp, tp, _, _ = V._chart_angles(x, y + fd, tau, eps)
-        gm, tm, _, _ = V._chart_angles(x, y - fd, tau, eps)
-        yp = K._g_impl(code, s, gp, tp, nu, tau)
-        ym = K._g_impl(code, s, gm, tm, nu, tau)
-        np_ = K._g_impl(code, s, g, t, nu + fd, tau)
-        nm = K._g_impl(code, s, g, t, nu - fd, tau)
-        a = np.array([[yp[0] - ym[0], np_[0] - nm[0]],
-                      [yp[1] - ym[1], np_[1] - nm[1]]]) / (2 * fd)
-        dy, dnu = np.linalg.solve(a, -np.array([f1, f2]))
-        y += dy
-        nu += dnu
-        if abs(nu) > 0.6 or abs(y) > 0.9:
-            return y, nu, False
-    return y, nu, False
-
-
-def _ref_det_dgamma(code, s, x, tau, eps, seed):
-    fd = 1e-5
-    y, nu, ok = _ref_solve_chart(code, s, x, tau, eps, *seed)
-    assert ok
-    yxp = _ref_solve_chart(code, s, x + fd, tau, eps, y, nu)[0]
-    yxm = _ref_solve_chart(code, s, x - fd, tau, eps, y, nu)[0]
-    ytp = _ref_solve_chart(code, s, x, tau + fd, eps, y, nu)[0]
-    ytm = _ref_solve_chart(code, s, x, tau - fd, eps, y, nu)[0]
-    dydx = (yxp - yxm) / (2 * fd)
-    dydt = (ytp - ytm) / (2 * fd)
-    return dydt + x + y * dydx, y, nu
-
-
-@pytest.mark.parametrize("code", CODES)
-def test_det_dgamma_matches_five_solve_reference(code):
-    rng = np.random.default_rng(4)
-    for eps in [(1, 1), (-1, 1), (1, -1), (-1, -1)]:
-        seed = (-2.0 * S * eps[0] * eps[1], S * eps[0])
-        for _ in range(10):
-            tau = rng.uniform(0, 2 * np.pi)
-            # on both sides of the fold, at radius ~2|s|
-            x = rng.uniform(-0.2, 0.2)
-            new = V._det_dgamma(code, S, x, tau, eps, seed)
-            ref = _ref_det_dgamma(code, S, x, tau, eps, seed)
-            assert np.max(np.abs(np.array(new) - np.array(ref))) < 1e-6
-
-
 def _ref_fold_jacobian_data(pt, monkeypatch):
     """``fold_jacobian_data`` with dG from the replaced central differences."""
     def fd_g_jac(code, s, *x):

@@ -147,6 +147,7 @@ def test_k_circle_character_embedding_injective():
 
 def test_fold_locus_structure():
     for variant in ("earring", "bypass"):
+        code = _kernels.variant_code(variant)
         circles = V.fold_locus(variant, 0.05, n_samples=96)
         assert len(circles) == 4
         corners = {c.corner for c in circles}
@@ -154,10 +155,16 @@ def test_fold_locus_structure():
         for c in circles:
             assert abs(c.winding()) == 1
             assert np.max(np.abs(c.radii - 0.1)) < 0.25 * 0.1
-            # every fold sample solves the defining pair
-            for pt in c.points[::16]:
+            # every fold sample solves the defining pair, and there the
+            # pair's differential in (nu, tau) is singular
+            for pt, im in zip(c.points, c.image):
                 pair = W.G(pt) if variant == "earring" else W.Gp(pt)
                 assert max(abs(v) for v in pair) < 1e-10
+                _, _, ((_, _, a2, a3), (_, _, b2, b3)) = _kernels.g_jac(
+                    code, pt.s, pt.gamma, pt.theta, pt.nu, pt.tau)
+                assert abs(a2 * b3 - a3 * b2) < 1e-10
+                assert np.allclose(im, np.sin([pt.gamma, pt.theta]),
+                                   rtol=0, atol=1e-15)
 
 
 def test_fold_radius_shrinks_quadratically():
@@ -168,8 +175,9 @@ def test_fold_radius_shrinks_quadratically():
     assert dev[0.05] / dev[0.025] >= 3.5
 
 
-def test_fold_circle_iota_invariance():
-    circles = V.fold_locus("bypass", 0.05, n_samples=96)
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_fold_circle_iota_invariance(variant):
+    circles = V.fold_locus(variant, 0.05, n_samples=96)
     for c in circles:
         pts = np.array([[p.gamma, p.theta, p.nu, p.tau] for p in c.points])
         spacing = np.median(np.linalg.norm(np.diff(pts[:, :2], axis=0), axis=1)) \
@@ -207,6 +215,42 @@ def test_topology_reports():
     rep0 = V.verify_topology("earring", 0.0, grid=8)
     assert rep0.degenerate
     assert rep0.consistent
+
+
+def test_topology_grid_checks_match_loop_reference(monkeypatch):
+    s = 0.05
+    circles = V.fold_locus("earring", s, n_samples=48)
+    band_out = 1.3 * max(float(np.max(c.radii)) for c in circles)
+    band_in = 0.7 * min(float(np.min(c.radii)) for c in circles)
+    gs = ts = np.linspace(0.0, 2 * np.pi, 48, endpoint=False)
+    rng = np.random.default_rng(5)
+    status = rng.choice(np.array(["two_sheets", "fold_region", "empty"],
+                                 dtype=object), size=(48, 48), p=[0.9, 0.05, 0.05])
+    status[::24, ::24] = "two_sheets"  # the four corners, inside the disks
+    monkeypatch.setattr(V, "classify_grid", lambda *a: (gs, ts, status))
+    # a refined sweep that agrees with the model adds no notes
+    monkeypatch.setattr(V, "solve_fibers", lambda variant, s, g, t: [
+        V.FiberSolutions(variant, s, a, b, [], "empty" if np.hypot(
+            a - np.round(a / np.pi) * np.pi, b - np.round(b / np.pi) * np.pi)
+            < band_in else "two_sheets") for a, b in zip(g, t)])
+    rep = V.verify_topology("earring", s, 48, circles=circles)
+
+    # the per-fiber loop the array expressions replaced
+    counts = {"two_sheets": 0, "fold_region": 0, "empty": 0}
+    notes = []
+    for i, g in enumerate(gs):
+        for j, t in enumerate(ts):
+            st = status[i, j]
+            counts[st] += 1
+            d = V._corner_distance(float(g), float(t))
+            if d > band_out and st != "two_sheets":
+                notes.append(f"fiber ({g:.3f},{t:.3f}) outside fold disks is {st}")
+            if d < band_in and st != "empty":
+                notes.append(f"fiber ({g:.3f},{t:.3f}) inside fold disks is {st}")
+    assert len(notes) > 20
+    assert {n.split()[2] for n in notes[:20]} == {"inside", "outside"}
+    assert rep.counts == counts and not rep.consistent
+    assert rep.notes == notes[:20]
 
 
 def test_pi0_misses_corners():
