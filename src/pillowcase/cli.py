@@ -377,12 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
+    # each subcommand registers only the options it reads, so a stray one
+    # is a usage error (exit 2) rather than silently ignored
     def common(p, s_type=_NONZERO_S):
         p.add_argument("--variant", choices=[EARRING, BYPASS], default=EARRING)
         p.add_argument("--s", type=s_type, default=0.05)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default="out")
-        p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("trace", help="fiber classification, fold circles, "
                                      "topology report")
@@ -402,12 +402,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scene", help="torus-knot example, both pairings")
     common(p)
     p.add_argument("--max-step", type=_MAX_STEP, default=4e-3)
+    p.add_argument("--json", action="store_true",
+                   help="print the pairing counts as one JSON line")
     p.set_defaults(func=cmd_scene)
 
     p = sub.add_parser("verify", help="run the invariant battery")
     common(p)
     p.add_argument("--full", action="store_true",
                    help="full-size sweeps (slower)")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the random sample draws")
+    p.add_argument("--json", action="store_true",
+                   help="print the rows as one JSON list")
     p.set_defaults(func=cmd_verify)
     return ap
 

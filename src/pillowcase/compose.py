@@ -9,6 +9,10 @@ switch); pushing a loop through the second restriction map gives the
 composed curve.  Circles away from the fold images yield two loops, one per
 sheet; a good arc yields a single loop that reverses t at each of its
 transverse fold-image crossings.
+
+Each curve component is carried by the not-a-knot cubic spline of its lift
+(``_kernels.cubic_fit``), fitted once per fiber product and shared by the
+continuation and the push forward.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import _kernels
 from .curves import (CurveComponent, CurveError, GenericPositionError,
@@ -52,6 +55,14 @@ class FiberProduct:
     variant: str
     s: float
     branches: list[Branch]
+    splines: dict[int, tuple] = field(default_factory=dict, repr=False)
+
+    def splines_of(self, ci: int) -> tuple:
+        """(breaks, c_gamma, c_theta, t_period, length) of component ci,
+        fitted on first use."""
+        if ci not in self.splines:
+            self.splines[ci] = _component_splines(self.curve.components[ci])
+        return self.splines[ci]
 
 
 def fold_image_curves(variant: str, s: float,
@@ -96,9 +107,9 @@ def check_transversality(curve: ImmersedCurve, variant: str, s: float,
 # ---------------------------------------------------------------------------
 
 def _component_splines(comp: CurveComponent):
-    """Cubic spline data (breaks, c_gamma, c_theta, t_period) for a lift,
-    parameterized by polyline arclength so the continuation metric treats
-    (t, nu, tau) isotropically.
+    """Cubic spline data (breaks, c_gamma, c_theta, t_period, length) for a
+    lift, parameterized by polyline arclength so the continuation metric
+    treats (t, nu, tau) isotropically.
 
     Circle lifts are padded two periods on both sides so the continuation can
     run past the seam before closing.
@@ -107,21 +118,17 @@ def _component_splines(comp: CurveComponent):
     seg = np.linalg.norm(np.diff(lift, axis=0), axis=1)
     t = np.concatenate([[0.0], np.cumsum(seg)])
     length = float(t[-1])
+    period = 0.0
     if comp.kind == "circle":
         lam = comp.period
-        ext = np.vstack([lift[:-1] + k * lam for k in range(-2, 3)]
-                        + [lift[-1:] + 2 * lam])
-        te = np.concatenate([t[:-1] + k * length for k in range(-2, 3)]
-                            + [[3 * length]])
-        spl_g = CubicSpline(te, ext[:, 0])
-        spl_t = CubicSpline(te, ext[:, 1])
+        lift = np.vstack([lift[:-1] + k * lam for k in range(-2, 3)]
+                         + [lift[-1:] + 2 * lam])
+        t = np.concatenate([t[:-1] + k * length for k in range(-2, 3)]
+                           + [[3 * length]])
         period = length
-    else:
-        spl_g = CubicSpline(t, lift[:, 0])
-        spl_t = CubicSpline(t, lift[:, 1])
-        period = 0.0
-    return (np.ascontiguousarray(spl_g.x), np.ascontiguousarray(spl_g.c),
-            np.ascontiguousarray(spl_t.c), period, length)
+    c = _kernels.cubic_fit(t, lift)
+    return (t, np.ascontiguousarray(c[..., 0]), np.ascontiguousarray(c[..., 1]),
+            period, length)
 
 
 def _closure_distance(u, u0, period):
@@ -218,9 +225,9 @@ def fiber_product(curve: ImmersedCurve, variant: str, s: float, *,
         raise TangencyError(
             f"curve is tangent to the fold image at s = {s}; choose another s")
     code = _kernels.variant_code(variant)
-    branches: list[Branch] = []
+    fp = FiberProduct(curve, variant, s, [])
     for ci, comp in enumerate(curve.components):
-        breaks, cg, ct, period, length = _component_splines(comp)
+        breaks, cg, ct, period, length = fp.splines_of(ci)
         if comp.kind == "circle":
             t_candidates = [0.0, 0.13 * length, 0.29 * length, 0.41 * length]
         else:
@@ -250,8 +257,8 @@ def fiber_product(curve: ImmersedCurve, variant: str, s: float, *,
                                      max_step=max_step))
         for samples, folds in loops:
             sheet = _branch_sheet(samples, breaks, cg, ct, folds)
-            branches.append(Branch(ci, samples, True, folds, sheet))
-    return FiberProduct(curve, variant, s, branches)
+            fp.branches.append(Branch(ci, samples, True, folds, sheet))
+    return fp
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +327,12 @@ def push_forward(fp: FiberProduct, *, turn_limit_deg: float = 15.0) -> ImmersedC
     """
     comps = []
     for branch in fp.branches:
-        comp = fp.curve.components[branch.component]
-        breaks, cg, ct, _, _ = _component_splines(comp)
+        breaks, cg, ct, _, _ = fp.splines_of(branch.component)
         samples = branch.samples
 
         def image_of(samp):
-            ts = samp[:, 0]
-            gs = np.array([_kernels._ppoly_eval(breaks, cg, t) for t in ts])
-            th = np.array([_kernels._ppoly_eval(breaks, ct, t) for t in ts])
+            gs = _kernels._ppoly_eval(breaks, cg, samp[:, 0])
+            th = _kernels._ppoly_eval(breaks, ct, samp[:, 0])
             try:
                 r3 = pi1_r3_of_chart(fp.s, gs, th, samp[:, 1], samp[:, 2],
                                      variant=fp.variant)

@@ -10,8 +10,10 @@ test lattice-and-flip translates of segment pairs.
 
 Supported operations: doubling and twisted doubling of circles, the
 figure-eight circle supported by a good arc (equivariant double pushed off
-along the normal by a -2s cos profile), transverse intersection counting, and
-a regular-homotopy proxy invariant tuple per component.
+along the normal by a -2s cos profile), transverse intersection counting,
+a regular-homotopy proxy invariant tuple per component, and the Hausdorff
+distance of curve images in character coordinates, by an exact
+nearest-segment search.
 """
 
 from __future__ import annotations
@@ -633,47 +635,78 @@ def lift_to_r3(lift: np.ndarray) -> np.ndarray:
     return np.column_stack([np.cos(g), np.cos(t), np.cos(g - t)])
 
 
-def _points_to_polyline_dist(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Distance from each point to a dense polyline.
+_BLOCK = 16  # consecutive segments under one bounding ball
+_POINT_CHUNK = 256  # points per ball pass: a (256, blocks) bound matrix
+_PAIR_CHUNK = 4096  # (point, block) pairs per exact pass: 64k segment rows
 
-    A KD-tree over the polyline vertices prunes the segment search: only the
-    segments adjacent to the nearest few vertices are tested exactly.
+
+def _segment_dist(pts, a, ab, denom, seg):
+    """Distance from each point to the segment with the same index in
+    ``seg``; ``pts`` broadcasts against the rows of ``seg``."""
+    ap = pts - a[seg]
+    t = np.clip(np.sum(ap * ab[seg], axis=-1) / denom[seg], 0.0, 1.0)
+    proj = a[seg] + t[..., None] * ab[seg]
+    return np.linalg.norm(pts - proj, axis=-1)
+
+
+def _points_to_segments_dist(pts: np.ndarray, a: np.ndarray,
+                             b: np.ndarray) -> np.ndarray:
+    """Exact distance from each point to the nearest segment [a_j, b_j].
+
+    The segments are taken in blocks of ``_BLOCK`` consecutive ones, each
+    under a bounding ball.  A point first measures the block whose ball is
+    nearest, then every block whose ball is nearer than the distance found:
+    no other block can hold a nearer segment.  Points and (point, block)
+    pairs are processed in chunks, so temporaries stay at a few MB.
     """
-    from scipy.spatial import cKDTree
-
-    a = poly[:-1]
-    b = poly[1:]
     ab = b - a
     denom = np.maximum(np.sum(ab * ab, axis=1), 1e-300)
-    tree = cKDTree(poly)
-    k = min(8, len(poly))
-    _, idx = tree.query(pts, k=k)
-    idx = np.atleast_2d(idx)
     n_seg = len(a)
-    cand = np.unique(np.concatenate([idx, idx - 1], axis=1), axis=1)
-    cand = np.clip(cand, 0, n_seg - 1)
-    best = np.full(len(pts), np.inf)
-    for col in range(cand.shape[1]):
-        seg = cand[:, col]
-        ap = pts - a[seg]
-        t = np.clip(np.sum(ap * ab[seg], axis=1) / denom[seg], 0.0, 1.0)
-        proj = a[seg] + t[:, None] * ab[seg]
-        d = np.linalg.norm(pts - proj, axis=1)
-        best = np.minimum(best, d)
+    n_blk = -(-n_seg // _BLOCK)
+    # the last block repeats its last segment; a repeat cannot lower a min
+    blocks = np.minimum(np.arange(n_blk * _BLOCK), n_seg - 1).reshape(
+        n_blk, _BLOCK)
+    ends = np.concatenate([a[blocks], b[blocks]], axis=1)
+    center = 0.5 * (ends.min(axis=1) + ends.max(axis=1))
+    radius = np.sqrt(np.sum((ends - center[:, None]) ** 2, axis=2)).max(axis=1)
+    # |p - c|^2 = |p|^2 + |c|^2 - 2 p.c is off by at most ~16 eps M^2 (M the
+    # largest norm), so its root by at most 4 sqrt(eps) M < 1e-7 M
+    cc = np.sum(center * center, axis=1)
+    pp = np.sum(pts * pts, axis=1)
+    scale = np.sqrt(max(cc.max(), pp.max(initial=0.0)))
+    radius = radius + 1e-7 * (1.0 + scale)
+    best = np.empty(len(pts))
+    for lo in range(0, len(pts), _POINT_CHUNK):
+        p = pts[lo:lo + _POINT_CHUNK]
+        sq = pp[lo:lo + _POINT_CHUNK, None] + cc - 2.0 * (p @ center.T)
+        lower = np.sqrt(np.maximum(sq, 0.0)) - radius
+        first = np.argmin(lower, axis=1)
+        d = _segment_dist(p[:, None, :], a, ab, denom, blocks[first]).min(axis=1)
+        lower[np.arange(len(p)), first] = np.inf
+        pi, bi = np.nonzero(lower < d[:, None])
+        for k in range(0, len(pi), _PAIR_CHUNK):
+            pk, bk = pi[k:k + _PAIR_CHUNK], bi[k:k + _PAIR_CHUNK]
+            dk = _segment_dist(p[pk, None, :], a, ab, denom, blocks[bk])
+            np.minimum.at(d, pk, dk.min(axis=1))
+        best[lo:lo + _POINT_CHUNK] = d
     return best
+
+
+def _points_to_polyline_dist(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """Distance from each point to a polyline."""
+    return _points_to_segments_dist(pts, poly[:-1], poly[1:])
 
 
 def hausdorff_r3(a: ImmersedCurve, b: ImmersedCurve) -> float:
     """Symmetric Hausdorff distance between the curves' images in the
     character-coordinate embedding."""
-    pa = np.vstack([lift_to_r3(c.lift) for c in a.components])
-    pb = np.vstack([lift_to_r3(c.lift) for c in b.components])
     polys_a = [lift_to_r3(c.lift) for c in a.components]
     polys_b = [lift_to_r3(c.lift) for c in b.components]
-    d_ab = np.full(len(pa), np.inf)
-    for poly in polys_b:
-        d_ab = np.minimum(d_ab, _points_to_polyline_dist(pa, poly))
-    d_ba = np.full(len(pb), np.inf)
-    for poly in polys_a:
-        d_ba = np.minimum(d_ba, _points_to_polyline_dist(pb, poly))
+
+    def to_curve(pts, polys):  # nearest segment of any component
+        return _points_to_segments_dist(pts, np.vstack([q[:-1] for q in polys]),
+                                        np.vstack([q[1:] for q in polys]))
+
+    d_ab = to_curve(np.vstack(polys_a), polys_b)
+    d_ba = to_curve(np.vstack(polys_b), polys_a)
     return float(max(d_ab.max(), d_ba.max()))

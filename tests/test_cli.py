@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -128,17 +132,25 @@ def test_usage_error_exit_code():
     "compose --s 0", "scene --s 0", "verify --s 0",
     "trace --grid 0", "trace --grid -3",
     "compose --max-step 0", "scene --max-step nan", "scene --max-step -0.001",
+    # options a command does not read
+    "trace --json", "trace --seed 3", "compose --json", "compose --seed 3",
+    "scene --seed 3",
 ])
 def test_bad_option_values_exit_2(argv, capsys):
     # rejected while parsing: no fiber is solved and no file is written
-    command, option, value = argv.split()
+    command, option, *value = argv.split()
     with pytest.raises(SystemExit) as exc:
-        cli.build_parser().parse_args([command, option, value])
+        cli.build_parser().parse_args(argv.split())
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.splitlines()[-1].startswith(
-        f"pillowcase {command}: error: argument {option}: '{value}' is not")
+    if option in ("--json", "--seed"):
+        expected = ("pillowcase: error: unrecognized arguments: "
+                    + " ".join([option, *value]))
+    else:
+        expected = (f"pillowcase {command}: error: argument {option}: "
+                    f"'{value[0]}' is not")
+    assert err.splitlines()[-1].startswith(expected)
 
 
 def test_env_out_override(tmp_path, monkeypatch):
@@ -192,3 +204,21 @@ def test_variety_points_gives_up(monkeypatch):
     with pytest.raises(ContinuationError, match="earring at s=0.05 in 300 "
                                                 "attempts"):
         cli._variety_points(np.random.default_rng(0), "earring", 0.05, 3)
+
+
+def test_runtime_does_not_import_scipy():
+    # the CLI, the spline fit and the Hausdorff distance run on numpy alone
+    script = (
+        "import sys\n"
+        "import pillowcase.cli\n"
+        "from pillowcase import compose, curves\n"
+        "c = curves.vertical_circle()\n"
+        "compose._component_splines(c.components[0])\n"
+        "assert curves.hausdorff_r3(c, curves.double(c)) > 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -101,10 +101,16 @@ def test_fiber_product_arc_fold_parity():
     assert fp.branches[0].fold_crossings == 2
 
 
-def test_push_forward_factorization_consistency():
+def test_push_forward_factorization_consistency(monkeypatch):
+    fits = []
+    fit = X._component_splines
+    monkeypatch.setattr(X, "_component_splines",
+                        lambda comp: fits.append(comp) or fit(comp))
     fp = X.fiber_product(C.vertical_circle(), "bypass", 0.05,
                          circles=fold("bypass", 0.05))
     out = X.push_forward(fp)
+    # one fit for the component, shared by both branches and both steps
+    assert len(fp.branches) == 2 and len(fits) == 1
     comp = fp.curve.components[0]
     breaks, cg, ct, _, _ = X._component_splines(comp)
     from pillowcase import _kernels

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pillowcase import curves as C
 
@@ -309,3 +310,44 @@ def test_candidate_pairs_match_dict_grid():
         for B in comps:
             for sign, shift in C._translates(A, B):
                 _assert_same_pairs(A, sign * B + shift)
+
+
+def _brute_force_polyline_dist(pts, poly):
+    """Every point against every segment, one segment at a time."""
+    a, ab = poly[:-1], np.diff(poly, axis=0)
+    denom = np.maximum(np.sum(ab * ab, axis=1), 1e-300)
+    best = np.full(len(pts), np.inf)
+    for j in range(len(a)):
+        t = np.clip(np.sum((pts - a[j]) * ab[j], axis=1) / denom[j], 0.0, 1.0)
+        best = np.minimum(best, np.linalg.norm(pts - (a[j] + t[:, None] * ab[j]),
+                                               axis=1))
+    return best
+
+
+_coord = st.floats(-1.0, 1.0, allow_subnormal=False)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(poly=st.lists(st.tuples(_coord, _coord, _coord), min_size=2,
+                     max_size=90),
+       pts=st.lists(st.tuples(_coord, _coord, _coord), min_size=1,
+                    max_size=40),
+       walk=st.booleans(), spread=st.sampled_from([1e-3, 1.0, 10.0]))
+def test_polyline_distance_matches_brute_force(poly, pts, walk, spread):
+    # a random walk gives dense curves, with several segments per block ball
+    poly = np.cumsum(poly, axis=0) * 0.1 if walk else np.array(poly)
+    pts = np.array(pts) * spread
+    assert np.array_equal(C._points_to_polyline_dist(pts, poly),
+                          _brute_force_polyline_dist(pts, poly))
+
+
+def test_hausdorff_is_the_larger_one_sided_distance():
+    a = C.double(C.vertical_circle())
+    b = C.twisted_double(C.vertical_circle())
+    pa = np.vstack([C.lift_to_r3(c.lift) for c in a.components])
+    pb = np.vstack([C.lift_to_r3(c.lift) for c in b.components])
+    d_ab = np.min([_brute_force_polyline_dist(pa, C.lift_to_r3(c.lift))
+                   for c in b.components], axis=0)
+    d_ba = np.min([_brute_force_polyline_dist(pb, C.lift_to_r3(c.lift))
+                   for c in a.components], axis=0)
+    assert C.hausdorff_r3(a, b) == max(d_ab.max(), d_ba.max())

@@ -1,6 +1,9 @@
 """The kernels against the word evaluation, their batch forms and scipy."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.interpolate import CubicSpline
 
 from pillowcase import _kernels as k
 from pillowcase import words as W
@@ -66,11 +69,56 @@ def test_bypass_second_component_is_nu_exactly():
 
 
 def test_ppoly_eval_matches_scipy():
-    from scipy.interpolate import CubicSpline
-
     x = np.linspace(0, 3, 40)
     y = np.sin(2 * x) + 0.3 * x
     spl = CubicSpline(x, y)
     for xv in np.linspace(0.01, 2.99, 23):
         mine = k._ppoly_eval(spl.x, np.ascontiguousarray(spl.c), float(xv))
         assert abs(mine - float(spl(xv))) < 1e-12
+
+
+def test_ppoly_eval_broadcasts_like_the_scalar_form():
+    x = np.concatenate([[0.0], np.cumsum(np.random.default_rng(6)
+                                          .uniform(0.01, 0.1, 80))])
+    c = k.cubic_fit(x, np.sin(4 * x))
+    ts = np.concatenate([np.linspace(-0.05, x[-1] + 0.05, 997), x])
+    assert np.array_equal(k._ppoly_eval(x, c, ts),
+                          [k._ppoly_eval(x, c, float(t)) for t in ts])
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(gaps=st.lists(st.floats(0.01, 10.0), min_size=3, max_size=60),
+       data=st.data())
+def test_cubic_fit_is_bit_equal_to_cubic_spline(gaps, data):
+    x = np.concatenate([[-1.0], -1.0 + np.cumsum(gaps)])
+    value = st.floats(-100.0, 100.0, allow_subnormal=False)
+    y = np.array(data.draw(st.lists(st.tuples(value, value), min_size=len(x),
+                                    max_size=len(x))))
+    c = k.cubic_fit(x, y)
+    for j in range(2):
+        assert np.array_equal(c[..., j], CubicSpline(x, y[:, j]).c)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cubic_fit_few_knots_is_the_line_or_parabola(n):
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, n - 1))])
+        y = rng.normal(size=n)
+        ref = CubicSpline(x, y)
+        c = k.cubic_fit(x, y)
+        if n == 2:
+            assert np.all(c[:2] == 0.0)
+        ts = np.linspace(x[0] - 0.1, x[-1] + 0.1, 50)
+        val = k._ppoly_eval(x, c, ts)
+        der = np.array([k._spline_jet(x, c, c, t)[1] for t in ts])
+        assert np.max(np.abs(val - ref(ts))) <= 1e-14 * np.max(np.abs(y))
+        assert (np.max(np.abs(der - ref(ts, 1)))
+                <= 1e-14 * np.max(np.abs(ref(ts, 1))))
+
+
+@pytest.mark.parametrize("x", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0],
+                               [0.0, np.nan, 2.0, 3.0], [0.0]])
+def test_cubic_fit_rejects_knots_not_strictly_increasing(x):
+    with pytest.raises(ValueError):
+        k.cubic_fit(x, np.zeros(len(x)))
