@@ -6,14 +6,17 @@ Newton loops built on them: fiber root finding and the corrector step of
 pseudo-arclength continuation.  These dominate the runtime of grid traces,
 fold extraction, and curve composition.
 
-The defining pair is written once, in scalar form that also broadcasts over
-numpy arrays; fiber Newton is written once, over arrays of fibers
-(``newton_fibers``), and ``newton_fiber`` is its one-point face.  ``g_jac``
-evaluates the pair at one point together with its exact Jacobian, by
-forward-mode differentiation on Python floats; the continuation corrector
-and tangent, the fold-circle Newton and the fold rank data take their
-derivatives from it.  Both 3x3 Newton steps, the corrector's and the fold
-circles', go through one Cramer solve, ``_solve3``.
+The defining pair is written once, as the straight-line kernel ``jet``: G
+and its exact derivatives along any of (gamma, theta, nu, tau), by forward
+mode through the reduced form in m = p q.  It runs on Python floats
+(``xp=math``) and broadcasts over numpy arrays (``xp=numpy``).  ``_g_impl``
+is its value-only face on arrays and ``g_jac`` its full 2x4 Jacobian on
+floats.  Fiber Newton is written once, over arrays of fibers
+(``newton_fibers``), with its (nu, tau) Jacobian from ``jet``, and
+``newton_fiber`` is its one-point face.  The continuation corrector and
+tangent, the fold-circle Newton and the fold rank data take their
+derivatives from ``g_jac``.  Both 3x3 Newton steps, the corrector's and the
+fold circles', go through one Cramer solve, ``_solve3``.
 
 The curve splines that continuation runs along are fitted here too:
 ``cubic_fit`` is the not-a-knot cubic interpolant, written in the
@@ -48,7 +51,7 @@ def variant_code(variant) -> int:
 
 
 # ---------------------------------------------------------------------------
-# scalar/broadcast quaternion helpers (tuple-of-components form)
+# the defining pair and its derivatives, on floats or arrays
 # ---------------------------------------------------------------------------
 
 def _qmul(aw, ax, ay, az, bw, bx, by, bz):
@@ -60,170 +63,140 @@ def _qmul(aw, ax, ay, az, bw, bx, by, bz):
     )
 
 
-def _qexp_pure(x, y, z):
-    n = np.sqrt(x * x + y * y + z * z)
-    nn = np.maximum(n, 1e-300)
-    sc = np.sin(nn) / nn
-    return np.cos(n), sc * x, sc * y, sc * z
+def _qexp(v, derivs, xp):
+    """exp of the pure quaternion v = (x, y, z), and a function giving its
+    derivative along a pure direction w when ``derivs``.
+
+    d exp(v)[w] = (-sinc(n) v.w, sinc(n) w + (cos n - sinc n)/n^2 (v.w) v),
+    n = |v|.  The second factor needs no series for small n: its rounding
+    error is multiplied by (v.w) v = O(n^2).  A nonzero n is at least about
+    1e-162 (n^2 underflows below), so n + 1e-300 is n or, at n = 0, a safe
+    divisor.
+    """
+    x, y, z = v
+    n2 = x * x + y * y + z * z
+    n = xp.sqrt(n2)
+    nn = n + 1e-300
+    c = xp.cos(n)
+    sc = xp.sin(nn) / nn
+    if not derivs:
+        return (c, sc * x, sc * y, sc * z), None
+    k = (c - sc) / (n2 + 1e-300)
+
+    def along(w):
+        a, b, d = w
+        vw = x * a + y * b + z * d
+        kv = k * vw
+        return -sc * vw, sc * a + kv * x, sc * b + kv * y, sc * d + kv * z
+
+    return (c, sc * x, sc * y, sc * z), along
 
 
-def _g_earring_impl(s, gamma, theta, nu, tau):
-    """G = (Re(p q h^- a h^-), Re(p q h^- a)) on the gauge slice."""
-    cg = np.cos(gamma)
-    sg = np.sin(gamma)
-    ct = np.cos(theta)
-    st = np.sin(theta)
-    r = np.sqrt(1.0 - nu * nu)
-    hx = nu
-    hy = r * np.cos(tau)
-    hz = r * np.sin(tau)
-    zero = 0.0 * (gamma + theta + nu + tau)
-    one = 1.0 + zero
-    # p = exp(s Im(b h)), b = cg i + sg j, Im(b h) = b x h
-    pw, px, py, pz = _qexp_pure(s * (sg * hz), s * (-cg * hz), s * (cg * hy - sg * hx))
-    # q = exp(s Im(e^{theta k} h))
-    qw, qx, qy, qz = _qexp_pure(
-        s * (ct * hx - st * hy), s * (ct * hy + st * hx), s * (ct * hz)
-    )
-    mw, mx, my, mz = _qmul(pw, px, py, pz, qw, qx, qy, qz)
-    # z1 = (p q) conj(h)
-    zw, zx, zy, zz = _qmul(mw, mx, my, mz, zero, -hx, -hy, -hz)
-    # z2 = z1 * i ; Re gives the second component
-    uw, ux, uy, uz = _qmul(zw, zx, zy, zz, zero, one, zero, zero)
-    g2 = uw
-    # g1 = Re(z2 * conj(h))
-    g1 = ux * hx + uy * hy + uz * hz
-    return g1, g2
+def jet(code, s, gamma, theta, nu, tau, wrt=(), xp=np):
+    """The defining pair at (s, gamma, theta, nu, tau) and its derivatives.
 
+    Returns (g1, g2, (row1, row2)), where row_i holds dg_i along each name
+    of ``wrt`` in turn, a subset of "gamma", "theta", "nu", "tau".  With
+    ``xp=math`` it runs on Python floats; with ``xp=numpy`` it broadcasts
+    over arrays.  A derivative that is constant (the second bypass row) is
+    a Python float.
 
-def _g_bypass_impl(s, gamma, theta, nu, tau):
-    """G' = (Re(q^- p^- h p q h^- a), Re(h^- a)); the second component is nu."""
-    cg = np.cos(gamma)
-    sg = np.sin(gamma)
-    ct = np.cos(theta)
-    st = np.sin(theta)
-    r = np.sqrt(1.0 - nu * nu)
-    hx = nu
-    hy = r * np.cos(tau)
-    hz = r * np.sin(tau)
-    zero = 0.0 * (gamma + theta + nu + tau)
-    pw, px, py, pz = _qexp_pure(s * (sg * hz), s * (-cg * hz), s * (cg * hy - sg * hx))
-    qw, qx, qy, qz = _qexp_pure(
-        s * (ct * hx - st * hy), s * (ct * hy + st * hx), s * (ct * hz)
-    )
-    mw, mx, my, mz = _qmul(pw, px, py, pz, qw, qx, qy, qz)
-    # t = conj(pq) h (pq)
-    t1w, t1x, t1y, t1z = _qmul(mw, -mx, -my, -mz, zero, hx, hy, hz)
-    tw, tx, ty, tz = _qmul(t1w, t1x, t1y, t1z, mw, mx, my, mz)
-    # z = t conj(h); g1 = Re(z * i) = -z_x
-    zw, zx, zy, zz = _qmul(tw, tx, ty, tz, zero, -hx, -hy, -hz)
-    g1 = -zx
-    g2 = nu + zero
-    return g1, g2
+    With h = (nu, r cos tau, r sin tau), r = sqrt(1 - nu^2), and
+    m = p q = (w, mx, my, mz), p = exp(s Im(b h)), q = exp(s Im(e^{theta k} h)),
+    b = cos gamma i + sin gamma j, the pair reduces to a = m.h and
+    c = (m x h)_x (Im m written as m):
+
+    - earring: G = (Re(p q h^- a h^-), Re(p q h^- a))
+      = (2 nu a - mx, nu w + c);
+    - bypass: G' = (Re(q^- p^- h p q h^- a), Re(h^- a)) = ((t x h)_x, nu)
+      with t = conj(m) h m, that is (2 a (c - nu w) + 2 w mx, nu).
+
+    The derivatives are forward mode through that straight-line code
+    (Griewank & Walther, *Evaluating Derivatives*, 2008).
+    """
+    cg, sg = xp.cos(gamma), xp.sin(gamma)
+    ct, st = xp.cos(theta), xp.sin(theta)
+    cu, su = xp.cos(tau), xp.sin(tau)
+    r = xp.sqrt(1.0 - nu * nu)
+    hy, hz = r * cu, r * su
+
+    def bxh(bx, by, x, y, z):  # s Im(b v) = s b x v for b = (bx, by, 0)
+        return s * (by * z), s * (-bx * z), s * (bx * y - by * x)
+
+    def rot(cs, sn, x, y, z):  # s Im(e^{theta k} v) for (cs, sn) = (ct, st)
+        return s * (cs * x - sn * y), s * (cs * y + sn * x), s * (cs * z)
+
+    u = bxh(cg, sg, nu, hy, hz)
+    v = rot(ct, st, nu, hy, hz)
+    p, dp = _qexp(u, wrt, xp)
+    q, dq = _qexp(v, wrt, xp)
+    w, mx, my, mz = _qmul(*p, *q)
+    a = mx * nu + my * hy + mz * hz
+    c = my * hz - mz * hy
+    if code == EARRING:
+        g1, g2 = 2.0 * nu * a - mx, nu * w + c
+    else:
+        cw = c - nu * w
+        g1, g2 = 2.0 * (a * cw + w * mx), nu
+    row1, row2 = [], []
+    for d in wrt:
+        # m and h along d; h moves with nu and tau only, p and q with gamma
+        # and theta only through b and e^{theta k}
+        if d == "gamma":
+            dh = None
+            dm = _qmul(*dp(bxh(-sg, cg, nu, hy, hz)), *q)
+        elif d == "theta":
+            dh = None
+            dm = _qmul(*p, *dq(rot(-st, ct, nu, hy, hz)))
+        else:
+            dh = ((1.0, -nu / r * cu, -nu / r * su) if d == "nu"
+                  else (0.0, -hz, hy))
+            m1 = _qmul(*dp(bxh(cg, sg, *dh)), *q)
+            m2 = _qmul(*p, *dq(rot(ct, st, *dh)))
+            dm = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
+        dw, dx, dy, dz = dm
+        da = dx * nu + dy * hy + dz * hz
+        dc = dy * hz - dz * hy
+        if dh is not None:
+            da = da + (mx * dh[0] + my * dh[1] + mz * dh[2])
+            dc = dc + (my * dh[2] - mz * dh[1])
+        if code == EARRING:
+            d1 = 2.0 * nu * da - dx
+            d2 = nu * dw + dc
+            if d == "nu":
+                d1 = d1 + 2.0 * a
+                d2 = d2 + w
+            row1.append(d1)
+            row2.append(d2)
+        else:
+            e = dc - nu * dw
+            if d == "nu":
+                e = e - w
+            row1.append(2.0 * (da * cw + a * e + dw * mx + w * dx))
+            row2.append(1.0 if d == "nu" else 0.0)
+    return g1, g2, (tuple(row1), tuple(row2))
 
 
 def _g_impl(variant, s, gamma, theta, nu, tau):
-    if variant == EARRING:
-        return _g_earring_impl(s, gamma, theta, nu, tau)
-    return _g_bypass_impl(s, gamma, theta, nu, tau)
+    """The defining pair (g1, g2): ``jet`` through numpy, without
+    derivatives; broadcasts over arrays."""
+    return jet(variant, s, gamma, theta, nu, tau)[:2]
 
 
 g_scalar = g_scalar_py = _g_impl
 
-
-# ---------------------------------------------------------------------------
-# the defining pair with its exact Jacobian, one point at a time
-# ---------------------------------------------------------------------------
-
-def _qexp_jvp(x, y, z, dirs):
-    """exp of the pure quaternion v = (x, y, z) and its derivatives along the
-    pure directions w in ``dirs``.
-
-    d exp(v)[w] = (-sinc(n) v.w, sinc(n) w + (cos n - sinc n)/n^2 (v.w) v),
-    n = |v|.  The second factor needs no series for small n: its rounding
-    error is multiplied by (v.w) v = O(n^2).
-    """
-    n = math.sqrt(x * x + y * y + z * z)
-    nn = max(n, 1e-300)
-    sc = math.sin(nn) / nn
-    c = math.cos(n)
-    k = (c - sc) / max(n * n, 1e-300)
-    out = []
-    for a, b, d in dirs:
-        vw = x * a + y * b + z * d
-        kv = k * vw
-        out.append((-sc * vw, sc * a + kv * x, sc * b + kv * y, sc * d + kv * z))
-    return (c, sc * x, sc * y, sc * z), out
-
-
-def _add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+DIRECTIONS = ("gamma", "theta", "nu", "tau")
 
 
 def g_jac(code, s, gamma, theta, nu, tau):
     """The defining pair at one point and its exact 2x4 Jacobian.
 
     Returns (g1, g2, J) with J = ((dg1/dgamma, dg1/dtheta, dg1/dnu,
-    dg1/dtau), (dg2/...)), by forward-mode differentiation of ``_g_impl``
-    through ``_qexp_pure`` and ``_qmul`` on Python floats.
+    dg1/dtau), (dg2/...)): ``jet`` along all four directions on Python
+    floats.
     """
-    s, nu = float(s), float(nu)  # numpy scalars would slow every operation
-    cg, sg = math.cos(gamma), math.sin(gamma)
-    ct, st = math.cos(theta), math.sin(theta)
-    cu, su = math.cos(tau), math.sin(tau)
-    r = math.sqrt(1.0 - nu * nu)
-    h = (nu, r * cu, r * su)
-    h_nu = (1.0, -nu / r * cu, -nu / r * su)
-    h_tau = (0.0, -h[2], h[1])
-
-    def bxh(bx, by, v):  # s Im(b v) = s b x v for b = (bx, by, 0)
-        return s * (by * v[2]), s * (-bx * v[2]), s * (bx * v[1] - by * v[0])
-
-    def rot(c, sn, v):  # s Im(e^{theta k} v)
-        return (s * (c * v[0] - sn * v[1]), s * (c * v[1] + sn * v[0]),
-                s * (c * v[2]))
-
-    p, (p_g, p_nu, p_tau) = _qexp_jvp(
-        *bxh(cg, sg, h),
-        (bxh(-sg, cg, h), bxh(cg, sg, h_nu), bxh(cg, sg, h_tau)))
-    q, (q_t, q_nu, q_tau) = _qexp_jvp(
-        *rot(ct, st, h),
-        (rot(-st, ct, h), rot(ct, st, h_nu), rot(ct, st, h_tau)))
-    m = _qmul(*p, *q)
-    # derivatives of m = p q and of h along gamma, theta, nu, tau
-    dm = (_qmul(*p_g, *q), _qmul(*p, *q_t),
-          _add(_qmul(*p_nu, *q), _qmul(*p, *q_nu)),
-          _add(_qmul(*p_tau, *q), _qmul(*p, *q_tau)))
-    dh = (None, None, h_nu, h_tau)
-    nh = (0.0, -h[0], -h[1], -h[2])
-    if code == EARRING:
-        # z = (p q) conj(h); g2 = Re(z i) = -z_x; g1 = Re(z i conj(h))
-        zw, zx, zy, zz = _qmul(*m, *nh)
-        row1, row2 = [], []
-        for dm_k, dh_k in zip(dm, dh):
-            dz = _qmul(*dm_k, *nh)
-            d1 = 0.0
-            if dh_k is not None:
-                dz = _add(dz, _qmul(*m, 0.0, -dh_k[0], -dh_k[1], -dh_k[2]))
-                d1 = zw * dh_k[0] + zz * dh_k[1] - zy * dh_k[2]
-            row1.append(dz[0] * h[0] + dz[3] * h[1] - dz[2] * h[2] + d1)
-            row2.append(-dz[1])
-        return (zw * h[0] + zz * h[1] - zy * h[2], -zx,
-                (tuple(row1), tuple(row2)))
-    # t = conj(pq) h (pq); z = t conj(h); g1 = Re(z i) = -z_x; g2 = nu
-    mc = (m[0], -m[1], -m[2], -m[3])
-    t1 = _qmul(*mc, 0.0, *h)
-    t = _qmul(*t1, *m)
-    row1 = []
-    for dm_k, dh_k in zip(dm, dh):
-        dt1 = _qmul(dm_k[0], -dm_k[1], -dm_k[2], -dm_k[3], 0.0, *h)
-        if dh_k is not None:
-            dt1 = _add(dt1, _qmul(*mc, 0.0, *dh_k))
-        dz = _qmul(*_add(_qmul(*dt1, *m), _qmul(*t1, *dm_k)), *nh)
-        if dh_k is not None:
-            dz = _add(dz, _qmul(*t, 0.0, -dh_k[0], -dh_k[1], -dh_k[2]))
-        row1.append(-dz[1])
-    return -_qmul(*t, *nh)[1], nu, (tuple(row1), (0.0, 0.0, 1.0, 0.0))
+    # numpy scalars would slow every operation
+    return jet(code, float(s), gamma, theta, float(nu), tau, DIRECTIONS, math)
 
 
 # ---------------------------------------------------------------------------
@@ -451,13 +424,13 @@ def newton_fibers(variant, s, gamma, theta, nu0, tau0, tol=1e-12, maxit=50):
     """Damped Newton on (nu, tau) over many fibers at once.
 
     Returns (nu, tau, ok, cond) arrays of the broadcast input shape.  Each
-    element iterates on its own: a central-difference Jacobian, then a full
-    step halved up to 8 times until the residual drops; a trial step that
-    leaves |nu| < 0.999 is rejected.  An element stops when its residual is
-    below ``tol`` (ok), its Jacobian is singular or no trial step improves
-    (not ok, last accepted iterate kept), or after ``maxit`` steps.  ``cond``
-    is the 2x2 Jacobian condition estimate at the last iterate, used
-    upstream for fold detection.
+    element iterates on its own: the exact Jacobian in (nu, tau) from
+    ``jet``, then a full step halved up to 8 times until the residual drops;
+    a trial step that leaves the region |nu| < 0.999 is rejected.  An
+    element stops when its residual is below ``tol`` (ok), its Jacobian is
+    singular or no trial step improves (not ok, last accepted iterate kept),
+    or after ``maxit`` steps.  ``cond`` is the 2x2 Jacobian condition
+    estimate at the last iterate, used upstream for fold detection.
     """
     code = variant_code(variant)
     s = float(s)
@@ -474,7 +447,6 @@ def newton_fibers(variant, s, gamma, theta, nu0, tau0, tol=1e-12, maxit=50):
     tau = tau.flatten()
     ok = np.zeros(nu.size, dtype=bool)
     cond = np.ones(nu.size)
-    fd = 1e-6
     idx = np.arange(nu.size)  # elements still iterating
     for _ in range(maxit):
         if not idx.size:
@@ -483,16 +455,9 @@ def newton_fibers(variant, s, gamma, theta, nu0, tau0, tol=1e-12, maxit=50):
         t = theta[idx]
         x = nu[idx]
         y = tau[idx]
-        f1, f2 = _g_impl(code, s, g, t, x, y)
+        f1, f2, ((j11, j12), (j21, j22)) = jet(code, s, g, t, x, y,
+                                               ("nu", "tau"))
         res = np.maximum(np.abs(f1), np.abs(f2))
-        a11p, a21p = _g_impl(code, s, g, t, x + fd, y)
-        a11m, a21m = _g_impl(code, s, g, t, x - fd, y)
-        a12p, a22p = _g_impl(code, s, g, t, x, y + fd)
-        a12m, a22m = _g_impl(code, s, g, t, x, y - fd)
-        j11 = (a11p - a11m) / (2 * fd)
-        j21 = (a21p - a21m) / (2 * fd)
-        j12 = (a12p - a12m) / (2 * fd)
-        j22 = (a22p - a22m) / (2 * fd)
         det = j11 * j22 - j12 * j21
         tr = j11 * j11 + j12 * j12 + j21 * j21 + j22 * j22
         disc = tr * tr - 4.0 * det * det
@@ -502,14 +467,15 @@ def newton_fibers(variant, s, gamma, theta, nu0, tau0, tol=1e-12, maxit=50):
         with np.errstate(divide="ignore", invalid="ignore"):
             cond[idx] = np.where(s2sq <= 1e-300 * s1sq, 1e300,
                                  np.sqrt(s1sq / s2sq))
+            # the step before the filter below: a constant Jacobian entry
+            # (the second bypass row) is a float, which cannot be indexed
+            dnu = -(f1 * j22 - f2 * j12) / det
+            dtau = -(j11 * f2 - j21 * f1) / det
         done = res < tol
         ok[idx[done]] = True
         go = ~done & ~(np.abs(det) < 1e-300)
-        idx, g, t, x, y, res = idx[go], g[go], t[go], x[go], y[go], res[go]
-        f1, f2, j11, j12, j21, j22, det = (
-            a[go] for a in (f1, f2, j11, j12, j21, j22, det))
-        dnu = -(f1 * j22 - f2 * j12) / det
-        dtau = -(j11 * f2 - j21 * f1) / det
+        idx, g, t, x, y, res, dnu, dtau = (
+            a[go] for a in (idx, g, t, x, y, res, dnu, dtau))
         # backtracking keeps |nu| < 1 and the residual monotone
         improved = np.zeros(idx.size, dtype=bool)
         scale = 1.0

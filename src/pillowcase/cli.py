@@ -8,7 +8,8 @@ Subcommands:
                correspondence and export the result (JSON + SVG)
 - ``scene``    build the torus-knot example and count both pairings of the
                length-three composition
-- ``verify``   run the full invariant battery and exit nonzero on failure
+- ``verify``   run the full invariant battery, write its rows as JSON and
+               exit nonzero on failure
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, bad option
 value or bad curve file, 3 numerical failure (non-convergence or tangency).
@@ -334,11 +335,14 @@ def verification_suite(variant: str, s: float, seed: int = 0,
 
 
 def cmd_verify(args) -> int:
+    out = _outdir(args)
     rows = verification_suite(args.variant, args.s, seed=args.seed,
                               quick=not args.full)
+    payload = json.dumps([{"check": n, "ok": bool(ok), "detail": d}
+                          for n, ok, d in rows])
+    (out / "verify.json").write_text(payload + "\n")
     if args.json:
-        print(json.dumps([{"check": n, "ok": bool(ok), "detail": d}
-                          for n, ok, d in rows]))
+        print(payload)
     else:
         width = max(len(n) for n, _, _ in rows)
         for n, ok, d in rows:

@@ -112,9 +112,8 @@ def _scan_roots(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
         live = np.arange(gamma.shape[0])
         for _ in range(8):
             g, t, x = gamma[live], theta[live], nus[live]
-            g1, g2 = _kernels.g_pair(variant, s, g, t, x, taus)
-            d = (_kernels.g_pair(variant, s, g, t, x + 1e-6, taus)[1]
-                 - _kernels.g_pair(variant, s, g, t, x - 1e-6, taus)[1]) / 2e-6
+            _, g2, (_, (d,)) = _kernels.jet(_kernels.EARRING, s, g, t, x,
+                                            taus, ("nu",))
             step = np.where(np.abs(d) > 1e-12, -g2 / d, 0.0)
             nus[live] = np.clip(x + step, -0.49, 0.49)
             live = live[~(np.max(np.abs(g2), axis=1) < 1e-13)]
@@ -534,15 +533,18 @@ def verify_topology(variant: str, s: float, grid: int = 64, *,
         notes.append(f"fiber ({gs[i]:.3f},{ts[j]:.3f}) {where} fold disks is "
                      f"{status[i, j]}")
 
-    # refined sweep near the fold band
+    # refined sweep near the fold band; a fiber inside the band between the
+    # disks has no expected status, so only those outside it are solved
     refine = 4
     local = np.linspace(-2 * r_max, 2 * r_max, refine * 8)
     dgs, dts = (a.ravel() for a in np.meshgrid(local, local, indexing="ij"))
+    radius = np.hypot(dgs, dts)
+    checked = (radius > band_out) | (radius < band_in)
+    dgs, dts, radius = dgs[checked], dts[checked], radius[checked]
     for g0, t0 in CORNER_BASE.values():
         sweep = solve_fibers(variant, s, g0 + dgs, t0 + dts)
-        for dg, dt, fs in zip(dgs, dts, sweep):
+        for d, fs in zip(radius.tolist(), sweep):
             st = fs.status
-            d = float(np.hypot(dg, dt))
             if d > band_out and st != "two_sheets":
                 consistent = False
                 notes.append(f"refined fiber near {g0, t0} at d={d:.4f} is {st}")

@@ -88,34 +88,54 @@ def test_scene_command(tmp_path):
     assert (tmp_path / "scene_p1.svg").exists()
 
 
-def _verify_rows(capsys, variant):
-    code = run(["verify", "--variant", variant, "--s", "0.05", "--json"])
-    rows = json.loads(capsys.readouterr().out)
+def _verify_rows(capsys, variant, out):
+    code = run(["verify", "--variant", variant, "--s", "0.05", "--json",
+                "--out", str(out)])
+    printed = capsys.readouterr().out
+    assert (out / "verify.json").read_text() == printed
+    rows = json.loads(printed)
     assert len(rows) == 11
     return code, {r["check"] for r in rows if not r["ok"]}, rows
 
 
-def test_verify_json_and_fault(capsys, monkeypatch):
-    assert _verify_rows(capsys, "bypass")[:2] == (0, set())
+def test_verify_writes_its_rows_under_out(tmp_path, capsys, monkeypatch):
+    rows = [("identities", True, "max residual 1e-16"),
+            ("topology", False, "chi None")]
+    monkeypatch.setattr(cli, "verification_suite", lambda *a, **k: rows)
+    want = [{"check": n, "ok": ok, "detail": d} for n, ok, d in rows]
+    assert run(["verify", "--json", "--out", str(tmp_path / "flag")]) == 1
+    printed = capsys.readouterr().out
+    assert (tmp_path / "flag" / "verify.json").read_text() == printed
+    assert json.loads(printed) == want
+    # the table on stdout, the same rows in the file; the environment wins
+    monkeypatch.setenv("PILLOWCASE_OUT", str(tmp_path / "env"))
+    assert run(["verify", "--out", str(tmp_path / "flag2")]) == 1
+    assert "FAIL" in capsys.readouterr().out
+    assert json.loads((tmp_path / "env" / "verify.json").read_text()) == want
+    assert not (tmp_path / "flag2").exists()
+
+
+def test_verify_json_and_fault(capsys, monkeypatch, tmp_path):
+    assert _verify_rows(capsys, "bypass", tmp_path)[:2] == (0, set())
     # a wrong fixed-point angle on the circles over the bottom edge
     from pillowcase import compose, variety
 
     eta = variety.eta
     for mod in (variety, compose):
         monkeypatch.setattr(mod, "eta", lambda s, sigma: -eta(s, sigma))
-    code, failing, _ = _verify_rows(capsys, "earring")
+    code, failing, _ = _verify_rows(capsys, "earring", tmp_path)
     assert code == 1 and {"k_circle", "composed_edge"} <= failing
 
 
-def test_verify_reports_both_rows_when_composition_fails(capsys,
-                                                         monkeypatch):
+def test_verify_reports_both_rows_when_composition_fails(capsys, monkeypatch,
+                                                         tmp_path):
     from pillowcase.variety import ContinuationError
 
     def refuse(*args, **kwargs):
         raise ContinuationError("loop failed to close")
 
     monkeypatch.setattr(cli, "compose_curve", refuse)
-    code, failing, rows = _verify_rows(capsys, "bypass")
+    code, failing, rows = _verify_rows(capsys, "bypass", tmp_path)
     assert code == 1 and failing == {"composed_edge", "composed_circles"}
     assert {r["detail"] for r in rows if not r["ok"]} == {
         "loop failed to close"}

@@ -57,21 +57,34 @@ def test_solve_fibers_at_s0_is_closed_form():
     assert V.solve_fibers("earring", S, [], []) == []
 
 
-def _newton_reference(code, s, gamma, theta, nu, tau, tol, maxit):
-    """The scalar loop the batched Newton replaced: (nu, tau, ok, cond)."""
+def _exact_jacobian(code, s, gamma, theta, nu, tau):
+    """G and its exact (nu, tau) Jacobian from the kernel's numpy face on
+    scalars, which runs the batched Newton's arithmetic element by element."""
+    f1, f2, ((j11, j12), (j21, j22)) = K.jet(code, s, gamma, theta, nu, tau,
+                                             ("nu", "tau"), np)
+    return f1, f2, j11, j12, j21, j22
+
+
+def _stencil_jacobian(code, s, gamma, theta, nu, tau):
+    """G and the central-difference (nu, tau) Jacobian that the batched Newton
+    used before the exact one."""
     fd = 1e-6
+    f1, f2 = K.g_scalar_py(code, s, gamma, theta, nu, tau)
+    a11p, a21p = K.g_scalar_py(code, s, gamma, theta, nu + fd, tau)
+    a11m, a21m = K.g_scalar_py(code, s, gamma, theta, nu - fd, tau)
+    a12p, a22p = K.g_scalar_py(code, s, gamma, theta, nu, tau + fd)
+    a12m, a22m = K.g_scalar_py(code, s, gamma, theta, nu, tau - fd)
+    return (f1, f2, (a11p - a11m) / (2 * fd), (a12p - a12m) / (2 * fd),
+            (a21p - a21m) / (2 * fd), (a22p - a22m) / (2 * fd))
+
+
+def _newton_reference(jacobian, code, s, gamma, theta, nu, tau, tol, maxit):
+    """The scalar loop the batched Newton replaced, with G and its Jacobian
+    from ``jacobian``: (nu, tau, ok, cond)."""
     cond = 1.0
     for _ in range(maxit):
-        f1, f2 = K.g_scalar_py(code, s, gamma, theta, nu, tau)
+        f1, f2, j11, j12, j21, j22 = jacobian(code, s, gamma, theta, nu, tau)
         res = max(abs(f1), abs(f2))
-        a11p, a21p = K.g_scalar_py(code, s, gamma, theta, nu + fd, tau)
-        a11m, a21m = K.g_scalar_py(code, s, gamma, theta, nu - fd, tau)
-        a12p, a22p = K.g_scalar_py(code, s, gamma, theta, nu, tau + fd)
-        a12m, a22m = K.g_scalar_py(code, s, gamma, theta, nu, tau - fd)
-        j11 = (a11p - a11m) / (2 * fd)
-        j21 = (a21p - a21m) / (2 * fd)
-        j12 = (a12p - a12m) / (2 * fd)
-        j22 = (a22p - a22m) / (2 * fd)
         det = j11 * j22 - j12 * j21
         t = j11 * j11 + j12 * j12 + j21 * j21 + j22 * j22
         disc = max(t * t - 4.0 * det * det, 0.0)
@@ -100,9 +113,9 @@ def _newton_reference(code, s, gamma, theta, nu, tau, tol, maxit):
     return nu, tau, max(abs(f1), abs(f2)) < tol, cond
 
 
-@pytest.mark.parametrize("variant", ["earring", "bypass"])
-@pytest.mark.parametrize("tol, maxit", [(1e-12, 50), (1e-13, 50), (1e-12, 3)])
-def test_newton_fibers_matches_scalar_loop(variant, tol, maxit):
+def _newton_starts():
+    """300 fibers and Newton starts: no-root fibers in a fold disk, starts
+    near |nu| = 1, and the s = 0 seeds."""
     rng = np.random.default_rng(6)
     n = 300
     g = rng.uniform(0, 2 * np.pi, n)
@@ -111,21 +124,47 @@ def test_newton_fibers_matches_scalar_loop(variant, tol, maxit):
     t[:15] = rng.uniform(-0.05, 0.05, 15)
     nu0 = rng.uniform(-0.99, 0.99, n)
     tau0 = rng.uniform(0, 2 * np.pi, n)
-    # near |nu| = 1 some full steps leave |nu| < 0.999 and must be rejected
+    # near |nu| = 1 some full steps leave the region |nu| < 0.999 and must be
+    # rejected
     nu0[15:215] = rng.choice([-1.0, 1.0], 200) * rng.uniform(0.9, 0.998, 200)
     nu0[250:] = 0.0
     tau0[250:] = np.arctan2(np.sin(t[250:]), np.sin(g[250:]))
+    return g, t, nu0, tau0
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+@pytest.mark.parametrize("tol, maxit", [(1e-12, 50), (1e-13, 50), (1e-12, 3)])
+def test_newton_fibers_matches_scalar_loop(variant, tol, maxit):
+    g, t, nu0, tau0 = _newton_starts()
     code = K.variant_code(variant)
     nu, tau, ok, cond = K.newton_fibers(code, S, g, t, nu0, tau0, tol, maxit)
     assert np.any(ok) and not np.all(ok)
-    for i in range(n):
+    for i in range(g.size):
         args = (code, S, g[i], t[i], nu0[i], tau0[i], tol, maxit)
         one = K.newton_fiber(*args)
         assert one == (nu[i], tau[i], ok[i], cond[i])
-        assert one == _newton_reference(*args)
+        assert one == _newton_reference(_exact_jacobian, *args)
     three = K.newton_fiber_batch(variant, S, g, t, nu0, tau0, tol, maxit)
     for a, b in zip(three, (nu, tau, ok)):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_newton_fibers_matches_the_stencil_loop(variant):
+    """Where the exact-Jacobian Newton and the central-difference one both
+    converge from the same start, they find the same root."""
+    g, t, nu0, tau0 = _newton_starts()
+    code = K.variant_code(variant)
+    nu, tau, ok, _ = K.newton_fibers(code, S, g, t, nu0, tau0, 1e-12, 50)
+    both = 0
+    for i in range(g.size):
+        rnu, rtau, rok, _ = _newton_reference(
+            _stencil_jacobian, code, S, g[i], t[i], nu0[i], tau0[i], 1e-12, 50)
+        if ok[i] and rok:
+            both += 1
+            assert abs(nu[i] - rnu) <= 1e-10
+            assert abs(np.mod(tau[i] - rtau + np.pi, 2 * np.pi) - np.pi) <= 1e-10
+    assert both > 0
 
 
 def test_classify_grid_counts_pinned():

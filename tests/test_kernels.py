@@ -1,5 +1,7 @@
 """The kernels against the word evaluation, their batch forms and scipy."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,53 @@ def test_kernel_matches_word_evaluation():
         g1, g2 = k.g_scalar(k.BYPASS, s, g, t, nu, tau)
         assert abs(g1 - float(g1w)) < 1e-13
         assert abs(g2 - float(g2w)) < 1e-13
+
+
+CODES = (k.EARRING, k.BYPASS)
+ANGLE = st.floats(0.0, 2 * np.pi)
+# chart points (s, gamma, theta, nu, tau) in the domain of words.ChartPoint
+CHART = st.tuples(st.floats(-0.45, 0.45, allow_subnormal=False), ANGLE, ANGLE,
+                  st.floats(-0.5, 0.5, allow_subnormal=False), ANGLE)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(pt=CHART)
+def test_jet_matches_word_evaluation(pt):
+    rep = W.embed_L(W.ChartPoint(*pt))
+    for code, pair in zip(CODES, (W.g_of_rep, W.gp_of_rep)):
+        g1, g2, _ = k.jet(code, *pt, (), math)
+        w1, w2 = pair(rep)
+        assert abs(g1 - float(w1)) <= 1e-14 and abs(g2 - float(w2)) <= 1e-14
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(pt=CHART)
+def test_jet_jacobian_matches_central_differences(pt):
+    s, x = pt[0], np.array(pt[1:])
+    fd = 1e-6
+    for code in CODES:
+        _, _, rows = k.jet(code, s, *x, k.DIRECTIONS, math)
+        for j in range(4):
+            dx = np.zeros(4)
+            dx[j] = fd
+            plus = k.jet(code, s, *(x + dx), (), math)[:2]
+            minus = k.jet(code, s, *(x - dx), (), math)[:2]
+            for i in range(2):
+                assert abs(rows[i][j] - (plus[i] - minus[i]) / (2 * fd)) <= 1e-8
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(pt=CHART,
+       wrt=st.lists(st.sampled_from(k.DIRECTIONS), unique=True, max_size=4))
+def test_jet_float_and_array_faces_agree(pt, wrt):
+    arrays = [np.full(3, v) for v in pt]
+    for code in CODES:
+        g1, g2, rows = k.jet(code, *pt, tuple(wrt), math)
+        a1, a2, arows = k.jet(code, *arrays, tuple(wrt), np)
+        assert len(rows[0]) == len(rows[1]) == len(wrt)
+        for f, a in zip((g1, g2, *rows[0], *rows[1]),
+                        (a1, a2, *arows[0], *arows[1])):
+            assert np.all(np.abs(a - f) <= 1e-15)
 
 
 def test_batch_matches_scalar():

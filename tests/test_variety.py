@@ -253,6 +253,64 @@ def test_topology_grid_checks_match_loop_reference(monkeypatch):
     assert rep.notes == notes[:20]
 
 
+def test_refined_sweep_solves_only_the_fibers_it_checks(monkeypatch):
+    s = 0.05
+    circles = V.fold_locus("earring", s, n_samples=48)
+    r_max = max(float(np.max(c.radii)) for c in circles)
+    band_out = 1.3 * r_max
+    band_in = 0.7 * min(float(np.min(c.radii)) for c in circles)
+    local = np.linspace(-2 * r_max, 2 * r_max, 32)
+    dgs, dts = (a.ravel() for a in np.meshgrid(local, local, indexing="ij"))
+    d = np.hypot(dgs, dts)
+    # a wrong status outside the disks, one in the band between them (which
+    # no check reads) and one inside, all at the corner (pi, 0)
+    wrong = {}
+    for where, st in ((d > band_out, "fold_region"),
+                      ((d >= band_in) & (d <= band_out), "empty"),
+                      (d < band_in, "two_sheets")):
+        i = np.nonzero(where)[0][0]
+        wrong[(np.pi + dgs[i], 0.0 + dts[i])] = st
+
+    def model(variant, s, g, t):
+        return [V.FiberSolutions(variant, s, a, b, [], wrong.get(
+            (a, b), "empty" if V._corner_distance(a, b) < (band_in + band_out)
+            / 2 else "two_sheets")) for a, b in zip(g, t)]
+
+    requested = []
+
+    def recording(variant, s, g, t):
+        requested.append(set(zip(np.asarray(g).tolist(),
+                                 np.asarray(t).tolist())))
+        return model(variant, s, g, t)
+
+    gs = ts = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
+    status = np.full((32, 32), "two_sheets", dtype=object)
+    status[::16, ::16] = "empty"  # the four corners, inside the disks
+    monkeypatch.setattr(V, "classify_grid", lambda *a: (gs, ts, status))
+    monkeypatch.setattr(V, "solve_fibers", recording)
+    rep = V.verify_topology("earring", s, 32, circles=circles)
+
+    # the full 32 x 32 sweep per corner that the restricted one replaced
+    assert len(requested) == 4
+    notes, consistent = [], True
+    for (g0, t0), asked in zip(V.CORNER_BASE.values(), requested):
+        checked = {(g0 + a, t0 + b) for a, b, r in zip(dgs, dts, d)
+                   if r > band_out or r < band_in}
+        assert asked == checked
+        for dg, dt, fs in zip(dgs, dts, model("earring", s, g0 + dgs,
+                                              t0 + dts)):
+            st = fs.status
+            r = float(np.hypot(dg, dt))
+            if r > band_out and st != "two_sheets":
+                consistent = False
+                notes.append(f"refined fiber near {g0, t0} at d={r:.4f} is {st}")
+            if r < band_in and st != "empty":
+                consistent = False
+                notes.append(f"refined fiber near {g0, t0} at d={r:.4f} is {st}")
+    assert len(notes) == 2 and not consistent
+    assert rep.notes == notes and rep.consistent == consistent
+
+
 def test_pi0_misses_corners():
     from pillowcase.variety import _corner_distance
 
