@@ -15,8 +15,10 @@ floats.  Fiber Newton is written once, over arrays of fibers
 (``newton_fibers``), with its (nu, tau) Jacobian from ``jet``, and
 ``newton_fiber`` is its one-point face.  The continuation corrector and
 tangent, the fold-circle Newton and the fold rank data take their
-derivatives from ``g_jac``.  Both 3x3 Newton steps, the corrector's and the
-fold circles', go through one Cramer solve, ``_solve3``.
+derivatives from ``g_jac``; both run on Python floats and give the unit
+tangent as a tuple, or None where the Jacobian rows are dependent.  Both
+3x3 Newton steps, the corrector's and the fold circles', go through one
+Cramer solve, ``_solve3``.
 
 The curve splines that continuation runs along are fitted here too:
 ``cubic_fit`` is the not-a-knot cubic interpolant, written in the
@@ -339,11 +341,9 @@ def _null(j):
 
 
 def tangent(code, s, breaks, cg, ct, u0, u1, u2):
-    """Unit tangent of the solution curve at u: (t0, t1, t2, ok)."""
-    tn = _null(_curve_jac(code, s, breaks, cg, ct, u0, u1, u2)[2])
-    if tn is None:
-        return 0.0, 0.0, 0.0, False
-    return tn[0], tn[1], tn[2], True
+    """Unit tangent (t0, t1, t2) of the solution curve at u, or None where
+    the Jacobian rows are dependent."""
+    return _null(_curve_jac(code, s, breaks, cg, ct, u0, u1, u2)[2])
 
 
 def _solve3(a00, a01, a02, a10, a11, a12, a20, a21, a22, r0, r1, r2):

@@ -33,8 +33,8 @@ from . import _svg
 from .curves import (GenericPositionError, ImmersedCurve, double, intersect,
                      invariants, bottom_edge, slope_one_arc, slope_two_arc,
                      twisted_double, vertical_circle, wavy_arc)
-from .compose import (TangencyError, compose_curve, fold_image_curves,
-                      transpose_compose, verify_theorem_B)
+from .compose import (MAX_STEP, TangencyError, compose_curve,
+                      fold_image_curves, transpose_compose, verify_theorem_B)
 from .variety import (ContinuationError, fold_locus, solve_fiber,
                       solve_fibers, verify_topology)
 from .words import BYPASS, EARRING, ChartPoint
@@ -152,7 +152,8 @@ def cmd_compose(args) -> int:
 # torus-knot scene
 # ---------------------------------------------------------------------------
 
-def torus_knot_scene(variant: str, s: float, *, max_step: float = 4e-3) -> dict:
+def torus_knot_scene(variant: str, s: float, *,
+                     max_step: float = MAX_STEP) -> dict:
     """Both pairings of the length-three composition for the (3,7) torus
     knot decomposition: the trivial-tangle arc on one side, the slope-two arc
     plus doubled twisted-double circles on the other."""
@@ -369,8 +370,8 @@ _NONZERO_S = _checked(float, lambda s: 0.0 < abs(s) < 0.5,
                       "is not finite with 0 < |s| < 1/2 (fold circles need "
                       "s != 0)")
 _GRID = _checked(int, lambda n: n >= 1, "is not >= 1")
-_MAX_STEP = _checked(float, lambda h: 0.0 < h < math.inf,
-                     "is not finite and > 0")
+_STEP = _checked(float, lambda h: 0.0 < h < math.inf,
+                 "is not finite and > 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,12 +401,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", choices=sorted(NAMED_CURVES), default="beta")
     p.add_argument("--curve-file", default=None,
                    help="JSON curve file (overrides --name)")
-    p.add_argument("--max-step", type=_MAX_STEP, default=4e-3)
+    p.add_argument("--max-step", type=_STEP, default=MAX_STEP)
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("scene", help="torus-knot example, both pairings")
     common(p)
-    p.add_argument("--max-step", type=_MAX_STEP, default=4e-3)
+    p.add_argument("--max-step", type=_STEP, default=MAX_STEP)
     p.add_argument("--json", action="store_true",
                    help="print the pairing counts as one JSON line")
     p.set_defaults(func=cmd_scene)

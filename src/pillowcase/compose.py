@@ -12,24 +12,32 @@ transverse fold-image crossings.
 
 Each curve component is carried by the not-a-knot cubic spline of its lift
 (``_kernels.cubic_fit``), fitted once per fiber product and shared by the
-continuation and the push forward.
+continuation and the push forward.  The continuation loop and the orbit
+unwrap of the push forward run on Python floats; the push forward maps
+all samples of a loop in one image pass and refines it at most once.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _kernels
-from .curves import (CurveComponent, CurveError, GenericPositionError,
-                     ImmersedCurve, double, figure_eight, intersect)
+from .curves import (TURN_LIMIT, CurveComponent, CurveError,
+                     GenericPositionError, ImmersedCurve, double, figure_eight,
+                     intersect, turning_angles)
 from .projection import pi0_u_r3, pi1_r3_of_chart
 from .variety import (ContinuationError, FoldCircle, eta, fold_locus,
                       k_circle, solve_fiber, tau_seed)
 from .words import BYPASS
 
 TWO_PI = 2.0 * np.pi
+
+MAX_STEP = 4e-3  # default continuation step, in (t, nu, tau) arclength
+STEP_BUDGET = 100_000  # continuation steps allowed per loop
+CORRECTOR = (1e-11, 40)  # corrector residual tolerance and iteration cap
 
 
 class TangencyError(RuntimeError):
@@ -40,7 +48,6 @@ class TangencyError(RuntimeError):
 class Branch:
     component: int
     samples: np.ndarray  # (m, 3) columns (t, nu, tau)
-    closed: bool
     fold_marks: list[int]  # sample indices where the curve parameter reverses
     sheet: str | None  # "plus" | "minus" | None when the loop crosses folds
 
@@ -134,71 +141,65 @@ def _component_splines(comp: CurveComponent):
 def _closure_distance(u, u0, period):
     dt = u[0] - u0[0]
     if period > 0:
-        dt = dt - period * np.round(dt / period)
-    dtau = np.mod(u[2] - u0[2] + np.pi, TWO_PI) - np.pi
-    return float(np.hypot(np.hypot(dt, u[1] - u0[1]), dtau))
+        dt = dt - period * round(dt / period)
+    dtau = (u[2] - u0[2] + math.pi) % TWO_PI - math.pi
+    return math.hypot(dt, u[1] - u0[1], dtau)
 
 
-def _trace_loop(code, s, breaks, cg, ct, period, u_start, *, max_step,
-                max_steps=100_000, tol=1e-11):
-    """Pseudo-arclength trace of one solution loop; returns (samples, folds)."""
-    u = np.array(u_start, dtype=float)
-    t0 = _kernels.tangent(code, s, breaks, cg, ct, u[0], u[1], u[2])
-    if not t0[3]:
+def _trace_loop(code, s, breaks, cg, ct, period, u, max_step):
+    """Pseudo-arclength trace of one solution loop from the float triple
+    u = (t, nu, tau), on Python floats; returns (samples, folds)."""
+    tang = _kernels.tangent(code, s, breaks, cg, ct, *u)
+    if tang is None:
         raise ContinuationError("no tangent at the continuation seed")
-    tang = np.array(t0[:3])
-    samples = [u.copy()]
+    samples = [u]
     h = max_step
     folds: list[int] = []
     arclen = 0.0
-    last_sign = np.sign(tang[0]) if tang[0] != 0 else 1.0
-    for _ in range(max_steps):
-        stepped = False
+    last_sign = 1.0 if tang[0] >= 0 else -1.0
+    for _ in range(STEP_BUDGET):
         while h >= 1e-7:
-            pred = u + h * tang
-            r = _kernels.corrector(code, s, breaks, cg, ct, pred[0], pred[1],
-                                   pred[2], tang[0], tang[1], tang[2], tol, 40)
+            r = _kernels.corrector(code, s, breaks, cg, ct,
+                                   u[0] + h * tang[0], u[1] + h * tang[1],
+                                   u[2] + h * tang[2], *tang, *CORRECTOR)
             # r[4] is the tangent at the corrected point
             if r[3] and r[4] is not None:
-                u_new = np.array(r[:3])
-                t_new = np.array(r[4])
-                if np.dot(t_new, tang) < 0:
-                    t_new = -t_new
+                t_new = r[4]
+                turn = (t_new[0] * tang[0] + t_new[1] * tang[1]
+                        + t_new[2] * tang[2])
+                if turn < 0:
+                    t_new, turn = (-t_new[0], -t_new[1], -t_new[2]), -turn
                 # reject steps that double back or jump
-                jump = np.linalg.norm(u_new - u)
-                if jump <= 4 * h and np.dot(t_new, tang) > 0.2:
-                    stepped = True
+                jump = math.dist(r[:3], u)
+                if jump <= 4 * h and turn > 0.2:
                     break
             h *= 0.5
-        if not stepped:
+        else:
             raise ContinuationError("continuation step rejection cascade")
-        arclen += np.linalg.norm(u_new - u)
-        u = u_new
+        arclen += jump
+        u = r[:3]
         tang = t_new
-        samples.append(u.copy())
+        samples.append(u)
         if tang[0] != 0:
-            sign = np.sign(tang[0])
-            if sign != 0 and sign != last_sign:
+            sign = 1.0 if tang[0] > 0 else -1.0
+            if sign != last_sign:
                 folds.append(len(samples) - 1)
                 last_sign = sign
         h = min(h * 1.4, max_step)
         if len(samples) > 10 and arclen > 10 * max_step:
             if _closure_distance(u, samples[0], period) < max(1e-5, 2 * h):
-                t_back = _kernels.tangent(code, s, breaks, cg, ct,
-                                          samples[0][0], samples[0][1],
-                                          samples[0][2])
-                tb = np.array(t_back[:3])
-                if abs(np.dot(tb, tang)) > 0.9:
+                tb = _kernels.tangent(code, s, breaks, cg, ct, *samples[0])
+                if tb is not None and abs(tb[0] * tang[0] + tb[1] * tang[1]
+                                          + tb[2] * tang[2]) > 0.9:
                     break
     else:
         raise ContinuationError("loop failed to close within the step budget")
     # append the start point, with t continued to its nearest
     # period-equivalent so circle branches keep a monotone parameter
-    closing = samples[0].copy()
+    t0 = samples[0][0]
     if period > 0:
-        dt = closing[0] - u[0]
-        closing[0] = closing[0] - period * np.round(dt / period)
-    samples.append(closing)
+        t0 -= period * round((t0 - u[0]) / period)
+    samples.append((t0, *samples[0][1:]))
     return np.array(samples), folds
 
 
@@ -215,7 +216,7 @@ def _branch_sheet(samples, breaks, cg, ct, folds):
 
 
 def fiber_product(curve: ImmersedCurve, variant: str, s: float, *,
-                  max_step: float = 4e-3,
+                  max_step: float = MAX_STEP,
                   circles: list[FoldCircle] | None = None) -> FiberProduct:
     """Trace the solution loops of the defining pair over the curve."""
     if s == 0.0:
@@ -238,26 +239,24 @@ def fiber_product(curve: ImmersedCurve, variant: str, s: float, *,
             th = _kernels._ppoly_eval(breaks, ct, t0)
             fs = solve_fiber(variant, s, g, th)
             if fs.status == "two_sheets":
-                seeds = [(t0, nu, tau) for nu, tau in fs.solutions]
+                seeds = [(t0, float(nu), float(tau))
+                         for nu, tau in fs.solutions]
                 break
         if seeds is None:
             raise ContinuationError(
                 "no fold-free seed fiber found along the curve")
         if comp.kind == "good_arc":
             seeds = seeds[:1]
-        loops: list[tuple[np.ndarray, int]] = []
+        loops: list[tuple[np.ndarray, list[int]]] = []
         for seed in seeds:
-            already = any(
-                np.min([_closure_distance(np.array(seed), p, period)
-                        for p in loop[0]]) < 1e-4
-                for loop in loops)
-            if already:
+            if any(_closure_distance(seed, p, period) < 1e-4
+                   for samples, _ in loops for p in samples.tolist()):
                 continue
             loops.append(_trace_loop(code, s, breaks, cg, ct, period, seed,
-                                     max_step=max_step))
+                                     max_step))
         for samples, folds in loops:
             sheet = _branch_sheet(samples, breaks, cg, ct, folds)
-            fp.branches.append(Branch(ci, samples, True, folds, sheet))
+            fp.branches.append(Branch(ci, samples, folds, sheet))
     return fp
 
 
@@ -272,130 +271,113 @@ def _unwrap_orbit_path(r3: np.ndarray) -> np.ndarray:
     the orbit element nearest a linear prediction from the two previous
     points.  Position alone is not enough: where the path crosses an edge of
     the fundamental rectangle the reflected element can sit closer to the
-    previous point than the true continuation does.
+    previous point than the true continuation does.  Elements matching the
+    third character cos(g - t) win; among them the first nearest.
     """
-    x = np.clip(r3[:, 0], -1.0, 1.0)
-    y = np.clip(r3[:, 1], -1.0, 1.0)
-    z = r3[:, 2]
-    g0 = np.arccos(x)
-    t0 = np.arccos(y)
+    g0 = np.arccos(np.clip(r3[:, 0], -1.0, 1.0))
+    t0 = np.arccos(np.clip(r3[:, 1], -1.0, 1.0))
+    # third-character errors of (g, t), (-g, -t) and of (g, -t), (-g, t)
+    err_same = np.abs(np.cos(g0 - t0) - r3[:, 2])
+    err_flip = np.abs(np.cos(g0 + t0) - r3[:, 2])
     # resolve the theta sign of the first point against the third character
-    if abs(np.cos(g0[0] - t0[0]) - z[0]) <= abs(np.cos(g0[0] + t0[0]) - z[0]):
-        prev = np.array([g0[0], t0[0]])
-    else:
-        prev = np.array([g0[0], -t0[0]])
-    out = [prev]
-    vel = np.zeros(2)
-    for k in range(1, len(r3)):
-        target = prev + vel
-        cands = []
-        for sg in (1.0, -1.0):
-            for st in (1.0, -1.0):
-                cand_base = np.array([sg * g0[k], st * t0[k]])
-                cand = cand_base + TWO_PI * np.round((target - cand_base)
-                                                     / TWO_PI)
-                z_err = abs(np.cos(cand_base[0] - cand_base[1]) - z[k])
-                d = float(np.max(np.abs(cand - target)))
-                cands.append((d, z_err, cand))
-        consistent = [c for c in cands if c[1] <= 1e-6]
-        pool = consistent if consistent else cands
-        best = min(pool, key=lambda c: c[0])[2]
-        out.append(best)
-        vel = best - prev
-        prev = best
+    pg = float(g0[0])
+    pt = float(t0[0] if err_same[0] <= err_flip[0] else -t0[0])
+    out = [(pg, pt)]
+    vg = vt = 0.0
+    for g, t, bad_same, bad_flip in zip(
+            g0[1:].tolist(), t0[1:].tolist(),
+            (err_same[1:] > 1e-6).tolist(), (err_flip[1:] > 1e-6).tolist()):
+        xg, xt = pg + vg, pt + vt
+        best = None
+        for bad, cg, ct in ((bad_same, g, t), (bad_flip, g, -t),
+                            (bad_flip, -g, t), (bad_same, -g, -t)):
+            cg += TWO_PI * round((xg - cg) / TWO_PI)
+            ct += TWO_PI * round((xt - ct) / TWO_PI)
+            key = (bad, max(abs(cg - xg), abs(ct - xt)))
+            if best is None or key < best[0]:
+                best = key, cg, ct
+        _, g, t = best
+        vg, vt = g - pg, t - pt
+        pg, pt = g, t
+        out.append((g, t))
     return np.array(out)
 
 
 def _prune_short(lift: np.ndarray, samples: np.ndarray, min_len: float):
     """Greedily drop lift vertices closer than min_len to their predecessor
     (keeping the endpoints), with the matching parameter samples."""
+    pts = lift.tolist()
     keep = [0]
-    for k in range(1, len(lift) - 1):
-        if np.linalg.norm(lift[k] - lift[keep[-1]]) >= min_len:
+    for k in range(1, len(pts) - 1):
+        if math.dist(pts[k], pts[keep[-1]]) >= min_len:
             keep.append(k)
-    keep.append(len(lift) - 1)
-    idx = np.array(keep)
-    return lift[idx], samples[idx]
+    keep.append(len(pts) - 1)
+    return lift[keep], samples[keep]
 
 
-def push_forward(fp: FiberProduct, *, turn_limit_deg: float = 15.0) -> ImmersedCurve:
+def push_forward(fp: FiberProduct) -> ImmersedCurve:
     """Apply the second restriction map to every branch.
 
     Output components are circles in the second factor; under-resolved spots
-    (image turning above the immersion proxy limit) are refined once by
-    parameter-midpoint insertion before failing.
+    (image turning above the immersion proxy limit ``curves.TURN_LIMIT``)
+    are refined once by parameter-midpoint insertion before failing.
     """
+    code = _kernels.variant_code(fp.variant)
     comps = []
     for branch in fp.branches:
         breaks, cg, ct, _, _ = fp.splines_of(branch.component)
         samples = branch.samples
-
-        def image_of(samp):
-            gs = _kernels._ppoly_eval(breaks, cg, samp[:, 0])
-            th = _kernels._ppoly_eval(breaks, ct, samp[:, 0])
+        for attempt in range(2):
+            gs = _kernels._ppoly_eval(breaks, cg, samples[:, 0])
+            th = _kernels._ppoly_eval(breaks, ct, samples[:, 0])
             try:
-                r3 = pi1_r3_of_chart(fp.s, gs, th, samp[:, 1], samp[:, 2],
-                                     variant=fp.variant)
+                r3 = pi1_r3_of_chart(fp.s, gs, th, samples[:, 1],
+                                     samples[:, 2], variant=fp.variant)
             except ValueError as exc:
                 raise ContinuationError(
                     f"fiber-product sample outside the chart: {exc}") from exc
-            return _unwrap_orbit_path(r3)
-
-        lift = image_of(samples)
-        # drop image micro-segments: below ~1e-6 the turning angle between
-        # neighbors is dominated by the corrector tolerance, not geometry
-        lift_k, samp_k = _prune_short(lift, samples, 1e-6)
-        ang = np.arctan2(np.diff(lift_k, axis=0)[:, 1],
-                         np.diff(lift_k, axis=0)[:, 0])
-        turns = np.abs(np.mod(np.diff(ang) + np.pi, TWO_PI) - np.pi)
-        if np.any(turns > np.deg2rad(turn_limit_deg)):
-            # refine once around the sharp spots
-            code = _kernels.variant_code(fp.variant)
-            refined = [samp_k[0]]
-            for k in range(len(samp_k) - 1):
-                a, b = samp_k[k], samp_k[k + 1]
-                mid = 0.5 * (a + b)
-                tang = b - a
-                nrm = np.linalg.norm(tang)
-                if nrm > 1e-12:
-                    tang = tang / nrm
-                    r = _kernels.corrector(code, fp.s, breaks, cg, ct, mid[0],
-                                           mid[1], mid[2], tang[0], tang[1],
-                                           tang[2], 1e-11, 40)
-                    if r[3]:
-                        refined.append(np.array(r[:3]))
-                refined.append(b)
-            samp_k = np.array(refined)
-            lift_r = image_of(samp_k)
-            lift_k, samp_k = _prune_short(lift_r, samp_k, 1e-6)
-            ang = np.arctan2(np.diff(lift_k, axis=0)[:, 1],
-                             np.diff(lift_k, axis=0)[:, 0])
-            turns = np.abs(np.mod(np.diff(ang) + np.pi, TWO_PI) - np.pi)
-            if np.any(turns > np.deg2rad(turn_limit_deg)):
+            # drop image micro-segments: below ~1e-6 the turning angle between
+            # neighbors is dominated by the corrector tolerance, not geometry
+            lift, samples = _prune_short(_unwrap_orbit_path(r3), samples, 1e-6)
+            if not np.any(turning_angles(lift) > TURN_LIMIT):
+                break
+            if attempt:
                 raise ContinuationError(
                     "composed image violates the immersion proxy after "
                     "refinement; decrease the continuation step")
+            # insert a corrected parameter midpoint between all neighbors
+            refined = [samples[0]]
+            for a, b in zip(samples[:-1], samples[1:]):
+                nrm = np.linalg.norm(b - a)
+                if nrm > 1e-12:
+                    r = _kernels.corrector(code, fp.s, breaks, cg, ct,
+                                           *(0.5 * (a + b)), *((b - a) / nrm),
+                                           *CORRECTOR)
+                    if r[3]:
+                        refined.append(r[:3])
+                refined.append(b)
+            samples = np.array(refined)
         # snap the closing point onto the lattice-translated start
-        lam = lift_k[-1] - lift_k[0]
+        lam = lift[-1] - lift[0]
         lam_snap = TWO_PI * np.round(lam / TWO_PI)
         if np.max(np.abs(lam - lam_snap)) > 1e-5:
             raise ContinuationError("composed loop does not close modulo the "
                                     "lattice")
-        lift_k[-1] = lift_k[0] + lam_snap
-        comps.append(CurveComponent("circle", lift_k))
+        lift[-1] = lift[0] + lam_snap
+        comps.append(CurveComponent("circle", lift))
     name = f"composed({fp.curve.name})" if fp.curve.name else "composed"
     return ImmersedCurve(comps, "P1", name)
 
 
 def compose_curve(curve: ImmersedCurve, variant: str, s: float, *,
-                  max_step: float = 4e-3,
+                  max_step: float = MAX_STEP,
                   circles: list[FoldCircle] | None = None) -> ImmersedCurve:
     return push_forward(fiber_product(curve, variant, s, max_step=max_step,
                                       circles=circles))
 
 
 def transpose_compose(curve: ImmersedCurve, variant: str, s: float, *,
-                      max_step: float = 4e-3,
+                      max_step: float = MAX_STEP,
                       circles: list[FoldCircle] | None = None) -> ImmersedCurve:
     """Composition with the transposed correspondence (swap the factor roles).
 
@@ -468,7 +450,7 @@ class TheoremBReport:
 
 
 def verify_theorem_B(curve: ImmersedCurve, variant: str, s: float, *,
-                     max_step: float = 4e-3,
+                     max_step: float = MAX_STEP,
                      circles: list[FoldCircle] | None = None) -> TheoremBReport:
     """Compare the composed curve against the predicted class: the relabeled
     figure eight for a good arc, the relabeled double for circles."""

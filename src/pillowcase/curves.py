@@ -27,6 +27,10 @@ TWO_PI = 2.0 * np.pi
 
 CORNER_CLASSES = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
+# immersion proxy: a polyline turning by more than this between neighboring
+# segments is not resolved as an immersion
+TURN_LIMIT = np.deg2rad(15.0)
+
 
 class GenericPositionError(RuntimeError):
     """A tangential or overlapping crossing was detected."""
@@ -63,18 +67,14 @@ class CurveComponent:
             raise CurveError(f"circle lift does not close modulo the lattice: {lam}")
         return int(hom[0]), int(hom[1])
 
-    def validate(self, turn_limit_deg: float = 15.0):
-        seg = np.diff(self.lift, axis=0)
-        lens = np.linalg.norm(seg, axis=1)
+    def validate(self):
+        lens = np.linalg.norm(np.diff(self.lift, axis=0), axis=1)
         if np.any(lens < 1e-12):
             raise CurveError("degenerate polyline segment")
-        ang = np.arctan2(seg[:, 1], seg[:, 0])
-        turns = np.abs(np.mod(np.diff(ang) + np.pi, TWO_PI) - np.pi)
+        turns = turning_angles(self.lift, closed=self.kind == "circle")
         if self.kind == "circle":
-            closing = np.abs(np.mod(ang[0] - ang[-1] + np.pi, TWO_PI) - np.pi)
-            turns = np.append(turns, closing)
             self.homology()
-        if np.max(turns) > np.deg2rad(turn_limit_deg):
+        if np.max(turns) > TURN_LIMIT:
             raise CurveError(
                 f"polyline turns by {np.rad2deg(np.max(turns)):.1f} deg; not an "
                 "immersion at this resolution")
@@ -88,6 +88,16 @@ class CurveComponent:
             if np.min(d) < 1e-9:
                 raise CurveError("good arc passes through a corner")
         return self
+
+
+def turning_angles(lift: np.ndarray, closed: bool = False) -> np.ndarray:
+    """Absolute angles (rad) by which a polyline turns between neighboring
+    segments; ``closed`` adds the turn from the last segment to the first."""
+    seg = np.diff(lift, axis=0)
+    ang = np.arctan2(seg[:, 1], seg[:, 0])
+    if closed:
+        ang = np.append(ang, ang[0])
+    return np.abs(np.mod(np.diff(ang) + np.pi, TWO_PI) - np.pi)
 
 
 def _corner_lattice_distance(pts: np.ndarray) -> np.ndarray:

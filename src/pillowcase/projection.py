@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quat
-from .words import (EARRING, CHARS_P1, ChartPoint, Rep, U_A, U_B, U_F,
-                    U_H, embed_arrays, embed_L, eval_word, variety_residual)
+from .words import (EARRING, CHARS_P0, CHARS_P1, ChartPoint, Rep, U_A, U_B,
+                    U_F, U_H, embed_arrays, embed_L, eval_word,
+                    variety_residual)
 
 CORNERS_R3 = np.array([
     [1.0, 1.0, 1.0],
@@ -26,7 +27,6 @@ CORNERS_R3 = np.array([
     [1.0, -1.0, -1.0],
 ])
 
-SURFACE_TOL = 1e-8
 OFF_VARIETY_SURFACE_TOL = 1e-6
 
 
@@ -126,10 +126,8 @@ def pi0(pt: ChartPoint) -> PillowPoint:
 def pi0_of_rep(rep: Rep) -> PillowPoint:
     """Same map computed from the characters of the incoming boundary loops
     (conjugation invariant, so valid off the gauge slice)."""
-    x = float(quat.real_part(eval_word(rep, "bA")))
-    y = float(quat.real_part(eval_word(rep, "fA")))
-    z = float(quat.real_part(eval_word(rep, "bF")))
-    return PillowPoint.from_r3("P0", x, y, z)
+    return PillowPoint.from_r3("P0", *(float(quat.real_part(eval_word(rep, w)))
+                                       for w in CHARS_P0))
 
 
 def pi1_r3(rep: Rep) -> np.ndarray:

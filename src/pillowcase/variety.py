@@ -391,9 +391,7 @@ def fold_jacobian_data(pt: ChartPoint):
     _, _, vt = np.linalg.svd(dg)
     t1, t2 = vt[2], vt[3]  # orthonormal basis of the tangent plane
 
-    m0 = np.column_stack([t1[:2], t2[:2]])
-    sv0 = np.linalg.svd(m0, compute_uv=False)
-    ker0 = np.linalg.svd(m0)[2][-1]
+    _, sv0, vt0 = np.linalg.svd(np.column_stack([t1[:2], t2[:2]]))
 
     step = 1e-5
     cols = []
@@ -403,10 +401,8 @@ def fold_jacobian_data(pt: ChartPoint):
         vp = pi1_r3_of_chart(pt.s, *xp, variant=pt.variant)
         vm = pi1_r3_of_chart(pt.s, *xm, variant=pt.variant)
         cols.append((vp - vm) / (2 * step))
-    m1 = np.column_stack(cols)
-    sv1 = np.linalg.svd(m1, compute_uv=False)
-    ker1 = np.linalg.svd(m1)[2][-1]
-    return sv0, ker0, sv1, ker1
+    _, sv1, vt1 = np.linalg.svd(np.column_stack(cols))
+    return sv0, vt0[-1], sv1, vt1[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pillowcase import _kernels
 from pillowcase import compose as X
 from pillowcase import curves as C
 from pillowcase import projection as P
@@ -56,8 +57,6 @@ def test_fiber_product_circle_two_sheets():
         # samples satisfy the defining equations and project back onto the
         # input circle
         code = 0 if variant == "earring" else 1
-        from pillowcase import _kernels
-
         for b in fp.branches:
             sub = b.samples[:: max(1, len(b.samples) // 50)]
             for t, nu, tau in sub:
@@ -76,8 +75,6 @@ def test_fiber_product_beta_matches_k_circle():
         samples = fp.branches[0].samples[::7]
         comp = fp.curve.components[0]
         breaks, cg, ct, _, _ = X._component_splines(comp)
-        from pillowcase import _kernels
-
         pts = []
         for t, nu, tau in samples:
             g = _kernels._ppoly_eval(breaks, cg, t)
@@ -113,8 +110,6 @@ def test_push_forward_factorization_consistency(monkeypatch):
     assert len(fp.branches) == 2 and len(fits) == 1
     comp = fp.curve.components[0]
     breaks, cg, ct, _, _ = X._component_splines(comp)
-    from pillowcase import _kernels
-
     for b, oc in zip(fp.branches, out.components):
         for k in range(0, len(b.samples), max(1, len(b.samples) // 20)):
             t, nu, tau = b.samples[k]
@@ -131,10 +126,84 @@ def test_push_forward_refuses_samples_outside_the_chart():
     t = np.linspace(0.0, 1.0, 5)
     for nu in (0.6, -0.6):
         branch = X.Branch(0, np.column_stack([t, np.full(5, nu), np.zeros(5)]),
-                          True, [], None)
+                          [], None)
         fp = X.FiberProduct(C.vertical_circle(), "earring", 0.05, [branch])
         with pytest.raises(V.ContinuationError, match="outside the chart"):
             X.push_forward(fp)
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_push_forward_refines_once(variant, monkeypatch):
+    # at this coarse step the first image turns too sharply and one
+    # refinement pass rescues it
+    fp = X.fiber_product(C.twisted_double(C.vertical_circle()), variant, 0.2,
+                         max_step=0.5)
+    calls = []
+    corrector = _kernels.corrector
+    monkeypatch.setattr(_kernels, "corrector",
+                        lambda *args: calls.append(args) or corrector(*args))
+    out = X.push_forward(fp)
+    assert calls
+    assert [len(c.lift) for c in out.components] == [57, 57]
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_push_forward_fails_after_refinement(variant):
+    with pytest.raises(V.ContinuationError, match="after refinement"):
+        X.compose_curve(C.bottom_edge(), variant, 0.4, max_step=0.5)
+
+
+def _ref_unwrap_orbit_path(r3):
+    """The numpy form of ``compose._unwrap_orbit_path`` that the float loop
+    replaced, kept as its reference."""
+    x = np.clip(r3[:, 0], -1.0, 1.0)
+    y = np.clip(r3[:, 1], -1.0, 1.0)
+    z = r3[:, 2]
+    g0 = np.arccos(x)
+    t0 = np.arccos(y)
+    if abs(np.cos(g0[0] - t0[0]) - z[0]) <= abs(np.cos(g0[0] + t0[0]) - z[0]):
+        prev = np.array([g0[0], t0[0]])
+    else:
+        prev = np.array([g0[0], -t0[0]])
+    out = [prev]
+    vel = np.zeros(2)
+    for k in range(1, len(r3)):
+        target = prev + vel
+        cands = []
+        for sg in (1.0, -1.0):
+            for st in (1.0, -1.0):
+                cand_base = np.array([sg * g0[k], st * t0[k]])
+                cand = cand_base + X.TWO_PI * np.round((target - cand_base)
+                                                       / X.TWO_PI)
+                z_err = abs(np.cos(cand_base[0] - cand_base[1]) - z[k])
+                d = float(np.max(np.abs(cand - target)))
+                cands.append((d, z_err, cand))
+        consistent = [c for c in cands if c[1] <= 1e-6]
+        pool = consistent if consistent else cands
+        best = min(pool, key=lambda c: c[0])[2]
+        out.append(best)
+        vel = best - prev
+        prev = best
+    return np.array(out)
+
+
+def test_unwrap_orbit_path_matches_reference():
+    fp = X.fiber_product(C.vertical_circle(), "bypass", 0.05,
+                         circles=fold("bypass", 0.05))
+    paths = []
+    for b in fp.branches:
+        breaks, cg, ct, _, _ = fp.splines_of(b.component)
+        t, nu, tau = b.samples.T
+        paths.append(P.pi1_r3_of_chart(
+            0.05, _kernels._ppoly_eval(breaks, cg, t),
+            _kernels._ppoly_eval(breaks, ct, t), nu, tau, variant="bypass"))
+    # a synthetic lift across gamma = 0, gamma = pi and theta = 0
+    g = np.linspace(-0.7, 3.9, 1500)
+    t = 0.9 * np.cos(1.7 * g) + 0.05
+    paths.append(np.column_stack([np.cos(g), np.cos(t), np.cos(g - t)]))
+    for r3 in paths:
+        assert np.array_equal(X._unwrap_orbit_path(r3),
+                              _ref_unwrap_orbit_path(r3))
 
 
 def test_verify_theorem_b_beta():
