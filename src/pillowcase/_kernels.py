@@ -6,12 +6,14 @@ Newton loops built on them: fiber root finding and the corrector step of
 pseudo-arclength continuation.  These dominate the runtime of grid traces,
 fold extraction, and curve composition.
 
-The defining pair is written once, as the straight-line kernel ``jet``: G
-and its exact derivatives along any of (gamma, theta, nu, tau), by forward
-mode through the reduced form in m = p q.  It runs on Python floats
-(``xp=math``) and broadcasts over numpy arrays (``xp=numpy``).  ``_g_impl``
-is its value-only face on arrays and ``g_jac`` its full 2x4 Jacobian on
-floats.  Fiber Newton is written once, over arrays of fibers
+The defining pair is the straight-line kernel ``jet``: G and its exact
+derivatives along any of (gamma, theta, nu, tau), by forward mode through
+the reduced form in m = p q.  It runs on Python floats (``xp=math``) and
+broadcasts over numpy arrays (``xp=numpy``).  ``_g_impl`` is its value-only
+face on arrays.  ``g_jac``, the full 2x4 Jacobian at one point, is the same
+code written out on Python floats without nested functions or a loop over
+directions; it is bit for bit equal to ``jet``'s ``math`` face, which stays
+as its reference.  Fiber Newton is written once, over arrays of fibers
 (``newton_fibers``), with its (nu, tau) Jacobian from ``jet``, and
 ``newton_fiber`` is its one-point face.  The continuation corrector and
 tangent, the fold-circle Newton and the fold rank data take their
@@ -23,9 +25,10 @@ Cramer solve, ``_solve3``.
 The curve splines that continuation runs along are fitted here too:
 ``cubic_fit`` is the not-a-knot cubic interpolant, written in the
 piecewise-polynomial layout ``c[k, i]`` that ``_ppoly_eval`` and
-``_spline_jet`` read, and its tridiagonal solve follows LAPACK ``dgtsv``
-step for step, so its coefficients equal ``scipy.interpolate.CubicSpline``'s
-bit for bit without importing scipy.
+``_spline_jet`` read (the latter without copying the coefficients), and its
+tridiagonal solve follows LAPACK ``dgtsv`` step for step, so its
+coefficients equal ``scipy.interpolate.CubicSpline``'s bit for bit without
+importing scipy.
 
 Everything runs on numpy and Python floats.  ``NUMBA_ENABLED`` (always
 False) and the aliases ``g_scalar`` and ``g_scalar_py`` of ``_g_impl`` stay
@@ -35,6 +38,7 @@ because the benchmark in ``perfbench/`` reads them.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 
@@ -194,11 +198,137 @@ def g_jac(code, s, gamma, theta, nu, tau):
     """The defining pair at one point and its exact 2x4 Jacobian.
 
     Returns (g1, g2, J) with J = ((dg1/dgamma, dg1/dtheta, dg1/dnu,
-    dg1/dtau), (dg2/...)): ``jet`` along all four directions on Python
-    floats.
+    dg1/dtau), (dg2/...)).  This is ``jet`` along all four directions,
+    written out as straight-line code on Python floats: no nested function,
+    closure or loop over directions, and the operation order of
+    ``jet(code, s, gamma, theta, nu, tau, DIRECTIONS, math)``, so the two
+    agree bit for bit (the literal 0.0 terms of the tau direction are kept,
+    so signed zeros follow ``jet``'s).  ``jet`` stays its reference.
     """
-    # numpy scalars would slow every operation
-    return jet(code, float(s), gamma, theta, float(nu), tau, DIRECTIONS, math)
+    s = float(s)  # numpy scalars would slow every operation
+    nu = float(nu)
+    cg, sg = math.cos(gamma), math.sin(gamma)
+    ct, st = math.cos(theta), math.sin(theta)
+    cu, su = math.cos(tau), math.sin(tau)
+    r = math.sqrt(1.0 - nu * nu)
+    hy, hz = r * cu, r * su
+    # p = exp(u), u = s Im(b h); q = exp(v), v = s Im(e^{theta k} h); the
+    # derivative of exp along w is (-sc v.w, sc w + k (v.w) v), see _qexp
+    ux, uy, uz = s * (sg * hz), s * (-cg * hz), s * (cg * hy - sg * nu)
+    n2 = ux * ux + uy * uy + uz * uz
+    n = math.sqrt(n2)
+    nn = n + 1e-300
+    pw = math.cos(n)
+    psc = math.sin(nn) / nn
+    pk = (pw - psc) / (n2 + 1e-300)
+    px, py, pz = psc * ux, psc * uy, psc * uz
+    vx, vy, vz = s * (ct * nu - st * hy), s * (ct * hy + st * nu), s * (ct * hz)
+    n2 = vx * vx + vy * vy + vz * vz
+    n = math.sqrt(n2)
+    nn = n + 1e-300
+    qw = math.cos(n)
+    qsc = math.sin(nn) / nn
+    qk = (qw - qsc) / (n2 + 1e-300)
+    qx, qy, qz = qsc * vx, qsc * vy, qsc * vz
+    # m = p q
+    w = pw * qw - px * qx - py * qy - pz * qz
+    mx = pw * qx + px * qw + py * qz - pz * qy
+    my = pw * qy - px * qz + py * qw + pz * qx
+    mz = pw * qz + px * qy - py * qx + pz * qw
+    a = mx * nu + my * hy + mz * hz
+    c = my * hz - mz * hy
+
+    # dm = (dw, dx, dy, dz) and da, dc along gamma, theta, nu and tau
+    # take the prefixes g, t, n and z
+
+    # gamma: dm = dp(s Im(b' h)) q
+    ea, eb, ed = s * (cg * hz), s * (sg * hz), s * (-sg * hy - cg * nu)
+    vw = ux * ea + uy * eb + uz * ed
+    kv = pk * vw
+    ew, ex, ey, ez = (-psc * vw, psc * ea + kv * ux, psc * eb + kv * uy,
+                      psc * ed + kv * uz)
+    gw = ew * qw - ex * qx - ey * qy - ez * qz
+    gx = ew * qx + ex * qw + ey * qz - ez * qy
+    gy = ew * qy - ex * qz + ey * qw + ez * qx
+    gz = ew * qz + ex * qy - ey * qx + ez * qw
+    ga = gx * nu + gy * hy + gz * hz
+    gc = gy * hz - gz * hy
+
+    # theta: dm = p dq(s Im(k e^{theta k} h))
+    ea, eb, ed = (s * (-st * nu - ct * hy), s * (-st * hy + ct * nu),
+                  s * (-st * hz))
+    vw = vx * ea + vy * eb + vz * ed
+    kv = qk * vw
+    ew, ex, ey, ez = (-qsc * vw, qsc * ea + kv * vx, qsc * eb + kv * vy,
+                      qsc * ed + kv * vz)
+    tw = pw * ew - px * ex - py * ey - pz * ez
+    tx = pw * ex + px * ew + py * ez - pz * ey
+    ty = pw * ey - px * ez + py * ew + pz * ex
+    tz = pw * ez + px * ey - py * ex + pz * ew
+    ta = tx * nu + ty * hy + tz * hz
+    tc = ty * hz - tz * hy
+
+    # nu: h' = (1, h1, h2); dm = dp(s Im(b h')) q + p dq(s Im(e^{theta k} h'))
+    h1 = -nu / r * cu
+    h2 = -nu / r * su
+    ea, eb, ed = s * (sg * h2), s * (-cg * h2), s * (cg * h1 - sg)
+    vw = ux * ea + uy * eb + uz * ed
+    kv = pk * vw
+    ew, ex, ey, ez = (-psc * vw, psc * ea + kv * ux, psc * eb + kv * uy,
+                      psc * ed + kv * uz)
+    fa, fb, fd = s * (ct - st * h1), s * (ct * h1 + st), s * (ct * h2)
+    vw = vx * fa + vy * fb + vz * fd
+    kv = qk * vw
+    fw, fx, fy, fz = (-qsc * vw, qsc * fa + kv * vx, qsc * fb + kv * vy,
+                      qsc * fd + kv * vz)
+    nw = ((ew * qw - ex * qx - ey * qy - ez * qz)
+          + (pw * fw - px * fx - py * fy - pz * fz))
+    nx = ((ew * qx + ex * qw + ey * qz - ez * qy)
+          + (pw * fx + px * fw + py * fz - pz * fy))
+    ny = ((ew * qy - ex * qz + ey * qw + ez * qx)
+          + (pw * fy - px * fz + py * fw + pz * fx))
+    nz = ((ew * qz + ex * qy - ey * qx + ez * qw)
+          + (pw * fz + px * fy - py * fx + pz * fw))
+    na = (nx * nu + ny * hy + nz * hz) + (mx + my * h1 + mz * h2)
+    nc = (ny * hz - nz * hy) + (my * h2 - mz * h1)
+
+    # tau: h' = (0, -hz, hy)
+    ea, eb, ed = s * (sg * hy), s * (-cg * hy), s * (cg * -hz - sg * 0.0)
+    vw = ux * ea + uy * eb + uz * ed
+    kv = pk * vw
+    ew, ex, ey, ez = (-psc * vw, psc * ea + kv * ux, psc * eb + kv * uy,
+                      psc * ed + kv * uz)
+    fa, fb, fd = (s * (ct * 0.0 - st * -hz), s * (ct * -hz + st * 0.0),
+                  s * (ct * hy))
+    vw = vx * fa + vy * fb + vz * fd
+    kv = qk * vw
+    fw, fx, fy, fz = (-qsc * vw, qsc * fa + kv * vx, qsc * fb + kv * vy,
+                      qsc * fd + kv * vz)
+    zw = ((ew * qw - ex * qx - ey * qy - ez * qz)
+          + (pw * fw - px * fx - py * fy - pz * fz))
+    zx = ((ew * qx + ex * qw + ey * qz - ez * qy)
+          + (pw * fx + px * fw + py * fz - pz * fy))
+    zy = ((ew * qy - ex * qz + ey * qw + ez * qx)
+          + (pw * fy - px * fz + py * fw + pz * fx))
+    zz = ((ew * qz + ex * qy - ey * qx + ez * qw)
+          + (pw * fz + px * fy - py * fx + pz * fw))
+    za = (zx * nu + zy * hy + zz * hz) + (mx * 0.0 + my * -hz + mz * hy)
+    zc = (zy * hz - zz * hy) + (my * hy - mz * -hz)
+
+    if code == EARRING:
+        nu2 = 2.0 * nu
+        return (nu2 * a - mx, nu * w + c,
+                ((nu2 * ga - gx, nu2 * ta - tx, nu2 * na - nx + 2.0 * a,
+                  nu2 * za - zx),
+                 (nu * gw + gc, nu * tw + tc, nu * nw + nc + w,
+                  nu * zw + zc)))
+    cw = c - nu * w
+    return (2.0 * (a * cw + w * mx), nu,
+            ((2.0 * (ga * cw + a * (gc - nu * gw) + gw * mx + w * gx),
+              2.0 * (ta * cw + a * (tc - nu * tw) + tw * mx + w * tx),
+              2.0 * (na * cw + a * (nc - nu * nw - w) + nw * mx + w * nx),
+              2.0 * (za * cw + a * (zc - nu * zw) + zw * mx + w * zx)),
+             (0.0, 0.0, 1.0, 0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +434,19 @@ def _ppoly_eval(breaks, c, x):
 
 def _spline_jet(breaks, cg, ct, t):
     """Values and t-derivatives of both curve splines at t:
-    (gamma, gamma', theta, theta'), over one interval search."""
-    i = min(max(int(np.searchsorted(breaks, t)) - 1, 0), len(breaks) - 2)
-    dx = float(t - breaks[i])
-    a0, a1, a2, a3 = cg[:, i].tolist()
-    b0, b1, b2, b3 = ct[:, i].tolist()
+    (gamma, gamma', theta, theta'), over one interval search.
+
+    The search and the coefficient reads go through memoryviews of the
+    arrays, which copy nothing and give Python floats; ``bisect_left``
+    finds the interval ``np.searchsorted`` would.
+    """
+    b = memoryview(breaks)
+    i = min(max(bisect_left(b, t) - 1, 0), len(b) - 2)
+    dx = float(t - b[i])
+    g = memoryview(cg)
+    a0, a1, a2, a3 = g[0, i], g[1, i], g[2, i], g[3, i]
+    g = memoryview(ct)
+    b0, b1, b2, b3 = g[0, i], g[1, i], g[2, i], g[3, i]
     return (((a0 * dx + a1) * dx + a2) * dx + a3,
             (3.0 * a0 * dx + 2.0 * a1) * dx + a2,
             ((b0 * dx + b1) * dx + b2) * dx + b3,

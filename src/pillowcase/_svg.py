@@ -29,8 +29,12 @@ def _to_px(pt):
     return x, y
 
 
-def _polyline_svg(points, color: str, width: float = 1.2) -> str:
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in map(_to_px, points))
+def _polyline_svg(points: np.ndarray, color: str, width: float = 1.2) -> str:
+    # _to_px over the rows at once; formatting Python floats is faster than
+    # formatting numpy scalars, and prints the same digits
+    xs = (_MARGIN + _SCALE * points[:, 0]).tolist()
+    ys = (_MARGIN + _SCALE * (TWO_PI - points[:, 1])).tolist()
+    coords = " ".join(f"{x:.6f},{y:.6f}" for x, y in zip(xs, ys))
     return (f'<polyline fill="none" stroke="{color}" '
             f'stroke-width="{_fmt(width)}" points="{coords}"/>')
 
@@ -50,18 +54,13 @@ def _clip_segments(lift: np.ndarray):
                 shifted = pts + np.array([TWO_PI * m, TWO_PI * n])
                 inside = ((shifted[:, 0] >= -0.02) & (shifted[:, 0] <= np.pi + 0.02)
                           & (shifted[:, 1] >= -0.02) & (shifted[:, 1] <= TWO_PI + 0.02))
-                if not np.any(inside):
-                    continue
-                run = None
-                for k, ok in enumerate(inside):
-                    if ok and run is None:
-                        run = k
-                    elif not ok and run is not None:
-                        if k - run >= 2:
-                            segs.append(shifted[run:k])
-                        run = None
-                if run is not None and len(shifted) - run >= 2:
-                    segs.append(shifted[run:])
+                # the runs of inside points: starts where the padded mask
+                # steps up, ends where it steps down
+                step = np.diff(np.concatenate(([0], inside.view(np.int8), [0])))
+                for a, b in zip(np.flatnonzero(step == 1).tolist(),
+                                np.flatnonzero(step == -1).tolist()):
+                    if b - a >= 2:
+                        segs.append(shifted[a:b])
     return segs
 
 

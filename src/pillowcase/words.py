@@ -127,6 +127,10 @@ PRESENTATIONS = {
 }
 
 
+# |nu| bound of the chart domain, with the slack ChartPoint allows
+NU_MAX = 0.5 + 1e-9
+
+
 @dataclass
 class ChartPoint:
     """Coordinates (s, gamma, theta, nu, tau) on the compact chart domain."""
@@ -139,7 +143,7 @@ class ChartPoint:
     variant: str = EARRING
 
     def __post_init__(self):
-        if abs(self.nu) > 0.5 + 1e-9:
+        if abs(self.nu) > NU_MAX:
             raise ValueError(f"nu = {self.nu} out of [-1/2, 1/2]")
         self.gamma = float(np.mod(self.gamma, 2 * np.pi))
         self.theta = float(np.mod(self.theta, 2 * np.pi))
@@ -179,7 +183,7 @@ def embed_arrays(s, gamma, theta, nu, tau) -> dict[str, np.ndarray]:
     gamma, theta, nu, tau = np.broadcast_arrays(
         np.asarray(gamma, dtype=float), np.asarray(theta, dtype=float),
         np.asarray(nu, dtype=float), np.asarray(tau, dtype=float))
-    if np.any(np.abs(nu) > 0.5 + 1e-9):
+    if np.any(np.abs(nu) > NU_MAX):
         raise ValueError("nu out of [-1/2, 1/2]")
     zero = np.zeros_like(gamma)
     a = np.broadcast_to(quat.I, gamma.shape + (4,)).copy()

@@ -219,11 +219,54 @@ def test_compose_rejects_bad_curve_files(tmp_path, capsys):
 def test_variety_points_gives_up(monkeypatch):
     from pillowcase.variety import ContinuationError, FiberSolutions
 
-    monkeypatch.setattr(cli, "solve_fiber", lambda variant, s, g, t:
-                        FiberSolutions(variant, s, g, t, [], "empty"))
+    monkeypatch.setattr(cli, "solve_fibers", lambda variant, s, gs, ts: [
+        FiberSolutions(variant, s, g, t, [], "empty") for g, t in zip(gs, ts)])
     with pytest.raises(ContinuationError, match="earring at s=0.05 in 300 "
                                                 "attempts"):
         cli._variety_points(np.random.default_rng(0), "earring", 0.05, 3)
+
+
+def _ref_variety_points(rng, variant, s, n):
+    """``cli._variety_points`` one fiber at a time; also returns the number
+    of misses."""
+    from pillowcase.variety import ContinuationError, solve_fiber
+
+    pts = []
+    attempts = misses = 0
+    while len(pts) < n:
+        if attempts == 100 * n:
+            raise ContinuationError(f"found {len(pts)} of {n}")
+        attempts += 1
+        g = float(rng.uniform(0.3, np.pi - 0.3))
+        t = float(rng.uniform(0.3, np.pi - 0.3))
+        fs = solve_fiber(variant, s, g, t)
+        if fs.status == "two_sheets" and all(abs(nu) <= 0.5 + 1e-9
+                                             for nu, _ in fs.solutions):
+            pts.append(fs.chart_points()[int(rng.integers(0, 2))])
+        else:
+            misses += 1
+    return pts, misses
+
+
+@pytest.mark.parametrize("variant,s,n", [
+    ("earring", 0.05, 10), ("bypass", 0.05, 10),
+    ("earring", -0.3, 10), ("bypass", -0.3, 10),
+    ("bypass", 0.45, 8)])
+def test_variety_points_match_one_fiber_at_a_time(variant, s, n):
+    # the batched draws replay the one-at-a-time stream exactly, misses too
+    rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+    ref, misses = _ref_variety_points(ref_rng, variant, s, n)
+    assert cli._variety_points(rng, variant, s, n) == ref
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if s == 0.45:
+        assert misses >= 1  # the replay after a miss has run
+
+
+def test_variety_points_skip_roots_outside_the_chart():
+    # at s = 0.45 some earring fibers have a root with |nu| > 1/2
+    pts = cli._variety_points(np.random.default_rng(0), "earring", 0.45, 25)
+    assert len(pts) == 25
+    assert all(abs(p.nu) <= 0.5 + 1e-9 for p in pts)
 
 
 def test_runtime_does_not_import_scipy():
