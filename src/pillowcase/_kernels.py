@@ -18,9 +18,14 @@ as its reference.  Fiber Newton is written once, over arrays of fibers
 ``newton_fiber`` is its one-point face.  The continuation corrector and
 tangent, the fold-circle Newton and the fold rank data take their
 derivatives from ``g_jac``; both run on Python floats and give the unit
-tangent as a tuple, or None where the Jacobian rows are dependent.  Both
-3x3 Newton steps, the corrector's and the fold circles', go through one
-Cramer solve, ``_solve3``.
+tangent as a tuple, or None where the Jacobian rows are dependent.
+``corrector_batch`` is the corrector over arrays of predictions, each with
+its own hyperplane normal: its 2x3 Jacobian (``_curve_jacs``) comes from
+``jet`` and the array spline jet ``_spline_jets``, and it takes the scalar
+corrector's steps and exits element by element.  Every 3x3 Newton step,
+the corrector's (both faces) and the fold circles', goes through one
+Cramer solve, ``_cramer3``, elementwise on arrays; ``_solve3`` is its
+float face.
 
 The curve splines that continuation runs along are fitted here too:
 ``cubic_fit`` is the not-a-knot cubic interpolant, written in the
@@ -453,6 +458,19 @@ def _spline_jet(breaks, cg, ct, t):
             (3.0 * b0 * dx + 2.0 * b1) * dx + b2)
 
 
+def _spline_jets(breaks, cg, ct, t):
+    """``_spline_jet`` over an array of t: (gamma, gamma', theta, theta')
+    arrays, on the intervals ``_ppoly_eval`` picks."""
+    i = np.clip(np.searchsorted(breaks, t) - 1, 0, len(breaks) - 2)
+    dx = t - breaks[i]
+    a0, a1, a2, a3 = cg[:, i]
+    b0, b1, b2, b3 = ct[:, i]
+    return (((a0 * dx + a1) * dx + a2) * dx + a3,
+            (3.0 * a0 * dx + 2.0 * a1) * dx + a2,
+            ((b0 * dx + b1) * dx + b2) * dx + b3,
+            (3.0 * b0 * dx + 2.0 * b1) * dx + b2)
+
+
 # ---------------------------------------------------------------------------
 # pseudo-arclength continuation over a curve: unknowns u = (t, nu, tau)
 # ---------------------------------------------------------------------------
@@ -484,32 +502,36 @@ def tangent(code, s, breaks, cg, ct, u0, u1, u2):
     return _null(_curve_jac(code, s, breaks, cg, ct, u0, u1, u2)[2])
 
 
-def _solve3(a00, a01, a02, a10, a11, a12, a20, a21, a22, r0, r1, r2):
-    """The solution of the 3x3 system A x = r by Cramer's rule, rows of A
-    given in order, or None when det A vanishes."""
+def _cramer3(a00, a01, a02, a10, a11, a12, a20, a21, a22, r0, r1, r2):
+    """det A and the three Cramer numerators of the 3x3 system A x = r,
+    rows of A given in order; on floats or elementwise over arrays."""
     det = (
         a00 * (a11 * a22 - a12 * a21)
         - a01 * (a10 * a22 - a12 * a20)
         + a02 * (a10 * a21 - a11 * a20)
     )
-    if abs(det) < 1e-300:
-        return None
-    x0 = (
+    return det, (
         r0 * (a11 * a22 - a12 * a21)
         - a01 * (r1 * a22 - a12 * r2)
         + a02 * (r1 * a21 - a11 * r2)
-    ) / det
-    x1 = (
+    ), (
         a00 * (r1 * a22 - a12 * r2)
         - r0 * (a10 * a22 - a12 * a20)
         + a02 * (a10 * r2 - r1 * a20)
-    ) / det
-    x2 = (
+    ), (
         a00 * (a11 * r2 - r1 * a21)
         - a01 * (a10 * r2 - r1 * a20)
         + r0 * (a10 * a21 - a11 * a20)
-    ) / det
-    return x0, x1, x2
+    )
+
+
+def _solve3(*system):
+    """The solution of the 3x3 system A x = r by Cramer's rule (arguments as
+    for ``_cramer3``), or None when det A vanishes."""
+    det, x0, x1, x2 = _cramer3(*system)
+    if abs(det) < 1e-300:
+        return None
+    return x0 / det, x1 / det, x2 / det
 
 
 def corrector(code, s, breaks, cg, ct, u0, u1, u2, t0, t1, t2, tol, maxit):
@@ -539,6 +561,59 @@ def corrector(code, s, breaks, cg, ct, u0, u1, u2, t0, t1, t2, tol, maxit):
         u0 += du0
         u1 += du1
         u2 += du2
+
+
+def _curve_jacs(code, s, breaks, cg, ct, u0, u1, u2):
+    """``_curve_jac`` over arrays of u = (t, nu, tau): (f1, f2, J) with the
+    six entries of J as arrays (or floats where constant)."""
+    gamma, dgamma, theta, dtheta = _spline_jets(breaks, cg, ct, u0)
+    f1, f2, (j1, j2) = jet(code, s, gamma, theta, u1, u2, DIRECTIONS, np)
+    return f1, f2, (j1[0] * dgamma + j1[1] * dtheta, j1[2], j1[3],
+                    j2[0] * dgamma + j2[1] * dtheta, j2[2], j2[3])
+
+
+def corrector_batch(code, s, breaks, cg, ct, p0, p1, p2, n0, n1, n2, tol,
+                    maxit):
+    """``corrector`` over arrays: Newton on {G = 0, n . (u - p) = 0} from
+    every prediction p = (p0, p1, p2), with its own hyperplane normal n.
+
+    Each element takes the scalar corrector's steps and exits: it stops as
+    converged once max|G| < ``tol`` and |n . (u - p)| < 1e-9, as failed where
+    the 3x3 system is singular or a step would take |nu| above 0.999 or
+    move more than 1 in the 1-norm, and after ``maxit`` steps it is
+    converged if max|G| < ``tol``.  The 3x3 solve is ``_cramer3`` elementwise.  Returns
+    (u0, u1, u2, ok) arrays; a failed element keeps its last iterate.
+    """
+    s = float(s)
+    p0, p1, p2, n0, n1, n2 = (np.asarray(x, dtype=float)
+                              for x in (p0, p1, p2, n0, n1, n2))
+    u0, u1, u2 = p0.copy(), p1.copy(), p2.copy()
+    ok = np.zeros(u0.shape, dtype=bool)
+    idx = np.arange(u0.size)  # elements still iterating
+    for it in range(maxit + 1):
+        if not idx.size:
+            break
+        x0, x1, x2 = u0[idx], u1[idx], u2[idx]
+        f1, f2, j = _curve_jacs(code, s, breaks, cg, ct, x0, x1, x2)
+        small = np.maximum(np.abs(f1), np.abs(f2)) < tol
+        if it == maxit:
+            ok[idx] = small
+            break
+        m0, m1, m2 = n0[idx], n1[idx], n2[idx]
+        f3 = m0 * (x0 - p0[idx]) + m1 * (x1 - p1[idx]) + m2 * (x2 - p2[idx])
+        done = small & (np.abs(f3) < 1e-9)
+        ok[idx[done]] = True
+        det, d0, d1, d2 = _cramer3(*j, m0, m1, m2, -f1, -f2, -f3)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            d0, d1, d2 = d0 / det, d1 / det, d2 / det
+            go = (~done & (np.abs(det) >= 1e-300)
+                  & (np.abs(x1 + d1) <= 0.999)
+                  & (np.abs(d0) + np.abs(d1) + np.abs(d2) <= 1.0))
+        idx = idx[go]
+        u0[idx] = x0[go] + d0[go]
+        u1[idx] = x1[go] + d1[go]
+        u2[idx] = x2[go] + d2[go]
+    return u0, u1, u2, ok
 
 
 def g_pair(variant, s, gamma, theta, nu, tau):

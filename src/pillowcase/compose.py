@@ -10,11 +10,22 @@ composed curve.  Circles away from the fold images yield two loops, one per
 sheet; a good arc yields a single loop that reverses t at each of its
 transverse fold-image crossings.
 
+Each loop is traced coarse, then densified (Allgower & Georg, *Numerical
+Continuation Methods*, 1990).  The trace runs at ``COARSE_STEP`` and fixes
+the loop's topology: its branches, fold passages and closure.  Between two
+coarse samples the loop is then a short arc, so the dense samples, at most
+``max_step`` apart, are independent corrector problems: each is predicted
+on the cubic Hermite curve through the coarse ends and corrected in the
+hyperplane normal to it, all at once by ``_kernels.corrector_batch``.  If
+a dense point fails, the loop is retraced at half the step; at
+``max_step`` the trace itself is kept, so a ``max_step`` at or above
+``COARSE_STEP`` densifies nothing.
+
 Each curve component is carried by the not-a-knot cubic spline of its lift
 (``_kernels.cubic_fit``), fitted once per fiber product and shared by the
-continuation and the push forward.  The continuation loop and the orbit
-unwrap of the push forward run on Python floats; the push forward maps
-all samples of a loop in one image pass and refines it at most once.
+continuation and the push forward.  The coarse continuation loop and the
+orbit unwrap of the push forward run on Python floats; the push forward
+maps all samples of a loop in one image pass and refines it at most once.
 """
 
 from __future__ import annotations
@@ -38,6 +49,8 @@ TWO_PI = 2.0 * np.pi
 MAX_STEP = 4e-3  # default continuation step, in (t, nu, tau) arclength
 STEP_BUDGET = 100_000  # continuation steps allowed per loop
 CORRECTOR = (1e-11, 40)  # corrector residual tolerance and iteration cap
+COARSE_STEP = 16 * MAX_STEP  # continuation step of the trace that is densified
+DENSE_CHUNK = 512  # predictions corrected per batched corrector call
 
 
 class TangencyError(RuntimeError):
@@ -203,6 +216,82 @@ def _trace_loop(code, s, breaks, cg, ct, period, u, max_step):
     return np.array(samples), folds
 
 
+def _densify(code, s, breaks, cg, ct, coarse, folds, max_step):
+    """Samples at most about ``max_step`` apart along a traced loop: every
+    coarse segment is split into ceil(chord / max_step) pieces.
+
+    Each inner point is predicted on the cubic Hermite curve through the
+    segment's ends and their tangents (oriented along the chord), and
+    corrected onto the solution curve within the hyperplane normal to the
+    Hermite derivative there; all of a loop's predictions go through
+    ``_kernels.corrector_batch`` in chunks of ``DENSE_CHUNK``.  Returns
+    (samples, folds) with the fold marks moved to the dense indices of
+    their coarse samples, or None when a point fails to converge.
+    """
+    a = coarse[:-1]
+    d = coarse[1:] - a
+    # the closing point repeats the start's tau, which the loop may have
+    # wound by 2 pi (its t is continued already)
+    d[:, 2] = (d[:, 2] + np.pi) % TWO_PI - np.pi
+    chord = np.linalg.norm(d, axis=1)
+    _, _, jac = _kernels._curve_jacs(code, s, breaks, cg, ct, *coarse.T)
+    jac = np.stack(np.broadcast_arrays(*jac), axis=1)
+    tang = np.cross(jac[:, :3], jac[:, 3:])
+    tang /= np.linalg.norm(tang, axis=1)[:, None]
+    # Hermite end slopes: the unit tangents, scaled by the chord and pointing
+    # along it
+    ta, tb = (t * np.copysign(chord, np.sum(t * d, axis=1))[:, None]
+              for t in (tang[:-1], tang[1:]))
+    pieces = np.maximum(np.ceil(chord / max_step), 1.0).astype(np.intp)
+    at = np.concatenate([[0], np.cumsum(pieces)])  # dense index of coarse[k]
+    seg = np.repeat(np.arange(len(d)), pieces - 1)
+    dense = np.arange(len(seg)) + seg + 1  # dense index of each inner point
+    x = ((dense - at[seg]) / pieces[seg])[:, None]
+    a, d, ta, tb = a[seg], d[seg], ta[seg], tb[seg]
+    # the Hermite curve a + h01 d + h10 ta + h11 tb and its derivative
+    pred = (a + (3.0 - 2.0 * x) * x * x * d + (x - 1.0) ** 2 * x * ta
+            + (x - 1.0) * x * x * tb)
+    normal = (6.0 * (1.0 - x) * x * d + (3.0 * x - 1.0) * (x - 1.0) * ta
+              + (3.0 * x - 2.0) * x * tb)
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    samples = np.empty((at[-1] + 1, 3))
+    samples[at] = coarse
+    for lo in range(0, len(pred), DENSE_CHUNK):
+        part = slice(lo, lo + DENSE_CHUNK)
+        *u, ok = _kernels.corrector_batch(code, s, breaks, cg, ct,
+                                          *pred[part].T, *normal[part].T,
+                                          *CORRECTOR)
+        if not ok.all():
+            return None
+        samples[dense[part]] = np.column_stack(u)
+    return samples, [int(at[k]) for k in folds]
+
+
+def _trace_dense(code, s, breaks, cg, ct, period, seed, max_step):
+    """``_trace_loop`` at ``max_step`` from a trace at COARSE_STEP, densified.
+
+    A coarse trace that is too short to be sure it closed on its first
+    return, or whose densification fails, is retraced at half the step;
+    at ``max_step`` the trace is returned as it is.
+    """
+    step = max(max_step, COARSE_STEP)
+    while True:
+        samples, folds = _trace_loop(code, s, breaks, cg, ct, period, seed,
+                                     step)
+        if step <= max_step:
+            return samples, folds
+        # _trace_loop may only close after 10 steps of arclength; a loop
+        # shorter than that is traced round more than once
+        length = float(np.sum(np.linalg.norm(np.diff(samples, axis=0),
+                                             axis=1)))
+        if length > 20 * step:
+            dense = _densify(code, s, breaks, cg, ct, samples, folds,
+                             max_step)
+            if dense is not None:
+                return dense
+        step = max(0.5 * step, max_step)
+
+
 def _branch_sheet(samples, breaks, cg, ct, folds):
     if folds:
         return None
@@ -252,8 +341,8 @@ def fiber_product(curve: ImmersedCurve, variant: str, s: float, *,
             if any(_closure_distance(seed, p, period) < 1e-4
                    for samples, _ in loops for p in samples.tolist()):
                 continue
-            loops.append(_trace_loop(code, s, breaks, cg, ct, period, seed,
-                                     max_step))
+            loops.append(_trace_dense(code, s, breaks, cg, ct, period, seed,
+                                      max_step))
         for samples, folds in loops:
             sheet = _branch_sheet(samples, breaks, cg, ct, folds)
             fp.branches.append(Branch(ci, samples, folds, sheet))

@@ -162,8 +162,9 @@ def composed_edge(composed, variant, s):
 
 def composed_circles(report) -> bool:
     """Whether a composed circle has its predicted double's class and lies
-    within CIRCLE_HAUSDORFF_PER_S s of it."""
-    return report.ok and report.hausdorff <= CIRCLE_HAUSDORFF_PER_S * report.s
+    within CIRCLE_HAUSDORFF_PER_S |s| of it."""
+    return (report.ok
+            and report.hausdorff <= CIRCLE_HAUSDORFF_PER_S * abs(report.s))
 
 
 def tangent_anchor(variant, s):

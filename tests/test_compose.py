@@ -278,3 +278,143 @@ def test_transpose_compose_arc_class_data():
     assert len(pb.components) == 1
     assert a[:3] == b[:3]
     assert a[3] % 2 == b[3] % 2
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_composed_circles_row_at_negative_s(variant):
+    rep = X.verify_theorem_B(C.vertical_circle(), variant, -0.05)
+    assert rep.ok and VF.composed_circles(rep)
+
+
+# ---------------------------------------------------------------------------
+# dense samples placed along a coarse trace
+# ---------------------------------------------------------------------------
+
+DENSE_CURVES = {"arc": C.slope_one_arc, "circle": C.vertical_circle}
+TRACED = {}
+
+
+def traced(variant, name, max_step=X.MAX_STEP, coarse=True):
+    """The fiber product over a curve at s = 0.05: densified from a coarse
+    trace, or (``coarse=False``) traced by ``_trace_loop`` at max_step."""
+    key = (variant, name, max_step, coarse)
+    if key not in TRACED:
+        saved = X.COARSE_STEP
+        X.COARSE_STEP = saved if coarse else 0.0
+        try:
+            TRACED[key] = X.fiber_product(DENSE_CURVES[name](), variant, 0.05,
+                                          max_step=max_step,
+                                          circles=fold(variant, 0.05))
+        finally:
+            X.COARSE_STEP = saved
+    return TRACED[key]
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_CURVES))
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_dense_samples_solve_the_pair_within_the_step(variant, name):
+    fp = traced(variant, name)
+    for b in fp.branches:
+        breaks, cg, ct, period, _ = fp.splines_of(b.component)
+        t, nu, tau = b.samples.T
+        g1, g2 = _kernels.g_pair(variant, 0.05, _kernels._ppoly_eval(breaks, cg, t),
+                                 _kernels._ppoly_eval(breaks, ct, t), nu, tau)
+        assert np.max(np.maximum(np.abs(g1), np.abs(g2))) < 1e-11
+        gap = np.diff(b.samples, axis=0)
+        if period > 0:
+            gap[:, 0] -= period * np.round(gap[:, 0] / period)
+        gap[:, 2] = np.mod(gap[:, 2] + np.pi, X.TWO_PI) - np.pi
+        assert np.max(np.linalg.norm(gap, axis=1)) <= X.MAX_STEP
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_CURVES))
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_dense_fiber_product_matches_the_fine_trace(variant, name):
+    dense, fine = traced(variant, name), traced(variant, name, coarse=False)
+    assert ([b.fold_crossings for b in dense.branches]
+            == [b.fold_crossings for b in fine.branches])
+    assert ([b.sheet for b in dense.branches]
+            == [b.sheet for b in fine.branches])
+    # each fold mark sits within a coarse step of the fine trace's
+    for a, b in zip(dense.branches, fine.branches):
+        t_dense = a.samples[a.fold_marks, 0]
+        t_fine = b.samples[b.fold_marks, 0]
+        assert np.max(np.abs(t_dense - t_fine), initial=0.0) < X.COARSE_STEP
+    # as close to the fine trace as the fine trace is to one at half its step
+    half = traced(variant, name, X.MAX_STEP / 2, coarse=False)
+    out, ref = X.push_forward(dense), X.push_forward(fine)
+    resolution = C.hausdorff_r3(ref, X.push_forward(half))
+    assert C.hausdorff_r3(out, ref) <= 1.1 * resolution
+    assert C.invariants(out) == C.invariants(ref)
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_densify_either_direction_and_a_wound_closing_tau(variant):
+    fp = traced(variant, "arc", X.COARSE_STEP)
+    breaks, cg, ct, _, _ = fp.splines_of(0)
+    coarse, folds = fp.branches[0].samples, fp.branches[0].fold_marks
+    code = _kernels.variant_code(variant)
+    fwd, _ = X._densify(code, 0.05, breaks, cg, ct, coarse, folds,
+                        X.MAX_STEP)
+    # the same loop run backwards, its closing point wound once in tau
+    back = coarse[::-1].copy()
+    back[-1, 2] += X.TWO_PI
+    rev, _ = X._densify(code, 0.05, breaks, cg, ct, back, [], X.MAX_STEP)
+    assert rev[-1, 2] == back[-1, 2]
+    assert np.max(np.abs(rev[-2::-1] - fwd[1:])) < 1e-10
+
+
+@pytest.mark.parametrize("max_step", [X.COARSE_STEP, 0.1])
+def test_no_densifying_at_coarse_steps(max_step):
+    for variant in ("earring", "bypass"):
+        got = traced(variant, "arc", max_step)
+        want = traced(variant, "arc", max_step, coarse=False)
+        assert len(got.branches) == len(want.branches)
+        for a, b in zip(got.branches, want.branches):
+            assert np.array_equal(a.samples, b.samples)
+            assert a.fold_marks == b.fold_marks
+
+
+@pytest.mark.parametrize("fails", [1, 99])
+def test_failed_densifying_retraces_at_half_the_step(fails, monkeypatch):
+    steps = []
+    trace_loop, batch = X._trace_loop, _kernels.corrector_batch
+
+    def record(*args):
+        steps.append(args[-1])
+        return trace_loop(*args)
+
+    def fail(*args):
+        u0, u1, u2, ok = batch(*args)
+        if len(steps) <= fails:
+            ok[:] = False
+        return u0, u1, u2, ok
+
+    monkeypatch.setattr(X, "_trace_loop", record)
+    monkeypatch.setattr(_kernels, "corrector_batch", fail)
+    fp = X.fiber_product(C.slope_one_arc(), "bypass", 0.05, max_step=0.016,
+                         circles=fold("bypass", 0.05))
+    if fails == 1:
+        assert steps == [X.COARSE_STEP, X.COARSE_STEP / 2]
+    else:
+        # the retries end at max_step with the fine trace as it is
+        assert steps == [X.COARSE_STEP, X.COARSE_STEP / 2, 0.016]
+        monkeypatch.setattr(X, "COARSE_STEP", 0.0)
+        want = X.fiber_product(C.slope_one_arc(), "bypass", 0.05,
+                               max_step=0.016, circles=fold("bypass", 0.05))
+        assert np.array_equal(fp.branches[0].samples, want.branches[0].samples)
+    assert fp.branches[0].fold_crossings == 2
+
+
+def test_short_loops_are_not_traced_round_twice():
+    # each sheet over this small circle is a loop shorter than the ten coarse
+    # steps a trace runs before it may close
+    curve = C.ImmersedCurve([C.CurveComponent("circle", C._polyline(
+        lambda t: (1.2 + 0.08 * np.cos(t), 1.9 + 0.08 * np.sin(t)),
+        0, 2 * np.pi, 200))], "P0")
+    fp = X.fiber_product(curve, "bypass", 0.05)
+    _, _, _, period, _ = fp.splines_of(0)
+    assert len(fp.branches) == 2
+    for b in fp.branches:
+        turns = (b.samples[-1, 0] - b.samples[0, 0]) / period
+        assert abs(abs(turns) - 1.0) < 1e-9

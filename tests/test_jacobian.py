@@ -132,8 +132,10 @@ def _ref_tangent(code, s, breaks, cg, ct, u):
     return t / np.linalg.norm(t)
 
 
-@pytest.mark.parametrize("variant", ["earring", "bypass"])
-def test_corrector_matches_finite_difference_reference(variant, monkeypatch):
+def _corrector_calls(variant, monkeypatch):
+    """Arguments of every corrector call of one continuation loop over the
+    forward pairing's input arc of the torus-knot scene, at the default
+    step, with predictors moved 0.5 off the curve in (nu, tau) appended."""
     calls = []
     corrector = K.corrector
 
@@ -141,17 +143,29 @@ def test_corrector_matches_finite_difference_reference(variant, monkeypatch):
         calls.append(args)
         return corrector(*args)
 
-    monkeypatch.setattr(K, "corrector", record)
-    # the forward pairing's input arc of the torus-knot scene
-    X.fiber_product(C.slope_one_arc(), variant, S)
+    arc = C.slope_one_arc()
+    breaks, cg, ct, period, length = X._component_splines(arc.components[0])
+    t0 = 0.5 * length
+    fs = V.solve_fiber(variant, S, K._ppoly_eval(breaks, cg, t0),
+                       K._ppoly_eval(breaks, ct, t0))
+    nu, tau = fs.solutions[0]
+    with monkeypatch.context() as m:
+        m.setattr(K, "corrector", record)
+        X._trace_loop(K.variant_code(variant), S, breaks, cg, ct, period,
+                      (t0, float(nu), float(tau)), X.MAX_STEP)
     assert len(calls) > 1000
-    # every step there converges; predictors moved 0.5 off the curve in
-    # (nu, tau) exercise the failure exits too
+    # every step there converges; the far predictors exercise the failure
+    # exits too
     far = [args[:6] + (args[6] + 0.5, args[7] + 0.5) + args[8:]
            for args in calls[::20]]
+    return calls[::10] + far
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_corrector_matches_finite_difference_reference(variant, monkeypatch):
     verdicts = set()
-    for args in calls[::10] + far:
-        u0, u1, u2, ok, tang = corrector(*args)
+    for args in _corrector_calls(variant, monkeypatch):
+        u0, u1, u2, ok, tang = K.corrector(*args)
         u_ref, ok_ref = _ref_corrector(*args)
         assert ok == ok_ref
         verdicts.add(ok)
@@ -162,6 +176,27 @@ def test_corrector_matches_finite_difference_reference(variant, monkeypatch):
         assert min(np.max(np.abs(np.array(tang) - t_ref)),
                    np.max(np.abs(np.array(tang) + t_ref))) < 1e-8
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_corrector_batch_matches_finite_difference_reference(variant,
+                                                             monkeypatch):
+    calls = _corrector_calls(variant, monkeypatch)
+    # one curve throughout: the same code, s and splines in every call
+    head = calls[0][:5]
+    assert all(args[:5] == head for args in calls)
+    pred_normal = np.array([args[5:11] for args in calls]).T
+    tol, maxit = X.CORRECTOR
+    # two steps at most: the far predictors reach the iteration cap
+    for cap in (maxit, 2):
+        *u, ok = K.corrector_batch(*head, *pred_normal, tol, cap)
+        u = np.column_stack(u)
+        for k, args in enumerate(calls):
+            u_ref, ok_ref = _ref_corrector(*args[:11], tol, cap)
+            assert ok[k] == ok_ref
+            if ok_ref:
+                assert np.max(np.abs(u[k] - u_ref)) < 1e-10
+        assert set(ok.tolist()) == {True, False}
 
 
 def _ref_fold_jacobian_data(pt, monkeypatch):
