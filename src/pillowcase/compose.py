@@ -15,11 +15,12 @@ Continuation Methods*, 1990).  The trace runs at ``COARSE_STEP`` and fixes
 the loop's topology: its branches, fold passages and closure.  Between two
 coarse samples the loop is then a short arc, so the dense samples, at most
 ``max_step`` apart, are independent corrector problems: each is predicted
-on the cubic Hermite curve through the coarse ends and corrected in the
-hyperplane normal to it, all at once by ``_kernels.corrector_batch``.  If
-a dense point fails, the loop is retraced at half the step; at
-``max_step`` the trace itself is kept, so a ``max_step`` at or above
-``COARSE_STEP`` densifies nothing.
+on the cubic Hermite curve through the coarse ends and the tangents the
+trace found there, and corrected in the hyperplane normal to it, all at
+once by ``_kernels.corrector_batch``.  If a dense point fails, or lands
+more than a piece length from its prediction, the loop is retraced at
+half the step; at ``max_step`` the trace itself is kept, so a
+``max_step`` at or above ``COARSE_STEP`` densifies nothing.
 
 Each curve component is carried by the not-a-knot cubic spline of its lift
 (``_kernels.cubic_fit``), fitted once per fiber product and shared by the
@@ -161,11 +162,13 @@ def _closure_distance(u, u0, period):
 
 def _trace_loop(code, s, breaks, cg, ct, period, u, max_step):
     """Pseudo-arclength trace of one solution loop from the float triple
-    u = (t, nu, tau), on Python floats; returns (samples, folds)."""
+    u = (t, nu, tau), on Python floats; returns (samples, folds, tangents),
+    with the unit tangent at every sample as the trace oriented it."""
     tang = _kernels.tangent(code, s, breaks, cg, ct, *u)
     if tang is None:
         raise ContinuationError("no tangent at the continuation seed")
     samples = [u]
+    tangents = [tang]
     h = max_step
     folds: list[int] = []
     arclen = 0.0
@@ -193,6 +196,7 @@ def _trace_loop(code, s, breaks, cg, ct, period, u, max_step):
         u = r[:3]
         tang = t_new
         samples.append(u)
+        tangents.append(tang)
         if tang[0] != 0:
             sign = 1.0 if tang[0] > 0 else -1.0
             if sign != last_sign:
@@ -213,20 +217,22 @@ def _trace_loop(code, s, breaks, cg, ct, period, u, max_step):
     if period > 0:
         t0 -= period * round((t0 - u[0]) / period)
     samples.append((t0, *samples[0][1:]))
-    return np.array(samples), folds
+    tangents.append(tangents[0])
+    return np.array(samples), folds, np.array(tangents)
 
 
-def _densify(code, s, breaks, cg, ct, coarse, folds, max_step):
+def _densify(code, s, breaks, cg, ct, coarse, folds, tangents, max_step):
     """Samples at most about ``max_step`` apart along a traced loop: every
     coarse segment is split into ceil(chord / max_step) pieces.
 
     Each inner point is predicted on the cubic Hermite curve through the
-    segment's ends and their tangents (oriented along the chord), and
+    segment's ends and their unit tangents (oriented along the chord), and
     corrected onto the solution curve within the hyperplane normal to the
     Hermite derivative there; all of a loop's predictions go through
     ``_kernels.corrector_batch`` in chunks of ``DENSE_CHUNK``.  Returns
     (samples, folds) with the fold marks moved to the dense indices of
-    their coarse samples, or None when a point fails to converge.
+    their coarse samples, or None when a point fails to converge or lands
+    more than a piece length from its prediction (on another sheet, say).
     """
     a = coarse[:-1]
     d = coarse[1:] - a
@@ -234,19 +240,16 @@ def _densify(code, s, breaks, cg, ct, coarse, folds, max_step):
     # wound by 2 pi (its t is continued already)
     d[:, 2] = (d[:, 2] + np.pi) % TWO_PI - np.pi
     chord = np.linalg.norm(d, axis=1)
-    _, _, jac = _kernels._curve_jacs(code, s, breaks, cg, ct, *coarse.T)
-    jac = np.stack(np.broadcast_arrays(*jac), axis=1)
-    tang = np.cross(jac[:, :3], jac[:, 3:])
-    tang /= np.linalg.norm(tang, axis=1)[:, None]
     # Hermite end slopes: the unit tangents, scaled by the chord and pointing
     # along it
     ta, tb = (t * np.copysign(chord, np.sum(t * d, axis=1))[:, None]
-              for t in (tang[:-1], tang[1:]))
+              for t in (tangents[:-1], tangents[1:]))
     pieces = np.maximum(np.ceil(chord / max_step), 1.0).astype(np.intp)
     at = np.concatenate([[0], np.cumsum(pieces)])  # dense index of coarse[k]
     seg = np.repeat(np.arange(len(d)), pieces - 1)
     dense = np.arange(len(seg)) + seg + 1  # dense index of each inner point
     x = ((dense - at[seg]) / pieces[seg])[:, None]
+    reach = (chord / pieces)[seg]
     a, d, ta, tb = a[seg], d[seg], ta[seg], tb[seg]
     # the Hermite curve a + h01 d + h10 ta + h11 tb and its derivative
     pred = (a + (3.0 - 2.0 * x) * x * x * d + (x - 1.0) ** 2 * x * ta
@@ -261,9 +264,11 @@ def _densify(code, s, breaks, cg, ct, coarse, folds, max_step):
         *u, ok = _kernels.corrector_batch(code, s, breaks, cg, ct,
                                           *pred[part].T, *normal[part].T,
                                           *CORRECTOR)
-        if not ok.all():
+        u = np.column_stack(u)
+        if not (ok.all() and np.all(np.linalg.norm(u - pred[part], axis=1)
+                                    <= reach[part])):
             return None
-        samples[dense[part]] = np.column_stack(u)
+        samples[dense[part]] = u
     return samples, [int(at[k]) for k in folds]
 
 
@@ -276,8 +281,8 @@ def _trace_dense(code, s, breaks, cg, ct, period, seed, max_step):
     """
     step = max(max_step, COARSE_STEP)
     while True:
-        samples, folds = _trace_loop(code, s, breaks, cg, ct, period, seed,
-                                     step)
+        samples, folds, tangents = _trace_loop(code, s, breaks, cg, ct,
+                                               period, seed, step)
         if step <= max_step:
             return samples, folds
         # _trace_loop may only close after 10 steps of arclength; a loop
@@ -286,7 +291,7 @@ def _trace_dense(code, s, breaks, cg, ct, period, seed, max_step):
                                              axis=1)))
         if length > 20 * step:
             dense = _densify(code, s, breaks, cg, ct, samples, folds,
-                             max_step)
+                             tangents, max_step)
             if dense is not None:
                 return dense
         step = max(0.5 * step, max_step)

@@ -354,12 +354,15 @@ def test_densify_either_direction_and_a_wound_closing_tau(variant):
     breaks, cg, ct, _, _ = fp.splines_of(0)
     coarse, folds = fp.branches[0].samples, fp.branches[0].fold_marks
     code = _kernels.variant_code(variant)
-    fwd, _ = X._densify(code, 0.05, breaks, cg, ct, coarse, folds,
+    tang = np.array([_kernels.tangent(code, 0.05, breaks, cg, ct, *u)
+                     for u in coarse])
+    fwd, _ = X._densify(code, 0.05, breaks, cg, ct, coarse, folds, tang,
                         X.MAX_STEP)
     # the same loop run backwards, its closing point wound once in tau
     back = coarse[::-1].copy()
     back[-1, 2] += X.TWO_PI
-    rev, _ = X._densify(code, 0.05, breaks, cg, ct, back, [], X.MAX_STEP)
+    rev, _ = X._densify(code, 0.05, breaks, cg, ct, back, [], tang[::-1],
+                        X.MAX_STEP)
     assert rev[-1, 2] == back[-1, 2]
     assert np.max(np.abs(rev[-2::-1] - fwd[1:])) < 1e-10
 
@@ -375,8 +378,10 @@ def test_no_densifying_at_coarse_steps(max_step):
             assert a.fold_marks == b.fold_marks
 
 
-@pytest.mark.parametrize("fails", [1, 99])
-def test_failed_densifying_retraces_at_half_the_step(fails, monkeypatch):
+@pytest.mark.parametrize("fails, jump", [(1, False), (99, False),
+                                         (1, True)])
+def test_failed_densifying_retraces_at_half_the_step(fails, jump,
+                                                    monkeypatch):
     steps = []
     trace_loop, batch = X._trace_loop, _kernels.corrector_batch
 
@@ -387,7 +392,11 @@ def test_failed_densifying_retraces_at_half_the_step(fails, monkeypatch):
     def fail(*args):
         u0, u1, u2, ok = batch(*args)
         if len(steps) <= fails:
-            ok[:] = False
+            if jump:
+                # converged, but a piece length away: on another sheet
+                u1 = u1 + np.where(np.arange(u1.size) == 7, 0.02, 0.0)
+            else:
+                ok[:] = False
         return u0, u1, u2, ok
 
     monkeypatch.setattr(X, "_trace_loop", record)
