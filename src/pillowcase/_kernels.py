@@ -35,6 +35,10 @@ tridiagonal solve follows LAPACK ``dgtsv`` step for step, so its
 coefficients equal ``scipy.interpolate.CubicSpline``'s bit for bit without
 importing scipy.
 
+The variant is passed by name, ``EARRING`` ("earring") or ``BYPASS``
+("bypass"), the strings ``words`` uses too; ``variant_code`` checks that a
+name is one of the two and returns it.
+
 Everything runs on numpy and Python floats.  ``NUMBA_ENABLED`` (always
 False) and the aliases ``g_scalar`` and ``g_scalar_py`` of ``_g_impl`` stay
 because the benchmark in ``perfbench/`` reads them.
@@ -49,16 +53,15 @@ import numpy as np
 
 NUMBA_ENABLED = False
 
-EARRING = 0
-BYPASS = 1
+EARRING = "earring"
+BYPASS = "bypass"
 
 
-def variant_code(variant) -> int:
-    if variant == "earring" or variant == EARRING:
-        return EARRING
-    if variant == "bypass" or variant == BYPASS:
-        return BYPASS
-    raise ValueError(f"unknown variant {variant!r}")
+def variant_code(variant) -> str:
+    """The variant itself, once checked to be one of the two."""
+    if variant != EARRING and variant != BYPASS:
+        raise ValueError(f"unknown variant {variant!r}")
+    return variant
 
 
 # ---------------------------------------------------------------------------

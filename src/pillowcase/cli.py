@@ -393,6 +393,11 @@ _S = _checked(float, lambda s: abs(s) < 0.5, "is not finite with |s| < 1/2")
 _NONZERO_S = _checked(float, lambda s: 0.0 < abs(s) < 0.5,
                       "is not finite with 0 < |s| < 1/2 (fold circles need "
                       "s != 0)")
+# the battery's checks hold for |s| <= 0.2; beyond it asymptotics and the
+# tangent anchor fail on valid input
+_VERIFY_S = _checked(float, lambda s: 0.0 < abs(s) <= 0.2,
+                     "is not finite with 0 < |s| <= 0.2 (the range where "
+                     "the verify checks hold)")
 _GRID = _checked(int, lambda n: n >= 1, "is not >= 1")
 _STEP = _checked(float, lambda h: 0.0 < h < math.inf,
                  "is not finite and > 0")
@@ -436,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scene)
 
     p = sub.add_parser("verify", help="run the invariant battery")
-    common(p)
+    common(p, s_type=_VERIFY_S)
     p.add_argument("--full", action="store_true",
                    help="full-size sweeps (slower)")
     p.add_argument("--seed", type=int, default=0,

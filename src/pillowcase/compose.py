@@ -26,7 +26,9 @@ Each curve component is carried by the not-a-knot cubic spline of its lift
 (``_kernels.cubic_fit``), fitted once per fiber product and shared by the
 continuation and the push forward.  The coarse continuation loop and the
 orbit unwrap of the push forward run on Python floats; the push forward
-maps all samples of a loop in one image pass and refines it at most once.
+maps all samples of a loop in one image pass.  An image that turns too
+sharply is under-resolved: ``compose_curve`` then composes once more at
+half the step, the same rule by which a failed densification retraces.
 """
 
 from __future__ import annotations
@@ -56,6 +58,11 @@ DENSE_CHUNK = 512  # predictions corrected per batched corrector call
 
 class TangencyError(RuntimeError):
     """The input curve is tangent to a fold image; composition is refused."""
+
+
+class UnderResolvedError(ContinuationError):
+    """A composed image turns by more than ``curves.TURN_LIMIT`` between
+    neighboring samples: the continuation step is too coarse for it."""
 
 
 @dataclass
@@ -205,9 +212,9 @@ def _trace_loop(code, s, breaks, cg, ct, period, u, max_step):
         h = min(h * 1.4, max_step)
         if len(samples) > 10 and arclen > 10 * max_step:
             if _closure_distance(u, samples[0], period) < max(1e-5, 2 * h):
-                tb = _kernels.tangent(code, s, breaks, cg, ct, *samples[0])
-                if tb is not None and abs(tb[0] * tang[0] + tb[1] * tang[1]
-                                          + tb[2] * tang[2]) > 0.9:
+                tb = tangents[0]
+                if abs(tb[0] * tang[0] + tb[1] * tang[1]
+                       + tb[2] * tang[2]) > 0.9:
                     break
     else:
         raise ContinuationError("loop failed to close within the step budget")
@@ -397,60 +404,43 @@ def _unwrap_orbit_path(r3: np.ndarray) -> np.ndarray:
     return np.array(out)
 
 
-def _prune_short(lift: np.ndarray, samples: np.ndarray, min_len: float):
+def _prune_short(lift: np.ndarray, min_len: float):
     """Greedily drop lift vertices closer than min_len to their predecessor
-    (keeping the endpoints), with the matching parameter samples."""
+    (keeping the endpoints)."""
     pts = lift.tolist()
     keep = [0]
     for k in range(1, len(pts) - 1):
         if math.dist(pts[k], pts[keep[-1]]) >= min_len:
             keep.append(k)
     keep.append(len(pts) - 1)
-    return lift[keep], samples[keep]
+    return lift[keep]
 
 
 def push_forward(fp: FiberProduct) -> ImmersedCurve:
     """Apply the second restriction map to every branch.
 
-    Output components are circles in the second factor; under-resolved spots
-    (image turning above the immersion proxy limit ``curves.TURN_LIMIT``)
-    are refined once by parameter-midpoint insertion before failing.
+    Output components are circles in the second factor.  An image that
+    turns by more than the immersion proxy limit ``curves.TURN_LIMIT``
+    raises ``UnderResolvedError``.
     """
-    code = _kernels.variant_code(fp.variant)
     comps = []
     for branch in fp.branches:
         breaks, cg, ct, _, _ = fp.splines_of(branch.component)
         samples = branch.samples
-        for attempt in range(2):
-            gs = _kernels._ppoly_eval(breaks, cg, samples[:, 0])
-            th = _kernels._ppoly_eval(breaks, ct, samples[:, 0])
-            try:
-                r3 = pi1_r3_of_chart(fp.s, gs, th, samples[:, 1],
-                                     samples[:, 2], variant=fp.variant)
-            except ValueError as exc:
-                raise ContinuationError(
-                    f"fiber-product sample outside the chart: {exc}") from exc
-            # drop image micro-segments: below ~1e-6 the turning angle between
-            # neighbors is dominated by the corrector tolerance, not geometry
-            lift, samples = _prune_short(_unwrap_orbit_path(r3), samples, 1e-6)
-            if not np.any(turning_angles(lift) > TURN_LIMIT):
-                break
-            if attempt:
-                raise ContinuationError(
-                    "composed image violates the immersion proxy after "
-                    "refinement; decrease the continuation step")
-            # insert a corrected parameter midpoint between all neighbors
-            refined = [samples[0]]
-            for a, b in zip(samples[:-1], samples[1:]):
-                nrm = np.linalg.norm(b - a)
-                if nrm > 1e-12:
-                    r = _kernels.corrector(code, fp.s, breaks, cg, ct,
-                                           *(0.5 * (a + b)), *((b - a) / nrm),
-                                           *CORRECTOR)
-                    if r[3]:
-                        refined.append(r[:3])
-                refined.append(b)
-            samples = np.array(refined)
+        gs = _kernels._ppoly_eval(breaks, cg, samples[:, 0])
+        th = _kernels._ppoly_eval(breaks, ct, samples[:, 0])
+        try:
+            r3 = pi1_r3_of_chart(fp.s, gs, th, samples[:, 1], samples[:, 2],
+                                 variant=fp.variant)
+        except ValueError as exc:
+            raise ContinuationError(
+                f"fiber-product sample outside the chart: {exc}") from exc
+        # drop image micro-segments: below ~1e-6 the turning angle between
+        # neighbors is dominated by the corrector tolerance, not geometry
+        lift = _prune_short(_unwrap_orbit_path(r3), 1e-6)
+        if np.any(turning_angles(lift) > TURN_LIMIT):
+            raise UnderResolvedError(
+                "composed image violates the immersion proxy")
         # snap the closing point onto the lattice-translated start
         lam = lift[-1] - lift[0]
         lam_snap = TWO_PI * np.round(lam / TWO_PI)
@@ -466,8 +456,16 @@ def push_forward(fp: FiberProduct) -> ImmersedCurve:
 def compose_curve(curve: ImmersedCurve, variant: str, s: float, *,
                   max_step: float = MAX_STEP,
                   circles: list[FoldCircle] | None = None) -> ImmersedCurve:
-    return push_forward(fiber_product(curve, variant, s, max_step=max_step,
-                                      circles=circles))
+    """The fiber product pushed forward; an under-resolved image is composed
+    once more at half the step."""
+    for step in (max_step, 0.5 * max_step):
+        fp = fiber_product(curve, variant, s, max_step=step, circles=circles)
+        try:
+            return push_forward(fp)
+        except UnderResolvedError as exc:
+            failure = exc
+    raise UnderResolvedError(f"{failure} after refinement; decrease the "
+                             "continuation step")
 
 
 def transpose_compose(curve: ImmersedCurve, variant: str, s: float, *,
@@ -495,13 +493,13 @@ def transpose_compose(curve: ImmersedCurve, variant: str, s: float, *,
 # predictions and verification
 # ---------------------------------------------------------------------------
 
-def bottom_edge_prediction(variant: str, s: float, n: int = 8192) -> ImmersedCurve:
+def bottom_edge_prediction(variant: str, s: float) -> ImmersedCurve:
     """Closed-form image of the composed bottom edge in the second factor.
 
     Bypass: sigma -> [sigma, -2 s cos(sigma)].  Earring: the same with the
     phase corrected by twice the fixed-point angle eta(s, sigma).
     """
-    sig = np.linspace(0.0, TWO_PI, n + 1)
+    sig = np.linspace(0.0, TWO_PI, 8193)
     if variant == BYPASS:
         th = -2 * s * np.cos(sig)
     else:
@@ -511,9 +509,10 @@ def bottom_edge_prediction(variant: str, s: float, n: int = 8192) -> ImmersedCur
                          f"predicted_beta_{variant}")
 
 
-def edge_tangent_anchors(variant: str, s: float, step: float = 1e-5):
+def edge_tangent_anchors(variant: str, s: float):
     """Derivative in R^3 of the pre-relabeling composed bottom edge at the
-    double point, for both half-turn branches."""
+    double point, for both half-turn branches, by a central difference."""
+    step = 1e-5
     out = {}
     for sign in (1, -1):
         sig0 = sign * np.pi / 2

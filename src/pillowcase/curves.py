@@ -31,6 +31,11 @@ CORNER_CLASSES = [(0, 0), (1, 0), (0, 1), (1, 1)]
 # segments is not resolved as an immersion
 TURN_LIMIT = np.deg2rad(15.0)
 
+# crossings at a smaller angle (rad) are not transverse
+ANGLE_TOL = 1e-3
+# crossings this near a corner are not points of the open pillowcase
+CORNER_TOL = 1e-6
+
 
 class GenericPositionError(RuntimeError):
     """A tangential or overlapping crossing was detected."""
@@ -354,15 +359,14 @@ def _candidate_pairs(P0, P1, Q0, Q1):
     return ip[e[once]], jq[f[once]]
 
 
-def _segment_crossings(P0, P1, Q0, Q1, angle_tol):
+def _segment_crossings(P0, P1, Q0, Q1):
     """Proper crossings between two segment families (grid-culled).
 
-    Returns index pairs, parameters, points, and a flag array marking
-    near-tangential crossings.
+    Returns index pairs, parameters, points, and the crossing angles (rad,
+    in [0, pi/2]).
     """
     empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-             np.empty(0), np.empty(0), np.empty((0, 2)),
-             np.empty(0, dtype=bool))
+             np.empty(0), np.empty(0), np.empty((0, 2)), np.empty(0))
     ic, jc = _candidate_pairs(P0, P1, Q0, Q1)
     if len(ic) == 0:
         return empty
@@ -387,8 +391,7 @@ def _segment_crossings(P0, P1, Q0, Q1, angle_tol):
     a1 = np.arctan2(P1[ii, 1] - P0[ii, 1], P1[ii, 0] - P0[ii, 0])
     a2 = np.arctan2(Q1[jj, 1] - Q0[jj, 1], Q1[jj, 0] - Q0[jj, 0])
     ang = np.abs(np.mod(a1 - a2 + np.pi / 2, np.pi) - np.pi / 2)
-    tangential = ang < angle_tol
-    return ii, jj, tt, uu, pts, tangential
+    return ii, jj, tt, uu, pts, ang
 
 
 def _translates(lift_a: np.ndarray, lift_b: np.ndarray):
@@ -406,6 +409,25 @@ def _translates(lift_a: np.ndarray, lift_b: np.ndarray):
             for nn in range(k0[1], k1[1] + 1):
                 out.append((sign, np.array([TWO_PI * m, TWO_PI * nn])))
     return out
+
+
+def _crossings(lift_a: np.ndarray, lift_b: np.ndarray):
+    """Crossings of lift_a with every translate of lift_b that can meet it,
+    away from the corners (not points of the open pillowcase).
+
+    Yields (identity, i, j, t_a, t_b, point, angle): whether the translate
+    is the identity, the segment indices, the polyline parameters (segment
+    index + fraction), the crossing point on lift_a and the angle.
+    """
+    A0, A1 = lift_a[:-1], lift_a[1:]
+    for sign, shift in _translates(lift_a, lift_b):
+        B = sign * lift_b + shift
+        identity = sign == 1 and np.max(np.abs(shift)) < 1e-12
+        ii, jj, tt, uu, pts, ang = _segment_crossings(A0, A1, B[:-1], B[1:])
+        far = _corner_lattice_distance(pts) >= CORNER_TOL
+        for k in np.nonzero(far)[0]:
+            i, j = int(ii[k]), int(jj[k])
+            yield identity, i, j, i + tt[k], j + uu[k], pts[k], float(ang[k])
 
 
 @dataclass
@@ -427,48 +449,36 @@ class IntersectionResult:
         return len(self.points)
 
 
-def intersect(a: ImmersedCurve, b: ImmersedCurve, *, angle_tol: float = 1e-3,
-              corner_tol: float = 1e-6, dedup_tol: float = 1e-7) -> IntersectionResult:
+def intersect(a: ImmersedCurve, b: ImmersedCurve, *,
+              angle_tol: float = ANGLE_TOL) -> IntersectionResult:
     """Transverse intersection points of two curves on the same side.
 
     Counting is by strand pairs: every transverse crossing of a branch of
     ``a`` with a branch of ``b`` contributes one point, also when several
     branches pass through the same quotient point.  Crossings at angle below
-    ``angle_tol`` raise GenericPositionError; crossings within ``corner_tol``
-    of a corner are not points of the open pillowcase and are ignored.
+    ``angle_tol`` raise GenericPositionError; crossings within
+    ``CORNER_TOL`` of a corner are not points of the open pillowcase and are
+    ignored.
     """
     if a.side != b.side:
         raise CurveError("curves live on different pillowcase factors")
     found: list[Intersection] = []
     for ca, comp_a in enumerate(a.components):
-        A0 = comp_a.lift[:-1]
-        A1 = comp_a.lift[1:]
         for cb, comp_b in enumerate(b.components):
-            hits: list[tuple[float, float, np.ndarray, float]] = []
-            for sign, shift in _translates(comp_a.lift, comp_b.lift):
-                B = sign * comp_b.lift + shift
-                ii, jj, tt, uu, pts, tang = _segment_crossings(
-                    A0, A1, B[:-1], B[1:], angle_tol)
-                for k in range(len(ii)):
-                    pt = pts[k]
-                    if _corner_lattice_distance(pt[None, :])[0] < corner_tol:
-                        continue
-                    if tang[k]:
-                        raise GenericPositionError(
-                            f"tangential crossing at {pt} (angle below "
-                            f"{angle_tol})")
-                    seg = A1[ii[k]] - A0[ii[k]]
-                    segb = B[jj[k] + 1] - B[jj[k]]
-                    ang = np.abs(np.mod(np.arctan2(seg[1], seg[0])
-                                        - np.arctan2(segb[1], segb[0])
-                                        + np.pi / 2, np.pi) - np.pi / 2)
-                    hits.append((ii[k] + tt[k], jj[k] + uu[k], pt, float(ang)))
+            hits = []
+            for _, _, _, t_a, t_b, pt, ang in _crossings(comp_a.lift,
+                                                         comp_b.lift):
+                if ang < angle_tol:
+                    raise GenericPositionError(
+                        f"tangential crossing at {pt} (angle below "
+                        f"{angle_tol})")
+                hits.append((t_a, t_b, pt, ang))
             # dedup by parameter pairs (duplicates arise only at shared
             # segment endpoints)
             hits.sort(key=lambda h: (h[0], h[1]))
             kept: list[tuple[float, float, np.ndarray, float]] = []
             for h in hits:
-                dup = any(abs(h[0] - k0) < dedup_tol and abs(h[1] - k1) < dedup_tol
+                dup = any(abs(h[0] - k0) < 1e-7 and abs(h[1] - k1) < 1e-7
                           for k0, k1, _, _ in kept)
                 if not dup:
                     kept.append(h)
@@ -477,40 +487,27 @@ def intersect(a: ImmersedCurve, b: ImmersedCurve, *, angle_tol: float = 1e-3,
     return IntersectionResult(found)
 
 
-def self_intersections(comp: CurveComponent, *, angle_tol: float = 1e-3,
-                       corner_tol: float = 1e-6) -> list[Intersection]:
+def self_intersections(comp: CurveComponent) -> list[Intersection]:
     """Transverse double points of a single component in the quotient.
 
-    Near-tangential self-crossings are flagged by exclusion (not counted);
-    crossing pairs are counted once.
+    Near-tangential self-crossings (angle below ``ANGLE_TOL``) are flagged
+    by exclusion (not counted); crossing pairs are counted once.
     """
-    lift = comp.lift
-    A0, A1 = lift[:-1], lift[1:]
-    n = len(A0)
-    hits: list[tuple[float, float, np.ndarray]] = []
-    for sign, shift in _translates(lift, lift):
-        B = sign * lift + shift
-        identity = sign == 1 and np.max(np.abs(shift)) < 1e-12
-        ii, jj, tt, uu, pts, tang = _segment_crossings(A0, A1, B[:-1], B[1:],
-                                                       angle_tol)
-        for k in range(len(ii)):
-            i, j = int(ii[k]), int(jj[k])
-            if identity and (abs(i - j) <= 1 or abs(i - j) >= n - 1):
-                continue  # adjacent segments share an endpoint
-            if tang[k]:
-                continue  # flagged, not counted
-            pt = pts[k]
-            if _corner_lattice_distance(pt[None, :])[0] < corner_tol:
-                continue
-            ta, tb = i + tt[k], j + uu[k]
-            if identity and ta >= tb:
-                continue  # count unordered pairs once
-            hits.append((ta, tb, pt))
+    n = len(comp.lift) - 1
+    hits = []
+    for identity, i, j, ta, tb, pt, ang in _crossings(comp.lift, comp.lift):
+        if identity and (abs(i - j) <= 1 or abs(i - j) >= n - 1):
+            continue  # adjacent segments share an endpoint
+        if ang < ANGLE_TOL:
+            continue  # flagged, not counted
+        if identity and ta >= tb:
+            continue  # count unordered pairs once
+        hits.append((ta, tb, pt, ang))
     # a crossing found via g and via g^{-1} is the same double point: the
     # parameter pair appears swapped; dedup on unordered pairs
     kept: list[tuple[float, float]] = []
     out: list[Intersection] = []
-    for ta, tb, pt in sorted(hits):
+    for ta, tb, pt, ang in sorted(hits, key=lambda h: h[:2]):
         lo, hi = min(ta, tb), max(ta, tb)
         # endpoint wrap: parameters 0 and n describe the same point on circles
         if comp.kind == "circle":
@@ -525,7 +522,7 @@ def self_intersections(comp: CurveComponent, *, angle_tol: float = 1e-3,
                     dup = True
         if not dup:
             kept.append((lo, hi))
-            out.append(Intersection(pt, 0, 0, ta, tb, 0.0))
+            out.append(Intersection(pt, 0, 0, ta, tb, ang))
     return out
 
 
@@ -573,14 +570,14 @@ class CurveInvariants:
             self.canonical() == other.canonical()
 
 
-def _corner_winding(comp: CurveComponent, corner_class: tuple[int, int],
-                    radius: float = 0.8) -> int:
+def _corner_winding(comp: CurveComponent, corner_class: tuple[int, int]) -> int:
     """Signed winding of the quotient curve around one corner class.
 
-    Strands passing within ``radius`` of a representative sweep some angle
-    around it in the plane; the branched double cover halves angles, so the
-    quotient winding is the total sweep over pi, rounded.
+    Strands passing within ``radius`` = 0.8 of a representative sweep some
+    angle around it in the plane; the branched double cover halves angles,
+    so the quotient winding is the total sweep over pi, rounded.
     """
+    radius = 0.8
     lift = comp.lift
     lo = lift.min(axis=0) - radius - 0.1
     hi = lift.max(axis=0) + radius + 0.1

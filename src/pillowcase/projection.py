@@ -100,12 +100,6 @@ class PillowPoint:
         return bool(np.min(np.max(np.abs(CORNERS_R3 - np.asarray(self.r3)),
                                   axis=1)) < 1e-8)
 
-    def corner_distance(self) -> float:
-        dg = min(self.gamma, np.pi - self.gamma)
-        dt = min(abs(np.mod(self.theta, np.pi)),
-                 np.pi - abs(np.mod(self.theta, np.pi)))
-        return float(np.hypot(dg, dt))
-
     def distance(self, other: "PillowPoint") -> float:
         """Quotient distance in the angle coordinates."""
         best = np.inf

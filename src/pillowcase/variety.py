@@ -94,6 +94,9 @@ def _padded(fiber: np.ndarray, n_fibers: int, *columns):
 FIBER_BLOCK = 512
 SCAN_BLOCK = 32
 N_TAU = 96
+S_STEP = 0.01  # largest s increment of the continuation from s = 0
+FIBER_TOL = 1e-10  # residual of an accepted fiber root
+DEDUP_RADIUS = 1e-6  # roots of one fiber closer than this are one root
 
 
 def _scan_roots(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
@@ -131,13 +134,12 @@ def _scan_roots(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
     return (fiber, nu0, tau0), np.min(ag1, axis=1), np.max(ag1, axis=1)
 
 
-def _solve_block(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray,
-                 s_step: float, tol: float, dedup_radius: float):
+def _solve_block(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
     """``solve_fibers`` on one block of fibers, s != 0."""
     code = _kernels.variant_code(variant)
     m = gamma.size
     amp = np.hypot(np.sin(gamma), np.sin(theta))
-    n_steps = max(1, int(np.ceil(abs(s) / s_step)))
+    n_steps = max(1, int(np.ceil(abs(s) / S_STEP)))
     worst = np.ones(m)
 
     # both seeds of every fiber, continued from s = 0; element e is seed
@@ -193,7 +195,7 @@ def _solve_block(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray,
     (rnu, rtau), valid = _padded(fiber[order], m,
                                  np.concatenate([nu[seeds], snu[ok]])[order],
                                  np.concatenate([tau[seeds], stau[ok]])[order])
-    keep, rtau = _dedup(rnu, rtau, valid, dedup_radius)
+    keep, rtau = _dedup(rnu, rtau, valid, DEDUP_RADIUS)
 
     # final polish and residual gate
     fiber, slot = np.nonzero(keep)
@@ -201,10 +203,10 @@ def _solve_block(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray,
         code, s, gamma[fiber], theta[fiber], rnu[fiber, slot],
         rtau[fiber, slot], 1e-13, 50)
     g1, g2 = _kernels.g_pair(variant, s, gamma[fiber], theta[fiber], pnu, ptau)
-    ok &= np.maximum(np.abs(g1), np.abs(g2)) < tol
+    ok &= np.maximum(np.abs(g1), np.abs(g2)) < FIBER_TOL
     np.maximum.at(worst, fiber[ok], cond[ok])
     (rnu, rtau), valid = _padded(fiber[ok], m, pnu[ok], ptau[ok])
-    keep, rtau = _dedup(rnu, rtau, valid, dedup_radius)
+    keep, rtau = _dedup(rnu, rtau, valid, DEDUP_RADIUS)
 
     solutions = [[] for _ in range(m)]
     for f, k in zip(*np.nonzero(keep)):
@@ -227,13 +229,11 @@ def _solve_block(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray,
     return out
 
 
-def solve_fibers(variant: str, s: float, gammas, thetas, *,
-                 s_step: float = 0.01, tol: float = 1e-10,
-                 dedup_radius: float = 1e-6) -> list[FiberSolutions]:
+def solve_fibers(variant: str, s: float, gammas, thetas) -> list[FiberSolutions]:
     """Roots of the defining pair in (nu, tau) over many base points.
 
     Seeds come from the closed-form s = 0 solutions and are continued to the
-    target s in steps of at most ``s_step``; an independent tau sweep at the
+    target s in steps of at most ``S_STEP``; an independent tau sweep at the
     target guards against lost roots.  Status is ``fold_region`` when roots
     merge or the Jacobian degenerates, ``empty`` when no root survives.
     Every fiber is solved on its own; the work is batched across fibers.
@@ -260,17 +260,14 @@ def solve_fibers(variant: str, s: float, gammas, thetas, *,
     out = []
     for a in range(0, gammas.size, FIBER_BLOCK):
         out += _solve_block(variant, s, gammas[a:a + FIBER_BLOCK],
-                            thetas[a:a + FIBER_BLOCK], s_step, tol,
-                            dedup_radius)
+                            thetas[a:a + FIBER_BLOCK])
     return out
 
 
-def solve_fiber(variant: str, s: float, gamma: float, theta: float, *,
-                s_step: float = 0.01, tol: float = 1e-10,
-                dedup_radius: float = 1e-6) -> FiberSolutions:
+def solve_fiber(variant: str, s: float, gamma: float,
+                theta: float) -> FiberSolutions:
     """Roots of the defining pair over one base point; see ``solve_fibers``."""
-    return solve_fibers(variant, s, [gamma], [theta], s_step=s_step, tol=tol,
-                        dedup_radius=dedup_radius)[0]
+    return solve_fibers(variant, s, [gamma], [theta])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +297,7 @@ FOLD_FD = 1e-7  # forward-difference step of the determinant's gradient
 FOLD_MAXIT = 30
 
 
-def _fold_system(code: int, s: float, x, tau: float):
+def _fold_system(code: str, s: float, x, tau: float):
     """F(x) = (G1, G2, det dG/d(nu, tau)) at x = (gamma, theta, nu) and fixed
     tau, with the exact rows dG1/dx and dG2/dx (six numbers)."""
     if not abs(x[2]) < 1.0:
@@ -310,7 +307,7 @@ def _fold_system(code: int, s: float, x, tau: float):
     return (g1, g2, a2 * b3 - a3 * b2), (a0, a1, a2, b0, b1, b2)
 
 
-def _fold_point(code: int, s: float, x, tau: float):
+def _fold_point(code: str, s: float, x, tau: float):
     """Newton on F(gamma, theta, nu) = 0 at fixed tau from the seed x.
 
     G and det are exact; the gradient of det is a forward difference of the
@@ -562,7 +559,7 @@ def verify_topology(variant: str, s: float, grid: int = 64, *,
 # the circles over the bottom edge
 # ---------------------------------------------------------------------------
 
-def eta(s: float, sigma: float, tol: float = 1e-15) -> float:
+def eta(s: float, sigma: float) -> float:
     """The unique solution of 2 eta = -s cos(sigma + 2 eta).
 
     The iteration is a contraction with factor |s|; |s| < 1/2 is required.
@@ -572,7 +569,7 @@ def eta(s: float, sigma: float, tol: float = 1e-15) -> float:
     e = -0.5 * s * np.cos(sigma)
     for _ in range(200):
         new = -0.5 * s * np.cos(sigma + 2 * e)
-        if abs(new - e) < tol:
+        if abs(new - e) < 1e-15:
             e = new
             break
         e = new

@@ -27,11 +27,9 @@ import numpy as np
 
 from . import quat
 from . import _kernels
+from ._kernels import BYPASS, EARRING
 
 GENERATORS = "abfhpq"
-
-EARRING = "earring"
-BYPASS = "bypass"
 
 
 def inverse_word(word: str) -> str:
@@ -113,13 +111,11 @@ class Presentation:
     relators: tuple[Word, ...]
 
 
+# "Pi" presents both tangle groups, earring and bypass: their relators agree
 PRESENTATIONS = {
     "Pi": Presentation("Pi", tuple("abfpqh"),
                        (Word(commutator("p", LAMBDA_P.text)),
                         Word(commutator("q", LAMBDA_Q.text)))),
-    "Pi'": Presentation("Pi'", tuple("abfpqh"),
-                        (Word(commutator("p", LAMBDA_P.text)),
-                         Word(commutator("q", LAMBDA_Q.text)))),
     "Pi0": Presentation("Pi0", tuple("abef"), (Word("baF" + inverse_word(E_WORD.text)),)),
     "Pi1": Presentation("Pi1", tuple("cdgf"),
                         (Word(free_reduce(C_WORD.text + D_WORD.text + "F"

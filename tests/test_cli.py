@@ -149,7 +149,7 @@ def test_usage_error_exit_code():
 
 @pytest.mark.parametrize("argv", [
     "trace --s nan", "trace --s inf", "trace --s -0.5",
-    "compose --s 0", "scene --s 0", "verify --s 0",
+    "compose --s 0", "scene --s 0", "verify --s 0", "verify --s 0.3",
     "trace --grid 0", "trace --grid -3",
     "compose --max-step 0", "scene --max-step nan", "scene --max-step -0.001",
     # options a command does not read

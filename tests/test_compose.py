@@ -56,11 +56,10 @@ def test_fiber_product_circle_two_sheets():
         assert all(b.fold_crossings == 0 for b in fp.branches)
         # samples satisfy the defining equations and project back onto the
         # input circle
-        code = 0 if variant == "earring" else 1
         for b in fp.branches:
             sub = b.samples[:: max(1, len(b.samples) // 50)]
             for t, nu, tau in sub:
-                g1, g2 = _kernels.g_scalar(code, 0.05, np.pi / 2,
+                g1, g2 = _kernels.g_scalar(variant, 0.05, np.pi / 2,
                                            np.mod(t, 2 * np.pi), nu, tau)
                 assert max(abs(g1), abs(g2)) < 1e-9
 
@@ -133,24 +132,28 @@ def test_push_forward_refuses_samples_outside_the_chart():
 
 
 @pytest.mark.parametrize("variant", ["earring", "bypass"])
-def test_push_forward_refines_once(variant, monkeypatch):
-    # at this coarse step the first image turns too sharply and one
-    # refinement pass rescues it
-    fp = X.fiber_product(C.twisted_double(C.vertical_circle()), variant, 0.2,
-                         max_step=0.5)
-    calls = []
-    corrector = _kernels.corrector
-    monkeypatch.setattr(_kernels, "corrector",
-                        lambda *args: calls.append(args) or corrector(*args))
-    out = X.push_forward(fp)
-    assert calls
-    assert [len(c.lift) for c in out.components] == [57, 57]
+def test_push_forward_refines_once(variant):
+    # at this coarse step the image turns too sharply, so push_forward
+    # refuses it; compose_curve composes once more at half the step, which
+    # rescues it
+    curve = C.twisted_double(C.vertical_circle())
+    fp = X.fiber_product(curve, variant, 0.2, max_step=0.5)
+    with pytest.raises(X.UnderResolvedError):
+        X.push_forward(fp)
+    out = X.compose_curve(curve, variant, 0.2, max_step=0.5)
+    assert sorted(c.homology() for c in out.components) == [(0, -2), (0, 2)]
 
 
 @pytest.mark.parametrize("variant", ["earring", "bypass"])
 def test_push_forward_fails_after_refinement(variant):
-    with pytest.raises(V.ContinuationError, match="after refinement"):
-        X.compose_curve(C.bottom_edge(), variant, 0.4, max_step=0.5)
+    with pytest.raises(X.UnderResolvedError, match="after refinement"):
+        X.compose_curve(C.bottom_edge(), variant, 0.4, max_step=1.0)
+    # half that step is rescued by the retrace, with the predicted class
+    out = C.invariants(X.compose_curve(C.bottom_edge(), variant, 0.4,
+                                       max_step=0.5))
+    assert [c.double_points for c in out.components] == [1]
+    assert out == C.invariants(C.figure_eight(C.bottom_edge(), 0.4)
+                               .relabel("P1"))
 
 
 def _ref_unwrap_orbit_path(r3):
