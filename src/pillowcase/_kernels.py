@@ -9,23 +9,22 @@ fold extraction, and curve composition.
 The defining pair is the straight-line kernel ``jet``: G and its exact
 derivatives along any of (gamma, theta, nu, tau), by forward mode through
 the reduced form in m = p q.  It runs on Python floats (``xp=math``) and
-broadcasts over numpy arrays (``xp=numpy``).  ``_g_impl`` is its value-only
-face on arrays.  ``g_jac``, the full 2x4 Jacobian at one point, is the same
-code written out on Python floats without nested functions or a loop over
-directions; it is bit for bit equal to ``jet``'s ``math`` face, which stays
-as its reference.  Fiber Newton is written once, over arrays of fibers
-(``newton_fibers``), with its (nu, tau) Jacobian from ``jet``, and
-``newton_fiber`` is its one-point face.  The continuation corrector and
-tangent, the fold-circle Newton and the fold rank data take their
-derivatives from ``g_jac``; both run on Python floats and give the unit
+broadcasts over numpy arrays (``xp=numpy``), complex ones included, which
+the fold circles' complex-step gradient uses.  ``_g_impl`` is its value-only
+face on arrays.  It is the one implementation of the defining pair: every
+solver takes G and its derivatives from it.  Fiber Newton is written once,
+over arrays of fibers (``newton_fibers``), with its (nu, tau) Jacobian from
+``jet``, and ``newton_fiber`` is its one-point face.  The continuation
+corrector and tangent take their 2x4 Jacobian from
+``jet(..., DIRECTIONS, math)``; both run on Python floats and give the unit
 tangent as a tuple, or None where the Jacobian rows are dependent.
 ``corrector_batch`` is the corrector over arrays of predictions, each with
 its own hyperplane normal: its 2x3 Jacobian (``_curve_jacs``) comes from
 ``jet`` and the array spline jet ``_spline_jets``, and it takes the scalar
 corrector's steps and exits element by element.  Every 3x3 Newton step,
-the corrector's (both faces) and the fold circles', goes through one
-Cramer solve, ``_cramer3``, elementwise on arrays; ``_solve3`` is its
-float face.
+the corrector's (both faces) and the fold circles' (``variety.fold_locus``),
+goes through one Cramer solve, ``_cramer3``, elementwise on arrays;
+``_solve3`` is its float face.
 
 The curve splines that continuation runs along are fitted here too:
 ``cubic_fit`` is the not-a-knot cubic interpolant, written in the
@@ -202,143 +201,6 @@ g_scalar = g_scalar_py = _g_impl
 DIRECTIONS = ("gamma", "theta", "nu", "tau")
 
 
-def g_jac(code, s, gamma, theta, nu, tau):
-    """The defining pair at one point and its exact 2x4 Jacobian.
-
-    Returns (g1, g2, J) with J = ((dg1/dgamma, dg1/dtheta, dg1/dnu,
-    dg1/dtau), (dg2/...)).  This is ``jet`` along all four directions,
-    written out as straight-line code on Python floats: no nested function,
-    closure or loop over directions, and the operation order of
-    ``jet(code, s, gamma, theta, nu, tau, DIRECTIONS, math)``, so the two
-    agree bit for bit (the literal 0.0 terms of the tau direction are kept,
-    so signed zeros follow ``jet``'s).  ``jet`` stays its reference.
-    """
-    s = float(s)  # numpy scalars would slow every operation
-    nu = float(nu)
-    cg, sg = math.cos(gamma), math.sin(gamma)
-    ct, st = math.cos(theta), math.sin(theta)
-    cu, su = math.cos(tau), math.sin(tau)
-    r = math.sqrt(1.0 - nu * nu)
-    hy, hz = r * cu, r * su
-    # p = exp(u), u = s Im(b h); q = exp(v), v = s Im(e^{theta k} h); the
-    # derivative of exp along w is (-sc v.w, sc w + k (v.w) v), see _qexp
-    ux, uy, uz = s * (sg * hz), s * (-cg * hz), s * (cg * hy - sg * nu)
-    n2 = ux * ux + uy * uy + uz * uz
-    n = math.sqrt(n2)
-    nn = n + 1e-300
-    pw = math.cos(n)
-    psc = math.sin(nn) / nn
-    pk = (pw - psc) / (n2 + 1e-300)
-    px, py, pz = psc * ux, psc * uy, psc * uz
-    vx, vy, vz = s * (ct * nu - st * hy), s * (ct * hy + st * nu), s * (ct * hz)
-    n2 = vx * vx + vy * vy + vz * vz
-    n = math.sqrt(n2)
-    nn = n + 1e-300
-    qw = math.cos(n)
-    qsc = math.sin(nn) / nn
-    qk = (qw - qsc) / (n2 + 1e-300)
-    qx, qy, qz = qsc * vx, qsc * vy, qsc * vz
-    # m = p q
-    w = pw * qw - px * qx - py * qy - pz * qz
-    mx = pw * qx + px * qw + py * qz - pz * qy
-    my = pw * qy - px * qz + py * qw + pz * qx
-    mz = pw * qz + px * qy - py * qx + pz * qw
-    a = mx * nu + my * hy + mz * hz
-    c = my * hz - mz * hy
-
-    # dm = (dw, dx, dy, dz) and da, dc along gamma, theta, nu and tau
-    # take the prefixes g, t, n and z
-
-    # gamma: dm = dp(s Im(b' h)) q
-    ea, eb, ed = s * (cg * hz), s * (sg * hz), s * (-sg * hy - cg * nu)
-    vw = ux * ea + uy * eb + uz * ed
-    kv = pk * vw
-    ew, ex, ey, ez = (-psc * vw, psc * ea + kv * ux, psc * eb + kv * uy,
-                      psc * ed + kv * uz)
-    gw = ew * qw - ex * qx - ey * qy - ez * qz
-    gx = ew * qx + ex * qw + ey * qz - ez * qy
-    gy = ew * qy - ex * qz + ey * qw + ez * qx
-    gz = ew * qz + ex * qy - ey * qx + ez * qw
-    ga = gx * nu + gy * hy + gz * hz
-    gc = gy * hz - gz * hy
-
-    # theta: dm = p dq(s Im(k e^{theta k} h))
-    ea, eb, ed = (s * (-st * nu - ct * hy), s * (-st * hy + ct * nu),
-                  s * (-st * hz))
-    vw = vx * ea + vy * eb + vz * ed
-    kv = qk * vw
-    ew, ex, ey, ez = (-qsc * vw, qsc * ea + kv * vx, qsc * eb + kv * vy,
-                      qsc * ed + kv * vz)
-    tw = pw * ew - px * ex - py * ey - pz * ez
-    tx = pw * ex + px * ew + py * ez - pz * ey
-    ty = pw * ey - px * ez + py * ew + pz * ex
-    tz = pw * ez + px * ey - py * ex + pz * ew
-    ta = tx * nu + ty * hy + tz * hz
-    tc = ty * hz - tz * hy
-
-    # nu: h' = (1, h1, h2); dm = dp(s Im(b h')) q + p dq(s Im(e^{theta k} h'))
-    h1 = -nu / r * cu
-    h2 = -nu / r * su
-    ea, eb, ed = s * (sg * h2), s * (-cg * h2), s * (cg * h1 - sg)
-    vw = ux * ea + uy * eb + uz * ed
-    kv = pk * vw
-    ew, ex, ey, ez = (-psc * vw, psc * ea + kv * ux, psc * eb + kv * uy,
-                      psc * ed + kv * uz)
-    fa, fb, fd = s * (ct - st * h1), s * (ct * h1 + st), s * (ct * h2)
-    vw = vx * fa + vy * fb + vz * fd
-    kv = qk * vw
-    fw, fx, fy, fz = (-qsc * vw, qsc * fa + kv * vx, qsc * fb + kv * vy,
-                      qsc * fd + kv * vz)
-    nw = ((ew * qw - ex * qx - ey * qy - ez * qz)
-          + (pw * fw - px * fx - py * fy - pz * fz))
-    nx = ((ew * qx + ex * qw + ey * qz - ez * qy)
-          + (pw * fx + px * fw + py * fz - pz * fy))
-    ny = ((ew * qy - ex * qz + ey * qw + ez * qx)
-          + (pw * fy - px * fz + py * fw + pz * fx))
-    nz = ((ew * qz + ex * qy - ey * qx + ez * qw)
-          + (pw * fz + px * fy - py * fx + pz * fw))
-    na = (nx * nu + ny * hy + nz * hz) + (mx + my * h1 + mz * h2)
-    nc = (ny * hz - nz * hy) + (my * h2 - mz * h1)
-
-    # tau: h' = (0, -hz, hy)
-    ea, eb, ed = s * (sg * hy), s * (-cg * hy), s * (cg * -hz - sg * 0.0)
-    vw = ux * ea + uy * eb + uz * ed
-    kv = pk * vw
-    ew, ex, ey, ez = (-psc * vw, psc * ea + kv * ux, psc * eb + kv * uy,
-                      psc * ed + kv * uz)
-    fa, fb, fd = (s * (ct * 0.0 - st * -hz), s * (ct * -hz + st * 0.0),
-                  s * (ct * hy))
-    vw = vx * fa + vy * fb + vz * fd
-    kv = qk * vw
-    fw, fx, fy, fz = (-qsc * vw, qsc * fa + kv * vx, qsc * fb + kv * vy,
-                      qsc * fd + kv * vz)
-    zw = ((ew * qw - ex * qx - ey * qy - ez * qz)
-          + (pw * fw - px * fx - py * fy - pz * fz))
-    zx = ((ew * qx + ex * qw + ey * qz - ez * qy)
-          + (pw * fx + px * fw + py * fz - pz * fy))
-    zy = ((ew * qy - ex * qz + ey * qw + ez * qx)
-          + (pw * fy - px * fz + py * fw + pz * fx))
-    zz = ((ew * qz + ex * qy - ey * qx + ez * qw)
-          + (pw * fz + px * fy - py * fx + pz * fw))
-    za = (zx * nu + zy * hy + zz * hz) + (mx * 0.0 + my * -hz + mz * hy)
-    zc = (zy * hz - zz * hy) + (my * hy - mz * -hz)
-
-    if code == EARRING:
-        nu2 = 2.0 * nu
-        return (nu2 * a - mx, nu * w + c,
-                ((nu2 * ga - gx, nu2 * ta - tx, nu2 * na - nx + 2.0 * a,
-                  nu2 * za - zx),
-                 (nu * gw + gc, nu * tw + tc, nu * nw + nc + w,
-                  nu * zw + zc)))
-    cw = c - nu * w
-    return (2.0 * (a * cw + w * mx), nu,
-            ((2.0 * (ga * cw + a * (gc - nu * gw) + gw * mx + w * gx),
-              2.0 * (ta * cw + a * (tc - nu * tw) + tw * mx + w * tx),
-              2.0 * (na * cw + a * (nc - nu * nw - w) + nw * mx + w * nx),
-              2.0 * (za * cw + a * (zc - nu * zw) + zw * mx + w * zx)),
-             (0.0, 0.0, 1.0, 0.0)))
-
-
 # ---------------------------------------------------------------------------
 # cubic splines: not-a-knot fit and evaluation in the piecewise-polynomial
 # layout c[k, i] (coefficient of (x - breaks[i])^(3 - k) on interval i)
@@ -481,7 +343,7 @@ def _spline_jets(breaks, cg, ct, t):
 def _curve_jac(code, s, breaks, cg, ct, u0, u1, u2):
     """The defining pair at u and its 2x3 Jacobian in u, rows flattened."""
     gamma, dgamma, theta, dtheta = _spline_jet(breaks, cg, ct, u0)
-    f1, f2, (j1, j2) = g_jac(code, s, gamma, theta, u1, u2)
+    f1, f2, (j1, j2) = jet(code, s, gamma, theta, u1, u2, DIRECTIONS, math)
     return f1, f2, (j1[0] * dgamma + j1[1] * dtheta, j1[2], j1[3],
                     j2[0] * dgamma + j2[1] * dtheta, j2[2], j2[3])
 
@@ -544,7 +406,7 @@ def corrector(code, s, breaks, cg, ct, u0, u1, u2, t0, t1, t2, tol, maxit):
     point, from the Jacobian its last iteration evaluated there, or None
     when it degenerates or the correction failed.
     """
-    u0, u1, u2, t0, t1, t2 = map(float, (u0, u1, u2, t0, t1, t2))
+    s, u0, u1, u2, t0, t1, t2 = map(float, (s, u0, u1, u2, t0, t1, t2))
     p0, p1, p2 = u0, u1, u2
     for it in range(maxit + 1):
         f1, f2, j = _curve_jac(code, s, breaks, cg, ct, u0, u1, u2)

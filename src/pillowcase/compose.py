@@ -457,7 +457,9 @@ def compose_curve(curve: ImmersedCurve, variant: str, s: float, *,
                   max_step: float = MAX_STEP,
                   circles: list[FoldCircle] | None = None) -> ImmersedCurve:
     """The fiber product pushed forward; an under-resolved image is composed
-    once more at half the step."""
+    once more at half the step, on the same fold circles."""
+    if circles is None:
+        circles = fold_locus(variant, s)
     for step in (max_step, 0.5 * max_step):
         fp = fiber_product(curve, variant, s, max_step=step, circles=circles)
         try:

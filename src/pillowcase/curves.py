@@ -596,17 +596,8 @@ def _corner_winding(comp: CurveComponent, corner_class: tuple[int, int]) -> int:
             ang = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
             # arc endpoints sit exactly on corners; their angle is undefined
             inside = (d <= radius) & (d > 1e-9)
-            # sum sweeps over maximal inside runs
-            k = 0
-            while k < len(lift):
-                if inside[k]:
-                    k2 = k
-                    while k2 + 1 < len(lift) and inside[k2 + 1]:
-                        k2 += 1
-                    total += ang[k2] - ang[k]
-                    k = k2 + 1
-                else:
-                    k += 1
+            # the sweeps over maximal inside runs: their steps, telescoped
+            total += np.sum(np.diff(ang)[inside[:-1] & inside[1:]])
     frac = total / np.pi
     return int(np.round(frac))
 

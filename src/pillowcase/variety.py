@@ -6,12 +6,14 @@ around those points (radius about 2|s|) the fibers are empty, and the two
 regimes are separated by four fold circles.  This module solves fibers by
 continuation in s from the closed-form s = 0 solutions, extracts the fold
 circles as solutions of the extended system {G = 0, det dG/d(nu, tau) = 0} at
-fixed tau, verifies the resulting surface topology, and provides the
-closed-form circle of representations over the bottom edge.
+fixed tau (all samples in one batched Newton), verifies the resulting surface
+topology, and provides the closed-form circle of representations over the
+bottom edge.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -293,43 +295,28 @@ class FoldCircle:
 
 
 FOLD_TOL = 1e-13  # residual of (G1, G2, det) at an accepted fold point
-FOLD_FD = 1e-7  # forward-difference step of the determinant's gradient
 FOLD_MAXIT = 30
+COMPLEX_STEP = 1e-20  # imaginary step of the determinant's gradient
 
 
-def _fold_system(code: str, s: float, x, tau: float):
-    """F(x) = (G1, G2, det dG/d(nu, tau)) at x = (gamma, theta, nu) and fixed
-    tau, with the exact rows dG1/dx and dG2/dx (six numbers)."""
-    if not abs(x[2]) < 1.0:
-        raise ContinuationError(f"fold Newton left the chart at nu = {x[2]:.3g}")
-    g1, g2, ((a0, a1, a2, a3), (b0, b1, b2, b3)) = _kernels.g_jac(
-        code, s, *x, tau)
-    return (g1, g2, a2 * b3 - a3 * b2), (a0, a1, a2, b0, b1, b2)
+def _fold_system(code: str, s: float, gamma, theta, nu, tau):
+    """F = (G1, G2, det dG/d(nu, tau)) at fixed tau over arrays of
+    x = (gamma, theta, nu), and the nine entries of dF/dx by rows.
 
-
-def _fold_point(code: str, s: float, x, tau: float):
-    """Newton on F(gamma, theta, nu) = 0 at fixed tau from the seed x.
-
-    G and det are exact; the gradient of det is a forward difference of the
-    exact Jacobian at the seed, kept for every iteration, so it sets the
-    convergence rate but not the root.
+    G and its rows come from ``jet``.  The gradient of det is a complex
+    step through ``jet`` (Squire & Trapp, *SIAM Review* 40, 1998): the
+    kernel is analytic in x, so det at x + i h e_k is det + i h d det/dx_k
+    + O(h^2) with no subtraction, and at h = 1e-20 its imaginary part over
+    h is the derivative to rounding.
     """
-    x = tuple(float(v) for v in x)
-    f, rows = _fold_system(code, s, x, tau)
-    ddet = []
-    for k in range(3):
-        xk = list(x)
-        xk[k] += FOLD_FD
-        ddet.append((_fold_system(code, s, xk, tau)[0][2] - f[2]) / FOLD_FD)
-    for _ in range(FOLD_MAXIT):
-        if max(map(abs, f)) < FOLD_TOL:
-            return x
-        step = _kernels._solve3(*rows, *ddet, -f[0], -f[1], -f[2])
-        if step is None:
-            raise ContinuationError("fold Newton met a singular Jacobian")
-        x = tuple(a + b for a, b in zip(x, step))
-        f, rows = _fold_system(code, s, x, tau)
-    raise ContinuationError(f"fold Newton did not converge at tau = {tau:.4f}")
+    g1, g2, ((a0, a1, a2, a3), (b0, b1, b2, b3)) = _kernels.jet(
+        code, s, gamma, theta, nu, tau, _kernels.DIRECTIONS)
+    # x + i h e_k for k = 0, 1, 2 along a new leading axis
+    step = 1j * COMPLEX_STEP * np.eye(3).reshape((3, 3) + (1,) * gamma.ndim)
+    xc = np.moveaxis(np.stack([gamma, theta, nu]) + step, 1, 0)
+    _, _, ((c2, c3), (d2, d3)) = _kernels.jet(code, s, *xc, tau, ("nu", "tau"))
+    ddet = (c2 * d3 - c3 * d2).imag / COMPLEX_STEP
+    return (g1, g2, a2 * b3 - a3 * b2), (a0, a1, a2, b0, b1, b2, *ddet)
 
 
 def fold_locus(variant: str, s: float, n_samples: int = 192) -> list[FoldCircle]:
@@ -338,26 +325,46 @@ def fold_locus(variant: str, s: float, n_samples: int = 192) -> list[FoldCircle]
     A fold point is a solution of G = 0 where dG/d(nu, tau) is singular;
     the solutions near each corner form a circle along which tau turns once.
     Each sample solves that square system in (gamma, theta, nu) at one tau
-    of an even grid, seeded by the corner and then by extrapolation along
-    the circle.
+    of an even grid.  All samples of the four corners are one Newton over
+    (4, n_samples) arrays, with the rows of ``_fold_system`` (the gradient
+    of det by complex step) taken again every iteration; an element stops
+    once max |F| < ``FOLD_TOL``.
+    The seeds are closed form: around the corner (g0, t0) of the sign pair
+    (eg, et), (gamma, theta, nu) = (g0 + 2 s et sin tau,
+    t0 - 2 s eg cos tau, s eg).
     """
     if s == 0.0:
         raise ValueError("fold circles require s != 0")
     code = _kernels.variant_code(variant)
     taus = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
+    corners = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
+    eg, et = np.array(corners, dtype=float).T[:, :, None]
+    g0, t0 = np.array([CORNER_BASE[c] for c in corners]).T[:, :, None]
+    x = [g0 + 2 * s * et * np.sin(taus), t0 - 2 * s * eg * np.cos(taus),
+         np.repeat(s * eg, n_samples, axis=1)]
+    for it in range(FOLD_MAXIT + 1):
+        if not np.all(np.abs(x[2]) < 1.0):
+            nu = x[2][~(np.abs(x[2]) < 1.0)][0]
+            raise ContinuationError(f"fold Newton left the chart at nu = {nu:.3g}")
+        f, rows = _fold_system(code, s, *x, taus)
+        live = ~(np.maximum.reduce([np.abs(v) for v in f]) < FOLD_TOL)
+        if not live.any():
+            break
+        if it == FOLD_MAXIT:
+            tau = taus[live.any(axis=0)][0]
+            raise ContinuationError(
+                f"fold Newton did not converge at tau = {tau:.4f}")
+        det, *num = _kernels._cramer3(*rows, -f[0], -f[1], -f[2])
+        if np.any(live & ~(np.abs(det) >= 1e-300)):
+            raise ContinuationError("fold Newton met a singular Jacobian")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = [np.where(live, a + d / det, a) for a, d in zip(x, num)]
     out = []
-    for eps in [(1, 1), (-1, 1), (1, -1), (-1, -1)]:
-        g0, t0 = CORNER_BASE[eps]
-        seed = (g0, t0 - 2 * s * eps[0], s * eps[0])
-        sols = []
-        for tau in taus:
-            x = _fold_point(code, s, seed, float(tau))
-            # linear extrapolation from the last two samples
-            seed = [2 * a - b for a, b in zip(x, sols[-1])] if sols else x
-            sols.append(x)
-        pts = [ChartPoint(s, g, t, nu, float(tau), variant)
-               for (g, t, nu), tau in zip(sols, taus)]
-        img = np.sin(np.array(sols)[:, :2])
+    for k, eps in enumerate(corners):
+        sols = np.column_stack([a[k] for a in x])
+        pts = [ChartPoint(s, g, t, nu, tau, variant)
+               for (g, t, nu), tau in zip(sols.tolist(), taus.tolist())]
+        img = np.sin(sols[:, :2])
         circ = FoldCircle(eps, variant, s, pts, img)
         # closure and winding checks
         gap = np.linalg.norm(img[0] - img[-1])
@@ -384,7 +391,7 @@ def fold_jacobian_data(pt: ChartPoint):
 
     code = _kernels.variant_code(pt.variant)
     x = np.array([pt.gamma, pt.theta, pt.nu, pt.tau])
-    dg = np.array(_kernels.g_jac(code, pt.s, *x)[2])
+    dg = np.array(_kernels.jet(code, pt.s, *x, _kernels.DIRECTIONS, math)[2])
     _, _, vt = np.linalg.svd(dg)
     t1, t2 = vt[2], vt[3]  # orthonormal basis of the tangent plane
 
@@ -469,7 +476,7 @@ def classify_grid(variant: str, s: float, grid: int = 64):
         nus = np.zeros((2, gflat.size))
         taus = np.stack([t0, t0 + np.pi])
         ok = np.ones((2, gflat.size), dtype=bool)
-        n_steps = max(1, int(np.ceil(abs(s) / 0.01)))
+        n_steps = max(1, int(np.ceil(abs(s) / S_STEP)))
         for i in range(1, n_steps + 1):
             si = s * i / n_steps
             for sheet in range(2):

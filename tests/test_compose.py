@@ -144,6 +144,22 @@ def test_push_forward_refines_once(variant):
     assert sorted(c.homology() for c in out.components) == [(0, -2), (0, 2)]
 
 
+def test_retrace_reuses_the_fold_circles(monkeypatch):
+    # the half-step retrace runs the fiber product again, on the fold
+    # circles of the first pass
+    calls = []
+    fold_locus = X.fold_locus
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fold_locus(*args, **kwargs)
+
+    monkeypatch.setattr(X, "fold_locus", counted)
+    X.compose_curve(C.twisted_double(C.vertical_circle()), "earring", 0.2,
+                    max_step=0.5)
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("variant", ["earring", "bypass"])
 def test_push_forward_fails_after_refinement(variant):
     with pytest.raises(X.UnderResolvedError, match="after refinement"):

@@ -167,6 +167,54 @@ def test_invariants_examples():
     assert C.invariants(empty).component_count == 0
 
 
+def _ref_corner_winding(comp, corner_class):
+    """``curves._corner_winding`` with the sweep of every maximal inside run
+    taken end to end, the loop that the telescoped sum replaced."""
+    radius = 0.8
+    lift = comp.lift
+    lo = lift.min(axis=0) - radius - 0.1
+    hi = lift.max(axis=0) + radius + 0.1
+    total = 0.0
+    g0, t0 = corner_class[0] * np.pi, corner_class[1] * np.pi
+    for m in range(int(np.floor((lo[0] - g0) / C.TWO_PI)),
+                   int(np.ceil((hi[0] - g0) / C.TWO_PI)) + 1):
+        for nn in range(int(np.floor((lo[1] - t0) / C.TWO_PI)),
+                        int(np.ceil((hi[1] - t0) / C.TWO_PI)) + 1):
+            rel = lift - [g0 + C.TWO_PI * m, t0 + C.TWO_PI * nn]
+            d = np.linalg.norm(rel, axis=1)
+            ang = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
+            inside = (d <= radius) & (d > 1e-9)
+            k = 0
+            while k < len(lift):
+                if inside[k]:
+                    k2 = k
+                    while k2 + 1 < len(lift) and inside[k2 + 1]:
+                        k2 += 1
+                    total += ang[k2] - ang[k]
+                    k = k2 + 1
+                else:
+                    k += 1
+    return int(np.round(total / np.pi))
+
+
+def test_corner_winding_matches_run_loop():
+    curves = [C.bottom_edge(), C.vertical_circle(), C.slope_one_arc(),
+              C.slope_two_arc(), C.wavy_arc(),
+              C.twisted_double(C.vertical_circle()),
+              C.double(C.twisted_double(C.vertical_circle())),
+              C.figure_eight(C.bottom_edge(), 0.05),
+              C.figure_eight(C.wavy_arc(), 0.05),
+              C.double(C.figure_eight(C.bottom_edge(), 0.05))]
+    nonzero = 0
+    for curve in curves:
+        for comp in curve.components:
+            for cc in C.CORNER_CLASSES:
+                w = C._corner_winding(comp, cc)
+                assert w == _ref_corner_winding(comp, cc)
+                nonzero += w != 0
+    assert nonzero > 0
+
+
 def test_invariants_naturality():
     # half-lattice shifts permute the corner classes; the reflection negates
     # the theta-component of homology

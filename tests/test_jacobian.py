@@ -2,6 +2,8 @@
 against central differences and against the finite-difference versions
 they replaced (kept here as references)."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
@@ -33,14 +35,14 @@ def _points(rng, n):
 @pytest.mark.parametrize("code", CODES)
 def test_g_jac_value_matches_g_impl(code):
     for s, g, t, nu, tau in _points(np.random.default_rng(0), 500):
-        g1, g2, _ = K.g_jac(code, s, g, t, nu, tau)
+        g1, g2, _ = K.jet(code, s, g, t, nu, tau, K.DIRECTIONS, math)
         a1, a2 = K._g_impl(code, s, g, t, nu, tau)
         assert abs(g1 - a1) <= 1e-15 and abs(g2 - a2) <= 1e-15
 
 
 def test_bypass_second_row_is_exact():
     for s, g, t, nu, tau in _points(np.random.default_rng(1), 200):
-        _, g2, jac = K.g_jac(K.BYPASS, s, g, t, nu, tau)
+        _, g2, jac = K.jet(K.BYPASS, s, g, t, nu, tau, K.DIRECTIONS, math)
         assert g2 == nu
         assert jac[1] == (0.0, 0.0, 1.0, 0.0)
 
@@ -61,8 +63,27 @@ def test_g_jac_matches_central_differences(code):
         minus = K._g_impl(code, pts[:, 0], *(pts[:, 1:] - dx).T)
         for row in range(2):
             fd_jac[:, row, k] = (plus[row] - minus[row]) / (2 * fd)
-    jac = np.array([K.g_jac(code, *p)[2] for p in pts])
+    jac = np.array([K.jet(code, *p, K.DIRECTIONS, math)[2] for p in pts])
     assert np.max(np.abs(jac - fd_jac)) <= 1e-8
+
+
+@pytest.mark.parametrize("code", CODES)
+def test_fold_det_gradient_matches_central_differences(code):
+    """The complex-step gradient of det dG/d(nu, tau) against a central
+    difference of the exact det, at the fold samples and off them."""
+    fd = 1e-6
+    circles = V.fold_locus(code, 0.2, n_samples=24)
+    pts = np.array([[p.gamma, p.theta, p.nu, p.tau]
+                    for c in circles for p in c.points])
+    pts = np.concatenate([pts, pts + [0.05, -0.03, 0.02, 0.0]])
+    x, tau = pts[:, :3].T, pts[:, 3]
+    _, rows = V._fold_system(code, 0.2, *x, tau)
+    for k in range(3):
+        dx = np.zeros((3, 1))
+        dx[k] = fd
+        plus = V._fold_system(code, 0.2, *(x + dx), tau)[0][2]
+        minus = V._fold_system(code, 0.2, *(x - dx), tau)[0][2]
+        assert np.max(np.abs(rows[6 + k] - (plus - minus) / (2 * fd))) < 1e-6
 
 
 def test_spline_jet_matches_scipy():
@@ -201,19 +222,22 @@ def test_corrector_batch_matches_finite_difference_reference(variant,
 
 def _ref_fold_jacobian_data(pt, monkeypatch):
     """``fold_jacobian_data`` with dG from the replaced central differences."""
-    def fd_g_jac(code, s, *x):
+    jet = K.jet
+
+    def fd_jet(code, s, *x_wrt_xp):
         fd = 1e-6
+        x = np.array(x_wrt_xp[:4])
         dg = np.zeros((2, 4))
         for k in range(4):
             dx = np.zeros(4)
             dx[k] = fd
-            fp = K._g_impl(code, s, *(np.array(x) + dx))
-            fm = K._g_impl(code, s, *(np.array(x) - dx))
+            fp = jet(code, s, *(x + dx))[:2]
+            fm = jet(code, s, *(x - dx))[:2]
             dg[:, k] = (np.array(fp) - np.array(fm)) / (2 * fd)
         return None, None, dg
 
     with monkeypatch.context() as m:
-        m.setattr(K, "g_jac", fd_g_jac)
+        m.setattr(K, "jet", fd_jet)
         return V.fold_jacobian_data(pt)
 
 

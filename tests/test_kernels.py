@@ -75,32 +75,6 @@ def test_jet_float_and_array_faces_agree(pt, wrt):
             assert np.all(np.abs(a - f) <= 1e-15)
 
 
-def _reprs(result):
-    """The ten floats of a (g1, g2, (row1, row2)) result as reprs, which
-    tell signed zeros apart."""
-    g1, g2, (row1, row2) = result
-    return [repr(x) for x in (g1, g2, *row1, *row2)]
-
-
-@settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(pt=CHART)
-def test_g_jac_is_jet_on_floats(pt):
-    for code in CODES:
-        assert _reprs(k.g_jac(code, *pt)) == _reprs(
-            k.jet(code, *pt, k.DIRECTIONS, math))
-
-
-@pytest.mark.parametrize("s", [0.0, -0.0, 0.05])
-@pytest.mark.parametrize("gamma,theta", [(0.0, 0.0), (1.0, 2.0)])
-@pytest.mark.parametrize("nu", [0.0, -0.0, 0.3])
-@pytest.mark.parametrize("tau", [0.0, math.pi / 2])
-def test_g_jac_is_jet_at_zeros(s, gamma, theta, nu, tau):
-    pt = (s, gamma, theta, nu, tau)
-    for code in CODES:
-        assert _reprs(k.g_jac(code, *pt)) == _reprs(
-            k.jet(code, *pt, k.DIRECTIONS, math))
-
-
 def test_batch_matches_scalar():
     rng = np.random.default_rng(2)
     n = 64

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -145,26 +147,36 @@ def test_k_circle_character_embedding_injective():
         assert gap <= 2
 
 
-def test_fold_locus_structure():
+@pytest.mark.parametrize("s", [0.05, -0.2, 0.45, 0.49])
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_fold_locus_structure(variant, s):
+    circles = V.fold_locus(variant, s, n_samples=96)
+    assert len(circles) == 4
+    corners = {c.corner for c in circles}
+    assert corners == {(1, 1), (-1, 1), (1, -1), (-1, -1)}
+    for c in circles:
+        assert abs(c.winding()) == 1
+        # the radius is 2|s| - O(|s|^3)
+        r = 2 * abs(s)
+        assert np.all(c.radii < r) and np.all(c.radii > r * (1 - 3 * s * s))
+        # every fold sample solves the defining pair, and there the
+        # pair's differential in (nu, tau) is singular
+        for pt, im in zip(c.points, c.image):
+            pair = W.G(pt) if variant == "earring" else W.Gp(pt)
+            assert max(abs(v) for v in pair) < 1e-10
+            _, _, ((_, _, a2, a3), (_, _, b2, b3)) = _kernels.jet(
+                variant, pt.s, pt.gamma, pt.theta, pt.nu, pt.tau,
+                _kernels.DIRECTIONS, math)
+            assert abs(a2 * b3 - a3 * b2) < 1e-10
+            assert np.allclose(im, np.sin([pt.gamma, pt.theta]),
+                               rtol=0, atol=1e-15)
+
+
+def test_fold_circles_wind_once_across_s():
     for variant in ("earring", "bypass"):
-        code = _kernels.variant_code(variant)
-        circles = V.fold_locus(variant, 0.05, n_samples=96)
-        assert len(circles) == 4
-        corners = {c.corner for c in circles}
-        assert corners == {(1, 1), (-1, 1), (1, -1), (-1, -1)}
-        for c in circles:
-            assert abs(c.winding()) == 1
-            assert np.max(np.abs(c.radii - 0.1)) < 0.25 * 0.1
-            # every fold sample solves the defining pair, and there the
-            # pair's differential in (nu, tau) is singular
-            for pt, im in zip(c.points, c.image):
-                pair = W.G(pt) if variant == "earring" else W.Gp(pt)
-                assert max(abs(v) for v in pair) < 1e-10
-                _, _, ((_, _, a2, a3), (_, _, b2, b3)) = _kernels.g_jac(
-                    code, pt.s, pt.gamma, pt.theta, pt.nu, pt.tau)
-                assert abs(a2 * b3 - a3 * b2) < 1e-10
-                assert np.allclose(im, np.sin([pt.gamma, pt.theta]),
-                                   rtol=0, atol=1e-15)
+        for s in (0.01, -0.01, 0.05, -0.05, 0.2, -0.2, 0.45, -0.45, 0.49):
+            circles = V.fold_locus(variant, s)
+            assert [abs(c.winding()) for c in circles] == [1, 1, 1, 1]
 
 
 def test_fold_radius_shrinks_quadratically():
