@@ -75,6 +75,43 @@ def test_jet_float_and_array_faces_agree(pt, wrt):
             assert np.all(np.abs(a - f) <= 1e-15)
 
 
+def _reprs(result):
+    """The ten floats of a (g1, g2, (row1, row2)) result as reprs, which
+    tell signed zeros apart; one-element arrays count as their element."""
+    g1, g2, (row1, row2) = result
+    return [repr(float(np.asarray(x).ravel()[0]))
+            for x in (g1, g2, *row1, *row2)]
+
+
+def _g_jac_faces(code, pt):
+    """The defining pair and its Jacobian on floats, as the scalar corrector,
+    ``tangent`` and ``fold_jacobian_data`` take it, and on one-element
+    arrays, as the batch corrector takes it."""
+    return (_reprs(k.jet(code, *pt, k.DIRECTIONS, math)),
+            _reprs(k.jet(code, *(np.array([v]) for v in pt), k.DIRECTIONS,
+                         np)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(pt=CHART)
+def test_g_jac_is_jet_on_floats(pt):
+    # bit for bit, so the scalar and batch paths make the same samples
+    for code in CODES:
+        on_floats, on_arrays = _g_jac_faces(code, pt)
+        assert on_floats == on_arrays
+
+
+@pytest.mark.parametrize("s", [0.0, -0.0, 0.05])
+@pytest.mark.parametrize("gamma,theta", [(0.0, 0.0), (1.0, 2.0)])
+@pytest.mark.parametrize("nu", [0.0, -0.0, 0.3])
+@pytest.mark.parametrize("tau", [0.0, math.pi / 2])
+def test_g_jac_is_jet_at_zeros(s, gamma, theta, nu, tau):
+    pt = (s, gamma, theta, nu, tau)
+    for code in CODES:
+        on_floats, on_arrays = _g_jac_faces(code, pt)
+        assert on_floats == on_arrays
+
+
 def test_batch_matches_scalar():
     rng = np.random.default_rng(2)
     n = 64

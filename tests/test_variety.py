@@ -147,9 +147,7 @@ def test_k_circle_character_embedding_injective():
         assert gap <= 2
 
 
-@pytest.mark.parametrize("s", [0.05, -0.2, 0.45, 0.49])
-@pytest.mark.parametrize("variant", ["earring", "bypass"])
-def test_fold_locus_structure(variant, s):
+def _check_fold_locus_structure(variant, s):
     circles = V.fold_locus(variant, s, n_samples=96)
     assert len(circles) == 4
     corners = {c.corner for c in circles}
@@ -170,6 +168,17 @@ def test_fold_locus_structure(variant, s):
             assert abs(a2 * b3 - a3 * b2) < 1e-10
             assert np.allclose(im, np.sin([pt.gamma, pt.theta]),
                                rtol=0, atol=1e-15)
+
+
+def test_fold_locus_structure():
+    for variant in ("earring", "bypass"):
+        _check_fold_locus_structure(variant, 0.05)
+
+
+@pytest.mark.parametrize("s", [-0.2, 0.45, 0.49])
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_fold_locus_structure_across_s(variant, s):
+    _check_fold_locus_structure(variant, s)
 
 
 def test_fold_circles_wind_once_across_s():
