@@ -3,8 +3,8 @@
 Away from the four half-lattice points of the base torus the projection of
 either variety to (gamma, theta) is a two-sheeted cover; over small disks
 around those points (radius about 2|s|) the fibers are empty, and the two
-regimes are separated by four fold circles.  This module solves fibers by
-continuation in s from the closed-form s = 0 solutions, extracts the fold
+regimes are separated by four fold circles.  This module solves each fiber
+at its target s by Newton from the brackets of a tau scan, extracts the fold
 circles as solutions of the extended system {G = 0, det dG/d(nu, tau) = 0} at
 fixed tau (all samples in one batched Newton), verifies the resulting surface
 topology, and provides the closed-form circle of representations over the
@@ -51,6 +51,7 @@ class FiberSolutions:
     theta: float
     solutions: list[tuple[float, float]]
     status: str  # two_sheets | fold_region | empty
+    # worst 2x2 Jacobian condition at the roots found; 1 when there are none
     cond: float = 1.0
 
     def chart_points(self) -> list[ChartPoint]:
@@ -96,17 +97,16 @@ def _padded(fiber: np.ndarray, n_fibers: int, *columns):
 FIBER_BLOCK = 512
 SCAN_BLOCK = 32
 N_TAU = 96
-S_STEP = 0.01  # largest s increment of the continuation from s = 0
 FIBER_TOL = 1e-10  # residual of an accepted fiber root
 DEDUP_RADIUS = 1e-6  # roots of one fiber closer than this are one root
 
 
 def _scan_roots(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
-    """Independent root sweep at fixed (gamma, theta), per fiber: solve the
-    second defining equation for nu along a tau grid, then bracket sign
-    changes of the first.  Returns the bracketed roots as (fiber, nu, tau)
-    arrays in tau order per fiber, and the minimum and maximum |g1| over
-    each fiber's grid for fold-band detection."""
+    """Root sweep at fixed (gamma, theta), per fiber: solve the second
+    defining equation for nu along a tau grid, then bracket sign changes of
+    the first.  Returns the bracketed roots as (fiber, nu, tau) arrays in
+    tau order per fiber, and the minimum and maximum |g1| over each fiber's
+    grid for fold-band detection."""
     taus = np.linspace(0.0, 2 * np.pi, N_TAU, endpoint=False)
     gamma = gamma[:, None]
     theta = theta[:, None]
@@ -140,74 +140,33 @@ def _solve_block(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
     """``solve_fibers`` on one block of fibers, s != 0."""
     code = _kernels.variant_code(variant)
     m = gamma.size
-    amp = np.hypot(np.sin(gamma), np.sin(theta))
-    n_steps = max(1, int(np.ceil(abs(s) / S_STEP)))
-    worst = np.ones(m)
-
-    # both seeds of every fiber, continued from s = 0; element e is seed
-    # e // m of fiber e % m
-    t0 = np.arctan2(np.sin(theta), np.sin(gamma))
-    sg = np.concatenate([gamma, gamma])
-    st = np.concatenate([theta, theta])
-    nu = np.zeros(2 * m)
-    tau = np.concatenate([t0, t0 + np.pi])
-    live = np.arange(2 * m)
-    for i in range(1, n_steps + 1):
-        si = s * i / n_steps
-        nu2, tau2, ok, cond = _kernels.newton_fibers(
-            code, si, sg[live], st[live], nu[live], tau[live], 1e-12, 50)
-        # retry failed steps in quarter increments before giving up on a seed
-        retry = live[~ok]
-        nu_r, tau_r, cond_r = nu[retry], tau[retry], cond[~ok]
-        for k in range(1, 5):
-            if not retry.size:
-                break
-            sk = s * (i - 1 + k / 4) / n_steps
-            nu_r, tau_r, ok_r, cond_r = _kernels.newton_fibers(
-                code, sk, sg[retry], st[retry], nu_r, tau_r, 1e-12, 50)
-            retry, nu_r, tau_r, cond_r = (
-                retry[ok_r], nu_r[ok_r], tau_r[ok_r], cond_r[ok_r])
-        live = live[ok]
-        nu[live], tau[live] = nu2[ok], tau2[ok]
-        nu[retry], tau[retry] = nu_r, tau_r
-        np.maximum.at(worst, live % m, cond[ok])
-        np.maximum.at(worst, retry % m, cond_r)
-        live = np.sort(np.concatenate([live, retry]))
-    seeds = live[amp[live % m] >= 1e-12]
 
     # the tau scan, SCAN_BLOCK fibers at a time, then Newton on its brackets
-    sf, snu, stau, g1_min, g1_max = [], [], [], [], []
+    # and the residual gate
+    fiber, nu, tau, g1_min, g1_max = [], [], [], [], []
     for a in range(0, m, SCAN_BLOCK):
         (f, nu0, tau0), lo, hi = _scan_roots(variant, s, gamma[a:a + SCAN_BLOCK],
                                              theta[a:a + SCAN_BLOCK])
-        sf.append(f + a)
-        snu.append(nu0)
-        stau.append(tau0)
+        fiber.append(f + a)
+        nu.append(nu0)
+        tau.append(tau0)
         g1_min.append(lo)
         g1_max.append(hi)
-    sf, snu, stau, g1_min, g1_max = map(np.concatenate,
-                                        (sf, snu, stau, g1_min, g1_max))
-    snu, stau, ok, cond = _kernels.newton_fibers(
-        code, s, gamma[sf], theta[sf], snu, stau, 1e-12, 50)
-    np.maximum.at(worst, sf[ok], cond[ok])
-
-    # seeds first (sheet order), then scan roots in tau order, per fiber
-    fiber = np.concatenate([seeds % m, sf[ok]])
-    order = np.argsort(fiber, kind="stable")
-    (rnu, rtau), valid = _padded(fiber[order], m,
-                                 np.concatenate([nu[seeds], snu[ok]])[order],
-                                 np.concatenate([tau[seeds], stau[ok]])[order])
-    keep, rtau = _dedup(rnu, rtau, valid, DEDUP_RADIUS)
-
-    # final polish and residual gate
-    fiber, slot = np.nonzero(keep)
-    pnu, ptau, ok, cond = _kernels.newton_fibers(
-        code, s, gamma[fiber], theta[fiber], rnu[fiber, slot],
-        rtau[fiber, slot], 1e-13, 50)
-    g1, g2 = _kernels.g_pair(variant, s, gamma[fiber], theta[fiber], pnu, ptau)
+    fiber, nu, tau, g1_min, g1_max = map(np.concatenate,
+                                         (fiber, nu, tau, g1_min, g1_max))
+    nu, tau, ok, cond = _kernels.newton_fibers(
+        code, s, gamma[fiber], theta[fiber], nu, tau, 1e-13, 50)
+    g1, g2 = _kernels.g_pair(variant, s, gamma[fiber], theta[fiber], nu, tau)
     ok &= np.maximum(np.abs(g1), np.abs(g2)) < FIBER_TOL
-    np.maximum.at(worst, fiber[ok], cond[ok])
-    (rnu, rtau), valid = _padded(fiber[ok], m, pnu[ok], ptau[ok])
+    fiber, nu, tau, cond = fiber[ok], nu[ok], tau[ok], cond[ok]
+    worst = np.ones(m)
+    np.maximum.at(worst, fiber, cond)
+
+    # per fiber, the + sheet first: roots by tau distance from the s = 0 seed
+    t0 = np.arctan2(np.sin(theta), np.sin(gamma))[fiber]
+    order = np.lexsort((np.abs(np.mod(tau - t0 + np.pi, 2 * np.pi) - np.pi),
+                        fiber))
+    (rnu, rtau), valid = _padded(fiber[order], m, nu[order], tau[order])
     keep, rtau = _dedup(rnu, rtau, valid, DEDUP_RADIUS)
 
     solutions = [[] for _ in range(m)]
@@ -234,11 +193,12 @@ def _solve_block(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
 def solve_fibers(variant: str, s: float, gammas, thetas) -> list[FiberSolutions]:
     """Roots of the defining pair in (nu, tau) over many base points.
 
-    Seeds come from the closed-form s = 0 solutions and are continued to the
-    target s in steps of at most ``S_STEP``; an independent tau sweep at the
-    target guards against lost roots.  Status is ``fold_region`` when roots
-    merge or the Jacobian degenerates, ``empty`` when no root survives.
-    Every fiber is solved on its own; the work is batched across fibers.
+    A tau scan at the target s brackets the roots and one Newton converges
+    them, with no continuation in s; s = 0 is closed form.  The + sheet
+    comes first: the root whose tau is nearest ``tau_seed``, the + sheet at
+    s = 0.  Status is ``fold_region`` when roots merge or the Jacobian
+    degenerates, ``empty`` when no root survives.  Every fiber is solved on
+    its own; the work is batched across fibers.
     """
     gammas, thetas = np.broadcast_arrays(np.asarray(gammas, dtype=float),
                                          np.asarray(thetas, dtype=float))
@@ -457,10 +417,11 @@ def _corner_distance(gamma, theta):
 def classify_grid(variant: str, s: float, grid: int = 64):
     """Status of every fiber over a grid x grid sweep of the base torus.
 
-    Fibers well away from the four corners are classified in bulk with the
-    vectorized Newton (both sheets continued from the s = 0 seeds at once);
-    ``solve_fibers`` handles the near-corner band and every fiber the bulk
-    pass does not settle.
+    Fibers well away from the four corners are classified in bulk: one
+    batched Newton per sheet at s, started from the closed-form s = 0 roots,
+    is two-sheeted where both converge to distinct roots.  ``solve_fibers``
+    handles the near-corner band and every fiber the bulk pass does not
+    settle.
     """
     gs = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
     ts = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
@@ -473,19 +434,12 @@ def classify_grid(variant: str, s: float, grid: int = 64):
         band = _corner_distance(gflat, tflat) <= max(4.0 * abs(s), 0.25)
 
         t0 = np.arctan2(np.sin(tflat), np.sin(gflat))
-        nus = np.zeros((2, gflat.size))
-        taus = np.stack([t0, t0 + np.pi])
-        ok = np.ones((2, gflat.size), dtype=bool)
-        n_steps = max(1, int(np.ceil(abs(s) / S_STEP)))
-        for i in range(1, n_steps + 1):
-            si = s * i / n_steps
-            for sheet in range(2):
-                nus[sheet], taus[sheet], oki = _kernels.newton_fiber_batch(
-                    variant, si, gflat, tflat, nus[sheet], taus[sheet])
-                ok[sheet] &= oki
-        dtau = np.abs(np.mod(taus[0] - taus[1] + np.pi, 2 * np.pi) - np.pi)
-        sep = np.hypot(nus[0] - nus[1], dtau) > 1e-4
-        bulk_two = ok[0] & ok[1] & sep & ~band
+        (nu_p, tau_p, ok_p), (nu_m, tau_m, ok_m) = (
+            _kernels.newton_fiber_batch(variant, s, gflat, tflat, 0.0, t)
+            for t in (t0, t0 + np.pi))
+        dtau = np.abs(np.mod(tau_p - tau_m + np.pi, 2 * np.pi) - np.pi)
+        sep = np.hypot(nu_p - nu_m, dtau) > 1e-4
+        bulk_two = ok_p & ok_m & sep & ~band
         flat_status[bulk_two] = "two_sheets"
         rest = np.nonzero(~bulk_two)[0]
     for idx, fs in zip(rest, solve_fibers(variant, s, gflat[rest], tflat[rest])):

@@ -172,3 +172,46 @@ def test_classify_grid_counts_pinned():
     kinds, counts = np.unique(status.astype(str), return_counts=True)
     assert dict(zip(kinds, counts.tolist())) == {
         "two_sheets": 4076, "fold_region": 16, "empty": 4}
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_fibers_are_solved_at_the_target_s_only(variant, monkeypatch):
+    """No continuation in s: every Newton runs at the s it was asked for."""
+    newton = K.newton_fibers
+    seen = []
+
+    def recording(code, s, *args, **kwargs):
+        seen.append(s)
+        return newton(code, s, *args, **kwargs)
+
+    monkeypatch.setattr(K, "newton_fibers", recording)
+    g, t = _base_points(0.2)
+    V.solve_fibers(variant, 0.2, g, t)
+    assert seen and set(seen) == {0.2}
+    seen.clear()
+    V.classify_grid(variant, -0.2, 16)
+    assert seen and set(seen) == {-0.2}
+
+
+@pytest.mark.parametrize("s", [0.05, -0.05, 0.2, 0.45])
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_two_sheeted_fibers_list_the_plus_sheet_first(variant, s):
+    """``solutions[0]`` is the + sheet and ``solutions[1]`` the - sheet.
+    Outside the fold band the + sheet is the one root within pi/2 in tau of
+    its s = 0 seed; inside it, at large |s|, both roots can be on one side
+    of pi/2, and the + sheet is the nearer one."""
+    band_out = 1.3 * max(float(np.max(c.radii)) for c in V.fold_locus(variant, s))
+    rng = np.random.default_rng(7)
+    g, t = rng.uniform(0, 2 * np.pi, (2, 200))
+    outside = 0
+    for fs in V.solve_fibers(variant, s, g, t):
+        if fs.status != "two_sheets":
+            continue
+        seed = V.tau_seed(fs.gamma, fs.theta)
+        dist = [abs(np.mod(tau - seed + np.pi, 2 * np.pi) - np.pi)
+                for _, tau in fs.solutions]
+        assert dist[0] <= dist[1]
+        if V._corner_distance(fs.gamma, fs.theta) > band_out:
+            outside += 1
+            assert dist[0] < np.pi / 2 <= dist[1]
+    assert outside > 100

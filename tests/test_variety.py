@@ -343,3 +343,19 @@ def test_pi0_misses_corners():
         fs = V.solve_fiber("earring", s, g, t)
         if fs.solutions:
             assert _corner_distance(g, t) > s / 2
+
+
+# (two_sheets, fold_region, empty) of the 32 x 32 grid
+@pytest.mark.parametrize("variant, s, counts", [
+    ("earring", 0.2, (988, 0, 36)),
+    ("earring", -0.45, (804, 8, 212)),
+    ("earring", 0.49, (772, 16, 236)),
+    ("bypass", 0.2, (972, 16, 36)),
+    ("bypass", -0.45, (780, 0, 244)),
+    ("bypass", 0.49, (748, 0, 276)),
+])
+def test_topology_counts_pinned_across_s(variant, s, counts):
+    rep = V.verify_topology(variant, s, grid=32)
+    assert rep.counts == dict(zip(("two_sheets", "fold_region", "empty"),
+                                  counts))
+    assert VF.topology(rep) and (rep.genus_cover, rep.genus_quotient) == (5, 3)
