@@ -43,8 +43,8 @@ from .curves import (TURN_LIMIT, CurveComponent, CurveError,
                      GenericPositionError, ImmersedCurve, double, figure_eight,
                      intersect, turning_angles)
 from .projection import pi0_u_r3, pi1_r3_of_chart
-from .variety import (ContinuationError, FoldCircle, eta, fold_locus,
-                      k_circle, solve_fiber, tau_seed)
+from .variety import (COMPLEX_STEP, ContinuationError, FoldCircle, eta,
+                      fold_locus, k_circle, solve_fiber, tau_seed)
 from .words import BYPASS
 
 TWO_PI = 2.0 * np.pi
@@ -513,14 +513,11 @@ def bottom_edge_prediction(variant: str, s: float) -> ImmersedCurve:
 
 def edge_tangent_anchors(variant: str, s: float):
     """Derivative in R^3 of the pre-relabeling composed bottom edge at the
-    double point, for both half-turn branches, by a central difference."""
-    step = 1e-5
+    double point, for both half-turn branches, by a complex step in sigma."""
     out = {}
     for sign in (1, -1):
-        sig0 = sign * np.pi / 2
-        vp = pi0_u_r3(k_circle(variant, s, sig0 + sign * step))
-        vm = pi0_u_r3(k_circle(variant, s, sig0 - sign * step))
-        out[sign] = (vp - vm) / (2 * step)
+        rep = k_circle(variant, s, sign * (np.pi / 2 + 1j * COMPLEX_STEP))
+        out[sign] = pi0_u_r3(rep).imag / COMPLEX_STEP
     return out
 
 

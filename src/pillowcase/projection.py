@@ -117,24 +117,28 @@ def pi0(pt: ChartPoint) -> PillowPoint:
     return PillowPoint.from_orbit("P0", pt.gamma, pt.theta)
 
 
+def _characters(rep, words) -> np.ndarray:
+    """Re of each word of a triple on a Rep or a dict of (batched, possibly
+    complex) generator values, stacked along a last axis of length 3."""
+    return np.stack([quat.real_part(eval_word(rep, w)) for w in words],
+                    axis=-1)
+
+
 def pi0_of_rep(rep: Rep) -> PillowPoint:
     """Same map computed from the characters of the incoming boundary loops
     (conjugation invariant, so valid off the gauge slice)."""
-    return PillowPoint.from_r3("P0", *(float(quat.real_part(eval_word(rep, w)))
-                                       for w in CHARS_P0))
+    return PillowPoint.from_r3("P0", *_characters(rep, CHARS_P0))
 
 
 def pi1_r3(rep: Rep) -> np.ndarray:
     """Characters of the outgoing boundary loops (c d^-, f d^-, c f^-)."""
-    return np.array([float(quat.real_part(eval_word(rep, w))) for w in CHARS_P1])
+    return _characters(rep, CHARS_P1)
 
 
 def pi1_r3_of_chart(s, gamma, theta, nu, tau, variant=EARRING) -> np.ndarray:
     """pi1 characters straight from chart coordinates (vectorized over
-    broadcastable inputs); raises ValueError for |nu| > 1/2."""
-    vals = embed_arrays(s, gamma, theta, nu, tau)
-    return np.stack([quat.real_part(eval_word(vals, w)) for w in CHARS_P1],
-                    axis=-1)
+    broadcastable, possibly complex inputs); raises ValueError for |nu| > 1/2."""
+    return _characters(embed_arrays(s, gamma, theta, nu, tau), CHARS_P1)
 
 
 def pi1(rep: Rep, *, tol: float = OFF_VARIETY_SURFACE_TOL) -> PillowPoint:
@@ -245,9 +249,5 @@ def verify_factorization(rep: Rep) -> float:
 
 def pi0_u_r3(rep: Rep) -> np.ndarray:
     """pi0 o U_s from the word images alone (no re-gauging); used where the
-    full slice form is not needed."""
-    vals = u_values(rep)
-    x = float(quat.real_part(quat.mul(vals["b"], quat.conj(vals["a"]))))
-    y = float(quat.real_part(quat.mul(vals["f"], quat.conj(vals["a"]))))
-    z = float(quat.real_part(quat.mul(vals["b"], quat.conj(vals["f"]))))
-    return np.array([x, y, z])
+    full slice form is not needed.  A complex Rep gives a complex result."""
+    return _characters(u_values(rep), CHARS_P0)

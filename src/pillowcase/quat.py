@@ -3,7 +3,9 @@
 A quaternion w + x i + y j + z k is stored as an array of shape (..., 4) in
 the order (w, x, y, z); every operation broadcasts over leading axes.  SU(2)
 is the unit three-sphere, and the traceless elements (the conjugacy class of
-i) are the pure unit quaternions with w = 0.
+i) are the pure unit quaternions with w = 0.  Products, conjugates, norms
+and exponentials keep their input's dtype, so a complex step x + i h d
+passes through them analytically.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ RENORM_EVERY = 64
 
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a * b, broadcasting over leading axes."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a = np.asarray(a)
+    b = np.asarray(b)
     aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
     bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     return np.stack(
@@ -40,28 +42,26 @@ def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def conj(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    return q * np.array([1.0, -1.0, -1.0, -1.0])
+    return np.asarray(q) * np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def real_part(q: np.ndarray) -> np.ndarray:
     """Re(q); a scalar (or array of scalars)."""
-    return np.asarray(q, dtype=float)[..., 0]
+    return np.asarray(q)[..., 0]
 
 
 def ima(q: np.ndarray) -> np.ndarray:
     """Im(q) as a pure quaternion."""
-    out = np.array(q, dtype=float, copy=True)
+    out = np.array(q, copy=True)
     out[..., 0] = 0.0
     return out
 
 
 def norm(q: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(np.asarray(q, dtype=float) ** 2, axis=-1))
+    return np.sqrt(np.sum(np.asarray(q) ** 2, axis=-1))
 
 
 def normalize(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
     return q / norm(q)[..., None]
 
 
@@ -86,11 +86,11 @@ def qexp(v: np.ndarray) -> np.ndarray:
     The sinc form keeps qexp(0) = 1 exact, which the s -> 0 limits exercise
     constantly.
     """
-    v = np.asarray(v, dtype=float)
+    v = np.asarray(v)
     n = np.sqrt(v[..., 1] ** 2 + v[..., 2] ** 2 + v[..., 3] ** 2)
     nn = np.maximum(n, 1e-300)
     sc = np.sin(nn) / nn
-    out = np.empty(np.broadcast_shapes(v.shape[:-1], n.shape) + (4,))
+    out = np.empty(np.broadcast_shapes(v.shape[:-1], n.shape) + (4,), n.dtype)
     out[..., 0] = np.cos(n)
     out[..., 1] = sc * v[..., 1]
     out[..., 2] = sc * v[..., 2]

@@ -357,15 +357,10 @@ def fold_jacobian_data(pt: ChartPoint):
 
     _, sv0, vt0 = np.linalg.svd(np.column_stack([t1[:2], t2[:2]]))
 
-    step = 1e-5
-    cols = []
-    for t in (t1, t2):
-        xp = x + step * t
-        xm = x - step * t
-        vp = pi1_r3_of_chart(pt.s, *xp, variant=pt.variant)
-        vm = pi1_r3_of_chart(pt.s, *xm, variant=pt.variant)
-        cols.append((vp - vm) / (2 * step))
-    _, sv1, vt1 = np.linalg.svd(np.column_stack(cols))
+    # d pi1 along t1 and t2: one complex step x + i h t_k through the words
+    xc = x + 1j * COMPLEX_STEP * np.stack([t1, t2])
+    cols = pi1_r3_of_chart(pt.s, *xc.T, variant=pt.variant).imag / COMPLEX_STEP
+    _, sv1, vt1 = np.linalg.svd(cols.T)
     return sv0, vt0[-1], sv1, vt1[-1]
 
 
@@ -524,19 +519,21 @@ def eta(s: float, sigma: float) -> float:
     """The unique solution of 2 eta = -s cos(sigma + 2 eta).
 
     The iteration is a contraction with factor |s|; |s| < 1/2 is required.
+    A complex sigma (a complex step) gives the analytic continuation.
     """
     if abs(s) >= 0.5:
         raise ValueError("eta requires |s| < 1/2")
     e = -0.5 * s * np.cos(sigma)
     for _ in range(200):
         new = -0.5 * s * np.cos(sigma + 2 * e)
-        if abs(new - e) < 1e-15:
-            e = new
+        d, e = new - e, new
+        # a complex sigma carries d eta / d sigma in the imaginary part,
+        # which converges after the real part (at once at sigma = pi/2)
+        if abs(d.real) < 1e-15 and abs(d.imag) <= 1e-15 * abs(e.imag):
             break
-        e = new
     if abs(2 * e + s * np.cos(sigma + 2 * e)) > 1e-13:
         raise ContinuationError("eta fixed point did not converge")
-    return float(e)
+    return e
 
 
 def k_circle(variant: str, s: float, sigma: float) -> Rep:

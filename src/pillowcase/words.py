@@ -141,9 +141,10 @@ class ChartPoint:
     def __post_init__(self):
         if abs(self.nu) > NU_MAX:
             raise ValueError(f"nu = {self.nu} out of [-1/2, 1/2]")
-        self.gamma = float(np.mod(self.gamma, 2 * np.pi))
-        self.theta = float(np.mod(self.theta, 2 * np.pi))
-        self.tau = float(np.mod(self.tau, 2 * np.pi))
+        # np.mod rounds a tiny negative angle up to 2 pi, which is 0
+        for name in ("gamma", "theta", "tau"):
+            x = float(np.mod(getattr(self, name), 2 * np.pi))
+            setattr(self, name, 0.0 if x == 2 * np.pi else x)
         if self.variant not in (EARRING, BYPASS):
             raise ValueError(f"unknown variant {self.variant!r}")
 
@@ -175,10 +176,9 @@ class Rep:
 
 
 def embed_arrays(s, gamma, theta, nu, tau) -> dict[str, np.ndarray]:
-    """Vectorized gauge-slice embedding; all inputs broadcast."""
-    gamma, theta, nu, tau = np.broadcast_arrays(
-        np.asarray(gamma, dtype=float), np.asarray(theta, dtype=float),
-        np.asarray(nu, dtype=float), np.asarray(tau, dtype=float))
+    """Vectorized gauge-slice embedding; all inputs broadcast, complex ones
+    too."""
+    gamma, theta, nu, tau = np.broadcast_arrays(gamma, theta, nu, tau)
     if np.any(np.abs(nu) > NU_MAX):
         raise ValueError("nu out of [-1/2, 1/2]")
     zero = np.zeros_like(gamma)

@@ -265,6 +265,19 @@ def test_tangent_anchor():
         assert {b for _, b in hits} == {1, -1}
 
 
+@pytest.mark.parametrize("s", [-0.05, 0.05, 0.2])
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_tangent_anchor_matches_central_difference(variant, s):
+    # the central difference the complex step replaced, at a smaller step
+    h = 1e-6
+    anchors = X.edge_tangent_anchors(variant, s)
+    for sign in (1, -1):
+        sig0 = sign * np.pi / 2
+        vp = P.pi0_u_r3(V.k_circle(variant, s, sig0 + sign * h))
+        vm = P.pi0_u_r3(V.k_circle(variant, s, sig0 - sign * h))
+        assert np.max(np.abs(anchors[sign] - (vp - vm) / (2 * h))) < 1e-8
+
+
 def test_transpose_compose_doubles_circles():
     out = X.transpose_compose(C.vertical_circle(), "bypass", 0.05,
                               circles=fold("bypass", 0.05))

@@ -179,3 +179,36 @@ def test_factorization():
             assert P.verify_factorization(W.rho_eps(e1, e2, 0.05)) < 1e-10
     for variant in ("earring", "bypass"):
         assert VF.factorization(variety_points(variant, 0.05, 15, seed=5))[1]
+
+
+@pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
+def test_word_layer_keeps_imaginary_parts():
+    """A complex step x + 1e-20 i d through the quaternion and word layer
+    carries the derivative along d in its imaginary part, against a central
+    difference, and the float path's value in its real part."""
+    rng = np.random.default_rng(3)
+    n, h, fd = 16, 1e-20, 1e-6
+    # 72 letters with no cancelling pair, so eval_word renormalizes once
+    word = W.Word("aBfHpQ" * 12)
+
+    def chart(x):  # (s, gamma, theta, nu, tau) with |nu| <= 0.4
+        return 0.2, x[0], x[1], 0.4 * np.sin(x[2]), x[3]
+
+    maps = {
+        "mul": (8, lambda x: quat.mul(x[:4].T, x[4:].T)),
+        "qexp": (4, lambda x: quat.qexp(x.T)),
+        "normalize": (4, lambda x: quat.normalize(x.T)),
+        "embed_arrays": (4, lambda x: np.stack(
+            list(W.embed_arrays(*chart(x)).values()))),
+        "eval_word": (4, lambda x: W.eval_word(W.embed_arrays(*chart(x)),
+                                               word)),
+        "pi1_r3_of_chart": (4, lambda x: P.pi1_r3_of_chart(*chart(x))),
+    }
+    for name, (dim, f) in maps.items():
+        x = rng.uniform(-np.pi, np.pi, (dim, n))
+        d = rng.normal(size=(dim, n))
+        step = f(x + 1j * h * d)
+        central = (f(x + fd * d) - f(x - fd * d)) / (2 * fd)
+        assert np.iscomplexobj(step), name
+        assert np.max(np.abs(step.real - f(x))) <= 1e-15, name
+        assert np.max(np.abs(step.imag / h - central)) <= 1e-7, name

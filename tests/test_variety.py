@@ -170,6 +170,17 @@ def _check_fold_locus_structure(variant, s):
                                rtol=0, atol=1e-15)
 
 
+def test_chart_angles_stay_below_two_pi():
+    # np.mod(-1e-17, 2 pi) rounds to 2 pi; ChartPoint maps it to 0
+    pt = W.ChartPoint(0.05, -1e-17, -1e-17, 0.0, -1e-17)
+    assert (pt.gamma, pt.theta, pt.tau) == (0.0, 0.0, 0.0)
+    for variant in ("earring", "bypass"):
+        for s in (-0.05, 0.05, 0.2):
+            for circle in V.fold_locus(variant, s):
+                for p in circle.points:
+                    assert max(p.gamma, p.theta, p.tau) < 2 * np.pi
+
+
 def test_fold_locus_structure():
     for variant in ("earring", "bypass"):
         _check_fold_locus_structure(variant, 0.05)
