@@ -19,9 +19,10 @@ corrector and tangent take their 2x4 Jacobian from
 ``jet(..., DIRECTIONS, math)``; both run on Python floats and give the unit
 tangent as a tuple, or None where the Jacobian rows are dependent.
 ``corrector_batch`` is the corrector over arrays of predictions, each with
-its own hyperplane normal: its 2x3 Jacobian (``_curve_jacs``) comes from
-``jet`` and the array spline jet ``_spline_jets``, and it takes the scalar
-corrector's steps and exits element by element.  Every 3x3 Newton step,
+its own hyperplane normal.  Both faces take their 2x3 Jacobian from one
+``_curve_jac``, over ``jet`` and the spline jet (``_spline_jet`` on floats,
+``_spline_jets`` on arrays), and the batch takes the scalar corrector's
+steps and exits element by element.  Every 3x3 Newton step,
 the corrector's (both faces) and the fold circles' (``variety.fold_locus``),
 goes through one Cramer solve, ``_cramer3``, elementwise on arrays;
 ``_solve3`` is its float face.
@@ -50,6 +51,8 @@ from bisect import bisect_left
 
 import numpy as np
 
+from .quat import mul_parts
+
 NUMBA_ENABLED = False
 
 EARRING = "earring"
@@ -66,15 +69,6 @@ def variant_code(variant) -> str:
 # ---------------------------------------------------------------------------
 # the defining pair and its derivatives, on floats or arrays
 # ---------------------------------------------------------------------------
-
-def _qmul(aw, ax, ay, az, bw, bx, by, bz):
-    return (
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    )
-
 
 def _qexp(v, derivs, xp):
     """exp of the pure quaternion v = (x, y, z), and a function giving its
@@ -143,7 +137,7 @@ def jet(code, s, gamma, theta, nu, tau, wrt=(), xp=np):
     v = rot(ct, st, nu, hy, hz)
     p, dp = _qexp(u, wrt, xp)
     q, dq = _qexp(v, wrt, xp)
-    w, mx, my, mz = _qmul(*p, *q)
+    w, mx, my, mz = mul_parts(*p, *q)
     a = mx * nu + my * hy + mz * hz
     c = my * hz - mz * hy
     if code == EARRING:
@@ -157,15 +151,15 @@ def jet(code, s, gamma, theta, nu, tau, wrt=(), xp=np):
         # and theta only through b and e^{theta k}
         if d == "gamma":
             dh = None
-            dm = _qmul(*dp(bxh(-sg, cg, nu, hy, hz)), *q)
+            dm = mul_parts(*dp(bxh(-sg, cg, nu, hy, hz)), *q)
         elif d == "theta":
             dh = None
-            dm = _qmul(*p, *dq(rot(-st, ct, nu, hy, hz)))
+            dm = mul_parts(*p, *dq(rot(-st, ct, nu, hy, hz)))
         else:
             dh = ((1.0, -nu / r * cu, -nu / r * su) if d == "nu"
                   else (0.0, -hz, hy))
-            m1 = _qmul(*dp(bxh(cg, sg, *dh)), *q)
-            m2 = _qmul(*p, *dq(rot(ct, st, *dh)))
+            m1 = mul_parts(*dp(bxh(cg, sg, *dh)), *q)
+            m2 = mul_parts(*p, *dq(rot(ct, st, *dh)))
             dm = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
         dw, dx, dy, dz = dm
         da = dx * nu + dy * hy + dz * hz
@@ -340,10 +334,13 @@ def _spline_jets(breaks, cg, ct, t):
 # pseudo-arclength continuation over a curve: unknowns u = (t, nu, tau)
 # ---------------------------------------------------------------------------
 
-def _curve_jac(code, s, breaks, cg, ct, u0, u1, u2):
-    """The defining pair at u and its 2x3 Jacobian in u, rows flattened."""
-    gamma, dgamma, theta, dtheta = _spline_jet(breaks, cg, ct, u0)
-    f1, f2, (j1, j2) = jet(code, s, gamma, theta, u1, u2, DIRECTIONS, math)
+def _curve_jac(code, s, spline, xp, breaks, cg, ct, u0, u1, u2):
+    """The defining pair at u = (t, nu, tau) and its 2x3 Jacobian in u, rows
+    flattened, with the curve from ``spline``: ``_spline_jet`` on floats
+    (``xp=math``) or ``_spline_jets`` over arrays (``xp=numpy``), where an
+    entry of J that is constant is a float."""
+    gamma, dgamma, theta, dtheta = spline(breaks, cg, ct, u0)
+    f1, f2, (j1, j2) = jet(code, s, gamma, theta, u1, u2, DIRECTIONS, xp)
     return f1, f2, (j1[0] * dgamma + j1[1] * dtheta, j1[2], j1[3],
                     j2[0] * dgamma + j2[1] * dtheta, j2[2], j2[3])
 
@@ -364,7 +361,8 @@ def _null(j):
 def tangent(code, s, breaks, cg, ct, u0, u1, u2):
     """Unit tangent (t0, t1, t2) of the solution curve at u, or None where
     the Jacobian rows are dependent."""
-    return _null(_curve_jac(code, s, breaks, cg, ct, u0, u1, u2)[2])
+    return _null(_curve_jac(code, s, _spline_jet, math, breaks, cg, ct,
+                             u0, u1, u2)[2])
 
 
 def _cramer3(a00, a01, a02, a10, a11, a12, a20, a21, a22, r0, r1, r2):
@@ -409,7 +407,8 @@ def corrector(code, s, breaks, cg, ct, u0, u1, u2, t0, t1, t2, tol, maxit):
     s, u0, u1, u2, t0, t1, t2 = map(float, (s, u0, u1, u2, t0, t1, t2))
     p0, p1, p2 = u0, u1, u2
     for it in range(maxit + 1):
-        f1, f2, j = _curve_jac(code, s, breaks, cg, ct, u0, u1, u2)
+        f1, f2, j = _curve_jac(code, s, _spline_jet, math, breaks, cg, ct,
+                               u0, u1, u2)
         if it == maxit:
             return u0, u1, u2, max(abs(f1), abs(f2)) < tol, _null(j)
         f3 = t0 * (u0 - p0) + t1 * (u1 - p1) + t2 * (u2 - p2)
@@ -426,15 +425,6 @@ def corrector(code, s, breaks, cg, ct, u0, u1, u2, t0, t1, t2, tol, maxit):
         u0 += du0
         u1 += du1
         u2 += du2
-
-
-def _curve_jacs(code, s, breaks, cg, ct, u0, u1, u2):
-    """``_curve_jac`` over arrays of u = (t, nu, tau): (f1, f2, J) with the
-    six entries of J as arrays (or floats where constant)."""
-    gamma, dgamma, theta, dtheta = _spline_jets(breaks, cg, ct, u0)
-    f1, f2, (j1, j2) = jet(code, s, gamma, theta, u1, u2, DIRECTIONS, np)
-    return f1, f2, (j1[0] * dgamma + j1[1] * dtheta, j1[2], j1[3],
-                    j2[0] * dgamma + j2[1] * dtheta, j2[2], j2[3])
 
 
 def corrector_batch(code, s, breaks, cg, ct, p0, p1, p2, n0, n1, n2, tol,
@@ -459,7 +449,8 @@ def corrector_batch(code, s, breaks, cg, ct, p0, p1, p2, n0, n1, n2, tol,
         if not idx.size:
             break
         x0, x1, x2 = u0[idx], u1[idx], u2[idx]
-        f1, f2, j = _curve_jacs(code, s, breaks, cg, ct, x0, x1, x2)
+        f1, f2, j = _curve_jac(code, s, _spline_jets, np, breaks, cg, ct,
+                               x0, x1, x2)
         small = np.maximum(np.abs(f1), np.abs(f2)) < tol
         if it == maxit:
             ok[idx] = small
@@ -498,7 +489,7 @@ def g_pair(variant, s, gamma, theta, nu, tau):
 # Newton refinement of fiber roots in (nu, tau)
 # ---------------------------------------------------------------------------
 
-def newton_fibers(variant, s, gamma, theta, nu0, tau0, tol=1e-12, maxit=50):
+def newton_fibers(variant, s, gamma, theta, nu0, tau0, tol=1e-13, maxit=50):
     """Damped Newton on (nu, tau) over many fibers at once.
 
     Returns (nu, tau, ok, cond) arrays of the broadcast input shape.  Each
@@ -588,6 +579,6 @@ def newton_fiber(variant, s, gamma, theta, nu0, tau0, tol, maxit):
     return float(nu), float(tau), bool(ok), float(cond)
 
 
-def newton_fiber_batch(variant, s, gamma, theta, nu0, tau0, tol=1e-12, maxit=50):
+def newton_fiber_batch(variant, s, gamma, theta, nu0, tau0, tol=1e-13, maxit=50):
     """``newton_fibers`` without the condition estimates: (nu, tau, ok)."""
     return newton_fibers(variant, s, gamma, theta, nu0, tau0, tol, maxit)[:3]

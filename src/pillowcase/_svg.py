@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-TWO_PI = 2.0 * np.pi
+from .curves import TWO_PI, lattice_shifts
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b",
            "#e377c2", "#7f7f7f"]
@@ -42,25 +42,21 @@ def _polyline_svg(points: np.ndarray, color: str, width: float = 1.2) -> str:
 def _clip_segments(lift: np.ndarray):
     """Translate every segment into the fundamental rectangle; segments that
     straddle the boundary are drawn from both sides (slight overdraw)."""
+    lo, hi = (-0.02, -0.02), (np.pi + 0.02, TWO_PI + 0.02)
     segs = []
     for sign in (1, -1):
         pts = sign * lift
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        for m in range(int(np.floor(-hi[0] / TWO_PI)) - 1,
-                       int(np.ceil((np.pi - lo[0]) / TWO_PI)) + 2):
-            for n in range(int(np.floor(-hi[1] / TWO_PI)) - 1,
-                           int(np.ceil((TWO_PI - lo[1]) / TWO_PI)) + 2):
-                shifted = pts + np.array([TWO_PI * m, TWO_PI * n])
-                inside = ((shifted[:, 0] >= -0.02) & (shifted[:, 0] <= np.pi + 0.02)
-                          & (shifted[:, 1] >= -0.02) & (shifted[:, 1] <= TWO_PI + 0.02))
-                # the runs of inside points: starts where the padded mask
-                # steps up, ends where it steps down
-                step = np.diff(np.concatenate(([0], inside.view(np.int8), [0])))
-                for a, b in zip(np.flatnonzero(step == 1).tolist(),
-                                np.flatnonzero(step == -1).tolist()):
-                    if b - a >= 2:
-                        segs.append(shifted[a:b])
+        for shift in lattice_shifts(lo, hi, pts.min(axis=0), pts.max(axis=0)):
+            shifted = pts + shift
+            inside = ((shifted[:, 0] >= lo[0]) & (shifted[:, 0] <= hi[0])
+                      & (shifted[:, 1] >= lo[1]) & (shifted[:, 1] <= hi[1]))
+            # the runs of inside points: starts where the padded mask steps
+            # up, ends where it steps down
+            step = np.diff(np.concatenate(([0], inside.view(np.int8), [0])))
+            for a, b in zip(np.flatnonzero(step == 1).tolist(),
+                            np.flatnonzero(step == -1).tolist()):
+                if b - a >= 2:
+                    segs.append(shifted[a:b])
     return segs
 
 

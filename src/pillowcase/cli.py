@@ -132,9 +132,6 @@ def cmd_compose(args) -> int:
     except (TangencyError, GenericPositionError) as exc:
         print(f"composition refused: {exc}", file=sys.stderr)
         return 3
-    except ContinuationError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     (out / "composed.json").write_text(composed.to_json() + "\n")
     svg = _svg.scene_svg(
         [(curve.name or "input", curve.relabel("P0")),
@@ -163,18 +160,24 @@ def torus_knot_scene(variant: str, s: float, *,
     a1.name = "A1"
     a2 = slope_two_arc()
     a2.name = "A2"
-    dd = double(twisted_double(vertical_circle()))
+    dt = twisted_double(vertical_circle())
+    dd = double(dt)
     dd.name = "D_Dt_Bver"
     circles = fold_locus(variant, s)
 
+    # composition and intersection counts are componentwise, and D(Dt) is
+    # two copies of the one circle Dt: compose and intersect Dt once, and
+    # count it twice; the composed D(Dt) repeats the components in D's order
     forward = compose_curve(a1, variant, s, max_step=max_step, circles=circles)
     n_fwd_a2 = intersect(forward, a2.relabel("P1")).count
-    n_fwd_dd = intersect(forward, dd.relabel("P1")).count
+    n_fwd_dd = 2 * intersect(forward, dt.relabel("P1")).count
 
     pb_a2 = transpose_compose(a2, variant, s, max_step=max_step, circles=circles)
-    pb_dd = transpose_compose(dd, variant, s, max_step=max_step, circles=circles)
+    pb_dt = transpose_compose(dt, variant, s, max_step=max_step,
+                              circles=circles)
+    pb_dd = ImmersedCurve(pb_dt.components * 2, pb_dt.side)
     n_back_a2 = intersect(a1, pb_a2).count
-    n_back_dd = intersect(a1, pb_dd).count
+    n_back_dd = 2 * intersect(a1, pb_dt).count
 
     return {
         "variant": variant,
@@ -195,11 +198,7 @@ def torus_knot_scene(variant: str, s: float, *,
 
 def cmd_scene(args) -> int:
     out = _outdir(args)
-    try:
-        data = torus_knot_scene(args.variant, args.s, max_step=args.max_step)
-    except (TangencyError, GenericPositionError, ContinuationError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+    data = torus_knot_scene(args.variant, args.s, max_step=args.max_step)
     for side in ("P0", "P1"):
         svg = _svg.scene_svg(data["curves"][side], fold_image=data["fold"],
                              title=f"K(3,7) scene {side} {args.variant} s={args.s}")

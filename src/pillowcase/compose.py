@@ -41,7 +41,7 @@ import numpy as np
 from . import _kernels
 from .curves import (TURN_LIMIT, CurveComponent, CurveError,
                      GenericPositionError, ImmersedCurve, double, figure_eight,
-                     intersect, turning_angles)
+                     hausdorff_r3, intersect, invariants, turning_angles)
 from .projection import pi0_u_r3, pi1_r3_of_chart
 from .variety import (COMPLEX_STEP, ContinuationError, FoldCircle, eta,
                       fold_locus, k_circle, solve_fiber, tau_seed)
@@ -546,8 +546,6 @@ def verify_theorem_B(curve: ImmersedCurve, variant: str, s: float, *,
                      circles: list[FoldCircle] | None = None) -> TheoremBReport:
     """Compare the composed curve against the predicted class: the relabeled
     figure eight for a good arc, the relabeled double for circles."""
-    from .curves import invariants, hausdorff_r3
-
     kinds = {c.kind for c in curve.components}
     if kinds == {"good_arc"}:
         if len(curve.components) != 1:

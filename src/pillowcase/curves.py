@@ -394,6 +394,17 @@ def _segment_crossings(P0, P1, Q0, Q1):
     return ii, jj, tt, uu, pts, ang
 
 
+def lattice_shifts(lo_a, hi_a, lo_b, hi_b) -> list[np.ndarray]:
+    """The lattice shifts 2 pi (m, n), m-major, that can move the box
+    [lo_b, hi_b] onto the box [lo_a, hi_a]: every shift whose image of box b
+    meets box a, and possibly a few more."""
+    lo_a, hi_a, lo_b, hi_b = map(np.asarray, (lo_a, hi_a, lo_b, hi_b))
+    k0 = np.floor((lo_a - hi_b) / TWO_PI).astype(int)
+    k1 = np.ceil((hi_a - lo_b) / TWO_PI).astype(int)
+    return [np.array([TWO_PI * m, TWO_PI * n])
+            for m in range(k0[0], k1[0] + 1) for n in range(k0[1], k1[1] + 1)]
+
+
 def _translates(lift_a: np.ndarray, lift_b: np.ndarray):
     """Group elements g = (sign, shift) whose image of lift_b can meet lift_a."""
     lo_a = lift_a.min(axis=0) - 1e-6
@@ -401,13 +412,8 @@ def _translates(lift_a: np.ndarray, lift_b: np.ndarray):
     out = []
     for sign in (1, -1):
         bb = sign * lift_b
-        lo_b = bb.min(axis=0)
-        hi_b = bb.max(axis=0)
-        k0 = np.floor((lo_a - hi_b) / TWO_PI).astype(int)
-        k1 = np.ceil((hi_a - lo_b) / TWO_PI).astype(int)
-        for m in range(k0[0], k1[0] + 1):
-            for nn in range(k0[1], k1[1] + 1):
-                out.append((sign, np.array([TWO_PI * m, TWO_PI * nn])))
+        out += [(sign, shift) for shift in lattice_shifts(
+            lo_a, hi_a, bb.min(axis=0), bb.max(axis=0))]
     return out
 
 
@@ -579,25 +585,19 @@ def _corner_winding(comp: CurveComponent, corner_class: tuple[int, int]) -> int:
     """
     radius = 0.8
     lift = comp.lift
-    lo = lift.min(axis=0) - radius - 0.1
-    hi = lift.max(axis=0) + radius + 0.1
+    corner = np.pi * np.array(corner_class, dtype=float)
     total = 0.0
-    g0 = corner_class[0] * np.pi
-    t0 = corner_class[1] * np.pi
-    for m in range(int(np.floor((lo[0] - g0) / TWO_PI)),
-                   int(np.ceil((hi[0] - g0) / TWO_PI)) + 1):
-        for nn in range(int(np.floor((lo[1] - t0) / TWO_PI)),
-                        int(np.ceil((hi[1] - t0) / TWO_PI)) + 1):
-            r = np.array([g0 + TWO_PI * m, t0 + TWO_PI * nn])
-            rel = lift - r
-            d = np.linalg.norm(rel, axis=1)
-            if np.min(d) > radius:
-                continue
-            ang = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
-            # arc endpoints sit exactly on corners; their angle is undefined
-            inside = (d <= radius) & (d > 1e-9)
-            # the sweeps over maximal inside runs: their steps, telescoped
-            total += np.sum(np.diff(ang)[inside[:-1] & inside[1:]])
+    for shift in lattice_shifts(lift.min(axis=0) - radius - 0.1,
+                                lift.max(axis=0) + radius + 0.1, corner, corner):
+        rel = lift - (corner + shift)
+        d = np.linalg.norm(rel, axis=1)
+        if np.min(d) > radius:
+            continue
+        ang = np.unwrap(np.arctan2(rel[:, 1], rel[:, 0]))
+        # arc endpoints sit exactly on corners; their angle is undefined
+        inside = (d <= radius) & (d > 1e-9)
+        # the sweeps over maximal inside runs: their steps, telescoped
+        total += np.sum(np.diff(ang)[inside[:-1] & inside[1:]])
     frac = total / np.pi
     return int(np.round(frac))
 

@@ -24,21 +24,24 @@ UNIT_TOL = 1e-12
 RENORM_EVERY = 64
 
 
+def mul_parts(aw, ax, ay, az, bw, bx, by, bz):
+    """Hamilton product a * b from the components of a and b, as the tuple
+    (w, x, y, z); on floats or elementwise over arrays."""
+    return (
+        aw * bw - ax * bx - ay * by - az * bz,
+        aw * bx + ax * bw + ay * bz - az * by,
+        aw * by - ax * bz + ay * bw + az * bx,
+        aw * bz + ax * by - ay * bx + az * bw,
+    )
+
+
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Hamilton product a * b, broadcasting over leading axes."""
     a = np.asarray(a)
     b = np.asarray(b)
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    return np.stack(mul_parts(a[..., 0], a[..., 1], a[..., 2], a[..., 3],
+                              b[..., 0], b[..., 1], b[..., 2], b[..., 3]),
+                    axis=-1)
 
 
 def conj(q: np.ndarray) -> np.ndarray:

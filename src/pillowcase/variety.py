@@ -14,12 +14,13 @@ bottom edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import quat
 from . import _kernels
+from .projection import pi1_r3_of_chart
 from .words import BYPASS, ChartPoint, Rep
 
 # chart-domain corners of the base torus, indexed by the sign pair
@@ -38,9 +39,10 @@ class ContinuationError(RuntimeError):
     """A fiber or fold continuation failed to converge or to close up."""
 
 
-def tau_seed(gamma: float, theta: float) -> float:
-    """tau of the + sheet at s = 0: (cos tau, sin tau) ~ (sin gamma, sin theta)."""
-    return float(np.arctan2(np.sin(theta), np.sin(gamma)))
+def tau_seed(gamma, theta):
+    """tau of the + sheet at s = 0: (cos tau, sin tau) ~ (sin gamma, sin theta);
+    broadcasts over arrays."""
+    return np.arctan2(np.sin(theta), np.sin(gamma))
 
 
 @dataclass
@@ -92,12 +94,9 @@ def _padded(fiber: np.ndarray, n_fibers: int, *columns):
     return out, valid
 
 
-# fibers solved together: FIBER_BLOCK per Newton batch and SCAN_BLOCK per
-# (fibers, N_TAU) tau scan, which keeps the working arrays small
-FIBER_BLOCK = 512
+# fibers per (fibers, N_TAU) tau scan, which keeps its working arrays small
 SCAN_BLOCK = 32
 N_TAU = 96
-FIBER_TOL = 1e-10  # residual of an accepted fiber root
 DEDUP_RADIUS = 1e-6  # roots of one fiber closer than this are one root
 
 
@@ -136,13 +135,42 @@ def _scan_roots(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
     return (fiber, nu0, tau0), np.min(ag1, axis=1), np.max(ag1, axis=1)
 
 
-def _solve_block(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
-    """``solve_fibers`` on one block of fibers, s != 0."""
-    code = _kernels.variant_code(variant)
-    m = gamma.size
+def solve_fibers(variant: str, s: float, gammas, thetas) -> list[FiberSolutions]:
+    """Roots of the defining pair in (nu, tau) over many base points.
 
-    # the tau scan, SCAN_BLOCK fibers at a time, then Newton on its brackets
-    # and the residual gate
+    A tau scan at the target s brackets the roots, ``SCAN_BLOCK`` fibers at
+    a time, and one Newton converges all of them, with no continuation in s;
+    s = 0 is closed form.  The + sheet comes first: the root whose tau is
+    nearest ``tau_seed``, the + sheet at s = 0.  Status is ``fold_region``
+    when roots merge or the Jacobian degenerates, ``empty`` when no root
+    survives.  Every fiber is solved on its own; the work is batched across
+    fibers.
+    """
+    gamma, theta = np.broadcast_arrays(np.asarray(gammas, dtype=float),
+                                       np.asarray(thetas, dtype=float))
+    gamma = gamma.ravel()
+    theta = theta.ravel()
+    m = gamma.size
+    t0 = tau_seed(gamma, theta)
+    if s == 0.0:
+        amp = np.hypot(np.sin(gamma), np.sin(theta))
+        out = []
+        for g, t, a, tau in zip(gamma, theta, amp, t0):
+            if a < 1e-12:
+                # a whole circle of solutions over a half-lattice point
+                out.append(FiberSolutions(variant, s, float(g), float(t), [],
+                                          "fold_region", cond=np.inf))
+            else:
+                sols = [(0.0, float(np.mod(tau, 2 * np.pi))),
+                        (0.0, float(np.mod(tau + np.pi, 2 * np.pi)))]
+                out.append(FiberSolutions(variant, s, float(g), float(t), sols,
+                                          "two_sheets"))
+        return out
+    if not m:
+        return []
+    code = _kernels.variant_code(variant)
+
+    # the tau scan, then Newton on its brackets
     fiber, nu, tau, g1_min, g1_max = [], [], [], [], []
     for a in range(0, m, SCAN_BLOCK):
         (f, nu0, tau0), lo, hi = _scan_roots(variant, s, gamma[a:a + SCAN_BLOCK],
@@ -154,18 +182,15 @@ def _solve_block(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
         g1_max.append(hi)
     fiber, nu, tau, g1_min, g1_max = map(np.concatenate,
                                          (fiber, nu, tau, g1_min, g1_max))
-    nu, tau, ok, cond = _kernels.newton_fibers(
-        code, s, gamma[fiber], theta[fiber], nu, tau, 1e-13, 50)
-    g1, g2 = _kernels.g_pair(variant, s, gamma[fiber], theta[fiber], nu, tau)
-    ok &= np.maximum(np.abs(g1), np.abs(g2)) < FIBER_TOL
+    nu, tau, ok, cond = _kernels.newton_fibers(code, s, gamma[fiber],
+                                               theta[fiber], nu, tau)
     fiber, nu, tau, cond = fiber[ok], nu[ok], tau[ok], cond[ok]
     worst = np.ones(m)
     np.maximum.at(worst, fiber, cond)
 
     # per fiber, the + sheet first: roots by tau distance from the s = 0 seed
-    t0 = np.arctan2(np.sin(theta), np.sin(gamma))[fiber]
-    order = np.lexsort((np.abs(np.mod(tau - t0 + np.pi, 2 * np.pi) - np.pi),
-                        fiber))
+    order = np.lexsort((np.abs(np.mod(tau - t0[fiber] + np.pi, 2 * np.pi)
+                               - np.pi), fiber))
     (rnu, rtau), valid = _padded(fiber[order], m, nu[order], tau[order])
     keep, rtau = _dedup(rnu, rtau, valid, DEDUP_RADIUS)
 
@@ -187,42 +212,6 @@ def _solve_block(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
                       else "fold_region")
         out.append(FiberSolutions(variant, s, float(gamma[f]), float(theta[f]),
                                   solutions[f], status, cond=float(worst[f])))
-    return out
-
-
-def solve_fibers(variant: str, s: float, gammas, thetas) -> list[FiberSolutions]:
-    """Roots of the defining pair in (nu, tau) over many base points.
-
-    A tau scan at the target s brackets the roots and one Newton converges
-    them, with no continuation in s; s = 0 is closed form.  The + sheet
-    comes first: the root whose tau is nearest ``tau_seed``, the + sheet at
-    s = 0.  Status is ``fold_region`` when roots merge or the Jacobian
-    degenerates, ``empty`` when no root survives.  Every fiber is solved on
-    its own; the work is batched across fibers.
-    """
-    gammas, thetas = np.broadcast_arrays(np.asarray(gammas, dtype=float),
-                                         np.asarray(thetas, dtype=float))
-    gammas = gammas.ravel()
-    thetas = thetas.ravel()
-    if s == 0.0:
-        amp = np.hypot(np.sin(gammas), np.sin(thetas))
-        t0 = np.arctan2(np.sin(thetas), np.sin(gammas))
-        out = []
-        for g, t, a, tau in zip(gammas, thetas, amp, t0):
-            if a < 1e-12:
-                # a whole circle of solutions over a half-lattice point
-                out.append(FiberSolutions(variant, s, float(g), float(t), [],
-                                          "fold_region", cond=np.inf))
-            else:
-                sols = [(0.0, float(np.mod(tau, 2 * np.pi))),
-                        (0.0, float(np.mod(tau + np.pi, 2 * np.pi)))]
-                out.append(FiberSolutions(variant, s, float(g), float(t), sols,
-                                          "two_sheets"))
-        return out
-    out = []
-    for a in range(0, gammas.size, FIBER_BLOCK):
-        out += _solve_block(variant, s, gammas[a:a + FIBER_BLOCK],
-                            thetas[a:a + FIBER_BLOCK])
     return out
 
 
@@ -347,8 +336,6 @@ def fold_jacobian_data(pt: ChartPoint):
     base projection and of the second-factor character map, both restricted
     to the surface tangent plane at pt.
     """
-    from .projection import pi1_r3_of_chart  # local import to avoid a cycle
-
     code = _kernels.variant_code(pt.variant)
     x = np.array([pt.gamma, pt.theta, pt.nu, pt.tau])
     dg = np.array(_kernels.jet(code, pt.s, *x, _kernels.DIRECTIONS, math)[2])
@@ -387,19 +374,8 @@ class TopologyReport:
     circles: list = field(default_factory=list, repr=False, compare=False)
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "s": self.s,
-            "grid": self.grid,
-            "counts": self.counts,
-            "fold_circles": self.fold_circles,
-            "consistent": self.consistent,
-            "degenerate": self.degenerate,
-            "euler_characteristic": self.euler_characteristic,
-            "genus_cover": self.genus_cover,
-            "genus_quotient": self.genus_quotient,
-            "notes": self.notes,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.compare}
 
 
 def _corner_distance(gamma, theta):
@@ -428,7 +404,7 @@ def classify_grid(variant: str, s: float, grid: int = 64):
     if s != 0.0:
         band = _corner_distance(gflat, tflat) <= max(4.0 * abs(s), 0.25)
 
-        t0 = np.arctan2(np.sin(tflat), np.sin(gflat))
+        t0 = tau_seed(gflat, tflat)
         (nu_p, tau_p, ok_p), (nu_m, tau_m, ok_m) = (
             _kernels.newton_fiber_batch(variant, s, gflat, tflat, 0.0, t)
             for t in (t0, t0 + np.pi))

@@ -88,6 +88,26 @@ def test_scene_command(tmp_path):
     assert (tmp_path / "scene_p1.svg").exists()
 
 
+def _fail_to_close(*args, **kwargs):
+    from pillowcase.variety import ContinuationError
+
+    raise ContinuationError("loop failed to close")
+
+
+def test_scene_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "torus_knot_scene", _fail_to_close)
+    assert run(["scene", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "numerical failure: loop failed to close\n"
+    assert not (tmp_path / "scene.json").exists()
+
+
+def test_compose_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "compose_curve", _fail_to_close)
+    assert run(["compose", "--variant", "bypass", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "numerical failure: loop failed to close\n"
+    assert not (tmp_path / "composed.json").exists()
+
+
 def _verify_rows(capsys, variant, out):
     code = run(["verify", "--variant", variant, "--s", "0.05", "--json",
                 "--out", str(out)])
@@ -129,12 +149,7 @@ def test_verify_json_and_fault(capsys, monkeypatch, tmp_path):
 
 def test_verify_reports_both_rows_when_composition_fails(capsys, monkeypatch,
                                                          tmp_path):
-    from pillowcase.variety import ContinuationError
-
-    def refuse(*args, **kwargs):
-        raise ContinuationError("loop failed to close")
-
-    monkeypatch.setattr(cli, "compose_curve", refuse)
+    monkeypatch.setattr(cli, "compose_curve", _fail_to_close)
     code, failing, rows = _verify_rows(capsys, "bypass", tmp_path)
     assert code == 1 and failing == {"composed_edge", "composed_circles"}
     assert {r["detail"] for r in rows if not r["ok"]} == {

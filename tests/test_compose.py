@@ -265,6 +265,18 @@ def test_tangent_anchor():
         assert {b for _, b in hits} == {1, -1}
 
 
+def test_tangent_anchors_are_closed_form():
+    # the anchors exactly, not to first order in s: a wrong derivative of
+    # eta shows here long before it leaves the 3 s^2 band
+    for s in np.concatenate([-0.01 * np.arange(1, 21), 0.01 * np.arange(1, 21)]):
+        closed = {"earring": (-1 - 2 * s / (1 - s), -1 + 2 * s / (1 + s)),
+                  "bypass": (-1 - 2 * s, -1 + 2 * s)}
+        for variant, (plus, minus) in closed.items():
+            anchors = X.edge_tangent_anchors(variant, s)
+            for sign, z in ((1, plus), (-1, minus)):
+                assert np.max(np.abs(anchors[sign] - [-1.0, 0.0, z])) < 1e-12
+
+
 @pytest.mark.parametrize("s", [-0.05, 0.05, 0.2])
 @pytest.mark.parametrize("variant", ["earring", "bypass"])
 def test_tangent_anchor_matches_central_difference(variant, s):

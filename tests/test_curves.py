@@ -197,6 +197,94 @@ def _ref_corner_winding(comp, corner_class):
     return int(np.round(total / np.pi))
 
 
+def _ref_translates(lift_a, lift_b):
+    """The double loop ``curves._translates`` ran before ``lattice_shifts``."""
+    lo_a = lift_a.min(axis=0) - 1e-6
+    hi_a = lift_a.max(axis=0) + 1e-6
+    out = []
+    for sign in (1, -1):
+        bb = sign * lift_b
+        k0 = np.floor((lo_a - bb.max(axis=0)) / C.TWO_PI).astype(int)
+        k1 = np.ceil((hi_a - bb.min(axis=0)) / C.TWO_PI).astype(int)
+        for m in range(k0[0], k1[0] + 1):
+            for nn in range(k0[1], k1[1] + 1):
+                out.append((sign, np.array([C.TWO_PI * m, C.TWO_PI * nn])))
+    return out
+
+
+def _ref_corner_representatives(lift, corner_class):
+    """The corner representatives ``curves._corner_winding`` looped over
+    before ``lattice_shifts``."""
+    lo = lift.min(axis=0) - 0.8 - 0.1
+    hi = lift.max(axis=0) + 0.8 + 0.1
+    g0, t0 = corner_class[0] * np.pi, corner_class[1] * np.pi
+    return [np.array([g0 + C.TWO_PI * m, t0 + C.TWO_PI * nn])
+            for m in range(int(np.floor((lo[0] - g0) / C.TWO_PI)),
+                           int(np.ceil((hi[0] - g0) / C.TWO_PI)) + 1)
+            for nn in range(int(np.floor((lo[1] - t0) / C.TWO_PI)),
+                            int(np.ceil((hi[1] - t0) / C.TWO_PI)) + 1)]
+
+
+def _ref_clip_segments(lift):
+    """``_svg._clip_segments`` with its own, one wider, shift ranges."""
+    segs = []
+    for sign in (1, -1):
+        pts = sign * lift
+        lo = pts.min(axis=0)
+        hi = pts.max(axis=0)
+        for m in range(int(np.floor(-hi[0] / TWO_PI)) - 1,
+                       int(np.ceil((np.pi - lo[0]) / TWO_PI)) + 2):
+            for n in range(int(np.floor(-hi[1] / TWO_PI)) - 1,
+                           int(np.ceil((TWO_PI - lo[1]) / TWO_PI)) + 2):
+                shifted = pts + np.array([TWO_PI * m, TWO_PI * n])
+                inside = ((shifted[:, 0] >= -0.02)
+                          & (shifted[:, 0] <= np.pi + 0.02)
+                          & (shifted[:, 1] >= -0.02)
+                          & (shifted[:, 1] <= TWO_PI + 0.02))
+                k = 0
+                while k < len(inside):
+                    if inside[k]:
+                        k2 = k
+                        while k2 + 1 < len(inside) and inside[k2 + 1]:
+                            k2 += 1
+                        if k2 + 1 - k >= 2:
+                            segs.append(shifted[k:k2 + 1])
+                        k = k2 + 1
+                    else:
+                        k += 1
+    return segs
+
+
+def test_lattice_shifts_match_the_loops_they_replaced():
+    from pillowcase import _svg
+
+    rng = np.random.default_rng(17)
+    lifts = [c.lift for cur in (
+        C.bottom_edge(), C.vertical_circle(), C.slope_two_arc(), C.wavy_arc(),
+        C.twisted_double(C.vertical_circle()),
+        C.figure_eight(C.bottom_edge(), 0.05)) for c in cur.components]
+    # random walks anywhere in the plane, some on lattice lines
+    lifts += [np.cumsum(rng.normal(0, rng.choice([0.05, 0.5]), (50, 2)),
+                        axis=0) + rng.uniform(-30, 30, 2) for _ in range(20)]
+    lifts += [np.array([[0.0, 0.0], [np.pi, TWO_PI], [TWO_PI, -np.pi]])]
+    for A in lifts:
+        for B in lifts[::3]:
+            got, ref = C._translates(A, B), _ref_translates(A, B)
+            assert [g for g, _ in got] == [r for r, _ in ref]
+            assert all(np.array_equal(g, r) for (_, g), (_, r) in zip(got, ref))
+        for cc in C.CORNER_CLASSES:
+            corner = np.pi * np.array(cc, dtype=float)
+            got = [corner + shift for shift in C.lattice_shifts(
+                A.min(axis=0) - 0.8 - 0.1, A.max(axis=0) + 0.8 + 0.1,
+                corner, corner)]
+            ref = _ref_corner_representatives(A, cc)
+            assert len(got) == len(ref)
+            assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+        got, ref = _svg._clip_segments(A), _ref_clip_segments(A)
+        assert len(got) == len(ref)
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+
 def test_corner_winding_matches_run_loop():
     curves = [C.bottom_edge(), C.vertical_circle(), C.slope_one_arc(),
               C.slope_two_arc(), C.wavy_arc(),

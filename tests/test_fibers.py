@@ -26,12 +26,11 @@ def _base_points(s):
 
 
 @pytest.mark.parametrize("variant", ["earring", "bypass"])
-@pytest.mark.parametrize("blocks", [None, (8, 3)])
+@pytest.mark.parametrize("blocks", [None, {"SCAN_BLOCK": 3}])
 def test_solve_fibers_matches_one_at_a_time(variant, blocks, monkeypatch):
-    if blocks is not None:
-        # 28 fibers: not a multiple of either block size
-        monkeypatch.setattr(V, "FIBER_BLOCK", blocks[0])
-        monkeypatch.setattr(V, "SCAN_BLOCK", blocks[1])
+    # 28 fibers: not a multiple of the scan block
+    for name, size in (blocks or {}).items():
+        monkeypatch.setattr(V, name, size)
     g, t = _base_points(S)
     batch = V.solve_fibers(variant, S, g, t)
     assert len(batch) == g.size
@@ -55,6 +54,16 @@ def test_solve_fibers_at_s0_is_closed_form():
     assert [fs.status for fs in batch[:4]] == ["fold_region"] * 4
     assert all(fs.cond == np.inf for fs in batch[:4])
     assert V.solve_fibers("earring", S, [], []) == []
+
+
+def test_tau_seed_broadcasts():
+    g, t = _base_points(S)
+    seeds = V.tau_seed(g, t)
+    assert seeds.shape == g.shape
+    assert seeds.tolist() == [V.tau_seed(gi, ti) for gi, ti in zip(g, t)]
+    grid = V.tau_seed(g[:, None], t[None, :])
+    assert grid.shape == (g.size, t.size)
+    assert grid[3, 5] == V.tau_seed(g[3], t[5])
 
 
 def _exact_jacobian(code, s, gamma, theta, nu, tau):
