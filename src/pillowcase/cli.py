@@ -398,6 +398,7 @@ _VERIFY_S = _checked(float, lambda s: 0.0 < abs(s) <= 0.2,
                      "is not finite with 0 < |s| <= 0.2 (the range where "
                      "the verify checks hold)")
 _GRID = _checked(int, lambda n: n >= 1, "is not >= 1")
+_SEED = _checked(int, lambda n: n >= 0, "is not >= 0")
 _STEP = _checked(float, lambda h: 0.0 < h < math.inf,
                  "is not finite and > 0")
 
@@ -443,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, s_type=_VERIFY_S)
     p.add_argument("--full", action="store_true",
                    help="full-size sweeps (slower)")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_SEED, default=0,
                    help="seed of the random sample draws")
     p.add_argument("--json", action="store_true",
                    help="print the rows as one JSON list")

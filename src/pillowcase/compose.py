@@ -240,6 +240,7 @@ def _densify(code, s, breaks, cg, ct, coarse, folds, tangents, max_step):
     (samples, folds) with the fold marks moved to the dense indices of
     their coarse samples, or None when a point fails to converge or lands
     more than a piece length from its prediction (on another sheet, say).
+    Past ``STEP_BUDGET`` samples it raises ``ContinuationError`` instead.
     """
     a = coarse[:-1]
     d = coarse[1:] - a
@@ -251,7 +252,11 @@ def _densify(code, s, breaks, cg, ct, coarse, folds, tangents, max_step):
     # along it
     ta, tb = (t * np.copysign(chord, np.sum(t * d, axis=1))[:, None]
               for t in (tangents[:-1], tangents[1:]))
-    pieces = np.maximum(np.ceil(chord / max_step), 1.0).astype(np.intp)
+    pieces = np.maximum(np.ceil(chord / max_step), 1.0)
+    if pieces.sum() > STEP_BUDGET:
+        raise ContinuationError(f"max step {max_step:g} needs {pieces.sum():.3g}"
+                                f" samples on one loop, over {STEP_BUDGET}")
+    pieces = pieces.astype(np.intp)
     at = np.concatenate([[0], np.cumsum(pieces)])  # dense index of coarse[k]
     seg = np.repeat(np.arange(len(d)), pieces - 1)
     dense = np.arange(len(seg)) + seg + 1  # dense index of each inner point
@@ -502,11 +507,8 @@ def bottom_edge_prediction(variant: str, s: float) -> ImmersedCurve:
     phase corrected by twice the fixed-point angle eta(s, sigma).
     """
     sig = np.linspace(0.0, TWO_PI, 8193)
-    if variant == BYPASS:
-        th = -2 * s * np.cos(sig)
-    else:
-        th = np.array([-2 * s * np.cos(x + 2 * eta(s, x)) for x in sig])
-    lift = np.column_stack([sig, th])
+    phase = sig if variant == BYPASS else sig + 2 * eta(s, sig)
+    lift = np.column_stack([sig, -2 * s * np.cos(phase)])
     return ImmersedCurve([CurveComponent("circle", lift)], "P1",
                          f"predicted_beta_{variant}")
 
@@ -514,11 +516,9 @@ def bottom_edge_prediction(variant: str, s: float) -> ImmersedCurve:
 def edge_tangent_anchors(variant: str, s: float):
     """Derivative in R^3 of the pre-relabeling composed bottom edge at the
     double point, for both half-turn branches, by a complex step in sigma."""
-    out = {}
-    for sign in (1, -1):
-        rep = k_circle(variant, s, sign * (np.pi / 2 + 1j * COMPLEX_STEP))
-        out[sign] = pi0_u_r3(rep).imag / COMPLEX_STEP
-    return out
+    sig = np.pi / 2 + 1j * COMPLEX_STEP
+    d = pi0_u_r3(k_circle(variant, s, [sig, -sig])).imag / COMPLEX_STEP
+    return {1: d[0], -1: d[1]}
 
 
 @dataclass

@@ -491,46 +491,54 @@ def verify_topology(variant: str, s: float, grid: int = 64, *,
 # the circles over the bottom edge
 # ---------------------------------------------------------------------------
 
-def eta(s: float, sigma: float) -> float:
-    """The unique solution of 2 eta = -s cos(sigma + 2 eta).
+def eta(s: float, sigma):
+    """The unique solution of 2 eta = -s cos(sigma + 2 eta), elementwise.
 
     The iteration is a contraction with factor |s|; |s| < 1/2 is required.
-    A complex sigma (a complex step) gives the analytic continuation.
+    Each element stops at its own convergence test, as its sigma alone
+    would.  A complex sigma (a complex step) gives the analytic continuation.
     """
     if abs(s) >= 0.5:
         raise ValueError("eta requires |s| < 1/2")
-    e = -0.5 * s * np.cos(sigma)
+    sigma = np.asarray(sigma)
+    e = np.asarray(-0.5 * s * np.cos(sigma))
+    live = np.ones(e.shape, dtype=bool)
     for _ in range(200):
-        new = -0.5 * s * np.cos(sigma + 2 * e)
-        d, e = new - e, new
+        new = -0.5 * s * np.cos(sigma[live] + 2 * e[live])
+        d = new - e[live]
+        e[live] = new
         # a complex sigma carries d eta / d sigma in the imaginary part,
         # which converges after the real part (at once at sigma = pi/2)
-        if abs(d.real) < 1e-15 and abs(d.imag) <= 1e-15 * abs(e.imag):
+        live[live] = ~((np.abs(d.real) < 1e-15)
+                       & (np.abs(d.imag) <= 1e-15 * np.abs(new.imag)))
+        if not live.any():
             break
-    if abs(2 * e + s * np.cos(sigma + 2 * e)) > 1e-13:
+    if np.any(np.abs(2 * e + s * np.cos(sigma + 2 * e)) > 1e-13):
         raise ContinuationError("eta fixed point did not converge")
-    return e
+    return e[()]
 
 
-def k_circle(variant: str, s: float, sigma: float) -> Rep:
-    """The closed-form representation over the bottom edge at angle sigma.
+def k_circle(variant: str, s: float, sigma) -> Rep:
+    """The closed-form representation over the bottom edge at angle sigma,
+    elementwise: a scalar sigma gives (4,) quaternions, an array S + (4,).
 
     Both variants have a = f = i, so the image under the base projection is
     the bottom edge; the defining pair vanishes identically in sigma.
     """
-    esk = np.array([0.0, 0.0, -np.sin(sigma), np.cos(sigma)])  # e^{sigma i} k
+    sigma = np.asarray(sigma)
+    sn, cs = np.sin(sigma), np.cos(sigma)
+    zero = np.zeros_like(sn)
+    esk = np.stack([zero, zero, -sn, cs], axis=-1)  # e^{sigma i} k
+    h = np.stack([zero, zero, cs, sn], axis=-1)  # e^{sigma i} j
     if variant == BYPASS:
-        h = np.array([0.0, 0.0, np.cos(sigma), np.sin(sigma)])  # e^{sigma i} j
-        esh = quat.qexp(s * h)
-        b = quat.rotate(esh, quat.mul(quat.qexp(-sigma * esk), quat.I))
-        p = quat.rotate(esh, quat.qexp(s * np.cos(sigma) * esk))
-        return Rep(a=quat.I.copy(), b=b, f=quat.I.copy(), h=h, p=p, q=esh,
-                   variant=variant, s=s)
-    et = eta(s, sigma)
-    rot = quat.qexp(et * esk)
-    h = quat.rotate(rot, np.array([0.0, 0.0, np.cos(sigma), np.sin(sigma)]))
+        turn = s * cs
+    else:
+        et = eta(s, sigma)
+        h = quat.rotate(quat.qexp(np.asarray(et)[..., None] * esk), h)
+        turn = -2 * et
     esh = quat.qexp(s * h)
-    b = quat.rotate(esh, quat.mul(quat.qexp(-sigma * esk), quat.I))
-    p = quat.rotate(esh, quat.qexp(-2 * et * esk))
-    return Rep(a=quat.I.copy(), b=b, f=quat.I.copy(), h=h, p=p, q=esh,
+    b = quat.rotate(esh, quat.mul(quat.qexp(-sigma[..., None] * esk), quat.I))
+    p = quat.rotate(esh, quat.qexp(np.asarray(turn)[..., None] * esk))
+    i = np.broadcast_to(quat.I, esk.shape)
+    return Rep(a=i.copy(), b=b, f=i.copy(), h=h, p=p, q=esh,
                variant=variant, s=s)

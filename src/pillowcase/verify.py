@@ -12,13 +12,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import quat
+from ._kernels import jet
 from .compose import bottom_edge_prediction, edge_tangent_anchors
 from .curves import hausdorff_r3, invariants
 from .projection import characters_in_out, u_involution, verify_factorization
 from .variety import _corner_distance, fold_jacobian_data, k_circle
-from .words import (BYPASS, EARRING, ChartPoint, G, Gp, check_identities,
-                    embed_L, g_of_rep, gp_of_rep, perturbation_residuals,
-                    rho_eps, w2_value)
+from .words import (BYPASS, EARRING, chart_arrays, check_identities,
+                    embed_arrays, embed_L, g_of_rep, gp_of_rep,
+                    perturbation_residuals, rho_eps, w2_value)
 
 IDENTITY_TOL = 1e-11
 # w2 = -1 on the earring variety; where |G_2| > W2_OFF_G it misses -1
@@ -44,7 +45,7 @@ TANGENT_ANCHOR_PER_S2 = 3
 
 def identities(points):
     """Worst identity residual over chart points: (worst, ok)."""
-    worst = max(check_identities(pt).max_residual for pt in points)
+    worst = check_identities(embed_L(points))
     return worst, worst < IDENTITY_TOL
 
 
@@ -52,12 +53,11 @@ def w2_condition(on_points, off_points):
     """w2 = -1 on the earring variety and not off it: (on_worst, off_best,
     n_off, ok) over ``on_points`` and the ``n_off`` of ``off_points`` with
     |G_2| > W2_OFF_G."""
-    def miss(p):
-        return float(np.max(np.abs(w2_value(p) + quat.ONE)))
-
-    on_worst = max(miss(p) for p in on_points)
-    off = [miss(p) for p in off_points if abs(G(p)[1]) > W2_OFF_G]
-    off_best = min(off, default=np.inf)
+    on_worst = float(np.max(np.abs(w2_value(on_points) + quat.ONE)))
+    miss = np.max(np.abs(w2_value(off_points) + quat.ONE), axis=-1)
+    # |G_2| from the kernel that words.G evaluates one point at a time
+    off = miss[np.abs(jet(EARRING, *chart_arrays(off_points))[1]) > W2_OFF_G]
+    off_best = float(np.min(off, initial=np.inf))
     return (on_worst, off_best, len(off),
             on_worst < W2_ON_TOL and off_best > W2_OFF_MIN)
 
@@ -91,10 +91,9 @@ def k_circles(variants, s_values, sigmas):
     for variant in variants:
         pair = g_of_rep if variant == EARRING else gp_of_rep
         for s in s_values:
-            for sig in sigmas:
-                rep = k_circle(variant, s, float(sig))
-                worst = max(worst, float(np.max(np.abs(np.stack(pair(rep))))),
-                            *perturbation_residuals(rep))
+            rep = k_circle(variant, s, sigmas)
+            worst = max(worst, float(np.max(np.abs(np.stack(pair(rep))))),
+                        *perturbation_residuals(rep))
     return worst, worst < K_CIRCLE_TOL
 
 
@@ -105,13 +104,14 @@ def asymptotics(variant, s, roots_s, roots_half):
     rms = []
     exact = True
     for sv, roots in ((s, roots_s), (s / 2, roots_half)):
-        leads = []
-        for g, t, nu, tau in roots:
-            lead = -(np.sin(g) * np.sin(tau) - np.sin(t) * np.cos(tau)) \
-                + 2 * sv * np.cos(g) * np.cos(t)
-            leads.append(2.0 * lead if variant == BYPASS else lead)
-            exact = exact and Gp(ChartPoint(sv, g, t, nu, tau, variant))[1] == nu
-        rms.append(np.sqrt(np.mean(np.square(leads))))
+        g, t, nu, tau = np.array(roots, dtype=float).reshape(-1, 4).T.copy()
+        lead = -(np.sin(g) * np.sin(tau) - np.sin(t) * np.cos(tau)) \
+            + 2 * sv * np.cos(g) * np.cos(t)
+        lead = lead * (2.0 if variant == BYPASS else 1.0)
+        rms.append(np.sqrt(np.mean(np.square(lead))))
+        # Re(h^- a), the word form of the second bypass component
+        exact = exact and bool(np.all(
+            gp_of_rep(embed_arrays(sv, g, t, nu, tau))[1] == nu))
     ratio = float(rms[0] / rms[1])
     lo, hi = ASYMPTOTIC_RATIO
     return ratio, exact, lo <= ratio <= hi and exact

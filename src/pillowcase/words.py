@@ -21,7 +21,7 @@ nu on the nose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -156,7 +156,8 @@ class ChartPoint:
 
 @dataclass
 class Rep:
-    """A representation recorded by its values on the six generators."""
+    """A representation recorded by its values on the six generators, or a
+    batch of them: arrays of shape (..., 4), and s may be an array too."""
 
     a: np.ndarray
     b: np.ndarray
@@ -165,7 +166,7 @@ class Rep:
     p: np.ndarray
     q: np.ndarray
     variant: str = EARRING
-    s: float = 0.0
+    s: float | np.ndarray = 0.0
     source: ChartPoint | None = None
 
     def value(self, gen: str) -> np.ndarray:
@@ -187,16 +188,28 @@ def embed_arrays(s, gamma, theta, nu, tau) -> dict[str, np.ndarray]:
     f = np.stack([zero, np.cos(theta), np.sin(theta), zero], axis=-1)
     r = np.sqrt(1.0 - nu * nu)
     h = np.stack([zero, nu, r * np.cos(tau), r * np.sin(tau)], axis=-1)
+    s = np.asarray(s)[..., None]
     p = quat.qexp(s * quat.ima(quat.mul(b, h)))
     ek = np.stack([np.cos(theta), zero, zero, np.sin(theta)], axis=-1)
     q = quat.qexp(s * quat.ima(quat.mul(ek, h)))
     return {"a": a, "b": b, "f": f, "h": h, "p": p, "q": q}
 
 
-def embed_L(pt: ChartPoint) -> Rep:
-    """The gauge-slice representation at a chart point."""
-    vals = embed_arrays(pt.s, pt.gamma, pt.theta, pt.nu, pt.tau)
-    return Rep(variant=pt.variant, s=pt.s, source=pt, **vals)
+def chart_arrays(points) -> tuple[np.ndarray, ...]:
+    """(s, gamma, theta, nu, tau) of a list of chart points, as arrays."""
+    coords = [(p.s, p.gamma, p.theta, p.nu, p.tau) for p in points]
+    return tuple(np.array(coords, dtype=float).reshape(-1, 5).T.copy())
+
+
+def embed_L(pt) -> Rep:
+    """The gauge-slice representation at a chart point, or at a list of
+    chart points of one variant as one batch (with an array of s)."""
+    if isinstance(pt, ChartPoint):
+        vals = embed_arrays(pt.s, pt.gamma, pt.theta, pt.nu, pt.tau)
+        return Rep(variant=pt.variant, s=pt.s, source=pt, **vals)
+    (variant,) = {p.variant for p in pt}
+    s, gamma, theta, nu, tau = chart_arrays(pt)
+    return Rep(variant=variant, s=s, **embed_arrays(s, gamma, theta, nu, tau))
 
 
 def eval_word(rep, word) -> np.ndarray:
@@ -254,59 +267,36 @@ def Gp(pt: ChartPoint) -> tuple[float, float]:
     return float(g1), float(g2)
 
 
-@dataclass
-class IdentityReport:
-    slice_relation: float
-    relator_p: float
-    relator_q: float
-    perturbation_p: float
-    perturbation_q: float
-    max_residual: float = field(init=False)
-
-    def __post_init__(self):
-        self.max_residual = max(self.slice_relation, self.relator_p,
-                                self.relator_q, self.perturbation_p,
-                                self.perturbation_q)
-
-
 def perturbation_residuals(rep: Rep) -> tuple[float, float]:
-    """Distances of p from exp(s Im lambda_p) and of q from
-    exp(s Im lambda_q)."""
+    """Largest distances of p from exp(s Im lambda_p) and of q from
+    exp(s Im lambda_q) over a (batched) representation."""
+    s = np.asarray(rep.s)[..., None]
     def miss(x, lam):
         return float(np.max(np.abs(
-            x - quat.qexp(rep.s * quat.ima(eval_word(rep, lam))))))
+            x - quat.qexp(s * quat.ima(eval_word(rep, lam))))))
 
     return miss(rep.p, LAMBDA_P), miss(rep.q, LAMBDA_Q)
 
 
-def check_identities(pt: ChartPoint) -> IdentityReport:
-    """Residuals of the slice relation, the relators, and the perturbation
-    conditions at one chart point."""
-    rep = embed_L(pt)
-
-    def dist(w1, w2):
+def check_identities(rep: Rep) -> float:
+    """Largest residual of the slice relation, the relators and the
+    perturbation conditions over a (batched) gauge-slice representation."""
+    def dist(w1, w2=""):
         return float(np.max(np.abs(eval_word(rep, w1) - eval_word(rep, w2))))
 
-    def dist_one(w):
-        return float(np.max(np.abs(eval_word(rep, w) - quat.ONE)))
-
-    pert_p, pert_q = perturbation_residuals(rep)
-    report = IdentityReport(
-        slice_relation=dist("PaFqf", "hpqHa"),
-        relator_p=dist_one(commutator("p", LAMBDA_P.text)),
-        relator_q=dist_one(commutator("q", LAMBDA_Q.text)),
-        perturbation_p=pert_p,
-        perturbation_q=pert_q,
-    )
-    return report
+    return max(dist("PaFqf", "hpqHa"),
+               *(dist(r) for r in PRESENTATIONS["Pi"].relators),
+               *perturbation_residuals(rep))
 
 
-def w2_value(pt: ChartPoint) -> np.ndarray:
-    """Image of the commutator word w; equals -1 exactly on the earring
-    variety.  The bypass tangle has no such condition."""
-    if pt.variant != EARRING:
+def w2_value(pt) -> np.ndarray:
+    """Image of the commutator word w at a chart point, or at a list of
+    them as one batch; equals -1 exactly on the earring variety.  The
+    bypass tangle has no such condition."""
+    rep = embed_L(pt)
+    if rep.variant != EARRING:
         raise ValueError("the w2 condition exists only for the earring tangle")
-    return eval_word(embed_L(pt), W_WORD)
+    return eval_word(rep, W_WORD)
 
 
 def rho_eps(eps1: int, eps2: int, s: float, variant: str = EARRING) -> Rep:

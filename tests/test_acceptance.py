@@ -115,6 +115,26 @@ def test_criterion_05_asymptotics():
     assert ok
 
 
+def test_asymptotics_exact_flag_reads_the_word_form(monkeypatch):
+    # the flag compares Re(h^- a) on the embedded roots with nu (0 on the
+    # bypass variety), so a word layer that moves h off nu fails it
+    roots = {sv: [(g0, t0, *V.solve_fiber("bypass", sv, g0, t0).solutions[0])
+                  for g0, t0 in ((0.9, 1.3), (1.7, 0.6), (2.2, 2.0))]
+             for sv in (0.05, 0.025)}
+    assert VF.asymptotics("bypass", 0.05, roots[0.05], roots[0.025])[1]
+    embed = VF.embed_arrays
+
+    def tilted(s, gamma, theta, nu, tau):
+        vals = embed(s, gamma, theta, nu, tau)
+        vals["h"] = vals["h"] + [0.0, 1e-12, 0.0, 0.0]
+        return vals
+
+    monkeypatch.setattr(VF, "embed_arrays", tilted)
+    ratio, exact, ok = VF.asymptotics("bypass", 0.05, roots[0.05],
+                                      roots[0.025])
+    assert not exact and not ok
+
+
 def test_criterion_06_fold_structure():
     ok = True
     details = []

@@ -169,7 +169,7 @@ def test_usage_error_exit_code():
     "compose --max-step 0", "scene --max-step nan", "scene --max-step -0.001",
     # options a command does not read
     "trace --json", "trace --seed 3", "compose --json", "compose --seed 3",
-    "scene --seed 3",
+    "scene --seed 3", "verify --seed -1",
 ])
 def test_bad_option_values_exit_2(argv, capsys):
     # rejected while parsing: no fiber is solved and no file is written
@@ -179,13 +179,23 @@ def test_bad_option_values_exit_2(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    if option in ("--json", "--seed"):
+    if option in ("--json", "--seed") and command != "verify":
         expected = ("pillowcase: error: unrecognized arguments: "
                     + " ".join([option, *value]))
     else:
         expected = (f"pillowcase {command}: error: argument {option}: "
                     f"'{value[0]}' is not")
     assert err.splitlines()[-1].startswith(expected)
+
+
+def test_tiny_max_step_is_a_numerical_failure(tmp_path, capsys):
+    # ceil(chord / max_step) samples per coarse segment would overflow; the
+    # loop's dense sample count is checked against STEP_BUDGET first
+    code = run(["compose", "--max-step", "1e-300", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: ") and "Traceback" not in err
+    assert not (tmp_path / "composed.json").exists()
 
 
 def test_env_out_override(tmp_path, monkeypatch):

@@ -252,6 +252,22 @@ def test_bottom_edge_closed_form():
         assert VF.composed_edge(out, variant, 0.05)[2] and out.side == "P1"
 
 
+def test_bottom_edge_prediction_one_eta_call(monkeypatch):
+    calls = []
+
+    def counted(s, sigma):
+        calls.append(np.shape(sigma))
+        return V.eta(s, sigma)
+
+    monkeypatch.setattr(X, "eta", counted)
+    s = 0.05
+    lift = X.bottom_edge_prediction("earring", s).components[0].lift
+    assert calls == [(8193,)]
+    sig = np.linspace(0.0, 2 * np.pi, 8193)
+    th = np.array([-2 * s * np.cos(x + 2 * V.eta(s, x)) for x in sig])
+    assert lift.tobytes() == np.column_stack([sig, th]).tobytes()
+
+
 def test_tangent_anchor():
     for variant in ("earring", "bypass"):
         anchors = X.edge_tangent_anchors(variant, 0.05)

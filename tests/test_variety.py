@@ -100,6 +100,46 @@ def test_eta():
         V.eta(0.6, 0.0)
 
 
+def _eta_scalar(s, sigma):
+    """The one-sigma fixed-point iteration that eta runs per element."""
+    e = -0.5 * s * np.cos(sigma)
+    for _ in range(200):
+        new = -0.5 * s * np.cos(sigma + 2 * e)
+        d, e = new - e, new
+        if abs(d.real) < 1e-15 and abs(d.imag) <= 1e-15 * abs(e.imag):
+            break
+    return e
+
+
+def _same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("sigmas", [
+    np.linspace(0, 2 * np.pi, 72, endpoint=False),
+    np.linspace(0, 2 * np.pi, 360, endpoint=False),
+    # the complex steps of edge_tangent_anchors
+    np.array([1, -1]) * (np.pi / 2 + 1j * 1e-20),
+], ids=["72", "360", "complex"])
+@pytest.mark.parametrize("s", [0.05, 0.1, -0.2])
+def test_eta_and_k_circle_broadcast_bit_for_bit(s, sigmas):
+    # every element runs the iterations of its own sigma, so an array call
+    # equals one call per sigma bit for bit
+    etas = V.eta(s, sigmas)
+    assert _same(etas, np.array([_eta_scalar(s, x) for x in sigmas]))
+    assert all(_same(e, V.eta(s, x)) for e, x in zip(etas, sigmas))
+    for variant in ("earring", "bypass"):
+        rep = V.k_circle(variant, s, sigmas)
+        for k, x in enumerate(sigmas):
+            one = V.k_circle(variant, s, x)
+            assert all(_same(rep.value(g)[k], one.value(g))
+                       for g in W.GENERATORS)
+            assert one.a.shape == (4,)
+            assert (rep.variant, rep.s) == (one.variant, one.s)
+
+
 def test_k_circle_on_variety():
     sigmas = np.linspace(0, 2 * np.pi, 36, endpoint=False)
     assert VF.k_circles(("earring", "bypass"), (0.05, 0.1), sigmas)[1]

@@ -123,6 +123,41 @@ def test_check_identities_sweep():
     assert VF.identities(random_points(300, seed=5))[1]
 
 
+def test_check_identities_batch_equals_one_point_batches():
+    pts = random_points(1000, seed=9)
+    worst = W.check_identities(W.embed_L(pts))
+    assert worst == max(W.check_identities(W.embed_L([p])) for p in pts)
+    assert worst == max(W.check_identities(W.embed_L(p)) for p in pts)
+    with pytest.raises(ValueError):
+        W.embed_L([pts[0], W.ChartPoint(0.1, 1.0, 1.0, 0.0, 0.0, W.BYPASS)])
+
+
+def test_w2_condition_batch_matches_per_point():
+    from pillowcase.variety import solve_fibers
+
+    rng = np.random.default_rng(10)
+    fibers = solve_fibers("earring", 0.08, rng.uniform(0.3, np.pi - 0.3, 20),
+                          rng.uniform(0.3, np.pi - 0.3, 20))
+    on = [fs.chart_points()[0] for fs in fibers]
+    # every other point far enough off the variety to count
+    off = [W.ChartPoint(p.s, p.gamma, p.theta,
+                        float(np.clip(p.nu + (0.35 if k % 2 else 0.01),
+                                      -0.5, 0.5)), p.tau)
+           for k, p in enumerate(on)]
+    batch = W.w2_value(on + off)
+    rows = [W.w2_value(p) for p in on + off]
+    assert batch.tobytes() == np.array(rows).tobytes()
+
+    def miss(p):
+        return float(np.max(np.abs(W.w2_value(p) + quat.ONE)))
+
+    on_worst, off_best, n_off, _ = VF.w2_condition(on, off)
+    kept = [miss(p) for p in off if abs(W.G(p)[1]) > VF.W2_OFF_G]
+    assert 0 < n_off == len(kept) < len(off)
+    assert on_worst == max(miss(p) for p in on)
+    assert off_best == min(kept)
+
+
 def test_identity_specific_point():
     rep = W.embed_L(W.ChartPoint(0.1, np.pi / 2, 0.0, 0.0, 0.0))
     lhs = W.eval_word(rep, "PaFqf")
