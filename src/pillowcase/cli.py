@@ -53,10 +53,14 @@ NAMED_CURVES = {
 
 
 def _outdir(args) -> Path:
-    out = os.environ.get("PILLOWCASE_OUT", args.out)
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    return Path(os.environ.get("PILLOWCASE_OUT", args.out))
+
+
+def _write(out: Path, name: str, text: str):
+    """Write one output file, making the directory at the first write, so
+    a command that fails before writing leaves no directory behind."""
+    out.mkdir(parents=True, exist_ok=True)
+    (out / name).write_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +71,8 @@ def cmd_trace(args) -> int:
     out = _outdir(args)
     variant, s = args.variant, args.s
     report = verify_topology(variant, s, grid=args.grid)
-    (out / "topology.json").write_text(json.dumps(report.to_dict(), indent=2)
-                                       + "\n")
+    _write(out, "topology.json",
+           json.dumps(report.to_dict(), indent=2) + "\n")
     gs, ts, status = report.fibers
     lines = ["# fiber classification",
              f"# variant={variant} s={s} grid={args.grid}",
@@ -76,7 +80,7 @@ def cmd_trace(args) -> int:
     for i, g in enumerate(gs):
         for j, t in enumerate(ts):
             lines.append(f"{g:.12g},{t:.12g},{status[i, j]}")
-    (out / "fibers.csv").write_text("\n".join(lines) + "\n")
+    _write(out, "fibers.csv", "\n".join(lines) + "\n")
 
     if s != 0.0:
         circles = report.circles
@@ -88,11 +92,11 @@ def cmd_trace(args) -> int:
                 lines.append(
                     f"{c.corner[0]},{c.corner[1]},{pt.tau:.12g},{pt.gamma:.12g},"
                     f"{pt.theta:.12g},{pt.nu:.12g},{im[0]:.12g},{im[1]:.12g}")
-        (out / "fold_circles.csv").write_text("\n".join(lines) + "\n")
+        _write(out, "fold_circles.csv", "\n".join(lines) + "\n")
         fold_curve = fold_image_curves(variant, s, circles)
         svg = _svg.scene_svg([], fold_image=fold_curve,
                              title=f"fold image {variant} s={s}")
-        (out / "trace.svg").write_text(svg)
+        _write(out, "trace.svg", svg)
 
     print(f"trace: variant={variant} s={s} grid={args.grid}")
     print(f"  counts: {report.counts}")
@@ -132,13 +136,13 @@ def cmd_compose(args) -> int:
     except (TangencyError, GenericPositionError) as exc:
         print(f"composition refused: {exc}", file=sys.stderr)
         return 3
-    (out / "composed.json").write_text(composed.to_json() + "\n")
+    _write(out, "composed.json", composed.to_json() + "\n")
     svg = _svg.scene_svg(
         [(curve.name or "input", curve.relabel("P0")),
          (f"composed -> P1", composed.relabel("P0"))],
         fold_image=fold_image_curves(args.variant, args.s, circles),
         title=f"compose {curve.name} {args.variant} s={args.s}")
-    (out / "composed.svg").write_text(svg)
+    _write(out, "composed.svg", svg)
     inv = invariants(composed)
     print(f"composed {curve.name}: {len(composed.components)} component(s)")
     for k, c in enumerate(inv.components):
@@ -202,9 +206,9 @@ def cmd_scene(args) -> int:
     for side in ("P0", "P1"):
         svg = _svg.scene_svg(data["curves"][side], fold_image=data["fold"],
                              title=f"K(3,7) scene {side} {args.variant} s={args.s}")
-        (out / f"scene_{side.lower()}.svg").write_text(svg)
+        _write(out, f"scene_{side.lower()}.svg", svg)
     payload = {k: data[k] for k in ("variant", "s", "forward", "pullback")}
-    (out / "scene.json").write_text(json.dumps(payload, indent=2) + "\n")
+    _write(out, "scene.json", json.dumps(payload, indent=2) + "\n")
     if args.json:
         print(json.dumps(payload))
     else:
@@ -364,7 +368,7 @@ def cmd_verify(args) -> int:
                               quick=not args.full)
     payload = json.dumps([{"check": n, "ok": bool(ok), "detail": d}
                           for n, ok, d in rows])
-    (out / "verify.json").write_text(payload + "\n")
+    _write(out, "verify.json", payload + "\n")
     if args.json:
         print(payload)
     else:

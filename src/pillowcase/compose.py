@@ -379,34 +379,91 @@ def _unwrap_orbit_path(r3: np.ndarray) -> np.ndarray:
     the fundamental rectangle the reflected element can sit closer to the
     previous point than the true continuation does.  Elements matching the
     third character cos(g - t) win; among them the first nearest.
+
+    Once the rule picks the same element (signs and lattice shift) twice in
+    a row, ``_fill_orbit_run`` fills the rest of the path with it and checks
+    the rule there in arrays; the rule resumes at the first point it
+    rejects.
     """
     g0 = np.arccos(np.clip(r3[:, 0], -1.0, 1.0))
     t0 = np.arccos(np.clip(r3[:, 1], -1.0, 1.0))
     # third-character errors of (g, t), (-g, -t) and of (g, -t), (-g, t)
     err_same = np.abs(np.cos(g0 - t0) - r3[:, 2])
     err_flip = np.abs(np.cos(g0 + t0) - r3[:, 2])
+    bad_same, bad_flip = err_same > 1e-6, err_flip > 1e-6
     # resolve the theta sign of the first point against the third character
     pg = float(g0[0])
     pt = float(t0[0] if err_same[0] <= err_flip[0] else -t0[0])
-    out = [(pg, pt)]
+    out = np.empty((len(r3), 2))
+    out[0] = pg, pt
+    gs, ts, bs, bf = (a.tolist() for a in (g0, t0, bad_same, bad_flip))
     vg = vt = 0.0
-    for g, t, bad_same, bad_flip in zip(
-            g0[1:].tolist(), t0[1:].tolist(),
-            (err_same[1:] > 1e-6).tolist(), (err_flip[1:] > 1e-6).tolist()):
+    last = None
+    k = 1
+    while k < len(out):
+        g, t = gs[k], ts[k]
         xg, xt = pg + vg, pt + vt
         best = None
-        for bad, cg, ct in ((bad_same, g, t), (bad_flip, g, -t),
-                            (bad_flip, -g, t), (bad_same, -g, -t)):
-            cg += TWO_PI * round((xg - cg) / TWO_PI)
-            ct += TWO_PI * round((xt - ct) / TWO_PI)
+        for elem, (bad, cg, ct) in enumerate((
+                (bs[k], g, t), (bf[k], g, -t), (bf[k], -g, t),
+                (bs[k], -g, -t))):
+            mg = round((xg - cg) / TWO_PI)
+            mt = round((xt - ct) / TWO_PI)
+            cg += TWO_PI * mg
+            ct += TWO_PI * mt
             key = (bad, max(abs(cg - xg), abs(ct - xt)))
             if best is None or key < best[0]:
-                best = key, cg, ct
-        _, g, t = best
+                best = key, cg, ct, (elem, mg, mt)
+        _, g, t, elem = best
         vg, vt = g - pg, t - pt
         pg, pt = g, t
-        out.append((g, t))
-    return np.array(out)
+        out[k] = g, t
+        k += 1
+        if elem == last:
+            k = _fill_orbit_run(out, k, elem, g0, t0, bad_same, bad_flip)
+            (qg, qt), (pg, pt) = out[k - 2:k].tolist()
+            vg, vt = pg - qg, pt - qt
+            last = None
+        else:
+            last = elem
+    return out
+
+
+def _fill_orbit_run(out, k, elem, g0, t0, bad_same, bad_flip) -> int:
+    """Fill ``out[k:]`` with one orbit element (candidate index and lattice
+    shift) and re-run ``_unwrap_orbit_path``'s rule on the filled points in
+    arrays, with the loop's float operations.  Returns the first index
+    where the rule picks otherwise, or ``len(out)``: the rule is
+    deterministic, so every filled point before it is the loop's.  The
+    points are checked in windows of doubling size, so a short run costs
+    little more than its own length."""
+    c, mg, mt = elem
+    signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    size = 64
+    while k < len(out):
+        end = min(len(out), k + size)
+        out[k:end, 0] = signs[c, 0] * g0[k:end] + TWO_PI * mg
+        out[k:end, 1] = signs[c, 1] * t0[k:end] + TWO_PI * mt
+        p = out[k - 1:end - 1]
+        x = p + (p - out[k - 2:end - 2])
+        cg = g0[k:end, None] * signs[:, 0]
+        ct = t0[k:end, None] * signs[:, 1]
+        sg = np.round((x[:, :1] - cg) / TWO_PI)
+        st = np.round((x[:, 1:] - ct) / TWO_PI)
+        dist = np.maximum(np.abs(cg + TWO_PI * sg - x[:, :1]),
+                          np.abs(ct + TWO_PI * st - x[:, 1:]))
+        bad = np.column_stack([bad_same[k:end], bad_flip[k:end],
+                               bad_flip[k:end], bad_same[k:end]])
+        # the first nearest candidate, among the good ones if any
+        win = np.argmin(np.where(bad & ~bad.all(axis=1, keepdims=True),
+                                 np.inf, dist), axis=1)
+        ok = (win == c) & (sg[:, c] == mg) & (st[:, c] == mt) & \
+            np.isfinite(dist).all(axis=1)
+        miss = np.flatnonzero(~ok)
+        if miss.size:
+            return k + int(miss[0])
+        k, size = end, 2 * size
+    return k
 
 
 def _prune_short(lift: np.ndarray, min_len: float):

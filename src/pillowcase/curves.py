@@ -19,6 +19,7 @@ nearest-segment search.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -330,17 +331,24 @@ def _box_cells(P0, P1, cell):
     return seg, lo[seg] + off, lo[seg]
 
 
-def _candidate_pairs(P0, P1, Q0, Q1):
+def _grid_cell(P0, P1, Q0, Q1) -> float:
+    """The grid cell of two segment families: twice their longest segment."""
+    lens = np.concatenate([np.linalg.norm(P1 - P0, axis=1),
+                           np.linalg.norm(Q1 - Q0, axis=1)])
+    return max(1e-6, 2.0 * float(np.max(lens)))
+
+
+def _candidate_pairs(P0, P1, Q0, Q1, cell=None):
     """Index pairs of segments whose bounding boxes can meet, found with a
     uniform grid over segment boxes (both families are short-segment
-    polylines, so each segment touches a handful of cells).
+    polylines, so each segment touches a handful of cells).  The cell
+    defaults to ``_grid_cell`` of the two families.
 
     Pairs come ordered by i, then by the first cell of i's box they share,
     then by j; each pair once.
     """
-    lens = np.concatenate([np.linalg.norm(P1 - P0, axis=1),
-                           np.linalg.norm(Q1 - Q0, axis=1)])
-    cell = max(1e-6, 2.0 * float(np.max(lens)))
+    if cell is None:
+        cell = _grid_cell(P0, P1, Q0, Q1)
     ip, cp, lop = _box_cells(P0, P1, cell)
     jq, cq, loq = _box_cells(Q0, Q1, cell)
     # one integer key per cell; Q's cells sorted by (key, j)
@@ -359,15 +367,16 @@ def _candidate_pairs(P0, P1, Q0, Q1):
     return ip[e[once]], jq[f[once]]
 
 
-def _segment_crossings(P0, P1, Q0, Q1):
-    """Proper crossings between two segment families (grid-culled).
+def _segment_crossings(P0, P1, Q0, Q1, cell=None):
+    """Proper crossings between two segment families (grid-culled, on
+    ``_candidate_pairs``' grid with the given cell).
 
     Returns index pairs, parameters, points, and the crossing angles (rad,
     in [0, pi/2]).
     """
     empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
              np.empty(0), np.empty(0), np.empty((0, 2)), np.empty(0))
-    ic, jc = _candidate_pairs(P0, P1, Q0, Q1)
+    ic, jc = _candidate_pairs(P0, P1, Q0, Q1, cell)
     if len(ic) == 0:
         return empty
     d1 = P1[ic] - P0[ic]
@@ -424,16 +433,58 @@ def _crossings(lift_a: np.ndarray, lift_b: np.ndarray):
     Yields (identity, i, j, t_a, t_b, point, angle): whether the translate
     is the identity, the segment indices, the polyline parameters (segment
     index + fraction), the crossing point on lift_a and the angle.
+
+    Only the segments of a translate whose boxes meet lift_a's box are
+    searched, and a translate with none is skipped.  The hits are still
+    those of the whole translate, in the same order: the grid finds every
+    pair of crossing segments, and it keeps the whole translate's cell, so
+    the hits of one translate stay ordered by i, then cell, then j.
     """
     A0, A1 = lift_a[:-1], lift_a[1:]
+    lo_a = lift_a.min(axis=0) - 1e-6
+    hi_a = lift_a.max(axis=0) + 1e-6
     for sign, shift in _translates(lift_a, lift_b):
         B = sign * lift_b + shift
+        B0, B1 = B[:-1], B[1:]
+        meet = np.all((np.maximum(B0, B1) >= lo_a) &
+                      (np.minimum(B0, B1) <= hi_a), axis=1)
+        if not meet.any():
+            continue
         identity = sign == 1 and np.max(np.abs(shift)) < 1e-12
-        ii, jj, tt, uu, pts, ang = _segment_crossings(A0, A1, B[:-1], B[1:])
+        if meet.all():
+            ii, jj, tt, uu, pts, ang = _segment_crossings(A0, A1, B0, B1)
+        else:
+            keep = np.flatnonzero(meet)
+            ii, jj, tt, uu, pts, ang = _segment_crossings(
+                A0, A1, B0[keep], B1[keep], _grid_cell(A0, A1, B0, B1))
+            jj = keep[jj]
         far = _corner_lattice_distance(pts) >= CORNER_TOL
         for k in np.nonzero(far)[0]:
             i, j = int(ii[k]), int(jj[k])
             yield identity, i, j, i + tt[k], j + uu[k], pts[k], float(ang[k])
+
+
+class _NearPairs:
+    """Kept parameter pairs, bucketed by floor(x / tol).  A pair within tol
+    of a kept one sits in one of the 5 x 5 buckets around its own: a +-2
+    window covers any rounding of x / tol."""
+
+    def __init__(self, tol: float):
+        self.tol = tol
+        self.buckets: dict[tuple[int, int], list[tuple[float, float]]] = {}
+
+    def _key(self, a, b) -> tuple[int, int]:
+        return math.floor(a / self.tol), math.floor(b / self.tol)
+
+    def near(self, a, b) -> bool:
+        """Whether a kept pair (x, y) has |x - a| < tol and |y - b| < tol."""
+        ka, kb = self._key(a, b)
+        return any(abs(x - a) < self.tol and abs(y - b) < self.tol
+                   for da in range(-2, 3) for db in range(-2, 3)
+                   for x, y in self.buckets.get((ka + da, kb + db), ()))
+
+    def add(self, a, b):
+        self.buckets.setdefault(self._key(a, b), []).append((a, b))
 
 
 @dataclass
@@ -482,14 +533,11 @@ def intersect(a: ImmersedCurve, b: ImmersedCurve, *,
             # dedup by parameter pairs (duplicates arise only at shared
             # segment endpoints)
             hits.sort(key=lambda h: (h[0], h[1]))
-            kept: list[tuple[float, float, np.ndarray, float]] = []
-            for h in hits:
-                dup = any(abs(h[0] - k0) < 1e-7 and abs(h[1] - k1) < 1e-7
-                          for k0, k1, _, _ in kept)
-                if not dup:
-                    kept.append(h)
-            for t_a, t_b, pt, ang in kept:
-                found.append(Intersection(pt, ca, cb, t_a, t_b, ang))
+            kept = _NearPairs(1e-7)
+            for t_a, t_b, pt, ang in hits:
+                if not kept.near(t_a, t_b):
+                    kept.add(t_a, t_b)
+                    found.append(Intersection(pt, ca, cb, t_a, t_b, ang))
     return IntersectionResult(found)
 
 
@@ -511,7 +559,7 @@ def self_intersections(comp: CurveComponent) -> list[Intersection]:
         hits.append((ta, tb, pt, ang))
     # a crossing found via g and via g^{-1} is the same double point: the
     # parameter pair appears swapped; dedup on unordered pairs
-    kept: list[tuple[float, float]] = []
+    kept = _NearPairs(1e-6)
     out: list[Intersection] = []
     for ta, tb, pt, ang in sorted(hits, key=lambda h: h[:2]):
         lo, hi = min(ta, tb), max(ta, tb)
@@ -521,13 +569,8 @@ def self_intersections(comp: CurveComponent) -> list[Intersection]:
             cand = [(lo, hi), (np.mod(lo, span), np.mod(hi, span))]
         else:
             cand = [(lo, hi)]
-        dup = False
-        for l0, h0 in kept:
-            for l1, h1 in cand:
-                if abs(l0 - l1) < 1e-6 and abs(h0 - h1) < 1e-6:
-                    dup = True
-        if not dup:
-            kept.append((lo, hi))
+        if not any(kept.near(l1, h1) for l1, h1 in cand):
+            kept.add(lo, hi)
             out.append(Intersection(pt, 0, 0, ta, tb, ang))
     return out
 

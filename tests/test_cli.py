@@ -96,16 +96,18 @@ def _fail_to_close(*args, **kwargs):
 
 def test_scene_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "torus_knot_scene", _fail_to_close)
-    assert run(["scene", "--out", str(tmp_path)]) == 3
+    assert run(["scene", "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == "numerical failure: loop failed to close\n"
-    assert not (tmp_path / "scene.json").exists()
+    # the directory is made at the first write, and nothing was written
+    assert not (tmp_path / "o").exists()
 
 
 def test_compose_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "compose_curve", _fail_to_close)
-    assert run(["compose", "--variant", "bypass", "--out", str(tmp_path)]) == 3
+    assert run(["compose", "--variant", "bypass",
+                "--out", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == "numerical failure: loop failed to close\n"
-    assert not (tmp_path / "composed.json").exists()
+    assert not (tmp_path / "o").exists()
 
 
 def _verify_rows(capsys, variant, out):
@@ -191,11 +193,12 @@ def test_bad_option_values_exit_2(argv, capsys):
 def test_tiny_max_step_is_a_numerical_failure(tmp_path, capsys):
     # ceil(chord / max_step) samples per coarse segment would overflow; the
     # loop's dense sample count is checked against STEP_BUDGET first
-    code = run(["compose", "--max-step", "1e-300", "--out", str(tmp_path)])
+    code = run(["compose", "--max-step", "1e-300",
+                "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("numerical failure: ") and "Traceback" not in err
-    assert not (tmp_path / "composed.json").exists()
+    assert not (tmp_path / "o").exists()
 
 
 def test_env_out_override(tmp_path, monkeypatch):

@@ -206,23 +206,62 @@ def _ref_unwrap_orbit_path(r3):
     return np.array(out)
 
 
-def test_unwrap_orbit_path_matches_reference():
-    fp = X.fiber_product(C.vertical_circle(), "bypass", 0.05,
-                         circles=fold("bypass", 0.05))
+def _loop_unwrap_orbit_path(r3):
+    """The float loop ``compose._unwrap_orbit_path`` ran on every point
+    before it filled runs in arrays, kept as its reference."""
+    g0 = np.arccos(np.clip(r3[:, 0], -1.0, 1.0))
+    t0 = np.arccos(np.clip(r3[:, 1], -1.0, 1.0))
+    err_same = np.abs(np.cos(g0 - t0) - r3[:, 2])
+    err_flip = np.abs(np.cos(g0 + t0) - r3[:, 2])
+    pg = float(g0[0])
+    pt = float(t0[0] if err_same[0] <= err_flip[0] else -t0[0])
+    out = [(pg, pt)]
+    vg = vt = 0.0
+    for g, t, bad_same, bad_flip in zip(
+            g0[1:].tolist(), t0[1:].tolist(),
+            (err_same[1:] > 1e-6).tolist(), (err_flip[1:] > 1e-6).tolist()):
+        xg, xt = pg + vg, pt + vt
+        best = None
+        for bad, cg, ct in ((bad_same, g, t), (bad_flip, g, -t),
+                            (bad_flip, -g, t), (bad_same, -g, -t)):
+            cg += X.TWO_PI * round((xg - cg) / X.TWO_PI)
+            ct += X.TWO_PI * round((xt - ct) / X.TWO_PI)
+            key = (bad, max(abs(cg - xg), abs(ct - xt)))
+            if best is None or key < best[0]:
+                best = key, cg, ct
+        _, g, t = best
+        vg, vt = g - pg, t - pt
+        pg, pt = g, t
+        out.append((g, t))
+    return np.array(out)
+
+
+def test_unwrap_orbit_path_matches_reference(monkeypatch):
     paths = []
-    for b in fp.branches:
-        breaks, cg, ct, _, _ = fp.splines_of(b.component)
-        t, nu, tau = b.samples.T
-        paths.append(P.pi1_r3_of_chart(
-            0.05, _kernels._ppoly_eval(breaks, cg, t),
-            _kernels._ppoly_eval(breaks, ct, t), nu, tau, variant="bypass"))
+    unwrap = X._unwrap_orbit_path
+
+    def recorded(r3):
+        paths.append(r3)
+        return unwrap(r3)
+
+    # the branch images of compositions, as push_forward unwraps them
+    monkeypatch.setattr(X, "_unwrap_orbit_path", recorded)
+    X.compose_curve(C.vertical_circle(), "bypass", 0.05,
+                    circles=fold("bypass", 0.05))
     # a synthetic lift across gamma = 0, gamma = pi and theta = 0
     g = np.linspace(-0.7, 3.9, 1500)
     t = 0.9 * np.cos(1.7 * g) + 0.05
     paths.append(np.column_stack([np.cos(g), np.cos(t), np.cos(g - t)]))
+    # the numpy form is slow, so it checks these paths only
     for r3 in paths:
-        assert np.array_equal(X._unwrap_orbit_path(r3),
-                              _ref_unwrap_orbit_path(r3))
+        assert np.array_equal(unwrap(r3), _ref_unwrap_orbit_path(r3))
+    for variant in ("earring", "bypass"):
+        for s in (-0.05, 0.2):
+            for curve in (C.slope_two_arc(),
+                          C.twisted_double(C.vertical_circle())):
+                X.compose_curve(curve, variant, s, circles=fold(variant, s))
+    for r3 in paths:
+        assert np.array_equal(unwrap(r3), _loop_unwrap_orbit_path(r3))
 
 
 def test_verify_theorem_b_beta():

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pillowcase import compose as X
 from pillowcase import curves as C
+from pillowcase import variety as V
+from pillowcase.cli import torus_knot_scene
 
 TWO_PI = 2 * np.pi
 
@@ -447,6 +450,69 @@ def test_candidate_pairs_match_dict_grid():
             for sign, shift in C._translates(A, B):
                 _assert_same_pairs(A, sign * B + shift)
 
+
+def _ref_crossings(lift_a, lift_b):
+    """The crossing loop ``curves._crossings`` replaced: one grid search
+    over the whole of every translate, kept as its reference."""
+    A0, A1 = lift_a[:-1], lift_a[1:]
+    for sign, shift in C._translates(lift_a, lift_b):
+        B = sign * lift_b + shift
+        identity = sign == 1 and np.max(np.abs(shift)) < 1e-12
+        ii, jj, tt, uu, pts, ang = C._segment_crossings(A0, A1, B[:-1], B[1:])
+        far = C._corner_lattice_distance(pts) >= C.CORNER_TOL
+        for k in np.nonzero(far)[0]:
+            i, j = int(ii[k]), int(jj[k])
+            yield identity, i, j, i + tt[k], j + uu[k], pts[k], float(ang[k])
+
+
+def _crossing_tuples(crossings):
+    return [(idn, i, j, ta, tb, tuple(pt.tolist()), ang)
+            for idn, i, j, ta, tb, pt, ang in crossings]
+
+
+def test_crossings_match_per_translate_reference():
+    inputs = [c.lift for cur in (C.slope_one_arc(), C.slope_two_arc(),
+                                 C.twisted_double(C.vertical_circle()))
+              for c in cur.components]
+    pairs = [(A, B) for A in inputs for B in inputs]
+    for variant in ("earring", "bypass"):
+        circles = V.fold_locus(variant, 0.2)
+        folds = [c.lift for c in
+                 X.fold_image_curves(variant, 0.2, circles).components]
+        pairs += [(A, B) for A in inputs for B in folds]
+        for curve in (C.bottom_edge(), C.twisted_double(C.vertical_circle())):
+            for c in X.compose_curve(curve, variant, 0.2,
+                                     circles=circles).components:
+                pairs += [(c.lift, c.lift)] + [(c.lift, B) for B in inputs]
+    # Q crosses P's segment at x = 2.4, then at x = 1.6; its long last
+    # segment misses P's box, and without it the cell would be 2, putting
+    # the two crossings in different cells, in the other order
+    P = np.array([[1.5, 0.0], [2.5, 0.0]])
+    Q = np.array([[2.4, -0.5], [2.4, 0.5], [1.6, 0.5], [1.6, -0.5],
+                  [1.6, -10.5]])
+    pairs += [(P, Q), (Q, P)]
+    hits = 0
+    for A, B in pairs:
+        ref = _crossing_tuples(_ref_crossings(A, B))
+        assert _crossing_tuples(C._crossings(A, B)) == ref
+        hits += len(ref)
+    assert hits > 5000
+
+
+def test_scene_searches_few_translates(monkeypatch):
+    calls = []
+    search = C._segment_crossings
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return search(*args)
+
+    monkeypatch.setattr(C, "_segment_crossings", counted)
+    data = torus_knot_scene("earring", 0.05)
+    assert data["forward"]["total"] == data["pullback"]["total"] == 9
+    # a search per translate whose segment boxes meet the other lift's box
+    # (376 searches, one per translate, before the boxes were checked)
+    assert len(calls) <= 44
 
 def _brute_force_polyline_dist(pts, poly):
     """Every point against every segment, one segment at a time."""
