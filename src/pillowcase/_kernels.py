@@ -14,8 +14,9 @@ the fold circles' complex-step gradient uses.  ``_g_impl`` is its value-only
 face on arrays.  It is the one implementation of the defining pair: every
 solver takes G and its derivatives from it.  Fiber Newton is written once,
 over arrays of fibers (``newton_fibers``), with its (nu, tau) Jacobian from
-``jet``, and ``newton_fiber`` is its one-point face.  The continuation
-corrector and tangent take their 2x4 Jacobian from
+``jet``; ``newton_fiber_batch``, its face without condition estimates,
+starts every fiber of ``variety.solve_fibers`` from its s = 0 roots.  The
+continuation corrector and tangent take their 2x4 Jacobian from
 ``jet(..., DIRECTIONS, math)``; both run on Python floats and give the unit
 tangent as a tuple, or None where the Jacobian rows are dependent.
 ``corrector_batch`` is the corrector over arrays of predictions, each with
@@ -40,8 +41,9 @@ The variant is passed by name, ``EARRING`` ("earring") or ``BYPASS``
 name is one of the two and returns it.
 
 Everything runs on numpy and Python floats.  ``NUMBA_ENABLED`` (always
-False) and the aliases ``g_scalar`` and ``g_scalar_py`` of ``_g_impl`` stay
-because the benchmark in ``perfbench/`` reads them.
+False), the aliases ``g_scalar`` and ``g_scalar_py`` of ``_g_impl`` and the
+one-point face ``newton_fiber``, which no solver calls, stay because the
+benchmark in ``perfbench/`` reads them.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Away from the four half-lattice points of the base torus the projection of
 either variety to (gamma, theta) is a two-sheeted cover; over small disks
 around those points (radius about 2|s|) the fibers are empty, and the two
 regimes are separated by four fold circles.  This module solves each fiber
-at its target s by Newton from the brackets of a tau scan, extracts the fold
+at its target s by Newton from its two s = 0 roots or, where those do not
+converge apart, from the brackets of a tau scan, extracts the fold
 circles as solutions of the extended system {G = 0, det dG/d(nu, tau) = 0} at
 fixed tau (all samples in one batched Newton), verifies the resulting surface
 topology, and provides the closed-form circle of representations over the
@@ -135,83 +136,100 @@ def _scan_roots(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
     return (fiber, nu0, tau0), np.min(ag1, axis=1), np.max(ag1, axis=1)
 
 
-def solve_fibers(variant: str, s: float, gammas, thetas) -> list[FiberSolutions]:
-    """Roots of the defining pair in (nu, tau) over many base points.
+# fibers per array stage of ``solve_fibers``, which bounds its peak memory
+FIBER_BLOCK = 2048
+# fiber statuses by code: fold band 0, two sheets 1, empty 2
+STATUSES = np.array(["fold_region", "two_sheets", "empty"], dtype=object)
 
-    A tau scan at the target s brackets the roots, ``SCAN_BLOCK`` fibers at
-    a time, and one Newton converges all of them, with no continuation in s;
-    s = 0 is closed form.  The + sheet comes first: the root whose tau is
-    nearest ``tau_seed``, the + sheet at s = 0.  Status is ``fold_region``
-    when roots merge or the Jacobian degenerates, ``empty`` when no root
-    survives.  Every fiber is solved on its own; the work is batched across
-    fibers.
+
+def _fiber_arrays(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
+    """The array stage of ``solve_fibers`` over one block of fibers.
+
+    Returns each fiber's roots as padded (fibers, slots) arrays nu and tau
+    with the mask of the kept slots, the worst Jacobian condition at its
+    roots, and its status.
     """
-    gamma, theta = np.broadcast_arrays(np.asarray(gammas, dtype=float),
-                                       np.asarray(thetas, dtype=float))
-    gamma = gamma.ravel()
-    theta = theta.ravel()
-    m = gamma.size
     t0 = tau_seed(gamma, theta)
     if s == 0.0:
-        amp = np.hypot(np.sin(gamma), np.sin(theta))
-        out = []
-        for g, t, a, tau in zip(gamma, theta, amp, t0):
-            if a < 1e-12:
-                # a whole circle of solutions over a half-lattice point
-                out.append(FiberSolutions(variant, s, float(g), float(t), [],
-                                          "fold_region", cond=np.inf))
-            else:
-                sols = [(0.0, float(np.mod(tau, 2 * np.pi))),
-                        (0.0, float(np.mod(tau + np.pi, 2 * np.pi)))]
-                out.append(FiberSolutions(variant, s, float(g), float(t), sols,
-                                          "two_sheets"))
-        return out
-    if not m:
-        return []
-    code = _kernels.variant_code(variant)
+        # two roots in closed form, or a whole circle of them over a
+        # half-lattice point
+        circle = np.hypot(np.sin(gamma), np.sin(theta)) < 1e-12
+        rtau = np.mod(np.column_stack([t0, t0 + np.pi]), 2 * np.pi)
+        keep = np.repeat(~circle[:, None], 2, axis=1)
+        return (np.zeros_like(rtau), rtau, keep, np.where(circle, np.inf, 1.0),
+                STATUSES[np.where(circle, 0, 1)])
 
-    # the tau scan, then Newton on its brackets
-    fiber, nu, tau, g1_min, g1_max = [], [], [], [], []
-    for a in range(0, m, SCAN_BLOCK):
-        (f, nu0, tau0), lo, hi = _scan_roots(variant, s, gamma[a:a + SCAN_BLOCK],
-                                             theta[a:a + SCAN_BLOCK])
-        fiber.append(f + a)
+    # Newton from both s = 0 roots; a fiber whose two seeded roots converge
+    # apart skips the tau scan, and the scan brackets the others' roots
+    (nu_p, tau_p, ok_p), (nu_m, tau_m, ok_m) = (
+        _kernels.newton_fiber_batch(variant, s, gamma, theta, 0.0, t)
+        for t in (t0, t0 + np.pi))
+    dtau = np.abs(np.mod(tau_p - tau_m + np.pi, 2 * np.pi) - np.pi)
+    apart = ok_p & ok_m & (np.hypot(nu_p - nu_m, dtau) > 1e-4)
+    seeded = np.nonzero(apart)[0]
+    fiber = [seeded, seeded]
+    nu = [nu_p[seeded], nu_m[seeded]]
+    tau = [tau_p[seeded], tau_m[seeded]]
+    # a seeded fiber left with no root reads as fold band
+    g1_min, g1_max = np.zeros((2, gamma.size))
+    rest = np.nonzero(~apart)[0]
+    for a in range(0, rest.size, SCAN_BLOCK):
+        r = rest[a:a + SCAN_BLOCK]
+        (f, nu0, tau0), g1_min[r], g1_max[r] = _scan_roots(variant, s,
+                                                           gamma[r], theta[r])
+        fiber.append(r[f])
         nu.append(nu0)
         tau.append(tau0)
-        g1_min.append(lo)
-        g1_max.append(hi)
-    fiber, nu, tau, g1_min, g1_max = map(np.concatenate,
-                                         (fiber, nu, tau, g1_min, g1_max))
-    nu, tau, ok, cond = _kernels.newton_fibers(code, s, gamma[fiber],
+
+    # one Newton on the seeded roots and the brackets decides every fiber
+    fiber, nu, tau = map(np.concatenate, (fiber, nu, tau))
+    nu, tau, ok, cond = _kernels.newton_fibers(variant, s, gamma[fiber],
                                                theta[fiber], nu, tau)
     fiber, nu, tau, cond = fiber[ok], nu[ok], tau[ok], cond[ok]
-    worst = np.ones(m)
+    worst = np.ones(gamma.size)
     np.maximum.at(worst, fiber, cond)
 
     # per fiber, the + sheet first: roots by tau distance from the s = 0 seed
     order = np.lexsort((np.abs(np.mod(tau - t0[fiber] + np.pi, 2 * np.pi)
                                - np.pi), fiber))
-    (rnu, rtau), valid = _padded(fiber[order], m, nu[order], tau[order])
+    (rnu, rtau), valid = _padded(fiber[order], gamma.size, nu[order],
+                                 tau[order])
     keep, rtau = _dedup(rnu, rtau, valid, DEDUP_RADIUS)
 
-    solutions = [[] for _ in range(m)]
-    for f, k in zip(*np.nonzero(keep)):
-        solutions[f].append((float(rnu[f, k]), float(rtau[f, k])))
+    # the status rule of solve_fibers; the scan's |g1| tells empty from a
+    # graze of the fold band
+    n_roots = np.count_nonzero(keep, axis=1)
+    two = (n_roots >= 2) & (worst < FOLD_COND_THRESHOLD)
+    empty = (n_roots == 0) & (g1_min > 0.02 * np.maximum(g1_max, 1e-12))
+    return rnu, rtau, keep, worst, STATUSES[two + 2 * empty]
+
+
+def solve_fibers(variant: str, s: float, gammas, thetas) -> list[FiberSolutions]:
+    """Roots of the defining pair in (nu, tau) over many base points.
+
+    Each fiber is solved at the target s, with no continuation; s = 0 is
+    closed form.  Newton starts from both s = 0 roots, and a tau scan
+    brackets the roots of every fiber whose two starts do not converge
+    apart.  One Newton converges the seeded roots and the brackets, and one
+    rule gives the status: ``two_sheets`` at two or more distinct roots with
+    condition below ``FOLD_COND_THRESHOLD``, ``empty`` at none where the
+    scan stays away from zero, ``fold_region`` otherwise.  The + sheet comes
+    first: the root whose tau is nearest ``tau_seed``.  The work is batched
+    across fibers, ``FIBER_BLOCK`` at a time; each fiber's result is its own.
+    """
+    gamma, theta = np.broadcast_arrays(np.asarray(gammas, dtype=float),
+                                       np.asarray(thetas, dtype=float))
+    gamma = gamma.ravel()
+    theta = theta.ravel()
     out = []
-    for f in range(m):
-        n_roots = len(solutions[f])
-        if n_roots >= 2:
-            status = ("two_sheets" if worst[f] < FOLD_COND_THRESHOLD
-                      else "fold_region")
-        elif n_roots == 1:
-            status = "fold_region"
-        else:
-            # no roots: empty when the sweep stayed uniformly away from
-            # zero, fold band when it grazed
-            status = ("empty" if g1_min[f] > 0.02 * max(g1_max[f], 1e-12)
-                      else "fold_region")
-        out.append(FiberSolutions(variant, s, float(gamma[f]), float(theta[f]),
-                                  solutions[f], status, cond=float(worst[f])))
+    for a in range(0, gamma.size, FIBER_BLOCK):
+        g, t = gamma[a:a + FIBER_BLOCK], theta[a:a + FIBER_BLOCK]
+        rnu, rtau, keep, worst, status = _fiber_arrays(variant, s, g, t)
+        for f, st in enumerate(status.tolist()):
+            k = keep[f]
+            roots = list(zip(rnu[f, k].tolist(), rtau[f, k].tolist()))
+            out.append(FiberSolutions(variant, s, float(g[f]), float(t[f]),
+                                      roots, st, cond=float(worst[f])))
     return out
 
 
@@ -386,36 +404,15 @@ def _corner_distance(gamma, theta):
 
 
 def classify_grid(variant: str, s: float, grid: int = 64):
-    """Status of every fiber over a grid x grid sweep of the base torus.
-
-    Fibers well away from the four corners are classified in bulk: one
-    batched Newton per sheet at s, started from the closed-form s = 0 roots,
-    is two-sheeted where both converge to distinct roots.  ``solve_fibers``
-    handles the near-corner band and every fiber the bulk pass does not
-    settle.
-    """
-    gs = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
-    ts = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
-    gg, tt = np.meshgrid(gs, ts, indexing="ij")
-    gflat = gg.ravel()
-    tflat = tt.ravel()
-    flat_status = np.empty(gflat.size, dtype=object)
-    rest = np.arange(gflat.size)
-    if s != 0.0:
-        band = _corner_distance(gflat, tflat) <= max(4.0 * abs(s), 0.25)
-
-        t0 = tau_seed(gflat, tflat)
-        (nu_p, tau_p, ok_p), (nu_m, tau_m, ok_m) = (
-            _kernels.newton_fiber_batch(variant, s, gflat, tflat, 0.0, t)
-            for t in (t0, t0 + np.pi))
-        dtau = np.abs(np.mod(tau_p - tau_m + np.pi, 2 * np.pi) - np.pi)
-        sep = np.hypot(nu_p - nu_m, dtau) > 1e-4
-        bulk_two = ok_p & ok_m & sep & ~band
-        flat_status[bulk_two] = "two_sheets"
-        rest = np.nonzero(~bulk_two)[0]
-    for idx, fs in zip(rest, solve_fibers(variant, s, gflat[rest], tflat[rest])):
-        flat_status[idx] = fs.status
-    return gs, ts, flat_status.reshape(grid, grid)
+    """Status of every fiber over a grid x grid sweep of the base torus,
+    as ``solve_fibers`` decides it, read from its array stage."""
+    gs = ts = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
+    gg, tt = (a.ravel() for a in np.meshgrid(gs, ts, indexing="ij"))
+    status = np.empty(gg.size, dtype=object)
+    for a in range(0, gg.size, FIBER_BLOCK):
+        status[a:a + FIBER_BLOCK] = _fiber_arrays(
+            variant, s, gg[a:a + FIBER_BLOCK], tt[a:a + FIBER_BLOCK])[-1]
+    return gs, ts, status.reshape(grid, grid)
 
 
 def verify_topology(variant: str, s: float, grid: int = 64, *,

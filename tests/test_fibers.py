@@ -26,7 +26,8 @@ def _base_points(s):
 
 
 @pytest.mark.parametrize("variant", ["earring", "bypass"])
-@pytest.mark.parametrize("blocks", [None, {"SCAN_BLOCK": 3}])
+@pytest.mark.parametrize("blocks", [None, {"SCAN_BLOCK": 3},
+                                    {"FIBER_BLOCK": 5}])
 def test_solve_fibers_matches_one_at_a_time(variant, blocks, monkeypatch):
     # 28 fibers: not a multiple of the scan block
     for name, size in (blocks or {}).items():

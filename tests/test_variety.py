@@ -410,3 +410,78 @@ def test_topology_counts_pinned_across_s(variant, s, counts):
     assert rep.counts == dict(zip(("two_sheets", "fold_region", "empty"),
                                   counts))
     assert VF.topology(rep) and (rep.genus_cover, rep.genus_quotient) == (5, 3)
+
+
+def _unconverged(variant, s, gamma, theta, nu0, tau0, *args):
+    """A ``newton_fiber_batch`` whose seeds never converge."""
+    nu, tau = np.broadcast_arrays(nu0, tau0, gamma)[:2]
+    return nu, tau, np.zeros(nu.shape, dtype=bool)
+
+
+@pytest.mark.parametrize("variant, s, grid", [
+    ("earring", 0.2, 32), ("earring", -0.45, 32), ("earring", 0.49, 32),
+    ("bypass", 0.2, 32), ("bypass", -0.45, 32), ("bypass", 0.49, 32),
+    ("earring", 0.05, 64), ("bypass", 0.05, 64),
+])
+def test_seeds_decide_no_fiber_the_scan_alone_does_not(variant, s, grid,
+                                                       monkeypatch):
+    """The seeded start only picks which fibers skip the tau scan.  With no
+    seed converging every fiber is scanned, and the topology report and
+    the fiber statuses are the same; two-sheeted roots agree to 1e-9."""
+    circles = V.fold_locus(variant, s)
+    gs = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
+    gg, tt = (a.ravel() for a in np.meshgrid(gs, gs, indexing="ij"))
+
+    def solve():
+        return (V.verify_topology(variant, s, grid, circles=circles),
+                V.solve_fibers(variant, s, gg, tt))
+
+    rep, fibers = solve()
+    monkeypatch.setattr(_kernels, "newton_fiber_batch", _unconverged)
+    scan_rep, scan_fibers = solve()
+    assert rep.to_dict() == scan_rep.to_dict()
+    assert (rep.fibers[2] == scan_rep.fibers[2]).all()
+    two = 0
+    for fs, ref in zip(fibers, scan_fibers):
+        assert fs.status == ref.status
+        if fs.status == "two_sheets":
+            two += 1
+            assert len(fs.solutions) == len(ref.solutions)
+            for (nu, tau), (rnu, rtau) in zip(fs.solutions, ref.solutions):
+                dtau = np.mod(tau - rtau + np.pi, 2 * np.pi) - np.pi
+                assert abs(nu - rnu) <= 1e-9 and abs(dtau) <= 1e-9
+    assert two > grid * grid // 2
+
+
+def test_topology_scans_only_unseeded_fibers(monkeypatch):
+    scanned = []
+    scan = V._scan_roots
+
+    def counted(variant, s, gamma, theta):
+        scanned.append(gamma.size)
+        return scan(variant, s, gamma, theta)
+
+    monkeypatch.setattr(V, "_scan_roots", counted)
+    assert VF.topology(V.verify_topology("earring", 0.05, 64))
+    # the fibers whose seeded roots do not converge apart (3,268 fibers,
+    # the corner band of the grid and the whole refined sweep, before the
+    # seeds)
+    assert sum(scanned) <= 372
+
+
+@pytest.mark.parametrize("s", [0.45, -0.45])
+def test_seeds_recover_a_close_root_pair(s, monkeypatch):
+    """Two roots closer in tau than the scan's step, which the scan alone
+    misses: it reports the fiber as fold band with no roots."""
+    g, t = 5.4271, 6.0543
+    fs = V.solve_fiber("bypass", s, g, t)
+    assert fs.status == "two_sheets" and len(fs.solutions) == 2
+    (nu0, tau0), (nu1, tau1) = fs.solutions
+    gap = abs(np.mod(tau0 - tau1 + np.pi, 2 * np.pi) - np.pi)
+    assert 0.005 < gap < 2 * np.pi / V.N_TAU
+    for nu, tau in fs.solutions:
+        assert max(map(abs, _kernels.jet("bypass", s, g, t, nu, tau, (),
+                                         math)[:2])) < 1e-13
+    monkeypatch.setattr(_kernels, "newton_fiber_batch", _unconverged)
+    scan = V.solve_fiber("bypass", s, g, t)
+    assert scan.status == "fold_region" and scan.solutions == []
