@@ -105,8 +105,10 @@ def cmd_trace(args) -> int:
         print(f"  euler characteristic: {report.euler_characteristic} "
               f"(genus {report.genus_cover} upstairs, "
               f"{report.genus_quotient} downstairs)")
-    else:
+    elif report.degenerate:
         print("  degenerate case report written")
+    else:
+        print("  inconsistent report: its notes are in topology.json")
     return 0 if (report.consistent or report.degenerate) else 1
 
 

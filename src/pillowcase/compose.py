@@ -24,9 +24,9 @@ half the step; at ``max_step`` the trace itself is kept, so a
 
 Each curve component is carried by the not-a-knot cubic spline of its lift
 (``_kernels.cubic_fit``), fitted once per fiber product and shared by the
-continuation and the push forward.  The coarse continuation loop and the
-orbit unwrap of the push forward run on Python floats; the push forward
-maps all samples of a loop in one image pass.  An image that turns too
+continuation and the push forward.  The coarse continuation loop runs on
+Python floats; the push forward maps all samples of a loop in one image
+pass and picks their orbit elements in arrays.  An image that turns too
 sharply is under-resolved: ``compose_curve`` then composes once more at
 half the step, the same rule by which a failed densification retraces.
 """
@@ -375,95 +375,60 @@ def _unwrap_orbit_path(r3: np.ndarray) -> np.ndarray:
 
     Each point is an orbit {(+-g, +-t)} + lattice; the lift picks, per step,
     the orbit element nearest a linear prediction from the two previous
-    points.  Position alone is not enough: where the path crosses an edge of
-    the fundamental rectangle the reflected element can sit closer to the
-    previous point than the true continuation does.  Elements matching the
-    third character cos(g - t) win; among them the first nearest.
+    points (from the first point alone at the first step).  Position alone
+    is not enough: where the path crosses an edge of the fundamental
+    rectangle the reflected element can sit closer to the previous point
+    than the true continuation does.  Elements matching the third character
+    cos(g - t) win; among them the first nearest.
 
-    Once the rule picks the same element (signs and lattice shift) twice in
-    a row, ``_fill_orbit_run`` fills the rest of the path with it and checks
-    the rule there in arrays; the rule resumes at the first point it
-    rejects.
+    The rule runs in arrays.  The path is filled with the element last
+    picked (its signs and lattice shift), and the rule is checked on the
+    filled points in windows of doubling size.  It is deterministic, so
+    every point before the first one where it picks otherwise is its own
+    pick; that point takes the rule's pick, and the fill restarts after it
+    with that element.  A NaN in the first two characters raises
+    ``ValueError``.
     """
     g0 = np.arccos(np.clip(r3[:, 0], -1.0, 1.0))
     t0 = np.arccos(np.clip(r3[:, 1], -1.0, 1.0))
     # third-character errors of (g, t), (-g, -t) and of (g, -t), (-g, t)
     err_same = np.abs(np.cos(g0 - t0) - r3[:, 2])
     err_flip = np.abs(np.cos(g0 + t0) - r3[:, 2])
-    bad_same, bad_flip = err_same > 1e-6, err_flip > 1e-6
-    # resolve the theta sign of the first point against the third character
-    pg = float(g0[0])
-    pt = float(t0[0] if err_same[0] <= err_flip[0] else -t0[0])
-    out = np.empty((len(r3), 2))
-    out[0] = pg, pt
-    gs, ts, bs, bf = (a.tolist() for a in (g0, t0, bad_same, bad_flip))
-    vg = vt = 0.0
-    last = None
-    k = 1
-    while k < len(out):
-        g, t = gs[k], ts[k]
-        xg, xt = pg + vg, pt + vt
-        best = None
-        for elem, (bad, cg, ct) in enumerate((
-                (bs[k], g, t), (bf[k], g, -t), (bf[k], -g, t),
-                (bs[k], -g, -t))):
-            mg = round((xg - cg) / TWO_PI)
-            mt = round((xt - ct) / TWO_PI)
-            cg += TWO_PI * mg
-            ct += TWO_PI * mt
-            key = (bad, max(abs(cg - xg), abs(ct - xt)))
-            if best is None or key < best[0]:
-                best = key, cg, ct, (elem, mg, mt)
-        _, g, t, elem = best
-        vg, vt = g - pg, t - pt
-        pg, pt = g, t
-        out[k] = g, t
-        k += 1
-        if elem == last:
-            k = _fill_orbit_run(out, k, elem, g0, t0, bad_same, bad_flip)
-            (qg, qt), (pg, pt) = out[k - 2:k].tolist()
-            vg, vt = pg - qg, pt - qt
-            last = None
-        else:
-            last = elem
-    return out
-
-
-def _fill_orbit_run(out, k, elem, g0, t0, bad_same, bad_flip) -> int:
-    """Fill ``out[k:]`` with one orbit element (candidate index and lattice
-    shift) and re-run ``_unwrap_orbit_path``'s rule on the filled points in
-    arrays, with the loop's float operations.  Returns the first index
-    where the rule picks otherwise, or ``len(out)``: the rule is
-    deterministic, so every filled point before it is the loop's.  The
-    points are checked in windows of doubling size, so a short run costs
-    little more than its own length."""
-    c, mg, mt = elem
+    bad = np.column_stack([err_same, err_flip, err_flip, err_same]) > 1e-6
     signs = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-    size = 64
+    # resolve the theta sign of the first point against the third character
+    c, mg, mt = (0 if err_same[0] <= err_flip[0] else 1), 0.0, 0.0
+    out = np.empty((len(r3), 2))
+    out[0] = g0[0], signs[c, 1] * t0[0]
+    k, size = 1, 64
     while k < len(out):
         end = min(len(out), k + size)
         out[k:end, 0] = signs[c, 0] * g0[k:end] + TWO_PI * mg
         out[k:end, 1] = signs[c, 1] * t0[k:end] + TWO_PI * mt
+        # the linear prediction; the first step has no velocity
         p = out[k - 1:end - 1]
-        x = p + (p - out[k - 2:end - 2])
+        x = p + (p - out[np.maximum(np.arange(k - 2, end - 2), 0)])
         cg = g0[k:end, None] * signs[:, 0]
         ct = t0[k:end, None] * signs[:, 1]
         sg = np.round((x[:, :1] - cg) / TWO_PI)
         st = np.round((x[:, 1:] - ct) / TWO_PI)
         dist = np.maximum(np.abs(cg + TWO_PI * sg - x[:, :1]),
                           np.abs(ct + TWO_PI * st - x[:, 1:]))
-        bad = np.column_stack([bad_same[k:end], bad_flip[k:end],
-                               bad_flip[k:end], bad_same[k:end]])
         # the first nearest candidate, among the good ones if any
-        win = np.argmin(np.where(bad & ~bad.all(axis=1, keepdims=True),
-                                 np.inf, dist), axis=1)
-        ok = (win == c) & (sg[:, c] == mg) & (st[:, c] == mt) & \
-            np.isfinite(dist).all(axis=1)
-        miss = np.flatnonzero(~ok)
-        if miss.size:
-            return k + int(miss[0])
-        k, size = end, 2 * size
-    return k
+        b = bad[k:end]
+        win = np.argmin(np.where(b & ~b.all(axis=1, keepdims=True), np.inf,
+                                 dist), axis=1)
+        miss = np.flatnonzero((win != c) | (sg[:, c] != mg) | (st[:, c] != mt))
+        if not miss.size:
+            k, size = end, 2 * size
+            continue
+        j = miss[0]
+        if not np.isfinite(dist[j]).all():
+            raise ValueError("NaN character on the orbit path")
+        c, mg, mt = win[j], sg[j, win[j]], st[j, win[j]]
+        out[k + j] = cg[j, c] + TWO_PI * mg, ct[j, c] + TWO_PI * mt
+        k, size = k + j + 1, 64
+    return out
 
 
 def _prune_short(lift: np.ndarray, min_len: float):

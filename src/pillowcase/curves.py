@@ -451,13 +451,10 @@ def _crossings(lift_a: np.ndarray, lift_b: np.ndarray):
         if not meet.any():
             continue
         identity = sign == 1 and np.max(np.abs(shift)) < 1e-12
-        if meet.all():
-            ii, jj, tt, uu, pts, ang = _segment_crossings(A0, A1, B0, B1)
-        else:
-            keep = np.flatnonzero(meet)
-            ii, jj, tt, uu, pts, ang = _segment_crossings(
-                A0, A1, B0[keep], B1[keep], _grid_cell(A0, A1, B0, B1))
-            jj = keep[jj]
+        keep = np.flatnonzero(meet)
+        ii, jj, tt, uu, pts, ang = _segment_crossings(
+            A0, A1, B0[keep], B1[keep], _grid_cell(A0, A1, B0, B1))
+        jj = keep[jj]
         far = _corner_lattice_distance(pts) >= CORNER_TOL
         for k in np.nonzero(far)[0]:
             i, j = int(ii[k]), int(jj[k])

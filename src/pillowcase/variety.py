@@ -335,7 +335,9 @@ def fold_locus(variant: str, s: float, n_samples: int = 192) -> list[FoldCircle]
         circ = FoldCircle(eps, variant, s, pts, img)
         # closure and winding checks
         gap = np.linalg.norm(img[0] - img[-1])
-        spacing = np.median(np.linalg.norm(np.diff(img, axis=0), axis=1))
+        # the median step, computed by hand: np.median imports numpy.ma
+        q = np.sort(np.linalg.norm(np.diff(img, axis=0), axis=1))
+        spacing = 0.5 * (q[(len(q) - 1) // 2] + q[len(q) // 2])
         if gap > 10 * spacing:
             raise ContinuationError(f"fold circle at corner {eps} failed to close")
         if np.min(circ.radii) < 0.2 * abs(s):

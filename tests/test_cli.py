@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -36,6 +37,26 @@ def test_trace_degenerate(tmp_path):
     assert code == 0
     report = json.loads((tmp_path / "topology.json").read_text())
     assert report["degenerate"] is True
+
+
+def test_trace_inconsistent_is_not_called_degenerate(tmp_path, capsys,
+                                                     monkeypatch):
+    real = cli.verify_topology
+
+    def inconsistent(*args, **kwargs):
+        return dataclasses.replace(
+            real(*args, **kwargs), consistent=False, euler_characteristic=None,
+            genus_cover=None, genus_quotient=None,
+            notes=["refined fiber near (0, 0) at d=0.1 is fold_region"])
+
+    monkeypatch.setattr(cli, "verify_topology", inconsistent)
+    code = run(["trace", "--grid", "8", "--out", str(tmp_path)])
+    assert code == 1
+    stdout = capsys.readouterr().out
+    assert "degenerate" not in stdout
+    assert "inconsistent report: its notes are in topology.json" in stdout
+    report = json.loads((tmp_path / "topology.json").read_text())
+    assert report["degenerate"] is False and report["notes"]
 
 
 def test_compose_command_and_determinism(tmp_path):
@@ -297,6 +318,15 @@ def test_variety_points_skip_roots_outside_the_chart():
     assert all(abs(p.nu) <= 0.5 + 1e-9 for p in pts)
 
 
+def _run_fresh(script: str) -> str:
+    """Stdout of a script run in a fresh interpreter on this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_runtime_does_not_import_scipy():
     # the CLI, the spline fit and the Hausdorff distance run on numpy alone
     script = (
@@ -307,9 +337,15 @@ def test_runtime_does_not_import_scipy():
         "compose._component_splines(c.components[0])\n"
         "assert curves.hausdorff_r3(c, curves.double(c)) > 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _run_fresh(script).strip() == "[]"
+
+
+def test_trace_does_not_import_numpy_ma(tmp_path):
+    # np.median imports numpy.ma; fold_locus takes its median by hand
+    script = (
+        "import sys\n"
+        "from pillowcase import cli\n"
+        f"assert cli.main(['trace', '--grid', '4', '--out', {str(tmp_path)!r}])"
+        " == 0\n"
+        "print('numpy.ma' in sys.modules)\n")
+    assert _run_fresh(script).splitlines()[-1] == "False"

@@ -207,8 +207,8 @@ def _ref_unwrap_orbit_path(r3):
 
 
 def _loop_unwrap_orbit_path(r3):
-    """The float loop ``compose._unwrap_orbit_path`` ran on every point
-    before it filled runs in arrays, kept as its reference."""
+    """The orbit rule of ``compose._unwrap_orbit_path`` as a float loop over
+    every point, kept as the reference for its array form."""
     g0 = np.arccos(np.clip(r3[:, 0], -1.0, 1.0))
     t0 = np.arccos(np.clip(r3[:, 1], -1.0, 1.0))
     err_same = np.abs(np.cos(g0 - t0) - r3[:, 2])
@@ -262,6 +262,44 @@ def test_unwrap_orbit_path_matches_reference(monkeypatch):
                 X.compose_curve(curve, variant, s, circles=fold(variant, s))
     for r3 in paths:
         assert np.array_equal(unwrap(r3), _loop_unwrap_orbit_path(r3))
+
+
+def _random_orbit_paths(rng):
+    """Character triples of walks with steps of 0.02 and 0.3, of uniform
+    jumps (a new orbit element at nearly every point), and of jumps with
+    characters rounded to one digit (ties between elements), some of them
+    with NaN third characters."""
+    for _ in range(40):
+        n = int(rng.integers(2, 300))
+        walks = [np.cumsum(rng.normal(0.0, step, (n, 2)), axis=0)
+                 + rng.uniform(-4.0, 4.0, 2) for step in (0.02, 0.3)]
+        jumps = [rng.uniform(-4.0, 4.0, (n, 2)) for _ in range(3)]
+        for k, gt in enumerate(walks + jumps):
+            g, t = gt.T
+            r3 = np.column_stack([np.cos(g), np.cos(t), np.cos(g - t)])
+            if k >= 3:
+                r3 = np.round(r3, 1)
+            if k == 4:
+                r3[rng.random(n) < 0.3, 2] = np.nan
+            yield r3
+
+
+def test_unwrap_orbit_path_matches_loop_on_random_paths():
+    for r3 in _random_orbit_paths(np.random.default_rng(19)):
+        got, want = X._unwrap_orbit_path(r3), _loop_unwrap_orbit_path(r3)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("column", [0, 1])
+@pytest.mark.parametrize("row", [0, 1, 7])
+def test_unwrap_orbit_path_refuses_nan_characters(column, row):
+    g = np.linspace(0.3, 2.0, 12)
+    r3 = np.column_stack([np.cos(g), np.cos(0.5 * g), np.cos(0.5 * g)])
+    r3[row, column] = np.nan
+    for unwrap in (X._unwrap_orbit_path, _loop_unwrap_orbit_path):
+        with pytest.raises(ValueError):
+            unwrap(r3)
 
 
 def test_verify_theorem_b_beta():
