@@ -14,7 +14,7 @@ the fold circles' complex-step gradient uses.  ``_g_impl`` is its value-only
 face on arrays.  It is the one implementation of the defining pair: every
 solver takes G and its derivatives from it.  Fiber Newton is written once,
 over arrays of fibers (``newton_fibers``), with its (nu, tau) Jacobian from
-``jet``; ``newton_fiber_batch``, its face without condition estimates,
+``jet``; ``newton_fiber_batch``, the same Newton under its own name,
 starts every fiber of ``variety.solve_fibers`` from its s = 0 roots.  The
 continuation corrector and tangent take their 2x4 Jacobian from
 ``jet(..., DIRECTIONS, math)``; both run on Python floats and give the unit
@@ -531,13 +531,11 @@ def newton_fibers(variant, s, gamma, theta, nu0, tau0, tol=1e-13, maxit=50):
         res = np.maximum(np.abs(f1), np.abs(f2))
         det = j11 * j22 - j12 * j21
         tr = j11 * j11 + j12 * j12 + j21 * j21 + j22 * j22
-        disc = tr * tr - 4.0 * det * det
-        disc = np.where(disc < 0.0, 0.0, disc)
-        s1sq = 0.5 * (tr + np.sqrt(disc))
-        s2sq = 0.5 * (tr - np.sqrt(disc))
+        s1sq = 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det * det, 0.0)))
         with np.errstate(divide="ignore", invalid="ignore"):
-            cond[idx] = np.where(s2sq <= 1e-300 * s1sq, 1e300,
-                                 np.sqrt(s1sq / s2sq))
+            # s1 s2 = |det|, so s1 / s2 = s1^2 / |det|, with no cancellation
+            cond[idx] = np.where(np.abs(det) > 1e-150 * s1sq,
+                                 s1sq / np.abs(det), 1e300)
             # the step before the filter below: a constant Jacobian entry
             # (the second bypass row) is a float, which cannot be indexed
             dnu = -(f1 * j22 - f2 * j12) / det
@@ -582,5 +580,5 @@ def newton_fiber(variant, s, gamma, theta, nu0, tau0, tol, maxit):
 
 
 def newton_fiber_batch(variant, s, gamma, theta, nu0, tau0, tol=1e-13, maxit=50):
-    """``newton_fibers`` without the condition estimates: (nu, tau, ok)."""
-    return newton_fibers(variant, s, gamma, theta, nu0, tau0, tol, maxit)[:3]
+    """``newton_fibers`` for the seeded starts, by a name the tracer pins."""
+    return newton_fibers(variant, s, gamma, theta, nu0, tau0, tol, maxit)

@@ -161,31 +161,31 @@ def _fiber_arrays(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
 
     # Newton from both s = 0 roots; a fiber whose two seeded roots converge
     # apart skips the tau scan, and the scan brackets the others' roots
-    (nu_p, tau_p, ok_p), (nu_m, tau_m, ok_m) = (
+    (nu_p, tau_p, ok_p, cond_p), (nu_m, tau_m, ok_m, cond_m) = (
         _kernels.newton_fiber_batch(variant, s, gamma, theta, 0.0, t)
         for t in (t0, t0 + np.pi))
     dtau = np.abs(np.mod(tau_p - tau_m + np.pi, 2 * np.pi) - np.pi)
     apart = ok_p & ok_m & (np.hypot(nu_p - nu_m, dtau) > 1e-4)
     seeded = np.nonzero(apart)[0]
-    fiber = [seeded, seeded]
-    nu = [nu_p[seeded], nu_m[seeded]]
-    tau = [tau_p[seeded], tau_m[seeded]]
+    roots = [(seeded, nu_p[seeded], tau_p[seeded], cond_p[seeded]),
+             (seeded, nu_m[seeded], tau_m[seeded], cond_m[seeded])]
     # a seeded fiber left with no root reads as fold band
     g1_min, g1_max = np.zeros((2, gamma.size))
     rest = np.nonzero(~apart)[0]
+    brackets = []
     for a in range(0, rest.size, SCAN_BLOCK):
         r = rest[a:a + SCAN_BLOCK]
         (f, nu0, tau0), g1_min[r], g1_max[r] = _scan_roots(variant, s,
                                                            gamma[r], theta[r])
-        fiber.append(r[f])
-        nu.append(nu0)
-        tau.append(tau0)
+        brackets.append((r[f], nu0, tau0))
 
-    # one Newton on the seeded roots and the brackets decides every fiber
-    fiber, nu, tau = map(np.concatenate, (fiber, nu, tau))
-    nu, tau, ok, cond = _kernels.newton_fibers(variant, s, gamma[fiber],
-                                               theta[fiber], nu, tau)
-    fiber, nu, tau, cond = fiber[ok], nu[ok], tau[ok], cond[ok]
+    # the seeded roots have converged; one Newton converges the brackets
+    if brackets:
+        f, nu0, tau0 = map(np.concatenate, zip(*brackets))
+        nu0, tau0, ok, cond = _kernels.newton_fibers(variant, s, gamma[f],
+                                                     theta[f], nu0, tau0)
+        roots.append((f[ok], nu0[ok], tau0[ok], cond[ok]))
+    fiber, nu, tau, cond = map(np.concatenate, zip(*roots))
     worst = np.ones(gamma.size)
     np.maximum.at(worst, fiber, cond)
 
@@ -204,27 +204,36 @@ def _fiber_arrays(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
     return rnu, rtau, keep, worst, STATUSES[two + 2 * empty]
 
 
+def _fiber_blocks(variant: str, s: float, gammas, thetas):
+    """Yield (gamma, theta, ``_fiber_arrays``) per ``FIBER_BLOCK`` fibers."""
+    gamma, theta = (a.ravel() for a in np.broadcast_arrays(
+        np.asarray(gammas, dtype=float), np.asarray(thetas, dtype=float)))
+    for a in range(0, gamma.size, FIBER_BLOCK):
+        g, t = gamma[a:a + FIBER_BLOCK], theta[a:a + FIBER_BLOCK]
+        yield g, t, _fiber_arrays(variant, s, g, t)
+
+
+def fiber_statuses(variant: str, s: float, gammas, thetas) -> np.ndarray:
+    """Flat status array of ``solve_fibers`` over any base points."""
+    blocks = _fiber_blocks(variant, s, gammas, thetas)
+    return np.concatenate([STATUSES[:0]] + [a[-1] for *_, a in blocks])
+
+
 def solve_fibers(variant: str, s: float, gammas, thetas) -> list[FiberSolutions]:
     """Roots of the defining pair in (nu, tau) over many base points.
 
     Each fiber is solved at the target s, with no continuation; s = 0 is
-    closed form.  Newton starts from both s = 0 roots, and a tau scan
-    brackets the roots of every fiber whose two starts do not converge
-    apart.  One Newton converges the seeded roots and the brackets, and one
-    rule gives the status: ``two_sheets`` at two or more distinct roots with
-    condition below ``FOLD_COND_THRESHOLD``, ``empty`` at none where the
-    scan stays away from zero, ``fold_region`` otherwise.  The + sheet comes
-    first: the root whose tau is nearest ``tau_seed``.  The work is batched
-    across fibers, ``FIBER_BLOCK`` at a time; each fiber's result is its own.
+    closed form.  Newton starts from both s = 0 roots; a tau scan brackets
+    the roots of each fiber whose two starts do not converge apart, for one
+    more Newton.  The status is ``two_sheets`` at two or more distinct
+    roots with condition below ``FOLD_COND_THRESHOLD``, ``empty`` at none
+    where the scan stays away from zero, ``fold_region`` otherwise.  The +
+    sheet comes first: the root whose tau is nearest ``tau_seed``.  Fibers
+    are batched ``FIBER_BLOCK`` at a time; each fiber's result is its own.
     """
-    gamma, theta = np.broadcast_arrays(np.asarray(gammas, dtype=float),
-                                       np.asarray(thetas, dtype=float))
-    gamma = gamma.ravel()
-    theta = theta.ravel()
     out = []
-    for a in range(0, gamma.size, FIBER_BLOCK):
-        g, t = gamma[a:a + FIBER_BLOCK], theta[a:a + FIBER_BLOCK]
-        rnu, rtau, keep, worst, status = _fiber_arrays(variant, s, g, t)
+    for g, t, (rnu, rtau, keep, worst, status) in _fiber_blocks(
+            variant, s, gammas, thetas):
         for f, st in enumerate(status.tolist()):
             k = keep[f]
             roots = list(zip(rnu[f, k].tolist(), rtau[f, k].tolist()))
@@ -407,30 +416,28 @@ def _corner_distance(gamma, theta):
 
 def classify_grid(variant: str, s: float, grid: int = 64):
     """Status of every fiber over a grid x grid sweep of the base torus,
-    as ``solve_fibers`` decides it, read from its array stage."""
+    by ``fiber_statuses``."""
     gs = ts = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
-    gg, tt = (a.ravel() for a in np.meshgrid(gs, ts, indexing="ij"))
-    status = np.empty(gg.size, dtype=object)
-    for a in range(0, gg.size, FIBER_BLOCK):
-        status[a:a + FIBER_BLOCK] = _fiber_arrays(
-            variant, s, gg[a:a + FIBER_BLOCK], tt[a:a + FIBER_BLOCK])[-1]
-    return gs, ts, status.reshape(grid, grid)
+    gg, tt = np.meshgrid(gs, ts, indexing="ij")
+    return gs, ts, fiber_statuses(variant, s, gg, tt).reshape(grid, grid)
 
 
 def verify_topology(variant: str, s: float, grid: int = 64, *,
                     circles: list[FoldCircle] | None = None) -> TopologyReport:
     """Check the two-sheets-outside / empty-inside / four-circles model and
-    derive the Euler characteristic and genera.
-
-    ``circles`` are the fold circles at (variant, s) if already computed.
-    The report carries the fiber grid and the fold circles it was built on.
+    derive the Euler characteristic and genera.  The model holds when no
+    fiber of the grid or of the refined sweep around the corners (one
+    ``fiber_statuses`` pass) is misplaced.  ``circles`` are the fold
+    circles at (variant, s) if already computed.  The report carries the
+    fiber grid and the fold circles it was built on.
     """
     notes: list[str] = []
     fibers = classify_grid(variant, s, grid)
+    corners = list(CORNER_BASE.values())
+    g0, t0 = np.array(corners).T[:, :, None]
     if s == 0.0:
         # degenerate fibers over the fixed points are whole circles
-        g0, t0 = zip(*CORNER_BASE.values())
-        fixed = [fs.status for fs in solve_fibers(variant, 0.0, g0, t0)]
+        fixed = fiber_statuses(variant, 0.0, g0, t0).tolist()
         ok = all(st == "fold_region" for st in fixed)
         notes.append("s = 0: circle fibers over the four fixed points; the "
                      "quotient is not a manifold quotient of a smooth family")
@@ -442,39 +449,34 @@ def verify_topology(variant: str, s: float, grid: int = 64, *,
     r_max = max(float(np.max(c.radii)) for c in circles)
     r_min = min(float(np.min(c.radii)) for c in circles)
     # fold radii in angle coordinates agree with sin-coordinates to O(r^3)
-    band_out = 1.3 * r_max
-    band_in = 0.7 * r_min
+    band_in, band_out = 0.7 * r_min, 1.3 * r_max
 
+    def misplaced(dist, st):  # not two sheets outside, or not empty inside
+        return (((dist > band_out) & (st != "two_sheets"))
+                | ((dist < band_in) & (st != "empty")))
     gs, ts, status = fibers
     counts = {st: int(np.sum(status == st))
               for st in ("two_sheets", "fold_region", "empty")}
     dist = _corner_distance(*np.meshgrid(gs, ts, indexing="ij"))
-    outside = (dist > band_out) & (status != "two_sheets")
-    inside = (dist < band_in) & (status != "empty")
-    consistent = not (outside.any() or inside.any())
-    for i, j in zip(*np.nonzero(outside | inside)):
-        where = "outside" if outside[i, j] else "inside"
+    off = misplaced(dist, status)
+    for i, j in zip(*np.nonzero(off)):
+        where = "outside" if dist[i, j] > band_out else "inside"
         notes.append(f"fiber ({gs[i]:.3f},{ts[j]:.3f}) {where} fold disks is "
                      f"{status[i, j]}")
 
-    # refined sweep near the fold band; a fiber inside the band between the
-    # disks has no expected status, so only those outside it are solved
-    refine = 4
-    local = np.linspace(-2 * r_max, 2 * r_max, refine * 8)
+    # refined sweep near the fold band, all four corners in one pass; a fiber
+    # in the band between the disks has no expected status and is not solved
+    local = np.linspace(-2 * r_max, 2 * r_max, 32)
     dgs, dts = (a.ravel() for a in np.meshgrid(local, local, indexing="ij"))
     radius = np.hypot(dgs, dts)
     checked = (radius > band_out) | (radius < band_in)
     dgs, dts, radius = dgs[checked], dts[checked], radius[checked]
-    for g0, t0 in CORNER_BASE.values():
-        sweep = solve_fibers(variant, s, g0 + dgs, t0 + dts)
-        for d, fs in zip(radius.tolist(), sweep):
-            st = fs.status
-            if d > band_out and st != "two_sheets":
-                consistent = False
-                notes.append(f"refined fiber near {g0, t0} at d={d:.4f} is {st}")
-            if d < band_in and st != "empty":
-                consistent = False
-                notes.append(f"refined fiber near {g0, t0} at d={d:.4f} is {st}")
+    sweep = fiber_statuses(variant, s, g0 + dgs, t0 + dts).reshape(4, -1)
+    off_sweep = misplaced(radius, sweep)
+    for c, i in zip(*np.nonzero(off_sweep)):
+        notes.append(f"refined fiber near {corners[c]} at d={radius[i]:.4f} "
+                     f"is {sweep[c, i]}")
+    consistent = not (off.any() or off_sweep.any())
 
     n_circ = len(circles)
     # two copies of (torus minus 4 disks) glued along 4 circles

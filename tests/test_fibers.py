@@ -99,8 +99,7 @@ def _newton_reference(jacobian, code, s, gamma, theta, nu, tau, tol, maxit):
         t = j11 * j11 + j12 * j12 + j21 * j21 + j22 * j22
         disc = max(t * t - 4.0 * det * det, 0.0)
         s1sq = 0.5 * (t + np.sqrt(disc))
-        s2sq = 0.5 * (t - np.sqrt(disc))
-        cond = 1e300 if s2sq <= 1e-300 * s1sq else np.sqrt(s1sq / s2sq)
+        cond = s1sq / abs(det) if abs(det) > 1e-150 * s1sq else 1e300
         if res < tol:
             return nu, tau, True, cond
         if abs(det) < 1e-300:
@@ -154,9 +153,34 @@ def test_newton_fibers_matches_scalar_loop(variant, tol, maxit):
         one = K.newton_fiber(*args)
         assert one == (nu[i], tau[i], ok[i], cond[i])
         assert one == _newton_reference(_exact_jacobian, *args)
-    three = K.newton_fiber_batch(variant, S, g, t, nu0, tau0, tol, maxit)
-    for a, b in zip(three, (nu, tau, ok)):
+    batch = K.newton_fiber_batch(variant, S, g, t, nu0, tau0, tol, maxit)
+    assert len(batch) == 4
+    for a, b in zip(batch, (nu, tau, ok, cond)):
         assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+@pytest.mark.parametrize("s", [0.05, 1e-4])
+def test_newton_fibers_condition_matches_numpy(variant, s):
+    """The condition estimate at converged roots equals ``np.linalg.cond``
+    of the (nu, tau) Jacobian, also near the fold disks at small s."""
+    rng = np.random.default_rng(11)
+    ang = rng.uniform(0, 2 * np.pi, 200)
+    r = abs(s) * rng.uniform(2.5, 20.0, 200)
+    g = np.concatenate([rng.uniform(0, 2 * np.pi, 400), r * np.cos(ang)] * 2)
+    t = np.concatenate([rng.uniform(0, 2 * np.pi, 400),
+                        np.pi + r * np.sin(ang)] * 2)
+    tau0 = V.tau_seed(g, t) + np.repeat([0.0, np.pi], 600)
+    nu, tau, ok, cond = K.newton_fibers(variant, s, g, t, 0.0, tau0)
+    assert ok.sum() > 1000
+    g, t, nu, tau, cond = g[ok], t[ok], nu[ok], tau[ok], cond[ok]
+    _, _, jac = K.jet(variant, s, g, t, nu, tau, ("nu", "tau"))
+    jac = np.moveaxis([[np.broadcast_to(x, g.shape) for x in row]
+                       for row in jac], -1, 0)
+    ref = np.linalg.cond(jac)
+    if s < 1e-3:
+        assert ref.max() > 1e7
+    assert np.all(np.abs(cond / ref - 1.0) < 1e-12)
 
 
 @pytest.mark.parametrize("variant", ["earring", "bypass"])

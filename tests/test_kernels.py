@@ -133,8 +133,8 @@ def test_newton_fiber_batch_matches_scalar():
     g = rng.uniform(0.3, np.pi - 0.3, n)
     t = rng.uniform(0.3, np.pi - 0.3, n)
     tau0 = np.arctan2(np.sin(t), np.sin(g))
-    nu_b, tau_b, ok_b = k.newton_fiber_batch("earring", 0.05, g, t,
-                                             np.zeros(n), tau0)
+    nu_b, tau_b, ok_b, _ = k.newton_fiber_batch("earring", 0.05, g, t,
+                                                np.zeros(n), tau0)
     assert np.all(ok_b)
     for i in range(n):
         nu, tau, ok, _ = k.newton_fiber(k.EARRING, 0.05, g[i], t[i], 0.0,

@@ -301,10 +301,10 @@ def test_topology_grid_checks_match_loop_reference(monkeypatch):
     status[::24, ::24] = "two_sheets"  # the four corners, inside the disks
     monkeypatch.setattr(V, "classify_grid", lambda *a: (gs, ts, status))
     # a refined sweep that agrees with the model adds no notes
-    monkeypatch.setattr(V, "solve_fibers", lambda variant, s, g, t: [
-        V.FiberSolutions(variant, s, a, b, [], "empty" if np.hypot(
-            a - np.round(a / np.pi) * np.pi, b - np.round(b / np.pi) * np.pi)
-            < band_in else "two_sheets") for a, b in zip(g, t)])
+    monkeypatch.setattr(V, "fiber_statuses", lambda variant, s, g, t: np.where(
+        np.hypot(g - np.round(g / np.pi) * np.pi,
+                 t - np.round(t / np.pi) * np.pi) < band_in,
+        "empty", "two_sheets").astype(object).ravel())
     rep = V.verify_topology("earring", s, 48, circles=circles)
 
     # the per-fiber loop the array expressions replaced
@@ -351,21 +351,27 @@ def test_refined_sweep_solves_only_the_fibers_it_checks(monkeypatch):
     requested = []
 
     def recording(variant, s, g, t):
-        requested.append(set(zip(np.asarray(g).tolist(),
-                                 np.asarray(t).tolist())))
-        return model(variant, s, g, t)
+        g, t = (np.ravel(a).tolist() for a in (g, t))
+        requested.append(list(zip(g, t)))
+        return np.array([fs.status for fs in model(variant, s, g, t)],
+                        dtype=object)
 
     gs = ts = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
     status = np.full((32, 32), "two_sheets", dtype=object)
     status[::16, ::16] = "empty"  # the four corners, inside the disks
     monkeypatch.setattr(V, "classify_grid", lambda *a: (gs, ts, status))
-    monkeypatch.setattr(V, "solve_fibers", recording)
+    monkeypatch.setattr(V, "fiber_statuses", recording)
     rep = V.verify_topology("earring", s, 32, circles=circles)
 
-    # the full 32 x 32 sweep per corner that the restricted one replaced
-    assert len(requested) == 4
+    # the full 32 x 32 sweep per corner that the restricted one replaced;
+    # the four corners are one request, corner by corner
+    assert len(requested) == 1
+    n = len(requested[0]) // 4
+    assert len(requested[0]) == 4 * n
     notes, consistent = [], True
-    for (g0, t0), asked in zip(V.CORNER_BASE.values(), requested):
+    for k, (g0, t0) in enumerate(V.CORNER_BASE.values()):
+        asked = set(requested[0][k * n:(k + 1) * n])
+        assert len(asked) == n
         checked = {(g0 + a, t0 + b) for a, b, r in zip(dgs, dts, d)
                    if r > band_out or r < band_in}
         assert asked == checked
@@ -381,6 +387,33 @@ def test_refined_sweep_solves_only_the_fibers_it_checks(monkeypatch):
                 notes.append(f"refined fiber near {g0, t0} at d={r:.4f} is {st}")
     assert len(notes) == 2 and not consistent
     assert rep.notes == notes and rep.consistent == consistent
+
+
+# blocks of 5 fibers make a sweep about 25 times slower, so two cases run at
+# the default block, whose boundary at fiber 2,048 splits the third corner
+@pytest.mark.parametrize("variant, s, block", [
+    ("earring", 0.05, 5), ("bypass", -0.45, 5),
+    ("earring", -0.45, V.FIBER_BLOCK), ("bypass", 0.05, V.FIBER_BLOCK),
+])
+def test_sweep_statuses_match_solve_fibers(variant, s, block, monkeypatch):
+    """The refined sweep's one status pass over the four corners gives the
+    statuses of ``solve_fibers``, also where a block splits a corner."""
+    passes = []
+    reader = V.fiber_statuses
+
+    def recording(variant, s, g, t):
+        passes.append((g, t, reader(variant, s, g, t)))
+        return passes[-1][-1]
+
+    monkeypatch.setattr(V, "fiber_statuses", recording)
+    monkeypatch.setattr(V, "FIBER_BLOCK", block)
+    assert VF.topology(V.verify_topology(variant, s, 4))
+    g, t, status = passes[-1]
+    n = g.shape[1]
+    assert g.shape == (4, n) and any(a % n for a in range(block, 4 * n, block))
+    monkeypatch.undo()
+    assert status.tolist() == [fs.status for fs in V.solve_fibers(variant, s,
+                                                                  g, t)]
 
 
 def test_pi0_misses_corners():
@@ -415,7 +448,7 @@ def test_topology_counts_pinned_across_s(variant, s, counts):
 def _unconverged(variant, s, gamma, theta, nu0, tau0, *args):
     """A ``newton_fiber_batch`` whose seeds never converge."""
     nu, tau = np.broadcast_arrays(nu0, tau0, gamma)[:2]
-    return nu, tau, np.zeros(nu.shape, dtype=bool)
+    return nu, tau, np.zeros(nu.shape, dtype=bool), np.ones(nu.shape)
 
 
 @pytest.mark.parametrize("variant, s, grid", [
