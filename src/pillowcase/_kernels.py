@@ -494,14 +494,13 @@ def g_pair(variant, s, gamma, theta, nu, tau):
 def newton_fibers(variant, s, gamma, theta, nu0, tau0, tol=1e-13, maxit=50):
     """Damped Newton on (nu, tau) over many fibers at once.
 
-    Returns (nu, tau, ok, cond) arrays of the broadcast input shape.  Each
+    Returns (nu, tau, ok) arrays of the broadcast input shape.  Each
     element iterates on its own: the exact Jacobian in (nu, tau) from
     ``jet``, then a full step halved up to 8 times until the residual drops;
     a trial step that leaves the region |nu| < 0.999 is rejected.  An
     element stops when its residual is below ``tol`` (ok), its Jacobian is
     singular or no trial step improves (not ok, last accepted iterate kept),
-    or after ``maxit`` steps.  ``cond`` is the 2x2 Jacobian condition
-    estimate at the last iterate, used upstream for fold detection.
+    or after ``maxit`` steps.
     """
     code = variant_code(variant)
     s = float(s)
@@ -517,7 +516,6 @@ def newton_fibers(variant, s, gamma, theta, nu0, tau0, tol=1e-13, maxit=50):
     nu = nu.flatten()
     tau = tau.flatten()
     ok = np.zeros(nu.size, dtype=bool)
-    cond = np.ones(nu.size)
     idx = np.arange(nu.size)  # elements still iterating
     for _ in range(maxit):
         if not idx.size:
@@ -530,12 +528,7 @@ def newton_fibers(variant, s, gamma, theta, nu0, tau0, tol=1e-13, maxit=50):
                                                ("nu", "tau"))
         res = np.maximum(np.abs(f1), np.abs(f2))
         det = j11 * j22 - j12 * j21
-        tr = j11 * j11 + j12 * j12 + j21 * j21 + j22 * j22
-        s1sq = 0.5 * (tr + np.sqrt(np.maximum(tr * tr - 4.0 * det * det, 0.0)))
         with np.errstate(divide="ignore", invalid="ignore"):
-            # s1 s2 = |det|, so s1 / s2 = s1^2 / |det|, with no cancellation
-            cond[idx] = np.where(np.abs(det) > 1e-150 * s1sq,
-                                 s1sq / np.abs(det), 1e300)
             # the step before the filter below: a constant Jacobian entry
             # (the second bypass row) is a float, which cannot be indexed
             dnu = -(f1 * j22 - f2 * j12) / det
@@ -568,15 +561,14 @@ def newton_fibers(variant, s, gamma, theta, nu0, tau0, tol=1e-13, maxit=50):
     if idx.size:
         f1, f2 = _g_impl(code, s, gamma[idx], theta[idx], nu[idx], tau[idx])
         ok[idx] = np.maximum(np.abs(f1), np.abs(f2)) < tol
-    return (nu.reshape(shape), tau.reshape(shape), ok.reshape(shape),
-            cond.reshape(shape))
+    return nu.reshape(shape), tau.reshape(shape), ok.reshape(shape)
 
 
 def newton_fiber(variant, s, gamma, theta, nu0, tau0, tol, maxit):
-    """One fiber root by ``newton_fibers``; returns (nu, tau, ok, cond)."""
-    nu, tau, ok, cond = newton_fibers(variant, s, gamma, theta, nu0, tau0,
-                                      tol, maxit)
-    return float(nu), float(tau), bool(ok), float(cond)
+    """One fiber root by ``newton_fibers``; returns (nu, tau, ok)."""
+    nu, tau, ok = newton_fibers(variant, s, gamma, theta, nu0, tau0, tol,
+                                maxit)
+    return float(nu), float(tau), bool(ok)
 
 
 def newton_fiber_batch(variant, s, gamma, theta, nu0, tau0, tol=1e-13, maxit=50):

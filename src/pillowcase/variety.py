@@ -33,8 +33,6 @@ CORNER_BASE = {
     (-1, -1): (np.pi, np.pi),
 }
 
-FOLD_COND_THRESHOLD = 1e8
-
 
 class ContinuationError(RuntimeError):
     """A fiber or fold continuation failed to converge or to close up."""
@@ -48,14 +46,14 @@ def tau_seed(gamma, theta):
 
 @dataclass
 class FiberSolutions:
+    """The distinct roots (nu, tau) over one base point, the + sheet first,
+    and the fiber's status by the rule of ``solve_fibers``."""
     variant: str
     s: float
     gamma: float
     theta: float
     solutions: list[tuple[float, float]]
     status: str  # two_sheets | fold_region | empty
-    # worst 2x2 Jacobian condition at the roots found; 1 when there are none
-    cond: float = 1.0
 
     def chart_points(self) -> list[ChartPoint]:
         return [ChartPoint(self.s, self.gamma, self.theta, nu, tau, self.variant)
@@ -145,9 +143,9 @@ STATUSES = np.array(["fold_region", "two_sheets", "empty"], dtype=object)
 def _fiber_arrays(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
     """The array stage of ``solve_fibers`` over one block of fibers.
 
-    Returns each fiber's roots as padded (fibers, slots) arrays nu and tau
-    with the mask of the kept slots, the worst Jacobian condition at its
-    roots, and its status.
+    Returns (rnu, rtau, keep, status): each fiber's roots as padded
+    (fibers, slots) arrays nu and tau, the mask of the slots ``_dedup``
+    keeps, and the fiber's status by the rule of ``solve_fibers``.
     """
     t0 = tau_seed(gamma, theta)
     if s == 0.0:
@@ -156,19 +154,19 @@ def _fiber_arrays(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
         circle = np.hypot(np.sin(gamma), np.sin(theta)) < 1e-12
         rtau = np.mod(np.column_stack([t0, t0 + np.pi]), 2 * np.pi)
         keep = np.repeat(~circle[:, None], 2, axis=1)
-        return (np.zeros_like(rtau), rtau, keep, np.where(circle, np.inf, 1.0),
-                STATUSES[np.where(circle, 0, 1)])
+        return np.zeros_like(rtau), rtau, keep, STATUSES[np.where(circle, 0, 1)]
 
     # Newton from both s = 0 roots; a fiber whose two seeded roots converge
-    # apart skips the tau scan, and the scan brackets the others' roots
-    (nu_p, tau_p, ok_p, cond_p), (nu_m, tau_m, ok_m, cond_m) = (
+    # apart (two distinct roots by the rule of ``_dedup``) skips the tau
+    # scan, and the scan brackets the others' roots
+    (nu_p, tau_p, ok_p), (nu_m, tau_m, ok_m) = (
         _kernels.newton_fiber_batch(variant, s, gamma, theta, 0.0, t)
         for t in (t0, t0 + np.pi))
     dtau = np.abs(np.mod(tau_p - tau_m + np.pi, 2 * np.pi) - np.pi)
-    apart = ok_p & ok_m & (np.hypot(nu_p - nu_m, dtau) > 1e-4)
+    apart = ok_p & ok_m & (np.hypot(nu_p - nu_m, dtau) >= DEDUP_RADIUS)
     seeded = np.nonzero(apart)[0]
-    roots = [(seeded, nu_p[seeded], tau_p[seeded], cond_p[seeded]),
-             (seeded, nu_m[seeded], tau_m[seeded], cond_m[seeded])]
+    roots = [(seeded, nu_p[seeded], tau_p[seeded]),
+             (seeded, nu_m[seeded], tau_m[seeded])]
     # a seeded fiber left with no root reads as fold band
     g1_min, g1_max = np.zeros((2, gamma.size))
     rest = np.nonzero(~apart)[0]
@@ -182,12 +180,10 @@ def _fiber_arrays(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
     # the seeded roots have converged; one Newton converges the brackets
     if brackets:
         f, nu0, tau0 = map(np.concatenate, zip(*brackets))
-        nu0, tau0, ok, cond = _kernels.newton_fibers(variant, s, gamma[f],
-                                                     theta[f], nu0, tau0)
-        roots.append((f[ok], nu0[ok], tau0[ok], cond[ok]))
-    fiber, nu, tau, cond = map(np.concatenate, zip(*roots))
-    worst = np.ones(gamma.size)
-    np.maximum.at(worst, fiber, cond)
+        nu0, tau0, ok = _kernels.newton_fibers(variant, s, gamma[f],
+                                               theta[f], nu0, tau0)
+        roots.append((f[ok], nu0[ok], tau0[ok]))
+    fiber, nu, tau = map(np.concatenate, zip(*roots))
 
     # per fiber, the + sheet first: roots by tau distance from the s = 0 seed
     order = np.lexsort((np.abs(np.mod(tau - t0[fiber] + np.pi, 2 * np.pi)
@@ -199,9 +195,9 @@ def _fiber_arrays(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
     # the status rule of solve_fibers; the scan's |g1| tells empty from a
     # graze of the fold band
     n_roots = np.count_nonzero(keep, axis=1)
-    two = (n_roots >= 2) & (worst < FOLD_COND_THRESHOLD)
+    two = n_roots >= 2
     empty = (n_roots == 0) & (g1_min > 0.02 * np.maximum(g1_max, 1e-12))
-    return rnu, rtau, keep, worst, STATUSES[two + 2 * empty]
+    return rnu, rtau, keep, STATUSES[two + 2 * empty]
 
 
 def _fiber_blocks(variant: str, s: float, gammas, thetas):
@@ -225,20 +221,21 @@ def solve_fibers(variant: str, s: float, gammas, thetas) -> list[FiberSolutions]
     Each fiber is solved at the target s, with no continuation; s = 0 is
     closed form.  Newton starts from both s = 0 roots; a tau scan brackets
     the roots of each fiber whose two starts do not converge apart, for one
-    more Newton.  The status is ``two_sheets`` at two or more distinct
-    roots with condition below ``FOLD_COND_THRESHOLD``, ``empty`` at none
-    where the scan stays away from zero, ``fold_region`` otherwise.  The +
+    more Newton.  Two roots are distinct when they lie at least
+    ``DEDUP_RADIUS`` apart in (nu, tau) (``_dedup``).  The status is
+    ``two_sheets`` at two or more distinct roots, ``empty`` at none where
+    the scan's |g1| stays away from zero, ``fold_region`` otherwise.  The +
     sheet comes first: the root whose tau is nearest ``tau_seed``.  Fibers
     are batched ``FIBER_BLOCK`` at a time; each fiber's result is its own.
     """
     out = []
-    for g, t, (rnu, rtau, keep, worst, status) in _fiber_blocks(
+    for g, t, (rnu, rtau, keep, status) in _fiber_blocks(
             variant, s, gammas, thetas):
         for f, st in enumerate(status.tolist()):
             k = keep[f]
             roots = list(zip(rnu[f, k].tolist(), rtau[f, k].tolist()))
             out.append(FiberSolutions(variant, s, float(g[f]), float(t[f]),
-                                      roots, st, cond=float(worst[f])))
+                                      roots, st))
     return out
 
 

@@ -15,10 +15,12 @@ TWO_PI = 2 * np.pi
 def brute_force_quotient_intersections(a: C.ImmersedCurve, b: C.ImmersedCurve,
                                        corner_tol=1e-6):
     """Independent oracle: test every segment pair under every relevant
-    lattice-and-flip translate with a direct O(n m) sweep."""
+    lattice-and-flip translate with a direct O(n m) sweep, all (i, j) pairs
+    of one translate at once."""
     hits = []
     for ia, comp_a in enumerate(a.components):
         A = comp_a.lift
+        p, r = A[:-1, None], (A[1:] - A[:-1])[:, None]
         for ib, comp_b in enumerate(b.components):
             for sign in (1, -1):
                 base = sign * comp_b.lift
@@ -29,22 +31,22 @@ def brute_force_quotient_intersections(a: C.ImmersedCurve, b: C.ImmersedCurve,
                     for n in range(int(np.floor(lo[1] / TWO_PI)),
                                    int(np.ceil(hi[1] / TWO_PI)) + 1):
                         B = base + np.array([TWO_PI * m, TWO_PI * n])
-                        for i in range(len(A) - 1):
-                            for j in range(len(B) - 1):
-                                p, r = A[i], A[i + 1] - A[i]
-                                q, sgm = B[j], B[j + 1] - B[j]
-                                den = r[0] * sgm[1] - r[1] * sgm[0]
-                                if den == 0:
-                                    continue
-                                d = q - p
-                                t = (d[0] * sgm[1] - d[1] * sgm[0]) / den
-                                u = (d[0] * r[1] - d[1] * r[0]) / den
-                                if -1e-12 <= t < 1 - 1e-12 and \
-                                   -1e-12 <= u < 1 - 1e-12:
-                                    pt = p + t * r
-                                    if C._corner_lattice_distance(
-                                            pt[None])[0] > corner_tol:
-                                        hits.append((i + t, j + u, ia, ib))
+                        q, sgm = B[None, :-1], (B[1:] - B[:-1])[None]
+                        den = r[..., 0] * sgm[..., 1] - r[..., 1] * sgm[..., 0]
+                        d = q - p
+                        with np.errstate(divide="ignore", invalid="ignore"):
+                            t = (d[..., 0] * sgm[..., 1]
+                                 - d[..., 1] * sgm[..., 0]) / den
+                            u = (d[..., 0] * r[..., 1]
+                                 - d[..., 1] * r[..., 0]) / den
+                        i, j = np.nonzero(
+                            (den != 0) & (-1e-12 <= t) & (t < 1 - 1e-12)
+                            & (-1e-12 <= u) & (u < 1 - 1e-12))
+                        t, u = t[i, j], u[i, j]
+                        pt = A[i] + t[:, None] * r[i, 0]
+                        far = C._corner_lattice_distance(pt) > corner_tol
+                        hits += [(x, y, ia, ib) for x, y in zip(
+                            (i + t)[far].tolist(), (j + u)[far].tolist())]
     # dedup parameter pairs per component pair
     out = []
     for h in sorted(hits):

@@ -133,12 +133,12 @@ def test_newton_fiber_batch_matches_scalar():
     g = rng.uniform(0.3, np.pi - 0.3, n)
     t = rng.uniform(0.3, np.pi - 0.3, n)
     tau0 = np.arctan2(np.sin(t), np.sin(g))
-    nu_b, tau_b, ok_b, _ = k.newton_fiber_batch("earring", 0.05, g, t,
-                                                np.zeros(n), tau0)
+    nu_b, tau_b, ok_b = k.newton_fiber_batch("earring", 0.05, g, t,
+                                             np.zeros(n), tau0)
     assert np.all(ok_b)
     for i in range(n):
-        nu, tau, ok, _ = k.newton_fiber(k.EARRING, 0.05, g[i], t[i], 0.0,
-                                        tau0[i], 1e-12, 50)
+        nu, tau, ok = k.newton_fiber(k.EARRING, 0.05, g[i], t[i], 0.0,
+                                     tau0[i], 1e-12, 50)
         assert ok
         assert abs(nu - nu_b[i]) < 1e-9
         assert abs(np.mod(tau - tau_b[i] + np.pi, 2 * np.pi) - np.pi) < 1e-9
