@@ -35,6 +35,7 @@ from .curves import (GenericPositionError, ImmersedCurve, double, intersect,
                      twisted_double, vertical_circle, wavy_arc)
 from .compose import (MAX_STEP, TangencyError, compose_curve,
                       fold_image_curves, transpose_compose, verify_theorem_B)
+from .projection import OffVarietyError, ReGaugeError
 # solve_fiber is unused here, but the tracer in perfbench/ pins the
 # cli.solve_fiber alias
 from .variety import (ContinuationError, fold_locus, solve_fiber,
@@ -299,10 +300,13 @@ def verification_suite(variant: str, s: float, seed: int = 0,
     rows.append(("w2_condition", ok,
                  f"on-variety {on_worst:.2e}, off-variety {off_best:.2e}"))
 
-    worst_g, worst_fix, ok = verify.explicit_points((variant,),
-                                                    (0.01, 0.05, 0.1))
-    rows.append(("explicit_points", ok,
-                 f"|G| {worst_g:.2e}, involution char drift {worst_fix:.2e}"))
+    try:
+        worst_g, worst_fix, ok = verify.explicit_points((variant,),
+                                                        (0.01, 0.05, 0.1))
+        rows.append(("explicit_points", ok, f"|G| {worst_g:.2e}, involution "
+                                            f"char drift {worst_fix:.2e}"))
+    except (OffVarietyError, ReGaugeError) as exc:
+        rows.append(("explicit_points", False, str(exc)))
 
     sigmas = np.linspace(0, 2 * np.pi, 72 if quick else 360, endpoint=False)
     worst, ok = verify.k_circles((variant,), (0.05, 0.1), sigmas)
@@ -339,9 +343,12 @@ def verification_suite(variant: str, s: float, seed: int = 0,
                  f"chi {rep.euler_characteristic}, genus "
                  f"{rep.genus_cover}/{rep.genus_quotient}"))
 
-    worst, ok = verify.factorization(
-        _variety_points(rng, variant, s, 40 if quick else 200))
-    rows.append(("factorization", ok, f"max residual {worst:.2e}"))
+    try:
+        worst, ok = verify.factorization(
+            _variety_points(rng, variant, s, 40 if quick else 200))
+        rows.append(("factorization", ok, f"max residual {worst:.2e}"))
+    except (OffVarietyError, ReGaugeError) as exc:
+        rows.append(("factorization", False, str(exc)))
 
     try:
         edge = compose_curve(bottom_edge(), variant, s, max_step=1.5e-3,

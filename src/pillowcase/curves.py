@@ -674,59 +674,84 @@ def lift_to_r3(lift: np.ndarray) -> np.ndarray:
 
 
 _BLOCK = 16  # consecutive segments under one bounding ball
-_POINT_CHUNK = 256  # points per ball pass: a (256, blocks) bound matrix
+_POINT_BLOCK = 32  # consecutive points under one bounding ball
+_RUNS_PER_PASS = 8  # point blocks per pass, each against every block
 _PAIR_CHUNK = 4096  # (point, block) pairs per exact pass: 64k segment rows
 
 
-def _segment_dist(pts, a, ab, denom, seg):
-    """Distance from each point to the segment with the same index in
-    ``seg``; ``pts`` broadcasts against the rows of ``seg``."""
-    ap = pts - a[seg]
-    t = np.clip(np.sum(ap * ab[seg], axis=-1) / denom[seg], 0.0, 1.0)
-    proj = a[seg] + t[..., None] * ab[seg]
-    return np.linalg.norm(pts - proj, axis=-1)
+def _nearest_in_block(pts, seg, blk):
+    """Distance from each point to its nearest segment of block ``blk``;
+    ``seg`` holds the blocks' (a, b - a, |b - a|^2)."""
+    a, ab, denom = (x[blk] for x in seg)
+    t = np.clip(np.sum((pts[:, None] - a) * ab, axis=-1) / denom, 0.0, 1.0)
+    x = pts[:, None] - (a + t[..., None] * ab)
+    return np.sqrt(np.sum(x * x, axis=-1)).min(axis=1)
+
+
+def _runs(n: int, size: int) -> np.ndarray:
+    """Indices 0..n-1 in rows of ``size``; the last row repeats n - 1."""
+    return np.minimum(np.arange(-(-n // size) * size), n - 1).reshape(-1, size)
+
+
+def _balls(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Center and radius of a ball around the points of each row."""
+    center = 0.5 * (rows.min(axis=1) + rows.max(axis=1))
+    return center, np.linalg.norm(rows - center[:, None], axis=2).max(axis=1)
 
 
 def _points_to_segments_dist(pts: np.ndarray, a: np.ndarray,
                              b: np.ndarray) -> np.ndarray:
     """Exact distance from each point to the nearest segment [a_j, b_j].
 
-    The segments are taken in blocks of ``_BLOCK`` consecutive ones, each
-    under a bounding ball.  A point first measures the block whose ball is
-    nearest, then every block whose ball is nearer than the distance found:
-    no other block can hold a nearer segment.  Points and (point, block)
-    pairs are processed in chunks, so temporaries stay at a few MB.
+    The segments are taken in blocks of ``_BLOCK`` consecutive ones and the
+    points in blocks of ``_POINT_BLOCK``, each block under a bounding ball.
+    A point block keeps only the segment blocks whose ball-to-ball lower
+    bound is at most its smallest upper bound: no other block holds a
+    nearest segment of any of its points.  Among those candidates a point
+    measures the block whose ball is nearest, then every block whose ball is
+    nearer than the distance found.  Point blocks and (point, block) pairs
+    are processed in chunks, so temporaries stay at a few MB.
     """
     ab = b - a
-    denom = np.maximum(np.sum(ab * ab, axis=1), 1e-300)
-    n_seg = len(a)
-    n_blk = -(-n_seg // _BLOCK)
     # the last block repeats its last segment; a repeat cannot lower a min
-    blocks = np.minimum(np.arange(n_blk * _BLOCK), n_seg - 1).reshape(
-        n_blk, _BLOCK)
-    ends = np.concatenate([a[blocks], b[blocks]], axis=1)
-    center = 0.5 * (ends.min(axis=1) + ends.max(axis=1))
-    radius = np.sqrt(np.sum((ends - center[:, None]) ** 2, axis=2)).max(axis=1)
+    blocks = _runs(len(a), _BLOCK)
+    center, radius = _balls(np.concatenate([a[blocks], b[blocks]], axis=1))
+    seg = (a[blocks], ab[blocks],
+           np.maximum(np.sum(ab * ab, axis=1), 1e-300)[blocks])
     # |p - c|^2 = |p|^2 + |c|^2 - 2 p.c is off by at most ~16 eps M^2 (M the
     # largest norm), so its root by at most 4 sqrt(eps) M < 1e-7 M
     cc = np.sum(center * center, axis=1)
     pp = np.sum(pts * pts, axis=1)
-    scale = np.sqrt(max(cc.max(), pp.max(initial=0.0)))
-    radius = radius + 1e-7 * (1.0 + scale)
+    radius = radius + 1e-7 * (1.0 + np.sqrt(max(cc.max(), pp.max(initial=0))))
+    runs = _runs(len(pts), _POINT_BLOCK)
+    pcenter, pradius = _balls(pts[runs])
     best = np.empty(len(pts))
-    for lo in range(0, len(pts), _POINT_CHUNK):
-        p = pts[lo:lo + _POINT_CHUNK]
-        sq = pp[lo:lo + _POINT_CHUNK, None] + cc - 2.0 * (p @ center.T)
-        lower = np.sqrt(np.maximum(sq, 0.0)) - radius
-        first = np.argmin(lower, axis=1)
-        d = _segment_dist(p[:, None, :], a, ab, denom, blocks[first]).min(axis=1)
-        lower[np.arange(len(p)), first] = np.inf
-        pi, bi = np.nonzero(lower < d[:, None])
+    for lo in range(0, len(runs), _RUNS_PER_PASS):
+        chunk = slice(lo, lo + _RUNS_PER_PASS)
+        run = runs[chunk]
+        gap = np.linalg.norm(pcenter[chunk, None] - center, axis=2)
+        reach = pradius[chunk, None] + radius
+        keep = gap - reach <= np.min(gap + reach, axis=1, keepdims=True)
+        # each run's kept blocks first, padded to the chunk's longest list
+        # with slots of infinite bound
+        cand = np.argsort(~keep, axis=1, kind="stable")[:, :keep.sum(1).max()]
+        sq = pp[run][..., None] + cc[cand][:, None] \
+            - 2.0 * (pts[run] @ center[cand].transpose(0, 2, 1))
+        lower = np.where(np.take_along_axis(keep, cand, axis=1)[:, None],
+                         np.sqrt(np.maximum(sq, 0.0)) - radius[cand][:, None],
+                         np.inf).reshape(-1, cand.shape[1])
+        cand = np.repeat(cand, _POINT_BLOCK, axis=0)
+        p = pts[run.ravel()]
+        at = np.arange(len(p)), np.argmin(lower, axis=1)
+        d = _nearest_in_block(p, seg, cand[at])
+        lower[at] = np.inf
+        pi, ki = np.nonzero(lower < d[:, None])
+        bi = cand[pi, ki]
         for k in range(0, len(pi), _PAIR_CHUNK):
-            pk, bk = pi[k:k + _PAIR_CHUNK], bi[k:k + _PAIR_CHUNK]
-            dk = _segment_dist(p[pk, None, :], a, ab, denom, blocks[bk])
-            np.minimum.at(d, pk, dk.min(axis=1))
-        best[lo:lo + _POINT_CHUNK] = d
+            pk = pi[k:k + _PAIR_CHUNK]
+            np.minimum.at(d, pk, _nearest_in_block(p[pk], seg,
+                                                   bi[k:k + _PAIR_CHUNK]))
+        best[run.ravel()] = d
     return best
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import quat
 from .words import (EARRING, CHARS_P0, CHARS_P1, ChartPoint, Rep, U_A, U_B,
-                    U_F, U_H, embed_arrays, embed_L, eval_word,
+                    U_F, U_H, embed_arrays, eval_word,
                     variety_residual)
 
 CORNERS_R3 = np.array([
@@ -39,29 +39,43 @@ class ReGaugeError(RuntimeError):
     """Conjugating back into the gauge slice degenerated (b parallel to a)."""
 
 
-def canonical_orbit(gamma: float, theta: float) -> tuple[float, float]:
+def canonical_orbit(gamma, theta):
     """Orbit representative with gamma in [0, pi]; on the two edge circles
-    gamma in {0, pi} the residual ambiguity is broken by theta in [0, pi]."""
-    g = float(np.mod(gamma, 2 * np.pi))
-    t = float(np.mod(theta, 2 * np.pi))
-    if g > np.pi + 1e-15:
-        g = 2 * np.pi - g
-        t = float(np.mod(-t, 2 * np.pi))
-    edge = min(g, abs(np.pi - g), abs(2 * np.pi - g)) < 1e-12
-    if edge and t > np.pi + 1e-15:
-        t = 2 * np.pi - t
-    if g > np.pi:
-        g = np.pi
-    return g, t
+    gamma in {0, pi} the residual ambiguity is broken by theta in [0, pi].
+    Elementwise over arrays."""
+    g = np.mod(gamma, 2 * np.pi)
+    t = np.mod(theta, 2 * np.pi)
+    flip = g > np.pi + 1e-15
+    g = np.where(flip, 2 * np.pi - g, g)
+    t = np.where(flip, np.mod(-t, 2 * np.pi), t)
+    edge = np.minimum(np.minimum(g, np.abs(np.pi - g)),
+                      np.abs(2 * np.pi - g)) < 1e-12
+    t = np.where(edge & (t > np.pi + 1e-15), 2 * np.pi - t, t)
+    return np.minimum(g, np.pi), t
 
 
-def r3_of_orbit(gamma: float, theta: float) -> np.ndarray:
-    return np.array([np.cos(gamma), np.cos(theta), np.cos(gamma - theta)])
+def r3_of_orbit(gamma, theta) -> np.ndarray:
+    return np.stack([np.cos(gamma), np.cos(theta), np.cos(gamma - theta)],
+                    axis=-1)
 
 
-def surface_residual(v) -> float:
-    x, y, z = v
-    return float(abs(x * x + y * y + z * z - 2 * x * y * z - 1.0))
+def surface_residual(v):
+    x, y, z = np.moveaxis(np.asarray(v), -1, 0)
+    return np.abs(x * x + y * y + z * z - 2 * x * y * z - 1.0)
+
+
+def _angles_of_r3(v, tol: float = OFF_VARIETY_SURFACE_TOL):
+    """Angles (gamma, theta) of character triples v of shape (..., 3)."""
+    res = surface_residual(v)
+    if np.any(res > tol):
+        raise OffVarietyError(f"character triple off the pillowcase surface "
+                              f"by {np.max(res):.3e}")
+    x, y, z = np.moveaxis(np.asarray(v), -1, 0)
+    g = np.arccos(np.clip(x, -1.0, 1.0))
+    t0 = np.arccos(np.clip(y, -1.0, 1.0))
+    # resolve the sign of theta against the third character
+    return g, np.where(np.abs(np.cos(g - t0) - z) <= np.abs(np.cos(g + t0) - z),
+                       t0, 2 * np.pi - t0)
 
 
 @dataclass(frozen=True)
@@ -77,23 +91,12 @@ class PillowPoint:
     @classmethod
     def from_orbit(cls, side: str, gamma: float, theta: float) -> "PillowPoint":
         g, t = canonical_orbit(gamma, theta)
-        return cls(side, g, t, tuple(r3_of_orbit(g, t)))
+        return cls(side, float(g), float(t), tuple(r3_of_orbit(g, t)))
 
     @classmethod
     def from_r3(cls, side: str, x: float, y: float, z: float,
                 tol: float = OFF_VARIETY_SURFACE_TOL) -> "PillowPoint":
-        if surface_residual((x, y, z)) > tol:
-            raise OffVarietyError(
-                f"character triple off the pillowcase surface by "
-                f"{surface_residual((x, y, z)):.3e}")
-        g = float(np.arccos(np.clip(x, -1.0, 1.0)))
-        t0 = float(np.arccos(np.clip(y, -1.0, 1.0)))
-        # resolve the sign of theta against the third character
-        if abs(np.cos(g - t0) - z) <= abs(np.cos(g + t0) - z):
-            t = t0
-        else:
-            t = 2 * np.pi - t0
-        return cls.from_orbit(side, g, t)
+        return cls.from_orbit(side, *_angles_of_r3((x, y, z), tol))
 
     @property
     def is_corner(self) -> bool:
@@ -130,6 +133,12 @@ def pi0_of_rep(rep: Rep) -> PillowPoint:
     return PillowPoint.from_r3("P0", *_characters(rep, CHARS_P0))
 
 
+def pi0_r3(rep: Rep) -> np.ndarray:
+    """The character triple of ``pi0_of_rep``, over a (batched) Rep."""
+    return r3_of_orbit(*canonical_orbit(*_angles_of_r3(
+        _characters(rep, CHARS_P0))))
+
+
 def pi1_r3(rep: Rep) -> np.ndarray:
     """Characters of the outgoing boundary loops (c d^-, f d^-, c f^-)."""
     return _characters(rep, CHARS_P1)
@@ -162,8 +171,8 @@ def theta_map(p: PillowPoint) -> PillowPoint:
 
 
 def theta_r3(v) -> np.ndarray:
-    x, y, z = v
-    return np.array([x, y, 2 * x * y - z])
+    x, y, z = np.moveaxis(np.asarray(v), -1, 0)
+    return np.stack([x, y, 2 * x * y - z], axis=-1)
 
 
 def psi_map(p: PillowPoint) -> PillowPoint:
@@ -196,38 +205,41 @@ def u_values(rep: Rep) -> dict[str, np.ndarray]:
 
 
 def u_involution(rep: Rep) -> Rep:
-    """The induced involution on the variety, returned in gauge-slice form.
+    """The induced involution on the variety over a (batched) Rep, returned
+    in gauge-slice form; a one-point result records its chart point.
 
     The transformed (a, b, f, h) are conjugated so that a = i and b lies in
     the span of i and j with non-negative j part; p and q are then recomputed
-    from the perturbation conditions.  Requires an on-variety input.
+    from the perturbation conditions.  A batch equals one point at a time
+    bit for bit.  Requires an on-variety input: one point off it fails the
+    batch.
     """
     vals = u_values(rep)
     a2, b2, f2, h2 = vals["a"], vals["b"], vals["f"], vals["h"]
-    if abs(float(quat.real_part(a2))) > 1e-6:
+    if np.any(np.abs(quat.real_part(a2)) > 1e-6):
         raise OffVarietyError("transformed a is not traceless; input is off "
                               "the variety")
     u1 = quat.rotation_taking(quat.normalize(quat.ima(a2)), quat.I)
     b3 = quat.rotate(u1, b2)
     # rotate about i to kill the k-component of b and make the j-part >= 0
-    phi = np.arctan2(b3[3], b3[2])
-    u2 = quat.qexp(-0.5 * phi * quat.I)
+    phi = np.arctan2(b3[..., 3], b3[..., 2])
+    u2 = quat.qexp(-0.5 * phi[..., None] * quat.I)
     u = quat.mul(u2, u1)
-    b4 = quat.rotate(u, b2)
-    f4 = quat.rotate(u, f2)
-    h4 = quat.rotate(u, h2)
-    if np.hypot(b4[2], b4[3]) < 1e-9:
+    b4, f4, h4 = (quat.rotate(u, x) for x in (b2, f2, h2))
+    if np.any(np.hypot(b4[..., 2], b4[..., 3]) < 1e-9):
         raise ReGaugeError("b is aligned with a; the slice gauge is degenerate")
-    gamma = float(np.arctan2(b4[2], b4[1]))
-    if abs(f4[3]) > 1e-6:
+    if np.any(np.abs(f4[..., 3]) > 1e-6):
         raise OffVarietyError("transformed f left the gauge plane; input is "
                               "off the variety")
-    theta = float(np.arctan2(f4[2], f4[1]))
-    nu = float(h4[1])
-    tau = float(np.arctan2(h4[3], h4[2]))
-    pt = ChartPoint(rep.s, gamma, theta, np.clip(nu, -0.5, 0.5), tau,
-                    rep.variant)
-    out = embed_L(pt)
+    # ChartPoint's reduction of the angles to [0, 2 pi)
+    gamma, theta, tau = (np.where(x == 2 * np.pi, 0.0, x) for x in np.mod(
+        [np.arctan2(b4[..., 2], b4[..., 1]), np.arctan2(f4[..., 2], f4[..., 1]),
+         np.arctan2(h4[..., 3], h4[..., 2])], 2 * np.pi))
+    nu = np.clip(h4[..., 1], -0.5, 0.5)
+    pt = ChartPoint(rep.s, *map(float, (gamma, theta, nu, tau)),
+                    rep.variant) if np.ndim(gamma) == 0 else None
+    out = Rep(variant=rep.variant, s=rep.s, source=pt,
+              **embed_arrays(rep.s, gamma, theta, nu, tau))
     res = variety_residual(out)
     if res > 1e-8:
         raise OffVarietyError(f"involution output misses the variety by {res:.3e}")
@@ -235,16 +247,15 @@ def u_involution(rep: Rep) -> Rep:
 
 
 def characters_in_out(rep: Rep) -> np.ndarray:
-    """The six boundary characters (both factors) of a representation."""
-    return np.concatenate([np.asarray(pi0_of_rep(rep).r3), pi1_r3(rep)])
+    """The six boundary characters (both factors) of a (batched) Rep."""
+    return np.concatenate([pi0_r3(rep), pi1_r3(rep)], axis=-1)
 
 
 def verify_factorization(rep: Rep) -> float:
-    """Distance in R^3 between pi1 and Psi o Theta o pi0 o U_s."""
-    target = pi1_r3(rep)
-    moved = u_involution(rep)
-    v0 = np.asarray(pi0_of_rep(moved).r3)
-    return float(np.max(np.abs(theta_r3(v0) - target)))
+    """Largest distance in R^3 between pi1 and Psi o Theta o pi0 o U_s over
+    a (batched) Rep."""
+    moved = pi0_r3(u_involution(rep))
+    return float(np.max(np.abs(theta_r3(moved) - pi1_r3(rep))))
 
 
 def pi0_u_r3(rep: Rep) -> np.ndarray:

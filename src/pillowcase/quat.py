@@ -114,25 +114,20 @@ def rotate(u: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def rotation_taking(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """A unit quaternion u with u * src * u^{-1} = dst, for pure unit src, dst.
-
-    Antipodal pairs are rotated through an arbitrary perpendicular axis.
-    """
-    s = np.asarray(src, dtype=float)[1:]
-    d = np.asarray(dst, dtype=float)[1:]
-    c = float(np.dot(s, d))
+    """A unit quaternion u with u * src * u^{-1} = dst, for pure unit src, dst,
+    broadcasting over leading axes; antipodal pairs are rotated through a
+    perpendicular axis chosen element by element."""
+    s, d = np.broadcast_arrays(np.asarray(src, dtype=float)[..., 1:],
+                               np.asarray(dst, dtype=float)[..., 1:])
+    c = np.sum(s * d, axis=-1)
     axis = np.cross(s, d)
-    na = float(np.hypot(np.hypot(axis[0], axis[1]), axis[2]))
-    if na < 1e-12:
-        if c > 0:
-            return ONE.copy()
-        # pick any axis perpendicular to src
-        trial = np.array([1.0, 0.0, 0.0])
-        if abs(np.dot(trial, s)) > 0.9:
-            trial = np.array([0.0, 1.0, 0.0])
-        perp = np.cross(s, trial)
-        perp /= np.linalg.norm(perp)
-        return from_parts(0.0, *perp)
-    axis = axis / na
-    half = 0.5 * np.arctan2(na, c)
-    return from_parts(np.cos(half), *(np.sin(half) * axis))
+    na = np.hypot(np.hypot(axis[..., 0], axis[..., 1]), axis[..., 2])
+    # any axis perpendicular to src: its cross with i, or with j near +-i
+    perp = np.cross(s, np.where(np.abs(s[..., :1]) > 0.9, J[1:], I[1:]))
+    perp = perp / np.sqrt(np.sum(perp * perp, axis=-1))[..., None]
+    flat = (na < 1e-12)[..., None]
+    half = 0.5 * np.arctan2(na, c)[..., None]
+    axis = axis / np.where(flat, 1.0, na[..., None])
+    return np.where(flat,
+                    np.where(c[..., None] > 0, ONE, np.insert(perp, 0, 0.0, -1)),
+                    np.concatenate([np.cos(half), np.sin(half) * axis], -1))

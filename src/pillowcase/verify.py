@@ -14,12 +14,12 @@ import numpy as np
 from . import quat
 from ._kernels import jet
 from .compose import bottom_edge_prediction, edge_tangent_anchors
-from .curves import hausdorff_r3, invariants
+from .curves import hausdorff_r3, self_intersections
 from .projection import characters_in_out, u_involution, verify_factorization
 from .variety import _corner_distance, fold_jacobian_data, k_circle
-from .words import (BYPASS, EARRING, chart_arrays, check_identities,
-                    embed_arrays, embed_L, g_of_rep, gp_of_rep,
-                    perturbation_residuals, rho_eps, w2_value)
+from .words import (BYPASS, EARRING, GENERATORS, Rep, chart_arrays,
+                    check_identities, embed_arrays, embed_L, g_of_rep,
+                    gp_of_rep, perturbation_residuals, rho_eps, w2_value)
 
 IDENTITY_TOL = 1e-11
 # w2 = -1 on the earring variety; where |G_2| > W2_OFF_G it misses -1
@@ -66,18 +66,17 @@ def explicit_points(variants, s_values):
     """The four explicit representations on both varieties, and their
     boundary characters under the involution: (|G|, drift, ok)."""
     worst_g = worst_fix = 0.0
-    for e1 in (1, -1):
-        for e2 in (1, -1):
-            for s in s_values:
-                for variant in variants:
-                    rep = rho_eps(e1, e2, s, variant)
-                    worst_g = max(
-                        worst_g,
-                        float(np.max(np.abs(np.stack(g_of_rep(rep))))),
-                        float(np.max(np.abs(np.stack(gp_of_rep(rep))))))
-                    worst_fix = max(worst_fix, float(np.max(np.abs(
-                        characters_in_out(u_involution(rep))
-                        - characters_in_out(rep)))))
+    for variant in variants:
+        reps = [rho_eps(e1, e2, s, variant) for e1 in (1, -1)
+                for e2 in (1, -1) for s in s_values]
+        rep = Rep(variant=variant, s=np.array([r.s for r in reps]),
+                  **{g: np.stack([r.value(g) for r in reps])
+                     for g in GENERATORS})
+        worst_g = max(worst_g,
+                      float(np.max(np.abs(np.stack(g_of_rep(rep))))),
+                      float(np.max(np.abs(np.stack(gp_of_rep(rep))))))
+        worst_fix = max(worst_fix, float(np.max(np.abs(
+            characters_in_out(u_involution(rep)) - characters_in_out(rep)))))
     return (worst_g, worst_fix,
             worst_g < EXPLICIT_G_TOL and worst_fix < EXPLICIT_DRIFT_TOL)
 
@@ -148,7 +147,9 @@ def topology(report) -> bool:
 def factorization(points):
     """Worst factorization residual of the second restriction map over
     chart points: (worst, ok)."""
-    worst = max(verify_factorization(embed_L(pt)) for pt in points)
+    worst = max(verify_factorization(embed_L([p for p in points
+                                              if p.variant == variant]))
+                for variant in dict.fromkeys(p.variant for p in points))
     return worst, worst < FACTORIZATION_TOL
 
 
@@ -156,7 +157,7 @@ def composed_edge(composed, variant, s):
     """The composed bottom edge against its closed form:
     (Hausdorff distance, double points of its first component, ok)."""
     hd = hausdorff_r3(composed, bottom_edge_prediction(variant, s))
-    dp = invariants(composed).components[0].double_points
+    dp = len(self_intersections(composed.components[0]))
     return hd, dp, hd < EDGE_HAUSDORFF and dp == EDGE_DOUBLE_POINTS
 
 

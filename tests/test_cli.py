@@ -179,6 +179,19 @@ def test_verify_reports_both_rows_when_composition_fails(capsys, monkeypatch,
         "loop failed to close"}
 
 
+def test_verify_reports_an_off_variety_sample_as_a_failing_row(
+        capsys, monkeypatch, tmp_path):
+    # one point off the variety among the 40 of the factorization row
+    draw = cli._variety_points
+    off = cli.ChartPoint(0.05, 1.0, 2.0, 0.3, 0.5, "bypass")
+    monkeypatch.setattr(cli, "_variety_points", lambda rng, variant, s, n: (
+        draw(rng, variant, s, n) + ([off] if n == 40 else [])))
+    code, failing, rows = _verify_rows(capsys, "bypass", tmp_path)
+    assert code == 1 and failing == {"factorization"}
+    assert [r["detail"] for r in rows if not r["ok"]] == [
+        "transformed a is not traceless; input is off the variety"]
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])

@@ -545,6 +545,34 @@ def test_polyline_distance_matches_brute_force(poly, pts, walk, spread):
                           _brute_force_polyline_dist(pts, poly))
 
 
+@pytest.mark.parametrize("pair", ["edge", "circle"])
+def test_nearest_segment_search_matches_brute_force_at_real_sizes(pair):
+    # verify's own pairs: the composed bypass edge, 1e-7 from its 8,192
+    # segment prediction, and the composed vertical circle, 0.046 from its
+    # double; about 500 points reach several point blocks per chunk, with
+    # candidate lists of different lengths
+    if pair == "edge":
+        near = X.compose_curve(C.bottom_edge(), "bypass", 0.05, max_step=1.5e-3)
+        far = X.bottom_edge_prediction("bypass", 0.05)
+    else:
+        near = X.compose_curve(C.vertical_circle(), "bypass", 0.05)
+        far = C.double(C.vertical_circle())
+    for src, dst in ((near, far), (far, near)):
+        pts = np.vstack([C.lift_to_r3(c.lift) for c in src.components])
+        pts = pts[::len(pts) // 400]
+        polys = [C.lift_to_r3(c.lift) for c in dst.components]
+        a = np.vstack([q[:-1] for q in polys])
+        b = np.vstack([q[1:] for q in polys])
+        # points on segments (vertices and midpoints) and repeated points
+        on = np.vstack([a[::97], 0.5 * (a[5::89] + b[5::89])])
+        pts = np.vstack([pts[:200], on, np.repeat(pts[200:240], 3, axis=0),
+                         pts[240:]])
+        got = C._points_to_segments_dist(pts, a, b)
+        want = np.min([_brute_force_polyline_dist(pts, q) for q in polys],
+                      axis=0)
+        assert len(pts) >= 450 and np.array_equal(got, want)
+
+
 def test_hausdorff_is_the_larger_one_sided_distance():
     a = C.double(C.vertical_circle())
     b = C.twisted_double(C.vertical_circle())

@@ -181,6 +181,100 @@ def test_factorization():
         assert VF.factorization(variety_points(variant, 0.05, 15, seed=5))[1]
 
 
+# the replaced one-point re-gauge, kept as the reference for its batched form
+
+
+def _rotation_taking_reference(src, dst):
+    s = np.asarray(src, dtype=float)[1:]
+    d = np.asarray(dst, dtype=float)[1:]
+    c = float(np.dot(s, d))
+    axis = np.cross(s, d)
+    na = float(np.hypot(np.hypot(axis[0], axis[1]), axis[2]))
+    if na < 1e-12:
+        if c > 0:
+            return quat.ONE.copy()
+        trial = np.array([1.0, 0.0, 0.0])
+        if abs(np.dot(trial, s)) > 0.9:
+            trial = np.array([0.0, 1.0, 0.0])
+        perp = np.cross(s, trial)
+        perp /= np.linalg.norm(perp)
+        return quat.from_parts(0.0, *perp)
+    axis = axis / na
+    half = 0.5 * np.arctan2(na, c)
+    return quat.from_parts(np.cos(half), *(np.sin(half) * axis))
+
+
+def _u_involution_reference(rep):
+    vals = P.u_values(rep)
+    a2, b2, f2, h2 = vals["a"], vals["b"], vals["f"], vals["h"]
+    if abs(float(quat.real_part(a2))) > 1e-6:
+        raise P.OffVarietyError("transformed a is not traceless")
+    u1 = _rotation_taking_reference(quat.normalize(quat.ima(a2)), quat.I)
+    b3 = quat.rotate(u1, b2)
+    phi = np.arctan2(b3[3], b3[2])
+    u = quat.mul(quat.qexp(-0.5 * phi * quat.I), u1)
+    b4, f4, h4 = (quat.rotate(u, x) for x in (b2, f2, h2))
+    if np.hypot(b4[2], b4[3]) < 1e-9:
+        raise P.ReGaugeError("b is aligned with a")
+    gamma = float(np.arctan2(b4[2], b4[1]))
+    if abs(f4[3]) > 1e-6:
+        raise P.OffVarietyError("transformed f left the gauge plane")
+    theta = float(np.arctan2(f4[2], f4[1]))
+    nu = float(h4[1])
+    tau = float(np.arctan2(h4[3], h4[2]))
+    out = W.embed_L(W.ChartPoint(rep.s, gamma, theta, np.clip(nu, -0.5, 0.5),
+                                 tau, rep.variant))
+    if W.variety_residual(out) > 1e-8:
+        raise P.OffVarietyError("involution output misses the variety")
+    return out
+
+
+def _factorization_reference(rep):
+    target = P.pi1_r3(rep)
+    v0 = np.asarray(P.pi0_of_rep(_u_involution_reference(rep)).r3)
+    x, y, z = v0
+    return float(np.max(np.abs(np.array([x, y, 2 * x * y - z]) - target)))
+
+
+def _stack(reps):
+    return W.Rep(variant=reps[0].variant, s=np.array([r.s for r in reps]),
+                 **{g: np.stack([r.value(g) for r in reps])
+                    for g in W.GENERATORS})
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_batched_involution_matches_one_point_reference(variant):
+    # 40 variety points take the generic rotation, the 12 explicit points
+    # (a is sent to -i) the antipodal one
+    pts = variety_points(variant, 0.05, 40, seed=11)
+    explicit = [W.rho_eps(e1, e2, s, variant) for e1 in (1, -1)
+                for e2 in (1, -1) for s in (0.01, 0.05, 0.1)]
+    assert all(np.array_equal(P.u_values(r)["a"], -quat.I) for r in explicit)
+    for reps, batch in ((list(map(W.embed_L, pts)), W.embed_L(pts)),
+                        (explicit, _stack(explicit))):
+        moved = P.u_involution(batch)
+        for k, rep in enumerate(reps):
+            ref = _u_involution_reference(rep)
+            for g in W.GENERATORS:
+                assert np.array_equal(moved.value(g)[k], ref.value(g))
+            assert P.verify_factorization(rep) == _factorization_reference(rep)
+            assert np.array_equal(P.characters_in_out(moved)[k],
+                                  P.characters_in_out(ref))
+        assert P.verify_factorization(batch) == max(
+            map(_factorization_reference, reps))
+        one = P.u_involution(reps[0])
+        assert one.source == _u_involution_reference(reps[0]).source
+
+
+def test_batched_involution_refuses_one_off_variety_member():
+    pts = variety_points("bypass", 0.05, 5, seed=2)
+    off = W.ChartPoint(0.05, 1.0, 2.0, 0.3, 0.5, "bypass")
+    with pytest.raises(P.OffVarietyError):
+        P.u_involution(W.embed_L(pts + [off]))
+    with pytest.raises(P.OffVarietyError):
+        VF.factorization(pts + [off])
+
+
 @pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
 def test_word_layer_keeps_imaginary_parts():
     """A complex step x + 1e-20 i d through the quaternion and word layer
