@@ -89,12 +89,11 @@ def cmd_trace(args) -> int:
                  f"# variant={variant} s={s}",
                  "eps_gamma,eps_theta,tau,gamma,theta,nu,sin_gamma,sin_theta"]
         for c in circles:
-            for pt, im in zip(c.points, c.image):
-                lines.append(
-                    f"{c.corner[0]},{c.corner[1]},{pt.tau:.12g},{pt.gamma:.12g},"
-                    f"{pt.theta:.12g},{pt.nu:.12g},{im[0]:.12g},{im[1]:.12g}")
+            for g, t, nu, tau, sg, st in np.hstack([c.samples, c.image]).tolist():
+                lines.append(f"{c.corner[0]},{c.corner[1]},{tau:.12g},{g:.12g},"
+                             f"{t:.12g},{nu:.12g},{sg:.12g},{st:.12g}")
         _write(out, "fold_circles.csv", "\n".join(lines) + "\n")
-        fold_curve = fold_image_curves(variant, s, circles)
+        fold_curve = fold_image_curves(circles)
         svg = _svg.scene_svg([], fold_image=fold_curve,
                              title=f"fold image {variant} s={s}")
         _write(out, "trace.svg", svg)
@@ -143,7 +142,7 @@ def cmd_compose(args) -> int:
     svg = _svg.scene_svg(
         [(curve.name or "input", curve.relabel("P0")),
          (f"composed -> P1", composed.relabel("P0"))],
-        fold_image=fold_image_curves(args.variant, args.s, circles),
+        fold_image=fold_image_curves(circles),
         title=f"compose {curve.name} {args.variant} s={args.s}")
     _write(out, "composed.svg", svg)
     inv = invariants(composed)
@@ -199,7 +198,7 @@ def torus_knot_scene(variant: str, s: float, *,
             "P0": [("A1", a1), ("(u_s)^T A2", pb_a2),
                    ("(u_s)^T D_Dt_Bver", pb_dd)],
         },
-        "fold": fold_image_curves(variant, s, circles),
+        "fold": fold_image_curves(circles),
     }
 
 
@@ -326,22 +325,25 @@ def verification_suite(variant: str, s: float, seed: int = 0,
     rows.append(("asymptotics", ok, f"rms ratio {ratio:.2f}, second bypass "
                                     f"component exact: {exact}"))
 
-    # the fold circles are shared by the checks below
-    circles = None
+    # the fold circles are solved once; where they cannot be found, the four
+    # rows that read them fail with the solver's message
     try:
-        circles = fold_locus(variant, s)
+        circles, fold_error = fold_locus(variant, s), None
+    except ContinuationError as exc:
+        circles, fold_error = None, exc
+    if fold_error:
+        rows += [(n, False, str(fold_error)) for n in ("fold_structure", "topology")]
+    else:
         dev, winds, _, rank_ok, ok = verify.fold_structure(
-            circles, s, [c.points[len(c.points) // 3] for c in circles])
+            circles, s, [ChartPoint(s, *c.samples[len(c.samples) // 3].tolist(),
+                                    variant) for c in circles])
         rows.append(("fold_structure", ok,
                      f"radius dev {dev:.2e}, windings {winds}, rank1 {rank_ok}"))
-    except ContinuationError as exc:
-        rows.append(("fold_structure", False, str(exc)))
-
-    rep = verify_topology(variant, s, grid=32 if quick else 64,
-                          circles=circles)
-    rows.append(("topology", verify.topology(rep),
-                 f"chi {rep.euler_characteristic}, genus "
-                 f"{rep.genus_cover}/{rep.genus_quotient}"))
+        rep = verify_topology(variant, s, grid=32 if quick else 64,
+                              circles=circles)
+        rows.append(("topology", verify.topology(rep),
+                     f"chi {rep.euler_characteristic}, genus "
+                     f"{rep.genus_cover}/{rep.genus_quotient}"))
 
     try:
         worst, ok = verify.factorization(
@@ -351,6 +353,8 @@ def verification_suite(variant: str, s: float, seed: int = 0,
         rows.append(("factorization", False, str(exc)))
 
     try:
+        if fold_error:
+            raise fold_error
         edge = compose_curve(bottom_edge(), variant, s, max_step=1.5e-3,
                              circles=circles)
         hd, _, edge_ok = verify.composed_edge(edge, variant, s)
@@ -401,7 +405,9 @@ def _checked(cast, ok, why):
 
 
 # |s| < 1/2 is the condition of variety.eta; NaN fails every comparison
-_S = _checked(float, lambda s: abs(s) < 0.5, "is not finite with |s| < 1/2")
+_TRACE_S = _checked(float, lambda s: s == 0.0 or 1e-6 <= abs(s) < 0.5,
+                    "is not 0 and not finite with 1e-6 <= |s| < 1/2 (fibers "
+                    "are not resolved below 1e-6)")
 _NONZERO_S = _checked(float, lambda s: 0.0 < abs(s) < 0.5,
                       "is not finite with 0 < |s| < 1/2 (fold circles need "
                       "s != 0)")
@@ -433,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="fiber classification, fold circles, "
                                      "topology report")
-    common(p, s_type=_S)  # s = 0 gives the degenerate report
+    common(p, s_type=_TRACE_S)
     p.add_argument("--grid", type=_GRID, default=64)
     p.set_defaults(func=cmd_trace)
 

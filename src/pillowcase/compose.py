@@ -39,15 +39,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .curves import (TURN_LIMIT, CurveComponent, CurveError,
+from .curves import (TURN_LIMIT, TWO_PI, CurveComponent, CurveError,
                      GenericPositionError, ImmersedCurve, double, figure_eight,
                      hausdorff_r3, intersect, invariants, turning_angles)
 from .projection import pi0_u_r3, pi1_r3_of_chart
 from .variety import (COMPLEX_STEP, ContinuationError, FoldCircle, eta,
                       fold_locus, k_circle, solve_fiber, tau_seed)
 from .words import BYPASS
-
-TWO_PI = 2.0 * np.pi
 
 MAX_STEP = 4e-3  # default continuation step, in (t, nu, tau) arclength
 STEP_BUDGET = 100_000  # continuation steps allowed per loop
@@ -93,18 +91,14 @@ class FiberProduct:
         return self.splines[ci]
 
 
-def fold_image_curves(variant: str, s: float,
-                      circles: list[FoldCircle] | None = None) -> ImmersedCurve:
-    """The four fold-image circles as a curve in the base coordinates."""
-    circles = circles if circles is not None else fold_locus(variant, s)
-    comps = []
-    for c in circles:
-        lift = np.array([[p.gamma if p.gamma < np.pi * 1.5 else p.gamma - TWO_PI,
-                          p.theta if p.theta < np.pi * 1.5 else p.theta - TWO_PI]
-                         for p in c.points])
-        lift = np.vstack([lift, lift[0]])
-        comps.append(CurveComponent("circle", lift))
-    return ImmersedCurve(comps, "P0", f"fold_image_{variant}")
+def fold_image_curves(circles: list[FoldCircle]) -> ImmersedCurve:
+    """The fold circles as one curve in the base coordinates: each closes
+    the polyline of its samples' (gamma, theta), with an angle from 1.5 pi
+    on taken less 2 pi so that no circle is cut."""
+    lifts = [np.where(gt < 1.5 * np.pi, gt, gt - TWO_PI)
+             for gt in (c.samples[:, :2] for c in circles)]
+    return ImmersedCurve([CurveComponent("circle", np.vstack([x, x[0]]))
+                          for x in lifts], "P0", "fold_image")
 
 
 def check_transversality(curve: ImmersedCurve, variant: str, s: float,
@@ -116,7 +110,8 @@ def check_transversality(curve: ImmersedCurve, variant: str, s: float,
     full flip-invariant circle upstairs), so hits are deduplicated by their
     position on the input curve.
     """
-    fold_curve = fold_image_curves(variant, s, circles)
+    fold_curve = fold_image_curves(
+        fold_locus(variant, s) if circles is None else circles)
     try:
         res = intersect(curve, fold_curve, angle_tol=1e-2)
     except GenericPositionError:

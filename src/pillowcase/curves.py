@@ -755,11 +755,6 @@ def _points_to_segments_dist(pts: np.ndarray, a: np.ndarray,
     return best
 
 
-def _points_to_polyline_dist(pts: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Distance from each point to a polyline."""
-    return _points_to_segments_dist(pts, poly[:-1], poly[1:])
-
-
 def hausdorff_r3(a: ImmersedCurve, b: ImmersedCurve) -> float:
     """Symmetric Hausdorff distance between the curves' images in the
     character-coordinate embedding."""

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import quat
 from .words import (EARRING, CHARS_P0, CHARS_P1, ChartPoint, Rep, U_A, U_B,
-                    U_F, U_H, embed_arrays, eval_word,
+                    U_F, U_H, chart_angle, embed_arrays, eval_word,
                     variety_residual)
 
 CORNERS_R3 = np.array([
@@ -231,10 +231,9 @@ def u_involution(rep: Rep) -> Rep:
     if np.any(np.abs(f4[..., 3]) > 1e-6):
         raise OffVarietyError("transformed f left the gauge plane; input is "
                               "off the variety")
-    # ChartPoint's reduction of the angles to [0, 2 pi)
-    gamma, theta, tau = (np.where(x == 2 * np.pi, 0.0, x) for x in np.mod(
+    gamma, theta, tau = chart_angle(
         [np.arctan2(b4[..., 2], b4[..., 1]), np.arctan2(f4[..., 2], f4[..., 1]),
-         np.arctan2(h4[..., 3], h4[..., 2])], 2 * np.pi))
+         np.arctan2(h4[..., 3], h4[..., 2])])
     nu = np.clip(h4[..., 1], -0.5, 0.5)
     pt = ChartPoint(rep.s, *map(float, (gamma, theta, nu, tau)),
                     rep.variant) if np.ndim(gamma) == 0 else None

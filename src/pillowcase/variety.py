@@ -22,7 +22,7 @@ import numpy as np
 from . import quat
 from . import _kernels
 from .projection import pi1_r3_of_chart
-from .words import BYPASS, ChartPoint, Rep
+from .words import BYPASS, ChartPoint, Rep, chart_angle
 
 # chart-domain corners of the base torus, indexed by the sign pair
 # (eps_gamma, eps_theta) = (sign cos gamma, sign cos theta)
@@ -64,9 +64,9 @@ def _dedup(nu: np.ndarray, tau: np.ndarray, valid: np.ndarray,
            radius: float):
     """Greedy first-come dedup of padded (fibers, slots) root arrays.
 
-    Returns the kept mask and tau reduced to [0, 2 pi).
+    Returns the kept mask and tau reduced to [0, 2 pi) by ``chart_angle``.
     """
-    tau = np.mod(tau, 2 * np.pi)
+    tau = chart_angle(tau)
     keep = np.zeros_like(valid)
     for k in range(valid.shape[1]):
         dup = np.zeros(valid.shape[0], dtype=bool)
@@ -152,7 +152,7 @@ def _fiber_arrays(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
         # two roots in closed form, or a whole circle of them over a
         # half-lattice point
         circle = np.hypot(np.sin(gamma), np.sin(theta)) < 1e-12
-        rtau = np.mod(np.column_stack([t0, t0 + np.pi]), 2 * np.pi)
+        rtau = chart_angle(np.column_stack([t0, t0 + np.pi]))
         keep = np.repeat(~circle[:, None], 2, axis=1)
         return np.zeros_like(rtau), rtau, keep, STATUSES[np.where(circle, 0, 1)]
 
@@ -251,11 +251,10 @@ def solve_fiber(variant: str, s: float, gamma: float,
 
 @dataclass
 class FoldCircle:
+    """A fold circle, around the corner of the sign pair ``corner``."""
     corner: tuple[int, int]
-    variant: str
-    s: float
-    points: list[ChartPoint]
-    image: np.ndarray  # (n, 2) samples of (sin gamma, sin theta) near the corner
+    samples: np.ndarray  # (n, 4) (gamma, theta, nu, tau), angles by chart_angle
+    image: np.ndarray  # (n, 2) (sin gamma, sin theta) of the unreduced samples
 
     @property
     def radii(self) -> np.ndarray:
@@ -301,7 +300,8 @@ def fold_locus(variant: str, s: float, n_samples: int = 192) -> list[FoldCircle]
     of an even grid.  All samples of the four corners are one Newton over
     (4, n_samples) arrays, with the rows of ``_fold_system`` (the gradient
     of det by complex step) taken again every iteration; an element stops
-    once max |F| < ``FOLD_TOL``.
+    once max |F| < ``FOLD_TOL``.  Each circle keeps its samples as arrays
+    (``FoldCircle``).
     The seeds are closed form: around the corner (g0, t0) of the sign pair
     (eg, et), (gamma, theta, nu) = (g0 + 2 s et sin tau,
     t0 - 2 s eg cos tau, s eg).
@@ -332,13 +332,12 @@ def fold_locus(variant: str, s: float, n_samples: int = 192) -> list[FoldCircle]
             raise ContinuationError("fold Newton met a singular Jacobian")
         with np.errstate(divide="ignore", invalid="ignore"):
             x = [np.where(live, a + d / det, a) for a, d in zip(x, num)]
+    g, t, tau = chart_angle([x[0], x[1], np.broadcast_to(taus, x[2].shape)])
+    samples = np.stack([g, t, x[2], tau], axis=-1)
     out = []
     for k, eps in enumerate(corners):
-        sols = np.column_stack([a[k] for a in x])
-        pts = [ChartPoint(s, g, t, nu, tau, variant)
-               for (g, t, nu), tau in zip(sols.tolist(), taus.tolist())]
-        img = np.sin(sols[:, :2])
-        circ = FoldCircle(eps, variant, s, pts, img)
+        img = np.sin(np.column_stack([x[0][k], x[1][k]]))
+        circ = FoldCircle(eps, samples[k], img)
         # closure and winding checks
         gap = np.linalg.norm(img[0] - img[-1])
         # the median step, computed by hand: np.median imports numpy.ma

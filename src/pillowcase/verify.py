@@ -122,8 +122,7 @@ def fold_structure(circles, s, rank_points):
     (radius deviation, windings, corner miss, rank ok, ok)."""
     dev = max(float(np.max(np.abs(c.radii - 2 * abs(s)))) for c in circles)
     winds = [c.winding() for c in circles]
-    miss = min(min(_corner_distance(p.gamma, p.theta) for p in c.points)
-               for c in circles)
+    miss = float(np.min([_corner_distance(*c.samples[:, :2].T) for c in circles]))
     rank_ok = True
     for pt in rank_points:
         sv0, k0, sv1, k1 = fold_jacobian_data(pt)

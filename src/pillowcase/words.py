@@ -21,6 +21,7 @@ nu on the nose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,18 +72,11 @@ class Word:
     def inverse(self) -> "Word":
         return Word(inverse_word(self.text))
 
-    def __mul__(self, other: "Word") -> "Word":
-        return Word(self.text + other.text)
-
-    def __len__(self) -> int:
-        return len(self.text)
-
 
 # named loops expressed in the generators
 LAMBDA_P = Word("bh")
 LAMBDA_Q = Word("fAh")
 C_WORD = Word("QPbpq")
-E_WORD = Word("baF")
 G_WORD = Word("QbaFq")
 D_WORD = Word("QPBpbaFqf")
 W_WORD = Word(commutator("AhQP", "h"))
@@ -104,32 +98,31 @@ CHARS_P1 = (
 )
 
 
-@dataclass(frozen=True)
-class Presentation:
-    name: str
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...]
-
-
-# "Pi" presents both tangle groups, earring and bypass: their relators agree
-PRESENTATIONS = {
-    "Pi": Presentation("Pi", tuple("abfpqh"),
-                       (Word(commutator("p", LAMBDA_P.text)),
-                        Word(commutator("q", LAMBDA_Q.text)))),
-    "Pi0": Presentation("Pi0", tuple("abef"), (Word("baF" + inverse_word(E_WORD.text)),)),
-    "Pi1": Presentation("Pi1", tuple("cdgf"),
-                        (Word(free_reduce(C_WORD.text + D_WORD.text + "F"
-                                          + inverse_word(G_WORD.text))),)),
-}
+# the relators of both tangle groups, earring and bypass: they agree
+RELATORS = (Word(commutator("p", LAMBDA_P.text)),
+            Word(commutator("q", LAMBDA_Q.text)))
 
 
 # |nu| bound of the chart domain, with the slack ChartPoint allows
 NU_MAX = 0.5 + 1e-9
+TWO_PI = 2 * np.pi
+
+
+def chart_angle(x, xp=np):
+    """The chart's angle rule: x into [0, 2 pi) by ``np.mod``, whose 2 pi for
+    a tiny negative angle reads as 0.  ``xp=math`` runs it on a Python float,
+    ``xp=numpy`` elementwise over arrays."""
+    if xp is math:
+        x = float(x) % TWO_PI  # Python's float % is np.mod's rule
+        return 0.0 if x == TWO_PI else x
+    x = np.mod(x, TWO_PI)
+    return np.where(x == TWO_PI, 0.0, x)
 
 
 @dataclass
 class ChartPoint:
-    """Coordinates (s, gamma, theta, nu, tau) on the compact chart domain."""
+    """Coordinates (s, gamma, theta, nu, tau) on the compact chart domain;
+    the angles are reduced into [0, 2 pi) by ``chart_angle``."""
 
     s: float
     gamma: float
@@ -141,10 +134,8 @@ class ChartPoint:
     def __post_init__(self):
         if abs(self.nu) > NU_MAX:
             raise ValueError(f"nu = {self.nu} out of [-1/2, 1/2]")
-        # np.mod rounds a tiny negative angle up to 2 pi, which is 0
         for name in ("gamma", "theta", "tau"):
-            x = float(np.mod(getattr(self, name), 2 * np.pi))
-            setattr(self, name, 0.0 if x == 2 * np.pi else x)
+            setattr(self, name, chart_angle(getattr(self, name), math))
         if self.variant not in (EARRING, BYPASS):
             raise ValueError(f"unknown variant {self.variant!r}")
 
@@ -285,7 +276,7 @@ def check_identities(rep: Rep) -> float:
         return float(np.max(np.abs(eval_word(rep, w1) - eval_word(rep, w2))))
 
     return max(dist("PaFqf", "hpqHa"),
-               *(dist(r) for r in PRESENTATIONS["Pi"].relators),
+               *(dist(r) for r in RELATORS),
                *perturbation_residuals(rep))
 
 

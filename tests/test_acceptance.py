@@ -142,7 +142,8 @@ def test_criterion_06_fold_structure():
         circles = fold(variant, 0.05)
         dev5, _, miss, _, ok_v = VF.fold_structure(
             circles, 0.05,
-            [c.points[i] for c in circles for i in (5, len(c.points) // 2)])
+            [W.ChartPoint(0.05, *c.samples[i].tolist(), variant)
+             for c in circles for i in (5, len(c.samples) // 2)])
         dev25 = VF.fold_structure(fold(variant, 0.025), 0.025, ())[0]
         ok &= ok_v and dev5 / dev25 >= VF.FOLD_SHRINK_MIN
         details.append(f"{variant}: dev {dev5:.2e}, shrink {dev5 / dev25:.1f}x, "

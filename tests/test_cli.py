@@ -179,6 +179,28 @@ def test_verify_reports_both_rows_when_composition_fails(capsys, monkeypatch,
         "loop failed to close"}
 
 
+def test_verify_reports_the_fold_circles_failure_on_their_rows(
+        capsys, monkeypatch, tmp_path):
+    # the fold circles are solved once; where they cannot be found, the
+    # four rows that read them fail with the solver's message
+    from pillowcase import compose, variety
+
+    calls = []
+
+    def fail(*args, **kwargs):
+        calls.append(args)
+        raise variety.ContinuationError("fold Newton did not converge")
+
+    for mod in (cli, compose, variety):
+        monkeypatch.setattr(mod, "fold_locus", fail)
+    code, failing, rows = _verify_rows(capsys, "earring", tmp_path)
+    assert code == 1 and len(calls) == 1
+    assert failing == {"fold_structure", "topology", "composed_edge",
+                       "composed_circles"}
+    assert {r["detail"] for r in rows if not r["ok"]} == {
+        "fold Newton did not converge"}
+
+
 def test_verify_reports_an_off_variety_sample_as_a_failing_row(
         capsys, monkeypatch, tmp_path):
     # one point off the variety among the 40 of the factorization row
@@ -206,10 +228,12 @@ def test_usage_error_exit_code():
     # options a command does not read
     "trace --json", "trace --seed 3", "compose --json", "compose --seed 3",
     "scene --seed 3", "verify --seed -1",
+    # below the floor of trace's |s|, where its fiber solve is not resolved
+    "trace --s 1e-7", "trace --s=-5e-7",
 ])
 def test_bad_option_values_exit_2(argv, capsys):
     # rejected while parsing: no fiber is solved and no file is written
-    command, option, *value = argv.split()
+    command, option, *value = argv.replace("=", " ").split()
     with pytest.raises(SystemExit) as exc:
         cli.build_parser().parse_args(argv.split())
     assert exc.value.code == 2

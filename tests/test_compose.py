@@ -86,7 +86,7 @@ def test_fiber_product_beta_matches_k_circle():
         kc = np.array([[float(quat.real_part(quat.mul(r.b, quat.conj(r.a)))),
                         float(quat.real_part(quat.mul(r.b, quat.conj(r.h))))]
                        for r in (V.k_circle(variant, 0.05, x) for x in sig)])
-        d = C._points_to_polyline_dist(pts, kc)
+        d = C._points_to_segments_dist(pts, kc[:-1], kc[1:])
         assert float(np.max(d)) < 1e-6
 
 

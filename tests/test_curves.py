@@ -480,7 +480,7 @@ def test_crossings_match_per_translate_reference():
     for variant in ("earring", "bypass"):
         circles = V.fold_locus(variant, 0.2)
         folds = [c.lift for c in
-                 X.fold_image_curves(variant, 0.2, circles).components]
+                 X.fold_image_curves(circles).components]
         pairs += [(A, B) for A in inputs for B in folds]
         for curve in (C.bottom_edge(), C.twisted_double(C.vertical_circle())):
             for c in X.compose_curve(curve, variant, 0.2,
@@ -541,7 +541,7 @@ def test_polyline_distance_matches_brute_force(poly, pts, walk, spread):
     # a random walk gives dense curves, with several segments per block ball
     poly = np.cumsum(poly, axis=0) * 0.1 if walk else np.array(poly)
     pts = np.array(pts) * spread
-    assert np.array_equal(C._points_to_polyline_dist(pts, poly),
+    assert np.array_equal(C._points_to_segments_dist(pts, poly[:-1], poly[1:]),
                           _brute_force_polyline_dist(pts, poly))
 
 

@@ -13,6 +13,7 @@ from pillowcase import compose as X
 from pillowcase import curves as C
 from pillowcase import projection as P
 from pillowcase import variety as V
+from pillowcase import words as W
 
 S = 0.05
 CODES = (K.EARRING, K.BYPASS)
@@ -74,8 +75,7 @@ def test_fold_det_gradient_matches_central_differences(code):
     difference of the exact det, at the fold samples and off them."""
     fd = 1e-6
     circles = V.fold_locus(code, 0.2, n_samples=24)
-    pts = np.array([[p.gamma, p.theta, p.nu, p.tau]
-                    for c in circles for p in c.points])
+    pts = np.concatenate([c.samples for c in circles])
     pts = np.concatenate([pts, pts + [0.05, -0.03, 0.02, 0.0]])
     x, tau = pts[:, :3].T, pts[:, 3]
     _, rows = V._fold_system(code, 0.2, *x, tau)
@@ -248,7 +248,8 @@ def _ref_fold_jacobian_data(pt):
 @pytest.mark.parametrize("variant", ["earring", "bypass"])
 def test_fold_jacobian_data_matches_finite_differences(variant):
     for circle in V.fold_locus(variant, S):
-        for pt in circle.points[::48]:
+        for row in circle.samples[::48].tolist():
+            pt = W.ChartPoint(S, *row, variant)
             sv0, k0, sv1, k1 = V.fold_jacobian_data(pt)
             r0, q0, r1, q1 = _ref_fold_jacobian_data(pt)
             # both restriction maps drop rank at a fold point

@@ -199,7 +199,8 @@ def _check_fold_locus_structure(variant, s):
         assert np.all(c.radii < r) and np.all(c.radii > r * (1 - 3 * s * s))
         # every fold sample solves the defining pair, and there the
         # pair's differential in (nu, tau) is singular
-        for pt, im in zip(c.points, c.image):
+        for row, im in zip(c.samples.tolist(), c.image):
+            pt = W.ChartPoint(s, *row, variant)
             pair = W.G(pt) if variant == "earring" else W.Gp(pt)
             assert max(abs(v) for v in pair) < 1e-10
             _, _, ((_, _, a2, a3), (_, _, b2, b3)) = _kernels.jet(
@@ -217,8 +218,14 @@ def test_chart_angles_stay_below_two_pi():
     for variant in ("earring", "bypass"):
         for s in (-0.05, 0.05, 0.2):
             for circle in V.fold_locus(variant, s):
-                for p in circle.points:
-                    assert max(p.gamma, p.theta, p.tau) < 2 * np.pi
+                angles = circle.samples[:, [0, 1, 3]]
+                assert np.all((angles >= 0) & (angles < 2 * np.pi))
+        # over (pi/2, 2 pi) the + sheet's tau is a tiny negative angle,
+        # which np.mod rounds up to 2 pi
+        for s in (0.0, 0.05, -0.05):
+            fs = V.solve_fiber(variant, s, np.pi / 2, 2 * np.pi)
+            assert fs.solutions
+            assert all(0 <= tau < 2 * np.pi for _, tau in fs.solutions)
 
 
 def test_fold_locus_structure():
@@ -251,11 +258,11 @@ def test_fold_radius_shrinks_quadratically():
 def test_fold_circle_iota_invariance(variant):
     circles = V.fold_locus(variant, 0.05, n_samples=96)
     for c in circles:
-        pts = np.array([[p.gamma, p.theta, p.nu, p.tau] for p in c.points])
+        pts = c.samples
         spacing = np.median(np.linalg.norm(np.diff(pts[:, :2], axis=0), axis=1)) \
             + 2 * np.pi / len(pts)
-        for p in c.points[::12]:
-            q = p.iota_hat()
+        for row in pts[::12].tolist():
+            q = W.ChartPoint(0.05, *row, variant).iota_hat()
             diffs = np.stack([
                 np.mod(pts[:, 0] - q.gamma + np.pi, 2 * np.pi) - np.pi,
                 np.mod(pts[:, 1] - q.theta + np.pi, 2 * np.pi) - np.pi,
@@ -268,7 +275,8 @@ def test_fold_circle_iota_invariance(variant):
 
 def test_fold_jacobians_rank_one_transverse():
     circles = V.fold_locus("earring", 0.05, n_samples=32)
-    rank_points = [c.points[i] for c in circles[:2] for i in (3, 17)]
+    rank_points = [W.ChartPoint(0.05, *c.samples[i].tolist())
+                   for c in circles[:2] for i in (3, 17)]
     assert VF.fold_structure(circles, 0.05, rank_points)[3]
 
 

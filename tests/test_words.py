@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -51,9 +53,34 @@ def test_named_word_identities():
 def test_presentation_relators_hold_on_slice():
     for pt in random_points(30, seed=1):
         rep = W.embed_L(pt)
-        for rel in W.PRESENTATIONS["Pi"].relators:
+        for rel in W.RELATORS:
             val = W.eval_word(rep, rel)
             assert np.max(np.abs(val - quat.ONE)) < 1e-12
+
+
+def _ref_chart_angle(x):
+    # ChartPoint's rule as first written: np.mod, and 2 pi read as 0
+    x = float(np.mod(x, 2 * np.pi))
+    return 0.0 if x == 2 * np.pi else x
+
+
+def test_chart_angle_faces_match_the_rule_bit_for_bit():
+    rng = np.random.default_rng(24)
+    xs = np.concatenate([rng.uniform(-20.0, 20.0, 400),
+                         rng.normal(0.0, 1e-15, 40),
+                         [-1e-17, -0.0, 2 * np.pi, -2 * np.pi,
+                          4 * np.pi - 1e-15]])
+    want = np.array([_ref_chart_angle(x) for x in xs])
+    faces = {
+        "float": np.array([W.chart_angle(x, math) for x in xs.tolist()]),
+        "array": W.chart_angle(xs),
+        "ChartPoint": np.array([W.ChartPoint(0.0, x, 0.0, 0.0, 0.0).gamma
+                                for x in xs.tolist()]),
+    }
+    for name, got in faces.items():
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+    assert type(W.chart_angle(-1e-17, math)) is float
+    assert np.all((want >= 0) & (want < 2 * np.pi))
 
 
 def test_embed_L_examples():
