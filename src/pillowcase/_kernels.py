@@ -29,12 +29,10 @@ goes through one Cramer solve, ``_cramer3``, elementwise on arrays;
 ``_solve3`` is its float face.
 
 The curve splines that continuation runs along are fitted here too:
-``cubic_fit`` is the not-a-knot cubic interpolant, written in the
-piecewise-polynomial layout ``c[k, i]`` that ``_ppoly_eval`` and
-``_spline_jet`` read (the latter without copying the coefficients), and its
-tridiagonal solve follows LAPACK ``dgtsv`` step for step, so its
-coefficients equal ``scipy.interpolate.CubicSpline``'s bit for bit without
-importing scipy.
+``cubic_fit`` is the C1 cubic interpolant with Bessel knot slopes, local
+and exact on quadratics, written in the piecewise-polynomial layout
+``c[k, i]`` that ``_ppoly_eval`` and ``_spline_jet`` read (the latter
+without copying the coefficients).
 
 The variant is passed by name, ``EARRING`` ("earring") or ``BYPASS``
 ("bypass"), the strings ``words`` uses too; ``variant_code`` checks that a
@@ -198,59 +196,20 @@ DIRECTIONS = ("gamma", "theta", "nu", "tau")
 
 
 # ---------------------------------------------------------------------------
-# cubic splines: not-a-knot fit and evaluation in the piecewise-polynomial
-# layout c[k, i] (coefficient of (x - breaks[i])^(3 - k) on interval i)
+# cubic splines: local fit and evaluation in the piecewise-polynomial layout
+# c[k, i] (coefficient of (x - breaks[i])^(3 - k) on interval i)
 # ---------------------------------------------------------------------------
 
-def _gtsv(dl, d, du, b):
-    """Solution of the tridiagonal system with sub-, main and super-diagonal
-    ``dl``, ``d``, ``du`` for the (n, m) right-hand side ``b``.
-
-    Gaussian elimination with partial pivoting (rows i and i + 1 swap where
-    |d_i| < |dl_i|), then back substitution, in the operation order of
-    LAPACK ``dgtsv``; each column of ``b`` sees the same float operations as
-    a one-column solve.
-    """
-    dl, d, du = dl.tolist(), d.tolist(), du.tolist()
-    n = len(d)
-    cols = b.T.tolist()
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            for col in cols:
-                col[i + 1] = col[i + 1] - fact * col[i]
-            dl[i] = 0.0
-        else:
-            fact = d[i] / dl[i]
-            d[i] = dl[i]
-            temp = d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            if i < n - 2:  # the swapped row gains a second super-diagonal
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = temp
-            for col in cols:
-                temp = col[i]
-                col[i] = col[i + 1]
-                col[i + 1] = temp - fact * col[i + 1]
-    for col in cols:
-        col[n - 1] = col[n - 1] / d[n - 1]
-        col[n - 2] = (col[n - 2] - du[n - 2] * col[n - 1]) / d[n - 2]
-        for i in range(n - 3, -1, -1):
-            col[i] = (col[i] - du[i] * col[i + 1] - dl[i] * col[i + 2]) / d[i]
-    return np.array(cols).T
-
-
 def cubic_fit(x, y):
-    """Coefficients c[k, i, ...] of the not-a-knot cubic spline through
-    (x[i], y[i, ...]); every column of ``y`` is fitted on its own.
+    """Coefficients c[k, i, ...] of the C1 cubic spline through
+    (x[i], y[i, ...]) with Bessel knot slopes; every column of ``y`` is
+    fitted on its own.
 
-    The knot slopes solve the tridiagonal system of C2 continuity with
-    not-a-knot end rows (de Boor, *A Practical Guide to Splines*, ch. IV),
-    in the form and operation order of ``scipy.interpolate.CubicSpline``;
-    two knots give the line, three the parabola through them.  Raises
-    ``ValueError`` unless the knots are finite and strictly increasing.
+    Each interior knot takes the slope of the parabola through it and its
+    two neighbours, each end knot that of the end parabola (de Boor, *A
+    Practical Guide to Splines*, ch. IV), so the fit is local and exact on
+    quadratics; two knots give the line.  Raises ``ValueError`` unless the
+    knots are finite and strictly increasing.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -264,28 +223,11 @@ def cubic_fit(x, y):
     slope = np.diff(y, axis=0) / dxr
     if n == 2:
         s = np.stack([slope[0], slope[0]])
-    elif n == 3:
-        s1 = (dx[1] * slope[0] + dx[0] * slope[1]) / (dx[0] + dx[1])
-        s = np.stack([2 * slope[0] - s1, s1, 2 * slope[1] - s1])
     else:
-        d = np.empty(n)
-        du = np.empty(n - 1)
-        dl = np.empty(n - 1)
-        b = np.empty_like(y)
-        d[1:-1] = 2 * (dx[:-1] + dx[1:])
-        du[1:] = dx[:-1]
-        dl[:-1] = dx[1:]
-        b[1:-1] = 3 * (dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
-        # not-a-knot rows; dx[0] ** 2 is a scalar power, as in scipy
-        d[0] = dx[1]
-        du[0] = h = x[2] - x[0]
-        b[0] = ((dx[0] + 2 * h) * dx[1] * slope[0]
-                + dx[0] ** 2 * slope[1]) / h
-        d[-1] = dx[-2]
-        dl[-1] = h = x[-1] - x[-3]
-        b[-1] = (dx[-1] ** 2 * slope[-2]
-                 + (2 * h + dx[-1]) * dx[-2] * slope[-1]) / h
-        s = _gtsv(dl, d, du, b.reshape(n, -1)).reshape(b.shape)
+        inner = ((dxr[1:] * slope[:-1] + dxr[:-1] * slope[1:])
+                 / (dxr[:-1] + dxr[1:]))
+        s = np.concatenate([2 * slope[:1] - inner[:1], inner,
+                            2 * slope[-1:] - inner[-1:]])
     t = (s[:-1] + s[1:] - 2 * slope) / dxr
     return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
 

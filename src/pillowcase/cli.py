@@ -241,13 +241,11 @@ def _random_chart_points(rng, n, variant=EARRING):
 def _variety_points(rng, variant, s, n):
     """``n`` random chart points on the variety, one per usable fiber.
 
-    Each attempt draws a base point (gamma, theta) in [0.3, pi - 0.3]^2,
-    and a sheet when its fiber is two-sheeted inside the chart.  A round
-    draws every point still needed as if each fiber were usable, solves
-    them in one ``solve_fibers`` call and keeps the fibers before the first
-    miss; at a miss the generator is wound back and the draws are replayed
-    up to the miss's base point, so the stream equals that of one fiber at
-    a time.  Raises ``ContinuationError`` after 100 n attempts.
+    Each attempt draws a base point (gamma, theta) in [0.3, pi - 0.3]^2
+    and a sheet, and is kept when its fiber is two-sheeted inside the
+    chart; a miss is skipped.  A round draws every point still needed and
+    solves them in one ``solve_fibers`` call.  Raises ``ContinuationError``
+    after 100 n attempts.
     """
     pts = []
     attempts = 0
@@ -256,23 +254,16 @@ def _variety_points(rng, variant, s, n):
             raise ContinuationError(
                 f"found {len(pts)} of {n} two-sheeted fibers for {variant} "
                 f"at s={s} in {attempts} attempts")
-        state = rng.bit_generator.state
         draws = [(float(rng.uniform(0.3, np.pi - 0.3)),
                   float(rng.uniform(0.3, np.pi - 0.3)),
                   int(rng.integers(0, 2)))
                  for _ in range(min(n - len(pts), 100 * n - attempts))]
+        attempts += len(draws)
         gs, ts, sides = zip(*draws)
-        for k, fs in enumerate(solve_fibers(variant, s, gs, ts)):
-            attempts += 1
-            if fs.status != "two_sheets" or not all(
+        for fs, side in zip(solve_fibers(variant, s, gs, ts), sides):
+            if fs.status == "two_sheets" and all(
                     abs(nu) <= NU_MAX for nu, _ in fs.solutions):
-                # a uniform draw takes one double whatever its bounds
-                rng.bit_generator.state = state
-                for _ in range(k):
-                    rng.uniform(), rng.uniform(), rng.integers(0, 2)
-                rng.uniform(), rng.uniform()
-                break
-            pts.append(fs.chart_points()[sides[k]])
+                pts.append(fs.chart_points()[side])
     return pts
 
 

@@ -22,13 +22,14 @@ more than a piece length from its prediction, the loop is retraced at
 half the step; at ``max_step`` the trace itself is kept, so a
 ``max_step`` at or above ``COARSE_STEP`` densifies nothing.
 
-Each curve component is carried by the not-a-knot cubic spline of its lift
-(``_kernels.cubic_fit``), fitted once per fiber product and shared by the
-continuation and the push forward.  The coarse continuation loop runs on
-Python floats; the push forward maps all samples of a loop in one image
-pass and picks their orbit elements in arrays.  An image that turns too
-sharply is under-resolved: ``compose_curve`` then composes once more at
-half the step, the same rule by which a failed densification retraces.
+Each curve component is carried by the C1 cubic spline of its lift with
+local knot slopes (``_kernels.cubic_fit``), fitted once per fiber product
+and shared by the continuation and the push forward.  The coarse
+continuation loop runs on Python floats; the push forward maps all samples
+of a loop in one image pass and picks their orbit elements in arrays.  An
+image that turns too sharply is under-resolved: ``compose_curve`` then
+composes once more at half the step, the same rule by which a failed
+densification retraces.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .curves import (TURN_LIMIT, TWO_PI, CurveComponent, CurveError,
 from .projection import pi0_u_r3, pi1_r3_of_chart
 from .variety import (COMPLEX_STEP, ContinuationError, FoldCircle, eta,
                       fold_locus, k_circle, solve_fiber, tau_seed)
-from .words import BYPASS
+from .words import BYPASS, wrapped_angle
 
 MAX_STEP = 4e-3  # default continuation step, in (t, nu, tau) arclength
 STEP_BUDGET = 100_000  # continuation steps allowed per loop
@@ -158,8 +159,7 @@ def _closure_distance(u, u0, period):
     dt = u[0] - u0[0]
     if period > 0:
         dt = dt - period * round(dt / period)
-    dtau = (u[2] - u0[2] + math.pi) % TWO_PI - math.pi
-    return math.hypot(dt, u[1] - u0[1], dtau)
+    return math.hypot(dt, u[1] - u0[1], wrapped_angle(u[2] - u0[2], math))
 
 
 def _trace_loop(code, s, breaks, cg, ct, period, u, max_step):
@@ -241,7 +241,7 @@ def _densify(code, s, breaks, cg, ct, coarse, folds, tangents, max_step):
     d = coarse[1:] - a
     # the closing point repeats the start's tau, which the loop may have
     # wound by 2 pi (its t is continued already)
-    d[:, 2] = (d[:, 2] + np.pi) % TWO_PI - np.pi
+    d[:, 2] = wrapped_angle(d[:, 2])
     chord = np.linalg.norm(d, axis=1)
     # Hermite end slopes: the unit tangents, scaled by the chord and pointing
     # along it
@@ -312,8 +312,7 @@ def _branch_sheet(samples, breaks, cg, ct, folds):
     g = _kernels._ppoly_eval(breaks, cg, t)
     th = _kernels._ppoly_eval(breaks, ct, t)
     ts = tau_seed(g, th)
-    d_plus = abs(np.mod(tau - ts + np.pi, TWO_PI) - np.pi)
-    return "plus" if d_plus < np.pi / 2 else "minus"
+    return "plus" if abs(wrapped_angle(tau - ts)) < np.pi / 2 else "minus"
 
 
 def fiber_product(curve: ImmersedCurve, variant: str, s: float, *,

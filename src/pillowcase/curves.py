@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .words import wrapped_angle
+
 TWO_PI = 2.0 * np.pi
 
 CORNER_CLASSES = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -74,6 +76,9 @@ class CurveComponent:
         return int(hom[0]), int(hom[1])
 
     def validate(self):
+        if not np.all(np.isfinite(self.lift)):
+            raise CurveError("component lift has a coordinate that is not "
+                             "finite")
         lens = np.linalg.norm(np.diff(self.lift, axis=0), axis=1)
         if np.any(lens < 1e-12):
             raise CurveError("degenerate polyline segment")
@@ -103,7 +108,7 @@ def turning_angles(lift: np.ndarray, closed: bool = False) -> np.ndarray:
     ang = np.arctan2(seg[:, 1], seg[:, 0])
     if closed:
         ang = np.append(ang, ang[0])
-    return np.abs(np.mod(np.diff(ang) + np.pi, TWO_PI) - np.pi)
+    return np.abs(wrapped_angle(np.diff(ang)))
 
 
 def _corner_lattice_distance(pts: np.ndarray) -> np.ndarray:
@@ -645,7 +650,7 @@ def _corner_winding(comp: CurveComponent, corner_class: tuple[int, int]) -> int:
 def _rotation_number(comp: CurveComponent) -> int:
     seg = np.diff(comp.lift, axis=0)
     ang = np.unwrap(np.arctan2(seg[:, 1], seg[:, 0]))
-    closing = np.mod(ang[0] - ang[-1] + np.pi, TWO_PI) - np.pi
+    closing = wrapped_angle(ang[0] - ang[-1])
     return int(np.round((ang[-1] - ang[0] + closing) / TWO_PI))
 
 

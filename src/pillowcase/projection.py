@@ -18,7 +18,7 @@ import numpy as np
 from . import quat
 from .words import (EARRING, CHARS_P0, CHARS_P1, ChartPoint, Rep, U_A, U_B,
                     U_F, U_H, chart_angle, embed_arrays, eval_word,
-                    variety_residual)
+                    variety_residual, wrapped_angle)
 
 CORNERS_R3 = np.array([
     [1.0, 1.0, 1.0],
@@ -109,9 +109,8 @@ class PillowPoint:
         for sign in (1, -1):
             dg = self.gamma - sign * other.gamma
             dt = self.theta - sign * other.theta
-            dg = abs(np.mod(dg + np.pi, 2 * np.pi) - np.pi)
-            dt = abs(np.mod(dt + np.pi, 2 * np.pi) - np.pi)
-            best = min(best, float(np.hypot(dg, dt)))
+            best = min(best, float(np.hypot(wrapped_angle(dg),
+                                            wrapped_angle(dt))))
         return best
 
 

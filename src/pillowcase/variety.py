@@ -22,7 +22,7 @@ import numpy as np
 from . import quat
 from . import _kernels
 from .projection import pi1_r3_of_chart
-from .words import BYPASS, ChartPoint, Rep, chart_angle
+from .words import BYPASS, ChartPoint, Rep, chart_angle, wrapped_angle
 
 # chart-domain corners of the base torus, indexed by the sign pair
 # (eps_gamma, eps_theta) = (sign cos gamma, sign cos theta)
@@ -60,6 +60,12 @@ class FiberSolutions:
                 for nu, tau in self.solutions]
 
 
+def _same_root(nu_a, tau_a, nu_b, tau_b, radius):
+    """Whether roots a and b of one fiber are one root: closer than
+    ``radius`` in (nu, tau), tau wrapped.  A NaN root is no other's."""
+    return np.hypot(nu_a - nu_b, wrapped_angle(tau_a - tau_b)) < radius
+
+
 def _dedup(nu: np.ndarray, tau: np.ndarray, valid: np.ndarray,
            radius: float):
     """Greedy first-come dedup of padded (fibers, slots) root arrays.
@@ -71,8 +77,8 @@ def _dedup(nu: np.ndarray, tau: np.ndarray, valid: np.ndarray,
     for k in range(valid.shape[1]):
         dup = np.zeros(valid.shape[0], dtype=bool)
         for j in range(k):
-            dtau = np.abs(np.mod(tau[:, k] - tau[:, j] + np.pi, 2 * np.pi) - np.pi)
-            dup |= keep[:, j] & (np.hypot(nu[:, k] - nu[:, j], dtau) < radius)
+            dup |= keep[:, j] & _same_root(nu[:, k], tau[:, k], nu[:, j],
+                                           tau[:, j], radius)
         keep[:, k] = valid[:, k] & ~dup
     return keep, tau
 
@@ -162,8 +168,7 @@ def _fiber_arrays(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
     (nu_p, tau_p, ok_p), (nu_m, tau_m, ok_m) = (
         _kernels.newton_fiber_batch(variant, s, gamma, theta, 0.0, t)
         for t in (t0, t0 + np.pi))
-    dtau = np.abs(np.mod(tau_p - tau_m + np.pi, 2 * np.pi) - np.pi)
-    apart = ok_p & ok_m & (np.hypot(nu_p - nu_m, dtau) >= DEDUP_RADIUS)
+    apart = ok_p & ok_m & ~_same_root(nu_p, tau_p, nu_m, tau_m, DEDUP_RADIUS)
     seeded = np.nonzero(apart)[0]
     roots = [(seeded, nu_p[seeded], tau_p[seeded]),
              (seeded, nu_m[seeded], tau_m[seeded])]
@@ -186,8 +191,7 @@ def _fiber_arrays(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
     fiber, nu, tau = map(np.concatenate, zip(*roots))
 
     # per fiber, the + sheet first: roots by tau distance from the s = 0 seed
-    order = np.lexsort((np.abs(np.mod(tau - t0[fiber] + np.pi, 2 * np.pi)
-                               - np.pi), fiber))
+    order = np.lexsort((np.abs(wrapped_angle(tau - t0[fiber])), fiber))
     (rnu, rtau), valid = _padded(fiber[order], gamma.size, nu[order],
                                  tau[order])
     keep, rtau = _dedup(rnu, rtau, valid, DEDUP_RADIUS)

@@ -119,6 +119,15 @@ def chart_angle(x, xp=np):
     return np.where(x == TWO_PI, 0.0, x)
 
 
+def wrapped_angle(x, xp=np):
+    """x less the multiple of 2 pi that takes it into [-pi, pi), as
+    mod(x + pi, 2 pi) - pi: the signed difference of two angles.  ``xp``
+    picks the float or the array face, as for ``chart_angle``."""
+    if xp is math:
+        return (x + math.pi) % TWO_PI - math.pi
+    return np.mod(x + np.pi, TWO_PI) - np.pi
+
+
 @dataclass
 class ChartPoint:
     """Coordinates (s, gamma, theta, nu, tau) on the compact chart domain;

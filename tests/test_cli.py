@@ -293,12 +293,22 @@ def test_compose_rejects_bad_curve_files(tmp_path, capsys):
                     0, np.pi, 200))], "P0")
     open_circle = tmp_path / "open.json"
     open_circle.write_text(half.to_json())
-    for src in (bad_json, no_components, not_an_object, open_circle):
+    # b_ver circles with one gamma NaN or infinite, which json writes bare
+    not_finite = []
+    for value in (np.nan, np.inf):
+        circle = C.vertical_circle()
+        circle.components[0].lift[100, 0] = value
+        not_finite.append(tmp_path / f"{value}.json")
+        not_finite[-1].write_text(circle.to_json())
+    for src in (bad_json, no_components, not_an_object, open_circle,
+                *not_finite):
         code = run(["compose", "--curve-file", str(src), "--variant",
                     "earring", "--s", "0.05", "--out", str(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"bad curve file {src}") and err.count("\n") == 1
+        if src in not_finite:
+            assert err.endswith("lift has a coordinate that is not finite\n")
     assert not (tmp_path / "composed.json").exists()
 
 
@@ -325,10 +335,11 @@ def _ref_variety_points(rng, variant, s, n):
         attempts += 1
         g = float(rng.uniform(0.3, np.pi - 0.3))
         t = float(rng.uniform(0.3, np.pi - 0.3))
+        side = int(rng.integers(0, 2))
         fs = solve_fiber(variant, s, g, t)
         if fs.status == "two_sheets" and all(abs(nu) <= 0.5 + 1e-9
                                              for nu, _ in fs.solutions):
-            pts.append(fs.chart_points()[int(rng.integers(0, 2))])
+            pts.append(fs.chart_points()[side])
         else:
             misses += 1
     return pts, misses
@@ -339,13 +350,13 @@ def _ref_variety_points(rng, variant, s, n):
     ("earring", -0.3, 10), ("bypass", -0.3, 10),
     ("bypass", 0.45, 8)])
 def test_variety_points_match_one_fiber_at_a_time(variant, s, n):
-    # the batched draws replay the one-at-a-time stream exactly, misses too
+    # the batched draws are the one-at-a-time stream exactly, misses too
     rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
     ref, misses = _ref_variety_points(ref_rng, variant, s, n)
     assert cli._variety_points(rng, variant, s, n) == ref
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     if s == 0.45:
-        assert misses >= 1  # the replay after a miss has run
+        assert misses >= 1  # a miss has been skipped
 
 
 def test_variety_points_skip_roots_outside_the_chart():

@@ -175,14 +175,72 @@ def test_ppoly_eval_broadcasts_like_the_scalar_form():
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(gaps=st.lists(st.floats(0.01, 10.0), min_size=3, max_size=60),
        data=st.data())
-def test_cubic_fit_is_bit_equal_to_cubic_spline(gaps, data):
+def test_cubic_fit_reproduces_quadratics(gaps, data):
+    # Bessel slopes are the parabola's at every knot, the end knots included
     x = np.concatenate([[-1.0], -1.0 + np.cumsum(gaps)])
-    value = st.floats(-100.0, 100.0, allow_subnormal=False)
-    y = np.array(data.draw(st.lists(st.tuples(value, value), min_size=len(x),
-                                    max_size=len(x))))
+    coef = st.floats(-100.0, 100.0, allow_subnormal=False)
+    a = np.array(data.draw(st.lists(st.tuples(coef, coef, coef), min_size=2,
+                                    max_size=2))).T
+    y = a[0] + np.outer(x, a[1]) + np.outer(x * x, a[2])
     c = k.cubic_fit(x, y)
+    ts = np.concatenate([x, (x[:-1] + x[1:]) / 2])
     for j in range(2):
-        assert np.array_equal(c[..., j], CubicSpline(x, y[:, j]).c)
+        val = k._ppoly_eval(x, c[..., j], ts)
+        der = k._spline_jets(x, c[..., j], c[..., j], ts)[1]
+        ref = a[0, j] + a[1, j] * ts + a[2, j] * ts * ts
+        dref = a[1, j] + 2 * a[2, j] * ts
+        scale = np.max(np.abs(a[:, j])) * (1 + np.max(np.abs(ts))) ** 2
+        assert np.max(np.abs(val - ref)) <= 1e-13 * scale
+        assert np.max(np.abs(der - dref)) <= 1e-13 * scale
+
+
+def test_cubic_fit_is_c1_and_interpolates():
+    rng = np.random.default_rng(11)
+    x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 2.0, 40))])
+    y = rng.normal(size=(len(x), 2))
+    c = k.cubic_fit(x, y)
+    h = np.diff(x)[:, None]
+    # each piece's value and slope at its right end, against the next piece
+    end = ((c[0] * h + c[1]) * h + c[2]) * h + c[3]
+    slope = (3 * c[0] * h + 2 * c[1]) * h + c[2]
+    assert np.array_equal(c[3], y[:-1])
+    assert np.allclose(end, y[1:], rtol=0, atol=1e-12)
+    assert np.allclose(slope[:-1], c[2, 1:], rtol=0, atol=1e-11)
+
+
+@pytest.mark.parametrize("n", [3, 4, 9])
+def test_cubic_fit_is_local(n):
+    # y[k] reaches the slopes of knots k - 1 .. k + 1 (and an end slope
+    # reaches one knot further in), so the pieces max(0, k - 2) .. k + 1
+    rng = np.random.default_rng(n)
+    x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, n - 1))])
+    y = rng.normal(size=n)
+    c = k.cubic_fit(x, y)
+    for kk in range(n):
+        bumped = y.copy()
+        bumped[kk] += 1.0
+        moved = np.any(k.cubic_fit(x, bumped) != c, axis=0)
+        reach = np.arange(n - 1)
+        assert np.array_equal(moved, (reach >= kk - 2) & (reach <= kk + 1))
+
+
+@pytest.mark.parametrize("name", ["wavy_arc", "vertical_circle"])
+def test_cubic_fit_is_near_cubic_spline_on_curve_lifts(monkeypatch, name):
+    # the knots and lifts compose fits, circles padded two periods each way
+    from pillowcase import compose, curves
+
+    fits = []
+    fit = k.cubic_fit
+    monkeypatch.setattr(k, "cubic_fit", lambda x, y: fits.append((x, y))
+                        or fit(x, y))
+    curve = getattr(curves, name)()
+    compose._component_splines(curve.components[0])
+    (x, y), = fits
+    c = fit(x, y)
+    ts = np.concatenate([x, (x[:-1] + x[1:]) / 2])
+    for j in range(2):
+        assert (np.max(np.abs(k._ppoly_eval(x, c[..., j], ts)
+                              - CubicSpline(x, y[:, j])(ts))) < 1e-8)
 
 
 @pytest.mark.parametrize("n", [2, 3])

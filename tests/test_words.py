@@ -83,6 +83,18 @@ def test_chart_angle_faces_match_the_rule_bit_for_bit():
     assert np.all((want >= 0) & (want < 2 * np.pi))
 
 
+def test_wrapped_angle_faces_match_the_rule_bit_for_bit():
+    rng = np.random.default_rng(25)
+    xs = np.concatenate([rng.uniform(-20.0, 20.0, 400),
+                         rng.normal(0.0, 1e-15, 40),
+                         [-0.0, np.pi, -np.pi, 3 * np.pi, np.nan]])
+    want = np.array([float(np.mod(x + np.pi, 2 * np.pi) - np.pi) for x in xs])
+    for got in (np.array([W.wrapped_angle(x, math) for x in xs.tolist()]),
+                W.wrapped_angle(xs)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.all((want[:-1] >= -np.pi) & (want[:-1] < np.pi))
+
+
 def test_embed_L_examples():
     pt = W.ChartPoint(0.3, 0.0, 0.0, 0.0, 0.0)
     rep = W.embed_L(pt)
