@@ -78,9 +78,11 @@ def cmd_trace(args) -> int:
     lines = ["# fiber classification",
              f"# variant={variant} s={s} grid={args.grid}",
              "gamma,theta,status"]
-    for i, g in enumerate(gs):
-        for j, t in enumerate(ts):
-            lines.append(f"{g:.12g},{t:.12g},{status[i, j]}")
+    g_text = [f"{g:.12g}," for g in gs]
+    t_text = [f"{t:.12g}," for t in ts]
+    for i, g in enumerate(g_text):
+        for j, t in enumerate(t_text):
+            lines.append(g + t + status[i, j])
     _write(out, "fibers.csv", "\n".join(lines) + "\n")
 
     if s != 0.0:

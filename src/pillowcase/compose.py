@@ -53,6 +53,7 @@ STEP_BUDGET = 100_000  # continuation steps allowed per loop
 CORRECTOR = (1e-11, 40)  # corrector residual tolerance and iteration cap
 COARSE_STEP = 16 * MAX_STEP  # continuation step of the trace that is densified
 DENSE_CHUNK = 512  # predictions corrected per batched corrector call
+PROJECT_CHUNK = 4096  # samples projected per pi1_r3_of_chart call
 
 
 class TangencyError(RuntimeError):
@@ -440,6 +441,10 @@ def _prune_short(lift: np.ndarray, min_len: float):
 def push_forward(fp: FiberProduct) -> ImmersedCurve:
     """Apply the second restriction map to every branch.
 
+    Samples are projected ``PROJECT_CHUNK`` at a time: the word evaluation
+    is elementwise, so the blocks give the one-call characters bit for bit
+    while its quaternion temporaries stay at a block's size.
+
     Output components are circles in the second factor.  An image that
     turns by more than the immersion proxy limit ``curves.TURN_LIMIT``
     raises ``UnderResolvedError``.
@@ -450,15 +455,19 @@ def push_forward(fp: FiberProduct) -> ImmersedCurve:
         samples = branch.samples
         gs = _kernels._ppoly_eval(breaks, cg, samples[:, 0])
         th = _kernels._ppoly_eval(breaks, ct, samples[:, 0])
+        r3 = []
         try:
-            r3 = pi1_r3_of_chart(fp.s, gs, th, samples[:, 1], samples[:, 2],
-                                 variant=fp.variant)
+            for lo in range(0, len(samples), PROJECT_CHUNK):
+                part = slice(lo, lo + PROJECT_CHUNK)
+                r3.append(pi1_r3_of_chart(fp.s, gs[part], th[part],
+                                          samples[part, 1], samples[part, 2],
+                                          variant=fp.variant))
         except ValueError as exc:
             raise ContinuationError(
                 f"fiber-product sample outside the chart: {exc}") from exc
         # drop image micro-segments: below ~1e-6 the turning angle between
         # neighbors is dominated by the corrector tolerance, not geometry
-        lift = _prune_short(_unwrap_orbit_path(r3), 1e-6)
+        lift = _prune_short(_unwrap_orbit_path(np.concatenate(r3)), 1e-6)
         if np.any(turning_angles(lift) > TURN_LIMIT):
             raise UnderResolvedError(
                 "composed image violates the immersion proxy")

@@ -128,6 +128,8 @@ class ImmersedCurve:
             raise CurveError(f"unknown side {self.side!r}")
 
     def validate(self) -> "ImmersedCurve":
+        if not self.components:
+            raise CurveError("curve has no components")
         for c in self.components:
             c.validate()
         return self
@@ -349,58 +351,61 @@ def _candidate_pairs(P0, P1, Q0, Q1, cell=None):
     polylines, so each segment touches a handful of cells).  The cell
     defaults to ``_grid_cell`` of the two families.
 
-    Pairs come ordered by i, then by the first cell of i's box they share,
-    then by j; each pair once.
+    The sorted cell index of the Q family is built once; the P segments are
+    then walked in passes of ``_PAIR_SEGMENTS``, and each pass yields its
+    (i, j) arrays, so temporaries scale with a pass, not with the whole
+    search.  Across the passes, pairs come ordered by i, then by the first
+    cell of i's box they share, then by j; each pair once.
     """
     if cell is None:
         cell = _grid_cell(P0, P1, Q0, Q1)
-    ip, cp, lop = _box_cells(P0, P1, cell)
     jq, cq, loq = _box_cells(Q0, Q1, cell)
-    # one integer key per cell; Q's cells sorted by (key, j)
-    y0 = min(cp[:, 1].min(initial=0), cq[:, 1].min(initial=0))
-    width = max(cp[:, 1].max(initial=0), cq[:, 1].max(initial=0)) - y0 + 1
-    kp = cp[:, 0] * width + (cp[:, 1] - y0)
+    # one integer key per cell, over every cell row either family reaches;
+    # Q's cells sorted by (key, j)
+    y = np.concatenate([P0[:, 1], P1[:, 1], Q0[:, 1], Q1[:, 1]])
+    y0, y1 = np.floor(np.array([y.min(), y.max()]) / cell).astype(np.int64)
+    width = y1 - y0 + 1
     kq = cq[:, 0] * width + (cq[:, 1] - y0)
+    del cq  # else the generator holds it through every pass
     order = np.lexsort((jq, kq))
     kq, jq, loq = kq[order], jq[order], loq[order]
-    first = np.searchsorted(kq, kp, side="left")
-    n = np.searchsorted(kq, kp, side="right") - first
-    e = np.repeat(np.arange(kp.size), n)  # P cell entry of each match
-    f = np.repeat(first - np.cumsum(n) + n, n) + np.arange(e.size)
-    # two boxes share a block of cells; keep the pair at its first cell
-    once = np.all(cp[e] == np.maximum(lop[e], loq[f]), axis=1)
-    return ip[e[once]], jq[f[once]]
+    for lo in range(0, len(P0), _PAIR_SEGMENTS):
+        ip, cp, lop = _box_cells(P0[lo:lo + _PAIR_SEGMENTS],
+                                 P1[lo:lo + _PAIR_SEGMENTS], cell)
+        kp = cp[:, 0] * width + (cp[:, 1] - y0)
+        first = np.searchsorted(kq, kp, side="left")
+        n = np.searchsorted(kq, kp, side="right") - first
+        e = np.repeat(np.arange(kp.size), n)  # P cell entry of each match
+        f = np.repeat(first - np.cumsum(n) + n, n) + np.arange(e.size)
+        # two boxes share a block of cells; keep the pair at its first cell
+        once = np.all(cp[e] == np.maximum(lop[e], loq[f]), axis=1)
+        yield lo + ip[e[once]], jq[f[once]]
 
 
 def _segment_crossings(P0, P1, Q0, Q1, cell=None):
     """Proper crossings between two segment families (grid-culled, on
-    ``_candidate_pairs``' grid with the given cell).
+    ``_candidate_pairs``' grid with the given cell).  Each pass of candidate
+    pairs is tested on its own and only its hits are kept.
 
     Returns index pairs, parameters, points, and the crossing angles (rad,
     in [0, pi/2]).
     """
-    empty = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-             np.empty(0), np.empty(0), np.empty((0, 2)), np.empty(0))
-    ic, jc = _candidate_pairs(P0, P1, Q0, Q1, cell)
-    if len(ic) == 0:
-        return empty
-    d1 = P1[ic] - P0[ic]
-    d2 = Q1[jc] - Q0[jc]
-    den = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    dx = Q0[jc, 0] - P0[ic, 0]
-    dy = Q0[jc, 1] - P0[ic, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = (dx * d2[:, 1] - dy * d2[:, 0]) / den
-        u = (dx * d1[:, 1] - dy * d1[:, 0]) / den
-    eps = 1e-12
-    hit = (np.abs(den) > 0) & (t >= -eps) & (t < 1 - eps) & \
-        (u >= -eps) & (u < 1 - eps)
-    if not np.any(hit):
-        return empty
-    ii = ic[hit]
-    jj = jc[hit]
-    tt = t[hit]
-    uu = u[hit]
+    found = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+              np.empty(0), np.empty(0))]
+    for ic, jc in _candidate_pairs(P0, P1, Q0, Q1, cell):
+        d1 = P1[ic] - P0[ic]
+        d2 = Q1[jc] - Q0[jc]
+        den = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+        dx = Q0[jc, 0] - P0[ic, 0]
+        dy = Q0[jc, 1] - P0[ic, 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = (dx * d2[:, 1] - dy * d2[:, 0]) / den
+            u = (dx * d1[:, 1] - dy * d1[:, 0]) / den
+        eps = 1e-12
+        hit = (np.abs(den) > 0) & (t >= -eps) & (t < 1 - eps) & \
+            (u >= -eps) & (u < 1 - eps)
+        found.append((ic[hit], jc[hit], t[hit], u[hit]))
+    ii, jj, tt, uu = (np.concatenate(x) for x in zip(*found))
     pts = P0[ii] + tt[:, None] * (P1[ii] - P0[ii])
     a1 = np.arctan2(P1[ii, 1] - P0[ii, 1], P1[ii, 0] - P0[ii, 0])
     a2 = np.arctan2(Q1[jj, 1] - Q0[jj, 1], Q1[jj, 0] - Q0[jj, 0])
@@ -431,6 +436,19 @@ def _translates(lift_a: np.ndarray, lift_b: np.ndarray):
     return out
 
 
+def _meeting(P0, P1, Q0, Q1) -> np.ndarray:
+    """Indices of the P segments whose boxes meet the box of the Q segments,
+    widened by 1e-6.  It works column by column: numpy reduces an (n, 2)
+    array along either axis about ten times slower."""
+    meet = np.ones(len(P0), dtype=bool)
+    for k in (0, 1):
+        lo = min(Q0[:, k].min(), Q1[:, k].min()) - 1e-6
+        hi = max(Q0[:, k].max(), Q1[:, k].max()) + 1e-6
+        meet &= (np.maximum(P0[:, k], P1[:, k]) >= lo) & \
+            (np.minimum(P0[:, k], P1[:, k]) <= hi)
+    return np.flatnonzero(meet)
+
+
 def _crossings(lift_a: np.ndarray, lift_b: np.ndarray):
     """Crossings of lift_a with every translate of lift_b that can meet it,
     away from the corners (not points of the open pillowcase).
@@ -440,26 +458,28 @@ def _crossings(lift_a: np.ndarray, lift_b: np.ndarray):
     index + fraction), the crossing point on lift_a and the angle.
 
     Only the segments of a translate whose boxes meet lift_a's box are
-    searched, and a translate with none is skipped.  The hits are still
-    those of the whole translate, in the same order: the grid finds every
-    pair of crossing segments, and it keeps the whole translate's cell, so
-    the hits of one translate stay ordered by i, then cell, then j.
+    searched, against only the segments of lift_a whose boxes meet theirs,
+    and a translate with none is skipped.  The hits are still those of the
+    whole translate, in the same order: the grid finds every pair of
+    crossing segments, and it keeps the whole translate's cell, so the hits
+    of one translate stay ordered by i, then cell, then j.
     """
     A0, A1 = lift_a[:-1], lift_a[1:]
-    lo_a = lift_a.min(axis=0) - 1e-6
-    hi_a = lift_a.max(axis=0) + 1e-6
     for sign, shift in _translates(lift_a, lift_b):
         B = sign * lift_b + shift
         B0, B1 = B[:-1], B[1:]
-        meet = np.all((np.maximum(B0, B1) >= lo_a) &
-                      (np.minimum(B0, B1) <= hi_a), axis=1)
-        if not meet.any():
+        keep = _meeting(B0, B1, A0, A1)
+        if len(keep) == 0:
             continue
         identity = sign == 1 and np.max(np.abs(shift)) < 1e-12
-        keep = np.flatnonzero(meet)
+        Q0, Q1 = B0[keep], B1[keep]
+        near = _meeting(A0, A1, Q0, Q1)
+        # copied only when some segments are left out
+        P0, P1 = ((A0, A1) if len(near) == len(A0) else
+                  (A0[near], A1[near]))
         ii, jj, tt, uu, pts, ang = _segment_crossings(
-            A0, A1, B0[keep], B1[keep], _grid_cell(A0, A1, B0, B1))
-        jj = keep[jj]
+            P0, P1, Q0, Q1, _grid_cell(A0, A1, B0, B1))
+        ii, jj = near[ii], keep[jj]
         far = _corner_lattice_distance(pts) >= CORNER_TOL
         for k in np.nonzero(far)[0]:
             i, j = int(ii[k]), int(jj[k])
@@ -682,6 +702,7 @@ _BLOCK = 16  # consecutive segments under one bounding ball
 _POINT_BLOCK = 32  # consecutive points under one bounding ball
 _RUNS_PER_PASS = 8  # point blocks per pass, each against every block
 _PAIR_CHUNK = 4096  # (point, block) pairs per exact pass: 64k segment rows
+_PAIR_SEGMENTS = 512  # P segments per pass of the crossing search
 
 
 def _nearest_in_block(pts, seg, blk):

@@ -286,6 +286,8 @@ def test_compose_rejects_bad_curve_files(tmp_path, capsys):
     no_components.write_text('{"side": "P0"}')
     not_an_object = tmp_path / "list.json"
     not_an_object.write_text("[1, 2]")
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"components": []}')
     # a "circle" whose lift does not close modulo the lattice
     half = C.ImmersedCurve([C.CurveComponent(
         "circle",
@@ -300,7 +302,7 @@ def test_compose_rejects_bad_curve_files(tmp_path, capsys):
         circle.components[0].lift[100, 0] = value
         not_finite.append(tmp_path / f"{value}.json")
         not_finite[-1].write_text(circle.to_json())
-    for src in (bad_json, no_components, not_an_object, open_circle,
+    for src in (bad_json, no_components, not_an_object, empty, open_circle,
                 *not_finite):
         code = run(["compose", "--curve-file", str(src), "--variant",
                     "earring", "--s", "0.05", "--out", str(tmp_path)])
@@ -309,6 +311,8 @@ def test_compose_rejects_bad_curve_files(tmp_path, capsys):
         assert err.startswith(f"bad curve file {src}") and err.count("\n") == 1
         if src in not_finite:
             assert err.endswith("lift has a coordinate that is not finite\n")
+        if src == empty:
+            assert err.endswith("curve has no components\n")
     assert not (tmp_path / "composed.json").exists()
 
 

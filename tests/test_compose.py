@@ -131,6 +131,29 @@ def test_push_forward_refuses_samples_outside_the_chart():
             X.push_forward(fp)
 
 
+def test_push_forward_blocks_match_one_call(monkeypatch):
+    # quick verify's bottom edge, 7,026 samples on one branch
+    fp = X.fiber_product(C.bottom_edge(), "bypass", 0.05, max_step=1.5e-3,
+                         circles=fold("bypass", 0.05))
+    sizes = (1000, X.PROJECT_CHUNK)
+    assert len(fp.branches[0].samples) > max(sizes)
+    monkeypatch.setattr(X, "PROJECT_CHUNK", 10**9)
+    ref = X.push_forward(fp)
+    for size in sizes:
+        monkeypatch.setattr(X, "PROJECT_CHUNK", size)
+        out = X.push_forward(fp)
+        assert len(out.components) == len(ref.components) == 1
+        for got, want in zip(out.components, ref.components):
+            assert np.array_equal(got.lift, want.lift)
+    # a sample outside the chart in a later block is still refused
+    t = np.linspace(0.0, 1.0, 20)
+    nu = np.where(np.arange(20) == 15, 0.6, 0.0)
+    branch = X.Branch(0, np.column_stack([t, nu, np.zeros(20)]), [], None)
+    with pytest.raises(V.ContinuationError, match="outside the chart"):
+        X.push_forward(X.FiberProduct(C.vertical_circle(), "earring", 0.05,
+                                      [branch]))
+
+
 @pytest.mark.parametrize("variant", ["earring", "bypass"])
 def test_push_forward_refines_once(variant):
     # at this coarse step the image turns too sharply, so push_forward

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -426,31 +427,86 @@ def _dict_candidate_pairs(P0, P1, Q0, Q1):
     return np.asarray(ii, dtype=np.int64), np.asarray(jj, dtype=np.int64)
 
 
+def _joined_pairs(P0, P1, Q0, Q1):
+    """The passes of ``curves._candidate_pairs``, concatenated; checks that
+    pass k holds the pairs of P segments k * _PAIR_SEGMENTS onward."""
+    passes = list(C._candidate_pairs(P0, P1, Q0, Q1))
+    assert len(passes) == -(-len(P0) // C._PAIR_SEGMENTS)
+    for k, (i, _) in enumerate(passes):
+        assert np.all(i // C._PAIR_SEGMENTS == k)
+    empty = np.empty(0, dtype=np.int64)
+    return tuple(np.concatenate(x) for x in zip((empty, empty), *passes))
+
+
 def _assert_same_pairs(P, Q):
-    got = C._candidate_pairs(P[:-1], P[1:], Q[:-1], Q[1:])
+    got = _joined_pairs(P[:-1], P[1:], Q[:-1], Q[1:])
     ref = _dict_candidate_pairs(P[:-1], P[1:], Q[:-1], Q[1:])
     assert set(zip(*got)) == set(zip(*ref))
     # each pair once, in the reference's order
     assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
-def test_candidate_pairs_match_dict_grid():
+def _random_walks():
+    """(P, Q) random walks with step scales from far below to above the
+    cell."""
     rng = np.random.default_rng(11)
     for _ in range(100):
-        # random walks with step scales from far below to above the cell
         P = np.cumsum(rng.normal(0, 0.1, (rng.integers(2, 200), 2)), axis=0)
         Q = np.cumsum(rng.normal(0, rng.choice([1e-3, 0.05, 0.5]),
                                  (rng.integers(2, 200), 2)), axis=0)
-        _assert_same_pairs(P - rng.uniform(-2, 2, 2), Q)
-    # the torus-knot scene's input curves, under the translates intersect uses
-    a1 = C.slope_one_arc()
-    a2 = C.slope_two_arc()
+        yield P - rng.uniform(-2, 2, 2), Q
+
+
+def _scene_lifts():
+    """The lifts of the torus-knot scene's input curves."""
     dd = C.double(C.twisted_double(C.vertical_circle()))
-    comps = [c.lift for cur in (a1, a2, dd) for c in cur.components]
+    return [c.lift for cur in (C.slope_one_arc(), C.slope_two_arc(), dd)
+            for c in cur.components]
+
+
+def test_candidate_pairs_match_dict_grid():
+    for P, Q in _random_walks():
+        _assert_same_pairs(P, Q)
+    # the scene's input curves, under the translates intersect uses
+    comps = _scene_lifts()
     for A in comps:
         for B in comps:
             for sign, shift in C._translates(A, B):
                 _assert_same_pairs(A, sign * B + shift)
+
+
+def _pair_search(A, B):
+    """The candidate pairs of A against each translate of B whose box meets
+    A's box, and the crossings of A with B."""
+    pairs = []
+    for sign, shift in C._translates(A, B):
+        T = sign * B + shift
+        if np.all((T.max(axis=0) >= A.min(axis=0)) &
+                  (T.min(axis=0) <= A.max(axis=0))):
+            pairs.append(_joined_pairs(A[:-1], A[1:], T[:-1], T[1:]))
+    return pairs, _crossing_tuples(C._crossings(A, B))
+
+
+@pytest.mark.parametrize("size", [1, 7, C._PAIR_SEGMENTS])
+def test_passes_match_one_pass(monkeypatch, size):
+    lifts = _scene_lifts()
+    # a pass costs about 0.1 ms whatever its size, so at one segment a pass
+    # only the shortest lift, the 360-segment slope-one arc, leads
+    leads = lifts[:1] if size == 1 else lifts
+    inputs = [*_random_walks(), *((A, B) for A in leads for B in lifts)]
+    monkeypatch.setattr(C, "_PAIR_SEGMENTS", 10**9)
+    ref = [_pair_search(A, B) for A, B in inputs]
+    monkeypatch.setattr(C, "_PAIR_SEGMENTS", size)
+    for (A, B), (ref_pairs, ref_hits) in zip(inputs, ref):
+        pairs, hits = _pair_search(A, B)
+        assert len(pairs) == len(ref_pairs)
+        for got, want in zip(pairs, ref_pairs):
+            assert np.array_equal(got[0], want[0])
+            assert np.array_equal(got[1], want[1])
+        assert hits == ref_hits
+    assert sum(len(hits) for _, hits in ref) > 1000
+    # the leading lifts span more than one pass
+    assert max(len(A) for A in leads) > size + 1
 
 
 def _ref_crossings(lift_a, lift_b):
@@ -499,6 +555,21 @@ def test_crossings_match_per_translate_reference():
         assert _crossing_tuples(C._crossings(A, B)) == ref
         hits += len(ref)
     assert hits > 5000
+
+
+def test_edge_crossing_search_peak_memory():
+    # quick verify's composed bottom edge: its search against itself has
+    # about 65k candidate pairs, which took 6.6 MB when built at once
+    edge = X.compose_curve(C.bottom_edge(), "bypass", 0.05, max_step=1.5e-3)
+    comp = edge.components[0]
+    assert len(comp.lift) > 7000
+    tracemalloc.start()
+    try:
+        assert len(C.self_intersections(comp)) == 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_scene_searches_few_translates(monkeypatch):
