@@ -10,8 +10,9 @@ Subpackage layout:
                   defining functions of the two varieties
 - ``variety``     batched fiber solving, fold circles, topology checks, and the
                   closed-form circles over the bottom edge
-- ``projection``  pillowcase points, the two restriction maps, and all
-                  symmetries / involutions
+- ``projection``  pillowcase orbits and character triples, the two
+                  restriction maps, the reflection, and the
+                  boundary-exchanging involution
 - ``curves``      immersed-curve calculus in the pillowcase
 - ``compose``     correspondence composition via pseudo-arclength continuation
 - ``verify``      the invariant battery: every check of the paper's claims

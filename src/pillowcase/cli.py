@@ -124,22 +124,17 @@ def cmd_compose(args) -> int:
         try:
             curve = ImmersedCurve.from_json(
                 Path(args.curve_file).read_text()).validate()
-        # JSONDecodeError and CurveError are ValueErrors; a JSON value of the
-        # wrong shape raises KeyError or TypeError
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        # JSONDecodeError and CurveError are ValueErrors
+        except (OSError, ValueError) as exc:
             print(f"bad curve file {args.curve_file}: "
                   f"{type(exc).__name__}: {exc}", file=sys.stderr)
             return 2
         curve.name = Path(args.curve_file).stem
     else:
         curve = NAMED_CURVES[args.name]()
-    try:
-        circles = fold_locus(args.variant, args.s)
-        composed = compose_curve(curve, args.variant, args.s,
-                                 max_step=args.max_step, circles=circles)
-    except (TangencyError, GenericPositionError) as exc:
-        print(f"composition refused: {exc}", file=sys.stderr)
-        return 3
+    circles = fold_locus(args.variant, args.s)
+    composed = compose_curve(curve, args.variant, args.s,
+                             max_step=args.max_step, circles=circles)
     _write(out, "composed.json", composed.to_json() + "\n")
     svg = _svg.scene_svg(
         [(curve.name or "input", curve.relabel("P0")),

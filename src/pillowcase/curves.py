@@ -38,6 +38,11 @@ TURN_LIMIT = np.deg2rad(15.0)
 ANGLE_TOL = 1e-3
 # crossings this near a corner are not points of the open pillowcase
 CORNER_TOL = 1e-6
+# largest |coordinate| of a curve's lift: below it a float's spacing is
+# at most 2^-33 (about 1.2e-10), a tenth of the 1e-9 corner rule of
+# ``CurveComponent.validate``, so reducing a vertex mod 2 pi keeps its place
+# against the corners; at 1e300 no digit of the reduction is left
+COORD_MAX = 1e6
 
 
 class GenericPositionError(RuntimeError):
@@ -79,6 +84,9 @@ class CurveComponent:
         if not np.all(np.isfinite(self.lift)):
             raise CurveError("component lift has a coordinate that is not "
                              "finite")
+        if np.max(np.abs(self.lift)) > COORD_MAX:
+            raise CurveError(f"component lift has a coordinate beyond "
+                             f"{COORD_MAX:g} in absolute value")
         lens = np.linalg.norm(np.diff(self.lift, axis=0), axis=1)
         if np.any(lens < 1e-12):
             raise CurveError("degenerate polyline segment")
@@ -94,10 +102,12 @@ class CurveComponent:
                 if np.max(np.abs(end / np.pi - np.round(end / np.pi))) > 1e-7:
                     raise CurveError("good arc must start and end at corner "
                                      "lattice points")
-            interior = self.lift[1:-1]
-            d = _corner_lattice_distance(interior)
-            if np.min(d) < 1e-9:
-                raise CurveError("good arc passes through a corner")
+        # the corners are punctures: a circle keeps every vertex off them,
+        # a good arc every vertex but its two ends
+        inner = self.lift if self.kind == "circle" else self.lift[1:-1]
+        if np.min(_corner_lattice_distance(inner)) < 1e-9:
+            raise CurveError(f"{self.kind.replace('_', ' ')} passes through "
+                             "a corner")
         return self
 
 
@@ -138,11 +148,6 @@ class ImmersedCurve:
         return ImmersedCurve([CurveComponent(c.kind, c.lift.copy())
                               for c in self.components], side, self.name)
 
-    def map_lift(self, fn, name: str = "") -> "ImmersedCurve":
-        comps = [CurveComponent(c.kind, np.apply_along_axis(fn, 1, c.lift))
-                 for c in self.components]
-        return ImmersedCurve(comps, self.side, name or self.name)
-
     def to_json(self) -> str:
         return json.dumps({
             "side": self.side,
@@ -152,9 +157,24 @@ class ImmersedCurve:
 
     @classmethod
     def from_json(cls, text: str) -> "ImmersedCurve":
+        """The curve of a JSON file; a missing key or a value of the wrong
+        shape raises CurveError naming it."""
         data = json.loads(text)
-        comps = [CurveComponent(c["kind"], np.asarray(c["lift"], dtype=float))
-                 for c in data["components"]]
+        if not (isinstance(data, dict)
+                and isinstance(data.get("components"), list)):
+            raise CurveError('a curve file is a JSON object with a '
+                             '"components" list')
+        comps = []
+        for k, c in enumerate(data["components"]):
+            if not isinstance(c, dict) or not {"kind", "lift"} <= c.keys():
+                raise CurveError(f'component {k} is not an object with '
+                                 f'"kind" and "lift" keys')
+            try:
+                lift = np.asarray(c["lift"], dtype=float)
+            except (TypeError, ValueError):
+                raise CurveError(f"component {k}: lift is not a list of "
+                                 f"[gamma, theta] number pairs") from None
+            comps.append(CurveComponent(c["kind"], lift))
         return cls(comps, data.get("side", "P0"))
 
 
@@ -199,42 +219,6 @@ def vertical_circle(n: int = 721) -> ImmersedCurve:
     return ImmersedCurve([CurveComponent(
         "circle", _polyline(lambda t: (np.pi / 2, t), 0.0, TWO_PI, n))],
         "P0", "b_ver")
-
-
-def _edge_sub_arc(corner: tuple[float, float], direction: tuple[float, float],
-                  eps: float, n: int) -> CurveComponent:
-    c = np.asarray(corner, dtype=float)
-    d = np.asarray(direction, dtype=float)
-    return CurveComponent("good_arc", _polyline(lambda t: tuple(c + t * d), 0.0,
-                                                eps, n))
-
-
-def standard_arcs(eps: float = 1.0, n: int = 241) -> dict[str, ImmersedCurve]:
-    """The named arcs: the bottom edge, the four edge sub-arcs starting at
-    each corner, and the two sloped arcs of the torus-knot example.
-
-    The sub-arcs are embedded paths in the top or bottom edge; applying the
-    half-lattice symmetries matches them up: br = w2_hat(bl), tr = w1_hat(bl),
-    tl = w1_hat(br).
-    """
-    out = {
-        "beta": bottom_edge(),
-        "slope_one": slope_one_arc(),
-        "slope_two": slope_two_arc(),
-        "beta_bl": ImmersedCurve([_edge_sub_arc((0, 0), (1, 0), eps, n)], "P0",
-                                 "beta_bl"),
-        "beta_br": ImmersedCurve([_edge_sub_arc((np.pi, 0), (-1, 0), eps, n)],
-                                 "P0", "beta_br"),
-        "beta_tl": ImmersedCurve([_edge_sub_arc((0, np.pi), (1, 0), eps, n)],
-                                 "P0", "beta_tl"),
-        "beta_tr": ImmersedCurve([_edge_sub_arc((np.pi, np.pi), (-1, 0), eps, n)],
-                                 "P0", "beta_tr"),
-    }
-    # note: the sub-arcs are not corner-to-corner, so skip full validation
-    out["beta"].validate()
-    out["slope_one"].validate()
-    out["slope_two"].validate()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -628,10 +612,6 @@ class ComponentInvariants:
 @dataclass
 class CurveInvariants:
     components: list[ComponentInvariants]
-
-    @property
-    def component_count(self) -> int:
-        return len(self.components)
 
     def canonical(self) -> tuple:
         return tuple(sorted(c.canonical() for c in self.components))

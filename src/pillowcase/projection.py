@@ -1,31 +1,25 @@
-"""The pillowcase factors, the two restriction maps, and the symmetries.
+"""The pillowcase factors, the two restriction maps, and the reflection.
 
 A pillowcase point is an orbit [gamma, theta] of the torus involution
 (gamma, theta) ~ (-gamma, -theta), carried with its character coordinates
 (cos gamma, cos theta, cos(gamma - theta)) on the singular surface
-x^2 + y^2 + z^2 - 2xyz = 1 in R^3.  The first restriction map reads the base
-coordinates off a chart point; the second evaluates the characters of the
-outgoing boundary loops.  The involution exchanging the two boundary spheres
-factors the second map through the first:  pi1 = Psi o Theta o pi0 o U_s.
+x^2 + y^2 + z^2 - 2xyz = 1 in R^3.  Every map here works on arrays of
+character triples.  The first restriction map reads the base coordinates
+off the characters of the incoming boundary loops; the second evaluates the
+characters of the outgoing ones.  The involution exchanging the two boundary
+spheres factors the second map through the first:
+pi1 = Psi o Theta o pi0 o U_s, where Theta is the reflection
+[gamma, theta] -> [gamma, -theta] and Psi relabels the factor.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import quat
 from .words import (EARRING, CHARS_P0, CHARS_P1, ChartPoint, Rep, U_A, U_B,
                     U_F, U_H, chart_angle, embed_arrays, eval_word,
-                    variety_residual, wrapped_angle)
-
-CORNERS_R3 = np.array([
-    [1.0, 1.0, 1.0],
-    [-1.0, -1.0, 1.0],
-    [-1.0, 1.0, -1.0],
-    [1.0, -1.0, -1.0],
-])
+                    variety_residual)
 
 OFF_VARIETY_SURFACE_TOL = 1e-6
 
@@ -78,47 +72,6 @@ def _angles_of_r3(v, tol: float = OFF_VARIETY_SURFACE_TOL):
                        t0, 2 * np.pi - t0)
 
 
-@dataclass(frozen=True)
-class PillowPoint:
-    """An orbit [gamma, theta] on one pillowcase factor with cached
-    character coordinates."""
-
-    side: str  # "P0" | "P1"
-    gamma: float
-    theta: float
-    r3: tuple[float, float, float]
-
-    @classmethod
-    def from_orbit(cls, side: str, gamma: float, theta: float) -> "PillowPoint":
-        g, t = canonical_orbit(gamma, theta)
-        return cls(side, float(g), float(t), tuple(r3_of_orbit(g, t)))
-
-    @classmethod
-    def from_r3(cls, side: str, x: float, y: float, z: float,
-                tol: float = OFF_VARIETY_SURFACE_TOL) -> "PillowPoint":
-        return cls.from_orbit(side, *_angles_of_r3((x, y, z), tol))
-
-    @property
-    def is_corner(self) -> bool:
-        return bool(np.min(np.max(np.abs(CORNERS_R3 - np.asarray(self.r3)),
-                                  axis=1)) < 1e-8)
-
-    def distance(self, other: "PillowPoint") -> float:
-        """Quotient distance in the angle coordinates."""
-        best = np.inf
-        for sign in (1, -1):
-            dg = self.gamma - sign * other.gamma
-            dt = self.theta - sign * other.theta
-            best = min(best, float(np.hypot(wrapped_angle(dg),
-                                            wrapped_angle(dt))))
-        return best
-
-
-def pi0(pt: ChartPoint) -> PillowPoint:
-    """First-factor restriction: forget everything but the base orbit."""
-    return PillowPoint.from_orbit("P0", pt.gamma, pt.theta)
-
-
 def _characters(rep, words) -> np.ndarray:
     """Re of each word of a triple on a Rep or a dict of (batched, possibly
     complex) generator values, stacked along a last axis of length 3."""
@@ -126,14 +79,11 @@ def _characters(rep, words) -> np.ndarray:
                     axis=-1)
 
 
-def pi0_of_rep(rep: Rep) -> PillowPoint:
-    """Same map computed from the characters of the incoming boundary loops
-    (conjugation invariant, so valid off the gauge slice)."""
-    return PillowPoint.from_r3("P0", *_characters(rep, CHARS_P0))
-
-
 def pi0_r3(rep: Rep) -> np.ndarray:
-    """The character triple of ``pi0_of_rep``, over a (batched) Rep."""
+    """First-factor restriction over a (batched) Rep: the characters of the
+    incoming boundary loops (conjugation invariant, so valid off the gauge
+    slice), read back through their orbit angles onto the canonical orbit
+    representative."""
     return r3_of_orbit(*canonical_orbit(*_angles_of_r3(
         _characters(rep, CHARS_P0))))
 
@@ -149,44 +99,11 @@ def pi1_r3_of_chart(s, gamma, theta, nu, tau, variant=EARRING) -> np.ndarray:
     return _characters(embed_arrays(s, gamma, theta, nu, tau), CHARS_P1)
 
 
-def pi1(rep: Rep, *, tol: float = OFF_VARIETY_SURFACE_TOL) -> PillowPoint:
-    """Second-factor restriction; raises OffVarietyError when the input is
-    not (numerically) on its variety."""
-    v = pi1_r3(rep)
-    if surface_residual(v) > tol:
-        raise OffVarietyError(
-            f"pi1 characters miss the pillowcase surface by "
-            f"{surface_residual(v):.3e}; |G| = {variety_residual(rep):.3e}")
-    return PillowPoint.from_r3("P1", *v)
-
-
-# ---------------------------------------------------------------------------
-# symmetries of the pillowcase
-# ---------------------------------------------------------------------------
-
-def theta_map(p: PillowPoint) -> PillowPoint:
-    """[gamma, theta] -> [gamma, -theta]; orientation-reversing."""
-    return PillowPoint.from_orbit(p.side, p.gamma, -p.theta)
-
-
 def theta_r3(v) -> np.ndarray:
+    """The reflection [gamma, theta] -> [gamma, -theta] on character
+    triples."""
     x, y, z = np.moveaxis(np.asarray(v), -1, 0)
     return np.stack([x, y, 2 * x * y - z], axis=-1)
-
-
-def psi_map(p: PillowPoint) -> PillowPoint:
-    """Relabel the factor (cylindrical identification of the two boundaries);
-    identity on the orbit data."""
-    return PillowPoint(("P1" if p.side == "P0" else "P0"), p.gamma, p.theta,
-                       p.r3)
-
-
-def w1_hat(p: PillowPoint) -> PillowPoint:
-    return PillowPoint.from_orbit(p.side, p.gamma + np.pi, p.theta + np.pi)
-
-
-def w2_hat(p: PillowPoint) -> PillowPoint:
-    return PillowPoint.from_orbit(p.side, p.gamma + np.pi, p.theta)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,6 @@ import numpy as np
 ONE = np.array([1.0, 0.0, 0.0, 0.0])
 I = np.array([0.0, 1.0, 0.0, 0.0])
 J = np.array([0.0, 0.0, 1.0, 0.0])
-K = np.array([0.0, 0.0, 0.0, 1.0])
-
-UNIT_TOL = 1e-12
 
 # Long word evaluations renormalize the running product this often to bound
 # rounding drift.
@@ -68,21 +65,6 @@ def normalize(q: np.ndarray) -> np.ndarray:
     return q / norm(q)[..., None]
 
 
-def is_unit(q: np.ndarray, tol: float = UNIT_TOL) -> bool:
-    return bool(np.all(np.abs(np.sum(np.asarray(q) ** 2, axis=-1) - 1.0) <= tol))
-
-
-def conj_inv(q: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Inverse of a unit quaternion (its conjugate).
-
-    Raises ValueError when the input is not unit within ``tol``; for non-unit
-    quaternions conjugation does not invert.
-    """
-    if not is_unit(q, tol):
-        raise ValueError("conj_inv requires unit quaternions")
-    return conj(q)
-
-
 def qexp(v: np.ndarray) -> np.ndarray:
     """Exponential of a pure quaternion: cos|v| + sinc|v| * v.
 
@@ -99,13 +81,6 @@ def qexp(v: np.ndarray) -> np.ndarray:
     out[..., 2] = sc * v[..., 2]
     out[..., 3] = sc * v[..., 3]
     return out
-
-
-def from_parts(w, x, y, z) -> np.ndarray:
-    return np.stack([np.asarray(w, dtype=float),
-                     np.asarray(x, dtype=float),
-                     np.asarray(y, dtype=float),
-                     np.asarray(z, dtype=float)], axis=-1)
 
 
 def rotate(u: np.ndarray, x: np.ndarray) -> np.ndarray:

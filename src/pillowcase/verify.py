@@ -55,7 +55,7 @@ def w2_condition(on_points, off_points):
     |G_2| > W2_OFF_G."""
     on_worst = float(np.max(np.abs(w2_value(on_points) + quat.ONE)))
     miss = np.max(np.abs(w2_value(off_points) + quat.ONE), axis=-1)
-    # |G_2| from the kernel that words.G evaluates one point at a time
+    # |G_2| from the earring kernel, over the whole batch
     off = miss[np.abs(jet(EARRING, *chart_arrays(off_points))[1]) > W2_OFF_G]
     off_best = float(np.min(off, initial=np.inf))
     return (on_worst, off_best, len(off),

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quat
-from . import _kernels
 from ._kernels import BYPASS, EARRING
 
 GENERATORS = "abfhpq"
@@ -77,7 +76,6 @@ class Word:
 LAMBDA_P = Word("bh")
 LAMBDA_Q = Word("fAh")
 C_WORD = Word("QPbpq")
-G_WORD = Word("QbaFq")
 D_WORD = Word("QPBpbaFqf")
 W_WORD = Word(commutator("AhQP", "h"))
 
@@ -253,20 +251,6 @@ def variety_residual(rep) -> float:
     return float(np.max(np.abs(np.stack(pair))))
 
 
-def G(pt: ChartPoint) -> tuple[float, float]:
-    """The earring pair at a chart point (fast kernel path)."""
-    g1, g2 = _kernels.g_scalar(_kernels.EARRING, pt.s, pt.gamma, pt.theta,
-                               pt.nu, pt.tau)
-    return float(g1), float(g2)
-
-
-def Gp(pt: ChartPoint) -> tuple[float, float]:
-    """The bypass pair at a chart point; the second entry is nu exactly."""
-    g1, g2 = _kernels.g_scalar(_kernels.BYPASS, pt.s, pt.gamma, pt.theta,
-                               pt.nu, pt.tau)
-    return float(g1), float(g2)
-
-
 def perturbation_residuals(rep: Rep) -> tuple[float, float]:
     """Largest distances of p from exp(s Im lambda_p) and of q from
     exp(s Im lambda_q) over a (batched) representation."""
@@ -316,10 +300,3 @@ def rho_eps(eps1: int, eps2: int, s: float, variant: str = EARRING) -> Rep:
         s=s,
     )
 
-
-def rho_eps_chart(eps1: int, eps2: int, s: float, variant: str = EARRING) -> ChartPoint:
-    """Chart coordinates of the same four points (they happen to lie on the
-    gauge slice: b = j is e^{(pi/2) k} i)."""
-    theta = 0.0 if eps1 == 1 else np.pi
-    tau = 0.0 if eps2 == 1 else np.pi
-    return ChartPoint(s, np.pi / 2, theta, 0.0, tau, variant)

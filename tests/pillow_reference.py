@@ -1,0 +1,97 @@
+"""One-point reference faces of the pillowcase maps, for the tests.
+
+The commands run the batched faces: ``projection.pi0_r3``, ``pi1_r3`` and
+``canonical_orbit`` over arrays, and ``_kernels`` for the defining pairs.
+The scalar forms here are what the tests check those against: a pillowcase
+point with its quotient distance, the arccos round trip of the first
+restriction map, the pillowcase symmetries, and the defining pairs at one
+chart point.
+"""
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from pillowcase import _kernels
+from pillowcase.projection import (OFF_VARIETY_SURFACE_TOL, _angles_of_r3,
+                                   _characters, canonical_orbit, r3_of_orbit)
+from pillowcase.words import CHARS_P0, ChartPoint, Rep, wrapped_angle
+
+
+@dataclass(frozen=True)
+class PillowPoint:
+    """An orbit [gamma, theta] on one pillowcase factor with cached
+    character coordinates."""
+
+    side: str  # "P0" | "P1"
+    gamma: float
+    theta: float
+    r3: tuple[float, float, float]
+
+    @classmethod
+    def from_orbit(cls, side: str, gamma: float, theta: float) -> "PillowPoint":
+        g, t = canonical_orbit(gamma, theta)
+        return cls(side, float(g), float(t), tuple(r3_of_orbit(g, t)))
+
+    @classmethod
+    def from_r3(cls, side: str, x: float, y: float, z: float,
+                tol: float = OFF_VARIETY_SURFACE_TOL) -> "PillowPoint":
+        return cls.from_orbit(side, *_angles_of_r3((x, y, z), tol))
+
+    def distance(self, other: "PillowPoint") -> float:
+        """Quotient distance in the angle coordinates."""
+        best = np.inf
+        for sign in (1, -1):
+            dg = self.gamma - sign * other.gamma
+            dt = self.theta - sign * other.theta
+            best = min(best, float(np.hypot(wrapped_angle(dg),
+                                            wrapped_angle(dt))))
+        return best
+
+
+def pi0_of_rep(rep: Rep) -> PillowPoint:
+    """Same map computed from the characters of the incoming boundary loops
+    (conjugation invariant, so valid off the gauge slice)."""
+    return PillowPoint.from_r3("P0", *_characters(rep, CHARS_P0))
+
+
+# ---------------------------------------------------------------------------
+# symmetries of the pillowcase
+# ---------------------------------------------------------------------------
+
+def theta_map(p: PillowPoint) -> PillowPoint:
+    """[gamma, theta] -> [gamma, -theta]; orientation-reversing."""
+    return PillowPoint.from_orbit(p.side, p.gamma, -p.theta)
+
+
+def psi_map(p: PillowPoint) -> PillowPoint:
+    """Relabel the factor (cylindrical identification of the two boundaries);
+    identity on the orbit data."""
+    return PillowPoint(("P1" if p.side == "P0" else "P0"), p.gamma, p.theta,
+                       p.r3)
+
+
+def w1_hat(p: PillowPoint) -> PillowPoint:
+    return PillowPoint.from_orbit(p.side, p.gamma + np.pi, p.theta + np.pi)
+
+
+def w2_hat(p: PillowPoint) -> PillowPoint:
+    return PillowPoint.from_orbit(p.side, p.gamma + np.pi, p.theta)
+
+
+# ---------------------------------------------------------------------------
+# the defining pairs at one chart point
+# ---------------------------------------------------------------------------
+
+def G(pt: ChartPoint) -> tuple[float, float]:
+    """The earring pair at a chart point (fast kernel path)."""
+    g1, g2 = _kernels.g_scalar(_kernels.EARRING, pt.s, pt.gamma, pt.theta,
+                               pt.nu, pt.tau)
+    return float(g1), float(g2)
+
+
+def Gp(pt: ChartPoint) -> tuple[float, float]:
+    """The bypass pair at a chart point; the second entry is nu exactly."""
+    g1, g2 = _kernels.g_scalar(_kernels.BYPASS, pt.s, pt.gamma, pt.theta,
+                               pt.nu, pt.tau)
+    return float(g1), float(g2)

@@ -131,6 +131,20 @@ def test_compose_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "o").exists()
 
 
+def test_compose_refused_is_a_numerical_failure(tmp_path, capsys,
+                                                monkeypatch):
+    from pillowcase.compose import TangencyError
+
+    def tangent(*args, **kwargs):
+        raise TangencyError("curve tangent to the fold image")
+
+    monkeypatch.setattr(cli, "compose_curve", tangent)
+    assert run(["compose", "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == \
+        "numerical failure: curve tangent to the fold image\n"
+    assert not (tmp_path / "o").exists()
+
+
 def _verify_rows(capsys, variant, out):
     code = run(["verify", "--variant", variant, "--s", "0.05", "--json",
                 "--out", str(out)])
@@ -302,8 +316,32 @@ def test_compose_rejects_bad_curve_files(tmp_path, capsys):
         circle.components[0].lift[100, 0] = value
         not_finite.append(tmp_path / f"{value}.json")
         not_finite[-1].write_text(circle.to_json())
+    # the message names the defect in words, not a Python exception
+    worded = {}
+    for name, text, why in [
+            ("no-lift", '{"components": [{"kind": "circle"}]}',
+             'component 0 is not an object with "kind" and "lift" keys'),
+            ("strings", '{"components": ["circle"]}',
+             'component 0 is not an object with "kind" and "lift" keys'),
+            ("ragged", '{"components": [{"kind": "circle", '
+                       '"lift": [[1.5, 0.0], [1.5]]}]}',
+             "component 0: lift is not a list of [gamma, theta] number "
+             "pairs")]:
+        worded[tmp_path / f"{name}.json"] = why
+        (tmp_path / f"{name}.json").write_text(text)
+    # a b_ver circle at gamma = 1e300, where reducing mod 2 pi keeps no digit
+    huge = C.vertical_circle()
+    huge.components[0].lift[:, 0] = 1e300
+    worded[tmp_path / "huge.json"] = \
+        "component lift has a coordinate beyond 1e+06 in absolute value"
+    (tmp_path / "huge.json").write_text(huge.to_json())
+    # a circle along gamma = 0, through the corners (0, 0) and (0, pi)
+    edge = C.ImmersedCurve([C.CurveComponent(
+        "circle", C._polyline(lambda t: (0.0, t), 0, 2 * np.pi, 721))], "P0")
+    worded[tmp_path / "corner.json"] = "circle passes through a corner"
+    (tmp_path / "corner.json").write_text(edge.to_json())
     for src in (bad_json, no_components, not_an_object, empty, open_circle,
-                *not_finite):
+                *not_finite, *worded):
         code = run(["compose", "--curve-file", str(src), "--variant",
                     "earring", "--s", "0.05", "--out", str(tmp_path)])
         assert code == 2
@@ -313,6 +351,8 @@ def test_compose_rejects_bad_curve_files(tmp_path, capsys):
             assert err.endswith("lift has a coordinate that is not finite\n")
         if src == empty:
             assert err.endswith("curve has no components\n")
+        if src in worded:
+            assert err.endswith(f"CurveError: {worded[src]}\n")
     assert not (tmp_path / "composed.json").exists()
 
 

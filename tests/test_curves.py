@@ -10,6 +10,8 @@ from pillowcase import curves as C
 from pillowcase import variety as V
 from pillowcase.cli import torus_knot_scene
 
+from pillow_reference import PillowPoint, w1_hat, w2_hat
+
 TWO_PI = 2 * np.pi
 
 
@@ -70,6 +72,15 @@ def test_component_validation():
                            C._polyline(lambda t: (t, 0.5), 0, np.pi, 50))
     with pytest.raises(C.CurveError):
         bad.validate()
+    # a circle along an edge runs through the corners; one far out in the
+    # plane has lost its place against them
+    edge = C.CurveComponent("circle", C._polyline(lambda t: (0.0, t), 0,
+                                                  TWO_PI, 50))
+    far = C.CurveComponent("circle", C.vertical_circle().components[0].lift
+                           + (2e6, 0.0))
+    for bad in (edge, far):
+        with pytest.raises(C.CurveError):
+            bad.validate()
     C.bottom_edge().validate()
     C.vertical_circle().validate()
 
@@ -80,28 +91,33 @@ def test_equivariant_lift_closes_smoothly():
         lam = lift[-1] - lift[0]
         assert np.max(np.abs(lam / TWO_PI - np.round(lam / TWO_PI))) < 1e-9
         comp = C.CurveComponent("circle", lift)
-        comp.validate()  # includes the closing-turn angle check
+        comp.homology()
+        # the closing-turn angle check of validate; the lift runs through
+        # the two corners of the arc, which validate refuses in a circle
+        assert np.max(C.turning_angles(lift, closed=True)) <= C.TURN_LIMIT
 
 
 def test_standard_arcs_and_symmetries():
-    arcs = C.standard_arcs()
-    a1 = arcs["slope_one"].components[0].lift
+    for arc in (C.bottom_edge(), C.slope_one_arc(), C.slope_two_arc()):
+        arc.validate()
+    a1 = C.slope_one_arc().components[0].lift
     assert np.allclose(a1[0], (0, 0)) and np.allclose(a1[-1], (np.pi, np.pi))
-    a2 = arcs["slope_two"].components[0].lift
+    a2 = C.slope_two_arc().components[0].lift
     assert np.allclose(a2[-1], (np.pi, 2 * np.pi))
 
-    from pillowcase.projection import PillowPoint, w1_hat, w2_hat
+    # the edge sub-arcs of length 1 from each corner, along the top or
+    # bottom edge: br = w2(bl), tr = w1(bl), tl = w1(br) as pillowcase sets
+    t = np.linspace(0.0, 1.0, 241)
+    arcs = {"bl": (t, 0 * t), "br": (np.pi - t, 0 * t),
+            "tl": (t, np.pi + 0 * t), "tr": (np.pi - t, np.pi + 0 * t)}
 
-    def orbit_points(curve):
-        return [PillowPoint.from_orbit("P0", x, y)
-                for x, y in curve.components[0].lift]
+    def orbit_points(name):
+        return [PillowPoint.from_orbit("P0", x, y) for x, y in zip(*arcs[name])]
 
-    # br = w2(bl), tr = w1(bl), tl = w1(br) as subsets of the pillowcase
-    pairs = [("beta_br", "beta_bl", w2_hat), ("beta_tr", "beta_bl", w1_hat),
-             ("beta_tl", "beta_br", w1_hat)]
-    for target, source, m in pairs:
-        got = [m(p) for p in orbit_points(arcs[source])]
-        want = orbit_points(arcs[target])
+    for target, source, m in [("br", "bl", w2_hat), ("tr", "bl", w1_hat),
+                              ("tl", "br", w1_hat)]:
+        got = [m(p) for p in orbit_points(source)]
+        want = orbit_points(target)
         worst = max(min(g.distance(w) for w in want) for g in got)
         assert worst < 1e-9, (target, worst)
 
@@ -137,8 +153,6 @@ def test_figure_eight_model():
     assert C.hausdorff_r3(f8, pred) < 1e-6
     dps = C.self_intersections(f8.components[0])
     assert len(dps) == 1
-    from pillowcase.projection import PillowPoint
-
     got = PillowPoint.from_orbit("P0", *dps[0].point)
     assert got.distance(PillowPoint.from_orbit("P0", np.pi / 2, 0.0)) < 1e-6
 
@@ -170,7 +184,7 @@ def test_invariants_examples():
     assert w[2] == 0 and w[3] == 0
 
     empty = C.ImmersedCurve([], "P0")
-    assert C.invariants(empty).component_count == 0
+    assert C.invariants(empty).components == []
 
 
 def _ref_corner_winding(comp, corner_class):
@@ -315,13 +329,15 @@ def test_invariants_naturality():
     f8 = C.figure_eight(C.bottom_edge(), 0.05)
     base = C.invariants(f8).components[0]
 
-    shifted = f8.map_lift(lambda p: (p[0] + np.pi, p[1]))
+    shifted = C.ImmersedCurve([C.CurveComponent(
+        "circle", f8.components[0].lift + (np.pi, 0.0))])
     wsh = C.invariants(shifted).components[0].corner_windings
     b = base.corner_windings
     assert wsh == (b[1], b[0], b[3], b[2])
 
     f8w = C.figure_eight(C.wavy_arc(), 0.05)
-    mirrored = f8w.map_lift(lambda p: (p[0], -p[1]))
+    mirrored = C.ImmersedCurve([C.CurveComponent(
+        "circle", f8w.components[0].lift * (1.0, -1.0))])
     hom = C.invariants(f8w).components[0].homology
     hom_m = C.invariants(mirrored).components[0].homology
     assert hom_m == (hom[0], -hom[1])
@@ -332,8 +348,6 @@ def test_intersections_examples_and_oracle():
     bver = C.vertical_circle(n=121)
     res = C.intersect(beta, bver)
     assert res.count == 1
-    from pillowcase.projection import PillowPoint
-
     got = PillowPoint.from_orbit("P0", *res.points[0].point)
     assert got.distance(PillowPoint.from_orbit("P0", np.pi / 2, 0.0)) < 1e-9
     assert C.intersect(bver, beta).count == 1
@@ -358,8 +372,6 @@ def test_intersection_symmetry():
     r1 = C.intersect(f8, a2)
     r2 = C.intersect(a2, f8)
     assert r1.count == r2.count == 1
-    from pillowcase.projection import PillowPoint
-
     p1 = PillowPoint.from_orbit("P0", *r1.points[0].point)
     p2 = PillowPoint.from_orbit("P0", *r2.points[0].point)
     assert p1.distance(p2) < 1e-9

@@ -1,7 +1,8 @@
 import numpy as np
-import pytest
 
 from pillowcase import quat
+
+K = np.array([0.0, 0.0, 0.0, 1.0])
 
 
 def qexp_series(v, terms=20):
@@ -17,16 +18,16 @@ def qexp_series(v, terms=20):
 
 
 def test_basis_products():
-    assert np.allclose(quat.mul(quat.I, quat.J), quat.K)
+    assert np.allclose(quat.mul(quat.I, quat.J), K)
     assert np.allclose(quat.mul(quat.I, quat.I), -quat.ONE)
-    assert np.allclose(quat.mul(quat.J, quat.K), quat.I)
-    assert np.allclose(quat.mul(quat.K, quat.I), quat.J)
+    assert np.allclose(quat.mul(quat.J, K), quat.I)
+    assert np.allclose(quat.mul(K, quat.I), quat.J)
 
 
 def test_hamilton_product_hand_expansion():
     # e^{(pi/2) k} i = k i = j, and a generic product against the
     # component formula expanded by hand
-    e = quat.qexp((np.pi / 2) * quat.K)
+    e = quat.qexp((np.pi / 2) * K)
     assert np.allclose(quat.mul(e, quat.I), quat.J, atol=1e-15)
 
     a = np.array([0.3, -0.1, 0.7, 0.2])
@@ -42,22 +43,20 @@ def test_real_imaginary_parts():
     assert quat.real_part(quat.mul(quat.I, quat.J)) == 0.0
     t = 0.73
     q = np.array([np.cos(t), 0.0, 0.0, np.sin(t)])
-    assert np.allclose(quat.ima(q), np.sin(t) * quat.K)
+    assert np.allclose(quat.ima(q), np.sin(t) * K)
 
 
-def test_conj_inv_roundtrip():
+def test_conj_inverts_unit_quaternions():
     q = quat.qexp(0.3 * quat.J)
-    inv = quat.conj_inv(q)
+    inv = quat.conj(q)
     assert np.allclose(inv, quat.qexp(-0.3 * quat.J), atol=1e-15)
     assert np.max(np.abs(quat.mul(q, inv) - quat.ONE)) < 1e-14
-    with pytest.raises(ValueError):
-        quat.conj_inv(2.0 * quat.I)
 
 
 def test_qexp_limits_and_series_oracle():
     assert np.allclose(quat.qexp(np.zeros(4)), quat.ONE)
     assert np.allclose(quat.qexp((np.pi / 2) * quat.I), quat.I, atol=1e-15)
-    v = 0.1 * quat.J + 0.2 * quat.K
+    v = 0.1 * quat.J + 0.2 * K
     assert np.max(np.abs(quat.qexp(v) - qexp_series(v))) < 1e-12
     # norm and axis
     q = quat.qexp(v)
@@ -74,8 +73,8 @@ def test_unit_and_inverse_properties_random():
         q = quat.normalize(rng.normal(size=4))
         pq = quat.mul(p, q)
         assert abs(quat.norm(pq) - 1.0) <= 1e-12
-        lhs = quat.conj_inv(pq)
-        rhs = quat.mul(quat.conj_inv(q), quat.conj_inv(p))
+        lhs = quat.conj(pq)
+        rhs = quat.mul(quat.conj(q), quat.conj(p))
         assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -95,8 +94,8 @@ def test_perpendicular_traceless_commutator_is_minus_one():
         w = rng.normal(size=3)
         w -= np.dot(w, u[1:]) * u[1:]
         v = np.concatenate([[0.0], w / np.linalg.norm(w)])
-        comm = quat.mul(quat.mul(quat.mul(u, v), quat.conj_inv(u)),
-                        quat.conj_inv(v))
+        comm = quat.mul(quat.mul(quat.mul(u, v), quat.conj(u)),
+                        quat.conj(v))
         assert np.max(np.abs(comm - (-quat.ONE))) <= 1e-12
 
 

