@@ -174,6 +174,10 @@ class ImmersedCurve:
             except (TypeError, ValueError):
                 raise CurveError(f"component {k}: lift is not a list of "
                                  f"[gamma, theta] number pairs") from None
+            # json reads an integer literal as a Python int of any size
+            except OverflowError:
+                raise CurveError(f"component {k}: lift has a number beyond "
+                                 f"the float range") from None
             comps.append(CurveComponent(c["kind"], lift))
         return cls(comps, data.get("side", "P0"))
 

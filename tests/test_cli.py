@@ -326,7 +326,10 @@ def test_compose_rejects_bad_curve_files(tmp_path, capsys):
             ("ragged", '{"components": [{"kind": "circle", '
                        '"lift": [[1.5, 0.0], [1.5]]}]}',
              "component 0: lift is not a list of [gamma, theta] number "
-             "pairs")]:
+             "pairs"),
+            ("huge-int", '{"components": [{"kind": "circle", "lift": '
+                         '[[1' + '0' * 400 + ', 0.0], [1.5, 2.0]]}]}',
+             "component 0: lift has a number beyond the float range")]:
         worded[tmp_path / f"{name}.json"] = why
         (tmp_path / f"{name}.json").write_text(text)
     # a b_ver circle at gamma = 1e300, where reducing mod 2 pi keeps no digit

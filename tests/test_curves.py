@@ -92,8 +92,10 @@ def test_equivariant_lift_closes_smoothly():
         assert np.max(np.abs(lam / TWO_PI - np.round(lam / TWO_PI))) < 1e-9
         comp = C.CurveComponent("circle", lift)
         comp.homology()
-        # the closing-turn angle check of validate; the lift runs through
-        # the two corners of the arc, which validate refuses in a circle
+        # validate's other checks, made directly: the lift runs through the
+        # two corners of the arc, which validate refuses in a circle
+        assert np.all(np.isfinite(lift))
+        assert np.min(np.linalg.norm(np.diff(lift, axis=0), axis=1)) >= 1e-12
         assert np.max(C.turning_angles(lift, closed=True)) <= C.TURN_LIMIT
 
 
