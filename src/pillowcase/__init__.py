@@ -19,9 +19,9 @@ Subpackage layout:
                   with its thresholds
 - ``cli``         command-line surface (trace / compose / scene / verify)
 
-Hot kernels live in ``_kernels``: the defining pair on numpy arrays, batched
-fiber Newton, and the defining pair with its exact Jacobian one point at a
-time for continuation and fold extraction.
+Hot kernels live in ``_kernels``: ``jet``, the defining pair with its exact
+derivatives on floats and arrays, under batched fiber Newton, the
+continuation corrector, and the one array Newton of the fold circles.
 """
 
 __version__ = "0.1.0"

@@ -40,7 +40,7 @@ from .projection import OffVarietyError, ReGaugeError
 # cli.solve_fiber alias
 from .variety import (ContinuationError, fold_locus, solve_fiber,
                       solve_fibers, verify_topology)
-from .words import BYPASS, EARRING, NU_MAX, ChartPoint
+from .words import BYPASS, EARRING, NU_MAX
 
 NAMED_CURVES = {
     "beta": bottom_edge,
@@ -226,17 +226,15 @@ def cmd_scene(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _random_chart_points(rng, n, variant=EARRING):
-    return [ChartPoint(float(rng.uniform(-0.2, 0.2)),
-                       float(rng.uniform(0, 2 * np.pi)),
-                       float(rng.uniform(0, 2 * np.pi)),
-                       float(rng.uniform(-0.5, 0.5)),
-                       float(rng.uniform(0, 2 * np.pi)), variant)
-            for _ in range(n)]
+def _random_chart_rows(rng, n):
+    """``n`` uniform chart points, rows (s, gamma, theta, nu, tau) with
+    |s| <= 0.2, drawn point by point."""
+    return rng.uniform((-0.2, 0, 0, -0.5, 0),
+                       (0.2, 2 * np.pi, 2 * np.pi, 0.5, 2 * np.pi), (n, 5))
 
 
 def _variety_points(rng, variant, s, n):
-    """``n`` random chart points on the variety, one per usable fiber.
+    """``n`` random rows (s, gamma, theta, nu, tau) on the variety.
 
     Each attempt draws a base point (gamma, theta) in [0.3, pi - 0.3]^2
     and a sheet, and is kept when its fiber is two-sheeted inside the
@@ -260,8 +258,8 @@ def _variety_points(rng, variant, s, n):
         for fs, side in zip(solve_fibers(variant, s, gs, ts), sides):
             if fs.status == "two_sheets" and all(
                     abs(nu) <= NU_MAX for nu, _ in fs.solutions):
-                pts.append(fs.chart_points()[side])
-    return pts
+                pts.append((s, fs.gamma, fs.theta, *fs.solutions[side]))
+    return np.array(pts)
 
 
 def verification_suite(variant: str, s: float, seed: int = 0,
@@ -275,14 +273,13 @@ def verification_suite(variant: str, s: float, seed: int = 0,
     rows = []
 
     worst, ok = verify.identities(
-        _random_chart_points(rng, 200 if quick else 1000, variant=variant))
+        variant, _random_chart_rows(rng, 200 if quick else 1000))
     rows.append(("identities", ok, f"max residual {worst:.2e}"))
 
     # w2 on the earring side, and 0.3 off it in nu
     on_pts = _variety_points(rng, EARRING, s, 20 if quick else 200)
-    off_pts = [ChartPoint(p.s, p.gamma, p.theta,
-                          float(np.clip(p.nu + 0.3, -0.5, 0.5)), p.tau,
-                          EARRING) for p in on_pts]
+    off_pts = on_pts.copy()
+    off_pts[:, 3] = np.clip(on_pts[:, 3] + 0.3, -0.5, 0.5)
     on_worst, off_best, _, ok = verify.w2_condition(on_pts, off_pts)
     rows.append(("w2_condition", ok,
                  f"on-variety {on_worst:.2e}, off-variety {off_best:.2e}"))
@@ -300,13 +297,12 @@ def verification_suite(variant: str, s: float, seed: int = 0,
     rows.append(("k_circle", ok, f"max residual {worst:.2e}"))
 
     n_asym = 30 if quick else 100
-    bases = [(float(rng.uniform(0.3, np.pi - 0.3)),
-              float(rng.uniform(0.3, np.pi - 0.3))) for _ in range(n_asym)]
+    bases = rng.uniform(0.3, np.pi - 0.3, (n_asym, 2))
     roots = []
     for sv in (s, s / 2):
-        fibers = solve_fibers(variant, sv, *zip(*bases))
+        fibers = solve_fibers(variant, sv, *bases.T)
         roots.append([(g0, t0, *fs.solutions[0])
-                      for (g0, t0), fs in zip(bases, fibers)
+                      for (g0, t0), fs in zip(bases.tolist(), fibers)
                       if fs.status == "two_sheets"
                       and abs(fs.solutions[0][0]) <= NU_MAX])
     ratio, exact, ok = verify.asymptotics(variant, s, *roots)
@@ -323,8 +319,8 @@ def verification_suite(variant: str, s: float, seed: int = 0,
         rows += [(n, False, str(fold_error)) for n in ("fold_structure", "topology")]
     else:
         dev, winds, _, rank_ok, ok = verify.fold_structure(
-            circles, s, [ChartPoint(s, *c.samples[len(c.samples) // 3].tolist(),
-                                    variant) for c in circles])
+            circles, variant, s,
+            [c.samples[len(c.samples) // 3] for c in circles])
         rows.append(("fold_structure", ok,
                      f"radius dev {dev:.2e}, windings {winds}, rank1 {rank_ok}"))
         rep = verify_topology(variant, s, grid=32 if quick else 64,
@@ -335,7 +331,7 @@ def verification_suite(variant: str, s: float, seed: int = 0,
 
     try:
         worst, ok = verify.factorization(
-            _variety_points(rng, variant, s, 40 if quick else 200))
+            variant, _variety_points(rng, variant, s, 40 if quick else 200))
         rows.append(("factorization", ok, f"max residual {worst:.2e}"))
     except (OffVarietyError, ReGaugeError) as exc:
         rows.append(("factorization", False, str(exc)))

@@ -460,8 +460,7 @@ def push_forward(fp: FiberProduct) -> ImmersedCurve:
             for lo in range(0, len(samples), PROJECT_CHUNK):
                 part = slice(lo, lo + PROJECT_CHUNK)
                 r3.append(pi1_r3_of_chart(fp.s, gs[part], th[part],
-                                          samples[part, 1], samples[part, 2],
-                                          variant=fp.variant))
+                                          samples[part, 1], samples[part, 2]))
         except ValueError as exc:
             raise ContinuationError(
                 f"fiber-product sample outside the chart: {exc}") from exc

@@ -102,10 +102,14 @@ class CurveComponent:
                 if np.max(np.abs(end / np.pi - np.round(end / np.pi))) > 1e-7:
                     raise CurveError("good arc must start and end at corner "
                                      "lattice points")
-        # the corners are punctures: a circle keeps every vertex off them,
-        # a good arc every vertex but its two ends
-        inner = self.lift if self.kind == "circle" else self.lift[1:-1]
-        if np.min(_corner_lattice_distance(inner)) < 1e-9:
+        # the corners are punctures: every segment keeps off them, but a
+        # good arc's first and last segments end on its end corners
+        seg, corner = _corners_near_segments(self.lift, 1e-9)
+        if self.kind == "good_arc":
+            end = np.round(self.lift[np.where(seg == 0, 0, -1)] / np.pi)
+            seg = seg[~(np.isin(seg, (0, len(self.lift) - 2))
+                        & np.all(corner == end, axis=1))]
+        if len(seg):
             raise CurveError(f"{self.kind.replace('_', ' ')} passes through "
                              "a corner")
         return self
@@ -125,6 +129,34 @@ def _corner_lattice_distance(pts: np.ndarray) -> np.ndarray:
     """Distance of plane points to the half-lattice pi Z^2."""
     r = pts / np.pi
     return np.pi * np.max(np.abs(r - np.round(r)), axis=1)
+
+
+def _corners_near_segments(lift: np.ndarray, tol: float):
+    """(segment index, corner / pi) for each corner of pi Z^2 within ``tol``
+    < pi/4 of a segment of a polyline, in ``_corner_lattice_distance``'s
+    L-infinity distance: per lattice column (row, if steep) that a segment
+    spans, the corner nearest its crossing, 2^16 candidates at a time."""
+    a, b = lift[:-1] / np.pi, lift[1:] / np.pi
+    steep = np.abs(b - a)[:, 1] > np.abs(b - a)[:, 0]
+    a, b = (np.where(steep[:, None], x[:, ::-1], x) for x in (a, b))
+    lo = np.floor(np.minimum(a, b)[:, 0])
+    n = (np.ceil(np.maximum(a, b)[:, 0]) - lo + 1).astype(int)
+    out = []
+    for block in np.split(np.arange(len(n)), np.searchsorted(
+            np.cumsum(n), np.arange(2 ** 16, n.sum(), 2 ** 16))):
+        seg = np.repeat(block, n[block])
+        k = lo[seg] + np.arange(len(seg)) - np.searchsorted(seg, seg)
+        p, d = a[seg], (b - a)[seg]
+        t = (k - p[:, 0]) / d[:, 0]
+        m = np.round(p[:, 1] + np.clip(t, 0, 1) * d[:, 1])
+        # on the segment's line |x - k| = |y - m| where the distance is least
+        t = np.clip(t - (p[:, 1] + t * d[:, 1] - m) * np.sign(d[:, 1])
+                    / np.abs(d).sum(axis=1), 0, 1)
+        corner = np.column_stack([k, m])
+        near = np.pi * np.max(np.abs(p + t[:, None] * d - corner), axis=1) < tol
+        out.append((seg[near], np.where(steep[seg[near], None],
+                                        corner[near, ::-1], corner[near])))
+    return tuple(map(np.concatenate, zip(*out)))
 
 
 @dataclass

@@ -17,9 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from . import quat
-from .words import (EARRING, CHARS_P0, CHARS_P1, ChartPoint, Rep, U_A, U_B,
-                    U_F, U_H, chart_angle, embed_arrays, eval_word,
-                    variety_residual)
+from .words import (CHARS_P0, CHARS_P1, Rep, U_A, U_B, U_F, U_H, chart_angle,
+                    embed_arrays, embed_L, eval_word, variety_residual)
 
 OFF_VARIETY_SURFACE_TOL = 1e-6
 
@@ -93,7 +92,7 @@ def pi1_r3(rep: Rep) -> np.ndarray:
     return _characters(rep, CHARS_P1)
 
 
-def pi1_r3_of_chart(s, gamma, theta, nu, tau, variant=EARRING) -> np.ndarray:
+def pi1_r3_of_chart(s, gamma, theta, nu, tau) -> np.ndarray:
     """pi1 characters straight from chart coordinates (vectorized over
     broadcastable, possibly complex inputs); raises ValueError for |nu| > 1/2."""
     return _characters(embed_arrays(s, gamma, theta, nu, tau), CHARS_P1)
@@ -121,8 +120,7 @@ def u_values(rep: Rep) -> dict[str, np.ndarray]:
 
 
 def u_involution(rep: Rep) -> Rep:
-    """The induced involution on the variety over a (batched) Rep, returned
-    in gauge-slice form; a one-point result records its chart point.
+    """The induced involution of a (batched) variety Rep, in gauge-slice form.
 
     The transformed (a, b, f, h) are conjugated so that a = i and b lies in
     the span of i and j with non-negative j part; p and q are then recomputed
@@ -151,10 +149,7 @@ def u_involution(rep: Rep) -> Rep:
         [np.arctan2(b4[..., 2], b4[..., 1]), np.arctan2(f4[..., 2], f4[..., 1]),
          np.arctan2(h4[..., 3], h4[..., 2])])
     nu = np.clip(h4[..., 1], -0.5, 0.5)
-    pt = ChartPoint(rep.s, *map(float, (gamma, theta, nu, tau)),
-                    rep.variant) if np.ndim(gamma) == 0 else None
-    out = Rep(variant=rep.variant, s=rep.s, source=pt,
-              **embed_arrays(rep.s, gamma, theta, nu, tau))
+    out = embed_L(rep.variant, rep.s, gamma, theta, nu, tau)
     res = variety_residual(out)
     if res > 1e-8:
         raise OffVarietyError(f"involution output misses the variety by {res:.3e}")

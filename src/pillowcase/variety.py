@@ -22,7 +22,7 @@ import numpy as np
 from . import quat
 from . import _kernels
 from .projection import pi1_r3_of_chart
-from .words import BYPASS, ChartPoint, Rep, chart_angle, wrapped_angle
+from .words import BYPASS, Rep, chart_angle, wrapped_angle
 
 # chart-domain corners of the base torus, indexed by the sign pair
 # (eps_gamma, eps_theta) = (sign cos gamma, sign cos theta)
@@ -48,16 +48,10 @@ def tau_seed(gamma, theta):
 class FiberSolutions:
     """The distinct roots (nu, tau) over one base point, the + sheet first,
     and the fiber's status by the rule of ``solve_fibers``."""
-    variant: str
-    s: float
     gamma: float
     theta: float
     solutions: list[tuple[float, float]]
     status: str  # two_sheets | fold_region | empty
-
-    def chart_points(self) -> list[ChartPoint]:
-        return [ChartPoint(self.s, self.gamma, self.theta, nu, tau, self.variant)
-                for nu, tau in self.solutions]
 
 
 def _same_root(nu_a, tau_a, nu_b, tau_b, radius):
@@ -238,8 +232,7 @@ def solve_fibers(variant: str, s: float, gammas, thetas) -> list[FiberSolutions]
         for f, st in enumerate(status.tolist()):
             k = keep[f]
             roots = list(zip(rnu[f, k].tolist(), rtau[f, k].tolist()))
-            out.append(FiberSolutions(variant, s, float(g[f]), float(t[f]),
-                                      roots, st))
+            out.append(FiberSolutions(float(g[f]), float(t[f]), roots, st))
     return out
 
 
@@ -358,16 +351,16 @@ def fold_locus(variant: str, s: float, n_samples: int = 192) -> list[FoldCircle]
     return out
 
 
-def fold_jacobian_data(pt: ChartPoint):
-    """Rank data of the two restriction differentials at a chart point.
+def fold_jacobian_data(variant, s, x):
+    """Rank data of the two restriction differentials at the chart point
+    (s, *x), x a fold sample row (gamma, theta, nu, tau) as an array.
 
     Returns (sv0, ker0, sv1, ker1): singular values and kernel vectors of the
     base projection and of the second-factor character map, both restricted
-    to the surface tangent plane at pt.
+    to the surface tangent plane at the point.
     """
-    code = _kernels.variant_code(pt.variant)
-    x = np.array([pt.gamma, pt.theta, pt.nu, pt.tau])
-    dg = np.array(_kernels.jet(code, pt.s, *x, _kernels.DIRECTIONS, math)[2])
+    code = _kernels.variant_code(variant)
+    dg = np.array(_kernels.jet(code, s, *x, _kernels.DIRECTIONS, math)[2])
     _, _, vt = np.linalg.svd(dg)
     t1, t2 = vt[2], vt[3]  # orthonormal basis of the tangent plane
 
@@ -375,7 +368,7 @@ def fold_jacobian_data(pt: ChartPoint):
 
     # d pi1 along t1 and t2: one complex step x + i h t_k through the words
     xc = x + 1j * COMPLEX_STEP * np.stack([t1, t2])
-    cols = pi1_r3_of_chart(pt.s, *xc.T, variant=pt.variant).imag / COMPLEX_STEP
+    cols = pi1_r3_of_chart(s, *xc.T).imag / COMPLEX_STEP
     _, sv1, vt1 = np.linalg.svd(cols.T)
     return sv0, vt0[-1], sv1, vt1[-1]
 

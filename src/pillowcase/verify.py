@@ -2,7 +2,8 @@
 
 Each check computes its metric from inputs its caller passes in (sample
 points, variants, s-values, fold circles, composed curves) and returns it
-with its verdict against the named thresholds below.  The ``verify``
+with its verdict against the named thresholds below.  Sample chart points
+come as an (n, 5) array of rows (s, gamma, theta, nu, tau).  The ``verify``
 command and the acceptance tests call the same checks with their own
 samples.
 """
@@ -17,9 +18,9 @@ from .compose import bottom_edge_prediction, edge_tangent_anchors
 from .curves import hausdorff_r3, self_intersections
 from .projection import characters_in_out, u_involution, verify_factorization
 from .variety import _corner_distance, fold_jacobian_data, k_circle
-from .words import (BYPASS, EARRING, GENERATORS, Rep, chart_arrays,
-                    check_identities, embed_arrays, embed_L, g_of_rep,
-                    gp_of_rep, perturbation_residuals, rho_eps, w2_value)
+from .words import (BYPASS, EARRING, check_identities, embed_arrays, embed_L,
+                    g_of_rep, gp_of_rep, perturbation_residuals, rho_eps,
+                    variety_residual, w2_value)
 
 IDENTITY_TOL = 1e-11
 # w2 = -1 on the earring variety; where |G_2| > W2_OFF_G it misses -1
@@ -43,9 +44,9 @@ CIRCLE_HAUSDORFF_PER_S, CIRCLE_DECAY_SLOPE = 5, (0.6, 1.4)
 TANGENT_ANCHOR_PER_S2 = 3
 
 
-def identities(points):
+def identities(variant, points):
     """Worst identity residual over chart points: (worst, ok)."""
-    worst = check_identities(embed_L(points))
+    worst = check_identities(embed_L(variant, *points.T))
     return worst, worst < IDENTITY_TOL
 
 
@@ -53,10 +54,10 @@ def w2_condition(on_points, off_points):
     """w2 = -1 on the earring variety and not off it: (on_worst, off_best,
     n_off, ok) over ``on_points`` and the ``n_off`` of ``off_points`` with
     |G_2| > W2_OFF_G."""
-    on_worst = float(np.max(np.abs(w2_value(on_points) + quat.ONE)))
-    miss = np.max(np.abs(w2_value(off_points) + quat.ONE), axis=-1)
+    on_worst = float(np.max(np.abs(w2_value(*on_points.T) + quat.ONE)))
+    miss = np.max(np.abs(w2_value(*off_points.T) + quat.ONE), axis=-1)
     # |G_2| from the earring kernel, over the whole batch
-    off = miss[np.abs(jet(EARRING, *chart_arrays(off_points))[1]) > W2_OFF_G]
+    off = miss[np.abs(jet(EARRING, *off_points.T)[1]) > W2_OFF_G]
     off_best = float(np.min(off, initial=np.inf))
     return (on_worst, off_best, len(off),
             on_worst < W2_ON_TOL and off_best > W2_OFF_MIN)
@@ -67,14 +68,10 @@ def explicit_points(variants, s_values):
     boundary characters under the involution: (|G|, drift, ok)."""
     worst_g = worst_fix = 0.0
     for variant in variants:
-        reps = [rho_eps(e1, e2, s, variant) for e1 in (1, -1)
-                for e2 in (1, -1) for s in s_values]
-        rep = Rep(variant=variant, s=np.array([r.s for r in reps]),
-                  **{g: np.stack([r.value(g) for r in reps])
-                     for g in GENERATORS})
-        worst_g = max(worst_g,
-                      float(np.max(np.abs(np.stack(g_of_rep(rep))))),
-                      float(np.max(np.abs(np.stack(gp_of_rep(rep))))))
+        rep = rho_eps(*np.meshgrid((1, -1), (1, -1), s_values,
+                                   indexing="ij"), variant)
+        worst_g = max(worst_g, float(np.max(np.abs(
+            np.stack(g_of_rep(rep) + gp_of_rep(rep))))))
         worst_fix = max(worst_fix, float(np.max(np.abs(
             characters_in_out(u_involution(rep)) - characters_in_out(rep)))))
     return (worst_g, worst_fix,
@@ -88,10 +85,9 @@ def k_circles(variants, s_values, sigmas):
     """
     worst = 0.0
     for variant in variants:
-        pair = g_of_rep if variant == EARRING else gp_of_rep
         for s in s_values:
             rep = k_circle(variant, s, sigmas)
-            worst = max(worst, float(np.max(np.abs(np.stack(pair(rep))))),
+            worst = max(worst, variety_residual(rep),
                         *perturbation_residuals(rep))
     return worst, worst < K_CIRCLE_TOL
 
@@ -116,16 +112,16 @@ def asymptotics(variant, s, roots_s, roots_half):
     return ratio, exact, lo <= ratio <= hi and exact
 
 
-def fold_structure(circles, s, rank_points):
+def fold_structure(circles, variant, s, rank_rows):
     """Count, radii, windings and corner distance of the fold circles at s,
-    and the rank of both restriction maps at ``rank_points``:
-    (radius deviation, windings, corner miss, rank ok, ok)."""
+    and the rank of both restriction maps at the fold sample rows
+    ``rank_rows``: (radius deviation, windings, corner miss, rank ok, ok)."""
     dev = max(float(np.max(np.abs(c.radii - 2 * abs(s)))) for c in circles)
     winds = [c.winding() for c in circles]
     miss = float(np.min([_corner_distance(*c.samples[:, :2].T) for c in circles]))
     rank_ok = True
-    for pt in rank_points:
-        sv0, k0, sv1, k1 = fold_jacobian_data(pt)
+    for row in rank_rows:
+        sv0, k0, sv1, k1 = fold_jacobian_data(variant, s, row)
         ang = float(np.arccos(min(1.0, abs(float(np.dot(k0, k1))))))
         rank_ok = rank_ok and sv0[1] / sv0[0] < FOLD_RANK_RATIO \
             and sv1[1] / sv1[0] < FOLD_RANK_RATIO and ang > FOLD_KERNEL_ANGLE
@@ -143,12 +139,10 @@ def topology(report) -> bool:
             and (report.genus_cover, report.genus_quotient) == GENERA)
 
 
-def factorization(points):
+def factorization(variant, points):
     """Worst factorization residual of the second restriction map over
     chart points: (worst, ok)."""
-    worst = max(verify_factorization(embed_L([p for p in points
-                                              if p.variant == variant]))
-                for variant in dict.fromkeys(p.variant for p in points))
+    worst = verify_factorization(embed_L(variant, *points.T))
     return worst, worst < FACTORIZATION_TOL
 
 

@@ -64,10 +64,6 @@ class Word:
             if ch.lower() not in GENERATORS:
                 raise ValueError(f"unknown generator {ch!r}")
 
-    @property
-    def letters(self) -> list[tuple[str, int]]:
-        return [(ch.lower(), -1 if ch.isupper() else 1) for ch in self.text]
-
     def inverse(self) -> "Word":
         return Word(inverse_word(self.text))
 
@@ -101,55 +97,26 @@ RELATORS = (Word(commutator("p", LAMBDA_P.text)),
             Word(commutator("q", LAMBDA_Q.text)))
 
 
-# |nu| bound of the chart domain, with the slack ChartPoint allows
+# |nu| bound of the chart domain, with a slack for roots on its edge
 NU_MAX = 0.5 + 1e-9
 TWO_PI = 2 * np.pi
 
 
-def chart_angle(x, xp=np):
-    """The chart's angle rule: x into [0, 2 pi) by ``np.mod``, whose 2 pi for
-    a tiny negative angle reads as 0.  ``xp=math`` runs it on a Python float,
-    ``xp=numpy`` elementwise over arrays."""
-    if xp is math:
-        x = float(x) % TWO_PI  # Python's float % is np.mod's rule
-        return 0.0 if x == TWO_PI else x
+def chart_angle(x):
+    """The chart's angle rule, elementwise: x into [0, 2 pi) by ``np.mod``,
+    whose 2 pi for a tiny negative angle reads as 0."""
     x = np.mod(x, TWO_PI)
     return np.where(x == TWO_PI, 0.0, x)
 
 
 def wrapped_angle(x, xp=np):
     """x less the multiple of 2 pi that takes it into [-pi, pi), as
-    mod(x + pi, 2 pi) - pi: the signed difference of two angles.  ``xp``
-    picks the float or the array face, as for ``chart_angle``."""
+    mod(x + pi, 2 pi) - pi: the signed difference of two angles.
+    ``xp=math`` runs it on a Python float, ``xp=numpy`` elementwise over
+    arrays."""
     if xp is math:
         return (x + math.pi) % TWO_PI - math.pi
     return np.mod(x + np.pi, TWO_PI) - np.pi
-
-
-@dataclass
-class ChartPoint:
-    """Coordinates (s, gamma, theta, nu, tau) on the compact chart domain;
-    the angles are reduced into [0, 2 pi) by ``chart_angle``."""
-
-    s: float
-    gamma: float
-    theta: float
-    nu: float
-    tau: float
-    variant: str = EARRING
-
-    def __post_init__(self):
-        if abs(self.nu) > NU_MAX:
-            raise ValueError(f"nu = {self.nu} out of [-1/2, 1/2]")
-        for name in ("gamma", "theta", "tau"):
-            setattr(self, name, chart_angle(getattr(self, name), math))
-        if self.variant not in (EARRING, BYPASS):
-            raise ValueError(f"unknown variant {self.variant!r}")
-
-    def iota_hat(self) -> "ChartPoint":
-        """The free involution (s, -gamma, -theta, nu, tau + pi)."""
-        return ChartPoint(self.s, -self.gamma, -self.theta, self.nu,
-                          self.tau + np.pi, self.variant)
 
 
 @dataclass
@@ -165,13 +132,6 @@ class Rep:
     q: np.ndarray
     variant: str = EARRING
     s: float | np.ndarray = 0.0
-    source: ChartPoint | None = None
-
-    def value(self, gen: str) -> np.ndarray:
-        return getattr(self, gen)
-
-    def values(self) -> dict[str, np.ndarray]:
-        return {g: getattr(self, g) for g in GENERATORS}
 
 
 def embed_arrays(s, gamma, theta, nu, tau) -> dict[str, np.ndarray]:
@@ -193,20 +153,9 @@ def embed_arrays(s, gamma, theta, nu, tau) -> dict[str, np.ndarray]:
     return {"a": a, "b": b, "f": f, "h": h, "p": p, "q": q}
 
 
-def chart_arrays(points) -> tuple[np.ndarray, ...]:
-    """(s, gamma, theta, nu, tau) of a list of chart points, as arrays."""
-    coords = [(p.s, p.gamma, p.theta, p.nu, p.tau) for p in points]
-    return tuple(np.array(coords, dtype=float).reshape(-1, 5).T.copy())
-
-
-def embed_L(pt) -> Rep:
-    """The gauge-slice representation at a chart point, or at a list of
-    chart points of one variant as one batch (with an array of s)."""
-    if isinstance(pt, ChartPoint):
-        vals = embed_arrays(pt.s, pt.gamma, pt.theta, pt.nu, pt.tau)
-        return Rep(variant=pt.variant, s=pt.s, source=pt, **vals)
-    (variant,) = {p.variant for p in pt}
-    s, gamma, theta, nu, tau = chart_arrays(pt)
+def embed_L(variant, s, gamma, theta, nu, tau) -> Rep:
+    """The gauge-slice representation of one variant at chart coordinates
+    (s, gamma, theta, nu, tau), which broadcast: one point or a batch."""
     return Rep(variant=variant, s=s, **embed_arrays(s, gamma, theta, nu, tau))
 
 
@@ -217,7 +166,7 @@ def eval_word(rep, word) -> np.ndarray:
     The running product is renormalized periodically to bound drift in long
     words.
     """
-    vals = rep.values() if isinstance(rep, Rep) else rep
+    vals = vars(rep) if isinstance(rep, Rep) else rep
     text = word.text if isinstance(word, Word) else free_reduce(word)
     shape = np.asarray(vals["a"]).shape[:-1]
     out = np.broadcast_to(quat.ONE, shape + (4,)).copy()
@@ -273,30 +222,22 @@ def check_identities(rep: Rep) -> float:
                *perturbation_residuals(rep))
 
 
-def w2_value(pt) -> np.ndarray:
-    """Image of the commutator word w at a chart point, or at a list of
-    them as one batch; equals -1 exactly on the earring variety.  The
-    bypass tangle has no such condition."""
-    rep = embed_L(pt)
-    if rep.variant != EARRING:
-        raise ValueError("the w2 condition exists only for the earring tangle")
-    return eval_word(rep, W_WORD)
+def w2_value(s, gamma, theta, nu, tau) -> np.ndarray:
+    """Image of the commutator word w at earring chart coordinates, which
+    broadcast; equals -1 exactly on the earring variety.  The bypass tangle
+    has no such condition."""
+    return eval_word(embed_arrays(s, gamma, theta, nu, tau), W_WORD)
 
 
-def rho_eps(eps1: int, eps2: int, s: float, variant: str = EARRING) -> Rep:
+def rho_eps(eps1, eps2, s, variant: str = EARRING) -> Rep:
     """The four explicit fixed representations: a=i, b=j, f=eps1 i,
-    h=eps2 j, p=1, q=exp(s eps1 eps2 j).  They lie on both varieties for
-    every s."""
-    if eps1 not in (1, -1) or eps2 not in (1, -1):
+    h=eps2 j, p=1, q=exp(s eps1 eps2 j), over eps1, eps2 = +-1 and s, which
+    broadcast.  They lie on both varieties for every s."""
+    eps1, eps2, s = np.broadcast_arrays(eps1, eps2, s)
+    if not np.all((np.abs(eps1) == 1) & (np.abs(eps2) == 1)):
         raise ValueError("eps must be +-1")
-    return Rep(
-        a=quat.I.copy(),
-        b=quat.J.copy(),
-        f=float(eps1) * quat.I,
-        h=float(eps2) * quat.J,
-        p=quat.ONE.copy(),
-        q=quat.qexp(s * eps1 * eps2 * quat.J),
-        variant=variant,
-        s=s,
-    )
-
+    one = np.ones(s.shape + (1,))
+    return Rep(a=one * quat.I, b=one * quat.J, f=eps1[..., None] * quat.I,
+               h=eps2[..., None] * quat.J, p=one * quat.ONE,
+               q=quat.qexp((s * eps1 * eps2)[..., None] * quat.J),
+               variant=variant, s=s)

@@ -1,11 +1,12 @@
 """One-point reference faces of the pillowcase maps, for the tests.
 
 The commands run the batched faces: ``projection.pi0_r3``, ``pi1_r3`` and
-``canonical_orbit`` over arrays, and ``_kernels`` for the defining pairs.
-The scalar forms here are what the tests check those against: a pillowcase
-point with its quotient distance, the arccos round trip of the first
-restriction map, the pillowcase symmetries, and the defining pairs at one
-chart point.
+``canonical_orbit`` over arrays, ``words.chart_angle`` over arrays, and
+``_kernels`` for the defining pairs.  The scalar forms here are what the
+tests check those against: a pillowcase point with its quotient distance,
+the arccos round trip of the first restriction map, the pillowcase
+symmetries, the chart's angle rule, and the defining pairs at one chart
+point.
 """
 
 from dataclasses import dataclass
@@ -15,7 +16,7 @@ import numpy as np
 from pillowcase import _kernels
 from pillowcase.projection import (OFF_VARIETY_SURFACE_TOL, _angles_of_r3,
                                    _characters, canonical_orbit, r3_of_orbit)
-from pillowcase.words import CHARS_P0, ChartPoint, Rep, wrapped_angle
+from pillowcase.words import CHARS_P0, Rep, wrapped_angle
 
 
 @dataclass(frozen=True)
@@ -80,18 +81,25 @@ def w2_hat(p: PillowPoint) -> PillowPoint:
 
 
 # ---------------------------------------------------------------------------
-# the defining pairs at one chart point
+# the chart's angle rule and the defining pairs at one chart point
 # ---------------------------------------------------------------------------
 
-def G(pt: ChartPoint) -> tuple[float, float]:
-    """The earring pair at a chart point (fast kernel path)."""
-    g1, g2 = _kernels.g_scalar(_kernels.EARRING, pt.s, pt.gamma, pt.theta,
-                               pt.nu, pt.tau)
+def chart_angle_ref(x) -> float:
+    """The chart's angle rule on one angle, as first written: ``np.mod``
+    into [0, 2 pi), and 2 pi read as 0."""
+    x = float(np.mod(x, 2 * np.pi))
+    return 0.0 if x == 2 * np.pi else x
+
+
+def G(pt) -> tuple[float, float]:
+    """The earring pair at a chart point (s, gamma, theta, nu, tau) (fast
+    kernel path)."""
+    g1, g2 = _kernels.g_scalar(_kernels.EARRING, *pt)
     return float(g1), float(g2)
 
 
-def Gp(pt: ChartPoint) -> tuple[float, float]:
-    """The bypass pair at a chart point; the second entry is nu exactly."""
-    g1, g2 = _kernels.g_scalar(_kernels.BYPASS, pt.s, pt.gamma, pt.theta,
-                               pt.nu, pt.tau)
+def Gp(pt) -> tuple[float, float]:
+    """The bypass pair at a chart point (s, gamma, theta, nu, tau); the
+    second entry is nu exactly."""
+    g1, g2 = _kernels.g_scalar(_kernels.BYPASS, *pt)
     return float(g1), float(g2)

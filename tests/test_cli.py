@@ -1,12 +1,17 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pillowcase import cli
 from pillowcase import curves as C
@@ -219,9 +224,9 @@ def test_verify_reports_an_off_variety_sample_as_a_failing_row(
         capsys, monkeypatch, tmp_path):
     # one point off the variety among the 40 of the factorization row
     draw = cli._variety_points
-    off = cli.ChartPoint(0.05, 1.0, 2.0, 0.3, 0.5, "bypass")
+    off = np.array([(0.05, 1.0, 2.0, 0.3, 0.5)])
     monkeypatch.setattr(cli, "_variety_points", lambda rng, variant, s, n: (
-        draw(rng, variant, s, n) + ([off] if n == 40 else [])))
+        np.vstack([draw(rng, variant, s, n)] + ([off] if n == 40 else []))))
     code, failing, rows = _verify_rows(capsys, "bypass", tmp_path)
     assert code == 1 and failing == {"factorization"}
     assert [r["detail"] for r in rows if not r["ok"]] == [
@@ -343,6 +348,12 @@ def test_compose_rejects_bad_curve_files(tmp_path, capsys):
         "circle", C._polyline(lambda t: (0.0, t), 0, 2 * np.pi, 721))], "P0")
     worded[tmp_path / "corner.json"] = "circle passes through a corner"
     (tmp_path / "corner.json").write_text(edge.to_json())
+    # the same circle from theta = 0.5: no vertex is within 0.004 of a
+    # corner, but two segments run through (0, pi) and (0, 2 pi)
+    edge = C.ImmersedCurve([C.CurveComponent("circle", C._polyline(
+        lambda t: (0.0, t), 0.5, 0.5 + 2 * np.pi, 400))], "P0")
+    worded[tmp_path / "corner-segment.json"] = "circle passes through a corner"
+    (tmp_path / "corner-segment.json").write_text(edge.to_json())
     for src in (bad_json, no_components, not_an_object, empty, open_circle,
                 *not_finite, *worded):
         code = run(["compose", "--curve-file", str(src), "--variant",
@@ -359,19 +370,104 @@ def test_compose_rejects_bad_curve_files(tmp_path, capsys):
     assert not (tmp_path / "composed.json").exists()
 
 
+# the curve-file contract, fuzzed: edits to the named curves' own files
+_NUMBERS = st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e300,
+                            1e6 + 1, -2.5e5, 10 ** 400, 0, True, "1.5", None])
+
+
+@st.composite
+def _curve_files(draw):
+    """The JSON text of a named curve after a few structural and numeric
+    edits."""
+    data = json.loads(cli.NAMED_CURVES[draw(st.sampled_from(
+        sorted(cli.NAMED_CURVES)))]().to_json())
+    for _ in range(draw(st.integers(1, 3))):
+        comps = data.get("components") if isinstance(data, dict) else None
+        comp = (draw(st.sampled_from(comps)) if isinstance(comps, list)
+                and comps else None)
+        lift = comp.get("lift") if isinstance(comp, dict) else None
+        ok_lift = isinstance(lift, list) and len(lift) > 2 and all(
+            isinstance(v, list) and len(v) == 2 for v in lift)
+        i = draw(st.integers(0, len(lift) - 2)) if ok_lift else 0
+        edit = draw(st.sampled_from([
+            "drop_key", "add_key", "retype", "nest", "number", "corner",
+            "near_corner", "segment_corner", "repeat", "far"]))
+        if edit in ("drop_key", "add_key", "retype", "nest") or not ok_lift:
+            target = draw(st.sampled_from(
+                [x for x in (data, comp) if isinstance(x, dict)] or [data]))
+            if not isinstance(target, dict):
+                data = draw(st.sampled_from([[data], {"components": data}]))
+                continue
+            key = draw(st.sampled_from(sorted(target) + ["extra"]))
+            if edit == "drop_key":
+                target.pop(key, None)
+            elif edit == "nest":
+                target[key] = [target.get(key)]
+            else:
+                target[key] = draw(st.sampled_from(
+                    [None, 3, "circle", "P1", [], {}, [[1.5, 0.0]], [1.5]]))
+        elif edit == "number":
+            lift[i][draw(st.integers(0, 1))] = draw(_NUMBERS)
+        elif edit == "far":
+            lift[:] = [[x + 3e5, y] for x, y in lift]
+        else:
+            # a vertex on or by a corner, or a segment through one
+            k, m = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+            x, y = k * np.pi, m * np.pi
+            if edit == "corner":
+                lift[i] = [x, y]
+            elif edit == "near_corner":
+                lift[i] = [x + 1e-10, y - 1e-10]
+            elif edit == "segment_corner":
+                lift[i], lift[i + 1] = [x - 0.01, y - 0.02], [x + 0.01, y + 0.02]
+            else:
+                lift.insert(i, list(lift[i]))
+    return json.dumps(data)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(text=_curve_files())
+def test_compose_keeps_the_curve_file_contract(text):
+    # exit 0, 2 or 3 with no traceback; 0 only for a curve that validates
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "curve.json"
+        path.write_text(text)
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main(["compose", "--curve-file", str(path),
+                             "--out", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        C.ImmersedCurve.from_json(text).validate()
+
+
 def test_variety_points_gives_up(monkeypatch):
     from pillowcase.variety import ContinuationError, FiberSolutions
 
     monkeypatch.setattr(cli, "solve_fibers", lambda variant, s, gs, ts: [
-        FiberSolutions(variant, s, g, t, [], "empty") for g, t in zip(gs, ts)])
+        FiberSolutions(g, t, [], "empty") for g, t in zip(gs, ts)])
     with pytest.raises(ContinuationError, match="earring at s=0.05 in 300 "
                                                 "attempts"):
         cli._variety_points(np.random.default_rng(0), "earring", 0.05, 3)
 
 
+def test_random_chart_rows_are_the_per_point_scalar_draws():
+    # one array draw equals five scalar draws per point, bit for bit
+    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    want = [[ref.uniform(-0.2, 0.2), ref.uniform(0, 2 * np.pi),
+             ref.uniform(0, 2 * np.pi), ref.uniform(-0.5, 0.5),
+             ref.uniform(0, 2 * np.pi)] for _ in range(200)]
+    assert cli._random_chart_rows(rng, 200).tobytes() == \
+        np.array(want).tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def _ref_variety_points(rng, variant, s, n):
-    """``cli._variety_points`` one fiber at a time; also returns the number
-    of misses."""
+    """``cli._variety_points`` one fiber at a time, as rows (s, gamma,
+    theta, nu, tau); also returns the number of misses."""
     from pillowcase.variety import ContinuationError, solve_fiber
 
     pts = []
@@ -386,10 +482,10 @@ def _ref_variety_points(rng, variant, s, n):
         fs = solve_fiber(variant, s, g, t)
         if fs.status == "two_sheets" and all(abs(nu) <= 0.5 + 1e-9
                                              for nu, _ in fs.solutions):
-            pts.append(fs.chart_points()[side])
+            pts.append((s, g, t, *fs.solutions[side]))
         else:
             misses += 1
-    return pts, misses
+    return np.array(pts), misses
 
 
 @pytest.mark.parametrize("variant,s,n", [
@@ -400,7 +496,8 @@ def test_variety_points_match_one_fiber_at_a_time(variant, s, n):
     # the batched draws are the one-at-a-time stream exactly, misses too
     rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
     ref, misses = _ref_variety_points(ref_rng, variant, s, n)
-    assert cli._variety_points(rng, variant, s, n) == ref
+    got = cli._variety_points(rng, variant, s, n)
+    assert got.tobytes() == ref.tobytes() and got.shape == ref.shape == (n, 5)
     assert rng.bit_generator.state == ref_rng.bit_generator.state
     if s == 0.45:
         assert misses >= 1  # a miss has been skipped
@@ -410,7 +507,7 @@ def test_variety_points_skip_roots_outside_the_chart():
     # at s = 0.45 some earring fibers have a root with |nu| > 1/2
     pts = cli._variety_points(np.random.default_rng(0), "earring", 0.45, 25)
     assert len(pts) == 25
-    assert all(abs(p.nu) <= 0.5 + 1e-9 for p in pts)
+    assert np.all(np.abs(pts[:, 3]) <= 0.5 + 1e-9)
 
 
 def _run_fresh(script: str) -> str:

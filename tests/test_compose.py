@@ -80,7 +80,7 @@ def test_fiber_product_beta_matches_k_circle():
         for t, nu, tau in samples:
             g = _kernels._ppoly_eval(breaks, cg, t)
             th = _kernels._ppoly_eval(breaks, ct, t)
-            rep = W.embed_L(W.ChartPoint(0.05, g, th, nu, tau, variant))
+            rep = W.embed_L(variant, 0.05, g, th, nu, tau)
             pts.append([float(quat.real_part(quat.mul(rep.b, quat.conj(rep.a)))),
                         float(quat.real_part(quat.mul(rep.b, quat.conj(rep.h))))])
         pts = np.asarray(pts)
@@ -116,7 +116,7 @@ def test_push_forward_factorization_consistency(monkeypatch):
             t, nu, tau = b.samples[k]
             g = _kernels._ppoly_eval(breaks, cg, t)
             th = _kernels._ppoly_eval(breaks, ct, t)
-            rep = W.embed_L(W.ChartPoint(0.05, g, th, nu, tau, "bypass"))
+            rep = W.embed_L("bypass", 0.05, g, th, nu, tau)
             via_inv = P.theta_r3(np.asarray(pi0_of_rep(
                 P.u_involution(rep)).r3))
             direct = P.pi1_r3(rep)

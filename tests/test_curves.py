@@ -85,6 +85,32 @@ def test_component_validation():
     C.vertical_circle().validate()
 
 
+def test_segments_keep_off_the_corners():
+    # three segments, each across more than one lattice cell, along the
+    # line theta = pi + (gamma - pi) / 2: through the corner (pi, pi)
+    # between two vertices, and clear of the corners once moved 0.3 up
+    g = 0.5 + np.arange(4) * 4 * np.pi / 3
+    line = np.column_stack([g, np.pi + (g - np.pi) / 2])
+    with pytest.raises(C.CurveError, match="circle passes through a corner"):
+        C.CurveComponent("circle", line).validate()
+    C.CurveComponent("circle", line + (0.0, 0.3)).validate()
+    # a good arc's first segment may end on its corner, not cross another
+    C.CurveComponent("good_arc", [[0, 0], [1, 1], [np.pi, np.pi]]).validate()
+    arc = C.CurveComponent("good_arc", [[0, 0], [4, 0], [2 * np.pi, 0]])
+    with pytest.raises(C.CurveError, match="good arc passes through a corner"):
+        arc.validate()
+    # segments along gamma = pi + d, no vertex near a corner: the rule's
+    # bound is 1e-9 from the corners (pi, pi) and (pi, 2 pi)
+    for d in (1e-8, -1e-8, 1e-10, -1e-10):
+        comp = C.CurveComponent("circle", C._polyline(
+            lambda t: (np.pi + d, t), 0.5, 0.5 + TWO_PI, 50))
+        if abs(d) > 1e-9:
+            comp.validate()
+        else:
+            with pytest.raises(C.CurveError):
+                comp.validate()
+
+
 def test_equivariant_lift_closes_smoothly():
     for arc in (C.bottom_edge(), C.slope_one_arc(), C.wavy_arc()):
         lift = C.equivariant_circle_lift(arc.components[0])

@@ -17,7 +17,7 @@ def test_kernel_matches_word_evaluation():
         s = rng.uniform(-0.2, 0.2)
         g, t, tau = rng.uniform(0, 2 * np.pi, 3)
         nu = rng.uniform(-0.5, 0.5)
-        rep = W.embed_L(W.ChartPoint(s, g, t, nu, tau))
+        rep = W.embed_L("earring", s, g, t, nu, tau)
         g1w, g2w = W.g_of_rep(rep)
         g1, g2 = k.g_scalar(k.EARRING, s, g, t, nu, tau)
         assert abs(g1 - float(g1w)) < 1e-13
@@ -30,7 +30,7 @@ def test_kernel_matches_word_evaluation():
 
 CODES = (k.EARRING, k.BYPASS)
 ANGLE = st.floats(0.0, 2 * np.pi)
-# chart points (s, gamma, theta, nu, tau) in the domain of words.ChartPoint
+# chart points (s, gamma, theta, nu, tau) in the chart domain, |nu| <= 1/2
 CHART = st.tuples(st.floats(-0.45, 0.45, allow_subnormal=False), ANGLE, ANGLE,
                   st.floats(-0.5, 0.5, allow_subnormal=False), ANGLE)
 
@@ -38,7 +38,7 @@ CHART = st.tuples(st.floats(-0.45, 0.45, allow_subnormal=False), ANGLE, ANGLE,
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(pt=CHART)
 def test_jet_matches_word_evaluation(pt):
-    rep = W.embed_L(W.ChartPoint(*pt))
+    rep = W.embed_L("earring", *pt)
     for code, pair in zip(CODES, (W.g_of_rep, W.gp_of_rep)):
         g1, g2, _ = k.jet(code, *pt, (), math)
         w1, w2 = pair(rep)

@@ -7,12 +7,20 @@ from pillowcase import verify as VF
 from pillowcase import words as W
 from pillowcase.cli import _variety_points
 
-from pillow_reference import (G, PillowPoint, pi0_of_rep, psi_map, theta_map,
-                              w1_hat, w2_hat)
+from pillow_reference import (G, PillowPoint, chart_angle_ref, pi0_of_rep,
+                              psi_map, theta_map, w1_hat, w2_hat)
 
 
 def variety_points(variant, s, n, seed=0):
     return _variety_points(np.random.default_rng(seed), variant, s, n)
+
+
+def chart_of(rep):
+    """(gamma, theta, nu, tau) read back from a gauge-slice Rep's b, f and
+    h."""
+    b, f, h = rep.b, rep.f, rep.h
+    return (np.arctan2(b[..., 2], b[..., 1]), np.arctan2(f[..., 2], f[..., 1]),
+            h[..., 1], np.arctan2(h[..., 3], h[..., 2]))
 
 
 def test_canonical_orbit():
@@ -43,17 +51,16 @@ def test_pillow_point_surface_and_corners():
 
 def test_pi0_routes_agree():
     # the base orbit read off the chart, and the characters read back
-    pts = variety_points("earring", 0.05, 10) + \
-        variety_points("bypass", 0.05, 10, seed=3)
-    for pt in pts:
-        a = P.r3_of_orbit(*P.canonical_orbit(pt.gamma, pt.theta))
-        b = P.pi0_r3(W.embed_L(pt))
-        assert np.max(np.abs(a - b)) < 1e-10
+    for variant, seed in (("earring", 0), ("bypass", 3)):
+        for pt in variety_points(variant, 0.05, 10, seed=seed):
+            a = P.r3_of_orbit(*P.canonical_orbit(pt[1], pt[2]))
+            b = P.pi0_r3(W.embed_L(variant, *pt))
+            assert np.max(np.abs(a - b)) < 1e-10
     # corners and an explicit value
     assert np.allclose(P.pi0_r3(W.embed_L(
-        W.ChartPoint(0.1, 0.0, 0.0, 0.2, 1.0))), (1, 1, 1))
+        "earring", 0.1, 0.0, 0.0, 0.2, 1.0)), (1, 1, 1))
     assert np.allclose(P.pi0_r3(W.embed_L(
-        W.ChartPoint(0.1, np.pi / 2, 0.0, 0.0, 0.0))), (0, 1, 0), atol=1e-15)
+        "earring", 0.1, np.pi / 2, 0.0, 0.0, 0.0)), (0, 1, 0), atol=1e-15)
 
 
 def test_pi1_explicit_point_and_surface():
@@ -66,13 +73,13 @@ def test_pi1_explicit_point_and_surface():
     assert P.surface_residual(v) < P.OFF_VARIETY_SURFACE_TOL
 
     for pt in variety_points("bypass", 0.05, 8, seed=1):
-        v = P.pi1_r3(W.embed_L(pt))
+        v = P.pi1_r3(W.embed_L("bypass", *pt))
         assert P.surface_residual(v) < 1e-8
 
 
 def test_pi1_rejects_off_variety():
-    pt = W.ChartPoint(0.05, 1.0, 2.0, 0.3, 0.7)
-    rep = W.embed_L(pt)
+    pt = (0.05, 1.0, 2.0, 0.3, 0.7)
+    rep = W.embed_L("earring", *pt)
     assert abs(G(pt)[1]) > 0.1
     assert P.surface_residual(P.pi1_r3(rep)) > P.OFF_VARIETY_SURFACE_TOL
 
@@ -146,28 +153,26 @@ def test_u_involution_at_s_zero_matches_formula():
         g = float(rng.uniform(0.2, np.pi - 0.2))
         t = float(rng.uniform(0.2, 2 * np.pi - 0.2))
         tau = float(np.mod(np.arctan2(np.sin(t), np.sin(g)), 2 * np.pi))
-        pt = W.ChartPoint(0.0, g, t, 0.0, tau)
-        moved = P.u_involution(W.embed_L(pt))
-        src = moved.source
+        moved = P.u_involution(W.embed_L("earring", 0.0, g, t, 0.0, tau))
+        gm, tm, num, taum = chart_of(moved)
         expect = (-g, t, -tau + np.pi)
         direct = (np.mod(expect[0], 2 * np.pi), np.mod(expect[1], 2 * np.pi),
                   np.mod(expect[2], 2 * np.pi))
         flipped = (np.mod(-expect[0], 2 * np.pi), np.mod(-expect[1], 2 * np.pi),
                    np.mod(expect[2] + np.pi, 2 * np.pi))
-        got = (src.gamma, src.theta, src.tau)
+        got = (gm, tm, taum)
         d1 = max(abs(np.mod(a - b + np.pi, 2 * np.pi) - np.pi)
                  for a, b in zip(got, direct))
         d2 = max(abs(np.mod(a - b + np.pi, 2 * np.pi) - np.pi)
                  for a, b in zip(got, flipped))
         assert min(d1, d2) < 1e-9
-        assert abs(src.nu) < 1e-9
+        assert abs(num) < 1e-9
 
 
 def test_u_involution_squares_to_identity_on_characters():
     for variant in ("earring", "bypass"):
         for pt in variety_points(variant, 0.05, 6, seed=4):
-            pt.variant = variant
-            rep = W.embed_L(pt)
+            rep = W.embed_L(variant, *pt)
             twice = P.u_involution(P.u_involution(rep))
             drift = np.max(np.abs(P.characters_in_out(twice)
                                   - P.characters_in_out(rep)))
@@ -179,7 +184,8 @@ def test_factorization():
         for e2 in (1, -1):
             assert P.verify_factorization(W.rho_eps(e1, e2, 0.05)) < 1e-10
     for variant in ("earring", "bypass"):
-        assert VF.factorization(variety_points(variant, 0.05, 15, seed=5))[1]
+        assert VF.factorization(
+            variant, variety_points(variant, 0.05, 15, seed=5))[1]
 
 
 # the replaced one-point re-gauge, kept as the reference for its batched form
@@ -223,8 +229,9 @@ def _u_involution_reference(rep):
     theta = float(np.arctan2(f4[2], f4[1]))
     nu = float(h4[1])
     tau = float(np.arctan2(h4[3], h4[2]))
-    out = W.embed_L(W.ChartPoint(rep.s, gamma, theta, np.clip(nu, -0.5, 0.5),
-                                 tau, rep.variant))
+    gamma, theta, tau = map(chart_angle_ref, (gamma, theta, tau))
+    out = W.embed_L(rep.variant, rep.s, gamma, theta, np.clip(nu, -0.5, 0.5),
+                    tau)
     if W.variety_residual(out) > 1e-8:
         raise P.OffVarietyError("involution output misses the variety")
     return out
@@ -239,7 +246,7 @@ def _factorization_reference(rep):
 
 def _stack(reps):
     return W.Rep(variant=reps[0].variant, s=np.array([r.s for r in reps]),
-                 **{g: np.stack([r.value(g) for r in reps])
+                 **{g: np.stack([getattr(r, g) for r in reps])
                     for g in W.GENERATORS})
 
 
@@ -251,29 +258,32 @@ def test_batched_involution_matches_one_point_reference(variant):
     explicit = [W.rho_eps(e1, e2, s, variant) for e1 in (1, -1)
                 for e2 in (1, -1) for s in (0.01, 0.05, 0.1)]
     assert all(np.array_equal(P.u_values(r)["a"], -quat.I) for r in explicit)
-    for reps, batch in ((list(map(W.embed_L, pts)), W.embed_L(pts)),
+    for reps, batch in (([W.embed_L(variant, *p) for p in pts],
+                         W.embed_L(variant, *pts.T)),
                         (explicit, _stack(explicit))):
         moved = P.u_involution(batch)
         for k, rep in enumerate(reps):
             ref = _u_involution_reference(rep)
             for g in W.GENERATORS:
-                assert np.array_equal(moved.value(g)[k], ref.value(g))
+                assert np.array_equal(getattr(moved, g)[k], getattr(ref, g))
             assert P.verify_factorization(rep) == _factorization_reference(rep)
             assert np.array_equal(P.characters_in_out(moved)[k],
                                   P.characters_in_out(ref))
         assert P.verify_factorization(batch) == max(
             map(_factorization_reference, reps))
+        # the one-point re-gauge: its chart point, read back from b, f, h
         one = P.u_involution(reps[0])
-        assert one.source == _u_involution_reference(reps[0]).source
+        ref = _u_involution_reference(reps[0])
+        assert one.s == ref.s and chart_of(one) == chart_of(ref)
 
 
 def test_batched_involution_refuses_one_off_variety_member():
     pts = variety_points("bypass", 0.05, 5, seed=2)
-    off = W.ChartPoint(0.05, 1.0, 2.0, 0.3, 0.5, "bypass")
+    both = np.vstack([pts, (0.05, 1.0, 2.0, 0.3, 0.5)])
     with pytest.raises(P.OffVarietyError):
-        P.u_involution(W.embed_L(pts + [off]))
+        P.u_involution(W.embed_L("bypass", *both.T))
     with pytest.raises(P.OffVarietyError):
-        VF.factorization(pts + [off])
+        VF.factorization("bypass", both)
 
 
 @pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")

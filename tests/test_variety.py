@@ -28,8 +28,8 @@ def test_solve_fiber_residuals_and_grid_oracle():
     fs = V.solve_fiber(variant, s, g, t)
     assert fs.status == "two_sheets"
     assert len(fs.solutions) == 2
-    for pt in fs.chart_points():
-        assert max(abs(v) for v in Gp(pt)) < 1e-10
+    for nu, tau in fs.solutions:
+        assert max(abs(v) for v in Gp((s, g, t, nu, tau))) < 1e-10
 
     # independent dense grid search over (nu, tau), then local refinement
     nu_g = np.linspace(-0.4, 0.4, 800)
@@ -136,7 +136,7 @@ def test_eta_and_k_circle_broadcast_bit_for_bit(s, sigmas):
         rep = V.k_circle(variant, s, sigmas)
         for k, x in enumerate(sigmas):
             one = V.k_circle(variant, s, x)
-            assert all(_same(rep.value(g)[k], one.value(g))
+            assert all(_same(getattr(rep, g)[k], getattr(one, g))
                        for g in W.GENERATORS)
             assert one.a.shape == (4,)
             assert (rep.variant, rep.s) == (one.variant, one.s)
@@ -202,21 +202,19 @@ def _check_fold_locus_structure(variant, s):
         # every fold sample solves the defining pair, and there the
         # pair's differential in (nu, tau) is singular
         for row, im in zip(c.samples.tolist(), c.image):
-            pt = W.ChartPoint(s, *row, variant)
+            pt = (s, *row)
             pair = G(pt) if variant == "earring" else Gp(pt)
             assert max(abs(v) for v in pair) < 1e-10
             _, _, ((_, _, a2, a3), (_, _, b2, b3)) = _kernels.jet(
-                variant, pt.s, pt.gamma, pt.theta, pt.nu, pt.tau,
-                _kernels.DIRECTIONS, math)
+                variant, *pt, _kernels.DIRECTIONS, math)
             assert abs(a2 * b3 - a3 * b2) < 1e-10
-            assert np.allclose(im, np.sin([pt.gamma, pt.theta]),
-                               rtol=0, atol=1e-15)
+            assert np.allclose(im, np.sin(row[:2]), rtol=0, atol=1e-15)
 
 
 def test_chart_angles_stay_below_two_pi():
-    # np.mod(-1e-17, 2 pi) rounds to 2 pi; ChartPoint maps it to 0
-    pt = W.ChartPoint(0.05, -1e-17, -1e-17, 0.0, -1e-17)
-    assert (pt.gamma, pt.theta, pt.tau) == (0.0, 0.0, 0.0)
+    # np.mod(-1e-17, 2 pi) rounds to 2 pi; chart_angle maps it to 0
+    assert np.mod(-1e-17, 2 * np.pi) == 2 * np.pi
+    assert W.chart_angle(np.full(3, -1e-17)).tolist() == [0.0, 0.0, 0.0]
     for variant in ("earring", "bypass"):
         for s in (-0.05, 0.05, 0.2):
             for circle in V.fold_locus(variant, s):
@@ -263,13 +261,14 @@ def test_fold_circle_iota_invariance(variant):
         pts = c.samples
         spacing = np.median(np.linalg.norm(np.diff(pts[:, :2], axis=0), axis=1)) \
             + 2 * np.pi / len(pts)
-        for row in pts[::12].tolist():
-            q = W.ChartPoint(0.05, *row, variant).iota_hat()
+        for g, t, nu, tau in pts[::12].tolist():
+            # the free involution (s, -gamma, -theta, nu, tau + pi)
+            q = (-g, -t, nu, tau + np.pi)
             diffs = np.stack([
-                np.mod(pts[:, 0] - q.gamma + np.pi, 2 * np.pi) - np.pi,
-                np.mod(pts[:, 1] - q.theta + np.pi, 2 * np.pi) - np.pi,
-                pts[:, 2] - q.nu,
-                np.mod(pts[:, 3] - q.tau + np.pi, 2 * np.pi) - np.pi,
+                np.mod(pts[:, 0] - q[0] + np.pi, 2 * np.pi) - np.pi,
+                np.mod(pts[:, 1] - q[1] + np.pi, 2 * np.pi) - np.pi,
+                pts[:, 2] - q[2],
+                np.mod(pts[:, 3] - q[3] + np.pi, 2 * np.pi) - np.pi,
             ])
             d = np.min(np.max(np.abs(diffs), axis=0))
             assert d < 5 * spacing
@@ -277,9 +276,8 @@ def test_fold_circle_iota_invariance(variant):
 
 def test_fold_jacobians_rank_one_transverse():
     circles = V.fold_locus("earring", 0.05, n_samples=32)
-    rank_points = [W.ChartPoint(0.05, *c.samples[i].tolist())
-                   for c in circles[:2] for i in (3, 17)]
-    assert VF.fold_structure(circles, 0.05, rank_points)[3]
+    rank_rows = [c.samples[i] for c in circles[:2] for i in (3, 17)]
+    assert VF.fold_structure(circles, "earring", 0.05, rank_rows)[3]
 
 
 def test_topology_reports():
@@ -354,7 +352,7 @@ def test_refined_sweep_solves_only_the_fibers_it_checks(monkeypatch):
         wrong[(np.pi + dgs[i], 0.0 + dts[i])] = st
 
     def model(variant, s, g, t):
-        return [V.FiberSolutions(variant, s, a, b, [], wrong.get(
+        return [V.FiberSolutions(a, b, [], wrong.get(
             (a, b), "empty" if V._corner_distance(a, b) < (band_in + band_out)
             / 2 else "two_sheets")) for a, b in zip(g, t)]
 

@@ -7,7 +7,7 @@ from pillowcase import quat
 from pillowcase import verify as VF
 from pillowcase import words as W
 
-from pillow_reference import G, Gp
+from pillow_reference import G, Gp, chart_angle_ref
 
 
 def qexp_series(v, terms=24):
@@ -22,13 +22,18 @@ def qexp_series(v, terms=24):
 
 
 def random_points(n, seed=0, s_range=(-0.2, 0.2)):
+    """Rows (s, gamma, theta, nu, tau) of ``n`` uniform chart points."""
     rng = np.random.default_rng(seed)
-    return [W.ChartPoint(float(rng.uniform(*s_range)),
-                         float(rng.uniform(0, 2 * np.pi)),
-                         float(rng.uniform(0, 2 * np.pi)),
-                         float(rng.uniform(-0.5, 0.5)),
-                         float(rng.uniform(0, 2 * np.pi)))
-            for _ in range(n)]
+    return rng.uniform((s_range[0], 0, 0, -0.5, 0),
+                       (s_range[1], 2 * np.pi, 2 * np.pi, 0.5, 2 * np.pi),
+                       (n, 5))
+
+
+def fiber_points(s, fibers):
+    """Chart rows (s, gamma, theta, nu, tau) of the + sheet of fibers
+    solved at s."""
+    return np.array([(s, fs.gamma, fs.theta, *fs.solutions[0])
+                     for fs in fibers])
 
 
 def test_word_reduction_and_inverse():
@@ -36,7 +41,6 @@ def test_word_reduction_and_inverse():
     assert w.text == ""
     d = W.D_WORD
     assert W.free_reduce(d.text + d.inverse().text) == ""
-    assert W.Word("QPbpq").letters[0] == ("q", -1)
     with pytest.raises(ValueError):
         W.Word("xyz")
 
@@ -55,16 +59,10 @@ def test_named_word_identities():
 
 def test_presentation_relators_hold_on_slice():
     for pt in random_points(30, seed=1):
-        rep = W.embed_L(pt)
+        rep = W.embed_L("earring", *pt)
         for rel in W.RELATORS:
             val = W.eval_word(rep, rel)
             assert np.max(np.abs(val - quat.ONE)) < 1e-12
-
-
-def _ref_chart_angle(x):
-    # ChartPoint's rule as first written: np.mod, and 2 pi read as 0
-    x = float(np.mod(x, 2 * np.pi))
-    return 0.0 if x == 2 * np.pi else x
 
 
 def test_chart_angle_faces_match_the_rule_bit_for_bit():
@@ -73,16 +71,9 @@ def test_chart_angle_faces_match_the_rule_bit_for_bit():
                          rng.normal(0.0, 1e-15, 40),
                          [-1e-17, -0.0, 2 * np.pi, -2 * np.pi,
                           4 * np.pi - 1e-15]])
-    want = np.array([_ref_chart_angle(x) for x in xs])
-    faces = {
-        "float": np.array([W.chart_angle(x, math) for x in xs.tolist()]),
-        "array": W.chart_angle(xs),
-        "ChartPoint": np.array([W.ChartPoint(0.0, x, 0.0, 0.0, 0.0).gamma
-                                for x in xs.tolist()]),
-    }
-    for name, got in faces.items():
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
-    assert type(W.chart_angle(-1e-17, math)) is float
+    want = np.array([chart_angle_ref(x) for x in xs])
+    assert np.array_equal(W.chart_angle(xs).view(np.int64),
+                          want.view(np.int64))
     assert np.all((want >= 0) & (want < 2 * np.pi))
 
 
@@ -99,41 +90,38 @@ def test_wrapped_angle_faces_match_the_rule_bit_for_bit():
 
 
 def test_embed_L_examples():
-    pt = W.ChartPoint(0.3, 0.0, 0.0, 0.0, 0.0)
-    rep = W.embed_L(pt)
+    rep = W.embed_L("earring", 0.3, 0.0, 0.0, 0.0, 0.0)
     assert np.allclose(rep.a, quat.I)
     assert np.allclose(rep.b, quat.I)
     assert np.allclose(rep.f, quat.I)
     assert np.allclose(rep.h, quat.J)
 
-    rep = W.embed_L(W.ChartPoint(0.1, np.pi / 2, 0.0, 0.0, 0.0))
+    rep = W.embed_L("earring", 0.1, np.pi / 2, 0.0, 0.0, 0.0)
     assert np.allclose(rep.b, quat.mul(quat.qexp(np.array([0.0, 0.0, 0.0, np.pi / 2])), quat.I),
                        atol=1e-15)
     assert abs(quat.real_part(quat.mul(rep.b, quat.conj(rep.a)))) < 1e-15
 
     with pytest.raises(ValueError):
-        W.embed_L(W.ChartPoint(0.1, 0.0, 0.0, 0.7, 0.0))
+        W.embed_L("earring", 0.1, 0.0, 0.0, 0.7, 0.0)
 
 
 def test_embed_L_series_oracle():
-    pt = W.ChartPoint(0.1, 0.7, 1.3, 0.2, 2.0)
-    rep = W.embed_L(pt)
+    rep = W.embed_L("earring", 0.1, 0.7, 1.3, 0.2, 2.0)
     bh = quat.ima(quat.mul(rep.b, rep.h))
     assert np.max(np.abs(rep.p - qexp_series(0.1 * bh))) < 1e-12
     lam_q = quat.ima(W.eval_word(rep, W.LAMBDA_Q))
     assert np.max(np.abs(rep.q - qexp_series(0.1 * lam_q))) < 1e-12
     # all four boundary values traceless
     for gen in "abfh":
-        assert abs(quat.real_part(rep.value(gen))) < 1e-14
+        assert abs(quat.real_part(getattr(rep, gen))) < 1e-14
 
 
 def test_eval_word_basics():
-    pt = W.ChartPoint(0.05, np.pi / 2, 0.0, 0.0, 0.0)
-    rep = W.embed_L(pt)
+    rep = W.embed_L("earring", 0.05, np.pi / 2, 0.0, 0.0, 0.0)
     assert np.allclose(W.eval_word(rep, ""), quat.ONE)
     assert abs(quat.real_part(W.eval_word(rep, "bA"))) < 1e-14
     for pt in random_points(20, seed=2):
-        rep = W.embed_L(pt)
+        rep = W.embed_L("earring", *pt)
         comm = W.eval_word(rep, W.commutator("p", W.LAMBDA_P.text))
         assert np.max(np.abs(comm - quat.ONE)) < 1e-10
 
@@ -145,35 +133,35 @@ def test_G_examples():
         g1p, g2p = Gp(pt)
         assert abs(g1) < 1e-12 and abs(g1p) < 1e-12
         assert abs(g1 - g1p) < 1e-12 and abs(g2 - g2p) < 1e-12
-        assert g2p == pt.nu
+        assert g2p == pt[3]
 
     # the four explicit points lie on both zero sets for any s
     for e1 in (1, -1):
         for e2 in (1, -1):
             for s in (0.01, 0.2, -0.13):
                 # rho_eps on the gauge slice: b = j is e^{(pi/2) k} i
-                pt = W.ChartPoint(s, np.pi / 2, 0.0 if e1 == 1 else np.pi,
-                                  0.0, 0.0 if e2 == 1 else np.pi)
+                pt = (s, np.pi / 2, 0.0 if e1 == 1 else np.pi,
+                      0.0, 0.0 if e2 == 1 else np.pi)
                 assert max(abs(v) for v in G(pt)) < 1e-10
                 assert max(abs(v) for v in Gp(pt)) < 1e-10
 
 
 def test_Gp_second_component_exact():
     for pt in random_points(50, seed=4):
-        assert Gp(pt)[1] == pt.nu
+        assert Gp(pt)[1] == pt[3]
 
 
 def test_check_identities_sweep():
-    assert VF.identities(random_points(300, seed=5))[1]
+    assert VF.identities("earring", random_points(300, seed=5))[1]
 
 
 def test_check_identities_batch_equals_one_point_batches():
     pts = random_points(1000, seed=9)
-    worst = W.check_identities(W.embed_L(pts))
-    assert worst == max(W.check_identities(W.embed_L([p])) for p in pts)
-    assert worst == max(W.check_identities(W.embed_L(p)) for p in pts)
-    with pytest.raises(ValueError):
-        W.embed_L([pts[0], W.ChartPoint(0.1, 1.0, 1.0, 0.0, 0.0, W.BYPASS)])
+    worst = W.check_identities(W.embed_L("earring", *pts.T))
+    assert worst == max(W.check_identities(W.embed_L("earring", *p[:, None]))
+                        for p in pts)
+    assert worst == max(W.check_identities(W.embed_L("earring", *p))
+                        for p in pts)
 
 
 def test_w2_condition_batch_matches_per_point():
@@ -182,18 +170,18 @@ def test_w2_condition_batch_matches_per_point():
     rng = np.random.default_rng(10)
     fibers = solve_fibers("earring", 0.08, rng.uniform(0.3, np.pi - 0.3, 20),
                           rng.uniform(0.3, np.pi - 0.3, 20))
-    on = [fs.chart_points()[0] for fs in fibers]
+    on = fiber_points(0.08, fibers)
     # every other point far enough off the variety to count
-    off = [W.ChartPoint(p.s, p.gamma, p.theta,
-                        float(np.clip(p.nu + (0.35 if k % 2 else 0.01),
-                                      -0.5, 0.5)), p.tau)
-           for k, p in enumerate(on)]
-    batch = W.w2_value(on + off)
-    rows = [W.w2_value(p) for p in on + off]
+    off = on.copy()
+    off[:, 3] = np.clip(on[:, 3] + np.where(np.arange(len(on)) % 2, 0.35,
+                                            0.01), -0.5, 0.5)
+    both = np.vstack([on, off])
+    batch = W.w2_value(*both.T)
+    rows = [W.w2_value(*p) for p in both]
     assert batch.tobytes() == np.array(rows).tobytes()
 
     def miss(p):
-        return float(np.max(np.abs(W.w2_value(p) + quat.ONE)))
+        return float(np.max(np.abs(W.w2_value(*p) + quat.ONE)))
 
     on_worst, off_best, n_off, _ = VF.w2_condition(on, off)
     kept = [miss(p) for p in off if abs(G(p)[1]) > VF.W2_OFF_G]
@@ -203,19 +191,21 @@ def test_w2_condition_batch_matches_per_point():
 
 
 def test_identity_specific_point():
-    rep = W.embed_L(W.ChartPoint(0.1, np.pi / 2, 0.0, 0.0, 0.0))
+    rep = W.embed_L("earring", 0.1, np.pi / 2, 0.0, 0.0, 0.0)
     lhs = W.eval_word(rep, "PaFqf")
     rhs = W.eval_word(rep, "hpqHa")
     assert np.max(np.abs(lhs - rhs)) < 1e-12
     # s = 0 gives trivial perturbations
-    rep0 = W.embed_L(W.ChartPoint(0.0, 1.0, 2.0, 0.3, 0.5))
+    rep0 = W.embed_L("earring", 0.0, 1.0, 2.0, 0.3, 0.5)
     assert np.allclose(rep0.p, quat.ONE)
     assert np.allclose(rep0.q, quat.ONE)
 
 
 def test_iota_hat_equivariance():
     for pt in random_points(40, seed=6):
-        other = pt.iota_hat()
+        # the free involution (s, -gamma, -theta, nu, tau + pi)
+        s, g, t, nu, tau = pt
+        other = (s, -g, -t, nu, tau + np.pi)
         g1, g2 = G(pt)
         h1, h2 = G(other)
         assert abs(g1 - h1) < 1e-10 and abs(g2 - h2) < 1e-10
@@ -233,15 +223,12 @@ def test_w2_condition():
         t = float(rng.uniform(0.3, np.pi - 0.3))
         fs = solve_fiber("earring", 0.08, g, t)
         assert fs.status == "two_sheets"
-        pt = fs.chart_points()[0]
-        assert np.max(np.abs(W.w2_value(pt) + quat.ONE)) < 1e-8
-        off = W.ChartPoint(pt.s, pt.gamma, pt.theta,
-                           float(np.clip(pt.nu + 0.35, -0.5, 0.5)), pt.tau)
+        (pt,) = fiber_points(0.08, [fs])
+        assert np.max(np.abs(W.w2_value(*pt) + quat.ONE)) < 1e-8
+        off = pt.copy()
+        off[3] = np.clip(pt[3] + 0.35, -0.5, 0.5)
         assert abs(G(off)[1]) > 0.1
-        assert np.max(np.abs(W.w2_value(off) + quat.ONE)) > 1e-3
-
-    with pytest.raises(ValueError):
-        W.w2_value(W.ChartPoint(0.1, 1.0, 1.0, 0.0, 0.0, W.BYPASS))
+        assert np.max(np.abs(W.w2_value(*off) + quat.ONE)) > 1e-3
 
 
 def test_rho_eps_w2():
@@ -254,9 +241,9 @@ def test_rho_eps_w2():
 
 def test_w2_iff_G_zero_scaling():
     # |w + 1| tracks |G| near the variety
-    pt = W.ChartPoint(0.05, 1.0, 2.0, 0.03, 0.7)
+    pt = (0.05, 1.0, 2.0, 0.03, 0.7)
     g = max(abs(v) for v in G(pt))
-    w =  np.max(np.abs(W.w2_value(pt) + quat.ONE))
+    w =  np.max(np.abs(W.w2_value(*pt) + quat.ONE))
     assert w > 0.1 * g
 
 
