@@ -342,7 +342,8 @@ def _solve3(*system):
 
 
 def corrector(code, s, breaks, cg, ct, u0, u1, u2, t0, t1, t2, tol, maxit):
-    """Newton on {G = 0, tangent . (u - u_pred) = 0}.
+    """Newton on {G = 0, tangent . (u - u_pred) = 0}, failing at any
+    iterate with |nu| > 0.999, the prediction included.
 
     Returns (u0, u1, u2, ok, tangent): the unit tangent at the returned
     point, from the Jacobian its last iteration evaluated there, or None
@@ -351,6 +352,8 @@ def corrector(code, s, breaks, cg, ct, u0, u1, u2, t0, t1, t2, tol, maxit):
     s, u0, u1, u2, t0, t1, t2 = map(float, (s, u0, u1, u2, t0, t1, t2))
     p0, p1, p2 = u0, u1, u2
     for it in range(maxit + 1):
+        if abs(u1) > 0.999:
+            return u0, u1, u2, False, None
         f1, f2, j = _curve_jac(code, s, _spline_jet, math, breaks, cg, ct,
                                u0, u1, u2)
         if it == maxit:
@@ -362,8 +365,6 @@ def corrector(code, s, breaks, cg, ct, u0, u1, u2, t0, t1, t2, tol, maxit):
         if step is None:
             return u0, u1, u2, False, None
         du0, du1, du2 = step
-        if abs(u1 + du1) > 0.999:
-            return u0, u1, u2, False, None
         if abs(du0) + abs(du1) + abs(du2) > 1.0:
             return u0, u1, u2, False, None
         u0 += du0
@@ -377,11 +378,12 @@ def corrector_batch(code, s, breaks, cg, ct, p0, p1, p2, n0, n1, n2, tol,
     every prediction p = (p0, p1, p2), with its own hyperplane normal n.
 
     Each element takes the scalar corrector's steps and exits: it stops as
-    converged once max|G| < ``tol`` and |n . (u - p)| < 1e-9, as failed where
-    the 3x3 system is singular or a step would take |nu| above 0.999 or
-    move more than 1 in the 1-norm, and after ``maxit`` steps it is
-    converged if max|G| < ``tol``.  The 3x3 solve is ``_cramer3`` elementwise.  Returns
-    (u0, u1, u2, ok) arrays; a failed element keeps its last iterate.
+    converged once max|G| < ``tol`` and |n . (u - p)| < 1e-9, as failed at
+    an iterate with |nu| above 0.999 or where the 3x3 system is singular or
+    a step would move more than 1 in the 1-norm, and after ``maxit`` steps
+    it is converged if max|G| < ``tol``.  The 3x3 solve is ``_cramer3``
+    elementwise.  Returns (u0, u1, u2, ok) arrays; a failed element keeps
+    its last iterate.
     """
     s = float(s)
     p0, p1, p2, n0, n1, n2 = (np.asarray(x, dtype=float)
@@ -390,6 +392,7 @@ def corrector_batch(code, s, breaks, cg, ct, p0, p1, p2, n0, n1, n2, tol,
     ok = np.zeros(u0.shape, dtype=bool)
     idx = np.arange(u0.size)  # elements still iterating
     for it in range(maxit + 1):
+        idx = idx[np.abs(u1[idx]) <= 0.999]
         if not idx.size:
             break
         x0, x1, x2 = u0[idx], u1[idx], u2[idx]
@@ -407,7 +410,6 @@ def corrector_batch(code, s, breaks, cg, ct, p0, p1, p2, n0, n1, n2, tol,
         with np.errstate(divide="ignore", invalid="ignore"):
             d0, d1, d2 = d0 / det, d1 / det, d2 / det
             go = (~done & (np.abs(det) >= 1e-300)
-                  & (np.abs(x1 + d1) <= 0.999)
                   & (np.abs(d0) + np.abs(d1) + np.abs(d2) <= 1.0))
         idx = idx[go]
         u0[idx] = x0[go] + d0[go]

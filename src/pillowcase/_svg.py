@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import TWO_PI, lattice_shifts
+from .curves import lattice_shifts
+from .words import TWO_PI
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b",
            "#e377c2", "#7f7f7f"]

@@ -121,9 +121,11 @@ def cmd_trace(args) -> int:
 def cmd_compose(args) -> int:
     out = _outdir(args)
     if args.curve_file:
+        # both tangles are endomorphisms of the four-punctured sphere, so a
+        # curve of either factor is read in the first, composed.json too
         try:
             curve = ImmersedCurve.from_json(
-                Path(args.curve_file).read_text()).validate()
+                Path(args.curve_file).read_text()).validate().relabel("P0")
         # JSONDecodeError and CurveError are ValueErrors
         except (OSError, ValueError) as exc:
             print(f"bad curve file {args.curve_file}: "
@@ -137,7 +139,7 @@ def cmd_compose(args) -> int:
                              max_step=args.max_step, circles=circles)
     _write(out, "composed.json", composed.to_json() + "\n")
     svg = _svg.scene_svg(
-        [(curve.name or "input", curve.relabel("P0")),
+        [(curve.name or "input", curve),
          (f"composed -> P1", composed.relabel("P0"))],
         fold_image=fold_image_curves(circles),
         title=f"compose {curve.name} {args.variant} s={args.s}")

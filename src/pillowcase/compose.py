@@ -40,13 +40,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .curves import (TURN_LIMIT, TWO_PI, CurveComponent, CurveError,
+from .curves import (TURN_LIMIT, CurveComponent, CurveError,
                      GenericPositionError, ImmersedCurve, double, figure_eight,
                      hausdorff_r3, intersect, invariants, turning_angles)
 from .projection import pi0_u_r3, pi1_r3_of_chart
 from .variety import (COMPLEX_STEP, ContinuationError, FoldCircle, eta,
                       fold_locus, k_circle, solve_fiber, tau_seed)
-from .words import BYPASS, wrapped_angle
+from .words import BYPASS, TWO_PI, wrapped_angle
 
 MAX_STEP = 4e-3  # default continuation step, in (t, nu, tau) arclength
 STEP_BUDGET = 100_000  # continuation steps allowed per loop

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .words import wrapped_angle
-
-TWO_PI = 2.0 * np.pi
+from .projection import r3_of_orbit
+from .words import TWO_PI, wrapped_angle
 
 CORNER_CLASSES = [(0, 0), (1, 0), (0, 1), (1, 1)]
 
@@ -707,13 +706,6 @@ def invariants(c: ImmersedCurve) -> CurveInvariants:
 # distances
 # ---------------------------------------------------------------------------
 
-def lift_to_r3(lift: np.ndarray) -> np.ndarray:
-    """Character coordinates of plane points (orbit-invariant)."""
-    g = lift[:, 0]
-    t = lift[:, 1]
-    return np.column_stack([np.cos(g), np.cos(t), np.cos(g - t)])
-
-
 _BLOCK = 16  # consecutive segments under one bounding ball
 _POINT_BLOCK = 32  # consecutive points under one bounding ball
 _RUNS_PER_PASS = 8  # point blocks per pass, each against every block
@@ -800,8 +792,8 @@ def _points_to_segments_dist(pts: np.ndarray, a: np.ndarray,
 def hausdorff_r3(a: ImmersedCurve, b: ImmersedCurve) -> float:
     """Symmetric Hausdorff distance between the curves' images in the
     character-coordinate embedding."""
-    polys_a = [lift_to_r3(c.lift) for c in a.components]
-    polys_b = [lift_to_r3(c.lift) for c in b.components]
+    polys_a = [r3_of_orbit(*c.lift.T) for c in a.components]
+    polys_b = [r3_of_orbit(*c.lift.T) for c in b.components]
 
     def to_curve(pts, polys):  # nearest segment of any component
         return _points_to_segments_dist(pts, np.vstack([q[:-1] for q in polys]),

@@ -32,21 +32,6 @@ class ReGaugeError(RuntimeError):
     """Conjugating back into the gauge slice degenerated (b parallel to a)."""
 
 
-def canonical_orbit(gamma, theta):
-    """Orbit representative with gamma in [0, pi]; on the two edge circles
-    gamma in {0, pi} the residual ambiguity is broken by theta in [0, pi].
-    Elementwise over arrays."""
-    g = np.mod(gamma, 2 * np.pi)
-    t = np.mod(theta, 2 * np.pi)
-    flip = g > np.pi + 1e-15
-    g = np.where(flip, 2 * np.pi - g, g)
-    t = np.where(flip, np.mod(-t, 2 * np.pi), t)
-    edge = np.minimum(np.minimum(g, np.abs(np.pi - g)),
-                      np.abs(2 * np.pi - g)) < 1e-12
-    t = np.where(edge & (t > np.pi + 1e-15), 2 * np.pi - t, t)
-    return np.minimum(g, np.pi), t
-
-
 def r3_of_orbit(gamma, theta) -> np.ndarray:
     return np.stack([np.cos(gamma), np.cos(theta), np.cos(gamma - theta)],
                     axis=-1)
@@ -81,10 +66,8 @@ def _characters(rep, words) -> np.ndarray:
 def pi0_r3(rep: Rep) -> np.ndarray:
     """First-factor restriction over a (batched) Rep: the characters of the
     incoming boundary loops (conjugation invariant, so valid off the gauge
-    slice), read back through their orbit angles onto the canonical orbit
-    representative."""
-    return r3_of_orbit(*canonical_orbit(*_angles_of_r3(
-        _characters(rep, CHARS_P0))))
+    slice), read back through their orbit angles."""
+    return r3_of_orbit(*_angles_of_r3(_characters(rep, CHARS_P0)))
 
 
 def pi1_r3(rep: Rep) -> np.ndarray:

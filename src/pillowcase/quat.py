@@ -16,10 +16,6 @@ ONE = np.array([1.0, 0.0, 0.0, 0.0])
 I = np.array([0.0, 1.0, 0.0, 0.0])
 J = np.array([0.0, 0.0, 1.0, 0.0])
 
-# Long word evaluations renormalize the running product this often to bound
-# rounding drift.
-RENORM_EVERY = 64
-
 
 def mul_parts(aw, ax, ay, az, bw, bx, by, bz):
     """Hamilton product a * b from the components of a and b, as the tuple

@@ -29,8 +29,6 @@ import numpy as np
 from . import quat
 from ._kernels import BYPASS, EARRING
 
-GENERATORS = "abfhpq"
-
 
 def inverse_word(word: str) -> str:
     return word.swapcase()[::-1]
@@ -50,51 +48,30 @@ def commutator(x: str, y: str) -> str:
     return free_reduce(x + y + inverse_word(x) + inverse_word(y))
 
 
-@dataclass(frozen=True)
-class Word:
-    """A freely reduced word over {a,b,f,h,p,q} and inverses."""
-
-    text: str
-
-    def __post_init__(self):
-        reduced = free_reduce(self.text)
-        if reduced != self.text:
-            object.__setattr__(self, "text", reduced)
-        for ch in self.text:
-            if ch.lower() not in GENERATORS:
-                raise ValueError(f"unknown generator {ch!r}")
-
-    def inverse(self) -> "Word":
-        return Word(inverse_word(self.text))
-
-
-# named loops expressed in the generators
-LAMBDA_P = Word("bh")
-LAMBDA_Q = Word("fAh")
-C_WORD = Word("QPbpq")
-D_WORD = Word("QPBpbaFqf")
-W_WORD = Word(commutator("AhQP", "h"))
+# named loops expressed in the generators, as reduced words
+LAMBDA_P = "bh"
+LAMBDA_Q = "fAh"
+C_WORD = "QPbpq"
+D_WORD = "QPBpbaFqf"
+W_WORD = commutator("AhQP", "h")
 
 # images of the generators under the tangle involution exchanging the two
 # boundary spheres; the h-image is the same reduced word for both tangles
 # (the earring form h^- w^- reduces to it when w is written out).
-U_A = D_WORD.inverse()
-U_B = Word(free_reduce(U_A.text + inverse_word(C_WORD.text) + D_WORD.text))
-U_F = Word("F")
-U_H = Word("AhQPHpqHa")
+U_A = inverse_word(D_WORD)
+U_B = free_reduce(U_A + inverse_word(C_WORD) + D_WORD)
+U_F = "F"
+U_H = "AhQPHpqHa"
 
 # boundary restriction characters
-CHARS_P0 = (Word("bA"), Word("fA"), Word("bF"))
-CHARS_P1 = (
-    Word(C_WORD.text + inverse_word(D_WORD.text)),
-    Word("f" + inverse_word(D_WORD.text)),
-    Word(C_WORD.text + "F"),
-)
+CHARS_P0 = ("bA", "fA", "bF")
+CHARS_P1 = tuple(free_reduce(w) for w in (C_WORD + inverse_word(D_WORD),
+                                          "f" + inverse_word(D_WORD),
+                                          C_WORD + "F"))
 
 
 # the relators of both tangle groups, earring and bypass: they agree
-RELATORS = (Word(commutator("p", LAMBDA_P.text)),
-            Word(commutator("q", LAMBDA_Q.text)))
+RELATORS = (commutator("p", LAMBDA_P), commutator("q", LAMBDA_Q))
 
 
 # |nu| bound of the chart domain, with a slack for roots on its edge
@@ -159,24 +136,19 @@ def embed_L(variant, s, gamma, theta, nu, tau) -> Rep:
     return Rep(variant=variant, s=s, **embed_arrays(s, gamma, theta, nu, tau))
 
 
-def eval_word(rep, word) -> np.ndarray:
+def eval_word(rep, word: str) -> np.ndarray:
     """Image of a word under the representation; the empty word gives 1.
 
     ``rep`` may be a Rep or a dict of generator values (possibly batched).
-    The running product is renormalized periodically to bound drift in long
-    words.
     """
     vals = vars(rep) if isinstance(rep, Rep) else rep
-    text = word.text if isinstance(word, Word) else free_reduce(word)
     shape = np.asarray(vals["a"]).shape[:-1]
     out = np.broadcast_to(quat.ONE, shape + (4,)).copy()
-    for i, ch in enumerate(text):
+    for ch in word:
         x = vals[ch.lower()]
         if ch.isupper():
             x = quat.conj(x)
         out = quat.mul(out, x)
-        if (i + 1) % quat.RENORM_EVERY == 0:
-            out = quat.normalize(out)
     return out
 
 

@@ -1,12 +1,12 @@
 """One-point reference faces of the pillowcase maps, for the tests.
 
-The commands run the batched faces: ``projection.pi0_r3``, ``pi1_r3`` and
-``canonical_orbit`` over arrays, ``words.chart_angle`` over arrays, and
-``_kernels`` for the defining pairs.  The scalar forms here are what the
-tests check those against: a pillowcase point with its quotient distance,
-the arccos round trip of the first restriction map, the pillowcase
-symmetries, the chart's angle rule, and the defining pairs at one chart
-point.
+The commands run the batched faces: ``projection.pi0_r3`` and ``pi1_r3``
+over arrays, ``words.chart_angle`` over arrays, and ``_kernels`` for the
+defining pairs.  The scalar forms here are what the tests check those
+against: a pillowcase point on its canonical orbit representative with its
+quotient distance, the arccos round trip of the first restriction map, the
+pillowcase symmetries, the chart's angle rule, and the defining pairs at one
+chart point.
 """
 
 from dataclasses import dataclass
@@ -15,8 +15,26 @@ import numpy as np
 
 from pillowcase import _kernels
 from pillowcase.projection import (OFF_VARIETY_SURFACE_TOL, _angles_of_r3,
-                                   _characters, canonical_orbit, r3_of_orbit)
+                                   _characters, r3_of_orbit)
 from pillowcase.words import CHARS_P0, Rep, wrapped_angle
+
+# the tangle generators: the generator fields of a Rep
+GENERATORS = "abfhpq"
+
+
+def canonical_orbit(gamma, theta):
+    """Orbit representative with gamma in [0, pi]; on the two edge circles
+    gamma in {0, pi} the residual ambiguity is broken by theta in [0, pi].
+    Elementwise over arrays."""
+    g = np.mod(gamma, 2 * np.pi)
+    t = np.mod(theta, 2 * np.pi)
+    flip = g > np.pi + 1e-15
+    g = np.where(flip, 2 * np.pi - g, g)
+    t = np.where(flip, np.mod(-t, 2 * np.pi), t)
+    edge = np.minimum(np.minimum(g, np.abs(np.pi - g)),
+                      np.abs(2 * np.pi - g)) < 1e-12
+    t = np.where(edge & (t > np.pi + 1e-15), 2 * np.pi - t, t)
+    return np.minimum(g, np.pi), t
 
 
 @dataclass(frozen=True)

@@ -278,6 +278,33 @@ def test_tiny_max_step_is_a_numerical_failure(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["compose", "scene"])
+def test_huge_max_step_is_a_numerical_failure(command, tmp_path, capsys):
+    # a prediction u + h t at h = 100 lands past |nu| = 1, where the
+    # corrector refuses it before evaluating the defining pair there
+    code = run([command, "--max-step", "100", "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: ") and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("variant, s", [("earring", "0.05"), ("bypass", "0.1")])
+def test_compose_reads_its_own_output(variant, s, tmp_path):
+    # composed.json lives in the second factor; composing it again reads it
+    # in the first and doubles the doubled vertical circle
+    for argv, out in ((["--name", "b_ver"], "once"),
+                      (["--curve-file", str(tmp_path / "once" / "composed.json")],
+                       "twice")):
+        assert run(["compose", *argv, "--variant", variant, "--s", s,
+                    "--out", str(tmp_path / out)]) == 0
+    twice = C.ImmersedCurve.from_json(
+        (tmp_path / "twice" / "composed.json").read_text())
+    assert twice.side == "P1" and len(twice.components) == 4
+    assert C.invariants(twice) == C.invariants(
+        C.double(C.double(C.vertical_circle())))
+
+
 def test_env_out_override(tmp_path, monkeypatch):
     monkeypatch.setenv("PILLOWCASE_OUT", str(tmp_path / "env_dir"))
     code = run(["trace", "--variant", "earring", "--s", "0", "--grid", "8",

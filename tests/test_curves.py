@@ -9,6 +9,7 @@ from pillowcase import compose as X
 from pillowcase import curves as C
 from pillowcase import variety as V
 from pillowcase.cli import torus_knot_scene
+from pillowcase.projection import r3_of_orbit
 
 from pillow_reference import PillowPoint, w1_hat, w2_hat
 
@@ -669,9 +670,9 @@ def test_nearest_segment_search_matches_brute_force_at_real_sizes(pair):
         near = X.compose_curve(C.vertical_circle(), "bypass", 0.05)
         far = C.double(C.vertical_circle())
     for src, dst in ((near, far), (far, near)):
-        pts = np.vstack([C.lift_to_r3(c.lift) for c in src.components])
+        pts = np.vstack([r3_of_orbit(*c.lift.T) for c in src.components])
         pts = pts[::len(pts) // 400]
-        polys = [C.lift_to_r3(c.lift) for c in dst.components]
+        polys = [r3_of_orbit(*c.lift.T) for c in dst.components]
         a = np.vstack([q[:-1] for q in polys])
         b = np.vstack([q[1:] for q in polys])
         # points on segments (vertices and midpoints) and repeated points
@@ -687,10 +688,10 @@ def test_nearest_segment_search_matches_brute_force_at_real_sizes(pair):
 def test_hausdorff_is_the_larger_one_sided_distance():
     a = C.double(C.vertical_circle())
     b = C.twisted_double(C.vertical_circle())
-    pa = np.vstack([C.lift_to_r3(c.lift) for c in a.components])
-    pb = np.vstack([C.lift_to_r3(c.lift) for c in b.components])
-    d_ab = np.min([_brute_force_polyline_dist(pa, C.lift_to_r3(c.lift))
+    pa = np.vstack([r3_of_orbit(*c.lift.T) for c in a.components])
+    pb = np.vstack([r3_of_orbit(*c.lift.T) for c in b.components])
+    d_ab = np.min([_brute_force_polyline_dist(pa, r3_of_orbit(*c.lift.T))
                    for c in b.components], axis=0)
-    d_ba = np.min([_brute_force_polyline_dist(pb, C.lift_to_r3(c.lift))
+    d_ba = np.min([_brute_force_polyline_dist(pb, r3_of_orbit(*c.lift.T))
                    for c in a.components], axis=0)
     assert C.hausdorff_r3(a, b) == max(d_ab.max(), d_ba.max())

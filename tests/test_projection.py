@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pillowcase import projection as P
 from pillowcase import quat
@@ -7,8 +8,9 @@ from pillowcase import verify as VF
 from pillowcase import words as W
 from pillowcase.cli import _variety_points
 
-from pillow_reference import (G, PillowPoint, chart_angle_ref, pi0_of_rep,
-                              psi_map, theta_map, w1_hat, w2_hat)
+from pillow_reference import (GENERATORS, G, PillowPoint, canonical_orbit,
+                              chart_angle_ref, pi0_of_rep, psi_map, theta_map,
+                              w1_hat, w2_hat)
 
 
 def variety_points(variant, s, n, seed=0):
@@ -24,14 +26,14 @@ def chart_of(rep):
 
 
 def test_canonical_orbit():
-    g, t = P.canonical_orbit(-0.7, -1.1)
+    g, t = canonical_orbit(-0.7, -1.1)
     assert g == pytest.approx(0.7)
     assert t == pytest.approx(1.1)
     # edge circles: theta folded into [0, pi]
-    g, t = P.canonical_orbit(0.0, 5.0)
+    g, t = canonical_orbit(0.0, 5.0)
     assert g == 0.0
     assert t == pytest.approx(2 * np.pi - 5.0)
-    g, t = P.canonical_orbit(np.pi, 4.0)
+    g, t = canonical_orbit(np.pi, 4.0)
     assert g == pytest.approx(np.pi)
     assert t == pytest.approx(2 * np.pi - 4.0)
 
@@ -53,7 +55,7 @@ def test_pi0_routes_agree():
     # the base orbit read off the chart, and the characters read back
     for variant, seed in (("earring", 0), ("bypass", 3)):
         for pt in variety_points(variant, 0.05, 10, seed=seed):
-            a = P.r3_of_orbit(*P.canonical_orbit(pt[1], pt[2]))
+            a = P.r3_of_orbit(*canonical_orbit(pt[1], pt[2]))
             b = P.pi0_r3(W.embed_L(variant, *pt))
             assert np.max(np.abs(a - b)) < 1e-10
     # corners and an explicit value
@@ -61,6 +63,31 @@ def test_pi0_routes_agree():
         "earring", 0.1, 0.0, 0.0, 0.2, 1.0)), (1, 1, 1))
     assert np.allclose(P.pi0_r3(W.embed_L(
         "earring", 0.1, np.pi / 2, 0.0, 0.0, 0.0)), (0, 1, 0), atol=1e-15)
+
+
+_angle = st.one_of(st.sampled_from([0.0, np.pi]), st.floats(0.0, 2 * np.pi))
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(gamma=_angle, theta=_angle, sign=st.sampled_from([1, -1]),
+       m=st.integers(-3, 3), n=st.integers(-3, 3))
+def test_orbit_representatives_share_their_characters(gamma, theta, sign,
+                                                      m, n):
+    # pi0_r3 reads its triple off the arccos angles, no canonical
+    # representative: every representative +-(gamma, theta) + 2 pi (m, n)
+    # of an orbit, an edge one too, has the same characters
+    other = P.r3_of_orbit(sign * gamma + 2 * np.pi * m,
+                          sign * theta + 2 * np.pi * n)
+    assert np.max(np.abs(other - P.r3_of_orbit(gamma, theta))) <= 1e-14
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_pi0_is_the_canonical_reference_bit_for_bit(variant):
+    rows = variety_points(variant, 0.05, 100, seed=5)
+    got = P.pi0_r3(W.embed_L(variant, *rows.T))
+    for row, v in zip(rows, got):
+        ref = pi0_of_rep(W.embed_L(variant, *row)).r3
+        assert v.tobytes() == np.array(ref).tobytes()
 
 
 def test_pi1_explicit_point_and_surface():
@@ -247,7 +274,7 @@ def _factorization_reference(rep):
 def _stack(reps):
     return W.Rep(variant=reps[0].variant, s=np.array([r.s for r in reps]),
                  **{g: np.stack([getattr(r, g) for r in reps])
-                    for g in W.GENERATORS})
+                    for g in GENERATORS})
 
 
 @pytest.mark.parametrize("variant", ["earring", "bypass"])
@@ -264,7 +291,7 @@ def test_batched_involution_matches_one_point_reference(variant):
         moved = P.u_involution(batch)
         for k, rep in enumerate(reps):
             ref = _u_involution_reference(rep)
-            for g in W.GENERATORS:
+            for g in GENERATORS:
                 assert np.array_equal(getattr(moved, g)[k], getattr(ref, g))
             assert P.verify_factorization(rep) == _factorization_reference(rep)
             assert np.array_equal(P.characters_in_out(moved)[k],
@@ -293,8 +320,8 @@ def test_word_layer_keeps_imaginary_parts():
     difference, and the float path's value in its real part."""
     rng = np.random.default_rng(3)
     n, h, fd = 16, 1e-20, 1e-6
-    # 72 letters with no cancelling pair, so eval_word renormalizes once
-    word = W.Word("aBfHpQ" * 12)
+    # 72 letters with no cancelling pair
+    word = "aBfHpQ" * 12
 
     def chart(x):  # (s, gamma, theta, nu, tau) with |nu| <= 0.4
         return 0.2, x[0], x[1], 0.4 * np.sin(x[2]), x[3]

@@ -9,7 +9,7 @@ from pillowcase import variety as V
 from pillowcase import verify as VF
 from pillowcase import words as W
 
-from pillow_reference import G, Gp
+from pillow_reference import GENERATORS, G, Gp
 
 
 def test_solve_fiber_s0_closed_form():
@@ -137,7 +137,7 @@ def test_eta_and_k_circle_broadcast_bit_for_bit(s, sigmas):
         for k, x in enumerate(sigmas):
             one = V.k_circle(variant, s, x)
             assert all(_same(getattr(rep, g)[k], getattr(one, g))
-                       for g in W.GENERATORS)
+                       for g in GENERATORS)
             assert one.a.shape == (4,)
             assert (rep.variant, rep.s) == (one.variant, one.s)
 

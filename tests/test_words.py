@@ -7,7 +7,7 @@ from pillowcase import quat
 from pillowcase import verify as VF
 from pillowcase import words as W
 
-from pillow_reference import G, Gp, chart_angle_ref
+from pillow_reference import GENERATORS, G, Gp, chart_angle_ref
 
 
 def qexp_series(v, terms=24):
@@ -37,24 +37,26 @@ def fiber_points(s, fibers):
 
 
 def test_word_reduction_and_inverse():
-    w = W.Word("abBA")
-    assert w.text == ""
+    assert W.free_reduce("abBA") == ""
     d = W.D_WORD
-    assert W.free_reduce(d.text + d.inverse().text) == ""
-    with pytest.raises(ValueError):
-        W.Word("xyz")
+    assert W.free_reduce(d + W.inverse_word(d)) == ""
 
 
 def test_named_word_identities():
+    # every named word is a freely reduced word in the generators
+    named = (W.LAMBDA_P, W.LAMBDA_Q, W.C_WORD, W.D_WORD, W.W_WORD, W.U_A,
+             W.U_B, W.U_F, W.U_H, *W.CHARS_P0, *W.CHARS_P1, *W.RELATORS)
+    assert all(W.free_reduce(w) == w and set(w.lower()) <= set(GENERATORS)
+               for w in named)
     # d = c^-1 g f with g = q^-1 b a f^-1 q, and w as stated; the involution
     # words reduce consistently
-    lhs = W.free_reduce(W.C_WORD.inverse().text + "QbaFq" + "f")
-    assert lhs == W.D_WORD.text
-    assert W.W_WORD.text == "AhQPhpqHaH"
-    assert W.U_A.text == "FQfABPbpq"
-    assert W.U_B.text == "FQfABPBpbaFqf"
+    lhs = W.free_reduce(W.inverse_word(W.C_WORD) + "QbaFq" + "f")
+    assert lhs == W.D_WORD
+    assert W.W_WORD == "AhQPhpqHaH"
+    assert W.U_A == "FQfABPbpq"
+    assert W.U_B == "FQfABPBpbaFqf"
     # the earring form of the involution's h-image reduces to the shared word
-    assert W.free_reduce("H" + W.inverse_word(W.W_WORD.text)) == W.U_H.text
+    assert W.free_reduce("H" + W.inverse_word(W.W_WORD)) == W.U_H
 
 
 def test_presentation_relators_hold_on_slice():
@@ -122,7 +124,7 @@ def test_eval_word_basics():
     assert abs(quat.real_part(W.eval_word(rep, "bA"))) < 1e-14
     for pt in random_points(20, seed=2):
         rep = W.embed_L("earring", *pt)
-        comm = W.eval_word(rep, W.commutator("p", W.LAMBDA_P.text))
+        comm = W.eval_word(rep, W.commutator("p", W.LAMBDA_P))
         assert np.max(np.abs(comm - quat.ONE)) < 1e-10
 
 
