@@ -30,12 +30,17 @@ def _to_px(pt):
     return x, y
 
 
+def _text(s: str) -> str:
+    """Escape text content for XML; '>' is legal there and keeps its byte."""
+    return s.replace("&", "&amp;").replace("<", "&lt;")
+
+
 def _polyline_svg(points: np.ndarray, color: str, width: float = 1.2) -> str:
-    # _to_px over the rows at once; formatting Python floats is faster than
-    # formatting numpy scalars, and prints the same digits
-    xs = (_MARGIN + _SCALE * points[:, 0]).tolist()
-    ys = (_MARGIN + _SCALE * (TWO_PI - points[:, 1])).tolist()
-    coords = " ".join(f"{x:.6f},{y:.6f}" for x, y in zip(xs, ys))
+    # _to_px over the rows, then one % over the interleaved Python floats
+    xs = _MARGIN + _SCALE * points[:, 0]
+    ys = _MARGIN + _SCALE * (TWO_PI - points[:, 1])
+    flat = np.column_stack((xs, ys)).ravel().tolist()
+    coords = " ".join(["%.6f,%.6f"] * len(points)) % tuple(flat)
     return (f'<polyline fill="none" stroke="{color}" '
             f'stroke-width="{_fmt(width)}" points="{coords}"/>')
 
@@ -77,7 +82,7 @@ def scene_svg(curves, fold_image=None, title: str = "") -> str:
     ]
     if title:
         out.append(f'<text x="{_fmt(_MARGIN)}" y="{_fmt(_MARGIN - 10)}" '
-                   f'font-size="14" font-family="monospace">{title}</text>')
+                   f'font-size="14" font-family="monospace">{_text(title)}</text>')
     for cx in (0.0, np.pi):
         for cy in (0.0, np.pi, TWO_PI):
             px, py = _to_px((cx, cy))
@@ -94,6 +99,6 @@ def scene_svg(curves, fold_image=None, title: str = "") -> str:
                 out.append(_polyline_svg(seg, color))
         out.append(f'<text x="{_fmt(_MARGIN + 4)}" y="{_fmt(_MARGIN + 16 + 14 * k)}" '
                    f'font-size="12" font-family="monospace" fill="{color}">'
-                   f'{name}</text>')
+                   f'{_text(name)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

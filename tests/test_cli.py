@@ -325,6 +325,39 @@ def test_svg_well_formed(tmp_path):
     assert len(root) > 5
 
 
+def test_svg_escapes_its_text():
+    import xml.etree.ElementTree as ET
+
+    from pillowcase import _svg
+
+    svg = _svg.scene_svg([("a&b<c", C.vertical_circle()),
+                          ("composed -> P1", C.vertical_circle())],
+                         title="a&b<c")
+    assert "composed -> P1" in svg
+    texts = [el.text for el in ET.fromstring(svg).iter()
+             if el.tag.endswith("text")]
+    assert texts == ["a&b<c", "a&b<c", "composed -> P1"]
+
+
+_coord = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e6, -1e6, 999999.9999995, -5e-7]))
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(_coord, _coord), min_size=1, max_size=40))
+def test_polyline_coordinates_match_per_pair_formatting(pairs):
+    from pillowcase import _svg
+
+    points = np.array(pairs, dtype=float)
+    xs = (_svg._MARGIN + _svg._SCALE * points[:, 0]).tolist()
+    ys = (_svg._MARGIN + _svg._SCALE * (_svg.TWO_PI - points[:, 1])).tolist()
+    coords = " ".join(f"{x:.6f},{y:.6f}" for x, y in zip(xs, ys))
+    assert _svg._polyline_svg(points, "#000") == (
+        f'<polyline fill="none" stroke="#000" stroke-width="1.200000" '
+        f'points="{coords}"/>')
+
+
 def test_compose_rejects_bad_curve_files(tmp_path, capsys):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
@@ -537,13 +570,33 @@ def test_variety_points_skip_roots_outside_the_chart():
     assert np.all(np.abs(pts[:, 3]) <= 0.5 + 1e-9)
 
 
-def _run_fresh(script: str) -> str:
-    """Stdout of a script run in a fresh interpreter on this checkout."""
+def _run_fresh(script: str, **extra: str) -> str:
+    """Stdout of a script run in a fresh interpreter on this checkout, with
+    ``extra`` added to its environment.  OPENBLAS_NUM_THREADS is passed on
+    only when given: importing cli here has set it."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env = dict(base, PYTHONPATH=src + (os.pathsep + path if path else ""),
+               **extra)
     return subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, check=True).stdout
+
+
+def test_cli_starts_numpy_on_one_blas_thread():
+    script = (
+        "import os, sys\n"
+        "import pillowcase.cli\n"
+        "assert 'numpy' in sys.modules\n"
+        "print(os.environ['OPENBLAS_NUM_THREADS'])\n"
+        "if sys.platform.startswith('linux'):\n"
+        "    print(len(os.listdir('/proc/self/task')))\n")
+    out = _run_fresh(script).split()
+    assert out[0] == "1"
+    if sys.platform.startswith("linux"):
+        assert out[1] == "1"
+    # a value the user set is kept
+    assert _run_fresh(script, OPENBLAS_NUM_THREADS="2").split()[0] == "2"
 
 
 def test_runtime_does_not_import_scipy():
