@@ -344,74 +344,77 @@ def figure_eight(arc: ImmersedCurve, s: float, n: int = 1440) -> ImmersedCurve:
 # intersections in the quotient
 # ---------------------------------------------------------------------------
 
-def _box_cells(P0, P1, cell):
-    """(segment, cell, first cell of the segment's box) for every
-    uniform-grid cell that a segment's bounding box touches; cells are
-    integer (x, y) rows, listed x-major per segment."""
-    lo = np.floor(np.minimum(P0, P1) / cell).astype(np.int64)
-    span = np.floor(np.maximum(P0, P1) / cell).astype(np.int64) - lo + 1
-    count = span[:, 0] * span[:, 1]
-    seg = np.repeat(np.arange(len(P0)), count)
-    k = np.arange(seg.size) - np.repeat(np.cumsum(count) - count, count)
-    off = np.column_stack([k // span[seg, 1], k % span[seg, 1]])
-    return seg, lo[seg] + off, lo[seg]
+_RUN = 8  # consecutive segments under one box of the crossing search
+_RUN_PAIRS = 256  # candidate box pairs per pass of the crossing search
 
 
-def _grid_cell(P0, P1, Q0, Q1) -> float:
-    """The grid cell of two segment families: twice their longest segment."""
-    lens = np.concatenate([np.linalg.norm(P1 - P0, axis=1),
-                           np.linalg.norm(Q1 - Q0, axis=1)])
-    return max(1e-6, 2.0 * float(np.max(lens)))
+def _runs(n: int, size: int) -> np.ndarray:
+    """Indices 0..n-1 in rows of ``size``; the last row repeats n - 1."""
+    return np.minimum(np.arange(-(-n // size) * size), n - 1).reshape(-1, size)
 
 
-def _candidate_pairs(P0, P1, Q0, Q1, cell=None):
-    """Index pairs of segments whose bounding boxes can meet, found with a
-    uniform grid over segment boxes (both families are short-segment
-    polylines, so each segment touches a handful of cells).  The cell
-    defaults to ``_grid_cell`` of the two families.
-
-    The sorted cell index of the Q family is built once; the P segments are
-    then walked in passes of ``_PAIR_SEGMENTS``, and each pass yields its
-    (i, j) arrays, so temporaries scale with a pass, not with the whole
-    search.  Across the passes, pairs come ordered by i, then by the first
-    cell of i's box they share, then by j; each pair once.
-    """
-    if cell is None:
-        cell = _grid_cell(P0, P1, Q0, Q1)
-    jq, cq, loq = _box_cells(Q0, Q1, cell)
-    # one integer key per cell, over every cell row either family reaches;
-    # Q's cells sorted by (key, j)
-    y = np.concatenate([P0[:, 1], P1[:, 1], Q0[:, 1], Q1[:, 1]])
-    y0, y1 = np.floor(np.array([y.min(), y.max()]) / cell).astype(np.int64)
-    width = y1 - y0 + 1
-    kq = cq[:, 0] * width + (cq[:, 1] - y0)
-    del cq  # else the generator holds it through every pass
-    order = np.lexsort((jq, kq))
-    kq, jq, loq = kq[order], jq[order], loq[order]
-    for lo in range(0, len(P0), _PAIR_SEGMENTS):
-        ip, cp, lop = _box_cells(P0[lo:lo + _PAIR_SEGMENTS],
-                                 P1[lo:lo + _PAIR_SEGMENTS], cell)
-        kp = cp[:, 0] * width + (cp[:, 1] - y0)
-        first = np.searchsorted(kq, kp, side="left")
-        n = np.searchsorted(kq, kp, side="right") - first
-        e = np.repeat(np.arange(kp.size), n)  # P cell entry of each match
-        f = np.repeat(first - np.cumsum(n) + n, n) + np.arange(e.size)
-        # two boxes share a block of cells; keep the pair at its first cell
-        once = np.all(cp[e] == np.maximum(lop[e], loq[f]), axis=1)
-        yield lo + ip[e[once]], jq[f[once]]
+def _run_boxes(P0, P1, pad=0.0):
+    """The segments' boxes, widened by ``pad``, their ``_runs`` of
+    ``_RUN``, and the boxes of the runs.  A box is a column of rows
+    (lo_x, lo_y, hi_x, hi_y)."""
+    box = np.empty((4, len(P0)))
+    np.minimum(P0.T, P1.T, out=box[:2])
+    np.maximum(P0.T, P1.T, out=box[2:])
+    box[:2] -= pad
+    box[2:] += pad
+    start = np.arange(0, len(P0), _RUN)
+    run_box = np.concatenate([np.minimum.reduceat(box[:2], start, axis=1),
+                              np.maximum.reduceat(box[2:], start, axis=1)])
+    return box, _runs(len(P0), _RUN), run_box
 
 
-def _segment_crossings(P0, P1, Q0, Q1, cell=None):
-    """Proper crossings between two segment families (grid-culled, on
-    ``_candidate_pairs``' grid with the given cell).  Each pass of candidate
-    pairs is tested on its own and only its hits are kept.
+def _meet(a, i, b, j) -> np.ndarray:
+    """Whether boxes a[:, i] and b[:, j] meet, gathered row by row."""
+    return (a[0, i] <= b[2, j]) & (b[0, j] <= a[2, i]) & \
+        (a[1, i] <= b[3, j]) & (b[1, j] <= a[3, i])
+
+
+def _sweep(P0, P1):
+    """One side of the crossing search, built once: P's run boxes, widened
+    by 1e-6, sorted by their lower end along the axis in which their
+    centres spread the most, with the running maximum of their upper ends
+    along it.  Returns (segment boxes, runs, run boxes, axis, running max)."""
+    box, runs, run_box = _run_boxes(P0, P1, 1e-6)
+    centre = run_box[:2] + run_box[2:]
+    ax = int(np.argmax(centre.max(axis=1) - centre.min(axis=1)))
+    order = np.argsort(run_box[ax], kind="stable")
+    run_box = run_box[:, order]
+    return box, runs[order], run_box, ax, np.maximum.accumulate(run_box[2 + ax])
+
+
+def _segment_crossings(P0, P1, sweep, Q0, Q1):
+    """Proper crossings between two segment families, ``sweep`` being
+    ``_sweep(P0, P1)``.  Each run box of Q takes the window of P's sorted
+    run boxes that can meet it along the sweep axis (``searchsorted`` on
+    their lower ends and on the running maximum of their upper ends); the
+    window pairs go in passes of ``_RUN_PAIRS``, and the segment pairs of
+    the run pairs whose boxes meet are tested, segment boxes first.
 
     Returns index pairs, parameters, points, and the crossing angles (rad,
-    in [0, pi/2]).
+    in [0, pi/2]), ordered by i, then j.
     """
+    box, runs, run_box, ax, reach = sweep
+    qbox, qruns, qrun_box = _run_boxes(Q0, Q1)
+    first = np.searchsorted(reach, qrun_box[ax], side="left")
+    count = np.maximum(np.searchsorted(run_box[ax], qrun_box[2 + ax],
+                                       side="right") - first, 0)
+    ends = np.cumsum(count)
     found = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
               np.empty(0), np.empty(0))]
-    for ic, jc in _candidate_pairs(P0, P1, Q0, Q1, cell):
+    for lo in range(0, int(ends[-1]), _RUN_PAIRS):
+        k = np.arange(lo, min(lo + _RUN_PAIRS, ends[-1]))
+        q = np.searchsorted(ends, k, side="right")
+        p = first[q] + k - ends[q] + count[q]
+        near = _meet(run_box, p, qrun_box, q)
+        ic, jc = (x.ravel() for x in np.broadcast_arrays(
+            runs[p[near], :, None], qruns[q[near], None, :]))
+        near = _meet(box, ic, qbox, jc)
+        ic, jc = ic[near], jc[near]
         d1 = P1[ic] - P0[ic]
         d2 = Q1[jc] - Q0[jc]
         den = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
@@ -425,6 +428,9 @@ def _segment_crossings(P0, P1, Q0, Q1, cell=None):
             (u >= -eps) & (u < 1 - eps)
         found.append((ic[hit], jc[hit], t[hit], u[hit]))
     ii, jj, tt, uu = (np.concatenate(x) for x in zip(*found))
+    # (i, j) order, each pair once: the last runs repeat their last segment
+    _, once = np.unique(ii * len(Q0) + jj, return_index=True)
+    ii, jj, tt, uu = ii[once], jj[once], tt[once], uu[once]
     pts = P0[ii] + tt[:, None] * (P1[ii] - P0[ii])
     a1 = np.arctan2(P1[ii, 1] - P0[ii, 1], P1[ii, 0] - P0[ii, 0])
     a2 = np.arctan2(Q1[jj, 1] - Q0[jj, 1], Q1[jj, 0] - Q0[jj, 0])
@@ -455,16 +461,14 @@ def _translates(lift_a: np.ndarray, lift_b: np.ndarray):
     return out
 
 
-def _meeting(P0, P1, Q0, Q1) -> np.ndarray:
-    """Indices of the P segments whose boxes meet the box of the Q segments,
-    widened by 1e-6.  It works column by column: numpy reduces an (n, 2)
-    array along either axis about ten times slower."""
+def _meeting(P0, P1, lo, hi) -> np.ndarray:
+    """Indices of the P segments whose boxes meet the box [lo, hi].  It
+    works column by column: numpy reduces an (n, 2) array along either axis
+    about ten times slower."""
     meet = np.ones(len(P0), dtype=bool)
     for k in (0, 1):
-        lo = min(Q0[:, k].min(), Q1[:, k].min()) - 1e-6
-        hi = max(Q0[:, k].max(), Q1[:, k].max()) + 1e-6
-        meet &= (np.maximum(P0[:, k], P1[:, k]) >= lo) & \
-            (np.minimum(P0[:, k], P1[:, k]) <= hi)
+        meet &= (np.maximum(P0[:, k], P1[:, k]) >= lo[k]) & \
+            (np.minimum(P0[:, k], P1[:, k]) <= hi[k])
     return np.flatnonzero(meet)
 
 
@@ -476,29 +480,26 @@ def _crossings(lift_a: np.ndarray, lift_b: np.ndarray):
     is the identity, the segment indices, the polyline parameters (segment
     index + fraction), the crossing point on lift_a and the angle.
 
-    Only the segments of a translate whose boxes meet lift_a's box are
-    searched, against only the segments of lift_a whose boxes meet theirs,
-    and a translate with none is skipped.  The hits are still those of the
-    whole translate, in the same order: the grid finds every pair of
-    crossing segments, and it keeps the whole translate's cell, so the hits
-    of one translate stay ordered by i, then cell, then j.
+    lift_a's ``_sweep`` is built once.  Only the segments of a translate
+    whose boxes meet lift_a's box, widened by 1e-6, are searched, and a
+    translate with none is skipped.  The hits of one translate come ordered
+    by i, then j.
     """
     A0, A1 = lift_a[:-1], lift_a[1:]
+    sweep = _sweep(A0, A1)
+    lo, hi = lift_a.min(axis=0) - 1e-6, lift_a.max(axis=0) + 1e-6
     for sign, shift in _translates(lift_a, lift_b):
         B = sign * lift_b + shift
         B0, B1 = B[:-1], B[1:]
-        keep = _meeting(B0, B1, A0, A1)
+        keep = _meeting(B0, B1, lo, hi)
         if len(keep) == 0:
             continue
         identity = sign == 1 and np.max(np.abs(shift)) < 1e-12
-        Q0, Q1 = B0[keep], B1[keep]
-        near = _meeting(A0, A1, Q0, Q1)
         # copied only when some segments are left out
-        P0, P1 = ((A0, A1) if len(near) == len(A0) else
-                  (A0[near], A1[near]))
-        ii, jj, tt, uu, pts, ang = _segment_crossings(
-            P0, P1, Q0, Q1, _grid_cell(A0, A1, B0, B1))
-        ii, jj = near[ii], keep[jj]
+        Q0, Q1 = ((B0, B1) if len(keep) == len(B0) else
+                  (B0[keep], B1[keep]))
+        ii, jj, tt, uu, pts, ang = _segment_crossings(A0, A1, sweep, Q0, Q1)
+        jj = keep[jj]
         far = _corner_lattice_distance(pts) >= CORNER_TOL
         for k in np.nonzero(far)[0]:
             i, j = int(ii[k]), int(jj[k])
@@ -710,7 +711,6 @@ _BLOCK = 16  # consecutive segments under one bounding ball
 _POINT_BLOCK = 32  # consecutive points under one bounding ball
 _RUNS_PER_PASS = 8  # point blocks per pass, each against every block
 _PAIR_CHUNK = 4096  # (point, block) pairs per exact pass: 64k segment rows
-_PAIR_SEGMENTS = 512  # P segments per pass of the crossing search
 
 
 def _nearest_in_block(pts, seg, blk):
@@ -720,11 +720,6 @@ def _nearest_in_block(pts, seg, blk):
     t = np.clip(np.sum((pts[:, None] - a) * ab, axis=-1) / denom, 0.0, 1.0)
     x = pts[:, None] - (a + t[..., None] * ab)
     return np.sqrt(np.sum(x * x, axis=-1)).min(axis=1)
-
-
-def _runs(n: int, size: int) -> np.ndarray:
-    """Indices 0..n-1 in rows of ``size``; the last row repeats n - 1."""
-    return np.minimum(np.arange(-(-n // size) * size), n - 1).reshape(-1, size)
 
 
 def _balls(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

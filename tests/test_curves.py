@@ -441,55 +441,9 @@ def test_figure_eight_single_double_point_across_s():
             assert len(C.self_intersections(f8.components[0])) == 1, (arc.name, s)
 
 
-def _dict_candidate_pairs(P0, P1, Q0, Q1):
-    """The replaced dict-of-lists grid, kept as the reference."""
-    lens = np.concatenate([np.linalg.norm(P1 - P0, axis=1),
-                           np.linalg.norm(Q1 - Q0, axis=1)])
-    cell = max(1e-6, 2.0 * float(np.max(lens)))
-    loQ = np.floor(np.minimum(Q0, Q1) / cell).astype(np.int64)
-    hiQ = np.floor(np.maximum(Q0, Q1) / cell).astype(np.int64)
-    grid = {}
-    for j in range(len(Q0)):
-        for cx in range(loQ[j, 0], hiQ[j, 0] + 1):
-            for cy in range(loQ[j, 1], hiQ[j, 1] + 1):
-                grid.setdefault((cx, cy), []).append(j)
-    loP = np.floor(np.minimum(P0, P1) / cell).astype(np.int64)
-    hiP = np.floor(np.maximum(P0, P1) / cell).astype(np.int64)
-    ii, jj = [], []
-    for i in range(len(P0)):
-        seen = set()
-        for cx in range(loP[i, 0], hiP[i, 0] + 1):
-            for cy in range(loP[i, 1], hiP[i, 1] + 1):
-                for j in grid.get((cx, cy), ()):
-                    if j not in seen:
-                        seen.add(j)
-                        ii.append(i)
-                        jj.append(j)
-    return np.asarray(ii, dtype=np.int64), np.asarray(jj, dtype=np.int64)
-
-
-def _joined_pairs(P0, P1, Q0, Q1):
-    """The passes of ``curves._candidate_pairs``, concatenated; checks that
-    pass k holds the pairs of P segments k * _PAIR_SEGMENTS onward."""
-    passes = list(C._candidate_pairs(P0, P1, Q0, Q1))
-    assert len(passes) == -(-len(P0) // C._PAIR_SEGMENTS)
-    for k, (i, _) in enumerate(passes):
-        assert np.all(i // C._PAIR_SEGMENTS == k)
-    empty = np.empty(0, dtype=np.int64)
-    return tuple(np.concatenate(x) for x in zip((empty, empty), *passes))
-
-
-def _assert_same_pairs(P, Q):
-    got = _joined_pairs(P[:-1], P[1:], Q[:-1], Q[1:])
-    ref = _dict_candidate_pairs(P[:-1], P[1:], Q[:-1], Q[1:])
-    assert set(zip(*got)) == set(zip(*ref))
-    # each pair once, in the reference's order
-    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
-
-
 def _random_walks():
     """(P, Q) random walks with step scales from far below to above the
-    cell."""
+    other walk's."""
     rng = np.random.default_rng(11)
     for _ in range(100):
         P = np.cumsum(rng.normal(0, 0.1, (rng.integers(2, 200), 2)), axis=0)
@@ -505,63 +459,48 @@ def _scene_lifts():
             for c in cur.components]
 
 
-def test_candidate_pairs_match_dict_grid():
-    for P, Q in _random_walks():
-        _assert_same_pairs(P, Q)
-    # the scene's input curves, under the translates intersect uses
-    comps = _scene_lifts()
-    for A in comps:
-        for B in comps:
-            for sign, shift in C._translates(A, B):
-                _assert_same_pairs(A, sign * B + shift)
+def _near(A, B, pad):
+    """Indices of A's segments whose boxes meet B's box, widened by pad."""
+    lo, hi = B.min(axis=0) - pad, B.max(axis=0) + pad
+    return np.flatnonzero(np.all((np.maximum(A[:-1], A[1:]) >= lo) &
+                                 (np.minimum(A[:-1], A[1:]) <= hi), axis=1))
 
 
-def _pair_search(A, B):
-    """The candidate pairs of A against each translate of B whose box meets
-    A's box, and the crossings of A with B."""
-    pairs = []
-    for sign, shift in C._translates(A, B):
-        T = sign * B + shift
-        if np.all((T.max(axis=0) >= A.min(axis=0)) &
-                  (T.min(axis=0) <= A.max(axis=0))):
-            pairs.append(_joined_pairs(A[:-1], A[1:], T[:-1], T[1:]))
-    return pairs, _crossing_tuples(C._crossings(A, B))
-
-
-@pytest.mark.parametrize("size", [1, 7, C._PAIR_SEGMENTS])
-def test_passes_match_one_pass(monkeypatch, size):
-    lifts = _scene_lifts()
-    # a pass costs about 0.1 ms whatever its size, so at one segment a pass
-    # only the shortest lift, the 360-segment slope-one arc, leads
-    leads = lifts[:1] if size == 1 else lifts
-    inputs = [*_random_walks(), *((A, B) for A in leads for B in lifts)]
-    monkeypatch.setattr(C, "_PAIR_SEGMENTS", 10**9)
-    ref = [_pair_search(A, B) for A, B in inputs]
-    monkeypatch.setattr(C, "_PAIR_SEGMENTS", size)
-    for (A, B), (ref_pairs, ref_hits) in zip(inputs, ref):
-        pairs, hits = _pair_search(A, B)
-        assert len(pairs) == len(ref_pairs)
-        for got, want in zip(pairs, ref_pairs):
-            assert np.array_equal(got[0], want[0])
-            assert np.array_equal(got[1], want[1])
-        assert hits == ref_hits
-    assert sum(len(hits) for _, hits in ref) > 1000
-    # the leading lifts span more than one pass
-    assert max(len(A) for A in leads) > size + 1
-
-
-def _ref_crossings(lift_a, lift_b):
-    """The crossing loop ``curves._crossings`` replaced: one grid search
-    over the whole of every translate, kept as its reference."""
-    A0, A1 = lift_a[:-1], lift_a[1:]
+def _brute_crossings(lift_a, lift_b, pad=1e-3, chunk=256):
+    """Every segment pair of lift_a and of each ``_translates`` translate of
+    lift_b whose boxes meet within pad, tested with the crossing predicate
+    written out, in (i, j) order.  Segments that miss the other lift's box,
+    widened by pad, meet no box of it and are left out first."""
     for sign, shift in C._translates(lift_a, lift_b):
         B = sign * lift_b + shift
         identity = sign == 1 and np.max(np.abs(shift)) < 1e-12
-        ii, jj, tt, uu, pts, ang = C._segment_crossings(A0, A1, B[:-1], B[1:])
-        far = C._corner_lattice_distance(pts) >= C.CORNER_TOL
-        for k in np.nonzero(far)[0]:
-            i, j = int(ii[k]), int(jj[k])
-            yield identity, i, j, i + tt[k], j + uu[k], pts[k], float(ang[k])
+        ia, jb = _near(lift_a, B, pad), _near(B, lift_a, pad)
+        Q0, Q1 = B[jb], B[jb + 1]
+        qlo, qhi = np.minimum(Q0, Q1).T, np.maximum(Q0, Q1).T
+        for lo in range(0, len(ia), chunk):
+            P0, P1 = lift_a[ia[lo:lo + chunk]], lift_a[ia[lo:lo + chunk] + 1]
+            plo, phi = np.minimum(P0, P1).T, np.maximum(P0, P1).T
+            ic, jc = np.nonzero((phi[0, :, None] + pad >= qlo[0]) &
+                                (plo[0, :, None] - pad <= qhi[0]) &
+                                (phi[1, :, None] + pad >= qlo[1]) &
+                                (plo[1, :, None] - pad <= qhi[1]))
+            d1, d2 = P1[ic] - P0[ic], Q1[jc] - Q0[jc]
+            den = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
+            dx, dy = (Q0[jc] - P0[ic]).T
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = (dx * d2[:, 1] - dy * d2[:, 0]) / den
+                u = (dx * d1[:, 1] - dy * d1[:, 0]) / den
+            eps = 1e-12
+            hit = (np.abs(den) > 0) & (t >= -eps) & (t < 1 - eps) & \
+                (u >= -eps) & (u < 1 - eps)
+            pts = P0[ic] + t[:, None] * d1
+            hit &= C._corner_lattice_distance(pts) >= C.CORNER_TOL
+            a1 = np.arctan2(d1[:, 1], d1[:, 0])
+            a2 = np.arctan2(d2[:, 1], d2[:, 0])
+            ang = np.abs(np.mod(a1 - a2 + np.pi / 2, np.pi) - np.pi / 2)
+            for k in np.flatnonzero(hit):
+                i, j = int(ia[lo + ic[k]]), int(jb[jc[k]])
+                yield identity, i, j, i + t[k], j + u[k], pts[k], float(ang[k])
 
 
 def _crossing_tuples(crossings):
@@ -569,11 +508,17 @@ def _crossing_tuples(crossings):
             for idn, i, j, ta, tb, pt, ang in crossings]
 
 
-def test_crossings_match_per_translate_reference():
+def _crossing_inputs():
+    """Lift pairs: random walks, the scene's lifts, its inputs against the
+    fold images and the s = 0.2 composed curves, and a case of two hits on
+    one segment."""
+    pairs = list(_random_walks())
+    lifts = _scene_lifts()
+    pairs += [(A, B) for A in lifts for B in lifts]
     inputs = [c.lift for cur in (C.slope_one_arc(), C.slope_two_arc(),
                                  C.twisted_double(C.vertical_circle()))
               for c in cur.components]
-    pairs = [(A, B) for A in inputs for B in inputs]
+    pairs += [(A, B) for A in inputs for B in inputs]
     for variant in ("earring", "bypass"):
         circles = V.fold_locus(variant, 0.2)
         folds = [c.lift for c in
@@ -583,34 +528,49 @@ def test_crossings_match_per_translate_reference():
             for c in X.compose_curve(curve, variant, 0.2,
                                      circles=circles).components:
                 pairs += [(c.lift, c.lift)] + [(c.lift, B) for B in inputs]
-    # Q crosses P's segment at x = 2.4, then at x = 1.6; its long last
-    # segment misses P's box, and without it the cell would be 2, putting
-    # the two crossings in different cells, in the other order
+    # Q crosses P's one segment at x = 2.4, then at x = 1.6: the two hits
+    # share i and keep Q's order; Q's long last segment misses P's box
     P = np.array([[1.5, 0.0], [2.5, 0.0]])
     Q = np.array([[2.4, -0.5], [2.4, 0.5], [1.6, 0.5], [1.6, -0.5],
                   [1.6, -10.5]])
-    pairs += [(P, Q), (Q, P)]
+    return pairs + [(P, Q), (Q, P)]
+
+
+def test_crossings_match_per_translate_reference():
     hits = 0
-    for A, B in pairs:
-        ref = _crossing_tuples(_ref_crossings(A, B))
-        assert _crossing_tuples(C._crossings(A, B)) == ref
+    for A, B in _crossing_inputs():
+        got = _crossing_tuples(C._crossings(A, B))
+        ref = _crossing_tuples(_brute_crossings(A, B))
+        assert got == ref
         hits += len(ref)
-    assert hits > 5000
+    assert hits > 30000
+
+
+def test_hits_do_not_depend_on_the_pass_size(monkeypatch):
+    inputs = [*_random_walks(), *((A, B) for A in _scene_lifts()[:1]
+                                  for B in _scene_lifts())]
+    ref = [_crossing_tuples(C._crossings(A, B)) for A, B in inputs]
+    monkeypatch.setattr(C, "_RUN_PAIRS", 1)
+    assert [_crossing_tuples(C._crossings(A, B)) for A, B in inputs] == ref
+    assert sum(map(len, ref)) > 1000
 
 
 def test_edge_crossing_search_peak_memory():
     # quick verify's composed bottom edge: its search against itself has
-    # about 65k candidate pairs, which took 6.6 MB when built at once
+    # about 65k candidate pairs, which took 6.6 MB when built at once; and
+    # a long vertical lift, on which a sweep along x alone is quadratic
     edge = X.compose_curve(C.bottom_edge(), "bypass", 0.05, max_step=1.5e-3)
-    comp = edge.components[0]
-    assert len(comp.lift) > 7000
-    tracemalloc.start()
-    try:
-        assert len(C.self_intersections(comp)) == 1
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
+    vertical = C.twisted_double(C.vertical_circle(10001))
+    for comp, double_points in ((edge.components[0], 1),
+                                (vertical.components[0], 0)):
+        assert len(comp.lift) > 7000
+        tracemalloc.start()
+        try:
+            assert len(C.self_intersections(comp)) == double_points
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 def test_scene_searches_few_translates(monkeypatch):
@@ -618,7 +578,7 @@ def test_scene_searches_few_translates(monkeypatch):
     search = C._segment_crossings
 
     def counted(*args):
-        calls.append(len(args[2]))
+        calls.append(len(args[3]))
         return search(*args)
 
     monkeypatch.setattr(C, "_segment_crossings", counted)
