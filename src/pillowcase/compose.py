@@ -41,8 +41,9 @@ import numpy as np
 
 from . import _kernels
 from .curves import (TURN_LIMIT, CurveComponent, CurveError,
-                     GenericPositionError, ImmersedCurve, double, figure_eight,
-                     hausdorff_r3, intersect, invariants, turning_angles)
+                     GenericPositionError, ImmersedCurve, distinct_rows,
+                     double, figure_eight, hausdorff_r3, intersect,
+                     invariants, turning_angles)
 from .projection import pi0_u_r3, pi1_r3_of_chart
 from .variety import (COMPLEX_STEP, ContinuationError, FoldCircle, eta,
                       fold_locus, k_circle, solve_fiber, tau_seed)
@@ -105,26 +106,23 @@ def fold_image_curves(circles: list[FoldCircle]) -> ImmersedCurve:
 
 def check_transversality(curve: ImmersedCurve, variant: str, s: float,
                          circles: list[FoldCircle] | None = None):
-    """All crossings of the curve with the fold images, with a transversality
-    verdict (angle above 1e-2 rad required).
+    """A transversality verdict (angle above 1e-2 rad required) and, when
+    it holds, the crossings of the curve with the fold images as an
+    ``IntersectionResult`` (None when it fails).
 
     The fold-image lift double covers the quotient fold image (it is the
     full flip-invariant circle upstairs), so hits are deduplicated by their
-    position on the input curve.
+    position on the input curve: a hit within 1e-6 of a kept one in t_a on
+    the same component is dropped.
     """
     fold_curve = fold_image_curves(
         fold_locus(variant, s) if circles is None else circles)
     try:
         res = intersect(curve, fold_curve, angle_tol=1e-2)
     except GenericPositionError:
-        return False, []
-    crossings = []
-    for hit in res.points:
-        dup = any(c.comp_a == hit.comp_a and abs(c.t_a - hit.t_a) < 1e-6
-                  for c in crossings)
-        if not dup:
-            crossings.append(hit)
-    return True, crossings
+        return False, None
+    return True, res.take(distinct_rows(
+        np.column_stack([res.t_a, res.comp_a]), 1e-6))
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,16 @@ figure-eight circle supported by a good arc (equivariant double pushed off
 along the normal by a -2s cos profile), transverse intersection counting,
 a regular-homotopy proxy invariant tuple per component, and the Hausdorff
 distance of curve images in character coordinates, by an exact
-nearest-segment search.
+nearest-segment search.  Crossings are arrays: one search returns every
+hit of a lift pair at once, one rule (``distinct_rows``) drops duplicate
+hits, and ``intersect`` and ``self_intersections`` return an
+``IntersectionResult`` of arrays.
 """
 
 from __future__ import annotations
 
 import json
-import math
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -439,26 +442,25 @@ def _segment_crossings(P0, P1, sweep, Q0, Q1):
 
 
 def lattice_shifts(lo_a, hi_a, lo_b, hi_b) -> list[np.ndarray]:
-    """The lattice shifts 2 pi (m, n), m-major, that can move the box
-    [lo_b, hi_b] onto the box [lo_a, hi_a]: every shift whose image of box b
-    meets box a, and possibly a few more."""
+    """The lattice shifts 2 pi (m, n), m-major, whose image of the box
+    [lo_b, hi_b] meets the box [lo_a, hi_a].  The shift range is rounded
+    inward with a slack of 1e-9 lattice steps, so every shift whose image
+    meets is listed, and otherwise only those that miss by less than
+    2 pi 1e-9."""
     lo_a, hi_a, lo_b, hi_b = map(np.asarray, (lo_a, hi_a, lo_b, hi_b))
-    k0 = np.floor((lo_a - hi_b) / TWO_PI).astype(int)
-    k1 = np.ceil((hi_a - lo_b) / TWO_PI).astype(int)
+    k0 = np.ceil((lo_a - hi_b) / TWO_PI - 1e-9).astype(int)
+    k1 = np.floor((hi_a - lo_b) / TWO_PI + 1e-9).astype(int)
     return [np.array([TWO_PI * m, TWO_PI * n])
             for m in range(k0[0], k1[0] + 1) for n in range(k0[1], k1[1] + 1)]
 
 
 def _translates(lift_a: np.ndarray, lift_b: np.ndarray):
-    """Group elements g = (sign, shift) whose image of lift_b can meet lift_a."""
-    lo_a = lift_a.min(axis=0) - 1e-6
-    hi_a = lift_a.max(axis=0) + 1e-6
-    out = []
-    for sign in (1, -1):
-        bb = sign * lift_b
-        out += [(sign, shift) for shift in lattice_shifts(
-            lo_a, hi_a, bb.min(axis=0), bb.max(axis=0))]
-    return out
+    """Group elements g = (sign, shift) whose image of lift_b meets lift_a's
+    box, widened by 1e-6."""
+    lo_a, hi_a = lift_a.min(axis=0) - 1e-6, lift_a.max(axis=0) + 1e-6
+    lo_b, hi_b = lift_b.min(axis=0), lift_b.max(axis=0)
+    return [(1, s) for s in lattice_shifts(lo_a, hi_a, lo_b, hi_b)] + \
+        [(-1, s) for s in lattice_shifts(lo_a, hi_a, -hi_b, -lo_b)]
 
 
 def _meeting(P0, P1, lo, hi) -> np.ndarray:
@@ -476,18 +478,22 @@ def _crossings(lift_a: np.ndarray, lift_b: np.ndarray):
     """Crossings of lift_a with every translate of lift_b that can meet it,
     away from the corners (not points of the open pillowcase).
 
-    Yields (identity, i, j, t_a, t_b, point, angle): whether the translate
-    is the identity, the segment indices, the polyline parameters (segment
-    index + fraction), the crossing point on lift_a and the angle.
+    Returns arrays (identity, i, j, t_a, t_b, points, angles), one row per
+    hit: whether its translate is the identity, the segment indices, the
+    polyline parameters (segment index + fraction), the crossing point on
+    lift_a (rows of the (n, 2) ``points``) and the angle.
 
     lift_a's ``_sweep`` is built once.  Only the segments of a translate
     whose boxes meet lift_a's box, widened by 1e-6, are searched, and a
-    translate with none is skipped.  The hits of one translate come ordered
-    by i, then j.
+    translate with none is skipped.  The hits come translate by translate,
+    in ``_translates`` order, and within one translate ordered by i, then j.
     """
     A0, A1 = lift_a[:-1], lift_a[1:]
     sweep = _sweep(A0, A1)
     lo, hi = lift_a.min(axis=0) - 1e-6, lift_a.max(axis=0) + 1e-6
+    found = [(np.empty(0, dtype=bool), np.empty(0, dtype=np.int64),
+              np.empty(0, dtype=np.int64), np.empty(0), np.empty(0),
+              np.empty((0, 2)), np.empty(0))]
     for sign, shift in _translates(lift_a, lift_b):
         B = sign * lift_b + shift
         B0, B1 = B[:-1], B[1:]
@@ -499,53 +505,50 @@ def _crossings(lift_a: np.ndarray, lift_b: np.ndarray):
         Q0, Q1 = ((B0, B1) if len(keep) == len(B0) else
                   (B0[keep], B1[keep]))
         ii, jj, tt, uu, pts, ang = _segment_crossings(A0, A1, sweep, Q0, Q1)
-        jj = keep[jj]
-        far = _corner_lattice_distance(pts) >= CORNER_TOL
-        for k in np.nonzero(far)[0]:
-            i, j = int(ii[k]), int(jj[k])
-            yield identity, i, j, i + tt[k], j + uu[k], pts[k], float(ang[k])
+        found.append((np.full(len(ii), identity), ii, keep[jj], tt, uu, pts,
+                      ang))
+    idn, ii, jj, tt, uu, pts, ang = map(np.concatenate, zip(*found))
+    far = _corner_lattice_distance(pts) >= CORNER_TOL
+    return (idn[far], ii[far], jj[far], (ii + tt)[far], (jj + uu)[far],
+            pts[far], ang[far])
 
 
-class _NearPairs:
-    """Kept parameter pairs, bucketed by floor(x / tol).  A pair within tol
-    of a kept one sits in one of the 5 x 5 buckets around its own: a +-2
-    window covers any rounding of x / tol."""
-
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.buckets: dict[tuple[int, int], list[tuple[float, float]]] = {}
-
-    def _key(self, a, b) -> tuple[int, int]:
-        return math.floor(a / self.tol), math.floor(b / self.tol)
-
-    def near(self, a, b) -> bool:
-        """Whether a kept pair (x, y) has |x - a| < tol and |y - b| < tol."""
-        ka, kb = self._key(a, b)
-        return any(abs(x - a) < self.tol and abs(y - b) < self.tol
-                   for da in range(-2, 3) for db in range(-2, 3)
-                   for x, y in self.buckets.get((ka + da, kb + db), ()))
-
-    def add(self, a, b):
-        self.buckets.setdefault(self._key(a, b), []).append((a, b))
-
-
-@dataclass
-class Intersection:
-    point: np.ndarray  # representative in the plane (on curve a's lift)
-    comp_a: int
-    comp_b: int
-    t_a: float  # polyline parameter (segment index + fraction)
-    t_b: float
-    angle: float
+def distinct_rows(rows: np.ndarray, tol: float, period=None) -> np.ndarray:
+    """Indices of the rows of an (m, 2) array that are kept when they are
+    scanned in order and a row is dropped if it, or with ``period`` its
+    alternative mod period, lies strictly within ``tol`` of a kept row in
+    both coordinates.  The kept rows stay sorted, and a row checks only
+    those that ``bisect`` finds within 2 tol of it in the first coordinate:
+    a superset of those within tol, whatever the rounding."""
+    alts = [rows] if period is None else [rows, np.mod(rows, period)]
+    kept: list[list[float]] = []
+    keep = []
+    w = 2 * tol
+    for k, cands in enumerate(zip(*(r.tolist() for r in alts))):
+        if not any(abs(a - x) < tol and abs(b - y) < tol for x, y in cands
+                   for a, b in kept[bisect_left(kept, [x - w]):
+                                    bisect_right(kept, [x + w, np.inf])]):
+            insort(kept, cands[0])
+            keep.append(k)
+    return np.array(keep, dtype=np.int64)
 
 
 @dataclass
 class IntersectionResult:
-    points: list[Intersection]
+    """Transverse crossings, one per row of each array."""
+    comp_a: np.ndarray  # component indices
+    comp_b: np.ndarray
+    t_a: np.ndarray  # polyline parameters (segment index + fraction)
+    t_b: np.ndarray
+    points: np.ndarray  # (n, 2) representatives in the plane, on a's lift
+    angles: np.ndarray
 
     @property
     def count(self) -> int:
-        return len(self.points)
+        return len(self.t_a)
+
+    def take(self, rows) -> "IntersectionResult":
+        return IntersectionResult(*(x[rows] for x in vars(self).values()))
 
 
 def intersect(a: ImmersedCurve, b: ImmersedCurve, *,
@@ -557,64 +560,56 @@ def intersect(a: ImmersedCurve, b: ImmersedCurve, *,
     branches pass through the same quotient point.  Crossings at angle below
     ``angle_tol`` raise GenericPositionError; crossings within
     ``CORNER_TOL`` of a corner are not points of the open pillowcase and are
-    ignored.
+    ignored.  The hits of each component pair are ordered by (t_a, t_b),
+    and a hit within 1e-7 of a kept one in both parameters is dropped
+    (``distinct_rows``): such duplicates arise only at shared segment
+    endpoints.
     """
     if a.side != b.side:
         raise CurveError("curves live on different pillowcase factors")
-    found: list[Intersection] = []
+    found = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+              np.empty(0), np.empty(0), np.empty((0, 2)), np.empty(0))]
     for ca, comp_a in enumerate(a.components):
         for cb, comp_b in enumerate(b.components):
-            hits = []
-            for _, _, _, t_a, t_b, pt, ang in _crossings(comp_a.lift,
-                                                         comp_b.lift):
-                if ang < angle_tol:
-                    raise GenericPositionError(
-                        f"tangential crossing at {pt} (angle below "
-                        f"{angle_tol})")
-                hits.append((t_a, t_b, pt, ang))
-            # dedup by parameter pairs (duplicates arise only at shared
-            # segment endpoints)
-            hits.sort(key=lambda h: (h[0], h[1]))
-            kept = _NearPairs(1e-7)
-            for t_a, t_b, pt, ang in hits:
-                if not kept.near(t_a, t_b):
-                    kept.add(t_a, t_b)
-                    found.append(Intersection(pt, ca, cb, t_a, t_b, ang))
-    return IntersectionResult(found)
+            _, _, _, t_a, t_b, pts, ang = _crossings(comp_a.lift, comp_b.lift)
+            low = np.flatnonzero(ang < angle_tol)
+            if len(low):
+                raise GenericPositionError(
+                    f"tangential crossing at {pts[low[0]]} (angle below "
+                    f"{angle_tol})")
+            order = np.lexsort((t_b, t_a))
+            keep = order[distinct_rows(np.column_stack([t_a, t_b])[order],
+                                       1e-7)]
+            found.append((np.full(len(keep), ca), np.full(len(keep), cb),
+                          t_a[keep], t_b[keep], pts[keep], ang[keep]))
+    return IntersectionResult(*map(np.concatenate, zip(*found)))
 
 
-def self_intersections(comp: CurveComponent) -> list[Intersection]:
+def self_intersections(comp: CurveComponent) -> IntersectionResult:
     """Transverse double points of a single component in the quotient.
 
     Near-tangential self-crossings (angle below ``ANGLE_TOL``) are flagged
-    by exclusion (not counted); crossing pairs are counted once.
+    by exclusion (not counted).  A double point is counted once: the hits
+    are ordered by (t_a, t_b), and one whose unordered parameter pair, or
+    on a circle that pair mod n (parameters 0 and n are one point), lies
+    within 1e-6 of a kept one is dropped (``distinct_rows``).
     """
     n = len(comp.lift) - 1
-    hits = []
-    for identity, i, j, ta, tb, pt, ang in _crossings(comp.lift, comp.lift):
-        if identity and (abs(i - j) <= 1 or abs(i - j) >= n - 1):
-            continue  # adjacent segments share an endpoint
-        if ang < ANGLE_TOL:
-            continue  # flagged, not counted
-        if identity and ta >= tb:
-            continue  # count unordered pairs once
-        hits.append((ta, tb, pt, ang))
-    # a crossing found via g and via g^{-1} is the same double point: the
-    # parameter pair appears swapped; dedup on unordered pairs
-    kept = _NearPairs(1e-6)
-    out: list[Intersection] = []
-    for ta, tb, pt, ang in sorted(hits, key=lambda h: h[:2]):
-        lo, hi = min(ta, tb), max(ta, tb)
-        # endpoint wrap: parameters 0 and n describe the same point on circles
-        if comp.kind == "circle":
-            span = n
-            cand = [(lo, hi), (np.mod(lo, span), np.mod(hi, span))]
-        else:
-            cand = [(lo, hi)]
-        if not any(kept.near(l1, h1) for l1, h1 in cand):
-            kept.add(lo, hi)
-            out.append(Intersection(pt, 0, 0, ta, tb, ang))
-    return out
+    circle = comp.kind == "circle"
+    idn, i, j, ta, tb, pts, ang = _crossings(comp.lift, comp.lift)
+    gap = np.abs(i - j)
+    # neighbouring segments share an endpoint, and so do a circle's last
+    # and first; the identity's pairs are counted once, with ta < tb
+    skip = idn & ((gap <= 1) | (circle & (gap >= n - 1)) | (ta >= tb))
+    keep = np.flatnonzero(~skip & (ang >= ANGLE_TOL))
+    keep = keep[np.lexsort((tb[keep], ta[keep]))]
+    # a crossing found via g and via g^{-1} is the same double point, with
+    # the parameter pair swapped
+    pairs = np.sort(np.column_stack([ta, tb])[keep], axis=1)
+    keep = keep[distinct_rows(pairs, 1e-6, n if circle else None)]
+    zero = np.zeros(len(keep), dtype=np.int64)
+    return IntersectionResult(zero, zero, ta[keep], tb[keep], pts[keep],
+                              ang[keep])
 
 
 # ---------------------------------------------------------------------------
@@ -698,7 +693,7 @@ def invariants(c: ImmersedCurve) -> CurveInvariants:
         hom = comp.homology() if comp.kind == "circle" else None
         rot = _rotation_number(comp) if comp.kind == "circle" else None
         cw = tuple(_corner_winding(comp, cc) for cc in CORNER_CLASSES)
-        dp = len(self_intersections(comp))
+        dp = self_intersections(comp).count
         out.append(ComponentInvariants(comp.kind, hom, cw, dp, rot))
     return CurveInvariants(out)
 

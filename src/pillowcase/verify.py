@@ -150,7 +150,7 @@ def composed_edge(composed, variant, s):
     """The composed bottom edge against its closed form:
     (Hausdorff distance, double points of its first component, ok)."""
     hd = hausdorff_r3(composed, bottom_edge_prediction(variant, s))
-    dp = len(self_intersections(composed.components[0]))
+    dp = self_intersections(composed.components[0]).count
     return hd, dp, hd < EDGE_HAUSDORFF and dp == EDGE_DOUBLE_POINTS
 
 

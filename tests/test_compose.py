@@ -24,13 +24,13 @@ def fold(variant, s):
 def test_transversality_counts():
     ok, crossings = X.check_transversality(C.bottom_edge(), "earring", 0.05,
                                            fold("earring", 0.05))
-    assert ok and len(crossings) == 2
+    assert ok and crossings.count == 2
     ok, crossings = X.check_transversality(C.vertical_circle(), "earring",
                                            0.05, fold("earring", 0.05))
-    assert ok and len(crossings) == 0
+    assert ok and crossings.count == 0
     ok, crossings = X.check_transversality(C.slope_one_arc(), "bypass", 0.05,
                                            fold("bypass", 0.05))
-    assert ok and len(crossings) == 2
+    assert ok and crossings.count == 2
 
 
 def test_tangency_refused():

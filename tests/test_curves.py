@@ -181,8 +181,8 @@ def test_figure_eight_model():
     pred = C.ImmersedCurve([C.CurveComponent("circle", model)], "P0")
     assert C.hausdorff_r3(f8, pred) < 1e-6
     dps = C.self_intersections(f8.components[0])
-    assert len(dps) == 1
-    got = PillowPoint.from_orbit("P0", *dps[0].point)
+    assert dps.count == 1
+    got = PillowPoint.from_orbit("P0", *dps.points[0])
     assert got.distance(PillowPoint.from_orbit("P0", np.pi / 2, 0.0)) < 1e-6
 
 
@@ -304,7 +304,14 @@ def _ref_clip_segments(lift):
     return segs
 
 
+def _meets(lo_a, hi_a, lo_b, hi_b) -> bool:
+    """Whether the boxes [lo_a, hi_a] and [lo_b, hi_b] meet."""
+    return bool(np.all(lo_b <= hi_a) and np.all(hi_b >= lo_a))
+
+
 def test_lattice_shifts_match_the_loops_they_replaced():
+    # the loops rounded their shift ranges outward; ``lattice_shifts`` lists
+    # the same shifts, less those whose image misses the box
     from pillowcase import _svg
 
     rng = np.random.default_rng(17)
@@ -317,21 +324,61 @@ def test_lattice_shifts_match_the_loops_they_replaced():
                         axis=0) + rng.uniform(-30, 30, 2) for _ in range(20)]
     lifts += [np.array([[0.0, 0.0], [np.pi, TWO_PI], [TWO_PI, -np.pi]])]
     for A in lifts:
+        lo, hi = A.min(axis=0) - 1e-6, A.max(axis=0) + 1e-6
         for B in lifts[::3]:
-            got, ref = C._translates(A, B), _ref_translates(A, B)
+            got = C._translates(A, B)
+            ref = [(g, r) for g, r in _ref_translates(A, B)
+                   if _meets(lo, hi, (g * B + r).min(axis=0),
+                             (g * B + r).max(axis=0))]
             assert [g for g, _ in got] == [r for r, _ in ref]
             assert all(np.array_equal(g, r) for (_, g), (_, r) in zip(got, ref))
         for cc in C.CORNER_CLASSES:
             corner = np.pi * np.array(cc, dtype=float)
-            got = [corner + shift for shift in C.lattice_shifts(
-                A.min(axis=0) - 0.8 - 0.1, A.max(axis=0) + 0.8 + 0.1,
-                corner, corner)]
-            ref = _ref_corner_representatives(A, cc)
+            lo, hi = A.min(axis=0) - 0.8 - 0.1, A.max(axis=0) + 0.8 + 0.1
+            got = [corner + shift
+                   for shift in C.lattice_shifts(lo, hi, corner, corner)]
+            ref = [r for r in _ref_corner_representatives(A, cc)
+                   if _meets(lo, hi, r, r)]
             assert len(got) == len(ref)
             assert all(np.array_equal(g, r) for g, r in zip(got, ref))
         got, ref = _svg._clip_segments(A), _ref_clip_segments(A)
         assert len(got) == len(ref)
         assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+
+_place = st.floats(-30.0, 30.0, allow_subnormal=False)
+_size = st.floats(0.0, 20.0, allow_subnormal=False)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(lo_a=st.tuples(_place, _place), size_a=st.tuples(_size, _size),
+       lo_b=st.tuples(_place, _place), size_b=st.tuples(_size, _size),
+       touch=st.sampled_from([None, "x", "y"]),
+       k=st.integers(-4, 4))
+def test_lattice_shifts_are_those_whose_image_meets(lo_a, size_a, lo_b,
+                                                   size_b, touch, k):
+    lo_a, lo_b = np.array(lo_a), np.array(lo_b)
+    hi_a, hi_b = lo_a + size_a, lo_b + size_b
+    # box b moved so that its image under 2 pi k touches box a, up to
+    # rounding: b's low x on a's high x, or b's high y on a's low y
+    if touch == "x":
+        lo_b[0] = hi_a[0] - TWO_PI * k
+        hi_b[0] = lo_b[0] + size_b[0]
+    elif touch == "y":
+        hi_b[1] = lo_a[1] - TWO_PI * k
+        lo_b[1] = hi_b[1] - size_b[1]
+    got = C.lattice_shifts(lo_a, hi_a, lo_b, hi_b)
+    # per axis, the shifts 2 pi k, |k| <= 30, whose image meets
+    shift = TWO_PI * np.arange(-30, 31)[:, None]
+    hit = (lo_b + shift <= hi_a) & (hi_b + shift >= lo_a)
+    brute = {(x, y) for x in shift[hit[:, 0], 0].tolist()
+             for y in shift[hit[:, 1], 0].tolist()}
+    keys = [tuple(g.tolist()) for g in got]
+    assert keys == sorted(keys)
+    assert brute <= set(keys)
+    # a listed shift misses by at most the slack, 2 pi 1e-9
+    assert all(_meets(lo_a - 1e-8, hi_a + 1e-8, lo_b + g, hi_b + g)
+               for g in got)
 
 
 def test_corner_winding_matches_run_loop():
@@ -377,7 +424,7 @@ def test_intersections_examples_and_oracle():
     bver = C.vertical_circle(n=121)
     res = C.intersect(beta, bver)
     assert res.count == 1
-    got = PillowPoint.from_orbit("P0", *res.points[0].point)
+    got = PillowPoint.from_orbit("P0", *res.points[0])
     assert got.distance(PillowPoint.from_orbit("P0", np.pi / 2, 0.0)) < 1e-9
     assert C.intersect(bver, beta).count == 1
 
@@ -401,8 +448,8 @@ def test_intersection_symmetry():
     r1 = C.intersect(f8, a2)
     r2 = C.intersect(a2, f8)
     assert r1.count == r2.count == 1
-    p1 = PillowPoint.from_orbit("P0", *r1.points[0].point)
-    p2 = PillowPoint.from_orbit("P0", *r2.points[0].point)
+    p1 = PillowPoint.from_orbit("P0", *r1.points[0])
+    p2 = PillowPoint.from_orbit("P0", *r2.points[0])
     assert p1.distance(p2) < 1e-9
 
 
@@ -433,12 +480,29 @@ def test_serialization_roundtrip():
     assert C.invariants(back) == C.invariants(f8)
 
 
+def test_good_arc_first_and_last_segments_can_cross():
+    # (0, 0) to (2.5, 0), a left turn of 250 degrees on a circle of radius
+    # 0.95 in 10-degree steps, then straight to the corner (0, -pi): the
+    # last segment crosses the first near (1.14, 0).  Only a circle's last
+    # and first segments share a vertex.
+    th = np.deg2rad(np.arange(-90, 161, 10))
+    turn = np.column_stack([2.5 + 0.95 * np.cos(th), 0.95 + 0.95 * np.sin(th)])
+    comp = C.CurveComponent(
+        "good_arc", np.vstack([[0.0, 0.0], turn, [0.0, -np.pi]])).validate()
+    dps = C.self_intersections(comp)
+    assert dps.count == 1
+    # on the first segment and the last, the 27th
+    assert (int(dps.t_a[0]), int(dps.t_b[0])) == (0, 26)
+    assert np.allclose(dps.points[0], (1.1433, 0.0), atol=1e-4)
+
+
 def test_figure_eight_single_double_point_across_s():
     for arc in (C.bottom_edge(), C.slope_one_arc(), C.slope_two_arc(),
                 C.wavy_arc()):
         for s in (0.01, 0.05, 0.1):
             f8 = C.figure_eight(arc, s)
-            assert len(C.self_intersections(f8.components[0])) == 1, (arc.name, s)
+            assert C.self_intersections(
+                f8.components[0]).count == 1, (arc.name, s)
 
 
 def _random_walks():
@@ -504,7 +568,8 @@ def _brute_crossings(lift_a, lift_b, pad=1e-3, chunk=256):
 
 
 def _crossing_tuples(crossings):
-    return [(idn, i, j, ta, tb, tuple(pt.tolist()), ang)
+    return [(bool(idn), int(i), int(j), float(ta), float(tb),
+             tuple(pt.tolist()), float(ang))
             for idn, i, j, ta, tb, pt, ang in crossings]
 
 
@@ -539,7 +604,7 @@ def _crossing_inputs():
 def test_crossings_match_per_translate_reference():
     hits = 0
     for A, B in _crossing_inputs():
-        got = _crossing_tuples(C._crossings(A, B))
+        got = _crossing_tuples(zip(*C._crossings(A, B)))
         ref = _crossing_tuples(_brute_crossings(A, B))
         assert got == ref
         hits += len(ref)
@@ -549,10 +614,60 @@ def test_crossings_match_per_translate_reference():
 def test_hits_do_not_depend_on_the_pass_size(monkeypatch):
     inputs = [*_random_walks(), *((A, B) for A in _scene_lifts()[:1]
                                   for B in _scene_lifts())]
-    ref = [_crossing_tuples(C._crossings(A, B)) for A, B in inputs]
+    ref = [_crossing_tuples(zip(*C._crossings(A, B))) for A, B in inputs]
     monkeypatch.setattr(C, "_RUN_PAIRS", 1)
-    assert [_crossing_tuples(C._crossings(A, B)) for A, B in inputs] == ref
+    assert [_crossing_tuples(zip(*C._crossings(A, B)))
+            for A, B in inputs] == ref
     assert sum(map(len, ref)) > 1000
+
+
+def _literal_distinct(rows, tol, period=None):
+    """The dedup rule written out: rows in order, each dropped when it, or
+    with ``period`` its alternative mod period, lies within tol of a kept
+    row in both coordinates."""
+    kept, keep = [], []
+    for k, (x, y) in enumerate(rows.tolist()):
+        cands = [(x, y)]
+        if period is not None:
+            cands.append((float(np.mod(x, period)), float(np.mod(y, period))))
+        if not any(abs(a - c) < tol and abs(b - d) < tol
+                   for c, d in cands for a, b in kept):
+            kept.append((x, y))
+            keep.append(k)
+    return keep
+
+
+@st.composite
+def _near_rows(draw):
+    """Rows in clusters around a few anchors (circle parameters near 0 and
+    n among them), some in chains of steps from the row before, with steps
+    of 0 to 2 tol, exactly tol among them."""
+    tol = draw(st.sampled_from([1e-7, 1e-6]))
+    period = draw(st.sampled_from([None, 7.0, 720.0]))
+    top = period or 7.0
+    anchors = draw(st.lists(
+        st.sampled_from([0.0, -1e-12, -1e-17, top, top - 1e-12, 3.0])
+        | st.floats(-1.0, top + 1.0), min_size=1, max_size=3))
+    step = st.sampled_from([-2.0, -1.0, -0.9, -0.5, 0.0, 0.3, 0.5, 0.9, 1.0,
+                            1.1, 2.0])
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        if rows and draw(st.booleans()):
+            x, y = rows[-1]
+        else:
+            x, y = draw(st.sampled_from(anchors)), draw(st.sampled_from(anchors))
+        rows.append((x + tol * draw(step), y + tol * draw(step)))
+    return np.array(rows).reshape(-1, 2), tol, period
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(case=_near_rows(), ordered=st.booleans())
+def test_distinct_rows_matches_the_rule_written_out(case, ordered):
+    rows, tol, period = case
+    if ordered:  # as intersect and self_intersections pass them
+        rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
+    assert (C.distinct_rows(rows, tol, period).tolist()
+            == _literal_distinct(rows, tol, period))
 
 
 def test_edge_crossing_search_peak_memory():
@@ -566,7 +681,7 @@ def test_edge_crossing_search_peak_memory():
         assert len(comp.lift) > 7000
         tracemalloc.start()
         try:
-            assert len(C.self_intersections(comp)) == double_points
+            assert C.self_intersections(comp).count == double_points
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -582,11 +697,23 @@ def test_scene_searches_few_translates(monkeypatch):
         return search(*args)
 
     monkeypatch.setattr(C, "_segment_crossings", counted)
+    translates = []
+    listed = C._translates
+
+    def counted_translates(*args):
+        out = listed(*args)
+        translates.append(len(out))
+        return out
+
+    monkeypatch.setattr(C, "_translates", counted_translates)
     data = torus_knot_scene("earring", 0.05)
     assert data["forward"]["total"] == data["pullback"]["total"] == 9
     # a search per translate whose segment boxes meet the other lift's box
     # (376 searches, one per translate, before the boxes were checked)
     assert len(calls) <= 44
+    # translates whose box meets the other lift's box (376 when the shift
+    # ranges were rounded outward)
+    assert sum(translates) <= 50
 
 def _brute_force_polyline_dist(pts, poly):
     """Every point against every segment, one segment at a time."""
