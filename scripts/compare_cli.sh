@@ -10,10 +10,11 @@
 # when every byte matches; otherwise prints the differences, keeps the
 # runs for inspection and exits 1.
 #
-# A refactor must leave the matrix byte-identical.  An intended output
-# change, such as a bug fix, shows here as a difference, so CI does not
-# run this script.  The two sides run at once; on 2 CPUs the whole
-# comparison takes about 25 s.
+# A refactor must leave the matrix byte-identical against its parent; an
+# intended output change, such as a bug fix, shows as a difference.  Run
+# against HEAD on an unchanged tree, it runs the matrix twice on the same
+# code, so any difference is nondeterminism: CI runs it that way.  The two
+# sides run at once; on 2 CPUs the whole comparison takes about 25 s.
 set -eu
 
 [ $# -eq 1 ] || { echo "usage: $0 REV" >&2; exit 2; }

@@ -12,7 +12,8 @@ Subcommands:
                exit nonzero on failure
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, bad option
-value or bad curve file, 3 numerical failure (non-convergence or tangency).
+value, bad curve file or unwritable output, 3 numerical failure
+(non-convergence or tangency).
 The output directory defaults to ``--out`` and is overridden by the
 PILLOWCASE_OUT environment variable.  numpy runs on one OpenBLAS thread
 unless OPENBLAS_NUM_THREADS is already set.
@@ -407,7 +408,11 @@ _NONZERO_S = _checked(float, lambda s: 0.0 < abs(s) < 0.5,
 _VERIFY_S = _checked(float, lambda s: 0.0 < abs(s) <= 0.2,
                      "is not finite with 0 < |s| <= 0.2 (the range where "
                      "the verify checks hold)")
-_GRID = _checked(int, lambda n: n >= 1, "is not >= 1")
+# trace holds two n x n float meshes and writes n^2 lines of fibers.csv: 16
+# and 40 MB at 16 times the default, 160 GB of meshes alone at n = 100,000
+GRID_MAX = 1024
+_GRID = _checked(int, lambda n: 1 <= n <= GRID_MAX,
+                 f"is not from 1 to {GRID_MAX}")
 _SEED = _checked(int, lambda n: n >= 0, "is not >= 0")
 _STEP = _checked(float, lambda h: 0.0 < h < math.inf,
                  "is not finite and > 0")
@@ -469,6 +474,10 @@ def main(argv=None) -> int:
     except (TangencyError, GenericPositionError, ContinuationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    # only _write raises it: compose reads its curve file under its own guard
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -41,12 +41,12 @@ import numpy as np
 
 from . import _kernels
 from .curves import (TURN_LIMIT, CurveComponent, CurveError,
-                     GenericPositionError, ImmersedCurve, distinct_rows,
-                     double, figure_eight, hausdorff_r3, intersect,
-                     invariants, turning_angles)
+                     GenericPositionError, ImmersedCurve, double,
+                     figure_eight, hausdorff_r3, intersect, invariants,
+                     turning_angles)
 from .projection import pi0_u_r3, pi1_r3_of_chart
 from .variety import (COMPLEX_STEP, ContinuationError, FoldCircle, eta,
-                      fold_locus, k_circle, solve_fiber, tau_seed)
+                      fold_locus, k_circle, solve_fiber)
 from .words import BYPASS, TWO_PI, wrapped_angle
 
 MAX_STEP = 4e-3  # default continuation step, in (t, nu, tau) arclength
@@ -68,10 +68,11 @@ class UnderResolvedError(ContinuationError):
 
 @dataclass
 class Branch:
+    """One solution loop over a curve component, sampled in trace order;
+    t reverses at its ``fold_marks``, one per fold-image crossing."""
     component: int
     samples: np.ndarray  # (m, 3) columns (t, nu, tau)
-    fold_marks: list[int]  # sample indices where the curve parameter reverses
-    sheet: str | None  # "plus" | "minus" | None when the loop crosses folds
+    fold_marks: list[int]
 
     @property
     def fold_crossings(self) -> int:
@@ -80,18 +81,13 @@ class Branch:
 
 @dataclass
 class FiberProduct:
+    """The solution loops over a curve, and the ``_component_splines`` of
+    each component, in order, that the loops were traced on."""
     curve: ImmersedCurve
     variant: str
     s: float
     branches: list[Branch]
-    splines: dict[int, tuple] = field(default_factory=dict, repr=False)
-
-    def splines_of(self, ci: int) -> tuple:
-        """(breaks, c_gamma, c_theta, t_period, length) of component ci,
-        fitted on first use."""
-        if ci not in self.splines:
-            self.splines[ci] = _component_splines(self.curve.components[ci])
-        return self.splines[ci]
+    splines: list[tuple] = field(repr=False)
 
 
 def fold_image_curves(circles: list[FoldCircle]) -> ImmersedCurve:
@@ -105,24 +101,16 @@ def fold_image_curves(circles: list[FoldCircle]) -> ImmersedCurve:
 
 
 def check_transversality(curve: ImmersedCurve, variant: str, s: float,
-                         circles: list[FoldCircle] | None = None):
-    """A transversality verdict (angle above 1e-2 rad required) and, when
-    it holds, the crossings of the curve with the fold images as an
-    ``IntersectionResult`` (None when it fails).
-
-    The fold-image lift double covers the quotient fold image (it is the
-    full flip-invariant circle upstairs), so hits are deduplicated by their
-    position on the input curve: a hit within 1e-6 of a kept one in t_a on
-    the same component is dropped.
-    """
+                         circles: list[FoldCircle] | None = None) -> bool:
+    """Whether the curve crosses the fold images transversally: every
+    crossing at an angle above 1e-2 rad."""
     fold_curve = fold_image_curves(
         fold_locus(variant, s) if circles is None else circles)
     try:
-        res = intersect(curve, fold_curve, angle_tol=1e-2)
+        intersect(curve, fold_curve, angle_tol=1e-2)
     except GenericPositionError:
-        return False, None
-    return True, res.take(distinct_rows(
-        np.column_stack([res.t_a, res.comp_a]), 1e-6))
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -303,31 +291,20 @@ def _trace_dense(code, s, breaks, cg, ct, period, seed, max_step):
         step = max(0.5 * step, max_step)
 
 
-def _branch_sheet(samples, breaks, cg, ct, folds):
-    if folds:
-        return None
-    k = len(samples) // 3
-    t, nu, tau = samples[k]
-    g = _kernels._ppoly_eval(breaks, cg, t)
-    th = _kernels._ppoly_eval(breaks, ct, t)
-    ts = tau_seed(g, th)
-    return "plus" if abs(wrapped_angle(tau - ts)) < np.pi / 2 else "minus"
-
-
 def fiber_product(curve: ImmersedCurve, variant: str, s: float, *,
                   max_step: float = MAX_STEP,
                   circles: list[FoldCircle] | None = None) -> FiberProduct:
     """Trace the solution loops of the defining pair over the curve."""
     if s == 0.0:
         raise ValueError("composition needs s != 0")
-    ok, _ = check_transversality(curve, variant, s, circles)
-    if not ok:
+    if not check_transversality(curve, variant, s, circles):
         raise TangencyError(
             f"curve is tangent to the fold image at s = {s}; choose another s")
     code = _kernels.variant_code(variant)
-    fp = FiberProduct(curve, variant, s, [])
+    fp = FiberProduct(curve, variant, s, [],
+                      [_component_splines(c) for c in curve.components])
     for ci, comp in enumerate(curve.components):
-        breaks, cg, ct, period, length = fp.splines_of(ci)
+        breaks, cg, ct, period, length = fp.splines[ci]
         if comp.kind == "circle":
             t_candidates = [0.0, 0.13 * length, 0.29 * length, 0.41 * length]
         else:
@@ -353,9 +330,7 @@ def fiber_product(curve: ImmersedCurve, variant: str, s: float, *,
                 continue
             loops.append(_trace_dense(code, s, breaks, cg, ct, period, seed,
                                       max_step))
-        for samples, folds in loops:
-            sheet = _branch_sheet(samples, breaks, cg, ct, folds)
-            fp.branches.append(Branch(ci, samples, folds, sheet))
+        fp.branches += [Branch(ci, samples, folds) for samples, folds in loops]
     return fp
 
 
@@ -449,7 +424,7 @@ def push_forward(fp: FiberProduct) -> ImmersedCurve:
     """
     comps = []
     for branch in fp.branches:
-        breaks, cg, ct, _, _ = fp.splines_of(branch.component)
+        breaks, cg, ct, _, _ = fp.splines[branch.component]
         samples = branch.samples
         gs = _kernels._ppoly_eval(breaks, cg, samples[:, 0])
         th = _kernels._ppoly_eval(breaks, ct, samples[:, 0])
@@ -547,7 +522,6 @@ def edge_tangent_anchors(variant: str, s: float):
 class TheoremBReport:
     variant: str
     s: float
-    input_name: str
     mode: str  # "arc" | "circle"
     component_count: int
     predicted_count: int
@@ -586,7 +560,6 @@ def verify_theorem_B(curve: ImmersedCurve, variant: str, s: float, *,
     return TheoremBReport(
         variant=variant,
         s=s,
-        input_name=curve.name,
         mode=mode,
         component_count=len(out.components),
         predicted_count=len(pred.components),

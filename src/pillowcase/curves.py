@@ -547,9 +547,6 @@ class IntersectionResult:
     def count(self) -> int:
         return len(self.t_a)
 
-    def take(self, rows) -> "IntersectionResult":
-        return IntersectionResult(*(x[rows] for x in vars(self).values()))
-
 
 def intersect(a: ImmersedCurve, b: ImmersedCurve, *,
               angle_tol: float = ANGLE_TOL) -> IntersectionResult:

@@ -242,7 +242,7 @@ def test_usage_error_exit_code():
 @pytest.mark.parametrize("argv", [
     "trace --s nan", "trace --s inf", "trace --s -0.5",
     "compose --s 0", "scene --s 0", "verify --s 0", "verify --s 0.3",
-    "trace --grid 0", "trace --grid -3",
+    "trace --grid 0", "trace --grid -3", "trace --grid 1025",
     "compose --max-step 0", "scene --max-step nan", "scene --max-step -0.001",
     # options a command does not read
     "trace --json", "trace --seed 3", "compose --json", "compose --seed 3",
@@ -303,6 +303,29 @@ def test_compose_reads_its_own_output(variant, s, tmp_path):
     assert twice.side == "P1" and len(twice.components) == 4
     assert C.invariants(twice) == C.invariants(
         C.double(C.double(C.vertical_circle())))
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["trace", "--grid", "2"], None), (["compose"], None), (["scene"], None),
+    (["verify"], None),
+    # PILLOWCASE_OUT overrides --out, here with a path under the file
+    (["trace", "--grid", "2"], "afile/sub")])
+def test_unwritable_output_exits_2(argv, env, tmp_path, capsys, monkeypatch):
+    # an output directory that names a file is refused at the first write
+    # with one line, and the file is left as it was
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile
+    if env:
+        monkeypatch.setenv("PILLOWCASE_OUT", str(tmp_path / env))
+        out = tmp_path / "flag_dir"
+    assert run([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (captured.err.startswith("cannot write output: ")
+            and captured.err.count("\n") == 1)
+    assert afile.read_text() == "kept\n"
+    assert not (tmp_path / "flag_dir").exists()
 
 
 def test_env_out_override(tmp_path, monkeypatch):

@@ -21,16 +21,28 @@ def fold(variant, s):
     return FOLD[(variant, s)]
 
 
+def sheet(fp, branch):
+    """"plus" or "minus": the sheet of a fold-free branch, by whether its
+    sample a third of the way round lies within pi / 2 of ``tau_seed`` in
+    tau; None for a branch that crosses the fold images."""
+    if branch.fold_marks:
+        return None
+    breaks, cg, ct, _, _ = fp.splines[branch.component]
+    t, _, tau = branch.samples[len(branch.samples) // 3]
+    seed = V.tau_seed(_kernels._ppoly_eval(breaks, cg, t),
+                      _kernels._ppoly_eval(breaks, ct, t))
+    return "plus" if abs(W.wrapped_angle(tau - seed)) < np.pi / 2 else "minus"
+
+
 def test_transversality_counts():
-    ok, crossings = X.check_transversality(C.bottom_edge(), "earring", 0.05,
-                                           fold("earring", 0.05))
-    assert ok and crossings.count == 2
-    ok, crossings = X.check_transversality(C.vertical_circle(), "earring",
-                                           0.05, fold("earring", 0.05))
-    assert ok and crossings.count == 0
-    ok, crossings = X.check_transversality(C.slope_one_arc(), "bypass", 0.05,
-                                           fold("bypass", 0.05))
-    assert ok and crossings.count == 2
+    # each transverse fold-image crossing is one reversal of t on a branch
+    for curve, variant, crossings in ((C.bottom_edge(), "earring", 2),
+                                      (C.vertical_circle(), "earring", 0),
+                                      (C.slope_one_arc(), "bypass", 2)):
+        circles = fold(variant, 0.05)
+        assert X.check_transversality(curve, variant, 0.05, circles)
+        fp = X.fiber_product(curve, variant, 0.05, circles=circles)
+        assert sum(b.fold_crossings for b in fp.branches) == crossings
 
 
 def test_tangency_refused():
@@ -42,8 +54,7 @@ def test_tangency_refused():
         "circle",
         C._polyline(lambda t: (r * np.cos(t), r * np.sin(t)), 0, 2 * np.pi,
                     400))], "P0")
-    ok, _ = X.check_transversality(curve, "earring", 0.05, circles)
-    assert not ok
+    assert X.check_transversality(curve, "earring", 0.05, circles) is False
     with pytest.raises(X.TangencyError):
         X.fiber_product(curve, "earring", 0.05, circles=circles)
 
@@ -53,8 +64,7 @@ def test_fiber_product_circle_two_sheets():
         fp = X.fiber_product(C.vertical_circle(), variant, 0.05,
                              circles=fold(variant, 0.05))
         assert len(fp.branches) == 2
-        sheets = {b.sheet for b in fp.branches}
-        assert sheets == {"plus", "minus"}
+        assert {sheet(fp, b) for b in fp.branches} == {"plus", "minus"}
         assert all(b.fold_crossings == 0 for b in fp.branches)
         # samples satisfy the defining equations and project back onto the
         # input circle
@@ -123,12 +133,18 @@ def test_push_forward_factorization_consistency(monkeypatch):
             assert float(np.max(np.abs(via_inv - direct))) < 1e-6
 
 
+def circle_product(branch):
+    """A fiber product over the vertical circle with the one branch given."""
+    curve = C.vertical_circle()
+    return X.FiberProduct(curve, "earring", 0.05, [branch],
+                          [X._component_splines(curve.components[0])])
+
+
 def test_push_forward_refuses_samples_outside_the_chart():
     t = np.linspace(0.0, 1.0, 5)
     for nu in (0.6, -0.6):
-        branch = X.Branch(0, np.column_stack([t, np.full(5, nu), np.zeros(5)]),
-                          [], None)
-        fp = X.FiberProduct(C.vertical_circle(), "earring", 0.05, [branch])
+        fp = circle_product(X.Branch(0, np.column_stack([t, np.full(5, nu),
+                                                         np.zeros(5)]), []))
         with pytest.raises(V.ContinuationError, match="outside the chart"):
             X.push_forward(fp)
 
@@ -150,10 +166,9 @@ def test_push_forward_blocks_match_one_call(monkeypatch):
     # a sample outside the chart in a later block is still refused
     t = np.linspace(0.0, 1.0, 20)
     nu = np.where(np.arange(20) == 15, 0.6, 0.0)
-    branch = X.Branch(0, np.column_stack([t, nu, np.zeros(20)]), [], None)
+    branch = X.Branch(0, np.column_stack([t, nu, np.zeros(20)]), [])
     with pytest.raises(V.ContinuationError, match="outside the chart"):
-        X.push_forward(X.FiberProduct(C.vertical_circle(), "earring", 0.05,
-                                      [branch]))
+        X.push_forward(circle_product(branch))
 
 
 @pytest.mark.parametrize("variant", ["earring", "bypass"])
@@ -477,7 +492,7 @@ def traced(variant, name, max_step=X.MAX_STEP, coarse=True):
 def test_dense_samples_solve_the_pair_within_the_step(variant, name):
     fp = traced(variant, name)
     for b in fp.branches:
-        breaks, cg, ct, period, _ = fp.splines_of(b.component)
+        breaks, cg, ct, period, _ = fp.splines[b.component]
         t, nu, tau = b.samples.T
         g1, g2 = _kernels.g_pair(variant, 0.05, _kernels._ppoly_eval(breaks, cg, t),
                                  _kernels._ppoly_eval(breaks, ct, t), nu, tau)
@@ -495,8 +510,8 @@ def test_dense_fiber_product_matches_the_fine_trace(variant, name):
     dense, fine = traced(variant, name), traced(variant, name, coarse=False)
     assert ([b.fold_crossings for b in dense.branches]
             == [b.fold_crossings for b in fine.branches])
-    assert ([b.sheet for b in dense.branches]
-            == [b.sheet for b in fine.branches])
+    assert ([sheet(dense, b) for b in dense.branches]
+            == [sheet(fine, b) for b in fine.branches])
     # each fold mark sits within a coarse step of the fine trace's
     for a, b in zip(dense.branches, fine.branches):
         t_dense = a.samples[a.fold_marks, 0]
@@ -513,7 +528,7 @@ def test_dense_fiber_product_matches_the_fine_trace(variant, name):
 @pytest.mark.parametrize("variant", ["earring", "bypass"])
 def test_densify_either_direction_and_a_wound_closing_tau(variant):
     fp = traced(variant, "arc", X.COARSE_STEP)
-    breaks, cg, ct, _, _ = fp.splines_of(0)
+    breaks, cg, ct, _, _ = fp.splines[0]
     coarse, folds = fp.branches[0].samples, fp.branches[0].fold_marks
     code = _kernels.variant_code(variant)
     tang = np.array([_kernels.tangent(code, 0.05, breaks, cg, ct, *u)
@@ -584,7 +599,7 @@ def test_short_loops_are_not_traced_round_twice():
         lambda t: (1.2 + 0.08 * np.cos(t), 1.9 + 0.08 * np.sin(t)),
         0, 2 * np.pi, 200))], "P0")
     fp = X.fiber_product(curve, "bypass", 0.05)
-    _, _, _, period, _ = fp.splines_of(0)
+    _, _, _, period, _ = fp.splines[0]
     assert len(fp.branches) == 2
     for b in fp.branches:
         turns = (b.samples[-1, 0] - b.samples[0, 0]) / period
