@@ -15,16 +15,20 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, bad option
 value, bad curve file or unwritable output, 3 numerical failure
 (non-convergence or tangency).
 The output directory defaults to ``--out`` and is overridden by the
-PILLOWCASE_OUT environment variable.  numpy runs on one OpenBLAS thread
-unless OPENBLAS_NUM_THREADS is already set.
+PILLOWCASE_OUT environment variable when that is set and not empty; an
+output path that a file blocks is refused before the command computes.
+numpy runs on one OpenBLAS thread unless OPENBLAS_NUM_THREADS is already
+set.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
+import random
 import sys
 from pathlib import Path
 
@@ -60,7 +64,21 @@ NAMED_CURVES = {
 
 
 def _outdir(args) -> Path:
-    return Path(os.environ.get("PILLOWCASE_OUT", args.out))
+    """PILLOWCASE_OUT, unless it is unset or empty, else ``--out``."""
+    return Path(os.environ.get("PILLOWCASE_OUT") or args.out)
+
+
+def _check_outdir(out: Path):
+    """Raise ``NotADirectoryError`` when ``out``, or its nearest existing
+    parent, is not a directory, so that a command refuses it before it
+    computes; nothing is created.  Other errors, such as a missing
+    permission, show at the first write."""
+    for p in (out, *out.parents):
+        if p.exists():
+            if not p.is_dir():
+                raise NotADirectoryError(errno.ENOTDIR,
+                                         os.strerror(errno.ENOTDIR), str(p))
+            return
 
 
 def _write(out: Path, name: str, text: str):
@@ -234,14 +252,15 @@ def cmd_scene(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _random_chart_rows(rng, n):
+def _random_chart_rows(rng: random.Random, n):
     """``n`` uniform chart points, rows (s, gamma, theta, nu, tau) with
     |s| <= 0.2, drawn point by point."""
-    return rng.uniform((-0.2, 0, 0, -0.5, 0),
-                       (0.2, 2 * np.pi, 2 * np.pi, 0.5, 2 * np.pi), (n, 5))
+    return np.array([(rng.uniform(-0.2, 0.2), rng.uniform(0, 2 * math.pi),
+                      rng.uniform(0, 2 * math.pi), rng.uniform(-0.5, 0.5),
+                      rng.uniform(0, 2 * math.pi)) for _ in range(n)])
 
 
-def _variety_points(rng, variant, s, n):
+def _variety_points(rng: random.Random, variant, s, n):
     """``n`` random rows (s, gamma, theta, nu, tau) on the variety.
 
     Each attempt draws a base point (gamma, theta) in [0.3, pi - 0.3]^2
@@ -257,9 +276,8 @@ def _variety_points(rng, variant, s, n):
             raise ContinuationError(
                 f"found {len(pts)} of {n} two-sheeted fibers for {variant} "
                 f"at s={s} in {attempts} attempts")
-        draws = [(float(rng.uniform(0.3, np.pi - 0.3)),
-                  float(rng.uniform(0.3, np.pi - 0.3)),
-                  int(rng.integers(0, 2)))
+        draws = [(rng.uniform(0.3, math.pi - 0.3),
+                  rng.uniform(0.3, math.pi - 0.3), rng.randrange(2))
                  for _ in range(min(n - len(pts), 100 * n - attempts))]
         attempts += len(draws)
         gs, ts, sides = zip(*draws)
@@ -277,7 +295,7 @@ def verification_suite(variant: str, s: float, seed: int = 0,
     The checks and their thresholds are in ``pillowcase.verify``; this
     draws their samples and sizes.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     rows = []
 
     worst, ok = verify.identities(
@@ -305,12 +323,13 @@ def verification_suite(variant: str, s: float, seed: int = 0,
     rows.append(("k_circle", ok, f"max residual {worst:.2e}"))
 
     n_asym = 30 if quick else 100
-    bases = rng.uniform(0.3, np.pi - 0.3, (n_asym, 2))
+    bases = [(rng.uniform(0.3, math.pi - 0.3), rng.uniform(0.3, math.pi - 0.3))
+             for _ in range(n_asym)]
     roots = []
     for sv in (s, s / 2):
-        fibers = solve_fibers(variant, sv, *bases.T)
+        fibers = solve_fibers(variant, sv, *zip(*bases))
         roots.append([(g0, t0, *fs.solutions[0])
-                      for (g0, t0), fs in zip(bases.tolist(), fibers)
+                      for (g0, t0), fs in zip(bases, fibers)
                       if fs.status == "two_sheets"
                       and abs(fs.solutions[0][0]) <= NU_MAX])
     ratio, exact, ok = verify.asymptotics(variant, s, *roots)
@@ -470,11 +489,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_outdir(_outdir(args))
         return args.func(args)
     except (TangencyError, GenericPositionError, ContinuationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    # only _write raises it: compose reads its curve file under its own guard
+    # only _check_outdir and _write raise it: compose reads its curve file
+    # under its own guard
     except OSError as exc:
         print(f"cannot write output: {exc}", file=sys.stderr)
         return 2

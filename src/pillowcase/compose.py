@@ -400,14 +400,30 @@ def _unwrap_orbit_path(r3: np.ndarray) -> np.ndarray:
 
 
 def _prune_short(lift: np.ndarray, min_len: float):
-    """Greedily drop lift vertices closer than min_len to their predecessor
-    (keeping the endpoints)."""
-    pts = lift.tolist()
-    keep = [0]
-    for k in range(1, len(pts) - 1):
-        if math.dist(pts[k], pts[keep[-1]]) >= min_len:
-            keep.append(k)
-    keep.append(len(pts) - 1)
+    """Greedily drop lift vertices closer than min_len to the last vertex
+    kept (keeping the endpoints).
+
+    The rule runs in arrays.  A vertex whose gap to a kept predecessor is
+    clearly at least min_len, beyond the few ulp by which the array norm
+    and ``math.dist`` can differ, is kept directly.  A stretch that starts
+    at a short or borderline gap runs the greedy ``math.dist`` rule vertex
+    by vertex up to the next vertex it keeps, so the kept vertices are the
+    vertex-by-vertex rule's.
+    """
+    n = len(lift)
+    gap = np.linalg.norm(np.diff(lift, axis=0), axis=1)
+    unclear = ~(gap[:-1] > min_len * (1 + 1e-12))
+    keep = np.ones(n, dtype=bool)
+    done = 0  # every vertex up to here is decided
+    for i in (np.flatnonzero(unclear) + 1).tolist():
+        if i <= done:
+            continue
+        # the vertices since the last stretch had clear gaps: i - 1 is kept
+        last = lift[i - 1].tolist()
+        while i < n - 1 and not math.dist(lift[i].tolist(), last) >= min_len:
+            keep[i] = False
+            i += 1
+        done = i
     return lift[keep]
 
 

@@ -714,10 +714,15 @@ def _nearest_in_block(pts, seg, blk):
     return np.sqrt(np.sum(x * x, axis=-1)).min(axis=1)
 
 
-def _balls(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Center and radius of a ball around the points of each row."""
-    center = 0.5 * (rows.min(axis=1) + rows.max(axis=1))
-    return center, np.linalg.norm(rows - center[:, None], axis=2).max(axis=1)
+def _balls(*parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Center and radius of a ball around the points of each row of the
+    parts taken together; min, max and the largest radius are exact in any
+    order, so the parts need not be concatenated."""
+    center = 0.5 * (np.minimum.reduce([p.min(axis=1) for p in parts])
+                    + np.maximum.reduce([p.max(axis=1) for p in parts]))
+    return center, np.maximum.reduce(
+        [np.linalg.norm(p - center[:, None], axis=2).max(axis=1)
+         for p in parts])
 
 
 def _points_to_segments_dist(pts: np.ndarray, a: np.ndarray,
@@ -736,8 +741,9 @@ def _points_to_segments_dist(pts: np.ndarray, a: np.ndarray,
     ab = b - a
     # the last block repeats its last segment; a repeat cannot lower a min
     blocks = _runs(len(a), _BLOCK)
-    center, radius = _balls(np.concatenate([a[blocks], b[blocks]], axis=1))
-    seg = (a[blocks], ab[blocks],
+    a_blocks = a[blocks]
+    center, radius = _balls(a_blocks, b[blocks])
+    seg = (a_blocks, ab[blocks],
            np.maximum(np.sum(ab * ab, axis=1), 1e-300)[blocks])
     # |p - c|^2 = |p|^2 + |c|^2 - 2 p.c is off by at most ~16 eps M^2 (M the
     # largest norm), so its root by at most 4 sqrt(eps) M < 1e-7 M

@@ -6,9 +6,11 @@ defining pairs.  The scalar forms here are what the tests check those
 against: a pillowcase point on its canonical orbit representative with its
 quotient distance, the arccos round trip of the first restriction map, the
 pillowcase symmetries, the chart's angle rule, and the defining pairs at one
-chart point.
+chart point.  It also keeps the vertex-by-vertex loop that
+``compose._prune_short`` runs in arrays.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,3 +123,16 @@ def Gp(pt) -> tuple[float, float]:
     second entry is nu exactly."""
     g1, g2 = _kernels.g_scalar(_kernels.BYPASS, *pt)
     return float(g1), float(g2)
+
+
+def prune_short(lift, min_len):
+    """``compose._prune_short`` as the vertex-by-vertex loop: greedily drop
+    lift vertices closer than min_len to the last vertex kept (keeping the
+    endpoints)."""
+    pts = lift.tolist()
+    keep = [0]
+    for k in range(1, len(pts) - 1):
+        if math.dist(pts[k], pts[keep[-1]]) >= min_len:
+            keep.append(k)
+    keep.append(len(pts) - 1)
+    return lift[keep]

@@ -7,6 +7,7 @@ can replay integer outputs without recomputing.  Run with
 ``pytest tests/test_acceptance.py -v -s``.
 """
 
+import random
 from functools import lru_cache
 
 import numpy as np
@@ -51,7 +52,7 @@ def variety_points(variant: str, s: float, n: int, seed: int = 0):
 
 def test_criterion_01_identity_suite():
     worst, ok = VF.identities(
-        "earring", _random_chart_rows(np.random.default_rng(0), 1000))
+        "earring", _random_chart_rows(random.Random(0), 1000))
     _line(1, "identity suite", ok, f"max residual {worst:.2e}")
     assert ok
 

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -309,10 +310,16 @@ def test_compose_reads_its_own_output(variant, s, tmp_path):
     (["trace", "--grid", "2"], None), (["compose"], None), (["scene"], None),
     (["verify"], None),
     # PILLOWCASE_OUT overrides --out, here with a path under the file
-    (["trace", "--grid", "2"], "afile/sub")])
+    (["trace", "--grid", "2"], "afile/sub"), (["verify"], "afile/sub/deeper")])
 def test_unwritable_output_exits_2(argv, env, tmp_path, capsys, monkeypatch):
-    # an output directory that names a file is refused at the first write
-    # with one line, and the file is left as it was
+    # an output directory that names a file, or a path under one, is
+    # refused before the command computes, with one line; the file is left
+    # as it was and nothing is created
+    computation = {"trace": "verify_topology", "compose": "fold_locus",
+                   "scene": "torus_knot_scene",
+                   "verify": "verification_suite"}[argv[0]]
+    monkeypatch.setattr(cli, computation, lambda *a, **k: pytest.fail(
+        f"{computation} ran although the output path is blocked"))
     afile = tmp_path / "afile"
     afile.write_text("kept\n")
     out = afile
@@ -322,10 +329,19 @@ def test_unwritable_output_exits_2(argv, env, tmp_path, capsys, monkeypatch):
     assert run([*argv, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert (captured.err.startswith("cannot write output: ")
-            and captured.err.count("\n") == 1)
+    assert captured.err == ("cannot write output: [Errno 20] Not a "
+                            f"directory: '{afile}'\n")
     assert afile.read_text() == "kept\n"
-    assert not (tmp_path / "flag_dir").exists()
+    assert sorted(tmp_path.iterdir()) == [afile]
+
+
+def test_empty_pillowcase_out_counts_as_unset(tmp_path, monkeypatch):
+    monkeypatch.setenv("PILLOWCASE_OUT", "")
+    monkeypatch.chdir(tmp_path)
+    assert run(["trace", "--grid", "2", "--out", "mydir"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mydir"]
+    assert sorted(p.name for p in (tmp_path / "mydir").iterdir()) == [
+        "fibers.csv", "fold_circles.csv", "topology.json", "trace.svg"]
 
 
 def test_env_out_override(tmp_path, monkeypatch):
@@ -534,18 +550,18 @@ def test_variety_points_gives_up(monkeypatch):
         FiberSolutions(g, t, [], "empty") for g, t in zip(gs, ts)])
     with pytest.raises(ContinuationError, match="earring at s=0.05 in 300 "
                                                 "attempts"):
-        cli._variety_points(np.random.default_rng(0), "earring", 0.05, 3)
+        cli._variety_points(random.Random(0), "earring", 0.05, 3)
 
 
 def test_random_chart_rows_are_the_per_point_scalar_draws():
-    # one array draw equals five scalar draws per point, bit for bit
-    rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+    # the rows are five scalar draws per point, bit for bit
+    rng, ref = random.Random(3), random.Random(3)
     want = [[ref.uniform(-0.2, 0.2), ref.uniform(0, 2 * np.pi),
              ref.uniform(0, 2 * np.pi), ref.uniform(-0.5, 0.5),
              ref.uniform(0, 2 * np.pi)] for _ in range(200)]
     assert cli._random_chart_rows(rng, 200).tobytes() == \
         np.array(want).tobytes()
-    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.getstate() == ref.getstate()
 
 
 def _ref_variety_points(rng, variant, s, n):
@@ -559,9 +575,9 @@ def _ref_variety_points(rng, variant, s, n):
         if attempts == 100 * n:
             raise ContinuationError(f"found {len(pts)} of {n}")
         attempts += 1
-        g = float(rng.uniform(0.3, np.pi - 0.3))
-        t = float(rng.uniform(0.3, np.pi - 0.3))
-        side = int(rng.integers(0, 2))
+        g = rng.uniform(0.3, np.pi - 0.3)
+        t = rng.uniform(0.3, np.pi - 0.3)
+        side = rng.randrange(2)
         fs = solve_fiber(variant, s, g, t)
         if fs.status == "two_sheets" and all(abs(nu) <= 0.5 + 1e-9
                                              for nu, _ in fs.solutions):
@@ -577,18 +593,18 @@ def _ref_variety_points(rng, variant, s, n):
     ("bypass", 0.45, 8)])
 def test_variety_points_match_one_fiber_at_a_time(variant, s, n):
     # the batched draws are the one-at-a-time stream exactly, misses too
-    rng, ref_rng = np.random.default_rng(0), np.random.default_rng(0)
+    rng, ref_rng = random.Random(0), random.Random(0)
     ref, misses = _ref_variety_points(ref_rng, variant, s, n)
     got = cli._variety_points(rng, variant, s, n)
     assert got.tobytes() == ref.tobytes() and got.shape == ref.shape == (n, 5)
-    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert rng.getstate() == ref_rng.getstate()
     if s == 0.45:
         assert misses >= 1  # a miss has been skipped
 
 
 def test_variety_points_skip_roots_outside_the_chart():
     # at s = 0.45 some earring fibers have a root with |nu| > 1/2
-    pts = cli._variety_points(np.random.default_rng(0), "earring", 0.45, 25)
+    pts = cli._variety_points(random.Random(0), "earring", 0.45, 25)
     assert len(pts) == 25
     assert np.all(np.abs(pts[:, 3]) <= 0.5 + 1e-9)
 
@@ -633,6 +649,26 @@ def test_runtime_does_not_import_scipy():
         "assert curves.hausdorff_r3(c, curves.double(c)) > 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     assert _run_fresh(script).strip() == "[]"
+
+
+def test_verify_does_not_import_numpy_random(tmp_path):
+    # verify draws its samples from the standard library's generator
+    script = (
+        "import sys\n"
+        "from pillowcase import cli\n"
+        "cli.main(['verify', '--variant', 'bypass', '--out', "
+        f"{str(tmp_path)!r}])\n"
+        "print('numpy.random' in sys.modules)\n")
+    assert _run_fresh(script).splitlines()[-1] == "False"
+    assert (tmp_path / "verify.json").exists()
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+@pytest.mark.parametrize("seed", range(5))
+def test_every_verify_row_passes_on_the_first_seeds(variant, seed):
+    rows = cli.verification_suite(variant, 0.05, seed=seed)
+    assert len(rows) == 11
+    assert [(n, d) for n, ok, d in rows if not ok] == []
 
 
 def test_trace_does_not_import_numpy_ma(tmp_path):

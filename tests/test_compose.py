@@ -10,7 +10,7 @@ from pillowcase import variety as V
 from pillowcase import verify as VF
 from pillowcase import words as W
 
-from pillow_reference import pi0_of_rep
+from pillow_reference import pi0_of_rep, prune_short
 
 FOLD = {}
 
@@ -329,6 +329,45 @@ def test_unwrap_orbit_path_matches_loop_on_random_paths():
         got, want = X._unwrap_orbit_path(r3), _loop_unwrap_orbit_path(r3)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _short_gap_lifts(rng, m):
+    """Plane lifts whose gaps come in runs of one size in units of ``m``:
+    none, short, within an ulp or two of ``m`` either way, and clear; then
+    lifts whose every gap is ``m`` exactly or as rounded at 1 + k m, and
+    one with a NaN vertex."""
+    sizes = [0.0, 0.1, 0.5, 1 - 2e-16, 1.0, 1 + 2e-16, 1.5, 40.0]
+    for _ in range(40):
+        n = int(rng.integers(2, 400))
+        runs = rng.integers(0, len(sizes), n)
+        gaps = np.repeat(np.take(sizes, runs), rng.integers(1, 20, n))[:n - 1]
+        angle = rng.uniform(0.0, 2 * np.pi, n - 1)
+        steps = m * gaps[:, None] * np.column_stack([np.cos(angle),
+                                                     np.sin(angle)])
+        yield np.cumsum(np.vstack([rng.uniform(-4.0, 4.0, (1, 2)), steps]),
+                        axis=0)
+    k = np.arange(300.0)
+    yield np.column_stack([k * m, np.zeros_like(k)])
+    yield np.column_stack([1.0 + k * m, 2.0 - k * m])
+    nan = np.column_stack([k * 0.4 * m, k])
+    nan[5] = np.nan
+    yield nan
+
+
+@pytest.mark.parametrize("m", [1e-6, 2.0 ** -20])
+def test_prune_short_matches_the_vertex_loop(m, monkeypatch):
+    # the array rule keeps the loop's vertices bit for bit, on the lifts
+    # verify composes and on clustered short and borderline gaps
+    lifts = list(_short_gap_lifts(np.random.default_rng(23), m))
+    synthetic = len(lifts)
+    prune = X._prune_short
+    monkeypatch.setattr(X, "_prune_short", lambda lift, min_len: (
+        lifts.append(lift) or prune(lift, min_len)))
+    X.compose_curve(C.bottom_edge(), "bypass", 0.05, max_step=1.5e-3,
+                    circles=fold("bypass", 0.05))
+    assert len(lifts) == synthetic + 1
+    for lift in lifts:
+        assert prune(lift, m).tobytes() == prune_short(lift, m).tobytes()
 
 
 @pytest.mark.parametrize("column", [0, 1])

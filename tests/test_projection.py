@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,7 @@ from pillow_reference import (GENERATORS, G, PillowPoint, canonical_orbit,
 
 
 def variety_points(variant, s, n, seed=0):
-    return _variety_points(np.random.default_rng(seed), variant, s, n)
+    return _variety_points(random.Random(seed), variant, s, n)
 
 
 def chart_of(rep):
