@@ -381,9 +381,12 @@ def corrector_batch(code, s, breaks, cg, ct, p0, p1, p2, n0, n1, n2, tol,
     converged once max|G| < ``tol`` and |n . (u - p)| < 1e-9, as failed at
     an iterate with |nu| above 0.999 or where the 3x3 system is singular or
     a step would move more than 1 in the 1-norm, and after ``maxit`` steps
-    it is converged if max|G| < ``tol``.  The 3x3 solve is ``_cramer3``
-    elementwise.  Returns (u0, u1, u2, ok) arrays; a failed element keeps
-    its last iterate.
+    it is converged if max|G| < ``tol``.  The first iteration evaluates G
+    and its 2x3 Jacobian together, since a prediction is seldom converged;
+    every later one evaluates G alone, then the Jacobian only at the
+    elements that step.  The 3x3 solve is ``_cramer3`` elementwise.
+    Returns (u0, u1, u2, ok) arrays; a failed element keeps its last
+    iterate.
     """
     s = float(s)
     p0, p1, p2, n0, n1, n2 = (np.asarray(x, dtype=float)
@@ -396,8 +399,12 @@ def corrector_batch(code, s, breaks, cg, ct, p0, p1, p2, n0, n1, n2, tol,
         if not idx.size:
             break
         x0, x1, x2 = u0[idx], u1[idx], u2[idx]
-        f1, f2, j = _curve_jac(code, s, _spline_jets, np, breaks, cg, ct,
-                               x0, x1, x2)
+        if it:
+            gamma, _, theta, _ = _spline_jets(breaks, cg, ct, x0)
+            f1, f2 = _g_impl(code, s, gamma, theta, x1, x2)
+        else:
+            f1, f2, j = _curve_jac(code, s, _spline_jets, np, breaks, cg, ct,
+                                   x0, x1, x2)
         small = np.maximum(np.abs(f1), np.abs(f2)) < tol
         if it == maxit:
             ok[idx] = small
@@ -406,6 +413,15 @@ def corrector_batch(code, s, breaks, cg, ct, p0, p1, p2, n0, n1, n2, tol,
         f3 = m0 * (x0 - p0[idx]) + m1 * (x1 - p1[idx]) + m2 * (x2 - p2[idx])
         done = small & (np.abs(f3) < 1e-9)
         ok[idx[done]] = True
+        if it:  # G alone so far: the Jacobian where an element steps
+            live = ~done
+            if not live.any():
+                break
+            idx, x0, x1, x2, m0, m1, m2, f1, f2, f3, done = (
+                v[live] for v in (idx, x0, x1, x2, m0, m1, m2, f1, f2, f3,
+                                  done))
+            j = _curve_jac(code, s, _spline_jets, np, breaks, cg, ct,
+                           x0, x1, x2)[2]
         det, d0, d1, d2 = _cramer3(*j, m0, m1, m2, -f1, -f2, -f3)
         with np.errstate(divide="ignore", invalid="ignore"):
             d0, d1, d2 = d0 / det, d1 / det, d2 / det

@@ -32,8 +32,8 @@ import random
 import sys
 from pathlib import Path
 
-# One OpenBLAS thread: its worker pool costs more at numpy's import than the
-# largest BLAS call here, hausdorff_r3's (32 x 3) @ (3 x k) product, gains
+# One OpenBLAS thread: starting its worker pool is a cost of numpy's import,
+# and the package makes no BLAS or LAPACK call that could use it
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np

@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -707,22 +709,45 @@ _PAIR_CHUNK = 4096  # (point, block) pairs per exact pass: 64k segment rows
 
 def _nearest_in_block(pts, seg, blk):
     """Distance from each point to its nearest segment of block ``blk``;
-    ``seg`` holds the blocks' (a, b - a, |b - a|^2)."""
-    a, ab, denom = (x[blk] for x in seg)
-    t = np.clip(np.sum((pts[:, None] - a) * ab, axis=-1) / denom, 0.0, 1.0)
-    x = pts[:, None] - (a + t[..., None] * ab)
-    return np.sqrt(np.sum(x * x, axis=-1)).min(axis=1)
+    ``seg`` holds the blocks' a and b - a as coordinate columns, and
+    |b - a|^2.  Each sum over the coordinates runs in their order, as
+    numpy's sum over a short last axis does, and gathers one coordinate's
+    columns at a time."""
+    a, ab, denom = seg
+    dims = range(len(a))
+    t = np.clip(reduce(add, ((pts[:, k, None] - a[k][blk]) * ab[k][blk]
+                             for k in dims)) / denom[blk], 0.0, 1.0)
+    return np.sqrt(reduce(add, (
+        np.square(pts[:, k, None] - (a[k][blk] + t * ab[k][blk]))
+        for k in dims))).min(axis=1)
 
 
-def _balls(*parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _balls(*parts):
     """Center and radius of a ball around the points of each row of the
-    parts taken together; min, max and the largest radius are exact in any
-    order, so the parts need not be concatenated."""
-    center = 0.5 * (np.minimum.reduce([p.min(axis=1) for p in parts])
-                    + np.maximum.reduce([p.max(axis=1) for p in parts]))
-    return center, np.maximum.reduce(
-        [np.linalg.norm(p - center[:, None], axis=2).max(axis=1)
+    parts taken together, each part the list of its coordinate columns;
+    min, max and the largest radius are exact in any order, so the parts
+    need not be concatenated."""
+    center = [0.5 * (np.minimum.reduce([p[k].min(axis=1) for p in parts])
+                     + np.maximum.reduce([p[k].max(axis=1) for p in parts]))
+              for k in range(len(parts[0]))]
+    radius = np.maximum.reduce(
+        [np.sqrt(reduce(add, (np.square(x - c[:, None])
+                              for x, c in zip(p, center)))).max(axis=1)
          for p in parts])
+    return np.column_stack(center), radius
+
+
+def _segment_blocks(a, b):
+    """The segments [a_j, b_j] in blocks of ``_BLOCK`` consecutive ones:
+    each block's ball (``_balls``), and its a, b - a and |b - a|^2 as
+    ``_nearest_in_block`` reads them."""
+    # the last block repeats its last segment; a repeat cannot lower a min
+    blocks = _runs(len(a), _BLOCK)
+    a_cols = [x[blocks] for x in a.T]
+    b_cols = [x[blocks] for x in b.T]
+    ab_cols = [y - x for x, y in zip(a_cols, b_cols)]
+    denom = np.maximum(reduce(add, map(np.square, ab_cols)), 1e-300)
+    return _balls(a_cols, b_cols), (a_cols, ab_cols, denom)
 
 
 def _points_to_segments_dist(pts: np.ndarray, a: np.ndarray,
@@ -736,22 +761,18 @@ def _points_to_segments_dist(pts: np.ndarray, a: np.ndarray,
     nearest segment of any of its points.  Among those candidates a point
     measures the block whose ball is nearest, then every block whose ball is
     nearer than the distance found.  Point blocks and (point, block) pairs
-    are processed in chunks, so temporaries stay at a few MB.
+    are processed in chunks, so temporaries stay at a few MB.  The ball
+    bounds and the distances are products of coordinate columns, as many
+    as the points have, with no matrix product.
     """
-    ab = b - a
-    # the last block repeats its last segment; a repeat cannot lower a min
-    blocks = _runs(len(a), _BLOCK)
-    a_blocks = a[blocks]
-    center, radius = _balls(a_blocks, b[blocks])
-    seg = (a_blocks, ab[blocks],
-           np.maximum(np.sum(ab * ab, axis=1), 1e-300)[blocks])
+    (center, radius), seg = _segment_blocks(a, b)
     # |p - c|^2 = |p|^2 + |c|^2 - 2 p.c is off by at most ~16 eps M^2 (M the
     # largest norm), so its root by at most 4 sqrt(eps) M < 1e-7 M
     cc = np.sum(center * center, axis=1)
     pp = np.sum(pts * pts, axis=1)
     radius = radius + 1e-7 * (1.0 + np.sqrt(max(cc.max(), pp.max(initial=0))))
     runs = _runs(len(pts), _POINT_BLOCK)
-    pcenter, pradius = _balls(pts[runs])
+    pcenter, pradius = _balls([x[runs] for x in pts.T])
     best = np.empty(len(pts))
     for lo in range(0, len(runs), _RUNS_PER_PASS):
         chunk = slice(lo, lo + _RUNS_PER_PASS)
@@ -762,8 +783,10 @@ def _points_to_segments_dist(pts: np.ndarray, a: np.ndarray,
         # each run's kept blocks first, padded to the chunk's longest list
         # with slots of infinite bound
         cand = np.argsort(~keep, axis=1, kind="stable")[:, :keep.sum(1).max()]
-        sq = pp[run][..., None] + cc[cand][:, None] \
-            - 2.0 * (pts[run] @ center[cand].transpose(0, 2, 1))
+        # p.c of each point of the runs and each candidate's center
+        dot = reduce(add, (x[run][..., None] * c[cand][:, None]
+                           for x, c in zip(pts.T, center.T)))
+        sq = pp[run][..., None] + cc[cand][:, None] - 2.0 * dot
         lower = np.where(np.take_along_axis(keep, cand, axis=1)[:, None],
                          np.sqrt(np.maximum(sq, 0.0)) - radius[cand][:, None],
                          np.inf).reshape(-1, cand.shape[1])

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import quat
 from .words import (CHARS_P0, CHARS_P1, Rep, U_A, U_B, U_F, U_H, chart_angle,
-                    embed_arrays, embed_L, eval_word, variety_residual)
+                    embed_L, eval_word, slice_parts, variety_residual,
+                    word_parts)
 
 OFF_VARIETY_SURFACE_TOL = 1e-6
 
@@ -77,8 +78,17 @@ def pi1_r3(rep: Rep) -> np.ndarray:
 
 def pi1_r3_of_chart(s, gamma, theta, nu, tau) -> np.ndarray:
     """pi1 characters straight from chart coordinates (vectorized over
-    broadcastable, possibly complex inputs); raises ValueError for |nu| > 1/2."""
-    return _characters(embed_arrays(s, gamma, theta, nu, tau), CHARS_P1)
+    broadcastable, possibly complex inputs); raises ValueError for |nu| > 1/2.
+
+    The three words are straight-line products of ``slice_parts`` tuples
+    (``word_parts``), in ``eval_word``'s order.  The first word is the
+    third followed by the second, so it continues the third's products.
+    """
+    vals = slice_parts(s, gamma, theta, nu, tau)
+    w1, w2, w3 = CHARS_P1
+    c3 = word_parts(vals, w3)
+    c1 = word_parts(vals, w1[len(w3):], c3)
+    return np.stack([c1[0], word_parts(vals, w2)[0], c3[0]], axis=-1)
 
 
 def theta_r3(v) -> np.ndarray:

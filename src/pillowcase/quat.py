@@ -61,22 +61,24 @@ def normalize(q: np.ndarray) -> np.ndarray:
     return q / norm(q)[..., None]
 
 
-def qexp(v: np.ndarray) -> np.ndarray:
-    """Exponential of a pure quaternion: cos|v| + sinc|v| * v.
+def qexp_parts(x, y, z):
+    """Exponential of the pure quaternion (x, y, z), cos|v| + sinc|v| * v,
+    as the tuple (w, x, y, z); elementwise over arrays.
 
     The sinc form keeps qexp(0) = 1 exact, which the s -> 0 limits exercise
     constantly.
     """
-    v = np.asarray(v)
-    n = np.sqrt(v[..., 1] ** 2 + v[..., 2] ** 2 + v[..., 3] ** 2)
+    n = np.sqrt(x ** 2 + y ** 2 + z ** 2)
     nn = np.maximum(n, 1e-300)
     sc = np.sin(nn) / nn
-    out = np.empty(np.broadcast_shapes(v.shape[:-1], n.shape) + (4,), n.dtype)
-    out[..., 0] = np.cos(n)
-    out[..., 1] = sc * v[..., 1]
-    out[..., 2] = sc * v[..., 2]
-    out[..., 3] = sc * v[..., 3]
-    return out
+    return np.cos(n), sc * x, sc * y, sc * z
+
+
+def qexp(v: np.ndarray) -> np.ndarray:
+    """Exponential of a pure quaternion (``qexp_parts``), broadcasting over
+    leading axes."""
+    v = np.asarray(v)
+    return np.stack(qexp_parts(v[..., 1], v[..., 2], v[..., 3]), axis=-1)
 
 
 def rotate(u: np.ndarray, x: np.ndarray) -> np.ndarray:

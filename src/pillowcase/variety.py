@@ -276,15 +276,21 @@ def _fold_system(code: str, s: float, gamma, theta, nu, tau):
     step through ``jet`` (Squire & Trapp, *SIAM Review* 40, 1998): the
     kernel is analytic in x, so det at x + i h e_k is det + i h d det/dx_k
     + O(h^2) with no subtraction, and at h = 1e-20 its imaginary part over
-    h is the derivative to rounding.
+    h is the derivative to rounding.  Each direction k is its own ``jet``
+    call.  Its other two coordinates are complex too, with imaginary part
+    0: numpy divides by a complex number through its reciprocal, so a real
+    coordinate would round otherwise.
     """
     g1, g2, ((a0, a1, a2, a3), (b0, b1, b2, b3)) = _kernels.jet(
         code, s, gamma, theta, nu, tau, _kernels.DIRECTIONS)
-    # x + i h e_k for k = 0, 1, 2 along a new leading axis
-    step = 1j * COMPLEX_STEP * np.eye(3).reshape((3, 3) + (1,) * gamma.ndim)
-    xc = np.moveaxis(np.stack([gamma, theta, nu]) + step, 1, 0)
-    _, _, ((c2, c3), (d2, d3)) = _kernels.jet(code, s, *xc, tau, ("nu", "tau"))
-    ddet = (c2 * d3 - c3 * d2).imag / COMPLEX_STEP
+    x = (gamma, theta, nu)
+    ddet = []
+    for k in range(3):
+        xc = [v + (1j * COMPLEX_STEP if i == k else 0j)
+              for i, v in enumerate(x)]
+        _, _, ((c2, c3), (d2, d3)) = _kernels.jet(code, s, *xc, tau,
+                                                  ("nu", "tau"))
+        ddet.append((c2 * d3 - c3 * d2).imag / COMPLEX_STEP)
     return (g1, g2, a2 * b3 - a3 * b2), (a0, a1, a2, b0, b1, b2, *ddet)
 
 
@@ -336,7 +342,7 @@ def fold_locus(variant: str, s: float, n_samples: int = 192) -> list[FoldCircle]
         img = np.sin(np.column_stack([x[0][k], x[1][k]]))
         circ = FoldCircle(eps, samples[k], img)
         # closure and winding checks
-        gap = np.linalg.norm(img[0] - img[-1])
+        gap = math.hypot(*(img[0] - img[-1]))
         # the median step, computed by hand: np.median imports numpy.ma
         q = np.sort(np.linalg.norm(np.diff(img, axis=0), axis=1))
         spacing = 0.5 * (q[(len(q) - 1) // 2] + q[len(q) // 2])
@@ -351,26 +357,80 @@ def fold_locus(variant: str, s: float, n_samples: int = 192) -> list[FoldCircle]
     return out
 
 
+def _rank_data2(a, b, c, d):
+    """Singular values, larger first, of the 2x2 matrix [[a, b], [c, d]],
+    and the unit right singular vector of the smaller one, in closed form.
+
+    With Q = |(a + d, c - b)| / 2 and R = |(a - d, c + b)| / 2 the singular
+    values are Q + R and |ad - bc| / (Q + R), the second accurate near rank
+    one.  The right singular vectors are the eigenvectors of M^T M; the
+    larger one is at the angle phi with tan 2 phi = 2 (ab + cd) /
+    (a^2 + c^2 - b^2 - d^2), and the smaller one is normal to it.
+    """
+    sv = 0.5 * (math.hypot(a + d, c - b) + math.hypot(a - d, c + b))
+    phi = 0.5 * math.atan2(2.0 * (a * b + c * d),
+                           a * a + c * c - b * b - d * d)
+    return (sv, abs(a * d - b * c) / sv), (-math.sin(phi), math.cos(phi))
+
+
+def _norm(v) -> float:
+    return math.sqrt(sum(x * x for x in v))
+
+
+def _orth(v, basis):
+    """v less its components along the orthonormal vectors ``basis``, one
+    after the other (modified Gram-Schmidt)."""
+    for e in basis:
+        c = sum(x * y for x, y in zip(v, e))
+        v = [x - c * y for x, y in zip(v, e)]
+    return v
+
+
+def _unit(v):
+    n = _norm(v)
+    return [x / n for x in v]
+
+
 def fold_jacobian_data(variant, s, x):
     """Rank data of the two restriction differentials at the chart point
     (s, *x), x a fold sample row (gamma, theta, nu, tau) as an array.
 
-    Returns (sv0, ker0, sv1, ker1): singular values and kernel vectors of the
-    base projection and of the second-factor character map, both restricted
-    to the surface tangent plane at the point.
+    Returns (sv0, ker0, sv1, ker1): the singular values, larger first, and
+    the kernel line of the base projection and of the second-factor
+    character map, both restricted to the surface tangent plane at the
+    point.  A kernel line is a unit vector in chart coordinates
+    (gamma, theta, nu, tau), so it does not depend on a basis of the plane.
+
+    Everything is closed form on floats.  The tangent plane is the kernel
+    of the 2x4 dG, spanned by the two coordinate vectors that keep most of
+    their length once Gram-Schmidt takes out the rows of dG and each other.
+    The pi1 columns along that basis are one complex step; one QR step
+    reduces them to a 2x2 triangle with the same singular values and right
+    singular vectors.  Both 2x2 problems are ``_rank_data2``.
     """
     code = _kernels.variant_code(variant)
-    dg = np.array(_kernels.jet(code, s, *x, _kernels.DIRECTIONS, math)[2])
-    _, _, vt = np.linalg.svd(dg)
-    t1, t2 = vt[2], vt[3]  # orthonormal basis of the tangent plane
+    basis = []
+    for row in _kernels.jet(code, s, *x, _kernels.DIRECTIONS, math)[2]:
+        basis.append(_unit(_orth(row, basis)))
+    for _ in range(2):
+        rest = (_orth([float(i == k) for i in range(4)], basis)
+                for k in range(4))
+        basis.append(_unit(max(rest, key=_norm)))
+    t1, t2 = basis[2:]
 
-    _, sv0, vt0 = np.linalg.svd(np.column_stack([t1[:2], t2[:2]]))
+    sv0, v0 = _rank_data2(t1[0], t2[0], t1[1], t2[1])
 
     # d pi1 along t1 and t2: one complex step x + i h t_k through the words
-    xc = x + 1j * COMPLEX_STEP * np.stack([t1, t2])
-    cols = pi1_r3_of_chart(s, *xc.T).imag / COMPLEX_STEP
-    _, sv1, vt1 = np.linalg.svd(cols.T)
-    return sv0, vt0[-1], sv1, vt1[-1]
+    xc = x + 1j * COMPLEX_STEP * np.array([t1, t2])
+    c1, c2 = (pi1_r3_of_chart(s, *xc.T).imag / COMPLEX_STEP).tolist()
+    q1 = _unit(c1)
+    sv1, v1 = _rank_data2(_norm(c1), sum(a * b for a, b in zip(q1, c2)),
+                          0.0, _norm(_orth(c2, [q1])))
+
+    def line(v):  # a vector of the plane in chart coordinates
+        return tuple(v[0] * a + v[1] * b for a, b in zip(t1, t2))
+
+    return sv0, line(v0), sv1, line(v1)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ samples.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import quat
@@ -122,7 +124,8 @@ def fold_structure(circles, variant, s, rank_rows):
     rank_ok = True
     for row in rank_rows:
         sv0, k0, sv1, k1 = fold_jacobian_data(variant, s, row)
-        ang = float(np.arccos(min(1.0, abs(float(np.dot(k0, k1))))))
+        cos = abs(sum(a * b for a, b in zip(k0, k1)))
+        ang = math.acos(min(1.0, cos))
         rank_ok = rank_ok and sv0[1] / sv0[0] < FOLD_RANK_RATIO \
             and sv1[1] / sv1[0] < FOLD_RANK_RATIO and ang > FOLD_KERNEL_ANGLE
     ok = (len(circles) == FOLD_CIRCLES

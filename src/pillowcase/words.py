@@ -111,23 +111,34 @@ class Rep:
     s: float | np.ndarray = 0.0
 
 
-def embed_arrays(s, gamma, theta, nu, tau) -> dict[str, np.ndarray]:
-    """Vectorized gauge-slice embedding; all inputs broadcast, complex ones
-    too."""
+def slice_parts(s, gamma, theta, nu, tau) -> dict[str, tuple]:
+    """The gauge slice's values on b, f, h, p and q as (w, x, y, z) tuples
+    of arrays, and a = i as a tuple of floats; all inputs broadcast,
+    complex ones too."""
     gamma, theta, nu, tau = np.broadcast_arrays(gamma, theta, nu, tau)
     if np.any(np.abs(nu) > NU_MAX):
         raise ValueError("nu out of [-1/2, 1/2]")
     zero = np.zeros_like(gamma)
-    a = np.broadcast_to(quat.I, gamma.shape + (4,)).copy()
-    b = np.stack([zero, np.cos(gamma), np.sin(gamma), zero], axis=-1)
-    f = np.stack([zero, np.cos(theta), np.sin(theta), zero], axis=-1)
+    ct, st = np.cos(theta), np.sin(theta)
+    b = (zero, np.cos(gamma), np.sin(gamma), zero)
     r = np.sqrt(1.0 - nu * nu)
-    h = np.stack([zero, nu, r * np.cos(tau), r * np.sin(tau)], axis=-1)
-    s = np.asarray(s)[..., None]
-    p = quat.qexp(s * quat.ima(quat.mul(b, h)))
-    ek = np.stack([np.cos(theta), zero, zero, np.sin(theta)], axis=-1)
-    q = quat.qexp(s * quat.ima(quat.mul(ek, h)))
-    return {"a": a, "b": b, "f": f, "h": h, "p": p, "q": q}
+    h = (zero, nu, r * np.cos(tau), r * np.sin(tau))
+    s = np.asarray(s)
+    # p = exp(s Im(b h)), q = exp(s Im(e^{theta k} h))
+    p = quat.qexp_parts(*(s * x for x in quat.mul_parts(*b, *h)[1:]))
+    q = quat.qexp_parts(*(s * x for x in
+                          quat.mul_parts(ct, zero, zero, st, *h)[1:]))
+    return {"a": (0.0, 1.0, 0.0, 0.0), "b": b, "f": (zero, ct, st, zero),
+            "h": h, "p": p, "q": q}
+
+
+def embed_arrays(s, gamma, theta, nu, tau) -> dict[str, np.ndarray]:
+    """Vectorized gauge-slice embedding: ``slice_parts`` stacked into
+    (..., 4) arrays."""
+    parts = slice_parts(s, gamma, theta, nu, tau)
+    out = {"a": np.broadcast_to(quat.I, parts["b"][0].shape + (4,)).copy()}
+    out.update((k, np.stack(v, axis=-1)) for k, v in parts.items() if k != "a")
+    return out
 
 
 def embed_L(variant, s, gamma, theta, nu, tau) -> Rep:
@@ -149,6 +160,19 @@ def eval_word(rep, word: str) -> np.ndarray:
         if ch.isupper():
             x = quat.conj(x)
         out = quat.mul(out, x)
+    return out
+
+
+def word_parts(vals, word: str, start=None):
+    """``eval_word`` on (w, x, y, z) tuples (``slice_parts``): the image of
+    a nonempty word, or of ``start`` times it, with the products taken left
+    to right as ``eval_word`` takes them."""
+    out = start
+    for ch in word:
+        x = vals[ch.lower()]
+        if ch.isupper():
+            x = (x[0], -x[1], -x[2], -x[3])
+        out = x if out is None else quat.mul_parts(*out, *x)
     return out
 
 

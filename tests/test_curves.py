@@ -730,16 +730,19 @@ def _brute_force_polyline_dist(pts, poly):
 _coord = st.floats(-1.0, 1.0, allow_subnormal=False)
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(poly=st.lists(st.tuples(_coord, _coord, _coord), min_size=2,
+@settings(derandomize=True, database=None, max_examples=90, deadline=None)
+@given(poly=st.lists(st.tuples(_coord, _coord, _coord, _coord), min_size=2,
                      max_size=90),
-       pts=st.lists(st.tuples(_coord, _coord, _coord), min_size=1,
+       pts=st.lists(st.tuples(_coord, _coord, _coord, _coord), min_size=1,
                     max_size=40),
-       walk=st.booleans(), spread=st.sampled_from([1e-3, 1.0, 10.0]))
-def test_polyline_distance_matches_brute_force(poly, pts, walk, spread):
-    # a random walk gives dense curves, with several segments per block ball
-    poly = np.cumsum(poly, axis=0) * 0.1 if walk else np.array(poly)
-    pts = np.array(pts) * spread
+       walk=st.booleans(), spread=st.sampled_from([1e-3, 1.0, 10.0]),
+       dim=st.sampled_from([2, 3, 4]))
+def test_polyline_distance_matches_brute_force(poly, pts, walk, spread, dim):
+    # a random walk gives dense curves, with several segments per block ball;
+    # the search takes its coordinates from the points, R^3 or any other
+    poly = np.array(poly)[:, :dim]
+    poly = np.cumsum(poly, axis=0) * 0.1 if walk else poly
+    pts = np.array(pts)[:, :dim] * spread
     assert np.array_equal(C._points_to_segments_dist(pts, poly[:-1], poly[1:]),
                           _brute_force_polyline_dist(pts, poly))
 

@@ -13,6 +13,9 @@ from pillowcase import compose as X
 from pillowcase import curves as C
 from pillowcase import projection as P
 from pillowcase import variety as V
+from pillowcase.cli import torus_knot_scene
+
+import pillow_reference as ref
 
 S = 0.05
 CODES = (K.EARRING, K.BYPASS)
@@ -220,6 +223,37 @@ def test_corrector_batch_matches_finite_difference_reference(variant,
         assert set(ok.tolist()) == {True, False}
 
 
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_corrector_batch_is_the_loop_as_first_written(variant, monkeypatch):
+    # every dense prediction of the torus-knot scene, in its chunks
+    calls = []
+    batch = K.corrector_batch
+
+    def record(*args):
+        calls.append(args)
+        return batch(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(K, "corrector_batch", record)
+        torus_knot_scene(variant, S)
+    assert sum(len(args[5]) for args in calls) > 15000
+    # predictions that fail: |nu| > 0.999, a singular system (a zero
+    # normal) and a first step over 1 (tau 2 off the curve)
+    head, (p0, p1, p2, n0, n1, n2), tail = (
+        calls[0][:5], np.array(calls[0][5:11]), calls[0][11:])
+    p1[0::4] = 0.9995
+    n0[1::4] = n1[1::4] = n2[1::4] = 0.0
+    p2[2::4] += 2.0
+    failing = head + (p0, p1, p2, n0, n1, n2) + tail
+    for args in calls + [failing, failing[:-1] + (2,)]:
+        got = K.corrector_batch(*args)
+        want = ref.corrector_batch(*args)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    ok = K.corrector_batch(*failing)[3]
+    assert not ok[0::4].any() and not ok[1::4].any()
+    assert ok[3::4].all() and not ok[2::4].all()
+
+
 def _ref_fold_jacobian_data(variant, s, x):
     """``fold_jacobian_data`` with dG and the pi1 columns from the central
     differences it replaced."""
@@ -240,7 +274,9 @@ def _ref_fold_jacobian_data(variant, s, x):
              - P.pi1_r3_of_chart(s, *(x - step * t))) / (2 * step)
             for t in (t1, t2)]
     _, sv1, vt1 = np.linalg.svd(np.column_stack(cols))
-    return sv0, vt0[-1], sv1, vt1[-1]
+    # the kernel lines in chart coordinates, through this tangent basis
+    plane = np.stack([t1, t2])
+    return sv0, vt0[-1] @ plane, sv1, vt1[-1] @ plane
 
 
 @pytest.mark.parametrize("variant", ["earring", "bypass"])
@@ -256,3 +292,30 @@ def test_fold_jacobian_data_matches_finite_differences(variant):
             # kernel lines agree up to sign
             assert 1 - abs(float(np.dot(k0, q0))) < 1e-8
             assert 1 - abs(float(np.dot(k1, q1))) < 1e-6
+
+
+@pytest.mark.parametrize("s", [0.01, -0.01, 0.05, -0.05, 0.2, -0.2, -0.45])
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_fold_jacobian_data_closed_form_matches_lapack(variant, s):
+    for circle in V.fold_locus(variant, s, n_samples=48):
+        for row in circle.samples[::6]:
+            sv0, k0, sv1, k1 = V.fold_jacobian_data(variant, s, row)
+            r0, q0, r1, q1 = ref.fold_jacobian_data(variant, s, row)
+            assert np.max(np.abs(np.subtract(sv0, r0))) < 1e-13
+            assert np.max(np.abs(np.subtract(sv1, r1))) < 1e-13
+            # unit kernel lines, equal up to sign
+            for k, q in ((k0, q0), (k1, q1)):
+                assert abs(np.linalg.norm(k) - 1) < 1e-14
+                assert min(np.max(np.abs(k - q)), np.max(np.abs(k + q))) < 1e-11
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_fold_system_is_the_stacked_complex_step(variant):
+    rng = np.random.default_rng(7)
+    g, t = rng.uniform(0, 2 * np.pi, (2, 4, 192))
+    nu = rng.uniform(-0.45, 0.45, (4, 192))
+    tau = np.linspace(0.0, 2 * np.pi, 192, endpoint=False)
+    f, rows = V._fold_system(variant, 0.2, g, t, nu, tau)
+    f_ref, rows_ref = ref.fold_system(variant, 0.2, g, t, nu, tau)
+    for a, b in zip(f + rows, f_ref + rows_ref):
+        assert np.array_equal(a, b)

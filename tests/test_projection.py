@@ -315,6 +315,38 @@ def test_batched_involution_refuses_one_off_variety_member():
         VF.factorization("bypass", both)
 
 
+def _pi1_inputs(kind, n):
+    """Chart coordinates (s, gamma, theta, nu, tau) of ``n`` points: real,
+    a complex step in every coordinate, one point as 0-d values, or a
+    gamma column against theta and tau rows."""
+    rng = np.random.default_rng(n)
+    g, t, tau = rng.uniform(0, 2 * np.pi, (3, n))
+    nu = rng.uniform(-0.5, 0.5, n)
+    if kind == "real":
+        return rng.uniform(-0.45, 0.45, n), g, t, nu, tau
+    if kind == "complex":
+        d = 1e-20j * rng.normal(size=(4, n))
+        return 0.05, g + d[0], t + d[1], nu + d[2], tau + d[3]
+    if kind == "0-d":
+        return 0.2, g[0], t[0], nu[0], tau[0]
+    return 0.05, g[:, None], t[None, :], nu[0], tau[None, :]
+
+
+@pytest.mark.parametrize("n", [1, 4096])
+@pytest.mark.parametrize("kind", ["real", "complex", "0-d", "broadcast"])
+def test_pi1_r3_of_chart_is_the_word_evaluation_bit_for_bit(kind, n):
+    # the first word continues the third's products
+    w1, w2, w3 = W.CHARS_P1
+    assert w1 == w3 + w2
+    if kind == "broadcast":
+        n = min(n, 64)
+    x = _pi1_inputs(kind, n)
+    got = P.pi1_r3_of_chart(*x)
+    want = P._characters(W.embed_arrays(*x), W.CHARS_P1)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+
+
 @pytest.mark.filterwarnings("error::numpy.exceptions.ComplexWarning")
 def test_word_layer_keeps_imaginary_parts():
     """A complex step x + 1e-20 i d through the quaternion and word layer
