@@ -3,9 +3,9 @@
 #
 #   scripts/compare_cli.sh REV
 #
-# Runs the command matrix below twice: on `git archive REV` and on the
-# work tree's src/ (committed or not), each command in a fresh directory
-# with `--out out`.  Then `diff -r` compares every command's stdout,
+# Runs the 34 commands of the matrix below twice: on `git archive REV` and
+# on the work tree's src/ (committed or not), each command in a fresh
+# directory with `--out out`.  Then `diff -r` compares every command's stdout,
 # stderr, exit code and written files.  Prints "identical" and exits 0
 # when every byte matches; otherwise prints the differences, keeps the
 # runs for inspection and exits 1.
@@ -23,6 +23,16 @@ scratch=$(mktemp -d "${TMPDIR:-/tmp}/compare_cli.XXXXXX")
 mkdir "$scratch/rev"
 git -C "$repo" archive "$1" src | tar -x -C "$scratch/rev"
 unset PILLOWCASE_OUT
+# a circle that enters the fold disks at s = 0.05: gamma = 0.04, 721
+# vertices with theta from 0.3 to 0.3 + 2 pi.  Both seeds of its fiber
+# product lie on one loop, so these are the only runs in which a second
+# seed lies on the path of a loop already traced.  Their output is the
+# known-wrong one of ROADMAP item 11 (one loop twice, the other arc's loop
+# missing); it is kept for the byte comparison only.
+python3 -c 'import json, math
+lift = [[0.04, 0.3 + 2 * math.pi * k / 720] for k in range(721)]
+print(json.dumps({"components": [{"kind": "circle", "lift": lift}]}))' \
+    > "$scratch/fold_disk.json"
 
 # one run per line: a directory name, then the command's arguments
 matrix() {
@@ -39,6 +49,8 @@ matrix() {
         for name in dt_b_ver d_dt_b_ver; do
             echo "compose-$v-$name-s0.2 compose --variant $v --name $name --s 0.2"
         done
+        echo "compose-$v-fold-disk compose --variant $v --s 0.05" \
+             "--curve-file $scratch/fold_disk.json"
     done
     echo "compose-fine compose --name beta --variant bypass --s 0.05 --max-step 2e-4"
     echo "compose-retrace compose --name dt_b_ver --s 0.2 --max-step 0.5"

@@ -8,10 +8,10 @@ fold extraction, and curve composition.
 
 The defining pair is the straight-line kernel ``jet``: G and its exact
 derivatives along any of (gamma, theta, nu, tau), by forward mode through
-the reduced form in m = p q.  It runs on Python floats (``xp=math``) and
-broadcasts over numpy arrays (``xp=numpy``), complex ones included, which
-the fold circles' complex-step gradient uses.  ``_g_impl`` is its value-only
-face on arrays.  It is the one implementation of the defining pair: every
+the reduced form in m = p q, written out in place with no nested function.
+It runs on Python floats (``xp=math``) and broadcasts over numpy arrays
+(``xp=numpy``), complex ones included, which the fold circles' complex-step
+gradient uses.  ``_g_impl`` is its value-only face on arrays.  It is the one implementation of the defining pair: every
 solver takes G and its derivatives from it.  Fiber Newton is written once,
 over arrays of fibers (``newton_fibers``), with its (nu, tau) Jacobian from
 ``jet``; ``newton_fiber_batch``, the same Newton under its own name,
@@ -51,8 +51,6 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .quat import mul_parts
-
 NUMBA_ENABLED = False
 
 EARRING = "earring"
@@ -69,35 +67,6 @@ def variant_code(variant) -> str:
 # ---------------------------------------------------------------------------
 # the defining pair and its derivatives, on floats or arrays
 # ---------------------------------------------------------------------------
-
-def _qexp(v, derivs, xp):
-    """exp of the pure quaternion v = (x, y, z), and a function giving its
-    derivative along a pure direction w when ``derivs``.
-
-    d exp(v)[w] = (-sinc(n) v.w, sinc(n) w + (cos n - sinc n)/n^2 (v.w) v),
-    n = |v|.  The second factor needs no series for small n: its rounding
-    error is multiplied by (v.w) v = O(n^2).  A nonzero n is at least about
-    1e-162 (n^2 underflows below), so n + 1e-300 is n or, at n = 0, a safe
-    divisor.
-    """
-    x, y, z = v
-    n2 = x * x + y * y + z * z
-    n = xp.sqrt(n2)
-    nn = n + 1e-300
-    c = xp.cos(n)
-    sc = xp.sin(nn) / nn
-    if not derivs:
-        return (c, sc * x, sc * y, sc * z), None
-    k = (c - sc) / (n2 + 1e-300)
-
-    def along(w):
-        a, b, d = w
-        vw = x * a + y * b + z * d
-        kv = k * vw
-        return -sc * vw, sc * a + kv * x, sc * b + kv * y, sc * d + kv * z
-
-    return (c, sc * x, sc * y, sc * z), along
-
 
 def jet(code, s, gamma, theta, nu, tau, wrt=(), xp=np):
     """The defining pair at (s, gamma, theta, nu, tau) and its derivatives.
@@ -119,25 +88,43 @@ def jet(code, s, gamma, theta, nu, tau, wrt=(), xp=np):
       with t = conj(m) h m, that is (2 a (c - nu w) + 2 w mx, nu).
 
     The derivatives are forward mode through that straight-line code
-    (Griewank & Walther, *Evaluating Derivatives*, 2008).
+    (Griewank & Walther, *Evaluating Derivatives*, 2008), with
+    d exp(v)[e] = (-sinc(n) v.e, sinc(n) e + k (v.e) v) for a pure
+    quaternion v, n = |v| and k = (cos n - sinc n)/n^2, which needs no series
+    for small n: its rounding error is multiplied by (v.e) v = O(n^2).  A
+    nonzero n is at least about 1e-162 (n^2 underflows below), so
+    n + 1e-300 is n or, at n = 0, a safe divisor.
     """
     cg, sg = xp.cos(gamma), xp.sin(gamma)
     ct, st = xp.cos(theta), xp.sin(theta)
     cu, su = xp.cos(tau), xp.sin(tau)
     r = xp.sqrt(1.0 - nu * nu)
     hy, hz = r * cu, r * su
-
-    def bxh(bx, by, x, y, z):  # s Im(b v) = s b x v for b = (bx, by, 0)
-        return s * (by * z), s * (-bx * z), s * (bx * y - by * x)
-
-    def rot(cs, sn, x, y, z):  # s Im(e^{theta k} v) for (cs, sn) = (ct, st)
-        return s * (cs * x - sn * y), s * (cs * y + sn * x), s * (cs * z)
-
-    u = bxh(cg, sg, nu, hy, hz)
-    v = rot(ct, st, nu, hy, hz)
-    p, dp = _qexp(u, wrt, xp)
-    q, dq = _qexp(v, wrt, xp)
-    w, mx, my, mz = mul_parts(*p, *q)
+    # the exponents u = s b x h of p and v = s Im(e^{theta k} h) of q
+    u1, u2, u3 = s * (sg * hz), s * (-cg * hz), s * (cg * hy - sg * nu)
+    v1, v2, v3 = s * (ct * nu - st * hy), s * (ct * hy + st * nu), s * (ct * hz)
+    n2 = u1 * u1 + u2 * u2 + u3 * u3
+    n = xp.sqrt(n2)
+    nn = n + 1e-300
+    pw = xp.cos(n)
+    sp = xp.sin(nn) / nn
+    kp = (pw - sp) / (n2 + 1e-300) if wrt else None
+    del n2, n, nn  # arrays: freed before q's are made
+    n2 = v1 * v1 + v2 * v2 + v3 * v3
+    n = xp.sqrt(n2)
+    nn = n + 1e-300
+    qw = xp.cos(n)
+    sq = xp.sin(nn) / nn
+    kq = (qw - sq) / (n2 + 1e-300) if wrt else None
+    del n2, n, nn
+    px, py, pz = sp * u1, sp * u2, sp * u3
+    qx, qy, qz = sq * v1, sq * v2, sq * v3
+    if not wrt:  # only the derivatives read the sinc factors again
+        del sp, sq
+    w = pw * qw - px * qx - py * qy - pz * qz
+    mx = pw * qx + px * qw + py * qz - pz * qy
+    my = pw * qy - px * qz + py * qw + pz * qx
+    mz = pw * qz + px * qy - py * qx + pz * qw
     a = mx * nu + my * hy + mz * hz
     c = my * hz - mz * hy
     if code == EARRING:
@@ -147,26 +134,47 @@ def jet(code, s, gamma, theta, nu, tau, wrt=(), xp=np):
         g1, g2 = 2.0 * (a * cw + w * mx), nu
     row1, row2 = [], []
     for d in wrt:
-        # m and h along d; h moves with nu and tau only, p and q with gamma
-        # and theta only through b and e^{theta k}
+        # h moves along e = (e1, e2, e3) with nu and tau only, b along
+        # (bx, by) with gamma only and e^{theta k} along (cs, sn) with theta
+        # only; dm = dp q + p dq
         if d == "gamma":
-            dh = None
-            dm = mul_parts(*dp(bxh(-sg, cg, nu, hy, hz)), *q)
+            bx, by, e1, e2, e3 = -sg, cg, nu, hy, hz
         elif d == "theta":
-            dh = None
-            dm = mul_parts(*p, *dq(rot(-st, ct, nu, hy, hz)))
+            cs, sn, e1, e2, e3 = -st, ct, nu, hy, hz
         else:
-            dh = ((1.0, -nu / r * cu, -nu / r * su) if d == "nu"
-                  else (0.0, -hz, hy))
-            m1 = mul_parts(*dp(bxh(cg, sg, *dh)), *q)
-            m2 = mul_parts(*p, *dq(rot(ct, st, *dh)))
-            dm = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
-        dw, dx, dy, dz = dm
+            bx, by, cs, sn = cg, sg, ct, st
+            e1, e2, e3 = ((1.0, -nu / r * cu, -nu / r * su) if d == "nu"
+                          else (0.0, -hz, hy))
+        if d != "theta":  # dp = d exp(u)[s b x e], times q
+            x, y, z = s * (by * e3), s * (-bx * e3), s * (bx * e2 - by * e1)
+            vw = u1 * x + u2 * y + u3 * z
+            kv = kp * vw
+            ow, x, y, z = (-sp * vw, sp * x + kv * u1, sp * y + kv * u2,
+                           sp * z + kv * u3)
+            dw = ow * qw - x * qx - y * qy - z * qz
+            dx = ow * qx + x * qw + y * qz - z * qy
+            dy = ow * qy - x * qz + y * qw + z * qx
+            dz = ow * qz + x * qy - y * qx + z * qw
+        if d != "gamma":  # dq = d exp(v)[s Im(e^{theta k} e)], p times it
+            x, y, z = (s * (cs * e1 - sn * e2), s * (cs * e2 + sn * e1),
+                       s * (cs * e3))
+            vw = v1 * x + v2 * y + v3 * z
+            kv = kq * vw
+            ow, x, y, z = (-sq * vw, sq * x + kv * v1, sq * y + kv * v2,
+                           sq * z + kv * v3)
+            ow, x, y, z = (pw * ow - px * x - py * y - pz * z,
+                           pw * x + px * ow + py * z - pz * y,
+                           pw * y - px * z + py * ow + pz * x,
+                           pw * z + px * y - py * x + pz * ow)
+            if d == "theta":
+                dw, dx, dy, dz = ow, x, y, z
+            else:
+                dw, dx, dy, dz = dw + ow, dx + x, dy + y, dz + z
         da = dx * nu + dy * hy + dz * hz
         dc = dy * hz - dz * hy
-        if dh is not None:
-            da = da + (mx * dh[0] + my * dh[1] + mz * dh[2])
-            dc = dc + (my * dh[2] - mz * dh[1])
+        if d == "nu" or d == "tau":
+            da = da + (mx * e1 + my * e2 + mz * e3)
+            dc = dc + (my * e3 - mz * e2)
         if code == EARRING:
             d1 = 2.0 * nu * da - dx
             d2 = nu * dw + dc

@@ -92,13 +92,20 @@ def scene_svg(curves, fold_image=None, title: str = "") -> str:
         for comp in fold_image.components:
             for seg in _clip_segments(comp.lift):
                 out.append(_polyline_svg(seg, "#bbbbbb", 1.0))
+    # a component drawn again in its color (D(Dt) is two equal copies) is
+    # formatted once; the keys copy the lifts, so they go before the join
+    drawn = {}
     for k, (name, curve) in enumerate(curves):
         color = PALETTE[k % len(PALETTE)]
         for comp in curve.components:
-            for seg in _clip_segments(comp.lift):
-                out.append(_polyline_svg(seg, color))
+            key = (color, comp.lift.tobytes())
+            if key not in drawn:
+                drawn[key] = [_polyline_svg(seg, color)
+                              for seg in _clip_segments(comp.lift)]
+            out += drawn[key]
         out.append(f'<text x="{_fmt(_MARGIN + 4)}" y="{_fmt(_MARGIN + 16 + 14 * k)}" '
                    f'font-size="12" font-family="monospace" fill="{color}">'
                    f'{_text(name)}</text>')
+    del drawn
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -149,6 +149,18 @@ def _closure_distance(u, u0, period):
     return math.hypot(dt, u[1] - u0[1], wrapped_angle(u[2] - u0[2], math))
 
 
+def _on_loop(seed, samples, period):
+    """Whether ``_closure_distance`` puts ``seed`` within 1e-4 of a sample:
+    a box of half-width 2e-4 in (t mod period, nu, wrapped tau) picks the
+    candidates over arrays, and the distance decides on those alone."""
+    d = samples - seed
+    if period > 0:
+        d[:, 0] -= period * np.round(d[:, 0] / period)
+    d[:, 2] = wrapped_angle(d[:, 2])
+    near = samples[np.all(np.abs(d) <= 2e-4, axis=1)].tolist()
+    return any(_closure_distance(seed, p, period) < 1e-4 for p in near)
+
+
 def _trace_loop(code, s, breaks, cg, ct, period, u, max_step):
     """Pseudo-arclength trace of one solution loop from the float triple
     u = (t, nu, tau), on Python floats; returns (samples, folds, tangents),
@@ -294,7 +306,10 @@ def _trace_dense(code, s, breaks, cg, ct, period, seed, max_step):
 def fiber_product(curve: ImmersedCurve, variant: str, s: float, *,
                   max_step: float = MAX_STEP,
                   circles: list[FoldCircle] | None = None) -> FiberProduct:
-    """Trace the solution loops of the defining pair over the curve."""
+    """Trace the solution loops of the defining pair over the curve, from
+    each root of the first two-sheeted fiber among a few points of each
+    component (a good arc's first root only) that ``_on_loop`` does not put
+    on a loop already traced."""
     if s == 0.0:
         raise ValueError("composition needs s != 0")
     if not check_transversality(curve, variant, s, circles):
@@ -325,8 +340,7 @@ def fiber_product(curve: ImmersedCurve, variant: str, s: float, *,
             seeds = seeds[:1]
         loops: list[tuple[np.ndarray, list[int]]] = []
         for seed in seeds:
-            if any(_closure_distance(seed, p, period) < 1e-4
-                   for samples, _ in loops for p in samples.tolist()):
+            if any(_on_loop(seed, samples, period) for samples, _ in loops):
                 continue
             loops.append(_trace_dense(code, s, breaks, cg, ct, period, seed,
                                       max_step))

@@ -7,8 +7,8 @@ against: a pillowcase point on its canonical orbit representative with its
 quotient distance, the arccos round trip of the first restriction map, the
 pillowcase symmetries, the chart's angle rule, and the defining pairs at one
 chart point.  It also keeps the vertex-by-vertex loop that
-``compose._prune_short`` runs in arrays, and the batched corrector and the
-fold circles' rank data as first written.
+``compose._prune_short`` runs in arrays, the batched corrector, the
+fold circles' rank data and the defining pair's ``jet`` as first written.
 """
 
 import math
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from pillowcase import _kernels
+from pillowcase.quat import mul_parts
 from pillowcase.projection import (OFF_VARIETY_SURFACE_TOL, _angles_of_r3,
                                    _characters, pi1_r3_of_chart, r3_of_orbit)
 from pillowcase.variety import COMPLEX_STEP
@@ -204,3 +205,101 @@ def fold_system(code, s, gamma, theta, nu, tau):
     _, _, ((c2, c3), (d2, d3)) = _kernels.jet(code, s, *xc, tau, ("nu", "tau"))
     ddet = (c2 * d3 - c3 * d2).imag / COMPLEX_STEP
     return (g1, g2, a2 * b3 - a3 * b2), (a0, a1, a2, b0, b1, b2, *ddet)
+
+
+def qexp(v, derivs, xp):
+    """exp of the pure quaternion v = (x, y, z), and a function giving its
+    derivative along a pure direction w when ``derivs``.
+
+    d exp(v)[w] = (-sinc(n) v.w, sinc(n) w + (cos n - sinc n)/n^2 (v.w) v),
+    n = |v|.  The second factor needs no series for small n: its rounding
+    error is multiplied by (v.w) v = O(n^2).  A nonzero n is at least about
+    1e-162 (n^2 underflows below), so n + 1e-300 is n or, at n = 0, a safe
+    divisor.
+    """
+    x, y, z = v
+    n2 = x * x + y * y + z * z
+    n = xp.sqrt(n2)
+    nn = n + 1e-300
+    c = xp.cos(n)
+    sc = xp.sin(nn) / nn
+    if not derivs:
+        return (c, sc * x, sc * y, sc * z), None
+    k = (c - sc) / (n2 + 1e-300)
+
+    def along(w):
+        a, b, d = w
+        vw = x * a + y * b + z * d
+        kv = k * vw
+        return -sc * vw, sc * a + kv * x, sc * b + kv * y, sc * d + kv * z
+
+    return (c, sc * x, sc * y, sc * z), along
+
+
+def jet(code, s, gamma, theta, nu, tau, wrt=(), xp=np):
+    """``_kernels.jet`` as first written: the same straight-line code
+    and its forward-mode derivatives, with the exponents built by the nested
+    ``bxh`` and ``rot``, the exponentials and their derivatives by ``qexp``
+    and its ``along``, and the products by ``quat.mul_parts``.  Returns
+    (g1, g2, (row1, row2)) as ``_kernels.jet`` does."""
+    cg, sg = xp.cos(gamma), xp.sin(gamma)
+    ct, st = xp.cos(theta), xp.sin(theta)
+    cu, su = xp.cos(tau), xp.sin(tau)
+    r = xp.sqrt(1.0 - nu * nu)
+    hy, hz = r * cu, r * su
+
+    def bxh(bx, by, x, y, z):  # s Im(b v) = s b x v for b = (bx, by, 0)
+        return s * (by * z), s * (-bx * z), s * (bx * y - by * x)
+
+    def rot(cs, sn, x, y, z):  # s Im(e^{theta k} v) for (cs, sn) = (ct, st)
+        return s * (cs * x - sn * y), s * (cs * y + sn * x), s * (cs * z)
+
+    u = bxh(cg, sg, nu, hy, hz)
+    v = rot(ct, st, nu, hy, hz)
+    p, dp = qexp(u, wrt, xp)
+    q, dq = qexp(v, wrt, xp)
+    w, mx, my, mz = mul_parts(*p, *q)
+    a = mx * nu + my * hy + mz * hz
+    c = my * hz - mz * hy
+    if code == _kernels.EARRING:
+        g1, g2 = 2.0 * nu * a - mx, nu * w + c
+    else:
+        cw = c - nu * w
+        g1, g2 = 2.0 * (a * cw + w * mx), nu
+    row1, row2 = [], []
+    for d in wrt:
+        # m and h along d; h moves with nu and tau only, p and q with gamma
+        # and theta only through b and e^{theta k}
+        if d == "gamma":
+            dh = None
+            dm = mul_parts(*dp(bxh(-sg, cg, nu, hy, hz)), *q)
+        elif d == "theta":
+            dh = None
+            dm = mul_parts(*p, *dq(rot(-st, ct, nu, hy, hz)))
+        else:
+            dh = ((1.0, -nu / r * cu, -nu / r * su) if d == "nu"
+                  else (0.0, -hz, hy))
+            m1 = mul_parts(*dp(bxh(cg, sg, *dh)), *q)
+            m2 = mul_parts(*p, *dq(rot(ct, st, *dh)))
+            dm = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
+        dw, dx, dy, dz = dm
+        da = dx * nu + dy * hy + dz * hz
+        dc = dy * hz - dz * hy
+        if dh is not None:
+            da = da + (mx * dh[0] + my * dh[1] + mz * dh[2])
+            dc = dc + (my * dh[2] - mz * dh[1])
+        if code == _kernels.EARRING:
+            d1 = 2.0 * nu * da - dx
+            d2 = nu * dw + dc
+            if d == "nu":
+                d1 = d1 + 2.0 * a
+                d2 = d2 + w
+            row1.append(d1)
+            row2.append(d2)
+        else:
+            e = dc - nu * dw
+            if d == "nu":
+                e = e - w
+            row1.append(2.0 * (da * cw + a * e + dw * mx + w * dx))
+            row2.append(1.0 if d == "nu" else 0.0)
+    return g1, g2, (tuple(row1), tuple(row2))

@@ -378,6 +378,34 @@ def test_svg_escapes_its_text():
     assert texts == ["a&b<c", "a&b<c", "composed -> P1"]
 
 
+def test_svg_formats_a_repeated_component_once(monkeypatch):
+    from pillowcase import _svg
+
+    dt = C.twisted_double(C.vertical_circle())
+    # the same arrays twice, two equal copies, and the one curve in
+    # another color
+    figure = [("twice", C.ImmersedCurve(dt.components * 2)),
+              ("copies", C.double(dt)), ("once", dt)]
+    want = [_svg._polyline_svg(seg, _svg.PALETTE[k])
+            for k, (_, curve) in enumerate(figure)
+            for comp in curve.components
+            for seg in _svg._clip_segments(comp.lift)]
+    formatted = []
+    polyline_svg = _svg._polyline_svg
+
+    def counted(points, color, width=1.2):
+        formatted.append(color)
+        return polyline_svg(points, color, width)
+
+    monkeypatch.setattr(_svg, "_polyline_svg", counted)
+    svg = _svg.scene_svg(figure)
+    got = [line for line in svg.splitlines() if line.startswith("<polyline")]
+    assert got == want
+    assert svg.count("<polyline") == len(want)
+    # five components of one lift, formatted once per color
+    assert len(formatted) * 5 == 3 * len(want)
+
+
 _coord = st.one_of(
     st.floats(-1e6, 1e6, allow_nan=False),
     st.sampled_from([0.0, -0.0, 1e6, -1e6, 999999.9999995, -5e-7]))

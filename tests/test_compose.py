@@ -9,6 +9,7 @@ from pillowcase import quat
 from pillowcase import variety as V
 from pillowcase import verify as VF
 from pillowcase import words as W
+from pillowcase.cli import torus_knot_scene
 
 from pillow_reference import pi0_of_rep, prune_short
 
@@ -643,3 +644,61 @@ def test_short_loops_are_not_traced_round_twice():
     for b in fp.branches:
         turns = (b.samples[-1, 0] - b.samples[0, 0]) / period
         assert abs(abs(turns) - 1.0) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# whether a second seed lies on a loop already traced
+# ---------------------------------------------------------------------------
+
+def on_loop_by_distance(seed, samples, period):
+    """``compose._on_loop`` as first written: ``_closure_distance`` to
+    every sample."""
+    return any(X._closure_distance(seed, p, period) < 1e-4
+               for p in samples.tolist())
+
+
+@pytest.mark.parametrize("name", sorted(DENSE_CURVES))
+def test_a_seed_within_1e_4_of_a_sample_is_on_the_loop(name):
+    fp = traced("earring", name)
+    samples = fp.branches[0].samples
+    period = fp.splines[fp.branches[0].component][3]
+    i = len(samples) // 3
+    # a unit direction across the loop's chord at sample i
+    normal = np.cross(samples[i + 1] - samples[i - 1], [1.0, 0.0, 0.0])
+    normal /= np.linalg.norm(normal)
+    shifts = [(0.0, 0.0, 0.0), (0.0, 0.0, X.TWO_PI), (0.0, 0.0, -X.TWO_PI)]
+    if period > 0:  # across the seam
+        shifts += [(period, 0.0, 0.0), (-period, 0.0, X.TWO_PI)]
+    for shift in shifts:
+        for r, on in [(0.0, True), (0.9e-4, True), (1.1e-4, False)]:
+            seed = tuple((samples[i] + r * normal + shift).tolist())
+            assert X._on_loop(seed, samples, period) is on, (shift, r)
+            assert on_loop_by_distance(seed, samples, period) is on
+
+
+def test_on_loop_is_the_distance_rule_around_the_scenes_loops(monkeypatch):
+    products = []
+    fiber_product = X.fiber_product
+
+    def recorded(*args, **kwargs):
+        products.append(fiber_product(*args, **kwargs))
+        return products[-1]
+
+    monkeypatch.setattr(X, "fiber_product", recorded)
+    torus_knot_scene("earring", 0.05)
+    loops = [(b.samples, fp.splines[b.component][3])
+             for fp in products for b in fp.branches]
+    assert len(loops) == 4
+    rng = np.random.default_rng(11)
+    decisions = []
+    for samples, period in loops:
+        for i in rng.integers(0, len(samples), 25):
+            d = rng.normal(size=3)
+            d *= rng.uniform(0.5e-4, 2e-4) / np.linalg.norm(d)
+            shift = (period * rng.integers(-1, 2), 0.0,
+                     X.TWO_PI * rng.integers(-1, 2))
+            seed = tuple((samples[i] + d + shift).tolist())
+            want = on_loop_by_distance(seed, samples, period)
+            assert X._on_loop(seed, samples, period) is want
+            decisions.append(want)
+    assert 10 < sum(decisions) < 90

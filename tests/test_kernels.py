@@ -1,5 +1,6 @@
 """The kernels against the word evaluation, their batch forms and scipy."""
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,9 @@ from scipy.interpolate import CubicSpline
 
 from pillowcase import _kernels as k
 from pillowcase import words as W
+from pillowcase.variety import COMPLEX_STEP
+
+import pillow_reference as ref
 
 
 def test_kernel_matches_word_evaluation():
@@ -110,6 +114,57 @@ def test_g_jac_is_jet_at_zeros(s, gamma, theta, nu, tau):
     for code in CODES:
         on_floats, on_arrays = _g_jac_faces(code, pt)
         assert on_floats == on_arrays
+
+
+# every subset of the directions, in their order
+SUBSETS = [c for n in range(5) for c in itertools.combinations(k.DIRECTIONS, n)]
+
+
+def _bits(result):
+    """A jet result as comparable reprs, which tell signed zeros apart:
+    each entry's type and dtype, and its value or its elements."""
+    g1, g2, (row1, row2) = result
+    return [(type(x), np.asarray(x).dtype, repr(np.asarray(x).tolist()))
+            for x in (g1, g2, *row1, *row2)]
+
+
+def _jet_faces(pt):
+    """A chart point as jet takes it: on floats, on one-element arrays, and
+    as complex steps along gamma, theta and nu, stacked as the fold
+    Newton's gradient stacks them."""
+    s, gamma, theta, nu, tau = pt
+    step = 1j * COMPLEX_STEP * np.eye(3)
+    xc = np.array([gamma, theta, nu])[:, None] + step
+    return (((s, gamma, theta, nu, tau), math),
+            (tuple(np.array([v]) for v in pt), np),
+            ((s, *xc, np.full(3, tau)), np))
+
+
+def _assert_jet_is_the_first_written(pt, array_subsets=SUBSETS):
+    for (args, xp), subsets in zip(_jet_faces(pt),
+                                   (SUBSETS, array_subsets, array_subsets)):
+        for code in CODES:
+            for wrt in subsets:
+                assert (_bits(k.jet(code, *args, wrt, xp))
+                        == _bits(ref.jet(code, *args, wrt, xp))), (code, wrt)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(pt=CHART, wrt=st.sampled_from(SUBSETS))
+def test_jet_is_the_first_written_jet(pt, wrt):
+    # bit for bit: on floats along every subset of the directions, on the
+    # array faces along a drawn one and the two the solvers ask for
+    _assert_jet_is_the_first_written(
+        pt, dict.fromkeys([wrt, ("nu", "tau"), k.DIRECTIONS]))
+
+
+def test_jet_is_the_first_written_jet_at_zeros():
+    # every face along every subset
+    for pt in itertools.product([0.0, -0.0, 0.05], [(0.0, 0.0), (1.0, 2.0)],
+                                [0.0, -0.0, 0.3],
+                                [0.0, -0.0, math.pi / 2, math.pi]):
+        s, (gamma, theta), nu, tau = pt
+        _assert_jet_is_the_first_written((s, gamma, theta, nu, tau))
 
 
 def test_batch_matches_scalar():
