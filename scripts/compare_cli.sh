@@ -3,7 +3,7 @@
 #
 #   scripts/compare_cli.sh REV
 #
-# Runs the 34 commands of the matrix below twice: on `git archive REV` and
+# Runs the 41 commands of the matrix below twice: on `git archive REV` and
 # on the work tree's src/ (committed or not), each command in a fresh
 # directory with `--out out`.  Then `diff -r` compares every command's stdout,
 # stderr, exit code and written files.  Prints "identical" and exits 0
@@ -56,6 +56,16 @@ matrix() {
     echo "compose-retrace compose --name dt_b_ver --s 0.2 --max-step 0.5"
     echo "scene-huge-step scene --max-step 100"
     echo "verify-full verify --variant bypass --full"
+    # the Newton edge runs of CI's smoke step: s near the accepted edge and
+    # near the floor, and -0.45, where the scan's nu-Newton and the bracket
+    # Newton matter; the smallest fold circles through verify
+    echo "trace-edge-s trace --s 0.4999 --grid 16"
+    echo "trace-bypass-edge-s trace --variant bypass --s=-0.4999 --grid 16"
+    echo "trace-floor-s trace --s=1e-6 --grid 16"
+    echo "trace-bypass-floor-s trace --variant bypass --s=-1e-6 --grid 16"
+    echo "trace-negative-s trace --s=-0.45 --grid 16"
+    echo "trace-bypass-negative-s trace --variant bypass --s=-0.45 --grid 16"
+    echo "verify-earring-s0.01 verify --variant earring --s 0.01 --json"
 }
 
 # run_side SRC OUT: the matrix on the package under SRC, into OUT

@@ -20,8 +20,8 @@ Subpackage layout:
 - ``cli``         command-line surface (trace / compose / scene / verify)
 
 Hot kernels live in ``_kernels``: ``jet``, the defining pair with its exact
-derivatives on floats and arrays, under batched fiber Newton, the
-continuation corrector, and the one array Newton of the fold circles.
+derivatives on floats and arrays, the continuation corrector, and ``newton``,
+the one array Newton of the fiber roots, dense corrector and fold circles.
 """
 
 __version__ = "0.1.0"

@@ -1,9 +1,8 @@
 """Hot numeric kernels.
 
 Everything here evaluates the two defining functions of the perturbed
-varieties in chart coordinates (s, gamma, theta, nu, tau) and runs the small
-Newton loops built on them: fiber root finding and the corrector step of
-pseudo-arclength continuation.  These dominate the runtime of grid traces,
+varieties in chart coordinates (s, gamma, theta, nu, tau) and runs the
+Newton solves built on them, which dominate the runtime of grid traces,
 fold extraction, and curve composition.
 
 The defining pair is the straight-line kernel ``jet``: G and its exact
@@ -11,22 +10,21 @@ derivatives along any of (gamma, theta, nu, tau), by forward mode through
 the reduced form in m = p q, written out in place with no nested function.
 It runs on Python floats (``xp=math``) and broadcasts over numpy arrays
 (``xp=numpy``), complex ones included, which the fold circles' complex-step
-gradient uses.  ``_g_impl`` is its value-only face on arrays.  It is the one implementation of the defining pair: every
-solver takes G and its derivatives from it.  Fiber Newton is written once,
-over arrays of fibers (``newton_fibers``), with its (nu, tau) Jacobian from
-``jet``; ``newton_fiber_batch``, the same Newton under its own name,
-starts every fiber of ``variety.solve_fibers`` from its s = 0 roots.  The
-continuation corrector and tangent take their 2x4 Jacobian from
-``jet(..., DIRECTIONS, math)``; both run on Python floats and give the unit
-tangent as a tuple, or None where the Jacobian rows are dependent.
-``corrector_batch`` is the corrector over arrays of predictions, each with
-its own hyperplane normal.  Both faces take their 2x3 Jacobian from one
-``_curve_jac``, over ``jet`` and the spline jet (``_spline_jet`` on floats,
-``_spline_jets`` on arrays), and the batch takes the scalar corrector's
-steps and exits element by element.  Every 3x3 Newton step,
-the corrector's (both faces) and the fold circles' (``variety.fold_locus``),
-goes through one Cramer solve, ``_cramer3``, elementwise on arrays;
-``_solve3`` is its float face.
+gradient uses.  ``_g_impl`` is its value-only face on arrays.  It is the
+one implementation of the defining pair: every solver takes G and its
+derivatives from it.
+
+Every array Newton is one ``newton``: each element stops on its own, on
+per-row tolerances, an optional chart guard and step rule, with the step
+by Cramer's rule (``_cramer3`` at 3x3).  It solves the fiber roots
+(``newton_fibers``, damped by backtracking; ``newton_fiber_batch`` is it
+under its own name), the dense corrector (``corrector_batch``, with each
+prediction's hyperplane row) and the fold circles (``variety.fold_locus``).
+The continuation corrector and tangent run on Python floats, the corrector
+solving by ``_cramer3`` too; both give the unit tangent as a tuple, or None
+where the Jacobian rows are dependent.  Both correctors take their 2x3
+Jacobian from one ``_curve_jac``, over ``jet`` and the spline jet
+(``_spline_jet`` on floats, ``_spline_jets`` on arrays).
 
 The curve splines that continuation runs along are fitted here too:
 ``cubic_fit`` is the C1 cubic interpolant with Bessel knot slopes, local
@@ -340,13 +338,69 @@ def _cramer3(a00, a01, a02, a10, a11, a12, a20, a21, a22, r0, r1, r2):
     )
 
 
-def _solve3(*system):
-    """The solution of the 3x3 system A x = r by Cramer's rule (arguments as
-    for ``_cramer3``), or None when det A vanishes."""
-    det, x0, x1, x2 = _cramer3(*system)
-    if abs(det) < 1e-300:
-        return None
-    return x0 / det, x1 / det, x2 / det
+def newton(system, x, tol, maxit, inside=None, step=None):
+    """Newton on many square systems in 2 or 3 unknowns, each element on
+    its own (Deuflhard, *Newton Methods for Nonlinear Problems*, 2004, ch.
+    2-3); updates ``x``, one flat array per unknown, in place and returns
+    the mask of converged elements.
+
+    ``system(i, xi, jac)`` gives the residual rows at the elements ``i``,
+    whose unknowns are ``xi``, and the Jacobian entries row by row (floats
+    or arrays) only when ``jac`` is true: both at the first iteration, then
+    the rows (unless the last step gave them) and the Jacobian where an
+    element steps.  An element converges once |row r| < ``tol[r]`` for all
+    r, the verdict after ``maxit`` steps too.  It fails, keeping its
+    iterate, outside ``inside(xi)`` (the start too), at det J zero or NaN,
+    or where ``step(i, xi, dx, rows)`` refuses the Cramer step dx: it gives
+    the mask of the elements that move, their new iterates (None: xi + dx)
+    and rows (None: not known), by element.
+    """
+    ok = np.zeros(x[0].size, dtype=bool)
+    idx = np.arange(x[0].size)  # elements still iterating
+    f = None  # the rows at idx, where the last step gave them
+    for it in range(maxit + 1):
+        xi = [v[idx] for v in x]
+        if inside is not None:
+            keep = inside(xi)
+            idx, xi = idx[keep], [v[keep] for v in xi]
+            f = None if f is None else [r[keep] for r in f]
+        if not idx.size:
+            break
+        if f is None:
+            f, j = system(idx, xi, not it)
+        small = np.logical_and.reduce([np.abs(r) < t for r, t in zip(f, tol)])
+        if it == maxit:
+            ok[idx] = small
+            break
+        ok[idx[small]] = True
+        if it:  # the rows alone so far: the Jacobian where an element steps
+            live = ~small
+            idx, small = idx[live], small[live]
+            if not idx.size:
+                break
+            xi, f = [v[live] for v in xi], [r[live] for r in f]
+            j = system(idx, xi, True)[1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if len(x) == 2:
+                (f1, f2), (j11, j12, j21, j22) = f, j
+                det = j11 * j22 - j12 * j21
+                dx = [-(f1 * j22 - f2 * j12) / det,
+                      -(j11 * f2 - j21 * f1) / det]
+            else:
+                det, *num = _cramer3(*j, -f[0], -f[1], -f[2])
+                dx = [d / det for d in num]
+            go = ~small & (np.abs(det) >= 1e-300)
+        idx, xi, dx, f = (idx[go], [v[go] for v in xi], [d[go] for d in dx],
+                          [r[go] for r in f])
+        took, xn, f = (step(idx, xi, dx, f) if step
+                       else (slice(None), None, None))
+        if xn is None:
+            xn = [a + d for a, d in zip(xi, dx)]
+        idx = idx[took]
+        for v, a in zip(x, xn):
+            v[idx] = a[took]
+        f = None if f is None else [r[took] for r in f]
+    return ok
 
 
 def corrector(code, s, breaks, cg, ct, u0, u1, u2, t0, t1, t2, tol, maxit):
@@ -369,88 +423,55 @@ def corrector(code, s, breaks, cg, ct, u0, u1, u2, t0, t1, t2, tol, maxit):
         f3 = t0 * (u0 - p0) + t1 * (u1 - p1) + t2 * (u2 - p2)
         if max(abs(f1), abs(f2)) < tol and abs(f3) < 1e-9:
             return u0, u1, u2, True, _null(j)
-        step = _solve3(*j, t0, t1, t2, -f1, -f2, -f3)
-        if step is None:
+        det, du0, du1, du2 = _cramer3(*j, t0, t1, t2, -f1, -f2, -f3)
+        if abs(det) < 1e-300:
             return u0, u1, u2, False, None
-        du0, du1, du2 = step
+        du0, du1, du2 = du0 / det, du1 / det, du2 / det
         if abs(du0) + abs(du1) + abs(du2) > 1.0:
             return u0, u1, u2, False, None
-        u0 += du0
-        u1 += du1
-        u2 += du2
+        u0, u1, u2 = u0 + du0, u1 + du1, u2 + du2
 
 
 def corrector_batch(code, s, breaks, cg, ct, p0, p1, p2, n0, n1, n2, tol,
                     maxit):
-    """``corrector`` over arrays: Newton on {G = 0, n . (u - p) = 0} from
-    every prediction p = (p0, p1, p2), with its own hyperplane normal n.
+    """``corrector`` over arrays: ``newton`` on {G = 0, n . (u - p) = 0}
+    from every prediction p = (p0, p1, p2), with its own hyperplane normal n.
 
     Each element takes the scalar corrector's steps and exits: it stops as
-    converged once max|G| < ``tol`` and |n . (u - p)| < 1e-9, as failed at
-    an iterate with |nu| above 0.999 or where the 3x3 system is singular or
-    a step would move more than 1 in the 1-norm, and after ``maxit`` steps
-    it is converged if max|G| < ``tol``.  The first iteration evaluates G
-    and its 2x3 Jacobian together, since a prediction is seldom converged;
-    every later one evaluates G alone, then the Jacobian only at the
-    elements that step.  The 3x3 solve is ``_cramer3`` elementwise.
-    Returns (u0, u1, u2, ok) arrays; a failed element keeps its last
-    iterate.
+    converged once max|G| < ``tol`` and |n . (u - p)| < 1e-9, the verdict
+    after ``maxit`` steps too (a step leaves that linear row at rounding
+    level), and as failed at an iterate with |nu| above 0.999, a singular
+    3x3 system or a step over 1 in the 1-norm.  G is evaluated with its 2x3
+    Jacobian at the first iteration, where a prediction is seldom
+    converged, and alone after.  Returns (u0, u1, u2, ok) arrays; a failed
+    element keeps its last iterate.
     """
     s = float(s)
     p0, p1, p2, n0, n1, n2 = (np.asarray(x, dtype=float)
                               for x in (p0, p1, p2, n0, n1, n2))
-    u0, u1, u2 = p0.copy(), p1.copy(), p2.copy()
-    ok = np.zeros(u0.shape, dtype=bool)
-    idx = np.arange(u0.size)  # elements still iterating
-    for it in range(maxit + 1):
-        idx = idx[np.abs(u1[idx]) <= 0.999]
-        if not idx.size:
-            break
-        x0, x1, x2 = u0[idx], u1[idx], u2[idx]
-        if it:
-            gamma, _, theta, _ = _spline_jets(breaks, cg, ct, x0)
-            f1, f2 = _g_impl(code, s, gamma, theta, x1, x2)
-        else:
-            f1, f2, j = _curve_jac(code, s, _spline_jets, np, breaks, cg, ct,
-                                   x0, x1, x2)
-        small = np.maximum(np.abs(f1), np.abs(f2)) < tol
-        if it == maxit:
-            ok[idx] = small
-            break
-        m0, m1, m2 = n0[idx], n1[idx], n2[idx]
-        f3 = m0 * (x0 - p0[idx]) + m1 * (x1 - p1[idx]) + m2 * (x2 - p2[idx])
-        done = small & (np.abs(f3) < 1e-9)
-        ok[idx[done]] = True
-        if it:  # G alone so far: the Jacobian where an element steps
-            live = ~done
-            if not live.any():
-                break
-            idx, x0, x1, x2, m0, m1, m2, f1, f2, f3, done = (
-                v[live] for v in (idx, x0, x1, x2, m0, m1, m2, f1, f2, f3,
-                                  done))
-            j = _curve_jac(code, s, _spline_jets, np, breaks, cg, ct,
-                           x0, x1, x2)[2]
-        det, d0, d1, d2 = _cramer3(*j, m0, m1, m2, -f1, -f2, -f3)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d0, d1, d2 = d0 / det, d1 / det, d2 / det
-            go = (~done & (np.abs(det) >= 1e-300)
-                  & (np.abs(d0) + np.abs(d1) + np.abs(d2) <= 1.0))
-        idx = idx[go]
-        u0[idx] = x0[go] + d0[go]
-        u1[idx] = x1[go] + d1[go]
-        u2[idx] = x2[go] + d2[go]
-    return u0, u1, u2, ok
+
+    def system(i, x, jac):
+        f3 = (n0[i] * (x[0] - p0[i]) + n1[i] * (x[1] - p1[i])
+              + n2[i] * (x[2] - p2[i]))
+        if jac:
+            *g, j = _curve_jac(code, s, _spline_jets, np, breaks, cg, ct, *x)
+            return (*g, f3), j + (n0[i], n1[i], n2[i])
+        gamma, _, theta, _ = _spline_jets(breaks, cg, ct, x[0])
+        return (*_g_impl(code, s, gamma, theta, x[1], x[2]), f3), None
+
+    u = [p0.copy(), p1.copy(), p2.copy()]
+    ok = newton(system, u, (tol, tol, 1e-9), maxit,
+                lambda x: np.abs(x[1]) <= 0.999,
+                lambda i, x, d, f: (np.abs(d[0]) + np.abs(d[1])
+                                    + np.abs(d[2]) <= 1.0, None, None))
+    return (*u, ok)
 
 
 def g_pair(variant, s, gamma, theta, nu, tau):
     """Vectorized evaluation of the defining pair; broadcasts all arguments."""
     code = variant_code(variant)
-    gamma, theta, nu, tau = np.broadcast_arrays(
-        np.asarray(gamma, dtype=float),
-        np.asarray(theta, dtype=float),
-        np.asarray(nu, dtype=float),
-        np.asarray(tau, dtype=float),
-    )
+    gamma, theta, nu, tau = np.broadcast_arrays(*(
+        np.asarray(v, dtype=float) for v in (gamma, theta, nu, tau)))
     g1, g2 = _g_impl(code, float(s), gamma, theta, nu, tau)
     return np.asarray(g1, dtype=float), np.asarray(g2, dtype=float) + np.zeros_like(gamma)
 
@@ -460,76 +481,53 @@ def g_pair(variant, s, gamma, theta, nu, tau):
 # ---------------------------------------------------------------------------
 
 def newton_fibers(variant, s, gamma, theta, nu0, tau0, tol=1e-13, maxit=50):
-    """Damped Newton on (nu, tau) over many fibers at once.
+    """Damped ``newton`` on (nu, tau) over many fibers at once.
 
-    Returns (nu, tau, ok) arrays of the broadcast input shape.  Each
-    element iterates on its own: the exact Jacobian in (nu, tau) from
-    ``jet``, then a full step halved up to 8 times until the residual drops;
-    a trial step that leaves the region |nu| < 0.999 is rejected.  An
-    element stops when its residual is below ``tol`` (ok), its Jacobian is
-    singular or no trial step improves (not ok, last accepted iterate kept),
-    or after ``maxit`` steps.
+    Returns (nu, tau, ok) arrays of the broadcast input shape.  Each element
+    steps by the exact Jacobian in (nu, tau) from ``jet``, the full step
+    halved up to 8 times until the residual drops, and rejects a trial point
+    outside |nu| < 0.999.  It stops when its residual is below ``tol`` (ok),
+    its Jacobian is singular or no trial step improves (not ok, last
+    accepted iterate kept), or after ``maxit`` steps.
     """
     code = variant_code(variant)
     s = float(s)
-    gamma, theta, nu, tau = np.broadcast_arrays(
-        np.asarray(gamma, dtype=float),
-        np.asarray(theta, dtype=float),
-        np.asarray(nu0, dtype=float),
-        np.asarray(tau0, dtype=float),
-    )
+    gamma, theta, nu, tau = np.broadcast_arrays(*(
+        np.asarray(v, dtype=float) for v in (gamma, theta, nu0, tau0)))
     shape = gamma.shape
-    gamma = gamma.ravel()
-    theta = theta.ravel()
-    nu = nu.flatten()
-    tau = tau.flatten()
-    ok = np.zeros(nu.size, dtype=bool)
-    idx = np.arange(nu.size)  # elements still iterating
-    for _ in range(maxit):
-        if not idx.size:
-            break
-        g = gamma[idx]
-        t = theta[idx]
-        x = nu[idx]
-        y = tau[idx]
-        f1, f2, ((j11, j12), (j21, j22)) = jet(code, s, g, t, x, y,
-                                               ("nu", "tau"))
-        res = np.maximum(np.abs(f1), np.abs(f2))
-        det = j11 * j22 - j12 * j21
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # the step before the filter below: a constant Jacobian entry
-            # (the second bypass row) is a float, which cannot be indexed
-            dnu = -(f1 * j22 - f2 * j12) / det
-            dtau = -(j11 * f2 - j21 * f1) / det
-        done = res < tol
-        ok[idx[done]] = True
-        go = ~done & ~(np.abs(det) < 1e-300)
-        idx, g, t, x, y, res, dnu, dtau = (
-            a[go] for a in (idx, g, t, x, y, res, dnu, dtau))
-        # backtracking keeps |nu| < 1 and the residual monotone
-        improved = np.zeros(idx.size, dtype=bool)
+    gamma, theta, x = gamma.ravel(), theta.ravel(), [nu.flatten(),
+                                                     tau.flatten()]
+
+    def system(i, x, jac):  # every step gives the residual: jac is true
+        f1, f2, (r1, r2) = jet(code, s, gamma[i], theta[i], *x, ("nu", "tau"))
+        return (f1, f2), r1 + r2
+
+    def backtrack(i, x, d, f):
+        # halving keeps |nu| < 0.999 and the residual monotone
+        res = np.maximum(np.abs(f[0]), np.abs(f[1]))
+        improved = np.zeros(i.size, dtype=bool)
+        out = np.empty((4, i.size))  # the accepted trial points and residuals
         scale = 1.0
         for _ in range(8):
             k = np.nonzero(~improved)[0]
             if not k.size:
                 break
-            nu_t = x[k] + scale * dnu[k]
-            tau_t = y[k] + scale * dtau[k]
+            nu_t = x[0][k] + scale * d[0][k]
+            tau_t = x[1][k] + scale * d[1][k]
             inside = np.abs(nu_t) < 0.999
             k, nu_t, tau_t = k[inside], nu_t[inside], tau_t[inside]
             if k.size:
-                h1, h2 = _g_impl(code, s, g[k], t[k], nu_t, tau_t)
+                h1, h2 = _g_impl(code, s, gamma[i[k]], theta[i[k]], nu_t,
+                                 tau_t)
                 better = np.maximum(np.abs(h1), np.abs(h2)) < res[k]
                 k = k[better]
                 improved[k] = True
-                nu[idx[k]] = nu_t[better]
-                tau[idx[k]] = tau_t[better]
+                out[:, k] = np.array((nu_t, tau_t, h1, h2))[:, better]
             scale *= 0.5
-        idx = idx[improved]
-    if idx.size:
-        f1, f2 = _g_impl(code, s, gamma[idx], theta[idx], nu[idx], tau[idx])
-        ok[idx] = np.maximum(np.abs(f1), np.abs(f2)) < tol
-    return nu.reshape(shape), tau.reshape(shape), ok.reshape(shape)
+        return improved, out[:2], out[2:]
+
+    ok = newton(system, x, (tol, tol), maxit, step=backtrack)
+    return x[0].reshape(shape), x[1].reshape(shape), ok.reshape(shape)
 
 
 def newton_fiber(variant, s, gamma, theta, nu0, tau0, tol, maxit):

@@ -113,6 +113,8 @@ def _scan_roots(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
     else:
         nus = np.repeat(s * np.cos(gamma), N_TAU, axis=1)
         live = np.arange(gamma.shape[0])
+        # a row Newton in nu alone, kept out of ``_kernels.newton``: a port
+        # to it computed the same bits in 4 more lines
         for _ in range(8):
             g, t, x = gamma[live], theta[live], nus[live]
             _, g2, (_, (d,)) = _kernels.jet(_kernels.EARRING, s, g, t, x,
@@ -300,11 +302,11 @@ def fold_locus(variant: str, s: float, n_samples: int = 192) -> list[FoldCircle]
     A fold point is a solution of G = 0 where dG/d(nu, tau) is singular;
     the solutions near each corner form a circle along which tau turns once.
     Each sample solves that square system in (gamma, theta, nu) at one tau
-    of an even grid.  All samples of the four corners are one Newton over
-    (4, n_samples) arrays, with the rows of ``_fold_system`` (the gradient
-    of det by complex step) taken again every iteration; an element stops
-    once max |F| < ``FOLD_TOL``.  Each circle keeps its samples as arrays
-    (``FoldCircle``).
+    of an even grid.  All samples of the four corners are one ``newton``
+    to max |F| < ``FOLD_TOL`` within |nu| < 1, with the rows of
+    ``_fold_system`` (the gradient of det by complex step) at the first
+    iteration and later only where a sample steps.  Each circle keeps its
+    samples as arrays (``FoldCircle``).
     The seeds are closed form: around the corner (g0, t0) of the sign pair
     (eg, et), (gamma, theta, nu) = (g0 + 2 s et sin tau,
     t0 - 2 s eg cos tau, s eg).
@@ -316,25 +318,25 @@ def fold_locus(variant: str, s: float, n_samples: int = 192) -> list[FoldCircle]
     corners = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
     eg, et = np.array(corners, dtype=float).T[:, :, None]
     g0, t0 = np.array([CORNER_BASE[c] for c in corners]).T[:, :, None]
-    x = [g0 + 2 * s * et * np.sin(taus), t0 - 2 * s * eg * np.cos(taus),
-         np.repeat(s * eg, n_samples, axis=1)]
-    for it in range(FOLD_MAXIT + 1):
-        if not np.all(np.abs(x[2]) < 1.0):
-            nu = x[2][~(np.abs(x[2]) < 1.0)][0]
-            raise ContinuationError(f"fold Newton left the chart at nu = {nu:.3g}")
-        f, rows = _fold_system(code, s, *x, taus)
-        live = ~(np.maximum.reduce([np.abs(v) for v in f]) < FOLD_TOL)
-        if not live.any():
-            break
-        if it == FOLD_MAXIT:
-            tau = taus[live.any(axis=0)][0]
-            raise ContinuationError(
-                f"fold Newton did not converge at tau = {tau:.4f}")
-        det, *num = _kernels._cramer3(*rows, -f[0], -f[1], -f[2])
-        if np.any(live & ~(np.abs(det) >= 1e-300)):
-            raise ContinuationError("fold Newton met a singular Jacobian")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = [np.where(live, a + d / det, a) for a, d in zip(x, num)]
+    n = n_samples
+    x = [v.ravel() for v in (g0 + 2 * s * et * np.sin(taus),
+                             t0 - 2 * s * eg * np.cos(taus),
+                             np.repeat(s * eg, n, axis=1))]
+
+    def system(i, x, jac):
+        if jac:
+            return _fold_system(code, s, *x, taus[i % n])
+        g1, g2, ((a2, a3), (b2, b3)) = _kernels.jet(code, s, *x, taus[i % n],
+                                                    ("nu", "tau"))
+        return (g1, g2, a2 * b3 - a3 * b2), None
+
+    ok = _kernels.newton(system, x, (FOLD_TOL,) * 3, FOLD_MAXIT,
+                         lambda x: np.abs(x[2]) < 1.0)
+    if not ok.all():
+        k = int(np.argmin(ok))
+        raise ContinuationError(f"fold Newton failed at tau = "
+                                f"{taus[k % n]:.4f} at corner {corners[k // n]}")
+    x = [v.reshape(4, n) for v in x]
     g, t, tau = chart_angle([x[0], x[1], np.broadcast_to(taus, x[2].shape)])
     samples = np.stack([g, t, x[2], tau], axis=-1)
     out = []

@@ -8,7 +8,8 @@ quotient distance, the arccos round trip of the first restriction map, the
 pillowcase symmetries, the chart's angle rule, and the defining pairs at one
 chart point.  It also keeps the vertex-by-vertex loop that
 ``compose._prune_short`` runs in arrays, the batched corrector, the
-fold circles' rank data and the defining pair's ``jet`` as first written.
+fold circles' Newton and rank data and the defining pair's ``jet`` as
+first written.
 """
 
 import math
@@ -20,8 +21,9 @@ from pillowcase import _kernels
 from pillowcase.quat import mul_parts
 from pillowcase.projection import (OFF_VARIETY_SURFACE_TOL, _angles_of_r3,
                                    _characters, pi1_r3_of_chart, r3_of_orbit)
-from pillowcase.variety import COMPLEX_STEP
-from pillowcase.words import CHARS_P0, Rep, wrapped_angle
+from pillowcase.variety import (COMPLEX_STEP, CORNER_BASE, FOLD_MAXIT,
+                                FOLD_TOL, _fold_system)
+from pillowcase.words import CHARS_P0, Rep, chart_angle, wrapped_angle
 
 # the tangle generators: the generator fields of a Rep
 GENERATORS = "abfhpq"
@@ -177,6 +179,34 @@ def corrector_batch(code, s, breaks, cg, ct, p0, p1, p2, n0, n1, n2, tol,
         u1[idx] = x1[go] + d1[go]
         u2[idx] = x2[go] + d2[go]
     return u0, u1, u2, ok
+
+
+def fold_samples(variant, s, n_samples):
+    """``variety.fold_locus``'s Newton as first written: one Newton over
+    (4, n_samples) arrays that takes ``_fold_system`` again for every
+    sample at every iteration and keeps the step by ``np.where`` where a
+    sample has not converged.  Returns the (4, n_samples, 4) samples
+    (gamma, theta, nu, tau) by corner, as ``fold_locus`` stores them."""
+    code = _kernels.variant_code(variant)
+    taus = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
+    corners = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
+    eg, et = np.array(corners, dtype=float).T[:, :, None]
+    g0, t0 = np.array([CORNER_BASE[c] for c in corners]).T[:, :, None]
+    x = [g0 + 2 * s * et * np.sin(taus), t0 - 2 * s * eg * np.cos(taus),
+         np.repeat(s * eg, n_samples, axis=1)]
+    for it in range(FOLD_MAXIT + 1):
+        assert np.all(np.abs(x[2]) < 1.0), "fold Newton left the chart"
+        f, rows = _fold_system(code, s, *x, taus)
+        live = ~(np.maximum.reduce([np.abs(v) for v in f]) < FOLD_TOL)
+        if not live.any():
+            break
+        assert it < FOLD_MAXIT, "fold Newton did not converge"
+        det, *num = _kernels._cramer3(*rows, -f[0], -f[1], -f[2])
+        assert not np.any(live & ~(np.abs(det) >= 1e-300)), "singular"
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = [np.where(live, a + d / det, a) for a, d in zip(x, num)]
+    g, t, tau = chart_angle([x[0], x[1], np.broadcast_to(taus, x[2].shape)])
+    return np.stack([g, t, x[2], tau], axis=-1)
 
 
 def fold_jacobian_data(variant, s, x):

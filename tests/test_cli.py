@@ -137,6 +137,18 @@ def test_compose_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "o").exists()
 
 
+def test_trace_fold_failure_is_a_numerical_failure(tmp_path, capsys,
+                                                  monkeypatch):
+    from pillowcase import variety
+
+    monkeypatch.setattr(variety, "FOLD_MAXIT", 0)
+    assert run(["trace", "--grid", "8", "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(
+        "numerical failure: fold Newton failed at tau = ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_compose_refused_is_a_numerical_failure(tmp_path, capsys,
                                                 monkeypatch):
     from pillowcase.compose import TangencyError

@@ -321,3 +321,154 @@ def test_cubic_fit_few_knots_is_the_line_or_parabola(n):
 def test_cubic_fit_rejects_knots_not_strictly_increasing(x):
     with pytest.raises(ValueError):
         k.cubic_fit(x, np.zeros(len(x)))
+
+
+# ---------------------------------------------------------------------------
+# the array Newton's contract, on toy systems: F_r = x_r - c_r where an
+# element is linear, x_r^2 - c_r elsewhere, so J is diagonal
+# ---------------------------------------------------------------------------
+
+def _toy(c, linear, calls=None):
+    """The toy system over flat arrays: c holds one target array per
+    unknown, ``linear`` marks the linear elements; ``calls`` records each
+    call's (elements, jac)."""
+    def system(i, x, jac):
+        if calls is not None:
+            calls.append((i.copy(), jac))
+        lin = linear[i]
+        f = [np.where(lin, v - c[r][i], v * v - c[r][i])
+             for r, v in enumerate(x)]
+        if not jac:
+            return f, None
+        n = len(x)
+        return f, [np.where(lin, 1.0, 2.0 * x[r]) if r == q else 0.0
+                   for r in range(n) for q in range(n)]
+    return system
+
+
+def _starts(n, m=6):
+    """m elements of n unknowns: starts, targets and the linear mask; every
+    value is dyadic, so a linear element converges in one exact step."""
+    x = [np.full(m, 1.5) for _ in range(n)]
+    c = [np.full(m, 2.0) for _ in range(n)]
+    return x, c, np.arange(m) % 2 == 0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_newton_converges_every_element_on_its_own(n):
+    x, c, linear = _starts(n)
+    ok = k.newton(_toy(c, linear), x, (1e-14,) * n, 50)
+    assert ok.all()
+    for v in x:
+        assert np.all(v[linear] == 2.0)
+        assert np.all(np.abs(v[~linear] - math.sqrt(2.0)) < 1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_newton_stops_on_per_row_tolerances(n):
+    # linear rows at the start: row r is 10^-(3 r + 3)
+    res = [10.0 ** -(3 * r + 3) for r in range(n)]
+    tol = [10.0 * v for v in res]
+    for r in range(-1, n):
+        t = list(tol)
+        if r >= 0:
+            t[r] = res[r] / 10  # one row above its own tolerance
+        x = [np.array([v]) for v in res]
+        start = [v.copy() for v in x]
+        ok = k.newton(_toy([np.zeros(1)] * n, np.ones(1, bool)), x, t, 0)
+        assert ok[0] == (r < 0)
+        assert all(np.array_equal(a, b) for a, b in zip(x, start))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_newton_maxit_zero_checks_the_start_only(n):
+    x, c, linear = _starts(n)
+    for v in x:  # a linear element at its root, a quadratic one not
+        v[:2] = 2.0
+    start = [v.copy() for v in x]
+    calls = []
+    ok = k.newton(_toy(c, linear, calls), x, (1e-14,) * n, 0,
+                  step=lambda *a: pytest.fail("no step at maxit 0"))
+    assert all(np.array_equal(a, b) for a, b in zip(x, start))
+    assert len(calls) == 1 and np.array_equal(calls[0][0], np.arange(6))
+    assert ok.tolist() == [True] + [False] * 5
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_newton_inside_fails_a_start_or_an_iterate_outside(n):
+    x, c, linear = _starts(n)
+    x[0][1] = 0.95  # a start outside
+    c[0][2] = 2.5  # a linear element whose one step lands outside, at 2.5
+    calls = []
+    ok = k.newton(_toy(c, linear, calls), x, (1e-14,) * n, 50,
+                  inside=lambda x: np.abs(x[0] - 1.5) < 0.52)
+    assert not ok[1] and not ok[2] and ok[[0, 3, 4, 5]].all()
+    assert x[0][1] == 0.95  # kept its start, never evaluated
+    assert all(1 not in i for i, _ in calls)
+    assert x[0][2] == 2.5 and all(v[2] == 2.0 for v in x[1:])
+    assert all(2 not in i for i, _ in calls[1:])  # not evaluated out there
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("bad", [0.0, np.nan])
+def test_newton_fails_at_a_singular_or_nan_jacobian(n, bad):
+    x, c, linear = _starts(n)
+    linear[:] = False
+    x[n - 1][3] = bad  # J has 2 x = 0 or NaN on its diagonal
+    start = [v.copy() for v in x]
+    with np.errstate(invalid="ignore"):
+        ok = k.newton(_toy(c, linear), x, (1e-14,) * n, 50)
+    assert not ok[3] and np.delete(ok, 3).all()
+    for a, b in zip(x, start):
+        assert a[3] == b[3] or (np.isnan(a[3]) and np.isnan(b[3]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_newton_refused_step_keeps_the_iterate(n):
+    x, c, linear = _starts(n)
+    linear[:] = False
+    seen = []
+
+    def step(i, xi, dx, f):
+        seen.append(i.copy())
+        return i != 4, None, None  # element 4 is refused at once
+
+    ok = k.newton(_toy(c, linear), x, (1e-14,) * n, 50, step=step)
+    assert not ok[4] and np.delete(ok, 4).all()
+    assert all(v[4] == 1.5 for v in x)
+    assert 4 in seen[0] and all(4 not in i for i in seen[1:])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_newton_residuals_from_the_step_skip_the_rows_only_call(n):
+    x, c, linear = _starts(n)
+    calls = []
+    rows = _toy(c, linear)
+
+    def step(i, xi, dx, f):  # the full step, with the rows there
+        xn = [a + d for a, d in zip(xi, dx)]
+        return np.ones(i.size, bool), xn, rows(i, xn, False)[0]
+
+    ok = k.newton(_toy(c, linear, calls), x, (1e-14,) * n, 50, step=step)
+    assert ok.all() and len(calls) > 2
+    assert all(jac for _, jac in calls)
+    # each call after the first is at the elements that step: not the
+    # linear ones, which converge at their first step
+    assert all(not linear[i].any() for i, _ in calls[1:])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_newton_jacobian_only_where_an_element_steps(n):
+    x, c, linear = _starts(n)
+    calls = []
+    ok = k.newton(_toy(c, linear, calls), x, (1e-14,) * n, 50)
+    assert ok.all()
+    assert calls[0][1] and np.array_equal(calls[0][0], np.arange(6))
+    # later: the rows at every live element, then J where one steps; the
+    # linear elements converge at their first step and leave
+    later = calls[1:]
+    assert [j for _, j in later] == [False, True] * (len(later) // 2) + (
+        [False] if len(later) % 2 else [])
+    for (rows_at, _), (jac_at, _) in zip(later[0::2], later[1::2]):
+        assert np.isin(jac_at, rows_at).all() and not linear[jac_at].any()
+        assert jac_at.size < rows_at.size or not linear[rows_at].any()

@@ -10,7 +10,7 @@ from pillowcase import variety as V
 from pillowcase import verify as VF
 from pillowcase import words as W
 
-from pillow_reference import GENERATORS, G, Gp
+from pillow_reference import GENERATORS, G, Gp, fold_samples
 
 
 def test_solve_fiber_s0_closed_form():
@@ -287,6 +287,27 @@ def test_fold_locus_traced_peak(variant):
     finally:
         tracemalloc.stop()
     assert peak < 1.2 * 2 ** 20
+
+
+@pytest.mark.parametrize("n_samples", [48, 192])
+@pytest.mark.parametrize("s", [0.05, -0.05, 0.2, -0.45, 0.49, 1e-5])
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_fold_locus_is_the_loop_as_first_written(variant, s, n_samples):
+    # the one array Newton drops converged samples and takes the Jacobian
+    # only where a sample steps; every sample keeps its bits
+    got = np.stack([c.samples for c in V.fold_locus(variant, s, n_samples)])
+    want = fold_samples(variant, s, n_samples)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_fold_locus_failure_names_a_tau(variant, monkeypatch):
+    # no Newton step: the closed-form seeds are not fold points to FOLD_TOL
+    monkeypatch.setattr(V, "FOLD_MAXIT", 0)
+    with pytest.raises(V.ContinuationError,
+                       match=r"^fold Newton failed at tau = \d\.\d{4} at "
+                             r"corner \(-?1, -?1\)$"):
+        V.fold_locus(variant, 0.05)
 
 
 def test_fold_jacobians_rank_one_transverse():
