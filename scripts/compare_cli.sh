@@ -3,7 +3,7 @@
 #
 #   scripts/compare_cli.sh REV
 #
-# Runs the 41 commands of the matrix below twice: on `git archive REV` and
+# Runs the 44 commands of the matrix below twice: on `git archive REV` and
 # on the work tree's src/ (committed or not), each command in a fresh
 # directory with `--out out`.  Then `diff -r` compares every command's stdout,
 # stderr, exit code and written files.  Prints "identical" and exits 0
@@ -33,6 +33,16 @@ python3 -c 'import json, math
 lift = [[0.04, 0.3 + 2 * math.pi * k / 720] for k in range(721)]
 print(json.dumps({"components": [{"kind": "circle", "lift": lift}]}))' \
     > "$scratch/fold_disk.json"
+# the circle of radius 0.08 about (1.2, 1.9), 200 vertices, of
+# tests/test_compose.py: each sheet's loop over it is shorter than the ten
+# coarse steps a trace runs before it may close, so each is traced at 0.064,
+# then at 0.032 and 0.016
+python3 -c 'import json
+import numpy as np
+lift = np.array([(1.2 + 0.08 * np.cos(t), 1.9 + 0.08 * np.sin(t))
+                 for t in np.linspace(0, 2 * np.pi, 200)])
+print(json.dumps({"components": [{"kind": "circle", "lift": lift.tolist()}]}))' \
+    > "$scratch/small_circle.json"
 
 # one run per line: a directory name, then the command's arguments
 matrix() {
@@ -51,8 +61,12 @@ matrix() {
         done
         echo "compose-$v-fold-disk compose --variant $v --s 0.05" \
              "--curve-file $scratch/fold_disk.json"
+        echo "compose-$v-small-circle compose --variant $v --s 0.05" \
+             "--curve-file $scratch/small_circle.json"
     done
     echo "compose-fine compose --name beta --variant bypass --s 0.05 --max-step 2e-4"
+    # the only run in which _prune_short drops vertices: 61,676 to 51,158
+    echo "compose-fine-small-s compose --name beta --s 1e-3 --max-step 2e-4"
     echo "compose-retrace compose --name dt_b_ver --s 0.2 --max-step 0.5"
     echo "scene-huge-step scene --max-step 100"
     echo "verify-full verify --variant bypass --full"

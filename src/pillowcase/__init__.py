@@ -14,9 +14,11 @@ Subpackage layout:
                   restriction maps, the reflection, and the
                   boundary-exchanging involution
 - ``curves``      immersed-curve calculus in the pillowcase
-- ``compose``     correspondence composition via pseudo-arclength continuation
+- ``compose``     correspondence composition via pseudo-arclength
+                  continuation, on fold circles the caller passes
 - ``verify``      the invariant battery: every check of the paper's claims
-                  with its thresholds
+                  with its thresholds, Theorem B and the bottom-edge
+                  predictions among them
 - ``cli``         command-line surface (trace / compose / scene / verify)
 
 Hot kernels live in ``_kernels``: ``jet``, the defining pair with its exact

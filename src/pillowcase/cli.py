@@ -44,7 +44,7 @@ from .curves import (GenericPositionError, ImmersedCurve, double, intersect,
                      invariants, bottom_edge, slope_one_arc, slope_two_arc,
                      twisted_double, vertical_circle, wavy_arc)
 from .compose import (MAX_STEP, TangencyError, compose_curve,
-                      fold_image_curves, transpose_compose, verify_theorem_B)
+                      fold_image_curves, transpose_compose)
 from .projection import OffVarietyError, ReGaugeError
 # solve_fiber is unused here, but the tracer in perfbench/ pins the
 # cli.solve_fiber alias
@@ -369,16 +369,16 @@ def verification_suite(variant: str, s: float, seed: int = 0,
         edge = compose_curve(bottom_edge(), variant, s, max_step=1.5e-3,
                              circles=circles)
         hd, _, edge_ok = verify.composed_edge(edge, variant, s)
-        rep_b = verify_theorem_B(vertical_circle(), variant, s,
-                                 circles=circles)
+        b_ver = vertical_circle()
+        dps, hd_b, b_ok = verify.theorem_b(
+            b_ver, compose_curve(b_ver, variant, s, circles=circles), s)
     except (ContinuationError, TangencyError) as exc:
         rows += [(name, False, str(exc))
                  for name in ("composed_edge", "composed_circles")]
     else:
         rows.append(("composed_edge", edge_ok, f"hausdorff {hd:.2e}"))
-        rows.append(("composed_circles", verify.composed_circles(rep_b),
-                     f"components {rep_b.component_count}, hausdorff "
-                     f"{rep_b.hausdorff:.3f}"))
+        rows.append(("composed_circles", b_ok,
+                     f"components {len(dps)}, hausdorff {hd_b:.3f}"))
 
     errs, bound, ok = verify.tangent_anchor(variant, s)
     rows.append(("tangent_anchor", ok,
@@ -422,11 +422,13 @@ _TRACE_S = _checked(float, lambda s: s == 0.0 or 1e-6 <= abs(s) < 0.5,
 _NONZERO_S = _checked(float, lambda s: 0.0 < abs(s) < 0.5,
                       "is not finite with 0 < |s| < 1/2 (fold circles need "
                       "s != 0)")
-# the battery's checks hold for |s| <= 0.2; beyond it asymptotics and the
-# tangent anchor fail on valid input
-_VERIFY_S = _checked(float, lambda s: 0.0 < abs(s) <= 0.2,
-                     "is not finite with 0 < |s| <= 0.2 (the range where "
-                     "the verify checks hold)")
+# the battery's checks hold for 1e-3 <= |s| <= 0.2: beyond it asymptotics
+# and the tangent anchor fail on valid input, and at 3e-4 and below the
+# composed rows' loops run out of continuation steps
+_VERIFY_S = _checked(float, lambda s: 1e-3 <= abs(s) <= 0.2,
+                     "is not finite with 1e-3 <= |s| <= 0.2 (the range where "
+                     "the verify checks hold; below it the compositions "
+                     "run out of continuation steps)")
 # trace holds two n x n float meshes and writes n^2 lines of fibers.csv: 16
 # and 40 MB at 16 times the default, 160 GB of meshes alone at n = 100,000
 GRID_MAX = 1024

@@ -30,6 +30,10 @@ of a loop in one image pass and picks their orbit elements in arrays.  An
 image that turns too sharply is under-resolved: ``compose_curve`` then
 composes once more at half the step, the same rule by which a failed
 densification retraces.
+
+Every composition takes the fold circles (``variety.fold_locus``) from its
+caller, which solves them once for all its compositions.  The predictions
+that composed curves are checked against are in ``verify``.
 """
 
 from __future__ import annotations
@@ -40,14 +44,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .curves import (TURN_LIMIT, CurveComponent, CurveError,
-                     GenericPositionError, ImmersedCurve, double,
-                     figure_eight, hausdorff_r3, intersect, invariants,
-                     turning_angles)
-from .projection import pi0_u_r3, pi1_r3_of_chart
-from .variety import (COMPLEX_STEP, ContinuationError, FoldCircle, eta,
-                      fold_locus, k_circle, solve_fiber)
-from .words import BYPASS, TWO_PI, wrapped_angle
+from .curves import (TURN_LIMIT, CurveComponent, GenericPositionError,
+                     ImmersedCurve, intersect, turning_angles)
+from .projection import pi1_r3_of_chart
+from .variety import ContinuationError, FoldCircle, solve_fiber
+from .words import TWO_PI, wrapped_angle
 
 MAX_STEP = 4e-3  # default continuation step, in (t, nu, tau) arclength
 STEP_BUDGET = 100_000  # continuation steps allowed per loop
@@ -84,7 +85,6 @@ class FiberProduct:
     """The solution loops over a curve, and the ``_component_splines`` of
     each component, in order, that the loops were traced on."""
     curve: ImmersedCurve
-    variant: str
     s: float
     branches: list[Branch]
     splines: list[tuple] = field(repr=False)
@@ -100,14 +100,12 @@ def fold_image_curves(circles: list[FoldCircle]) -> ImmersedCurve:
                           for x in lifts], "P0", "fold_image")
 
 
-def check_transversality(curve: ImmersedCurve, variant: str, s: float,
-                         circles: list[FoldCircle] | None = None) -> bool:
-    """Whether the curve crosses the fold images transversally: every
-    crossing at an angle above 1e-2 rad."""
-    fold_curve = fold_image_curves(
-        fold_locus(variant, s) if circles is None else circles)
+def check_transversality(curve: ImmersedCurve,
+                         circles: list[FoldCircle]) -> bool:
+    """Whether the curve crosses the images of the fold circles
+    transversally: every crossing at an angle above 1e-2 rad."""
     try:
-        intersect(curve, fold_curve, angle_tol=1e-2)
+        intersect(curve, fold_image_curves(circles), angle_tol=1e-2)
     except GenericPositionError:
         return False
     return True
@@ -304,19 +302,19 @@ def _trace_dense(code, s, breaks, cg, ct, period, seed, max_step):
 
 
 def fiber_product(curve: ImmersedCurve, variant: str, s: float, *,
-                  max_step: float = MAX_STEP,
-                  circles: list[FoldCircle] | None = None) -> FiberProduct:
+                  circles: list[FoldCircle],
+                  max_step: float = MAX_STEP) -> FiberProduct:
     """Trace the solution loops of the defining pair over the curve, from
     each root of the first two-sheeted fiber among a few points of each
     component (a good arc's first root only) that ``_on_loop`` does not put
     on a loop already traced."""
     if s == 0.0:
         raise ValueError("composition needs s != 0")
-    if not check_transversality(curve, variant, s, circles):
+    if not check_transversality(curve, circles):
         raise TangencyError(
             f"curve is tangent to the fold image at s = {s}; choose another s")
     code = _kernels.variant_code(variant)
-    fp = FiberProduct(curve, variant, s, [],
+    fp = FiberProduct(curve, s, [],
                       [_component_splines(c) for c in curve.components])
     for ci, comp in enumerate(curve.components):
         breaks, cg, ct, period, length = fp.splines[ci]
@@ -486,12 +484,10 @@ def push_forward(fp: FiberProduct) -> ImmersedCurve:
 
 
 def compose_curve(curve: ImmersedCurve, variant: str, s: float, *,
-                  max_step: float = MAX_STEP,
-                  circles: list[FoldCircle] | None = None) -> ImmersedCurve:
+                  circles: list[FoldCircle],
+                  max_step: float = MAX_STEP) -> ImmersedCurve:
     """The fiber product pushed forward; an under-resolved image is composed
     once more at half the step, on the same fold circles."""
-    if circles is None:
-        circles = fold_locus(variant, s)
     for step in (max_step, 0.5 * max_step):
         fp = fiber_product(curve, variant, s, max_step=step, circles=circles)
         try:
@@ -503,8 +499,8 @@ def compose_curve(curve: ImmersedCurve, variant: str, s: float, *,
 
 
 def transpose_compose(curve: ImmersedCurve, variant: str, s: float, *,
-                      max_step: float = MAX_STEP,
-                      circles: list[FoldCircle] | None = None) -> ImmersedCurve:
+                      circles: list[FoldCircle],
+                      max_step: float = MAX_STEP) -> ImmersedCurve:
     """Composition with the transposed correspondence (swap the factor roles).
 
     The factorization of the second restriction map through the involution
@@ -522,80 +518,3 @@ def transpose_compose(curve: ImmersedCurve, variant: str, s: float, *,
                             circles=circles)
     return flip(forward, "P0").relabel("P0")
 
-
-# ---------------------------------------------------------------------------
-# predictions and verification
-# ---------------------------------------------------------------------------
-
-def bottom_edge_prediction(variant: str, s: float) -> ImmersedCurve:
-    """Closed-form image of the composed bottom edge in the second factor.
-
-    Bypass: sigma -> [sigma, -2 s cos(sigma)].  Earring: the same with the
-    phase corrected by twice the fixed-point angle eta(s, sigma).
-    """
-    sig = np.linspace(0.0, TWO_PI, 8193)
-    phase = sig if variant == BYPASS else sig + 2 * eta(s, sig)
-    lift = np.column_stack([sig, -2 * s * np.cos(phase)])
-    return ImmersedCurve([CurveComponent("circle", lift)], "P1",
-                         f"predicted_beta_{variant}")
-
-
-def edge_tangent_anchors(variant: str, s: float):
-    """Derivative in R^3 of the pre-relabeling composed bottom edge at the
-    double point, for both half-turn branches, by a complex step in sigma."""
-    sig = np.pi / 2 + 1j * COMPLEX_STEP
-    d = pi0_u_r3(k_circle(variant, s, [sig, -sig])).imag / COMPLEX_STEP
-    return {1: d[0], -1: d[1]}
-
-
-@dataclass
-class TheoremBReport:
-    variant: str
-    s: float
-    mode: str  # "arc" | "circle"
-    component_count: int
-    predicted_count: int
-    invariants_equal: bool
-    hausdorff: float
-    double_points: list[int]
-    predicted_double_points: list[int]
-    ok: bool = field(init=False)
-
-    def __post_init__(self):
-        self.ok = (self.component_count == self.predicted_count
-                   and self.invariants_equal
-                   and self.double_points == self.predicted_double_points)
-
-
-def verify_theorem_B(curve: ImmersedCurve, variant: str, s: float, *,
-                     max_step: float = MAX_STEP,
-                     circles: list[FoldCircle] | None = None) -> TheoremBReport:
-    """Compare the composed curve against the predicted class: the relabeled
-    figure eight for a good arc, the relabeled double for circles."""
-    kinds = {c.kind for c in curve.components}
-    if kinds == {"good_arc"}:
-        if len(curve.components) != 1:
-            raise CurveError("arc verification expects a single component")
-        pred = figure_eight(curve, s).relabel("P1")
-        mode = "arc"
-    elif kinds == {"circle"}:
-        pred = double(curve).relabel("P1")
-        mode = "circle"
-    else:
-        raise CurveError("mixed-kind curves are composed per component")
-
-    out = compose_curve(curve, variant, s, max_step=max_step, circles=circles)
-    inv_out = invariants(out)
-    inv_pred = invariants(pred)
-    return TheoremBReport(
-        variant=variant,
-        s=s,
-        mode=mode,
-        component_count=len(out.components),
-        predicted_count=len(pred.components),
-        invariants_equal=inv_out == inv_pred,
-        hausdorff=hausdorff_r3(out, pred),
-        double_points=sorted(c.double_points for c in inv_out.components),
-        predicted_double_points=sorted(c.double_points
-                                       for c in inv_pred.components),
-    )

@@ -5,7 +5,9 @@ points, variants, s-values, fold circles, composed curves) and returns it
 with its verdict against the named thresholds below.  Sample chart points
 come as an (n, 5) array of rows (s, gamma, theta, nu, tau).  The ``verify``
 command and the acceptance tests call the same checks with their own
-samples.
+samples.  The predictions that composed curves are checked against are
+here too: the closed-form bottom edge, its tangents at the double point,
+and Theorem B's figure eight or double of the input curve.
 """
 
 from __future__ import annotations
@@ -16,13 +18,15 @@ import numpy as np
 
 from . import quat
 from ._kernels import jet
-from .compose import bottom_edge_prediction, edge_tangent_anchors
-from .curves import hausdorff_r3, self_intersections
-from .projection import characters_in_out, u_involution, verify_factorization
-from .variety import _corner_distance, fold_jacobian_data, k_circle
-from .words import (BYPASS, EARRING, check_identities, embed_arrays, embed_L,
-                    g_of_rep, gp_of_rep, perturbation_residuals, rho_eps,
-                    variety_residual, w2_value)
+from .curves import (CurveComponent, ImmersedCurve, double, figure_eight,
+                     hausdorff_r3, invariants, self_intersections)
+from .projection import (characters_in_out, pi0_u_r3, u_involution,
+                         verify_factorization)
+from .variety import (COMPLEX_STEP, _corner_distance, eta, fold_jacobian_data,
+                      k_circle)
+from .words import (BYPASS, EARRING, TWO_PI, check_identities, embed_arrays,
+                    embed_L, g_of_rep, gp_of_rep, perturbation_residuals,
+                    rho_eps, variety_residual, w2_value)
 
 IDENTITY_TOL = 1e-11
 # w2 = -1 on the earring variety; where |G_2| > W2_OFF_G it misses -1
@@ -149,6 +153,27 @@ def factorization(variant, points):
     return worst, worst < FACTORIZATION_TOL
 
 
+def bottom_edge_prediction(variant: str, s: float) -> ImmersedCurve:
+    """Closed-form image of the composed bottom edge in the second factor.
+
+    Bypass: sigma -> [sigma, -2 s cos(sigma)].  Earring: the same with the
+    phase corrected by twice the fixed-point angle eta(s, sigma).
+    """
+    sig = np.linspace(0.0, TWO_PI, 8193)
+    phase = sig if variant == BYPASS else sig + 2 * eta(s, sig)
+    lift = np.column_stack([sig, -2 * s * np.cos(phase)])
+    return ImmersedCurve([CurveComponent("circle", lift)], "P1",
+                         f"predicted_beta_{variant}")
+
+
+def edge_tangent_anchors(variant: str, s: float):
+    """Derivative in R^3 of the pre-relabeling composed bottom edge at the
+    double point, for both half-turn branches, by a complex step in sigma."""
+    sig = np.pi / 2 + 1j * COMPLEX_STEP
+    d = pi0_u_r3(k_circle(variant, s, [sig, -sig])).imag / COMPLEX_STEP
+    return {1: d[0], -1: d[1]}
+
+
 def composed_edge(composed, variant, s):
     """The composed bottom edge against its closed form:
     (Hausdorff distance, double points of its first component, ok)."""
@@ -157,11 +182,20 @@ def composed_edge(composed, variant, s):
     return hd, dp, hd < EDGE_HAUSDORFF and dp == EDGE_DOUBLE_POINTS
 
 
-def composed_circles(report) -> bool:
-    """Whether a composed circle has its predicted double's class and lies
-    within CIRCLE_HAUSDORFF_PER_S |s| of it."""
-    return (report.ok
-            and report.hausdorff <= CIRCLE_HAUSDORFF_PER_S * abs(report.s))
+def theorem_b(curve, composed, s):
+    """Theorem B for ``composed``, the curve composed at s: it has the class
+    of the prediction relabeled to P1, the figure eight of a good arc or
+    else the double of circles (their ``CurveError`` refuses mixed kinds
+    and several arcs), and a composed circle lies within
+    CIRCLE_HAUSDORFF_PER_S |s| of it.  Returns (the composed components'
+    double points, sorted, Hausdorff distance, ok)."""
+    arc = curve.components[0].kind == "good_arc"
+    pred = (figure_eight(curve, s) if arc else double(curve)).relabel("P1")
+    inv = invariants(composed)
+    hd = hausdorff_r3(composed, pred)
+    return (sorted(c.double_points for c in inv.components), hd,
+            inv == invariants(pred)
+            and (arc or hd <= CIRCLE_HAUSDORFF_PER_S * abs(s)))
 
 
 def tangent_anchor(variant, s):

@@ -182,17 +182,17 @@ def _edge_reports():
     return out
 
 
+def _theorem_b(curve, variant, s):
+    composed = X.compose_curve(curve, variant, s,
+                               circles=list(fold(variant, s)))
+    return VF.theorem_b(curve, composed, s)
+
+
 @lru_cache(maxsize=None)
 def _arc_reports():
-    out = {}
-    for variant in VARIANTS:
-        rows = []
-        for curve in (C.slope_one_arc(), C.wavy_arc()):
-            rep = X.verify_theorem_B(curve, variant, 0.05,
-                                     circles=list(fold(variant, 0.05)))
-            rows.append(rep)
-        out[variant] = rows
-    return out
+    return {variant: [_theorem_b(curve, variant, 0.05)
+                      for curve in (C.slope_one_arc(), C.wavy_arc())]
+            for variant in VARIANTS}
 
 
 def test_criterion_09_theorem_b_arcs():
@@ -202,23 +202,19 @@ def test_criterion_09_theorem_b_arcs():
         hd, dp, edge_ok = _edge_reports()[variant]
         ok &= edge_ok
         details.append(f"{variant} edge hausdorff {hd:.2e}, double points {dp}")
-        for rep in _arc_reports()[variant]:
-            ok &= rep.invariants_equal and rep.ok
+        ok &= all(ok_arc for _, _, ok_arc in _arc_reports()[variant])
     _line(9, "composed arcs vs figure eight", ok, "; ".join(details))
     assert ok
 
 
+CIRCLE_S = (0.1, 0.05, 0.025)
+
+
 @lru_cache(maxsize=None)
 def _circle_reports():
-    out = {}
-    for variant in VARIANTS:
-        rows = []
-        for s in (0.1, 0.05, 0.025):
-            rep = X.verify_theorem_B(C.vertical_circle(), variant, s,
-                                     circles=list(fold(variant, s)))
-            rows.append(rep)
-        out[variant] = rows
-    return out
+    return {variant: [_theorem_b(C.vertical_circle(), variant, s)
+                      for s in CIRCLE_S]
+            for variant in VARIANTS}
 
 
 def test_criterion_10_theorem_b_circles():
@@ -226,10 +222,9 @@ def test_criterion_10_theorem_b_circles():
     details = []
     for variant in VARIANTS:
         rows = _circle_reports()[variant]
-        ok &= all(r.component_count == 2 and VF.composed_circles(r)
-                  for r in rows)
-        hds = [r.hausdorff for r in rows]
-        slope = np.polyfit(np.log([r.s for r in rows]), np.log(hds), 1)[0]
+        ok &= all(len(dp) == 2 and ok_s for dp, _, ok_s in rows)
+        hds = [hd for _, hd, _ in rows]
+        slope = np.polyfit(np.log(CIRCLE_S), np.log(hds), 1)[0]
         lo, hi = VF.CIRCLE_DECAY_SLOPE
         ok &= lo <= slope <= hi
         details.append(f"{variant}: hausdorff {[f'{h:.3f}' for h in hds]}, "
@@ -276,10 +271,10 @@ def test_criterion_13_variant_equivalence():
     ints = {}
     for variant in VARIANTS:
         edge_dp = _edge_reports()[variant][1]
-        arcs = tuple((r.component_count, tuple(r.double_points))
-                     for r in _arc_reports()[variant])
-        circ = tuple((r.component_count, tuple(r.double_points))
-                     for r in _circle_reports()[variant])
+        arcs = tuple((len(dp), tuple(dp))
+                     for dp, _, _ in _arc_reports()[variant])
+        circ = tuple((len(dp), tuple(dp))
+                     for dp, _, _ in _circle_reports()[variant])
         scenes = tuple(v for (va, s), v in sorted(_scenes().items())
                        if va == variant)
         ints[variant] = (edge_dp, arcs, circ, scenes)

@@ -193,10 +193,10 @@ def test_verify_writes_its_rows_under_out(tmp_path, capsys, monkeypatch):
 def test_verify_json_and_fault(capsys, monkeypatch, tmp_path):
     assert _verify_rows(capsys, "bypass", tmp_path)[:2] == (0, set())
     # a wrong fixed-point angle on the circles over the bottom edge
-    from pillowcase import compose, variety
+    from pillowcase import variety, verify
 
     eta = variety.eta
-    for mod in (variety, compose):
+    for mod in (variety, verify):
         monkeypatch.setattr(mod, "eta", lambda s, sigma: -eta(s, sigma))
     code, failing, _ = _verify_rows(capsys, "earring", tmp_path)
     assert code == 1 and {"k_circle", "composed_edge"} <= failing
@@ -215,7 +215,7 @@ def test_verify_reports_the_fold_circles_failure_on_their_rows(
         capsys, monkeypatch, tmp_path):
     # the fold circles are solved once; where they cannot be found, the
     # four rows that read them fail with the solver's message
-    from pillowcase import compose, variety
+    from pillowcase import variety
 
     calls = []
 
@@ -223,7 +223,7 @@ def test_verify_reports_the_fold_circles_failure_on_their_rows(
         calls.append(args)
         raise variety.ContinuationError("fold Newton did not converge")
 
-    for mod in (cli, compose, variety):
+    for mod in (cli, variety):
         monkeypatch.setattr(mod, "fold_locus", fail)
     code, failing, rows = _verify_rows(capsys, "earring", tmp_path)
     assert code == 1 and len(calls) == 1
@@ -255,6 +255,8 @@ def test_usage_error_exit_code():
 @pytest.mark.parametrize("argv", [
     "trace --s nan", "trace --s inf", "trace --s -0.5",
     "compose --s 0", "scene --s 0", "verify --s 0", "verify --s 0.3",
+    # below the floor of verify's |s|, where its compositions do not close
+    "verify --s 3e-4",
     "trace --grid 0", "trace --grid -3", "trace --grid 1025",
     "compose --max-step 0", "scene --max-step nan", "scene --max-step -0.001",
     # options a command does not read

@@ -41,7 +41,7 @@ def test_transversality_counts():
                                       (C.vertical_circle(), "earring", 0),
                                       (C.slope_one_arc(), "bypass", 2)):
         circles = fold(variant, 0.05)
-        assert X.check_transversality(curve, variant, 0.05, circles)
+        assert X.check_transversality(curve, circles)
         fp = X.fiber_product(curve, variant, 0.05, circles=circles)
         assert sum(b.fold_crossings for b in fp.branches) == crossings
 
@@ -55,7 +55,7 @@ def test_tangency_refused():
         "circle",
         C._polyline(lambda t: (r * np.cos(t), r * np.sin(t)), 0, 2 * np.pi,
                     400))], "P0")
-    assert X.check_transversality(curve, "earring", 0.05, circles) is False
+    assert X.check_transversality(curve, circles) is False
     with pytest.raises(X.TangencyError):
         X.fiber_product(curve, "earring", 0.05, circles=circles)
 
@@ -137,7 +137,7 @@ def test_push_forward_factorization_consistency(monkeypatch):
 def circle_product(branch):
     """A fiber product over the vertical circle with the one branch given."""
     curve = C.vertical_circle()
-    return X.FiberProduct(curve, "earring", 0.05, [branch],
+    return X.FiberProduct(curve, 0.05, [branch],
                           [X._component_splines(curve.components[0])])
 
 
@@ -178,36 +178,41 @@ def test_push_forward_refines_once(variant):
     # refuses it; compose_curve composes once more at half the step, which
     # rescues it
     curve = C.twisted_double(C.vertical_circle())
-    fp = X.fiber_product(curve, variant, 0.2, max_step=0.5)
+    fp = X.fiber_product(curve, variant, 0.2, max_step=0.5,
+                         circles=fold(variant, 0.2))
     with pytest.raises(X.UnderResolvedError):
         X.push_forward(fp)
-    out = X.compose_curve(curve, variant, 0.2, max_step=0.5)
+    out = X.compose_curve(curve, variant, 0.2, max_step=0.5,
+                          circles=fold(variant, 0.2))
     assert sorted(c.homology() for c in out.components) == [(0, -2), (0, 2)]
 
 
 def test_retrace_reuses_the_fold_circles(monkeypatch):
-    # the half-step retrace runs the fiber product again, on the fold
-    # circles of the first pass
-    calls = []
-    fold_locus = X.fold_locus
+    # the half-step retrace runs the fiber product again, on the caller's
+    # fold circles
+    received = []
+    fiber_product = X.fiber_product
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return fold_locus(*args, **kwargs)
+    def recorded(*args, circles, **kwargs):
+        received.append(circles)
+        return fiber_product(*args, circles=circles, **kwargs)
 
-    monkeypatch.setattr(X, "fold_locus", counted)
+    monkeypatch.setattr(X, "fiber_product", recorded)
+    circles = fold("earring", 0.2)
     X.compose_curve(C.twisted_double(C.vertical_circle()), "earring", 0.2,
-                    max_step=0.5)
-    assert len(calls) == 1
+                    max_step=0.5, circles=circles)
+    assert len(received) == 2 and all(c is circles for c in received)
 
 
 @pytest.mark.parametrize("variant", ["earring", "bypass"])
 def test_push_forward_fails_after_refinement(variant):
     with pytest.raises(X.UnderResolvedError, match="after refinement"):
-        X.compose_curve(C.bottom_edge(), variant, 0.4, max_step=1.0)
+        X.compose_curve(C.bottom_edge(), variant, 0.4, max_step=1.0,
+                        circles=fold(variant, 0.4))
     # half that step is rescued by the retrace, with the predicted class
     out = C.invariants(X.compose_curve(C.bottom_edge(), variant, 0.4,
-                                       max_step=0.5))
+                                       max_step=0.5,
+                                       circles=fold(variant, 0.4)))
     assert [c.double_points for c in out.components] == [1]
     assert out == C.invariants(C.figure_eight(C.bottom_edge(), 0.4)
                                .relabel("P1"))
@@ -382,24 +387,57 @@ def test_unwrap_orbit_path_refuses_nan_characters(column, row):
             unwrap(r3)
 
 
+def theorem_b(curve, variant, s):
+    """``verify.theorem_b`` of the curve composed at s."""
+    return VF.theorem_b(curve, X.compose_curve(curve, variant, s,
+                                               circles=fold(variant, s)), s)
+
+
 def test_verify_theorem_b_beta():
     for variant in ("earring", "bypass"):
-        rep = X.verify_theorem_B(C.bottom_edge(), variant, 0.05,
-                                 circles=fold(variant, 0.05))
-        assert rep.ok
-        assert rep.mode == "arc"
-        assert rep.double_points == [1]
+        double_points, _, ok = theorem_b(C.bottom_edge(), variant, 0.05)
+        assert ok
+        assert double_points == [1]
 
 
 def test_verify_theorem_b_circles():
     for variant in ("earring", "bypass"):
-        rep = X.verify_theorem_B(C.vertical_circle(), variant, 0.05,
-                                 circles=fold(variant, 0.05))
-        assert rep.ok and rep.component_count == 2
-        assert rep.hausdorff <= 5 * 0.05
-        rep = X.verify_theorem_B(C.twisted_double(C.vertical_circle()),
-                                 variant, 0.05, circles=fold(variant, 0.05))
-        assert rep.ok and rep.component_count == 2
+        double_points, hd, ok = theorem_b(C.vertical_circle(), variant, 0.05)
+        assert ok and double_points == [0, 0]
+        assert hd <= 5 * 0.05
+        double_points, _, ok = theorem_b(
+            C.twisted_double(C.vertical_circle()), variant, 0.05)
+        assert ok and len(double_points) == 2
+
+
+def test_theorem_b_fails_a_composed_curve_of_another_class():
+    circle = C.vertical_circle()
+    out = X.compose_curve(circle, "bypass", 0.05,
+                          circles=fold("bypass", 0.05))
+    one = C.ImmersedCurve(out.components[:1], "P1")
+    assert VF.theorem_b(circle, out, 0.05)[2]
+    double_points, _, ok = VF.theorem_b(circle, one, 0.05)
+    assert double_points == [0] and not ok
+
+
+def test_theorem_b_bounds_the_distance_of_circles_only(monkeypatch):
+    # a bound of 5e-8 at s = 0.05: the composed circles (0.046 from their
+    # double) fail it, while the composed edge (3e-6 from its figure eight)
+    # passes, since the bound is for circles only
+    monkeypatch.setattr(VF, "CIRCLE_HAUSDORFF_PER_S", 1e-6)
+    _, hd, ok = theorem_b(C.vertical_circle(), "bypass", 0.05)
+    assert hd > 5e-8 and not ok
+    _, hd, ok = theorem_b(C.bottom_edge(), "bypass", 0.05)
+    assert hd > 5e-8 and ok
+
+
+def test_theorem_b_refuses_mixed_kinds_and_two_arcs():
+    arc = C.bottom_edge().components[0]
+    circle = C.vertical_circle().components[0]
+    for comps in ([arc, circle], [circle, arc], [arc, arc]):
+        curve = C.ImmersedCurve(comps, "P0")
+        with pytest.raises(C.CurveError):
+            VF.theorem_b(curve, curve.relabel("P1"), 0.05)
 
 
 def test_bottom_edge_closed_form():
@@ -416,9 +454,9 @@ def test_bottom_edge_prediction_one_eta_call(monkeypatch):
         calls.append(np.shape(sigma))
         return V.eta(s, sigma)
 
-    monkeypatch.setattr(X, "eta", counted)
+    monkeypatch.setattr(VF, "eta", counted)
     s = 0.05
-    lift = X.bottom_edge_prediction("earring", s).components[0].lift
+    lift = VF.bottom_edge_prediction("earring", s).components[0].lift
     assert calls == [(8193,)]
     sig = np.linspace(0.0, 2 * np.pi, 8193)
     th = np.array([-2 * s * np.cos(x + 2 * V.eta(s, x)) for x in sig])
@@ -427,7 +465,7 @@ def test_bottom_edge_prediction_one_eta_call(monkeypatch):
 
 def test_tangent_anchor():
     for variant in ("earring", "bypass"):
-        anchors = X.edge_tangent_anchors(variant, 0.05)
+        anchors = VF.edge_tangent_anchors(variant, 0.05)
         hits = set()
         for sg in (1, -1):
             for branch in (1, -1):
@@ -445,7 +483,7 @@ def test_tangent_anchors_are_closed_form():
         closed = {"earring": (-1 - 2 * s / (1 - s), -1 + 2 * s / (1 + s)),
                   "bypass": (-1 - 2 * s, -1 + 2 * s)}
         for variant, (plus, minus) in closed.items():
-            anchors = X.edge_tangent_anchors(variant, s)
+            anchors = VF.edge_tangent_anchors(variant, s)
             for sign, z in ((1, plus), (-1, minus)):
                 assert np.max(np.abs(anchors[sign] - [-1.0, 0.0, z])) < 1e-12
 
@@ -455,7 +493,7 @@ def test_tangent_anchors_are_closed_form():
 def test_tangent_anchor_matches_central_difference(variant, s):
     # the central difference the complex step replaced, at a smaller step
     h = 1e-6
-    anchors = X.edge_tangent_anchors(variant, s)
+    anchors = VF.edge_tangent_anchors(variant, s)
     for sign in (1, -1):
         sig0 = sign * np.pi / 2
         vp = P.pi0_u_r3(V.k_circle(variant, s, sig0 + sign * h))
@@ -478,7 +516,7 @@ def test_bottom_edge_small_s():
     # the velocity-predicting unwrap must resolve
     for variant in ("earring", "bypass"):
         out = X.compose_curve(C.bottom_edge(), variant, 0.01,
-                              max_step=1.5e-3)
+                              max_step=1.5e-3, circles=fold(variant, 0.01))
         assert VF.composed_edge(out, variant, 0.01)[2]
 
 
@@ -499,8 +537,8 @@ def test_transpose_compose_arc_class_data():
 
 @pytest.mark.parametrize("variant", ["earring", "bypass"])
 def test_composed_circles_row_at_negative_s(variant):
-    rep = X.verify_theorem_B(C.vertical_circle(), variant, -0.05)
-    assert rep.ok and VF.composed_circles(rep)
+    double_points, _, ok = theorem_b(C.vertical_circle(), variant, -0.05)
+    assert ok and double_points == [0, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -638,7 +676,7 @@ def test_short_loops_are_not_traced_round_twice():
     curve = C.ImmersedCurve([C.CurveComponent("circle", C._polyline(
         lambda t: (1.2 + 0.08 * np.cos(t), 1.9 + 0.08 * np.sin(t)),
         0, 2 * np.pi, 200))], "P0")
-    fp = X.fiber_product(curve, "bypass", 0.05)
+    fp = X.fiber_product(curve, "bypass", 0.05, circles=fold("bypass", 0.05))
     _, _, _, period, _ = fp.splines[0]
     assert len(fp.branches) == 2
     for b in fp.branches:

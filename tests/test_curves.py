@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from pillowcase import compose as X
 from pillowcase import curves as C
 from pillowcase import variety as V
+from pillowcase import verify as VF
 from pillowcase.cli import torus_knot_scene
 from pillowcase.projection import r3_of_orbit
 
@@ -674,7 +675,8 @@ def test_edge_crossing_search_peak_memory():
     # quick verify's composed bottom edge: its search against itself has
     # about 65k candidate pairs, which took 6.6 MB when built at once; and
     # a long vertical lift, on which a sweep along x alone is quadratic
-    edge = X.compose_curve(C.bottom_edge(), "bypass", 0.05, max_step=1.5e-3)
+    edge = X.compose_curve(C.bottom_edge(), "bypass", 0.05, max_step=1.5e-3,
+                           circles=V.fold_locus("bypass", 0.05))
     vertical = C.twisted_double(C.vertical_circle(10001))
     for comp, double_points in ((edge.components[0], 1),
                                 (vertical.components[0], 0)):
@@ -753,11 +755,14 @@ def test_nearest_segment_search_matches_brute_force_at_real_sizes(pair):
     # segment prediction, and the composed vertical circle, 0.046 from its
     # double; about 500 points reach several point blocks per chunk, with
     # candidate lists of different lengths
+    circles = V.fold_locus("bypass", 0.05)
     if pair == "edge":
-        near = X.compose_curve(C.bottom_edge(), "bypass", 0.05, max_step=1.5e-3)
-        far = X.bottom_edge_prediction("bypass", 0.05)
+        near = X.compose_curve(C.bottom_edge(), "bypass", 0.05, max_step=1.5e-3,
+                               circles=circles)
+        far = VF.bottom_edge_prediction("bypass", 0.05)
     else:
-        near = X.compose_curve(C.vertical_circle(), "bypass", 0.05)
+        near = X.compose_curve(C.vertical_circle(), "bypass", 0.05,
+                               circles=circles)
         far = C.double(C.vertical_circle())
     for src, dst in ((near, far), (far, near)):
         pts = np.vstack([r3_of_orbit(*c.lift.T) for c in src.components])
