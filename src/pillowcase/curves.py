@@ -13,10 +13,12 @@ figure-eight circle supported by a good arc (equivariant double pushed off
 along the normal by a -2s cos profile), transverse intersection counting,
 a regular-homotopy proxy invariant tuple per component, and the Hausdorff
 distance of curve images in character coordinates, by an exact
-nearest-segment search.  Crossings are arrays: one search returns every
-hit of a lift pair at once, one rule (``distinct_rows``) drops duplicate
-hits, and ``intersect`` and ``self_intersections`` return an
-``IntersectionResult`` of arrays.
+nearest-segment search.  Both searches, for crossings in the plane and for
+nearest segments in R^3, skip runs of consecutive segments by their boxes
+(``_run_boxes``).  Crossings are arrays: one search returns every hit of a
+lift pair at once, one rule (``distinct_rows``) drops duplicate hits, and
+``intersect`` and ``self_intersections`` return an ``IntersectionResult``
+of arrays.
 """
 
 from __future__ import annotations
@@ -195,7 +197,11 @@ class ImmersedCurve:
     def from_json(cls, text: str) -> "ImmersedCurve":
         """The curve of a JSON file; a missing key or a value of the wrong
         shape raises CurveError naming it."""
-        data = json.loads(text)
+        # json's decoder recurses once per level of nesting
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise CurveError("the curve file is nested too deeply") from None
         if not (isinstance(data, dict)
                 and isinstance(data.get("components"), list)):
             raise CurveError('a curve file is a JSON object with a '
@@ -358,19 +364,20 @@ def _runs(n: int, size: int) -> np.ndarray:
     return np.minimum(np.arange(-(-n // size) * size), n - 1).reshape(-1, size)
 
 
-def _run_boxes(P0, P1, pad=0.0):
+def _run_boxes(P0, P1, size, pad=0.0):
     """The segments' boxes, widened by ``pad``, their ``_runs`` of
-    ``_RUN``, and the boxes of the runs.  A box is a column of rows
-    (lo_x, lo_y, hi_x, hi_y)."""
-    box = np.empty((4, len(P0)))
-    np.minimum(P0.T, P1.T, out=box[:2])
-    np.maximum(P0.T, P1.T, out=box[2:])
-    box[:2] -= pad
-    box[2:] += pad
-    start = np.arange(0, len(P0), _RUN)
-    run_box = np.concatenate([np.minimum.reduceat(box[:2], start, axis=1),
-                              np.maximum.reduceat(box[2:], start, axis=1)])
-    return box, _runs(len(P0), _RUN), run_box
+    ``size``, and the boxes of the runs.  In d dimensions a box is a column
+    of 2 d rows: the d lower ends, then the d upper ends."""
+    d = P0.shape[1]
+    box = np.empty((2 * d, len(P0)))
+    np.minimum(P0.T, P1.T, out=box[:d])
+    np.maximum(P0.T, P1.T, out=box[d:])
+    box[:d] -= pad
+    box[d:] += pad
+    start = np.arange(0, len(P0), size)
+    run_box = np.concatenate([np.minimum.reduceat(box[:d], start, axis=1),
+                              np.maximum.reduceat(box[d:], start, axis=1)])
+    return box, _runs(len(P0), size), run_box
 
 
 def _meet(a, i, b, j) -> np.ndarray:
@@ -384,7 +391,7 @@ def _sweep(P0, P1):
     by 1e-6, sorted by their lower end along the axis in which their
     centres spread the most, with the running maximum of their upper ends
     along it.  Returns (segment boxes, runs, run boxes, axis, running max)."""
-    box, runs, run_box = _run_boxes(P0, P1, 1e-6)
+    box, runs, run_box = _run_boxes(P0, P1, _RUN, 1e-6)
     centre = run_box[:2] + run_box[2:]
     ax = int(np.argmax(centre.max(axis=1) - centre.min(axis=1)))
     order = np.argsort(run_box[ax], kind="stable")
@@ -404,7 +411,7 @@ def _segment_crossings(P0, P1, sweep, Q0, Q1):
     in [0, pi/2]), ordered by i, then j.
     """
     box, runs, run_box, ax, reach = sweep
-    qbox, qruns, qrun_box = _run_boxes(Q0, Q1)
+    qbox, qruns, qrun_box = _run_boxes(Q0, Q1, _RUN)
     first = np.searchsorted(reach, qrun_box[ax], side="left")
     count = np.maximum(np.searchsorted(run_box[ax], qrun_box[2 + ax],
                                        side="right") - first, 0)
@@ -701,15 +708,15 @@ def invariants(c: ImmersedCurve) -> CurveInvariants:
 # distances
 # ---------------------------------------------------------------------------
 
-_BLOCK = 16  # consecutive segments under one bounding ball
-_POINT_BLOCK = 32  # consecutive points under one bounding ball
-_RUNS_PER_PASS = 8  # point blocks per pass, each against every block
-_PAIR_CHUNK = 4096  # (point, block) pairs per exact pass: 64k segment rows
+_BLOCK = 16  # consecutive segments under one run box of the distance search
+_POINT_BLOCK = 32  # consecutive points under one run box of the distance search
+_RUNS_PER_PASS = 8  # point runs per pass, each against every segment run
+_PAIR_CHUNK = 4096  # (point, run) pairs per exact pass: 64k segment rows
 
 
 def _nearest_in_block(pts, seg, blk):
-    """Distance from each point to its nearest segment of block ``blk``;
-    ``seg`` holds the blocks' a and b - a as coordinate columns, and
+    """Distance from each point to its nearest segment of run ``blk``;
+    ``seg`` holds the runs' a and b - a as coordinate columns, and
     |b - a|^2.  Each sum over the coordinates runs in their order, as
     numpy's sum over a short last axis does, and gathers one coordinate's
     columns at a time."""
@@ -722,73 +729,53 @@ def _nearest_in_block(pts, seg, blk):
         for k in dims))).min(axis=1)
 
 
-def _balls(*parts):
-    """Center and radius of a ball around the points of each row of the
-    parts taken together, each part the list of its coordinate columns;
-    min, max and the largest radius are exact in any order, so the parts
-    need not be concatenated."""
-    center = [0.5 * (np.minimum.reduce([p[k].min(axis=1) for p in parts])
-                     + np.maximum.reduce([p[k].max(axis=1) for p in parts]))
-              for k in range(len(parts[0]))]
-    radius = np.maximum.reduce(
-        [np.sqrt(reduce(add, (np.square(x - c[:, None])
-                              for x, c in zip(p, center)))).max(axis=1)
-         for p in parts])
-    return np.column_stack(center), radius
-
-
-def _segment_blocks(a, b):
-    """The segments [a_j, b_j] in blocks of ``_BLOCK`` consecutive ones:
-    each block's ball (``_balls``), and its a, b - a and |b - a|^2 as
-    ``_nearest_in_block`` reads them."""
-    # the last block repeats its last segment; a repeat cannot lower a min
-    blocks = _runs(len(a), _BLOCK)
-    a_cols = [x[blocks] for x in a.T]
-    b_cols = [x[blocks] for x in b.T]
-    ab_cols = [y - x for x, y in zip(a_cols, b_cols)]
-    denom = np.maximum(reduce(add, map(np.square, ab_cols)), 1e-300)
-    return _balls(a_cols, b_cols), (a_cols, ab_cols, denom)
+def _least_sq(lo, hi, q_lo, q_hi):
+    """Squared least distance of the boxes [lo, hi] and [q_lo, q_hi], whose
+    rows are the coordinates, summed in their order."""
+    return reduce(add, np.square(np.maximum(np.maximum(lo - q_hi, q_lo - hi),
+                                            0.0)))
 
 
 def _points_to_segments_dist(pts: np.ndarray, a: np.ndarray,
                              b: np.ndarray) -> np.ndarray:
     """Exact distance from each point to the nearest segment [a_j, b_j].
 
-    The segments are taken in blocks of ``_BLOCK`` consecutive ones and the
-    points in blocks of ``_POINT_BLOCK``, each block under a bounding ball.
-    A point block keeps only the segment blocks whose ball-to-ball lower
-    bound is at most its smallest upper bound: no other block holds a
-    nearest segment of any of its points.  Among those candidates a point
-    measures the block whose ball is nearest, then every block whose ball is
-    nearer than the distance found.  Point blocks and (point, block) pairs
-    are processed in chunks, so temporaries stay at a few MB.  The ball
-    bounds and the distances are products of coordinate columns, as many
-    as the points have, with no matrix product.
+    Runs of ``_BLOCK`` segments and of ``_POINT_BLOCK`` points each sit
+    under their ``_run_boxes`` box.  A point run keeps only the segment runs
+    whose least box-to-box distance is at most its smallest greatest one:
+    no other run holds a nearest segment of any of its points.  A point
+    measures the candidate whose box is nearest, then every one whose box
+    is nearer than the distance found.  Point runs and (point, run) pairs
+    go in chunks, so temporaries stay at a few MB.  The bounds sum squared
+    coordinate differences in the order the distances do, and rounding is
+    monotone, so they bound the measured distances too.
     """
-    (center, radius), seg = _segment_blocks(a, b)
-    # |p - c|^2 = |p|^2 + |c|^2 - 2 p.c is off by at most ~16 eps M^2 (M the
-    # largest norm), so its root by at most 4 sqrt(eps) M < 1e-7 M
-    cc = np.sum(center * center, axis=1)
-    pp = np.sum(pts * pts, axis=1)
-    radius = radius + 1e-7 * (1.0 + np.sqrt(max(cc.max(), pp.max(initial=0))))
-    runs = _runs(len(pts), _POINT_BLOCK)
-    pcenter, pradius = _balls([x[runs] for x in pts.T])
+    # a measured point a + t (b - a) can round an ulp outside its segment's box
+    pad = 8 * np.spacing(max(np.abs(a).max(), np.abs(b).max()))
+    blocks, box = _run_boxes(a, b, _BLOCK, pad)[1:]
+    runs, pbox = _run_boxes(pts, pts, _POINT_BLOCK)[1:]
+    lo, hi = np.split(box, 2)
+    # the last run repeats its last segment; a repeat cannot lower a min
+    a_cols = [x[blocks] for x in a.T]
+    ab_cols = [x[blocks] - y for x, y in zip(b.T, a_cols)]
+    seg = a_cols, ab_cols, np.maximum(reduce(add, map(np.square, ab_cols)),
+                                      1e-300)
     best = np.empty(len(pts))
-    for lo in range(0, len(runs), _RUNS_PER_PASS):
-        chunk = slice(lo, lo + _RUNS_PER_PASS)
+    for first in range(0, len(runs), _RUNS_PER_PASS):
+        chunk = slice(first, first + _RUNS_PER_PASS)
         run = runs[chunk]
-        gap = np.linalg.norm(pcenter[chunk, None] - center, axis=2)
-        reach = pradius[chunk, None] + radius
-        keep = gap - reach <= np.min(gap + reach, axis=1, keepdims=True)
-        # each run's kept blocks first, padded to the chunk's longest list
-        # with slots of infinite bound
+        p_lo, p_hi = np.split(pbox[:, chunk, None], 2)
+        greatest = reduce(add, np.square(np.maximum(p_hi - lo[:, None],
+                                                    hi[:, None] - p_lo)))
+        keep = _least_sq(lo[:, None], hi[:, None], p_lo, p_hi) <= \
+            greatest.min(axis=1, keepdims=True)
+        # each run's kept segment runs first, padded to the chunk's longest
+        # list with slots of infinite bound
         cand = np.argsort(~keep, axis=1, kind="stable")[:, :keep.sum(1).max()]
-        # p.c of each point of the runs and each candidate's center
-        dot = reduce(add, (x[run][..., None] * c[cand][:, None]
-                           for x, c in zip(pts.T, center.T)))
-        sq = pp[run][..., None] + cc[cand][:, None] - 2.0 * dot
+        x = np.moveaxis(pts[run], 2, 0)[..., None]
         lower = np.where(np.take_along_axis(keep, cand, axis=1)[:, None],
-                         np.sqrt(np.maximum(sq, 0.0)) - radius[cand][:, None],
+                         np.sqrt(_least_sq(lo[:, cand][:, :, None],
+                                           hi[:, cand][:, :, None], x, x)),
                          np.inf).reshape(-1, cand.shape[1])
         cand = np.repeat(cand, _POINT_BLOCK, axis=0)
         p = pts[run.ravel()]

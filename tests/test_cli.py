@@ -475,7 +475,11 @@ def test_compose_rejects_bad_curve_files(tmp_path, capsys):
              "pairs"),
             ("huge-int", '{"components": [{"kind": "circle", "lift": '
                          '[[1' + '0' * 400 + ', 0.0], [1.5, 2.0]]}]}',
-             "component 0: lift has a number beyond the float range")]:
+             "component 0: lift has a number beyond the float range"),
+            # deeper than Python's recursion limit, which json's decoder
+            # meets as a RecursionError
+            ("deep", '{"components": ' + '[' * 100_000,
+             "the curve file is nested too deeply")]:
         worded[tmp_path / f"{name}.json"] = why
         (tmp_path / f"{name}.json").write_text(text)
     # a b_ver circle at gamma = 1e300, where reducing mod 2 pi keeps no digit

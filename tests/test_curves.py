@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pillowcase import compose as X
 from pillowcase import curves as C
@@ -732,6 +732,33 @@ def _brute_force_polyline_dist(pts, poly):
 _coord = st.floats(-1.0, 1.0, allow_subnormal=False)
 
 
+def _run_end_case():
+    """A 3-D polyline with coordinates up to 1e5, and points on it and
+    within 1e-12 of it where its runs of ``_BLOCK`` segments meet.  There a
+    measured point a + t (b - a) can round an ulp outside its segment's
+    box, toward a point just outside the box: the search's slack covers
+    it (without the slack, this polyline gives a point the wrong segment)."""
+    k = np.arange(49)[:, None]
+    noise = np.random.default_rng(5).normal(0, 1e3, (49, 3))
+    poly = [9e4, 3e4, 1e2] * np.cos(k / [9, 7, 5] - [0, np.pi / 2, 0]) + noise
+    ends = poly[C._BLOCK::C._BLOCK]
+    on = np.vstack([ends, 0.5 * (poly[C._BLOCK - 1::C._BLOCK] + ends)])
+    return {"poly": poly, "pts": np.vstack([on, on + 1e-12, on - 1e-12])}
+
+
+def _spanning_run_case():
+    """One run of 32 points along [0, 10] x {0}: the run of segments that
+    holds its nearest ones spans it along y = 0.1, and a run of tiny
+    segments at its middle has the smallest greatest box distance.  Their
+    boxes overlap in both coordinates, so only the clamp at 0 keeps the
+    spanning run a candidate."""
+    j = np.arange(17)[:, None]
+    tiny = [5.0, -0.1] + 1e-3 * np.hstack([np.cos(j), np.sin(j)])
+    line = np.column_stack([np.linspace(0, 10, 16), np.full(16, 0.1)])
+    pts = np.column_stack([np.linspace(0, 10, 32), np.zeros(32)])
+    return {"poly": np.vstack([tiny, line]), "pts": pts}
+
+
 @settings(derandomize=True, database=None, max_examples=90, deadline=None)
 @given(poly=st.lists(st.tuples(_coord, _coord, _coord, _coord), min_size=2,
                      max_size=90),
@@ -739,6 +766,8 @@ _coord = st.floats(-1.0, 1.0, allow_subnormal=False)
                     max_size=40),
        walk=st.booleans(), spread=st.sampled_from([1e-3, 1.0, 10.0]),
        dim=st.sampled_from([2, 3, 4]))
+@example(**_run_end_case(), walk=False, spread=1.0, dim=3)
+@example(**_spanning_run_case(), walk=False, spread=1.0, dim=2)
 def test_polyline_distance_matches_brute_force(poly, pts, walk, spread, dim):
     # a random walk gives dense curves, with several segments per block ball;
     # the search takes its coordinates from the points, R^3 or any other
@@ -778,6 +807,20 @@ def test_nearest_segment_search_matches_brute_force_at_real_sizes(pair):
         want = np.min([_brute_force_polyline_dist(pts, q) for q in polys],
                       axis=0)
         assert len(pts) >= 450 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_run_boxes_bound_their_runs_in_any_dimension(dim):
+    # 45 segments in runs of 16, the last one partial: 13 segments
+    P = np.random.default_rng(dim).normal(size=(46, dim))
+    box, runs, run_box = C._run_boxes(P[:-1], P[1:], 16)
+    assert box.shape == (2 * dim, 45) and run_box.shape == (2 * dim, 3)
+    assert np.array_equal(runs[-1], [32, 33, 34, 35, 36, 37, 38, 39, 40, 41,
+                                     42, 43, 44, 44, 44, 44])
+    for r, first in enumerate(range(0, 45, 16)):
+        ends = P[first:min(first + 16, 45) + 1]
+        assert np.array_equal(run_box[:, r], np.concatenate(
+            [ends.min(axis=0), ends.max(axis=0)]))
 
 
 def test_hausdorff_is_the_larger_one_sided_distance():
