@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curves import lattice_shifts
+from .curves import translates
 from .words import TWO_PI
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b",
@@ -46,23 +46,22 @@ def _polyline_svg(points: np.ndarray, color: str, width: float = 1.2) -> str:
 
 
 def _clip_segments(lift: np.ndarray):
-    """Translate every segment into the fundamental rectangle; segments that
-    straddle the boundary are drawn from both sides (slight overdraw)."""
+    """Translate every segment into the fundamental rectangle, through the
+    ``translates`` whose box meets it; segments that straddle the boundary
+    are drawn from both sides (slight overdraw)."""
     lo, hi = (-0.02, -0.02), (np.pi + 0.02, TWO_PI + 0.02)
     segs = []
-    for sign in (1, -1):
-        pts = sign * lift
-        for shift in lattice_shifts(lo, hi, pts.min(axis=0), pts.max(axis=0)):
-            shifted = pts + shift
-            inside = ((shifted[:, 0] >= lo[0]) & (shifted[:, 0] <= hi[0])
-                      & (shifted[:, 1] >= lo[1]) & (shifted[:, 1] <= hi[1]))
-            # the runs of inside points: starts where the padded mask steps
-            # up, ends where it steps down
-            step = np.diff(np.concatenate(([0], inside.view(np.int8), [0])))
-            for a, b in zip(np.flatnonzero(step == 1).tolist(),
-                            np.flatnonzero(step == -1).tolist()):
-                if b - a >= 2:
-                    segs.append(shifted[a:b])
+    for sign, shift in translates(lo, hi, lift):
+        shifted = sign * lift + shift
+        inside = ((shifted[:, 0] >= lo[0]) & (shifted[:, 0] <= hi[0])
+                  & (shifted[:, 1] >= lo[1]) & (shifted[:, 1] <= hi[1]))
+        # the runs of inside points: starts where the padded mask steps up,
+        # ends where it steps down
+        step = np.diff(np.concatenate(([0], inside.view(np.int8), [0])))
+        for a, b in zip(np.flatnonzero(step == 1).tolist(),
+                        np.flatnonzero(step == -1).tolist()):
+            if b - a >= 2:
+                segs.append(shifted[a:b])
     return segs
 
 

@@ -6,7 +6,8 @@ lattice vector in 2 pi Z^2 (their torus homology); good-arc components run
 from one half-lattice corner point to another and stay away from corners in
 between.  Points of the pillowcase are plane orbits under the group generated
 by the lattice translations and u -> -u, so comparisons and intersections
-test lattice-and-flip translates of segment pairs.
+test lattice-and-flip translates of segment pairs (``translates``, the one
+walk over them, which the SVG writer's clip takes too).
 
 Supported operations: doubling and twisted doubling of circles, the
 figure-eight circle supported by a good arc (equivariant double pushed off
@@ -463,24 +464,12 @@ def lattice_shifts(lo_a, hi_a, lo_b, hi_b) -> list[np.ndarray]:
             for m in range(k0[0], k1[0] + 1) for n in range(k0[1], k1[1] + 1)]
 
 
-def _translates(lift_a: np.ndarray, lift_b: np.ndarray):
-    """Group elements g = (sign, shift) whose image of lift_b meets lift_a's
-    box, widened by 1e-6."""
-    lo_a, hi_a = lift_a.min(axis=0) - 1e-6, lift_a.max(axis=0) + 1e-6
-    lo_b, hi_b = lift_b.min(axis=0), lift_b.max(axis=0)
-    return [(1, s) for s in lattice_shifts(lo_a, hi_a, lo_b, hi_b)] + \
-        [(-1, s) for s in lattice_shifts(lo_a, hi_a, -hi_b, -lo_b)]
-
-
-def _meeting(P0, P1, lo, hi) -> np.ndarray:
-    """Indices of the P segments whose boxes meet the box [lo, hi].  It
-    works column by column: numpy reduces an (n, 2) array along either axis
-    about ten times slower."""
-    meet = np.ones(len(P0), dtype=bool)
-    for k in (0, 1):
-        meet &= (np.maximum(P0[:, k], P1[:, k]) >= lo[k]) & \
-            (np.minimum(P0[:, k], P1[:, k]) <= hi[k])
-    return np.flatnonzero(meet)
+def translates(lo, hi, lift: np.ndarray):
+    """Group elements g = (sign, shift), sign first and the shifts m-major,
+    whose image of lift's box meets the box [lo, hi] (``lattice_shifts``)."""
+    lo_b, hi_b = lift.min(axis=0), lift.max(axis=0)
+    return [(1, s) for s in lattice_shifts(lo, hi, lo_b, hi_b)] + \
+        [(-1, s) for s in lattice_shifts(lo, hi, -hi_b, -lo_b)]
 
 
 def _crossings(lift_a: np.ndarray, lift_b: np.ndarray):
@@ -492,30 +481,24 @@ def _crossings(lift_a: np.ndarray, lift_b: np.ndarray):
     polyline parameters (segment index + fraction), the crossing point on
     lift_a (rows of the (n, 2) ``points``) and the angle.
 
-    lift_a's ``_sweep`` is built once.  Only the segments of a translate
-    whose boxes meet lift_a's box, widened by 1e-6, are searched, and a
-    translate with none is skipped.  The hits come translate by translate,
-    in ``_translates`` order, and within one translate ordered by i, then j.
+    lift_a's ``_sweep`` is built once, and every translate whose box meets
+    lift_a's box, widened by 1e-6, is searched whole: the run boxes and
+    segment boxes of ``_segment_crossings`` drop the segments that miss.
+    The hits come translate by translate, in ``translates`` order, and
+    within one translate ordered by i, then j.
     """
     A0, A1 = lift_a[:-1], lift_a[1:]
     sweep = _sweep(A0, A1)
-    lo, hi = lift_a.min(axis=0) - 1e-6, lift_a.max(axis=0) + 1e-6
     found = [(np.empty(0, dtype=bool), np.empty(0, dtype=np.int64),
               np.empty(0, dtype=np.int64), np.empty(0), np.empty(0),
               np.empty((0, 2)), np.empty(0))]
-    for sign, shift in _translates(lift_a, lift_b):
+    for sign, shift in translates(lift_a.min(axis=0) - 1e-6,
+                                  lift_a.max(axis=0) + 1e-6, lift_b):
         B = sign * lift_b + shift
-        B0, B1 = B[:-1], B[1:]
-        keep = _meeting(B0, B1, lo, hi)
-        if len(keep) == 0:
-            continue
         identity = sign == 1 and np.max(np.abs(shift)) < 1e-12
-        # copied only when some segments are left out
-        Q0, Q1 = ((B0, B1) if len(keep) == len(B0) else
-                  (B0[keep], B1[keep]))
-        ii, jj, tt, uu, pts, ang = _segment_crossings(A0, A1, sweep, Q0, Q1)
-        found.append((np.full(len(ii), identity), ii, keep[jj], tt, uu, pts,
-                      ang))
+        ii, jj, tt, uu, pts, ang = _segment_crossings(A0, A1, sweep,
+                                                      B[:-1], B[1:])
+        found.append((np.full(len(ii), identity), ii, jj, tt, uu, pts, ang))
     idn, ii, jj, tt, uu, pts, ang = map(np.concatenate, zip(*found))
     far = _corner_lattice_distance(pts) >= CORNER_TOL
     return (idn[far], ii[far], jj[far], (ii + tt)[far], (jj + uu)[far],

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import quat
 from ._kernels import jet
-from .curves import (CurveComponent, ImmersedCurve, double, figure_eight,
-                     hausdorff_r3, invariants, self_intersections)
+from .curves import (CurveComponent, CurveInvariants, ImmersedCurve, double,
+                     figure_eight, hausdorff_r3, invariants, self_intersections)
 from .projection import (characters_in_out, pi0_u_r3, u_involution,
                          verify_factorization)
 from .variety import (COMPLEX_STEP, _corner_distance, eta, fold_jacobian_data,
@@ -187,14 +187,17 @@ def theorem_b(curve, composed, s):
     of the prediction relabeled to P1, the figure eight of a good arc or
     else the double of circles (their ``CurveError`` refuses mixed kinds
     and several arcs), and a composed circle lies within
-    CIRCLE_HAUSDORFF_PER_S |s| of it.  Returns (the composed components'
-    double points, sorted, Hausdorff distance, ok)."""
+    CIRCLE_HAUSDORFF_PER_S |s| of it.  A double lists each circle twice, so
+    one copy is measured and its invariants are counted twice.  Returns (the
+    composed components' double points, sorted, Hausdorff distance, ok)."""
     arc = curve.components[0].kind == "good_arc"
-    pred = (figure_eight(curve, s) if arc else double(curve)).relabel("P1")
+    pred = figure_eight(curve, s) if arc else double(curve)
+    copies = 1 if arc else 2
+    one = ImmersedCurve(pred.components[::copies], "P1")
     inv = invariants(composed)
-    hd = hausdorff_r3(composed, pred)
+    hd = hausdorff_r3(composed, one)
     return (sorted(c.double_points for c in inv.components), hd,
-            inv == invariants(pred)
+            inv == CurveInvariants(invariants(one).components * copies)
             and (arc or hd <= CIRCLE_HAUSDORFF_PER_S * abs(s)))
 
 

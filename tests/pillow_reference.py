@@ -9,7 +9,8 @@ pillowcase symmetries, the chart's angle rule, and the defining pairs at one
 chart point.  It also keeps the vertex-by-vertex loop that
 ``compose._prune_short`` runs in arrays, the batched corrector, the
 fold circles' Newton and rank data and the defining pair's ``jet`` as
-first written.
+first written, ``verify.theorem_b`` measuring both copies of a double, and
+the SVG writer's clip with its own sign-and-shift loop.
 """
 
 import math
@@ -18,12 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from pillowcase import _kernels
+from pillowcase.curves import (double, figure_eight, hausdorff_r3, invariants,
+                               lattice_shifts)
 from pillowcase.quat import mul_parts
 from pillowcase.projection import (OFF_VARIETY_SURFACE_TOL, _angles_of_r3,
                                    _characters, pi1_r3_of_chart, r3_of_orbit)
 from pillowcase.variety import (COMPLEX_STEP, CORNER_BASE, FOLD_MAXIT,
                                 FOLD_TOL, _fold_system)
-from pillowcase.words import CHARS_P0, Rep, chart_angle, wrapped_angle
+from pillowcase.verify import CIRCLE_HAUSDORFF_PER_S
+from pillowcase.words import CHARS_P0, TWO_PI, Rep, chart_angle, wrapped_angle
 
 # the tangle generators: the generator fields of a Rep
 GENERATORS = "abfhpq"
@@ -333,3 +337,34 @@ def jet(code, s, gamma, theta, nu, tau, wrt=(), xp=np):
             row1.append(2.0 * (da * cw + a * e + dw * mx + w * dx))
             row2.append(1.0 if d == "nu" else 0.0)
     return g1, g2, (tuple(row1), tuple(row2))
+
+
+def theorem_b(curve, composed, s):
+    """``verify.theorem_b`` as first written: the invariants and the
+    distance against the whole prediction, both copies of a double."""
+    arc = curve.components[0].kind == "good_arc"
+    pred = (figure_eight(curve, s) if arc else double(curve)).relabel("P1")
+    inv = invariants(composed)
+    hd = hausdorff_r3(composed, pred)
+    return (sorted(c.double_points for c in inv.components), hd,
+            inv == invariants(pred)
+            and (arc or hd <= CIRCLE_HAUSDORFF_PER_S * abs(s)))
+
+
+def clip_segments(lift):
+    """``_svg._clip_segments`` as first written: its own loop over the
+    signs, and over the ``lattice_shifts`` of each signed lift."""
+    lo, hi = (-0.02, -0.02), (np.pi + 0.02, TWO_PI + 0.02)
+    segs = []
+    for sign in (1, -1):
+        pts = sign * lift
+        for shift in lattice_shifts(lo, hi, pts.min(axis=0), pts.max(axis=0)):
+            shifted = pts + shift
+            inside = ((shifted[:, 0] >= lo[0]) & (shifted[:, 0] <= hi[0])
+                      & (shifted[:, 1] >= lo[1]) & (shifted[:, 1] <= hi[1]))
+            step = np.diff(np.concatenate(([0], inside.view(np.int8), [0])))
+            for a, b in zip(np.flatnonzero(step == 1).tolist(),
+                            np.flatnonzero(step == -1).tolist()):
+                if b - a >= 2:
+                    segs.append(shifted[a:b])
+    return segs

@@ -295,12 +295,13 @@ def test_tiny_max_step_is_a_numerical_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["compose", "scene"])
 def test_huge_max_step_is_a_numerical_failure(command, tmp_path, capsys):
-    # a prediction u + h t at h = 100 lands past |nu| = 1, where the
-    # corrector refuses it before evaluating the defining pair there
+    # a prediction past |nu| = 1 is refused and the step halves, but the
+    # images traced at maximum steps 100 and 50 both fail the immersion proxy
     code = run([command, "--max-step", "100", "--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith("numerical failure: ") and "Traceback" not in err
+    assert err == ("numerical failure: composed image violates the immersion "
+                   "proxy after refinement; decrease the continuation step\n")
     assert not (tmp_path / "o").exists()
 
 

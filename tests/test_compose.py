@@ -12,6 +12,7 @@ from pillowcase import words as W
 from pillowcase.cli import torus_knot_scene
 
 from pillow_reference import pi0_of_rep, prune_short
+from pillow_reference import theorem_b as ref_theorem_b
 
 FOLD = {}
 
@@ -408,6 +409,18 @@ def test_verify_theorem_b_circles():
         double_points, _, ok = theorem_b(
             C.twisted_double(C.vertical_circle()), variant, 0.05)
         assert ok and len(double_points) == 2
+
+
+@pytest.mark.parametrize("s", [0.05, 0.2])
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_theorem_b_measures_one_copy_as_both_did(variant, s):
+    # one copy of a double against both: the same double points, distance
+    # and verdict, the known failing Dt(b_ver) at s = 0.2 included
+    b_ver = C.vertical_circle()
+    for curve in (b_ver, C.twisted_double(b_ver), C.bottom_edge()):
+        composed = X.compose_curve(curve, variant, s, circles=fold(variant, s))
+        assert VF.theorem_b(curve, composed, s) == \
+            ref_theorem_b(curve, composed, s)
 
 
 def test_theorem_b_fails_a_composed_curve_of_another_class():

@@ -12,7 +12,7 @@ from pillowcase import verify as VF
 from pillowcase.cli import torus_knot_scene
 from pillowcase.projection import r3_of_orbit
 
-from pillow_reference import PillowPoint, w1_hat, w2_hat
+from pillow_reference import PillowPoint, clip_segments, w1_hat, w2_hat
 
 TWO_PI = 2 * np.pi
 
@@ -248,7 +248,7 @@ def _ref_corner_winding(comp, corner_class):
 
 
 def _ref_translates(lift_a, lift_b):
-    """The double loop ``curves._translates`` ran before ``lattice_shifts``."""
+    """The double loop ``curves.translates`` ran before ``lattice_shifts``."""
     lo_a = lift_a.min(axis=0) - 1e-6
     hi_a = lift_a.max(axis=0) + 1e-6
     out = []
@@ -327,7 +327,7 @@ def test_lattice_shifts_match_the_loops_they_replaced():
     for A in lifts:
         lo, hi = A.min(axis=0) - 1e-6, A.max(axis=0) + 1e-6
         for B in lifts[::3]:
-            got = C._translates(A, B)
+            got = C.translates(lo, hi, B)
             ref = [(g, r) for g, r in _ref_translates(A, B)
                    if _meets(lo, hi, (g * B + r).min(axis=0),
                              (g * B + r).max(axis=0))]
@@ -344,6 +344,23 @@ def test_lattice_shifts_match_the_loops_they_replaced():
             assert all(np.array_equal(g, r) for g, r in zip(got, ref))
         got, ref = _svg._clip_segments(A), _ref_clip_segments(A)
         assert len(got) == len(ref)
+        assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+
+def test_clip_segments_match_their_own_sign_and_shift_loop():
+    # ``_svg._clip_segments`` walks ``translates``; the reference loops over
+    # the signs and each signed lift's ``lattice_shifts`` itself
+    from pillowcase import _svg
+
+    folds = X.fold_image_curves(V.fold_locus("earring", 0.05))
+    t = np.linspace(0.0, 1.0, 400)
+    # negative coordinates across several periods in both directions
+    far = np.column_stack([-3.0 - 17.0 * t, -2.0 - 20.0 * t
+                           + 0.5 * np.sin(40.0 * t)])
+    lifts = _scene_lifts() + [c.lift for c in folds.components] + [far]
+    for A in lifts:
+        got, ref = _svg._clip_segments(A), clip_segments(A)
+        assert len(got) == len(ref) > 0
         assert all(np.array_equal(g, r) for g, r in zip(got, ref))
 
 
@@ -532,11 +549,12 @@ def _near(A, B, pad):
 
 
 def _brute_crossings(lift_a, lift_b, pad=1e-3, chunk=256):
-    """Every segment pair of lift_a and of each ``_translates`` translate of
+    """Every segment pair of lift_a and of each ``translates`` translate of
     lift_b whose boxes meet within pad, tested with the crossing predicate
     written out, in (i, j) order.  Segments that miss the other lift's box,
     widened by pad, meet no box of it and are left out first."""
-    for sign, shift in C._translates(lift_a, lift_b):
+    for sign, shift in C.translates(lift_a.min(axis=0) - 1e-6,
+                                    lift_a.max(axis=0) + 1e-6, lift_b):
         B = sign * lift_b + shift
         identity = sign == 1 and np.max(np.abs(shift)) < 1e-12
         ia, jb = _near(lift_a, B, pad), _near(B, lift_a, pad)
@@ -700,19 +718,18 @@ def test_scene_searches_few_translates(monkeypatch):
 
     monkeypatch.setattr(C, "_segment_crossings", counted)
     translates = []
-    listed = C._translates
+    listed = C.translates
 
     def counted_translates(*args):
         out = listed(*args)
         translates.append(len(out))
         return out
 
-    monkeypatch.setattr(C, "_translates", counted_translates)
+    monkeypatch.setattr(C, "translates", counted_translates)
     data = torus_knot_scene("earring", 0.05)
     assert data["forward"]["total"] == data["pullback"]["total"] == 9
-    # a search per translate whose segment boxes meet the other lift's box
-    # (376 searches, one per translate, before the boxes were checked)
-    assert len(calls) <= 44
+    # one search per listed translate
+    assert len(calls) == sum(translates)
     # translates whose box meets the other lift's box (376 when the shift
     # ranges were rounded outward)
     assert sum(translates) <= 50
