@@ -3,7 +3,7 @@
 #
 #   scripts/compare_cli.sh REV
 #
-# Runs the 44 commands of the matrix below twice: on `git archive REV` and
+# Runs the 45 commands of the matrix below twice: on `git archive REV` and
 # on the work tree's src/ (committed or not), each command in a fresh
 # directory with `--out out`.  Then `diff -r` compares every command's stdout,
 # stderr, exit code and written files.  Prints "identical" and exits 0
@@ -79,6 +79,8 @@ matrix() {
     echo "trace-bypass-floor-s trace --variant bypass --s=-1e-6 --grid 16"
     echo "trace-negative-s trace --s=-0.45 --grid 16"
     echo "trace-bypass-negative-s trace --variant bypass --s=-0.45 --grid 16"
+    # an odd grid, which classify_grid solves whole rather than by quarter
+    echo "trace-odd-grid trace --s 0.05 --grid 33"
     echo "verify-earring-s0.01 verify --variant earring --s 0.01 --json"
 }
 

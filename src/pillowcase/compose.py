@@ -487,15 +487,36 @@ def compose_curve(curve: ImmersedCurve, variant: str, s: float, *,
                   circles: list[FoldCircle],
                   max_step: float = MAX_STEP) -> ImmersedCurve:
     """The fiber product pushed forward; an under-resolved image is composed
-    once more at half the step, on the same fold circles."""
+    once more at half the step, on the same fold circles.
+
+    Composition is componentwise, so a component equal to an earlier one
+    (same kind and lift, as the copies of ``curves.double``) is composed
+    once, and its image components are repeated in its place.
+    """
+    slot: dict = {}  # each distinct (kind, lift) to its place in ``unique``
+    unique, which = [], []
+    for c in curve.components:
+        key = (c.kind, c.lift.shape, c.lift.tobytes())
+        if key not in slot:
+            slot[key] = len(unique)
+            unique.append(c)
+        which.append(slot[key])
     for step in (max_step, 0.5 * max_step):
-        fp = fiber_product(curve, variant, s, max_step=step, circles=circles)
+        fp = fiber_product(ImmersedCurve(unique, curve.side, curve.name),
+                           variant, s, max_step=step, circles=circles)
         try:
-            return push_forward(fp)
+            image = push_forward(fp)
+            break
         except UnderResolvedError as exc:
             failure = exc
-    raise UnderResolvedError(f"{failure} after refinement; decrease the "
-                             "continuation step")
+    else:
+        raise UnderResolvedError(f"{failure} after refinement; decrease the "
+                                 "continuation step")
+    images = [[] for _ in unique]
+    for branch, comp in zip(fp.branches, image.components):
+        images[branch.component].append(comp)
+    return ImmersedCurve([c for k in which for c in images[k]], image.side,
+                         image.name)
 
 
 def transpose_compose(curve: ImmersedCurve, variant: str, s: float, *,

@@ -471,28 +471,42 @@ def _corner_distance(gamma, theta):
 
 def classify_grid(variant: str, s: float, grid: int = 64):
     """Status of every fiber over a grid x grid sweep of the base torus,
-    by ``fiber_statuses``."""
+    by ``fiber_statuses``.
+
+    The maps sigma_1 = (gamma + pi, theta, -nu, pi - tau) and sigma_2 =
+    (gamma, theta + pi, nu, -tau) carry the zero set of the defining pair
+    to itself, G to -G and to (-G1, G2), so the fibers over (gamma + pi,
+    theta) and (gamma, theta + pi) have the status of the fiber over
+    (gamma, theta).  On an even grid i -> i + grid/2 is a shift by pi: only
+    the quarter [0, pi)^2 is solved, and it is tiled 2 x 2.  An odd grid is
+    one tile, solved whole.
+    """
     gs = ts = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
-    gg, tt = np.meshgrid(gs, ts, indexing="ij")
-    return gs, ts, fiber_statuses(variant, s, gg, tt).reshape(grid, grid)
+    tile = 2 - grid % 2
+    m = grid // tile
+    gg, tt = np.meshgrid(gs[:m], ts[:m], indexing="ij")
+    quarter = fiber_statuses(variant, s, gg, tt).reshape(m, m)
+    return gs, ts, np.tile(quarter, (tile, tile))
 
 
 def verify_topology(variant: str, s: float, grid: int = 64, *,
                     circles: list[FoldCircle] | None = None) -> TopologyReport:
     """Check the two-sheets-outside / empty-inside / four-circles model and
     derive the Euler characteristic and genera.  The model holds when no
-    fiber of the grid or of the refined sweep around the corners (one
-    ``fiber_statuses`` pass) is misplaced.  ``circles`` are the fold
-    circles at (variant, s) if already computed.  The report carries the
-    fiber grid and the fold circles it was built on.
+    fiber of the grid (``classify_grid``) or of the refined sweep around
+    the corners is misplaced.  The sweep solves the corner (0, 0) only:
+    sigma_1 and sigma_2 of ``classify_grid`` carry it onto the corners
+    (pi, 0) and (0, pi), and their product onto (pi, pi), so its statuses
+    repeat at all four.  ``circles`` are the fold circles at (variant, s)
+    if already computed.  The report carries the fiber grid and the fold
+    circles it was built on.
     """
     notes: list[str] = []
     fibers = classify_grid(variant, s, grid)
     corners = list(CORNER_BASE.values())
-    g0, t0 = np.array(corners).T[:, :, None]
     if s == 0.0:
         # degenerate fibers over the fixed points are whole circles
-        fixed = fiber_statuses(variant, 0.0, g0, t0).tolist()
+        fixed = fiber_statuses(variant, 0.0, *np.array(corners).T).tolist()
         ok = all(st == "fold_region" for st in fixed)
         notes.append("s = 0: circle fibers over the four fixed points; the "
                      "quotient is not a manifold quotient of a smooth family")
@@ -519,14 +533,15 @@ def verify_topology(variant: str, s: float, grid: int = 64, *,
         notes.append(f"fiber ({gs[i]:.3f},{ts[j]:.3f}) {where} fold disks is "
                      f"{status[i, j]}")
 
-    # refined sweep near the fold band, all four corners in one pass; a fiber
-    # in the band between the disks has no expected status and is not solved
+    # refined sweep near the fold band, solved at the corner (0, 0) and
+    # repeated at the other three; a fiber in the band between the disks
+    # has no expected status and is not solved
     local = np.linspace(-2 * r_max, 2 * r_max, 32)
     dgs, dts = (a.ravel() for a in np.meshgrid(local, local, indexing="ij"))
     radius = np.hypot(dgs, dts)
     checked = (radius > band_out) | (radius < band_in)
     dgs, dts, radius = dgs[checked], dts[checked], radius[checked]
-    sweep = fiber_statuses(variant, s, g0 + dgs, t0 + dts).reshape(4, -1)
+    sweep = np.tile(fiber_statuses(variant, s, dgs, dts), (len(corners), 1))
     off_sweep = misplaced(radius, sweep)
     for c, i in zip(*np.nonzero(off_sweep)):
         notes.append(f"refined fiber near {corners[c]} at d={radius[i]:.4f} "

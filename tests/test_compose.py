@@ -206,6 +206,30 @@ def test_retrace_reuses_the_fold_circles(monkeypatch):
 
 
 @pytest.mark.parametrize("variant", ["earring", "bypass"])
+@pytest.mark.parametrize("s", [0.05, 0.2])
+def test_equal_components_are_composed_once(variant, s, monkeypatch):
+    # D(Dt(b_ver)) is two equal copies of one circle: compose_curve traces
+    # the loops over one copy and repeats its image in the other's place,
+    # which is the image of composing both copies
+    dd = C.double(C.twisted_double(C.vertical_circle()))
+    traced = []
+    trace_loop = X._trace_loop
+
+    def counted(*args):
+        traced.append(args[-1])
+        return trace_loop(*args)
+
+    monkeypatch.setattr(X, "_trace_loop", counted)
+    out = X.compose_curve(dd, variant, s, circles=fold(variant, s))
+    once = len(traced)
+    both = X.push_forward(X.fiber_product(dd, variant, s,
+                                          circles=fold(variant, s)))
+    assert len(traced) == 3 * once
+    assert out.to_json() == both.to_json() and out.name == both.name
+    assert len(out.components) == 4
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
 def test_push_forward_fails_after_refinement(variant):
     with pytest.raises(X.UnderResolvedError, match="after refinement"):
         X.compose_curve(C.bottom_edge(), variant, 0.4, max_step=1.0,

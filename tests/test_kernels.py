@@ -79,6 +79,53 @@ def test_jet_float_and_array_faces_agree(pt, wrt):
             assert np.all(np.abs(a - f) <= 1e-15)
 
 
+# three maps of the chart (gamma, theta, nu, tau) that carry the zero set of
+# either defining pair to itself: the map, the signs it puts on (G1, G2),
+# and its derivative, which is diagonal.  sigma_1 and sigma_2 cover the
+# pillowcase maps w2_hat and w1_hat o w2_hat, which permute the corners;
+# iota covers the identity and has no fixed point.
+SYMMETRIES = {
+    "sigma_1": (lambda g, t, n, u: (g + math.pi, t, -n, math.pi - u),
+                (-1, -1), (1, 1, -1, -1)),
+    "sigma_2": (lambda g, t, n, u: (g, t + math.pi, n, -u),
+                (-1, 1), (1, 1, 1, -1)),
+    "iota": (lambda g, t, n, u: (-g, -t, n, u + math.pi),
+             (1, 1), (-1, -1, 1, 1)),
+}
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(pt=st.tuples(st.floats(-0.49, 0.49, allow_subnormal=False), ANGLE,
+                    ANGLE, st.floats(-0.5, 0.5, allow_subnormal=False), ANGLE),
+       code=st.sampled_from(CODES), name=st.sampled_from(sorted(SYMMETRIES)))
+def test_jet_maps_by_the_symmetries_of_v(pt, code, name):
+    """G(m(x)) = S G(x), so dG(m(x)) Dm = S dG(x): each row of the Jacobian
+    at the image, times the diagonal Dm, is the row at x times its sign."""
+    s, *x = pt
+    move, signs, dm = SYMMETRIES[name]
+    g1, g2, rows = k.jet(code, s, *x, k.DIRECTIONS, math)
+    h1, h2, image_rows = k.jet(code, s, *move(*x), k.DIRECTIONS, math)
+    for value, image, sign in zip((g1, g2), (h1, h2), signs):
+        assert abs(image - sign * value) <= 1e-14
+    for row, image_row, sign in zip(rows, image_rows, signs):
+        for d, a, b in zip(dm, row, image_row):
+            assert abs(d * b - sign * a) <= 1e-14
+
+
+@pytest.mark.parametrize("code", CODES)
+def test_sigma_2_keeps_the_sign_of_g2(code):
+    """sigma_2 puts (-1, +1) on (G1, G2); the signs (+1, -1) miss by far
+    more than rounding, for both pairs."""
+    rng = np.random.default_rng(11)
+    s = rng.uniform(-0.49, 0.49, 200)
+    x = (*rng.uniform(0.0, 2 * np.pi, (2, 200)), rng.uniform(-0.5, 0.5, 200),
+         rng.uniform(0.0, 2 * np.pi, 200))
+    g1, g2, _ = k.jet(code, s, *x)
+    h1, h2, _ = k.jet(code, s, *SYMMETRIES["sigma_2"][0](*x))
+    assert max(np.max(np.abs(h1 + g1)), np.max(np.abs(h2 - g2))) <= 1e-14
+    assert np.max(np.abs(h1 - g1)) > 0.1 and np.max(np.abs(h2 + g2)) > 0.1
+
+
 def _reprs(result):
     """The ten floats of a (g1, g2, (row1, row2)) result as reprs, which
     tell signed zeros apart; one-element arrays count as their element."""

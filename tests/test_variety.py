@@ -379,13 +379,13 @@ def test_refined_sweep_solves_only_the_fibers_it_checks(monkeypatch):
     dgs, dts = (a.ravel() for a in np.meshgrid(local, local, indexing="ij"))
     d = np.hypot(dgs, dts)
     # a wrong status outside the disks, one in the band between them (which
-    # no check reads) and one inside, all at the corner (pi, 0)
+    # no check reads) and one inside, all at the solved corner (0, 0)
     wrong = {}
     for where, st in ((d > band_out, "fold_region"),
                       ((d >= band_in) & (d <= band_out), "empty"),
                       (d < band_in, "two_sheets")):
         i = np.nonzero(where)[0][0]
-        wrong[(np.pi + dgs[i], 0.0 + dts[i])] = st
+        wrong[(dgs[i], dts[i])] = st
 
     def model(variant, s, g, t):
         return [V.FiberSolutions(a, b, [], wrong.get(
@@ -407,20 +407,18 @@ def test_refined_sweep_solves_only_the_fibers_it_checks(monkeypatch):
     monkeypatch.setattr(V, "fiber_statuses", recording)
     rep = V.verify_topology("earring", s, 32, circles=circles)
 
-    # the full 32 x 32 sweep per corner that the restricted one replaced;
-    # the four corners are one request, corner by corner
+    # the full 32 x 32 sweep that the restricted one replaced; one request,
+    # at the corner (0, 0) only
     assert len(requested) == 1
-    n = len(requested[0]) // 4
-    assert len(requested[0]) == 4 * n
+    asked = requested[0]
+    checked = [(a, b) for a, b, r in zip(dgs, dts, d)
+               if r > band_out or r < band_in]
+    assert asked == checked
+    # sigma_1 and sigma_2 repeat the corner's statuses, and so its wrong
+    # ones, at all four corners
     notes, consistent = [], True
-    for k, (g0, t0) in enumerate(V.CORNER_BASE.values()):
-        asked = set(requested[0][k * n:(k + 1) * n])
-        assert len(asked) == n
-        checked = {(g0 + a, t0 + b) for a, b, r in zip(dgs, dts, d)
-                   if r > band_out or r < band_in}
-        assert asked == checked
-        for dg, dt, fs in zip(dgs, dts, model("earring", s, g0 + dgs,
-                                              t0 + dts)):
+    for g0, t0 in V.CORNER_BASE.values():
+        for dg, dt, fs in zip(dgs, dts, model("earring", s, dgs, dts)):
             st = fs.status
             r = float(np.hypot(dg, dt))
             if r > band_out and st != "two_sheets":
@@ -429,19 +427,19 @@ def test_refined_sweep_solves_only_the_fibers_it_checks(monkeypatch):
             if r < band_in and st != "empty":
                 consistent = False
                 notes.append(f"refined fiber near {g0, t0} at d={r:.4f} is {st}")
-    assert len(notes) == 2 and not consistent
+    assert len(notes) == 8 and not consistent
     assert rep.notes == notes and rep.consistent == consistent
 
 
 # blocks of 5 fibers make a sweep about 25 times slower, so two cases run at
-# the default block, whose boundary at fiber 2,048 splits the third corner
+# the default block
 @pytest.mark.parametrize("variant, s, block", [
     ("earring", 0.05, 5), ("bypass", -0.45, 5),
     ("earring", -0.45, V.FIBER_BLOCK), ("bypass", 0.05, V.FIBER_BLOCK),
 ])
 def test_sweep_statuses_match_solve_fibers(variant, s, block, monkeypatch):
-    """The refined sweep's one status pass over the four corners gives the
-    statuses of ``solve_fibers``, also where a block splits a corner."""
+    """The refined sweep's one status pass over the corner (0, 0) gives the
+    statuses of ``solve_fibers``, also where blocks split the pass."""
     passes = []
     reader = V.fiber_statuses
 
@@ -453,11 +451,46 @@ def test_sweep_statuses_match_solve_fibers(variant, s, block, monkeypatch):
     monkeypatch.setattr(V, "FIBER_BLOCK", block)
     assert VF.topology(V.verify_topology(variant, s, 4))
     g, t, status = passes[-1]
-    n = g.shape[1]
-    assert g.shape == (4, n) and any(a % n for a in range(block, 4 * n, block))
+    n = g.size
+    # one corner's pass, which blocks of 5 split and the default block
+    # does not
+    assert g.shape == (n,) and (block < n) == (block == 5)
     monkeypatch.undo()
     assert status.tolist() == [fs.status for fs in V.solve_fibers(variant, s,
                                                                   g, t)]
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+@pytest.mark.parametrize("s", [0.05, 0.2, -0.45, 1e-3, 0.49, 1e-6])
+def test_mapped_statuses_are_the_solved_ones(variant, s, monkeypatch):
+    """sigma_1 and sigma_2 of ``classify_grid`` carry the zero set of G to
+    itself; the statuses filled in by them are those that solving every
+    fiber gives.  A difference would be a finding about the solver."""
+    for grid in (16, 32, 64):
+        gs, ts, status = V.classify_grid(variant, s, grid)
+        gg, tt = np.meshgrid(gs, ts, indexing="ij")
+        full = V.fiber_statuses(variant, s, gg, tt).reshape(grid, grid)
+        assert status.tolist() == full.tolist()
+
+    passes = []
+    reader = V.fiber_statuses
+
+    def recording(variant, s, g, t):
+        passes.append((np.ravel(g), np.ravel(t), reader(variant, s, g, t)))
+        return passes[-1][-1]
+
+    monkeypatch.setattr(V, "fiber_statuses", recording)
+    V.verify_topology(variant, s, 33)
+    monkeypatch.undo()
+    (gg, tt, _), (dgs, dts, sweep) = passes
+    # an odd grid is one tile: every fiber of it is solved
+    gs = np.linspace(0.0, 2 * np.pi, 33, endpoint=False)
+    assert np.array_equal(gg, np.repeat(gs, 33))
+    assert np.array_equal(tt, np.tile(gs, 33))
+    # the sweep solved at all four corners is the corner (0, 0) repeated
+    g0, t0 = np.array(list(V.CORNER_BASE.values())).T[:, :, None]
+    four = V.fiber_statuses(variant, s, g0 + dgs, t0 + dts).reshape(4, -1)
+    assert four.tolist() == [sweep.tolist()] * 4
 
 
 def test_pi0_misses_corners():
@@ -544,10 +577,9 @@ def test_topology_scans_only_unseeded_fibers(monkeypatch):
 
     monkeypatch.setattr(V, "_scan_roots", counted)
     assert VF.topology(V.verify_topology("earring", 0.05, 64))
-    # the fibers whose seeded roots do not converge apart (3,268 fibers,
-    # the corner band of the grid and the whole refined sweep, before the
-    # seeds)
-    assert sum(scanned) <= 372
+    # the fibers whose seeded roots do not converge apart, among the 1,024
+    # of the grid's quarter and the 796 of the sweep at one corner
+    assert sum(scanned) <= 93
 
 
 @pytest.mark.parametrize("s", [0.45, -0.45])
