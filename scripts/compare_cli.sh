@@ -3,7 +3,7 @@
 #
 #   scripts/compare_cli.sh REV
 #
-# Runs the 45 commands of the matrix below twice: on `git archive REV` and
+# Runs the 46 commands of the matrix below twice: on `git archive REV` and
 # on the work tree's src/ (committed or not), each command in a fresh
 # directory with `--out out`.  Then `diff -r` compares every command's stdout,
 # stderr, exit code and written files.  Prints "identical" and exits 0
@@ -81,6 +81,9 @@ matrix() {
     echo "trace-bypass-negative-s trace --variant bypass --s=-0.45 --grid 16"
     # an odd grid, which classify_grid solves whole rather than by quarter
     echo "trace-odd-grid trace --s 0.05 --grid 33"
+    # a small odd grid: one tile of side 3, whose nine fibers iota sorts
+    # into four pairs and the fiber (0, 0) that it fixes
+    echo "trace-tiny-grid trace --s 0.05 --grid 3"
     echo "verify-earring-s0.01 verify --variant earring --s 0.01 --json"
 }
 

@@ -362,8 +362,9 @@ def newton(system, x, tol, maxit, inside=None, step=None):
         xi = [v[idx] for v in x]
         if inside is not None:
             keep = inside(xi)
-            idx, xi = idx[keep], [v[keep] for v in xi]
-            f = None if f is None else [r[keep] for r in f]
+            if not keep.all():  # an all-true mask would only copy
+                idx, xi = idx[keep], [v[keep] for v in xi]
+                f = None if f is None else [r[keep] for r in f]
         if not idx.size:
             break
         if f is None:
@@ -390,16 +391,17 @@ def newton(system, x, tol, maxit, inside=None, step=None):
                 det, *num = _cramer3(*j, -f[0], -f[1], -f[2])
                 dx = [d / det for d in num]
             go = ~small & (np.abs(det) >= 1e-300)
-        idx, xi, dx, f = (idx[go], [v[go] for v in xi], [d[go] for d in dx],
-                          [r[go] for r in f])
-        took, xn, f = (step(idx, xi, dx, f) if step
-                       else (slice(None), None, None))
+        if not go.all():
+            idx, xi, dx, f = (idx[go], [v[go] for v in xi],
+                              [d[go] for d in dx], [r[go] for r in f])
+        took, xn, f = step(idx, xi, dx, f) if step else (None, None, None)
         if xn is None:
             xn = [a + d for a, d in zip(xi, dx)]
-        idx = idx[took]
+        if took is not None and not took.all():
+            idx, xn = idx[took], [a[took] for a in xn]
+            f = None if f is None else [r[took] for r in f]
         for v, a in zip(x, xn):
-            v[idx] = a[took]
-        f = None if f is None else [r[took] for r in f]
+            v[idx] = a
     return ok
 
 

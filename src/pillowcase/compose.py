@@ -48,7 +48,7 @@ from .curves import (TURN_LIMIT, CurveComponent, GenericPositionError,
                      ImmersedCurve, intersect, turning_angles)
 from .projection import pi1_r3_of_chart
 from .variety import ContinuationError, FoldCircle, solve_fiber
-from .words import TWO_PI, wrapped_angle
+from .words import NU_MAX, TWO_PI, wrapped_angle
 
 MAX_STEP = 4e-3  # default continuation step, in (t, nu, tau) arclength
 STEP_BUDGET = 100_000  # continuation steps allowed per loop
@@ -162,7 +162,9 @@ def _on_loop(seed, samples, period):
 def _trace_loop(code, s, breaks, cg, ct, period, u, max_step):
     """Pseudo-arclength trace of one solution loop from the float triple
     u = (t, nu, tau), on Python floats; returns (samples, folds, tangents),
-    with the unit tangent at every sample as the trace oriented it."""
+    with the unit tangent at every sample as the trace oriented it.  A
+    sample with |nu| over ``words.NU_MAX`` ends the trace with the
+    ``ContinuationError`` that ``push_forward`` would raise for it."""
     tang = _kernels.tangent(code, s, breaks, cg, ct, *u)
     if tang is None:
         raise ContinuationError("no tangent at the continuation seed")
@@ -193,6 +195,10 @@ def _trace_loop(code, s, breaks, cg, ct, period, u, max_step):
             raise ContinuationError("continuation step rejection cascade")
         arclen += jump
         u = r[:3]
+        if abs(u[1]) > NU_MAX:
+            # every coarse sample is a dense one, which push_forward refuses
+            raise ContinuationError("fiber-product sample outside the chart: "
+                                    "nu out of [-1/2, 1/2]")
         tang = t_new
         samples.append(u)
         tangents.append(tang)

@@ -302,31 +302,35 @@ def fold_locus(variant: str, s: float, n_samples: int = 192) -> list[FoldCircle]
     A fold point is a solution of G = 0 where dG/d(nu, tau) is singular;
     the solutions near each corner form a circle along which tau turns once.
     Each sample solves that square system in (gamma, theta, nu) at one tau
-    of an even grid.  All samples of the four corners are one ``newton``
-    to max |F| < ``FOLD_TOL`` within |nu| < 1, with the rows of
-    ``_fold_system`` (the gradient of det by complex step) at the first
-    iteration and later only where a sample steps.  Each circle keeps its
-    samples as arrays (``FoldCircle``).
-    The seeds are closed form: around the corner (g0, t0) of the sign pair
-    (eg, et), (gamma, theta, nu) = (g0 + 2 s et sin tau,
-    t0 - 2 s eg cos tau, s eg).
+    of an even grid of ``n_samples``.  The corner (1, 1) is one ``newton``
+    over its samples to max |F| < ``FOLD_TOL`` within |nu| < 1, with the
+    rows of ``_fold_system`` (the gradient of det by complex step) at the
+    first iteration and later only where a sample steps; its seeds are
+    closed form, (gamma, theta, nu) = (2 s sin tau, -2 s cos tau, s).  The
+    maps sigma_1 and sigma_2 of ``classify_grid`` carry the extended system
+    to itself, det included, and the seeds of the other corners to the
+    mapped seeds; so with n = ``n_samples`` and the sample (gamma, theta,
+    nu) at the tau index j of the corner (1, 1), sigma_1 gives the corner
+    (-1, 1) at the index (n/2 - j) mod n as (gamma + pi, theta, -nu),
+    sigma_2 the corner (1, -1) at (-j) mod n as (gamma, theta + pi, nu),
+    and sigma_1 sigma_2 the corner (-1, -1) at (j + n/2) mod n as
+    (gamma + pi, theta + pi, -nu).  Each circle keeps its samples as arrays
+    (``FoldCircle``) and is checked on its own.
     """
     if s == 0.0:
         raise ValueError("fold circles require s != 0")
+    if n_samples % 2:
+        raise ValueError("fold circles need an even n_samples: sigma_1 maps "
+                         "tau to pi - tau on the tau grid")
     code = _kernels.variant_code(variant)
-    taus = np.linspace(0.0, 2 * np.pi, n_samples, endpoint=False)
-    corners = [(1, 1), (-1, 1), (1, -1), (-1, -1)]
-    eg, et = np.array(corners, dtype=float).T[:, :, None]
-    g0, t0 = np.array([CORNER_BASE[c] for c in corners]).T[:, :, None]
     n = n_samples
-    x = [v.ravel() for v in (g0 + 2 * s * et * np.sin(taus),
-                             t0 - 2 * s * eg * np.cos(taus),
-                             np.repeat(s * eg, n, axis=1))]
+    taus = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    x = [2 * s * np.sin(taus), -2 * s * np.cos(taus), np.full(n, s)]
 
     def system(i, x, jac):
         if jac:
-            return _fold_system(code, s, *x, taus[i % n])
-        g1, g2, ((a2, a3), (b2, b3)) = _kernels.jet(code, s, *x, taus[i % n],
+            return _fold_system(code, s, *x, taus[i])
+        g1, g2, ((a2, a3), (b2, b3)) = _kernels.jet(code, s, *x, taus[i],
                                                     ("nu", "tau"))
         return (g1, g2, a2 * b3 - a3 * b2), None
 
@@ -335,14 +339,22 @@ def fold_locus(variant: str, s: float, n_samples: int = 192) -> list[FoldCircle]
     if not ok.all():
         k = int(np.argmin(ok))
         raise ContinuationError(f"fold Newton failed at tau = "
-                                f"{taus[k % n]:.4f} at corner {corners[k // n]}")
-    x = [v.reshape(4, n) for v in x]
-    g, t, tau = chart_angle([x[0], x[1], np.broadcast_to(taus, x[2].shape)])
-    samples = np.stack([g, t, x[2], tau], axis=-1)
+                                f"{taus[k]:.4f} at corner (1, 1)")
+    g, t, nu = x
+    j = np.arange(n)
+    # per corner, the tau index of the mapped sample j, which is an
+    # involution of j and so also reads the mapped samples in tau order;
+    # 0 - nu keeps the bypass folds' nu = 0 from turning into -0
+    mapped = [((1, 1), j, (g, t, nu)),
+              ((-1, 1), (n // 2 - j) % n, (g + np.pi, t, 0.0 - nu)),
+              ((1, -1), -j % n, (g, t + np.pi, nu)),
+              ((-1, -1), (j + n // 2) % n, (g + np.pi, t + np.pi, 0.0 - nu))]
     out = []
-    for k, eps in enumerate(corners):
-        img = np.sin(np.column_stack([x[0][k], x[1][k]]))
-        circ = FoldCircle(eps, samples[k], img)
+    for eps, k, (cg, ct, cnu) in mapped:
+        cg, ct, cnu = cg[k], ct[k], cnu[k]
+        img = np.sin(np.column_stack([cg, ct]))
+        circ = FoldCircle(eps, np.stack([*chart_angle([cg, ct]), cnu,
+                                         chart_angle(taus)], axis=-1), img)
         # closure and winding checks
         gap = math.hypot(*(img[0] - img[-1]))
         # the median step, computed by hand: np.median imports numpy.ma
@@ -473,19 +485,29 @@ def classify_grid(variant: str, s: float, grid: int = 64):
     """Status of every fiber over a grid x grid sweep of the base torus,
     by ``fiber_statuses``.
 
-    The maps sigma_1 = (gamma + pi, theta, -nu, pi - tau) and sigma_2 =
-    (gamma, theta + pi, nu, -tau) carry the zero set of the defining pair
-    to itself, G to -G and to (-G1, G2), so the fibers over (gamma + pi,
-    theta) and (gamma, theta + pi) have the status of the fiber over
-    (gamma, theta).  On an even grid i -> i + grid/2 is a shift by pi: only
-    the quarter [0, pi)^2 is solved, and it is tiled 2 x 2.  An odd grid is
-    one tile, solved whole.
+    The maps sigma_1 = (gamma + pi, theta, -nu, pi - tau), sigma_2 =
+    (gamma, theta + pi, nu, -tau) and iota = (-gamma, -theta, nu, tau + pi)
+    carry the zero set of the defining pair to itself, G to -G, to
+    (-G1, G2) and to G, so the fibers over (gamma + pi, theta),
+    (gamma, theta + pi) and (-gamma, -theta) have the status of the fiber
+    over (gamma, theta).  On an even grid i -> i + grid/2 is a shift by pi:
+    only the quarter [0, pi)^2 is solved, and it is tiled 2 x 2.  An odd
+    grid is one tile.  Within the tile of side m, iota sigma_1 sigma_2 (on
+    an odd grid iota itself) pairs the index (i, j) with ((-i) mod m,
+    (-j) mod m): of each pair only the fiber with the smaller flat index is
+    solved, and its partner takes its status.
     """
     gs = ts = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
     tile = 2 - grid % 2
     m = grid // tile
+    flat = np.arange(m * m).reshape(m, m)
+    neg = -np.arange(m) % m
+    partner = flat[np.ix_(neg, neg)]
+    solved = flat <= partner
     gg, tt = np.meshgrid(gs[:m], ts[:m], indexing="ij")
-    quarter = fiber_statuses(variant, s, gg, tt).reshape(m, m)
+    quarter = np.empty((m, m), dtype=object)
+    quarter[solved] = fiber_statuses(variant, s, gg[solved], tt[solved])
+    quarter[~solved] = quarter.ravel()[partner[~solved]]
     return gs, ts, np.tile(quarter, (tile, tile))
 
 
@@ -494,12 +516,16 @@ def verify_topology(variant: str, s: float, grid: int = 64, *,
     """Check the two-sheets-outside / empty-inside / four-circles model and
     derive the Euler characteristic and genera.  The model holds when no
     fiber of the grid (``classify_grid``) or of the refined sweep around
-    the corners is misplaced.  The sweep solves the corner (0, 0) only:
-    sigma_1 and sigma_2 of ``classify_grid`` carry it onto the corners
-    (pi, 0) and (0, pi), and their product onto (pi, pi), so its statuses
-    repeat at all four.  ``circles`` are the fold circles at (variant, s)
-    if already computed.  The report carries the fiber grid and the fold
-    circles it was built on.
+    the corners is misplaced.  The sweep solves half of the corner (0, 0):
+    iota of ``classify_grid`` maps the offset (dgamma, dtheta) to (-dgamma,
+    -dtheta), the flat index f of its 32 x 32 offsets to 1023 - f, so the
+    other half mirrors the solved one; sigma_1 and sigma_2 carry the corner
+    onto (pi, 0) and (0, pi), and their product onto (pi, pi), so its
+    statuses repeat at all four.  The radii that select the checked fibers
+    are mirrored too, which keeps the selection symmetric where the offsets
+    of ``linspace`` are not bit for bit.  ``circles`` are the fold circles
+    at (variant, s) if already computed.  The report carries the fiber grid
+    and the fold circles it was built on.
     """
     notes: list[str] = []
     fibers = classify_grid(variant, s, grid)
@@ -533,15 +559,19 @@ def verify_topology(variant: str, s: float, grid: int = 64, *,
         notes.append(f"fiber ({gs[i]:.3f},{ts[j]:.3f}) {where} fold disks is "
                      f"{status[i, j]}")
 
-    # refined sweep near the fold band, solved at the corner (0, 0) and
-    # repeated at the other three; a fiber in the band between the disks
-    # has no expected status and is not solved
+    # refined sweep near the fold band, solved over the half of the corner
+    # (0, 0) with dgamma < 0, mirrored by iota onto the other half and
+    # repeated at the other three corners; a fiber in the band between the
+    # disks has no expected status and is not solved
     local = np.linspace(-2 * r_max, 2 * r_max, 32)
-    dgs, dts = (a.ravel() for a in np.meshgrid(local, local, indexing="ij"))
+    dgs, dts = (a.ravel()[:a.size // 2] for a in np.meshgrid(
+        local, local, indexing="ij"))
     radius = np.hypot(dgs, dts)
     checked = (radius > band_out) | (radius < band_in)
-    dgs, dts, radius = dgs[checked], dts[checked], radius[checked]
-    sweep = np.tile(fiber_statuses(variant, s, dgs, dts), (len(corners), 1))
+    half = fiber_statuses(variant, s, dgs[checked], dts[checked])
+    radius = radius[checked]
+    radius = np.concatenate([radius, radius[::-1]])
+    sweep = np.tile(np.concatenate([half, half[::-1]]), (len(corners), 1))
     off_sweep = misplaced(radius, sweep)
     for c, i in zip(*np.nonzero(off_sweep)):
         notes.append(f"refined fiber near {corners[c]} at d={radius[i]:.4f} "

@@ -149,6 +149,31 @@ def test_trace_fold_failure_is_a_numerical_failure(tmp_path, capsys,
     assert not (tmp_path / "o").exists()
 
 
+def test_compose_fails_at_the_chart_bound(tmp_path, capsys, monkeypatch):
+    # the earring image of slope_two leaves the chart at s = 0.45: the trace
+    # stops at its first coarse sample past NU_MAX, where tracing the whole
+    # loop for push_forward to refuse took 255 scalar corrector calls
+    from pillowcase import _kernels
+    from pillowcase.words import NU_MAX
+
+    results, real = [], _kernels.corrector
+
+    def counting(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(_kernels, "corrector", counting)
+    assert run(["compose", "--variant", "earring", "--name", "slope_two",
+                "--s", "0.45", "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: fiber-product sample outside the chart: "
+        "nu out of [-1/2, 1/2]\n")
+    assert len(results) < 255
+    *_, (_, nu, _, ok, _) = results
+    assert ok and abs(nu) > NU_MAX
+    assert not (tmp_path / "o").exists()
+
+
 def test_compose_refused_is_a_numerical_failure(tmp_path, capsys,
                                                 monkeypatch):
     from pillowcase.compose import TangencyError

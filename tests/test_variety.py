@@ -294,10 +294,30 @@ def test_fold_locus_traced_peak(variant):
 @pytest.mark.parametrize("variant", ["earring", "bypass"])
 def test_fold_locus_is_the_loop_as_first_written(variant, s, n_samples):
     # the one array Newton drops converged samples and takes the Jacobian
-    # only where a sample steps; every sample keeps its bits
-    got = np.stack([c.samples for c in V.fold_locus(variant, s, n_samples)])
+    # only where a sample steps; the corner (1, 1) it solves keeps its bits,
+    # and sigma_1, sigma_2 and their product map it onto the other three to
+    # rounding, each a fold circle to FOLD_TOL
+    circles = V.fold_locus(variant, s, n_samples)
+    got = np.stack([c.samples for c in circles])
     want = fold_samples(variant, s, n_samples)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert got.shape == want.shape and got[0].tobytes() == want[0].tobytes()
+    diff = got - want
+    diff[..., [0, 1, 3]] = W.wrapped_angle(diff[..., [0, 1, 3]])
+    assert np.max(np.abs(diff)) < 2e-15
+    code = _kernels.variant_code(variant)
+    for c in circles:
+        g1, g2, ((a2, a3), (b2, b3)) = _kernels.jet(code, s, *c.samples.T,
+                                                    ("nu", "tau"))
+        assert max(np.max(np.abs(f)) for f in (g1, g2, a2 * b3 - a3 * b2)) \
+            < V.FOLD_TOL
+
+
+@pytest.mark.parametrize("n_samples", [1, 47, 193])
+def test_fold_locus_needs_an_even_tau_grid(n_samples):
+    # sigma_1 maps the tau grid to itself by tau -> pi - tau only when
+    # pi is on it
+    with pytest.raises(ValueError, match="even n_samples"):
+        V.fold_locus("earring", 0.05, n_samples)
 
 
 @pytest.mark.parametrize("variant", ["earring", "bypass"])
@@ -376,10 +396,12 @@ def test_refined_sweep_solves_only_the_fibers_it_checks(monkeypatch):
     band_out = 1.3 * r_max
     band_in = 0.7 * min(float(np.min(c.radii)) for c in circles)
     local = np.linspace(-2 * r_max, 2 * r_max, 32)
-    dgs, dts = (a.ravel() for a in np.meshgrid(local, local, indexing="ij"))
+    # the half of the corner (0, 0) with dgamma < 0, which the sweep solves
+    dgs, dts = (a.ravel()[:512] for a in np.meshgrid(local, local,
+                                                      indexing="ij"))
     d = np.hypot(dgs, dts)
     # a wrong status outside the disks, one in the band between them (which
-    # no check reads) and one inside, all at the solved corner (0, 0)
+    # no check reads) and one inside, all in the solved half
     wrong = {}
     for where, st in ((d > band_out, "fold_region"),
                       ((d >= band_in) & (d <= band_out), "empty"),
@@ -408,26 +430,28 @@ def test_refined_sweep_solves_only_the_fibers_it_checks(monkeypatch):
     rep = V.verify_topology("earring", s, 32, circles=circles)
 
     # the full 32 x 32 sweep that the restricted one replaced; one request,
-    # at the corner (0, 0) only
+    # over the checked fibers of the solved half only
     assert len(requested) == 1
     asked = requested[0]
-    checked = [(a, b) for a, b, r in zip(dgs, dts, d)
+    checked = [(a, b, r) for a, b, r in zip(dgs, dts, d)
                if r > band_out or r < band_in]
-    assert asked == checked
-    # sigma_1 and sigma_2 repeat the corner's statuses, and so its wrong
-    # ones, at all four corners
+    assert asked == [(a, b) for a, b, _ in checked]
+    # iota mirrors the half, the flat offset index f onto 1023 - f, radii
+    # included; sigma_1 and sigma_2 repeat the corner at all four corners,
+    # so each wrong status is read eight times
+    solved = [(r, fs.status) for (_, _, r), fs in zip(
+        checked, model("earring", s, *zip(*asked)))]
     notes, consistent = [], True
     for g0, t0 in V.CORNER_BASE.values():
-        for dg, dt, fs in zip(dgs, dts, model("earring", s, dgs, dts)):
-            st = fs.status
-            r = float(np.hypot(dg, dt))
+        for r, st in solved + solved[::-1]:
+            r = float(r)
             if r > band_out and st != "two_sheets":
                 consistent = False
                 notes.append(f"refined fiber near {g0, t0} at d={r:.4f} is {st}")
             if r < band_in and st != "empty":
                 consistent = False
                 notes.append(f"refined fiber near {g0, t0} at d={r:.4f} is {st}")
-    assert len(notes) == 8 and not consistent
+    assert len(notes) == 16 and not consistent
     assert rep.notes == notes and rep.consistent == consistent
 
 
@@ -438,8 +462,9 @@ def test_refined_sweep_solves_only_the_fibers_it_checks(monkeypatch):
     ("earring", -0.45, V.FIBER_BLOCK), ("bypass", 0.05, V.FIBER_BLOCK),
 ])
 def test_sweep_statuses_match_solve_fibers(variant, s, block, monkeypatch):
-    """The refined sweep's one status pass over the corner (0, 0) gives the
-    statuses of ``solve_fibers``, also where blocks split the pass."""
+    """The refined sweep's one status pass over half of the corner (0, 0)
+    gives the statuses of ``solve_fibers``, also where blocks split the
+    pass."""
     passes = []
     reader = V.fiber_statuses
 
@@ -452,8 +477,8 @@ def test_sweep_statuses_match_solve_fibers(variant, s, block, monkeypatch):
     assert VF.topology(V.verify_topology(variant, s, 4))
     g, t, status = passes[-1]
     n = g.size
-    # one corner's pass, which blocks of 5 split and the default block
-    # does not
+    # the half corner's pass, which blocks of 5 split and the default
+    # block does not
     assert g.shape == (n,) and (block < n) == (block == 5)
     monkeypatch.undo()
     assert status.tolist() == [fs.status for fs in V.solve_fibers(variant, s,
@@ -463,10 +488,10 @@ def test_sweep_statuses_match_solve_fibers(variant, s, block, monkeypatch):
 @pytest.mark.parametrize("variant", ["earring", "bypass"])
 @pytest.mark.parametrize("s", [0.05, 0.2, -0.45, 1e-3, 0.49, 1e-6])
 def test_mapped_statuses_are_the_solved_ones(variant, s, monkeypatch):
-    """sigma_1 and sigma_2 of ``classify_grid`` carry the zero set of G to
-    itself; the statuses filled in by them are those that solving every
-    fiber gives.  A difference would be a finding about the solver."""
-    for grid in (16, 32, 64):
+    """sigma_1, sigma_2 and iota of ``classify_grid`` carry the zero set of
+    G to itself; the statuses filled in by them are those that solving
+    every fiber gives.  A difference would be a finding about the solver."""
+    for grid in (1, 2, 3, 16, 32, 33, 64):
         gs, ts, status = V.classify_grid(variant, s, grid)
         gg, tt = np.meshgrid(gs, ts, indexing="ij")
         full = V.fiber_statuses(variant, s, gg, tt).reshape(grid, grid)
@@ -480,17 +505,72 @@ def test_mapped_statuses_are_the_solved_ones(variant, s, monkeypatch):
         return passes[-1][-1]
 
     monkeypatch.setattr(V, "fiber_statuses", recording)
-    V.verify_topology(variant, s, 33)
+    rep = V.verify_topology(variant, s, 33)
     monkeypatch.undo()
-    (gg, tt, _), (dgs, dts, sweep) = passes
-    # an odd grid is one tile: every fiber of it is solved
+    (gg, tt, _), (dgs, dts, half) = passes
+    # an odd grid is one tile, of which iota leaves one fiber per pair and
+    # the fiber (0, 0) that it fixes
     gs = np.linspace(0.0, 2 * np.pi, 33, endpoint=False)
-    assert np.array_equal(gg, np.repeat(gs, 33))
-    assert np.array_equal(tt, np.tile(gs, 33))
-    # the sweep solved at all four corners is the corner (0, 0) repeated
+    i, j = np.divmod(np.arange(33 * 33), 33)
+    first = i * 33 + j <= (-i % 33) * 33 + (-j % 33)
+    assert np.array_equal(gg, gs[i[first]]) and gg.size == (33 * 33 + 1) // 2
+    assert np.array_equal(tt, gs[j[first]])
+    # the sweep at its actual points: the solved half at dgamma < 0, and
+    # the other half, whose flat offset index 1023 - f mirrors f; solved at
+    # all four corners, it is the half mirrored and repeated
+    r_max = max(float(np.max(c.radii)) for c in rep.circles)
+    local = np.linspace(-2 * r_max, 2 * r_max, 32)
+    offsets = [a.ravel() for a in np.meshgrid(local, local, indexing="ij")]
+    f = np.nonzero((offsets[0] == dgs[:, None])
+                   & (offsets[1] == dts[:, None]))[1]
+    assert f.size == dgs.size and np.all(f < 512)
+    f = np.concatenate([f, 1023 - f[::-1]])
     g0, t0 = np.array(list(V.CORNER_BASE.values())).T[:, :, None]
-    four = V.fiber_statuses(variant, s, g0 + dgs, t0 + dts).reshape(4, -1)
-    assert four.tolist() == [sweep.tolist()] * 4
+    four = V.fiber_statuses(variant, s, g0 + offsets[0][f],
+                            t0 + offsets[1][f]).reshape(4, -1)
+    assert four.tolist() == [half.tolist() + half[::-1].tolist()] * 4
+
+
+@pytest.mark.parametrize("grid", [1, 2, 3, 4, 5, 16, 33])
+def test_classify_grid_reads_each_fiber_from_its_orbit(grid, monkeypatch):
+    # statuses that the three maps keep and (gamma, theta) -> (-gamma,
+    # theta) does not: the product i j of the quarter's indices, mod m;
+    # each fiber of the grid must read its own
+    tile = 2 - grid % 2
+    m = grid // tile
+
+    def planted(variant, s, g, t):
+        i, j = (np.rint(np.ravel(a) * grid / (2 * np.pi)).astype(int)
+                for a in (g, t))
+        return np.array((i * j) % m, dtype=object)
+
+    monkeypatch.setattr(V, "fiber_statuses", planted)
+    gs, ts, status = V.classify_grid("earring", 0.05, grid)
+    gg, tt = np.meshgrid(gs, ts, indexing="ij")
+    assert status.tolist() == planted(None, None, gg, tt).reshape(
+        grid, grid).tolist()
+
+
+def test_topology_solves_one_fiber_per_orbit(monkeypatch):
+    # at grid 64: 514 of the quarter's 1,024 fibers (iota sigma_1 sigma_2
+    # fixes four), 398 of the refined sweep's 796, and the fold Newton on
+    # the 192 samples of one corner
+    sizes, newtons = [], []
+    reader, newton = V.fiber_statuses, _kernels.newton
+
+    def statuses(variant, s, g, t):
+        sizes.append(np.size(g))
+        return reader(variant, s, g, t)
+
+    def counting(system, x, *args, **kwargs):
+        if len(x) == 3:  # the fold Newton; the fiber roots have two unknowns
+            newtons.append(x[0].size)
+        return newton(system, x, *args, **kwargs)
+
+    monkeypatch.setattr(V, "fiber_statuses", statuses)
+    monkeypatch.setattr(_kernels, "newton", counting)
+    assert VF.topology(V.verify_topology("earring", 0.05, 64))
+    assert sizes == [514, 398] and newtons == [192]
 
 
 def test_pi0_misses_corners():
