@@ -8,7 +8,9 @@
 # directory with `--out out`.  Then `diff -r` compares every command's stdout,
 # stderr, exit code and written files.  Prints "identical" and exits 0
 # when every byte matches; otherwise prints the differences, keeps the
-# runs for inspection and exits 1.
+# runs for inspection and exits 1.  `scripts/compare_lifts.py` then
+# measures the kept runs: how far apart the composed curves lie, and which
+# printed integers moved.
 #
 # A refactor must leave the matrix byte-identical against its parent; an
 # intended output change, such as a bug fix, shows as a difference.  Run

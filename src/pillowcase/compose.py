@@ -22,6 +22,21 @@ more than a piece length from its prediction, the loop is retraced at
 half the step; at ``max_step`` the trace itself is kept, so a
 ``max_step`` at or above ``COARSE_STEP`` densifies nothing.
 
+A loop that is its own mirror image is traced half way (equivariant
+continuation: Golubitsky, Stewart & Schaeffer, *Singularities and Groups
+in Bifurcation Theory II*, 1988).  A map of ``variety.SYMMETRIES`` that
+takes a lift's vertex v_i to v_(n-i) mod 2 pi Z^2 (v_(-i) on a circle)
+induces the ``Reversal`` M(t, nu, tau) = (c - t, +-nu, +-tau + delta) of
+the fiber product: iota sigma_1 for beta, slope_two, b_ver and its
+twisted doubles, iota sigma_1 sigma_2 for slope_one, the same for their
+transposes, none for wavy.  A loop through a seed root that M fixes has
+one more fixed point; it is traced from the seed to there, and M maps the
+rest.  No sample sits on a fixed point; each is the midpoint of a chord
+between a sample and its mirror image.  An arc's two fixed points map to
+one double point on a pillowcase edge, which so stays one hit inside two
+segments, as in a whole trace, not hits at segment ends merged by
+``curves.distinct_rows``.
+
 Each curve component is carried by the C1 cubic spline of its lift with
 local knot slopes (``_kernels.cubic_fit``), fitted once per fiber product
 and shared by the continuation and the push forward.  The coarse
@@ -47,7 +62,7 @@ from . import _kernels
 from .curves import (TURN_LIMIT, CurveComponent, GenericPositionError,
                      ImmersedCurve, intersect, turning_angles)
 from .projection import pi1_r3_of_chart
-from .variety import ContinuationError, FoldCircle, solve_fiber
+from .variety import SYMMETRIES, ContinuationError, FoldCircle, solve_fiber
 from .words import NU_MAX, TWO_PI, wrapped_angle
 
 MAX_STEP = 4e-3  # default continuation step, in (t, nu, tau) arclength
@@ -159,12 +174,82 @@ def _on_loop(seed, samples, period):
     return any(_closure_distance(seed, p, period) < 1e-4 for p in near)
 
 
-def _trace_loop(code, s, breaks, cg, ct, period, u, max_step):
+@dataclass(frozen=True)
+class Reversal:
+    """M(t, nu, tau) = (c - t, nu_sign nu, tau_sign tau + tau_shift) on a
+    fiber product, t mod ``period`` on a circle (0 on an arc).  On a loop
+    through a root it fixes, M is a reflection with one more fixed point,
+    over a t with c - t = t mod ``period``."""
+    c: float
+    period: float
+    nu_sign: float
+    tau_sign: float
+    tau_shift: float
+
+    def fixes(self, u) -> bool:
+        """Whether M fixes the triple u, to 1e-8 in each coordinate."""
+        t, nu, tau = u
+        dt = self.c - 2.0 * t
+        if self.period:
+            dt -= self.period * round(dt / self.period)
+        return max(abs(dt), abs(nu - self.nu_sign * nu),
+                   abs(wrapped_angle(tau - self.tau_sign * tau
+                                     - self.tau_shift, math))) < 1e-8
+
+    def fixed_t(self, a: float, b: float):
+        """The fixed t in (a, b] or [b, a), or None: c / 2 on an arc, a
+        multiple of period / 2 (= c / 2) on a circle."""
+        mid = 0.5 * self.c
+        if not self.period:
+            return mid if (a < mid) != (b < mid) else None
+        w = 0.5 * self.period
+        i, j = math.floor((a - mid) / w), math.floor((b - mid) / w)
+        return None if i == j else mid + w * max(i, j)
+
+    def loop(self, half: np.ndarray, folds: list[int]):
+        """(samples, folds) of the whole loop from ``half``, its samples
+        strictly between the fixed points: the half, M of it reversed with
+        t and tau continued, and the first sample again with t continued,
+        as ``_trace_loop`` closes a loop; the fold marks are mirrored."""
+        image = half[::-1] * (-1.0, self.nu_sign, self.tau_sign)
+        image += (self.c, 0.0, self.tau_shift)
+        jump = half[-1] - image[0]
+        if self.period:
+            image[:, 0] += self.period * round(jump[0] / self.period)
+        image[:, 2] += TWO_PI * round(jump[2] / TWO_PI)
+        first = half[0].copy()
+        if self.period:
+            first[0] -= self.period * round((first[0] - image[-1, 0])
+                                            / self.period)
+        m = len(half)
+        return (np.vstack([half, image, first]),
+                folds + [2 * m - f for f in reversed(folds)])
+
+
+def _reversal(comp: CurveComponent, length: float, period: float):
+    """The ``Reversal`` of the first map of ``variety.SYMMETRIES`` that
+    takes each lift vertex v_i to v_(n-i) mod 2 pi Z^2, to 1e-9, or None."""
+    back = comp.lift[::-1]
+    for e, shift, nu_sign, tau_sign, tau_shift in SYMMETRIES.values():
+        miss = e * comp.lift + shift - back
+        miss -= TWO_PI * np.round(miss[0] / TWO_PI)
+        if np.max(np.abs(miss)) <= 1e-9:
+            return Reversal(length, period, nu_sign, tau_sign, tau_shift)
+    return None
+
+
+def _trace_loop(code, s, breaks, cg, ct, period, u, max_step,
+                mirror=None):
     """Pseudo-arclength trace of one solution loop from the float triple
-    u = (t, nu, tau), on Python floats; returns (samples, folds, tangents),
-    with the unit tangent at every sample as the trace oriented it.  A
-    sample with |nu| over ``words.NU_MAX`` ends the trace with the
-    ``ContinuationError`` that ``push_forward`` would raise for it."""
+    u = (t, nu, tau), on Python floats; returns (samples, folds, tangents,
+    half), with the unit tangent at every sample as the trace oriented it.
+    A sample with |nu| over ``words.NU_MAX`` ends the trace with the
+    ``ContinuationError`` that ``push_forward`` would raise for it.
+
+    With a ``Reversal`` ``mirror`` that fixes u, a step past a fixed t
+    solves the root over it; if M fixes that root, it ends the trace as
+    its last sample (``half`` True), unless t reverses next to either
+    fixed point: then the trace closes the loop as without a mirror."""
     tang = _kernels.tangent(code, s, breaks, cg, ct, *u)
     if tang is None:
         raise ContinuationError("no tangent at the continuation seed")
@@ -194,11 +279,28 @@ def _trace_loop(code, s, breaks, cg, ct, period, u, max_step):
         else:
             raise ContinuationError("continuation step rejection cascade")
         arclen += jump
-        u = r[:3]
+        prev, u = u, r[:3]
         if abs(u[1]) > NU_MAX:
             # every coarse sample is a dense one, which push_forward refuses
             raise ContinuationError("fiber-product sample outside the chart: "
                                     "nu out of [-1/2, 1/2]")
+        t_fix = None if mirror is None else mirror.fixed_t(prev[0], u[0])
+        if t_fix is not None and len(samples) > 1:
+            x = (t_fix - prev[0]) / (u[0] - prev[0])
+            f = _kernels.corrector(code, s, breaks, cg, ct, t_fix,
+                                   prev[1] + x * (u[1] - prev[1]),
+                                   prev[2] + x * (u[2] - prev[2]),
+                                   1.0, 0.0, 0.0, *CORRECTOR)
+            if f[3] and f[4] is not None and mirror.fixes(f[:3]):
+                t_f = f[4]
+                if t_f[0] * tang[0] + t_f[1] * tang[1] + t_f[2] * tang[2] < 0:
+                    t_f = (-t_f[0], -t_f[1], -t_f[2])
+                if folds[:1] != [1] and (t_f[0] >= 0) == (last_sign > 0):
+                    samples.append(f[:3])
+                    tangents.append(t_f)
+                    return np.array(samples), folds, np.array(tangents), True
+                # a fold next to a fixed point: trace the whole loop
+                mirror = None
         tang = t_new
         samples.append(u)
         tangents.append(tang)
@@ -223,22 +325,42 @@ def _trace_loop(code, s, breaks, cg, ct, period, u, max_step):
         t0 -= period * round((t0 - u[0]) / period)
     samples.append((t0, *samples[0][1:]))
     tangents.append(tangents[0])
-    return np.array(samples), folds, np.array(tangents)
+    return np.array(samples), folds, np.array(tangents), False
 
 
-def _densify(code, s, breaks, cg, ct, coarse, folds, tangents, max_step):
+def _hermite(a, d, ta, tb, x):
+    """Points and unit normals at x of the cubic Hermite curves from a to
+    a + d whose end slopes are the unit tangents ta and tb, scaled by the
+    chord and pointing along it; rows broadcast against x."""
+    chord = np.linalg.norm(d, axis=1)
+    ta, tb = (t * np.copysign(chord, np.sum(t * d, axis=1))[:, None]
+              for t in (ta, tb))
+    # the Hermite curve a + h01 d + h10 ta + h11 tb and its derivative
+    pred = (a + (3.0 - 2.0 * x) * x * x * d + (x - 1.0) ** 2 * x * ta
+            + (x - 1.0) * x * x * tb)
+    normal = (6.0 * (1.0 - x) * x * d + (3.0 * x - 1.0) * (x - 1.0) * ta
+              + (3.0 * x - 2.0) * x * tb)
+    return pred, normal / np.linalg.norm(normal, axis=1)[:, None]
+
+
+def _densify(code, s, breaks, cg, ct, coarse, folds, tangents, max_step,
+             ends=False):
     """Samples at most about ``max_step`` apart along a traced loop: every
     coarse segment is split into ceil(chord / max_step) pieces.
 
     Each inner point is predicted on the cubic Hermite curve through the
-    segment's ends and their unit tangents (oriented along the chord), and
-    corrected onto the solution curve within the hyperplane normal to the
-    Hermite derivative there; all of a loop's predictions go through
+    segment's ends and their unit tangents (``_hermite``), and corrected
+    onto the solution curve within the hyperplane normal to the Hermite
+    derivative there; all of a loop's predictions go through
     ``_kernels.corrector_batch`` in chunks of ``DENSE_CHUNK``.  Returns
     (samples, folds) with the fold marks moved to the dense indices of
     their coarse samples, or None when a point fails to converge or lands
     more than a piece length from its prediction (on another sheet, say).
     Past ``STEP_BUDGET`` samples it raises ``ContinuationError`` instead.
+
+    With ``ends`` (a half loop between two fixed points), the end
+    segments put their points at (i - 1/2) / pieces, i = 1 .. pieces, and
+    the fixed points are dropped.
     """
     a = coarse[:-1]
     d = coarse[1:] - a
@@ -246,27 +368,22 @@ def _densify(code, s, breaks, cg, ct, coarse, folds, tangents, max_step):
     # wound by 2 pi (its t is continued already)
     d[:, 2] = wrapped_angle(d[:, 2])
     chord = np.linalg.norm(d, axis=1)
-    # Hermite end slopes: the unit tangents, scaled by the chord and pointing
-    # along it
-    ta, tb = (t * np.copysign(chord, np.sum(t * d, axis=1))[:, None]
-              for t in (tangents[:-1], tangents[1:]))
     pieces = np.maximum(np.ceil(chord / max_step), 1.0)
     if pieces.sum() > STEP_BUDGET:
         raise ContinuationError(f"max step {max_step:g} needs {pieces.sum():.3g}"
                                 f" samples on one loop, over {STEP_BUDGET}")
-    pieces = pieces.astype(np.intp)
-    at = np.concatenate([[0], np.cumsum(pieces)])  # dense index of coarse[k]
-    seg = np.repeat(np.arange(len(d)), pieces - 1)
-    dense = np.arange(len(seg)) + seg + 1  # dense index of each inner point
-    x = ((dense - at[seg]) / pieces[seg])[:, None]
+    # the offset of each segment's points in pieces, half at a fixed point
+    lead = np.zeros(len(d))
+    if ends:
+        lead[[0, -1]] = 0.5
+    new = (pieces - 1.0 + 2.0 * lead).astype(np.intp)  # points per segment
+    at = np.concatenate([[0], np.cumsum(new + 1)])  # dense index of coarse[k]
+    seg = np.repeat(np.arange(len(d)), new)
+    dense = np.arange(len(seg)) + seg + 1  # dense index of each point
+    x = ((dense - at[seg] - lead[seg]) / pieces[seg])[:, None]
     reach = (chord / pieces)[seg]
-    a, d, ta, tb = a[seg], d[seg], ta[seg], tb[seg]
-    # the Hermite curve a + h01 d + h10 ta + h11 tb and its derivative
-    pred = (a + (3.0 - 2.0 * x) * x * x * d + (x - 1.0) ** 2 * x * ta
-            + (x - 1.0) * x * x * tb)
-    normal = (6.0 * (1.0 - x) * x * d + (3.0 * x - 1.0) * (x - 1.0) * ta
-              + (3.0 * x - 2.0) * x * tb)
-    normal /= np.linalg.norm(normal, axis=1)[:, None]
+    pred, normal = _hermite(a[seg], d[seg], tangents[:-1][seg],
+                            tangents[1:][seg], x)
     samples = np.empty((at[-1] + 1, 3))
     samples[at] = coarse
     for lo in range(0, len(pred), DENSE_CHUNK):
@@ -279,31 +396,57 @@ def _densify(code, s, breaks, cg, ct, coarse, folds, tangents, max_step):
                                     <= reach[part])):
             return None
         samples[dense[part]] = u
+    if ends:
+        return samples[1:-1], [int(at[k]) - 1 for k in folds]
     return samples, [int(at[k]) for k in folds]
 
 
-def _trace_dense(code, s, breaks, cg, ct, period, seed, max_step):
+def _end_midpoints(code, s, breaks, cg, ct, half, tangents):
+    """The half loop with its end fixed points moved to the midpoints of
+    its end segments' Hermite curves, by the float corrector like every
+    sample of a trace; None if either fails."""
+    pred, normal = _hermite(half[[0, -2]], half[[1, -1]] - half[[0, -2]],
+                            tangents[[0, -2]], tangents[[1, -1]], 0.5)
+    out = half.copy()
+    for row, p, n in zip((0, -1), pred.tolist(), normal.tolist()):
+        r = _kernels.corrector(code, s, breaks, cg, ct, *p, *n, *CORRECTOR)
+        if not r[3]:
+            return None
+        out[row] = r[:3]
+    return out
+
+
+def _trace_dense(code, s, breaks, cg, ct, period, seed, mirror, max_step):
     """``_trace_loop`` at ``max_step`` from a trace at COARSE_STEP, densified.
 
     A coarse trace that is too short to be sure it closed on its first
     return, or whose densification fails, is retraced at half the step;
-    at ``max_step`` the trace is returned as it is.
+    at ``max_step`` the trace is returned as it is.  A half trace has its
+    ends moved off the fixed points (``_densify``'s ``ends``, or at
+    ``max_step`` ``_end_midpoints``, failing which the loop is traced
+    whole) and is completed by ``Reversal.loop``.
     """
     step = max(max_step, COARSE_STEP)
     while True:
-        samples, folds, tangents = _trace_loop(code, s, breaks, cg, ct,
-                                               period, seed, step)
+        samples, folds, tangents, half = _trace_loop(
+            code, s, breaks, cg, ct, period, seed, step, mirror=mirror)
         if step <= max_step:
-            return samples, folds
+            if not half:
+                return samples, folds
+            ends = _end_midpoints(code, s, breaks, cg, ct, samples, tangents)
+            if ends is not None:
+                return mirror.loop(ends, folds)
+            mirror = None  # traced whole at this step
+            continue
         # _trace_loop may only close after 10 steps of arclength; a loop
         # shorter than that is traced round more than once
         length = float(np.sum(np.linalg.norm(np.diff(samples, axis=0),
                                              axis=1)))
-        if length > 20 * step:
+        if (2 if half else 1) * length > 20 * step:
             dense = _densify(code, s, breaks, cg, ct, samples, folds,
-                             tangents, max_step)
+                             tangents, max_step, half)
             if dense is not None:
-                return dense
+                return mirror.loop(*dense) if half else dense
         step = max(0.5 * step, max_step)
 
 
@@ -313,7 +456,10 @@ def fiber_product(curve: ImmersedCurve, variant: str, s: float, *,
     """Trace the solution loops of the defining pair over the curve, from
     each root of the first two-sheeted fiber among a few points of each
     component (a good arc's first root only) that ``_on_loop`` does not put
-    on a loop already traced."""
+    on a loop already traced.
+
+    A loop through a seed that its component's ``Reversal`` fixes is
+    traced half way; any other loop whole."""
     if s == 0.0:
         raise ValueError("composition needs s != 0")
     if not check_transversality(curve, circles):
@@ -324,6 +470,7 @@ def fiber_product(curve: ImmersedCurve, variant: str, s: float, *,
                       [_component_splines(c) for c in curve.components])
     for ci, comp in enumerate(curve.components):
         breaks, cg, ct, period, length = fp.splines[ci]
+        reversal = _reversal(comp, length, period)
         if comp.kind == "circle":
             t_candidates = [0.0, 0.13 * length, 0.29 * length, 0.41 * length]
         else:
@@ -346,8 +493,10 @@ def fiber_product(curve: ImmersedCurve, variant: str, s: float, *,
         for seed in seeds:
             if any(_on_loop(seed, samples, period) for samples, _ in loops):
                 continue
+            mirror = (reversal if reversal is not None
+                      and reversal.fixes(seed) else None)
             loops.append(_trace_dense(code, s, breaks, cg, ct, period, seed,
-                                      max_step))
+                                      mirror, max_step))
         fp.branches += [Branch(ci, samples, folds) for samples, folds in loops]
     return fp
 

@@ -508,11 +508,16 @@ def _crossings(lift_a: np.ndarray, lift_b: np.ndarray):
 def distinct_rows(rows: np.ndarray, tol: float, period=None) -> np.ndarray:
     """Indices of the rows of an (m, 2) array that are kept when they are
     scanned in order and a row is dropped if it, or with ``period`` its
-    alternative mod period, lies strictly within ``tol`` of a kept row in
-    both coordinates.  The kept rows stay sorted, and a row checks only
-    those that ``bisect`` finds within 2 tol of it in the first coordinate:
-    a superset of those within tol, whatever the rounding."""
-    alts = [rows] if period is None else [rows, np.mod(rows, period)]
+    alternative, lies strictly within ``tol`` of a kept row in both
+    coordinates.  The alternative reads the row as an unordered pair of
+    points on a circle of length ``period``: each coordinate reduced into
+    [-4 tol, period - 4 tol), so that one just below the period wraps to
+    just below 0, and the pair sorted, so that (0, x) and (x, period) are
+    one pair.  The kept rows stay sorted, and a row checks only those that
+    ``bisect`` finds within 2 tol of it in the first coordinate: a
+    superset of those within tol, whatever the rounding."""
+    alts = [rows] if period is None else [
+        rows, np.sort(np.mod(rows + 4 * tol, period) - 4 * tol, axis=1)]
     kept: list[list[float]] = []
     keep = []
     w = 2 * tol

@@ -474,6 +474,23 @@ class TopologyReport:
                 if f.compare}
 
 
+# The seven maps other than the identity in the group generated by sigma_1
+# = (gamma + pi, theta, -nu, pi - tau), sigma_2 = (gamma, theta + pi, nu,
+# -tau) and iota = (-gamma, -theta, nu, tau + pi), angles mod 2 pi.  Each
+# carries the zero set of the defining pair to itself; it is written as
+# (e, (b_gamma, b_theta), nu_sign, tau_sign, tau_shift) for the map
+# (e gamma + b_gamma, e theta + b_theta, nu_sign nu, tau_sign tau + tau_shift).
+SYMMETRIES = {
+    "sigma_1": (1.0, (np.pi, 0.0), -1.0, -1.0, np.pi),
+    "sigma_2": (1.0, (0.0, np.pi), 1.0, -1.0, 0.0),
+    "sigma_1 sigma_2": (1.0, (np.pi, np.pi), -1.0, 1.0, np.pi),
+    "iota": (-1.0, (0.0, 0.0), 1.0, 1.0, np.pi),
+    "iota sigma_1": (-1.0, (np.pi, 0.0), -1.0, -1.0, 0.0),
+    "iota sigma_2": (-1.0, (0.0, np.pi), 1.0, -1.0, np.pi),
+    "iota sigma_1 sigma_2": (-1.0, (np.pi, np.pi), -1.0, 1.0, 0.0),
+}
+
+
 def _corner_distance(gamma, theta):
     """Torus distance to the nearest half-lattice fixed point; broadcasts."""
     dg = np.mod(gamma, np.pi)
@@ -487,8 +504,8 @@ def classify_grid(variant: str, s: float, grid: int = 64):
 
     The maps sigma_1 = (gamma + pi, theta, -nu, pi - tau), sigma_2 =
     (gamma, theta + pi, nu, -tau) and iota = (-gamma, -theta, nu, tau + pi)
-    carry the zero set of the defining pair to itself, G to -G, to
-    (-G1, G2) and to G, so the fibers over (gamma + pi, theta),
+    of ``SYMMETRIES`` carry the zero set of the defining pair to itself, G
+    to -G, to (-G1, G2) and to G, so the fibers over (gamma + pi, theta),
     (gamma, theta + pi) and (-gamma, -theta) have the status of the fiber
     over (gamma, theta).  On an even grid i -> i + grid/2 is a shift by pi:
     only the quarter [0, pi)^2 is solved, and it is tiled 2 x 2.  An odd

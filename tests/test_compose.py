@@ -9,7 +9,7 @@ from pillowcase import quat
 from pillowcase import variety as V
 from pillowcase import verify as VF
 from pillowcase import words as W
-from pillowcase.cli import torus_knot_scene
+from pillowcase.cli import NAMED_CURVES, torus_knot_scene
 
 from pillow_reference import pi0_of_rep, prune_short
 from pillow_reference import theorem_b as ref_theorem_b
@@ -215,9 +215,9 @@ def test_equal_components_are_composed_once(variant, s, monkeypatch):
     traced = []
     trace_loop = X._trace_loop
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         traced.append(args[-1])
-        return trace_loop(*args)
+        return trace_loop(*args, **kwargs)
 
     monkeypatch.setattr(X, "_trace_loop", counted)
     out = X.compose_curve(dd, variant, s, circles=fold(variant, s))
@@ -582,7 +582,19 @@ def test_composed_circles_row_at_negative_s(variant):
 # dense samples placed along a coarse trace
 # ---------------------------------------------------------------------------
 
-DENSE_CURVES = {"arc": C.slope_one_arc, "circle": C.vertical_circle}
+def transposed(curve):
+    """The curve that ``transpose_compose`` composes forward: theta negated."""
+    return C.ImmersedCurve([C.CurveComponent(c.kind, c.lift * (1.0, -1.0))
+                            for c in curve.components], "P0", curve.name)
+
+
+DENSE_CURVES = {
+    "arc": C.slope_one_arc, "circle": C.vertical_circle,
+    "slope_two": C.slope_two_arc, "beta": C.bottom_edge,
+    "dt_b_ver": lambda: C.twisted_double(C.vertical_circle()),
+    "arc^T": lambda: transposed(C.slope_one_arc()),
+    "slope_two^T": lambda: transposed(C.slope_two_arc()),
+}
 TRACED = {}
 
 
@@ -677,9 +689,9 @@ def test_failed_densifying_retraces_at_half_the_step(fails, jump,
     steps = []
     trace_loop, batch = X._trace_loop, _kernels.corrector_batch
 
-    def record(*args):
+    def record(*args, **kwargs):
         steps.append(args[-1])
-        return trace_loop(*args)
+        return trace_loop(*args, **kwargs)
 
     def fail(*args):
         u0, u1, u2, ok = batch(*args)
@@ -777,3 +789,123 @@ def test_on_loop_is_the_distance_rule_around_the_scenes_loops(monkeypatch):
             assert X._on_loop(seed, samples, period) is want
             decisions.append(want)
     assert 10 < sum(decisions) < 90
+
+
+# ---------------------------------------------------------------------------
+# loops traced by halves and mapped by a symmetry of V
+# ---------------------------------------------------------------------------
+
+NAMED = sorted(NAMED_CURVES)
+MIRRORED = [name for name in NAMED if name != "wavy"]
+
+
+def test_the_named_curves_are_reversed_by_iota_sigma_1_or_its_product():
+    # iota sigma_1 reverses every named curve but wavy, which nothing
+    # reverses, and slope_one, which iota sigma_1 sigma_2 reverses; the
+    # transposes alike
+    for name in NAMED:
+        for curve in (NAMED_CURVES[name](), transposed(NAMED_CURVES[name]())):
+            for comp in curve.components:
+                _, _, _, period, length = X._component_splines(comp)
+                rev = X._reversal(comp, length, period)
+                if name == "wavy":
+                    assert rev is None
+                    continue
+                g = ("iota sigma_1 sigma_2" if name == "slope_one"
+                     else "iota sigma_1")
+                assert ((rev.c, rev.period, rev.nu_sign, rev.tau_sign,
+                         rev.tau_shift) == (length, period,
+                                            *V.SYMMETRIES[g][2:]))
+
+
+@pytest.mark.parametrize("s", [0.05, -0.05, 0.01, 0.2])
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_mirrored_fiber_product_matches_the_whole_trace(variant, s,
+                                                        monkeypatch):
+    # every named curve, composed forward and transposed, with its loops
+    # traced by halves and, the map table emptied, whole: the same curves
+    # to 1e-5 and the same invariants, but for the raw double-point counts
+    # of the twisted doubles at |s| >= 0.1, which count near-tangencies
+    circles = fold(variant, s)
+    for name in NAMED:
+        for compose in (X.compose_curve, X.transpose_compose):
+            with monkeypatch.context() as m:
+                halves = compose(NAMED_CURVES[name](), variant, s,
+                                 circles=circles)
+                m.setattr(X, "SYMMETRIES", {})
+                whole = compose(NAMED_CURVES[name](), variant, s,
+                                circles=circles)
+            assert C.hausdorff_r3(halves, whole) <= 1e-5, name
+            got, want = C.invariants(halves), C.invariants(whole)
+            if "dt_b_ver" in name and abs(s) >= 0.1:
+                for a, b in zip(got.components, want.components):
+                    a.double_points = b.double_points = 0
+            assert got == want, name
+
+
+def fixed_root(fp, variant, s, branch, u):
+    """The root of the fiber at the base point of u nearest to u in (nu,
+    tau): a fixed point of the loop's reflection when u lies by one."""
+    breaks, cg, ct, _, _ = fp.splines[branch.component]
+    fs = V.solve_fiber(variant, s, _kernels._ppoly_eval(breaks, cg, u[0]),
+                       _kernels._ppoly_eval(breaks, ct, u[0]))
+    d = [np.hypot(nu - u[1], W.wrapped_angle(tau - u[2]))
+         for nu, tau in fs.solutions]
+    nu, tau = fs.solutions[int(np.argmin(d))]
+    return np.array([u[0], nu, u[2] + W.wrapped_angle(tau - u[2])])
+
+
+@pytest.mark.parametrize("max_step", [X.MAX_STEP, X.COARSE_STEP])
+@pytest.mark.parametrize("s", [0.05, 0.01, -0.2])
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_no_sample_sits_on_a_fixed_point(variant, s, max_step):
+    # each loop is a half h_0 .. h_(m-1) and its mirror image; the chords
+    # h_(m-1) M(h_(m-1)) and M(h_0) h_0 cross the two fixed points at their
+    # midpoints, and every sample stays half a chord away from them
+    circles = fold(variant, s)
+    for name in MIRRORED:
+        for curve in (NAMED_CURVES[name](), transposed(NAMED_CURVES[name]())):
+            fp = X.fiber_product(curve, variant, s, max_step=max_step,
+                                 circles=circles)
+            for b in fp.branches:
+                comp = curve.components[b.component]
+                breaks, cg, ct, period, length = fp.splines[b.component]
+                rev = X._reversal(comp, length, period)
+                u = b.samples
+                m, odd = divmod(len(u) - 1, 2)
+                assert odd == 0
+                image, _ = rev.loop(u[:m], [])
+                assert np.max(np.abs(image[m:] - u[m:])) < 1e-12
+                t, nu, tau = u.T
+                g1, g2 = _kernels.g_pair(
+                    variant, s, _kernels._ppoly_eval(breaks, cg, t),
+                    _kernels._ppoly_eval(breaks, ct, t), nu, tau)
+                assert np.max(np.maximum(np.abs(g1), np.abs(g2))) < 1e-11
+                step = np.diff(u, axis=0)
+                if period > 0:
+                    step[:, 0] -= period * np.round(step[:, 0] / period)
+                step[:, 2] = W.wrapped_angle(step[:, 2])
+                gap = np.linalg.norm(step, axis=1)
+                # a trace step lands a little past its predictor length
+                assert np.max(gap) <= max_step * (
+                    1.0 if max_step < X.COARSE_STEP else 1.05)
+                # the chords across the seed and the other fixed point
+                for i in (2 * m - 1, m - 1):
+                    mid = u[i] + 0.5 * step[i]
+                    fixed = fixed_root(fp, variant, s, b, mid)
+                    assert rev.fixes(mid) and rev.fixes(fixed)
+                    assert np.linalg.norm(mid - fixed) <= 0.25 * gap[i] ** 2
+                    assert np.linalg.norm(u[i] - fixed) >= 0.45 * gap[i]
+                # the branch starts at the first sample past the seed
+                t0 = 0.0 if comp.kind == "circle" else 0.5 * length
+                dt = u[-2, 0] + 0.5 * step[-1, 0] - t0
+                if period > 0:
+                    dt -= period * round(dt / period)
+                assert abs(dt) < 1e-12
+
+
+@pytest.mark.parametrize("s", [0.05, -0.05, 0.01, 0.2, -0.2, 0.3])
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_scene_pairings_are_nine_away_from_the_default_s(variant, s):
+    data = torus_knot_scene(variant, s)
+    assert data["forward"]["total"] == data["pullback"]["total"] == 9

@@ -642,13 +642,15 @@ def test_hits_do_not_depend_on_the_pass_size(monkeypatch):
 
 def _literal_distinct(rows, tol, period=None):
     """The dedup rule written out: rows in order, each dropped when it, or
-    with ``period`` its alternative mod period, lies within tol of a kept
-    row in both coordinates."""
+    with ``period`` its alternative, lies within tol of a kept row in both
+    coordinates; the alternative is the row as an unordered pair on the
+    circle, each coordinate reduced into [-4 tol, period - 4 tol)."""
     kept, keep = [], []
     for k, (x, y) in enumerate(rows.tolist()):
         cands = [(x, y)]
         if period is not None:
-            cands.append((float(np.mod(x, period)), float(np.mod(y, period))))
+            cands.append(tuple(sorted(float(np.mod(c + 4 * tol, period)
+                                            - 4 * tol) for c in (x, y))))
         if not any(abs(a - c) < tol and abs(b - d) < tol
                    for c, d in cands for a, b in kept):
             kept.append((x, y))
@@ -687,6 +689,15 @@ def test_distinct_rows_matches_the_rule_written_out(case, ordered):
         rows = rows[np.lexsort((rows[:, 1], rows[:, 0]))]
     assert (C.distinct_rows(rows, tol, period).tolist()
             == _literal_distinct(rows, tol, period))
+
+
+def test_distinct_rows_merges_a_double_point_found_across_the_seam():
+    # a circle's double point at its seam, found once as (0, x) and once as
+    # (x, n) less a rounding error: one pair of points on the circle
+    n = 3773
+    rows = np.array([(0.0, 1886.5), (1886.5, n - 1e-10)])
+    assert C.distinct_rows(rows, 1e-6, n).tolist() == [0]
+    assert C.distinct_rows(rows, 1e-6).tolist() == [0, 1]
 
 
 def test_edge_crossing_search_peak_memory():

@@ -225,7 +225,8 @@ def test_corrector_batch_matches_finite_difference_reference(variant,
 
 @pytest.mark.parametrize("variant", ["earring", "bypass"])
 def test_corrector_batch_is_the_loop_as_first_written(variant, monkeypatch):
-    # every dense prediction of the torus-knot scene, in its chunks
+    # every dense prediction of the torus-knot scene, in its chunks, with
+    # its loops traced by halves and, the map table emptied, whole
     calls = []
     batch = K.corrector_batch
 
@@ -235,6 +236,8 @@ def test_corrector_batch_is_the_loop_as_first_written(variant, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(K, "corrector_batch", record)
+        torus_knot_scene(variant, S)
+        m.setattr(X, "SYMMETRIES", {})
         torus_knot_scene(variant, S)
     assert sum(len(args[5]) for args in calls) > 15000
     # predictions that fail: |nu| > 0.999, a singular system (a zero
