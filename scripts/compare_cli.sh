@@ -3,14 +3,15 @@
 #
 #   scripts/compare_cli.sh REV
 #
-# Runs the 46 commands of the matrix below twice: on `git archive REV` and
+# Runs the 47 commands of the matrix below twice: on `git archive REV` and
 # on the work tree's src/ (committed or not), each command in a fresh
 # directory with `--out out`.  Then `diff -r` compares every command's stdout,
 # stderr, exit code and written files.  Prints "identical" and exits 0
 # when every byte matches; otherwise prints the differences, keeps the
 # runs for inspection and exits 1.  `scripts/compare_lifts.py` then
-# measures the kept runs: how far apart the composed curves lie, and which
-# printed integers moved.
+# measures the kept runs: how far apart the composed curves lie, the
+# largest difference of every other differing output file's numbers, and
+# which printed integers moved.
 #
 # A refactor must leave the matrix byte-identical against its parent; an
 # intended output change, such as a bug fix, shows as a difference.  Run
@@ -72,6 +73,7 @@ matrix() {
     echo "compose-retrace compose --name dt_b_ver --s 0.2 --max-step 0.5"
     echo "scene-huge-step scene --max-step 100"
     echo "verify-full verify --variant bypass --full"
+    echo "verify-earring-full verify --variant earring --full --json"
     # the Newton edge runs of CI's smoke step: s near the accepted edge and
     # near the floor, and -0.45, where the scan's nu-Newton and the bracket
     # Newton matter; the smallest fold circles through verify

@@ -7,7 +7,12 @@ RUNS_A and RUNS_B are the ``runs-rev`` and ``runs-tree`` directories that
 each with ``stdout``, ``exit`` and the files under ``out/``.  For every run
 that wrote ``out/composed.json`` on both sides it prints the Hausdorff
 distance of the two composed curves in the character embedding
-(``curves.hausdorff_r3``), then the largest of them.  Then it lists every
+(``curves.hausdorff_r3``), then the largest of them.  For every other
+output of ``OUTPUTS`` that differs between the sides it prints the largest
+difference of its numbers, taken in order; the angle columns of a CSV
+(``ANGLES``) are compared mod 2 pi, so a sample printed on either side of
+the 0/2 pi seam reads as its rounding.  A file whose two versions hold
+different counts of numbers prints both counts.  Then it lists every
 integer of a run's ``stdout`` or ``exit`` that differs between the sides,
 in order of appearance; a run whose two outputs hold different numbers of
 integers is listed whole.  Exits 0.
@@ -15,6 +20,7 @@ integers is listed whole.  Exits 0.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from pathlib import Path
@@ -23,6 +29,9 @@ from pillowcase.curves import ImmersedCurve, hausdorff_r3
 
 # a number as the CLI prints it; an integer is one with no point or exponent
 NUMBER = re.compile(r"-?\d+(?:\.\d*)?(?:[eE][-+]?\d+)?")
+OUTPUTS = ("fold_circles.csv", "fibers.csv", "topology.json", "scene.json",
+           "verify.json")
+ANGLES = {"gamma", "theta", "tau"}
 
 
 def integers(path: Path) -> list[int]:
@@ -30,6 +39,27 @@ def integers(path: Path) -> list[int]:
         return []
     return [int(x) for x in NUMBER.findall(path.read_text())
             if x.lstrip("-").isdigit()]
+
+
+def numbers(path: Path) -> list[tuple[float, bool]]:
+    """The numbers of an output file in order, each with whether it is an
+    angle, read from the columns of a CSV after its ``#`` comments."""
+    text = path.read_text()
+    if path.suffix != ".csv":
+        return [(float(x), False) for x in NUMBER.findall(text)]
+    lines = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+    header = lines[0].split(",") if lines else []
+    return [(float(x), name in ANGLES) for ln in lines[1:]
+            for name, field in zip(header, ln.split(","))
+            for x in NUMBER.findall(field)]
+
+
+def largest_difference(na, nb) -> float:
+    """The largest difference of two equally long lists of ``numbers``,
+    angles mod 2 pi."""
+    return max((abs(math.remainder(x - y, 2 * math.pi)) if angle
+                else abs(x - y) for (x, angle), (y, _) in zip(na, nb)),
+               default=0.0)
 
 
 def main(argv: list[str]) -> int:
@@ -49,6 +79,18 @@ def main(argv: list[str]) -> int:
             largest = hd if largest is None else max(largest, hd)
     if largest is not None:
         print(f"largest hausdorff_r3 {largest:.3e}")
+    for run in runs:
+        for name in OUTPUTS:
+            pa, pb = (root / run / "out" / name for root in (a, b))
+            if not (pa.exists() and pb.exists()) \
+                    or pa.read_bytes() == pb.read_bytes():
+                continue
+            na, nb = numbers(pa), numbers(pb)
+            if len(na) != len(nb):
+                print(f"{run} {name}: {len(na)} numbers -> {len(nb)}")
+            else:
+                print(f"{run} {name}: largest difference "
+                      f"{largest_difference(na, nb):.3e}")
     for run in runs:
         for name in ("stdout", "exit"):
             ia, ib = (integers(root / run / name) for root in (a, b))

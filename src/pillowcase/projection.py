@@ -3,10 +3,11 @@
 A pillowcase point is an orbit [gamma, theta] of the torus involution
 (gamma, theta) ~ (-gamma, -theta), carried with its character coordinates
 (cos gamma, cos theta, cos(gamma - theta)) on the singular surface
-x^2 + y^2 + z^2 - 2xyz = 1 in R^3.  Every map here works on arrays of
-character triples.  The first restriction map reads the base coordinates
-off the characters of the incoming boundary loops; the second evaluates the
-characters of the outgoing ones.  The involution exchanging the two boundary
+x^2 + y^2 + z^2 - 2xyz = 1 in R^3.  Every map here works on (..., 3)
+arrays of character triples, read off word images in (w, x, y, z) parts.
+The first restriction map reads the base coordinates off the characters
+of the incoming boundary loops; the second evaluates the characters of the
+outgoing ones.  The involution exchanging the two boundary
 spheres factors the second map through the first:
 pi1 = Psi o Theta o pi0 o U_s, where Theta is the reflection
 [gamma, theta] -> [gamma, -theta] and Psi relabels the factor.
@@ -18,8 +19,7 @@ import numpy as np
 
 from . import quat
 from .words import (CHARS_P0, CHARS_P1, Rep, U_A, U_B, U_F, U_H, chart_angle,
-                    embed_L, eval_word, slice_parts, variety_residual,
-                    word_parts)
+                    embed_L, eval_word, slice_parts, variety_residual)
 
 OFF_VARIETY_SURFACE_TOL = 1e-6
 
@@ -60,8 +60,8 @@ def _angles_of_r3(v, tol: float = OFF_VARIETY_SURFACE_TOL):
 def _characters(rep, words) -> np.ndarray:
     """Re of each word of a triple on a Rep or a dict of (batched, possibly
     complex) generator values, stacked along a last axis of length 3."""
-    return np.stack([quat.real_part(eval_word(rep, w)) for w in words],
-                    axis=-1)
+    parts = (eval_word(rep, w)[0] for w in words)
+    return np.stack(np.broadcast_arrays(*parts), axis=-1)
 
 
 def pi0_r3(rep: Rep) -> np.ndarray:
@@ -71,24 +71,21 @@ def pi0_r3(rep: Rep) -> np.ndarray:
     return r3_of_orbit(*_angles_of_r3(_characters(rep, CHARS_P0)))
 
 
-def pi1_r3(rep: Rep) -> np.ndarray:
-    """Characters of the outgoing boundary loops (c d^-, f d^-, c f^-)."""
-    return _characters(rep, CHARS_P1)
+def pi1_r3(rep) -> np.ndarray:
+    """Characters of the outgoing boundary loops (c d^-, f d^-, c f^-) on a
+    Rep or a dict of generator values.  The first word is the third
+    followed by the second, so it continues the third's products: 20
+    products for the three."""
+    w1, w2, w3 = CHARS_P1
+    c3 = eval_word(rep, w3)
+    c1 = eval_word(rep, w1[len(w3):], c3)
+    return np.stack([c1[0], eval_word(rep, w2)[0], c3[0]], axis=-1)
 
 
 def pi1_r3_of_chart(s, gamma, theta, nu, tau) -> np.ndarray:
-    """pi1 characters straight from chart coordinates (vectorized over
-    broadcastable, possibly complex inputs); raises ValueError for |nu| > 1/2.
-
-    The three words are straight-line products of ``slice_parts`` tuples
-    (``word_parts``), in ``eval_word``'s order.  The first word is the
-    third followed by the second, so it continues the third's products.
-    """
-    vals = slice_parts(s, gamma, theta, nu, tau)
-    w1, w2, w3 = CHARS_P1
-    c3 = word_parts(vals, w3)
-    c1 = word_parts(vals, w1[len(w3):], c3)
-    return np.stack([c1[0], word_parts(vals, w2)[0], c3[0]], axis=-1)
+    """``pi1_r3`` straight from chart coordinates (``slice_parts``), which
+    broadcast and may be complex; raises ValueError for |nu| > 1/2."""
+    return pi1_r3(slice_parts(s, gamma, theta, nu, tau))
 
 
 def theta_r3(v) -> np.ndarray:
@@ -102,7 +99,7 @@ def theta_r3(v) -> np.ndarray:
 # the involution exchanging the two boundary spheres
 # ---------------------------------------------------------------------------
 
-def u_values(rep: Rep) -> dict[str, np.ndarray]:
+def u_values(rep: Rep) -> dict[str, tuple]:
     """Images of a, b, f, h under the involution's action on words."""
     return {
         "a": eval_word(rep, U_A),
@@ -123,25 +120,25 @@ def u_involution(rep: Rep) -> Rep:
     """
     vals = u_values(rep)
     a2, b2, f2, h2 = vals["a"], vals["b"], vals["f"], vals["h"]
-    if np.any(np.abs(quat.real_part(a2)) > 1e-6):
+    if np.any(np.abs(a2[0]) > 1e-6):
         raise OffVarietyError("transformed a is not traceless; input is off "
                               "the variety")
-    u1 = quat.rotation_taking(quat.normalize(quat.ima(a2)), quat.I)
+    u1 = quat.rotation_taking(quat.normalize((0.0, *a2[1:])), quat.I)
     b3 = quat.rotate(u1, b2)
     # rotate about i to kill the k-component of b and make the j-part >= 0
-    phi = np.arctan2(b3[..., 3], b3[..., 2])
-    u2 = quat.qexp(-0.5 * phi[..., None] * quat.I)
+    phi = np.arctan2(b3[3], b3[2])
+    u2 = quat.qexp(*(-0.5 * phi * c for c in quat.I[1:]))
     u = quat.mul(u2, u1)
     b4, f4, h4 = (quat.rotate(u, x) for x in (b2, f2, h2))
-    if np.any(np.hypot(b4[..., 2], b4[..., 3]) < 1e-9):
+    if np.any(np.hypot(b4[2], b4[3]) < 1e-9):
         raise ReGaugeError("b is aligned with a; the slice gauge is degenerate")
-    if np.any(np.abs(f4[..., 3]) > 1e-6):
+    if np.any(np.abs(f4[3]) > 1e-6):
         raise OffVarietyError("transformed f left the gauge plane; input is "
                               "off the variety")
     gamma, theta, tau = chart_angle(
-        [np.arctan2(b4[..., 2], b4[..., 1]), np.arctan2(f4[..., 2], f4[..., 1]),
-         np.arctan2(h4[..., 3], h4[..., 2])])
-    nu = np.clip(h4[..., 1], -0.5, 0.5)
+        [np.arctan2(b4[2], b4[1]), np.arctan2(f4[2], f4[1]),
+         np.arctan2(h4[3], h4[2])])
+    nu = np.clip(h4[1], -0.5, 0.5)
     out = embed_L(rep.variant, rep.s, gamma, theta, nu, tau)
     res = variety_residual(out)
     if res > 1e-8:

@@ -638,25 +638,31 @@ def eta(s: float, sigma):
 
 def k_circle(variant: str, s: float, sigma) -> Rep:
     """The closed-form representation over the bottom edge at angle sigma,
-    elementwise: a scalar sigma gives (4,) quaternions, an array S + (4,).
+    elementwise: its parts have the shape of sigma.
 
     Both variants have a = f = i, so the image under the base projection is
     the bottom edge; the defining pair vanishes identically in sigma.
     """
-    sigma = np.asarray(sigma)
+    shape = np.shape(sigma)
+    # one sigma runs as a batch of one: numpy multiplies complex scalars
+    # otherwise than complex arrays, in the last bit
+    sigma = np.reshape(sigma, -1)
     sn, cs = np.sin(sigma), np.cos(sigma)
     zero = np.zeros_like(sn)
-    esk = np.stack([zero, zero, -sn, cs], axis=-1)  # e^{sigma i} k
-    h = np.stack([zero, zero, cs, sn], axis=-1)  # e^{sigma i} j
+    esk = (zero, -sn, cs)  # e^{sigma i} k, a pure quaternion
+    h = (zero, zero, cs, sn)  # e^{sigma i} j
+
+    def exp(t, v):  # e^{t v} for pure v
+        return quat.qexp(*(t * c for c in v))
+
     if variant == BYPASS:
         turn = s * cs
     else:
         et = eta(s, sigma)
-        h = quat.rotate(quat.qexp(np.asarray(et)[..., None] * esk), h)
+        h = quat.rotate(exp(et, esk), h)
         turn = -2 * et
-    esh = quat.qexp(s * h)
-    b = quat.rotate(esh, quat.mul(quat.qexp(-sigma[..., None] * esk), quat.I))
-    p = quat.rotate(esh, quat.qexp(np.asarray(turn)[..., None] * esk))
-    i = np.broadcast_to(quat.I, esk.shape)
-    return Rep(a=i.copy(), b=b, f=i.copy(), h=h, p=p, q=esh,
-               variant=variant, s=s)
+    esh = exp(s, h[1:])
+    b = quat.rotate(esh, quat.mul(exp(-sigma, esk), quat.I))
+    p = quat.rotate(esh, exp(turn, esk))
+    b, h, p, esh = (tuple(x.reshape(shape) for x in q) for q in (b, h, p, esh))
+    return Rep(a=quat.I, b=b, f=quat.I, h=h, p=p, q=esh, variant=variant, s=s)

@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-from . import quat
 from ._kernels import jet
 from .curves import (CurveComponent, CurveInvariants, ImmersedCurve, double,
                      figure_eight, hausdorff_r3, invariants, self_intersections)
@@ -24,9 +23,9 @@ from .projection import (characters_in_out, pi0_u_r3, u_involution,
                          verify_factorization)
 from .variety import (COMPLEX_STEP, _corner_distance, eta, fold_jacobian_data,
                       k_circle)
-from .words import (BYPASS, EARRING, TWO_PI, check_identities, embed_arrays,
-                    embed_L, g_of_rep, gp_of_rep, perturbation_residuals,
-                    rho_eps, variety_residual, w2_value)
+from .words import (BYPASS, EARRING, TWO_PI, check_identities, embed_L,
+                    g_of_rep, gp_of_rep, perturbation_residuals, rho_eps,
+                    slice_parts, variety_residual, w2_value)
 
 IDENTITY_TOL = 1e-11
 # w2 = -1 on the earring variety; where |G_2| > W2_OFF_G it misses -1
@@ -60,10 +59,13 @@ def w2_condition(on_points, off_points):
     """w2 = -1 on the earring variety and not off it: (on_worst, off_best,
     n_off, ok) over ``on_points`` and the ``n_off`` of ``off_points`` with
     |G_2| > W2_OFF_G."""
-    on_worst = float(np.max(np.abs(w2_value(*on_points.T) + quat.ONE)))
-    miss = np.max(np.abs(w2_value(*off_points.T) + quat.ONE), axis=-1)
+    def miss(points):  # |w2 + 1| at each point: its largest part
+        w, x, y, z = w2_value(*points.T)
+        return np.max(np.abs([w + 1.0, x, y, z]), axis=0)
+
+    on_worst = float(np.max(miss(on_points)))
     # |G_2| from the earring kernel, over the whole batch
-    off = miss[np.abs(jet(EARRING, *off_points.T)[1]) > W2_OFF_G]
+    off = miss(off_points)[np.abs(jet(EARRING, *off_points.T)[1]) > W2_OFF_G]
     off_best = float(np.min(off, initial=np.inf))
     return (on_worst, off_best, len(off),
             on_worst < W2_ON_TOL and off_best > W2_OFF_MIN)
@@ -112,7 +114,7 @@ def asymptotics(variant, s, roots_s, roots_half):
         rms.append(np.sqrt(np.mean(np.square(lead))))
         # Re(h^- a), the word form of the second bypass component
         exact = exact and bool(np.all(
-            gp_of_rep(embed_arrays(sv, g, t, nu, tau))[1] == nu))
+            gp_of_rep(slice_parts(sv, g, t, nu, tau))[1] == nu))
     ratio = float(rms[0] / rms[1])
     lo, hi = ASYMPTOTIC_RATIO
     return ratio, exact, lo <= ratio <= hi and exact

@@ -5,6 +5,8 @@ Both tangle groups are generated by {a, b, f, h, p, q}.  Words are written as
 strings: a lowercase letter is a generator, the corresponding uppercase letter
 its inverse (so ``"QPbpq"`` reads q^-1 p^-1 b p q).  The named loops c, e, g,
 d, w and the perturbation longitudes are fixed words in these generators.
+Generator values and word images are (w, x, y, z) tuples (``quat``), and
+``eval_word`` is the one evaluator.
 
 The gauge slice parameterizes representations by chart coordinates
 (s, gamma, theta, nu, tau):
@@ -87,10 +89,9 @@ def chart_angle(x):
 
 
 def wrapped_angle(x, xp=np):
-    """x less the multiple of 2 pi that takes it into [-pi, pi), as
-    mod(x + pi, 2 pi) - pi: the signed difference of two angles.
-    ``xp=math`` runs it on a Python float, ``xp=numpy`` elementwise over
-    arrays."""
+    """The signed difference x of two angles, less a multiple of 2 pi, as
+    mod(x + pi, 2 pi) - pi: in [-pi, pi], as x just below -pi rounds to pi.
+    ``xp=math`` runs it on a Python float, ``xp=numpy`` on arrays."""
     if xp is math:
         return (x + math.pi) % TWO_PI - math.pi
     return np.mod(x + np.pi, TWO_PI) - np.pi
@@ -99,14 +100,15 @@ def wrapped_angle(x, xp=np):
 @dataclass
 class Rep:
     """A representation recorded by its values on the six generators, or a
-    batch of them: arrays of shape (..., 4), and s may be an array too."""
+    batch of them: (w, x, y, z) tuples of floats or arrays, and s may be an
+    array too."""
 
-    a: np.ndarray
-    b: np.ndarray
-    f: np.ndarray
-    h: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
+    a: tuple
+    b: tuple
+    f: tuple
+    h: tuple
+    p: tuple
+    q: tuple
     variant: str = EARRING
     s: float | np.ndarray = 0.0
 
@@ -125,68 +127,48 @@ def slice_parts(s, gamma, theta, nu, tau) -> dict[str, tuple]:
     h = (zero, nu, r * np.cos(tau), r * np.sin(tau))
     s = np.asarray(s)
     # p = exp(s Im(b h)), q = exp(s Im(e^{theta k} h))
-    p = quat.qexp_parts(*(s * x for x in quat.mul_parts(*b, *h)[1:]))
-    q = quat.qexp_parts(*(s * x for x in
-                          quat.mul_parts(ct, zero, zero, st, *h)[1:]))
-    return {"a": (0.0, 1.0, 0.0, 0.0), "b": b, "f": (zero, ct, st, zero),
-            "h": h, "p": p, "q": q}
-
-
-def embed_arrays(s, gamma, theta, nu, tau) -> dict[str, np.ndarray]:
-    """Vectorized gauge-slice embedding: ``slice_parts`` stacked into
-    (..., 4) arrays."""
-    parts = slice_parts(s, gamma, theta, nu, tau)
-    out = {"a": np.broadcast_to(quat.I, parts["b"][0].shape + (4,)).copy()}
-    out.update((k, np.stack(v, axis=-1)) for k, v in parts.items() if k != "a")
-    return out
+    p = quat.qexp(*(s * x for x in quat.mul(b, h)[1:]))
+    q = quat.qexp(*(s * x for x in quat.mul((ct, zero, zero, st), h)[1:]))
+    return {"a": quat.I, "b": b, "f": (zero, ct, st, zero), "h": h, "p": p,
+            "q": q}
 
 
 def embed_L(variant, s, gamma, theta, nu, tau) -> Rep:
     """The gauge-slice representation of one variant at chart coordinates
     (s, gamma, theta, nu, tau), which broadcast: one point or a batch."""
-    return Rep(variant=variant, s=s, **embed_arrays(s, gamma, theta, nu, tau))
+    return Rep(variant=variant, s=s, **slice_parts(s, gamma, theta, nu, tau))
 
 
-def eval_word(rep, word: str) -> np.ndarray:
-    """Image of a word under the representation; the empty word gives 1.
-
-    ``rep`` may be a Rep or a dict of generator values (possibly batched).
-    """
+def eval_word(rep, word: str, start=None):
+    """Image of a word under a Rep or a dict of generator values, or of
+    ``start`` times it, with the products taken left to right; the empty
+    word gives one."""
     vals = vars(rep) if isinstance(rep, Rep) else rep
-    shape = np.asarray(vals["a"]).shape[:-1]
-    out = np.broadcast_to(quat.ONE, shape + (4,)).copy()
-    for ch in word:
-        x = vals[ch.lower()]
-        if ch.isupper():
-            x = quat.conj(x)
-        out = quat.mul(out, x)
-    return out
-
-
-def word_parts(vals, word: str, start=None):
-    """``eval_word`` on (w, x, y, z) tuples (``slice_parts``): the image of
-    a nonempty word, or of ``start`` times it, with the products taken left
-    to right as ``eval_word`` takes them."""
     out = start
     for ch in word:
         x = vals[ch.lower()]
         if ch.isupper():
-            x = (x[0], -x[1], -x[2], -x[3])
-        out = x if out is None else quat.mul_parts(*out, *x)
-    return out
+            x = quat.conj(x)
+        out = x if out is None else quat.mul(out, x)
+    return quat.ONE if out is None else out
+
+
+def distance(p, q) -> float:
+    """Largest difference of the parts of two (batched) quaternions."""
+    return float(np.max([np.max(np.abs(x - y)) for x, y in zip(p, q)]))
 
 
 def g_of_rep(rep) -> tuple[np.ndarray, np.ndarray]:
     """Earring defining pair evaluated on an arbitrary representation."""
-    g1 = quat.real_part(eval_word(rep, "pqHaH"))
-    g2 = quat.real_part(eval_word(rep, "pqHa"))
+    g1 = eval_word(rep, "pqHaH")[0]
+    g2 = eval_word(rep, "pqHa")[0]
     return g1, g2
 
 
 def gp_of_rep(rep) -> tuple[np.ndarray, np.ndarray]:
     """Bypass defining pair evaluated on an arbitrary representation."""
-    g1 = quat.real_part(eval_word(rep, "QPhpqHa"))
-    g2 = quat.real_part(eval_word(rep, "Ha"))
+    g1 = eval_word(rep, "QPhpqHa")[0]
+    g2 = eval_word(rep, "Ha")[0]
     return g1, g2
 
 
@@ -199,10 +181,9 @@ def variety_residual(rep) -> float:
 def perturbation_residuals(rep: Rep) -> tuple[float, float]:
     """Largest distances of p from exp(s Im lambda_p) and of q from
     exp(s Im lambda_q) over a (batched) representation."""
-    s = np.asarray(rep.s)[..., None]
     def miss(x, lam):
-        return float(np.max(np.abs(
-            x - quat.qexp(s * quat.ima(eval_word(rep, lam))))))
+        return distance(x, quat.qexp(
+            *(rep.s * c for c in eval_word(rep, lam)[1:])))
 
     return miss(rep.p, LAMBDA_P), miss(rep.q, LAMBDA_Q)
 
@@ -211,18 +192,18 @@ def check_identities(rep: Rep) -> float:
     """Largest residual of the slice relation, the relators and the
     perturbation conditions over a (batched) gauge-slice representation."""
     def dist(w1, w2=""):
-        return float(np.max(np.abs(eval_word(rep, w1) - eval_word(rep, w2))))
+        return distance(eval_word(rep, w1), eval_word(rep, w2))
 
     return max(dist("PaFqf", "hpqHa"),
                *(dist(r) for r in RELATORS),
                *perturbation_residuals(rep))
 
 
-def w2_value(s, gamma, theta, nu, tau) -> np.ndarray:
+def w2_value(s, gamma, theta, nu, tau):
     """Image of the commutator word w at earring chart coordinates, which
     broadcast; equals -1 exactly on the earring variety.  The bypass tangle
     has no such condition."""
-    return eval_word(embed_arrays(s, gamma, theta, nu, tau), W_WORD)
+    return eval_word(slice_parts(s, gamma, theta, nu, tau), W_WORD)
 
 
 def rho_eps(eps1, eps2, s, variant: str = EARRING) -> Rep:
@@ -232,8 +213,13 @@ def rho_eps(eps1, eps2, s, variant: str = EARRING) -> Rep:
     eps1, eps2, s = np.broadcast_arrays(eps1, eps2, s)
     if not np.all((np.abs(eps1) == 1) & (np.abs(eps2) == 1)):
         raise ValueError("eps must be +-1")
-    one = np.ones(s.shape + (1,))
-    return Rep(a=one * quat.I, b=one * quat.J, f=eps1[..., None] * quat.I,
-               h=eps2[..., None] * quat.J, p=one * quat.ONE,
-               q=quat.qexp((s * eps1 * eps2)[..., None] * quat.J),
+    one = np.ones(s.shape)
+
+    def times(x, q):
+        return tuple(x * c for c in q)
+
+    return Rep(a=times(one, quat.I), b=times(one, quat.J),
+               f=times(eps1, quat.I), h=times(eps2, quat.J),
+               p=times(one, quat.ONE),
+               q=quat.qexp(*times(s * eps1 * eps2, quat.J)[1:]),
                variant=variant, s=s)

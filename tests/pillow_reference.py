@@ -1,12 +1,13 @@
 """One-point reference faces of the pillowcase maps, for the tests.
 
-The commands run the batched faces: ``projection.pi0_r3`` and ``pi1_r3``
-over arrays, ``words.chart_angle`` over arrays, and ``_kernels`` for the
-defining pairs.  The scalar forms here are what the tests check those
-against: a pillowcase point on its canonical orbit representative with its
-quotient distance, the arccos round trip of the first restriction map, the
-pillowcase symmetries, the chart's angle rule, and the defining pairs at one
-chart point.  It also keeps the vertex-by-vertex loop that
+The commands run the batched faces: the word layer on (w, x, y, z) parts
+of arrays (``words.eval_word``, ``projection.pi0_r3`` and ``pi1_r3``),
+``words.chart_angle`` over arrays, and ``_kernels`` for the defining pairs.
+The forms here are what the tests check those against: the word evaluator
+on stacked (..., 4) arrays, a pillowcase point on its canonical orbit
+representative with its quotient distance, the arccos round trip of the
+first restriction map, the pillowcase symmetries, the chart's angle rule,
+and the defining pairs at one chart point.  It also keeps the vertex-by-vertex loop that
 ``compose._prune_short`` runs in arrays, the batched corrector, the
 fold circles' Newton and rank data and the defining pair's ``jet`` as
 first written, ``verify.theorem_b`` measuring both copies of a double, and
@@ -21,7 +22,7 @@ import numpy as np
 from pillowcase import _kernels
 from pillowcase.curves import (double, figure_eight, hausdorff_r3, invariants,
                                lattice_shifts)
-from pillowcase.quat import mul_parts
+from pillowcase.quat import mul
 from pillowcase.projection import (OFF_VARIETY_SURFACE_TOL, _angles_of_r3,
                                    _characters, pi1_r3_of_chart, r3_of_orbit)
 from pillowcase.variety import (COMPLEX_STEP, CORNER_BASE, FOLD_MAXIT,
@@ -77,6 +78,30 @@ class PillowPoint:
             best = min(best, float(np.hypot(wrapped_angle(dg),
                                             wrapped_angle(dt))))
         return best
+
+
+def stacked(q):
+    """A (w, x, y, z) quaternion as one (..., 4) array."""
+    return np.stack(np.broadcast_arrays(*q), axis=-1)
+
+
+def eval_word_stacked(rep, word, start=None):
+    """``words.eval_word`` as first written: the generator values stacked
+    into (..., 4) arrays, each Hamilton product written on them, from one
+    (or ``start``) left to right.  Returns (w, x, y, z) parts."""
+    vals = vars(rep) if isinstance(rep, Rep) else rep
+    out = np.array([1.0, 0.0, 0.0, 0.0]) if start is None else stacked(start)
+    for ch in word:
+        x = stacked(vals[ch.lower()])
+        if ch.isupper():
+            x = x * np.array([1.0, -1.0, -1.0, -1.0])
+        aw, ax, ay, az = np.moveaxis(out, -1, 0)
+        bw, bx, by, bz = np.moveaxis(x, -1, 0)
+        out = np.stack([aw * bw - ax * bx - ay * by - az * bz,
+                        aw * bx + ax * bw + ay * bz - az * by,
+                        aw * by - ax * bz + ay * bw + az * bx,
+                        aw * bz + ax * by - ay * bx + az * bw], axis=-1)
+    return tuple(np.moveaxis(out, -1, 0))
 
 
 def pi0_of_rep(rep: Rep) -> PillowPoint:
@@ -274,7 +299,7 @@ def jet(code, s, gamma, theta, nu, tau, wrt=(), xp=np):
     """``_kernels.jet`` as first written: the same straight-line code
     and its forward-mode derivatives, with the exponents built by the nested
     ``bxh`` and ``rot``, the exponentials and their derivatives by ``qexp``
-    and its ``along``, and the products by ``quat.mul_parts``.  Returns
+    and its ``along``, and the products by ``quat.mul``.  Returns
     (g1, g2, (row1, row2)) as ``_kernels.jet`` does."""
     cg, sg = xp.cos(gamma), xp.sin(gamma)
     ct, st = xp.cos(theta), xp.sin(theta)
@@ -292,7 +317,7 @@ def jet(code, s, gamma, theta, nu, tau, wrt=(), xp=np):
     v = rot(ct, st, nu, hy, hz)
     p, dp = qexp(u, wrt, xp)
     q, dq = qexp(v, wrt, xp)
-    w, mx, my, mz = mul_parts(*p, *q)
+    w, mx, my, mz = mul(p, q)
     a = mx * nu + my * hy + mz * hz
     c = my * hz - mz * hy
     if code == _kernels.EARRING:
@@ -306,15 +331,15 @@ def jet(code, s, gamma, theta, nu, tau, wrt=(), xp=np):
         # and theta only through b and e^{theta k}
         if d == "gamma":
             dh = None
-            dm = mul_parts(*dp(bxh(-sg, cg, nu, hy, hz)), *q)
+            dm = mul(dp(bxh(-sg, cg, nu, hy, hz)), q)
         elif d == "theta":
             dh = None
-            dm = mul_parts(*p, *dq(rot(-st, ct, nu, hy, hz)))
+            dm = mul(p, dq(rot(-st, ct, nu, hy, hz)))
         else:
             dh = ((1.0, -nu / r * cu, -nu / r * su) if d == "nu"
                   else (0.0, -hz, hy))
-            m1 = mul_parts(*dp(bxh(cg, sg, *dh)), *q)
-            m2 = mul_parts(*p, *dq(rot(ct, st, *dh)))
+            m1 = mul(dp(bxh(cg, sg, *dh)), q)
+            m2 = mul(p, dq(rot(ct, st, *dh)))
             dm = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2], m1[3] + m2[3])
         dw, dx, dy, dz = dm
         da = dx * nu + dy * hy + dz * hz

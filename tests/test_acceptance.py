@@ -122,14 +122,15 @@ def test_asymptotics_exact_flag_reads_the_word_form(monkeypatch):
                   for g0, t0 in ((0.9, 1.3), (1.7, 0.6), (2.2, 2.0))]
              for sv in (0.05, 0.025)}
     assert VF.asymptotics("bypass", 0.05, roots[0.05], roots[0.025])[1]
-    embed = VF.embed_arrays
+    embed = VF.slice_parts
 
     def tilted(s, gamma, theta, nu, tau):
         vals = embed(s, gamma, theta, nu, tau)
-        vals["h"] = vals["h"] + [0.0, 1e-12, 0.0, 0.0]
+        w, x, y, z = vals["h"]
+        vals["h"] = (w, x + 1e-12, y, z)
         return vals
 
-    monkeypatch.setattr(VF, "embed_arrays", tilted)
+    monkeypatch.setattr(VF, "slice_parts", tilted)
     ratio, exact, ok = VF.asymptotics("bypass", 0.05, roots[0.05],
                                       roots[0.025])
     assert not exact and not ok

@@ -93,12 +93,12 @@ def test_fiber_product_beta_matches_k_circle():
             g = _kernels._ppoly_eval(breaks, cg, t)
             th = _kernels._ppoly_eval(breaks, ct, t)
             rep = W.embed_L(variant, 0.05, g, th, nu, tau)
-            pts.append([float(quat.real_part(quat.mul(rep.b, quat.conj(rep.a)))),
-                        float(quat.real_part(quat.mul(rep.b, quat.conj(rep.h))))])
+            pts.append([float(quat.mul(rep.b, quat.conj(rep.a))[0]),
+                        float(quat.mul(rep.b, quat.conj(rep.h))[0])])
         pts = np.asarray(pts)
         sig = np.linspace(0, 2 * np.pi, 4096)
-        kc = np.array([[float(quat.real_part(quat.mul(r.b, quat.conj(r.a)))),
-                        float(quat.real_part(quat.mul(r.b, quat.conj(r.h))))]
+        kc = np.array([[float(quat.mul(r.b, quat.conj(r.a))[0]),
+                        float(quat.mul(r.b, quat.conj(r.h))[0])]
                        for r in (V.k_circle(variant, 0.05, x) for x in sig)])
         d = C._points_to_segments_dist(pts, kc[:-1], kc[1:])
         assert float(np.max(d)) < 1e-6

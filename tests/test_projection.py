@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from pillowcase import projection as P
 from pillowcase import quat
+from pillowcase import variety as V
 from pillowcase import verify as VF
 from pillowcase import words as W
 from pillowcase.cli import _variety_points
 
 from pillow_reference import (GENERATORS, G, PillowPoint, canonical_orbit,
-                              chart_angle_ref, pi0_of_rep, psi_map, theta_map,
-                              w1_hat, w2_hat)
+                              chart_angle_ref, eval_word_stacked, pi0_of_rep,
+                              psi_map, stacked, theta_map, w1_hat, w2_hat)
 
 
 def variety_points(variant, s, n, seed=0):
@@ -23,8 +24,8 @@ def chart_of(rep):
     """(gamma, theta, nu, tau) read back from a gauge-slice Rep's b, f and
     h."""
     b, f, h = rep.b, rep.f, rep.h
-    return (np.arctan2(b[..., 2], b[..., 1]), np.arctan2(f[..., 2], f[..., 1]),
-            h[..., 1], np.arctan2(h[..., 3], h[..., 2]))
+    return (np.arctan2(b[2], b[1]), np.arctan2(f[2], f[1]), h[1],
+            np.arctan2(h[3], h[2]))
 
 
 def test_canonical_orbit():
@@ -228,7 +229,7 @@ def _rotation_taking_reference(src, dst):
     na = float(np.hypot(np.hypot(axis[0], axis[1]), axis[2]))
     if na < 1e-12:
         if c > 0:
-            return quat.ONE.copy()
+            return quat.ONE
         trial = np.array([1.0, 0.0, 0.0])
         if abs(np.dot(trial, s)) > 0.9:
             trial = np.array([0.0, 1.0, 0.0])
@@ -243,12 +244,12 @@ def _rotation_taking_reference(src, dst):
 def _u_involution_reference(rep):
     vals = P.u_values(rep)
     a2, b2, f2, h2 = vals["a"], vals["b"], vals["f"], vals["h"]
-    if abs(float(quat.real_part(a2))) > 1e-6:
+    if abs(float(a2[0])) > 1e-6:
         raise P.OffVarietyError("transformed a is not traceless")
-    u1 = _rotation_taking_reference(quat.normalize(quat.ima(a2)), quat.I)
+    u1 = _rotation_taking_reference(quat.normalize((0.0, *a2[1:])), quat.I)
     b3 = quat.rotate(u1, b2)
     phi = np.arctan2(b3[3], b3[2])
-    u = quat.mul(quat.qexp(-0.5 * phi * quat.I), u1)
+    u = quat.mul(quat.qexp(*(-0.5 * phi * c for c in quat.I[1:])), u1)
     b4, f4, h4 = (quat.rotate(u, x) for x in (b2, f2, h2))
     if np.hypot(b4[2], b4[3]) < 1e-9:
         raise P.ReGaugeError("b is aligned with a")
@@ -275,8 +276,14 @@ def _factorization_reference(rep):
 
 def _stack(reps):
     return W.Rep(variant=reps[0].variant, s=np.array([r.s for r in reps]),
-                 **{g: np.stack([getattr(r, g) for r in reps])
+                 **{g: tuple(np.stack([getattr(r, g)[k] for r in reps])
+                             for k in range(4))
                     for g in GENERATORS})
+
+
+def _at(q, k):
+    """Point k of a batched quaternion, some of whose parts may be floats."""
+    return [x[k] if np.ndim(x) else x for x in q]
 
 
 @pytest.mark.parametrize("variant", ["earring", "bypass"])
@@ -286,7 +293,8 @@ def test_batched_involution_matches_one_point_reference(variant):
     pts = variety_points(variant, 0.05, 40, seed=11)
     explicit = [W.rho_eps(e1, e2, s, variant) for e1 in (1, -1)
                 for e2 in (1, -1) for s in (0.01, 0.05, 0.1)]
-    assert all(np.array_equal(P.u_values(r)["a"], -quat.I) for r in explicit)
+    assert all(np.array_equal(P.u_values(r)["a"], np.negative(quat.I))
+               for r in explicit)
     for reps, batch in (([W.embed_L(variant, *p) for p in pts],
                          W.embed_L(variant, *pts.T)),
                         (explicit, _stack(explicit))):
@@ -294,7 +302,8 @@ def test_batched_involution_matches_one_point_reference(variant):
         for k, rep in enumerate(reps):
             ref = _u_involution_reference(rep)
             for g in GENERATORS:
-                assert np.array_equal(getattr(moved, g)[k], getattr(ref, g))
+                assert np.array_equal(_at(getattr(moved, g), k),
+                                      getattr(ref, g))
             assert P.verify_factorization(rep) == _factorization_reference(rep)
             assert np.array_equal(P.characters_in_out(moved)[k],
                                   P.characters_in_out(ref))
@@ -342,7 +351,8 @@ def test_pi1_r3_of_chart_is_the_word_evaluation_bit_for_bit(kind, n):
         n = min(n, 64)
     x = _pi1_inputs(kind, n)
     got = P.pi1_r3_of_chart(*x)
-    want = P._characters(W.embed_arrays(*x), W.CHARS_P1)
+    vals = W.slice_parts(*x)
+    want = np.stack([eval_word_stacked(vals, w)[0] for w in W.CHARS_P1], -1)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert np.array_equal(got, want)
 
@@ -361,13 +371,13 @@ def test_word_layer_keeps_imaginary_parts():
         return 0.2, x[0], x[1], 0.4 * np.sin(x[2]), x[3]
 
     maps = {
-        "mul": (8, lambda x: quat.mul(x[:4].T, x[4:].T)),
-        "qexp": (4, lambda x: quat.qexp(x.T)),
-        "normalize": (4, lambda x: quat.normalize(x.T)),
-        "embed_arrays": (4, lambda x: np.stack(
-            list(W.embed_arrays(*chart(x)).values()))),
-        "eval_word": (4, lambda x: W.eval_word(W.embed_arrays(*chart(x)),
-                                               word)),
+        "mul": (8, lambda x: stacked(quat.mul(x[:4], x[4:]))),
+        "qexp": (4, lambda x: stacked(quat.qexp(*x[1:]))),
+        "normalize": (4, lambda x: stacked(quat.normalize(x))),
+        "slice_parts": (4, lambda x: np.stack(np.broadcast_arrays(
+            *(c for q in W.slice_parts(*chart(x)).values() for c in q)))),
+        "eval_word": (4, lambda x: stacked(
+            W.eval_word(W.slice_parts(*chart(x)), word))),
         "pi1_r3_of_chart": (4, lambda x: P.pi1_r3_of_chart(*chart(x))),
     }
     for name, (dim, f) in maps.items():
@@ -378,3 +388,48 @@ def test_word_layer_keeps_imaginary_parts():
         assert np.iscomplexobj(step), name
         assert np.max(np.abs(step.real - f(x))) <= 1e-15, name
         assert np.max(np.abs(step.imag / h - central)) <= 1e-7, name
+
+
+def _bits(x):
+    """The bytes of every number in a (nested) result."""
+    if isinstance(x, (tuple, list)):
+        return b"".join(map(_bits, x))
+    return np.asarray(x).tobytes()
+
+
+def _word_checks(variant):
+    """Every word check of ``verify`` on seeded samples of ``variant``, and
+    the complex steps through the word layer, as one nested result."""
+    rows = variety_points(variant, 0.05, 40, seed=21)
+    off = rows.copy()
+    off[:, 3] = np.clip(rows[:, 3] + 0.3, -0.5, 0.5)
+    rng = np.random.default_rng(21)
+    step = 1j * V.COMPLEX_STEP
+    sig = np.concatenate([[np.pi / 2, -np.pi / 2], rng.uniform(0, 7, 14)])
+    return {
+        "identities": VF.identities(variant, rows),
+        "w2_condition": (VF.w2_condition(rows, off), W.w2_value(*rows.T),
+                         W.w2_value(*off.T)),
+        "explicit_points": VF.explicit_points((variant,), (0.01, 0.05, 0.1)),
+        "k_circles": VF.k_circles((variant,), (0.05, 0.1),
+                                  np.linspace(0, 2 * np.pi, 36)),
+        "factorization": VF.factorization(variant, rows),
+        "pi0_u_r3_of_k_circle": P.pi0_u_r3(V.k_circle(variant, 0.05,
+                                                      sig + step)),
+        "pi1_r3_of_chart": (P.pi1_r3_of_chart(*rows.T), P.pi1_r3_of_chart(
+            *(rows.T + step * rng.normal(size=rows.T.shape)))),
+    }
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_word_checks_equal_the_stacked_evaluator_bit_for_bit(variant,
+                                                             monkeypatch):
+    # the same checks with every word evaluated by the stacked (..., 4)
+    # evaluator, products from one: each number keeps its bytes
+    got = _word_checks(variant)
+    for module in (W, P):
+        monkeypatch.setattr(module, "eval_word", eval_word_stacked)
+    want = _word_checks(variant)
+    for name in got:
+        assert _bits(got[name]) == _bits(want[name]), name
+    assert got["identities"][1] and got["factorization"][1]
