@@ -83,7 +83,7 @@ matrix() {
     echo "trace-bypass-floor-s trace --variant bypass --s=-1e-6 --grid 16"
     echo "trace-negative-s trace --s=-0.45 --grid 16"
     echo "trace-bypass-negative-s trace --variant bypass --s=-0.45 --grid 16"
-    # an odd grid, which classify_grid solves whole rather than by quarter
+    # an odd grid, which is solved as one tile rather than by quarter
     echo "trace-odd-grid trace --s 0.05 --grid 33"
     # a small odd grid: one tile of side 3, whose nine fibers iota sorts
     # into four pairs and the fiber (0, 0) that it fixes

@@ -482,15 +482,25 @@ def g_pair(variant, s, gamma, theta, nu, tau):
 # Newton refinement of fiber roots in (nu, tau)
 # ---------------------------------------------------------------------------
 
+# the scales of ``newton_fibers``' trial steps, one row per trial, by
+# evaluation: the full step, then its 7 halvings
+_TRIAL_SCALES = (np.ones((1, 1)), 0.5 ** np.arange(1.0, 8.0)[:, None])
+
+
 def newton_fibers(variant, s, gamma, theta, nu0, tau0, tol=1e-13, maxit=50):
     """Damped ``newton`` on (nu, tau) over many fibers at once.
 
     Returns (nu, tau, ok) arrays of the broadcast input shape.  Each element
-    steps by the exact Jacobian in (nu, tau) from ``jet``, the full step
-    halved up to 8 times until the residual drops, and rejects a trial point
-    outside |nu| < 0.999.  It stops when its residual is below ``tol`` (ok),
-    its Jacobian is singular or no trial step improves (not ok, last
-    accepted iterate kept), or after ``maxit`` steps.
+    steps by the exact Jacobian in (nu, tau) from ``jet`` to the first of
+    the full step and its 7 halvings, in that order, that stays inside
+    |nu| < 0.999 and lowers the residual.  The full steps of all elements
+    are one ``_g_impl`` evaluation, and the 7 halvings of every element
+    that the full step leaves refused one more, so an iteration evaluates
+    G at most twice past its Jacobian.  An element stops when its residual
+    is below ``tol`` (ok), its Jacobian is singular or no trial step
+    improves (not ok, last accepted iterate kept), or after ``maxit`` steps.
+    Each element's iterates are its own: a batch gives every element the
+    bits it gets alone.
     """
     code = variant_code(variant)
     s = float(s)
@@ -505,27 +515,30 @@ def newton_fibers(variant, s, gamma, theta, nu0, tau0, tol=1e-13, maxit=50):
         return (f1, f2), r1 + r2
 
     def backtrack(i, x, d, f):
-        # halving keeps |nu| < 0.999 and the residual monotone
         res = np.maximum(np.abs(f[0]), np.abs(f[1]))
         improved = np.zeros(i.size, dtype=bool)
         out = np.empty((4, i.size))  # the accepted trial points and residuals
-        scale = 1.0
-        for _ in range(8):
-            k = np.nonzero(~improved)[0]
-            if not k.size:
-                break
+        k = np.arange(i.size)  # the elements with no accepted trial yet
+        for scale in _TRIAL_SCALES:  # the full step, then its halvings
+            # trial (row r, element c) is the step of element k[c] scaled
+            # by scale[r]; np.nonzero runs row by row, so the first hit of
+            # an element is its largest improving step
             nu_t = x[0][k] + scale * d[0][k]
             tau_t = x[1][k] + scale * d[1][k]
-            inside = np.abs(nu_t) < 0.999
-            k, nu_t, tau_t = k[inside], nu_t[inside], tau_t[inside]
-            if k.size:
-                h1, h2 = _g_impl(code, s, gamma[i[k]], theta[i[k]], nu_t,
-                                 tau_t)
-                better = np.maximum(np.abs(h1), np.abs(h2)) < res[k]
-                k = k[better]
-                improved[k] = True
-                out[:, k] = np.array((nu_t, tau_t, h1, h2))[:, better]
-            scale *= 0.5
+            r, c = np.nonzero(np.abs(nu_t) < 0.999)
+            if c.size:
+                nu_t, tau_t = nu_t[r, c], tau_t[r, c]
+                h1, h2 = _g_impl(code, s, gamma[i[k[c]]], theta[i[k[c]]],
+                                 nu_t, tau_t)
+                hit = np.flatnonzero(np.maximum(np.abs(h1), np.abs(h2))
+                                     < res[k[c]])
+                c, first = np.unique(c[hit], return_index=True)
+                hit = hit[first]
+                improved[k[c]] = True
+                out[:, k[c]] = nu_t[hit], tau_t[hit], h1[hit], h2[hit]
+                k = k[~improved[k]]
+            if not k.size:
+                break
         return improved, out[:2], out[2:]
 
     ok = newton(system, x, (tol, tol), maxit, step=backtrack)

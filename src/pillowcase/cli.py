@@ -104,9 +104,8 @@ def cmd_trace(args) -> int:
              "gamma,theta,status"]
     g_text = [f"{g:.12g}," for g in gs]
     t_text = [f"{t:.12g}," for t in ts]
-    for i, g in enumerate(g_text):
-        for j, t in enumerate(t_text):
-            lines.append(g + t + status[i, j])
+    for g, row in zip(g_text, status.tolist()):
+        lines += [g + t + st for t, st in zip(t_text, row)]
     _write(out, "fibers.csv", "\n".join(lines) + "\n")
 
     if s != 0.0:

@@ -158,12 +158,12 @@ def _fiber_arrays(variant: str, s: float, gamma: np.ndarray, theta: np.ndarray):
         keep = np.repeat(~circle[:, None], 2, axis=1)
         return np.zeros_like(rtau), rtau, keep, STATUSES[np.where(circle, 0, 1)]
 
-    # Newton from both s = 0 roots; a fiber whose two seeded roots converge
-    # apart (two distinct roots by the rule of ``_dedup``) skips the tau
-    # scan, and the scan brackets the others' roots
-    (nu_p, tau_p, ok_p), (nu_m, tau_m, ok_m) = (
-        _kernels.newton_fiber_batch(variant, s, gamma, theta, 0.0, t)
-        for t in (t0, t0 + np.pi))
+    # Newton from both s = 0 roots, the two sheets' starts stacked as rows
+    # of one batch; a fiber whose two seeded roots converge apart (two
+    # distinct roots by the rule of ``_dedup``) skips the tau scan, and the
+    # scan brackets the others' roots
+    (nu_p, nu_m), (tau_p, tau_m), (ok_p, ok_m) = _kernels.newton_fiber_batch(
+        variant, s, gamma, theta, 0.0, np.stack([t0, t0 + np.pi]))
     apart = ok_p & ok_m & ~_same_root(nu_p, tau_p, nu_m, tau_m, DEDUP_RADIUS)
     seeded = np.nonzero(apart)[0]
     roots = [(seeded, nu_p[seeded], tau_p[seeded]),
@@ -498,9 +498,37 @@ def _corner_distance(gamma, theta):
     return np.hypot(np.minimum(dg, np.pi - dg), np.minimum(dt, np.pi - dt))
 
 
+def _grid_orbits(grid: int):
+    """The grid x grid sweep of the base torus by the orbits of
+    ``classify_grid``, which says which maps it reads.
+
+    Returns (gs, ts, gammas, thetas, fill): the grid's gamma and theta
+    axes, the base points of one fiber per orbit, and the map from their
+    statuses, in that order, to the (grid, grid) status array of the whole
+    grid.
+    """
+    gs = ts = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
+    tile = 2 - grid % 2
+    m = grid // tile
+    flat = np.arange(m * m).reshape(m, m)
+    neg = -np.arange(m) % m
+    partner = flat[np.ix_(neg, neg)]
+    solved = flat <= partner
+    gg, tt = np.meshgrid(gs[:m], ts[:m], indexing="ij")
+
+    def fill(statuses):
+        quarter = np.empty((m, m), dtype=object)
+        quarter[solved] = statuses
+        quarter[~solved] = quarter.ravel()[partner[~solved]]
+        return np.tile(quarter, (tile, tile))
+
+    return gs, ts, gg[solved], tt[solved], fill
+
+
 def classify_grid(variant: str, s: float, grid: int = 64):
     """Status of every fiber over a grid x grid sweep of the base torus,
-    by ``fiber_statuses``.
+    by ``fiber_statuses``; returns (gs, ts, status), the grid's axes and
+    its (grid, grid) status array.
 
     The maps sigma_1 = (gamma + pi, theta, -nu, pi - tau), sigma_2 =
     (gamma, theta + pi, nu, -tau) and iota = (-gamma, -theta, nu, tau + pi)
@@ -512,42 +540,36 @@ def classify_grid(variant: str, s: float, grid: int = 64):
     grid is one tile.  Within the tile of side m, iota sigma_1 sigma_2 (on
     an odd grid iota itself) pairs the index (i, j) with ((-i) mod m,
     (-j) mod m): of each pair only the fiber with the smaller flat index is
-    solved, and its partner takes its status.
+    solved, and its partner takes its status.  ``_grid_orbits`` makes that
+    selection and tiling, which ``verify_topology`` shares.
     """
-    gs = ts = np.linspace(0.0, 2 * np.pi, grid, endpoint=False)
-    tile = 2 - grid % 2
-    m = grid // tile
-    flat = np.arange(m * m).reshape(m, m)
-    neg = -np.arange(m) % m
-    partner = flat[np.ix_(neg, neg)]
-    solved = flat <= partner
-    gg, tt = np.meshgrid(gs[:m], ts[:m], indexing="ij")
-    quarter = np.empty((m, m), dtype=object)
-    quarter[solved] = fiber_statuses(variant, s, gg[solved], tt[solved])
-    quarter[~solved] = quarter.ravel()[partner[~solved]]
-    return gs, ts, np.tile(quarter, (tile, tile))
+    gs, ts, gammas, thetas, fill = _grid_orbits(grid)
+    return gs, ts, fill(fiber_statuses(variant, s, gammas, thetas))
 
 
 def verify_topology(variant: str, s: float, grid: int = 64, *,
                     circles: list[FoldCircle] | None = None) -> TopologyReport:
     """Check the two-sheets-outside / empty-inside / four-circles model and
     derive the Euler characteristic and genera.  The model holds when no
-    fiber of the grid (``classify_grid``) or of the refined sweep around
-    the corners is misplaced.  The sweep solves half of the corner (0, 0):
-    iota of ``classify_grid`` maps the offset (dgamma, dtheta) to (-dgamma,
-    -dtheta), the flat index f of its 32 x 32 offsets to 1023 - f, so the
-    other half mirrors the solved one; sigma_1 and sigma_2 carry the corner
-    onto (pi, 0) and (0, pi), and their product onto (pi, pi), so its
-    statuses repeat at all four.  The radii that select the checked fibers
-    are mirrored too, which keeps the selection symmetric where the offsets
-    of ``linspace`` are not bit for bit.  ``circles`` are the fold circles
-    at (variant, s) if already computed.  The report carries the fiber grid
-    and the fold circles it was built on.
+    fiber of the grid (as ``classify_grid`` reads it) or of the refined
+    sweep around the corners is misplaced.  The sweep solves half of the
+    corner (0, 0): iota of ``classify_grid`` maps the offset (dgamma,
+    dtheta) to (-dgamma, -dtheta), the flat index f of its 32 x 32 offsets
+    to 1023 - f, so the other half mirrors the solved one; sigma_1 and
+    sigma_2 carry the corner onto (pi, 0) and (0, pi), and their product
+    onto (pi, pi), so its statuses repeat at all four.  The radii that
+    select the checked fibers are mirrored too, which keeps the selection
+    symmetric where the offsets of ``linspace`` are not bit for bit.  At
+    s != 0 the grid's orbit representatives (``_grid_orbits``) and the
+    sweep's checked half are one ``fiber_statuses`` pass, the grid's first:
+    the sweep's radii come from the fold circles, which are solved before.
+    ``circles`` are the fold circles at (variant, s) if already computed.
+    The report carries the fiber grid and the fold circles it was built on.
     """
     notes: list[str] = []
-    fibers = classify_grid(variant, s, grid)
     corners = list(CORNER_BASE.values())
     if s == 0.0:
+        fibers = classify_grid(variant, s, grid)
         # degenerate fibers over the fixed points are whole circles
         fixed = fiber_statuses(variant, 0.0, *np.array(corners).T).tolist()
         ok = all(st == "fold_region" for st in fixed)
@@ -563,10 +585,24 @@ def verify_topology(variant: str, s: float, grid: int = 64, *,
     # fold radii in angle coordinates agree with sin-coordinates to O(r^3)
     band_in, band_out = 0.7 * r_min, 1.3 * r_max
 
+    # the refined sweep near the fold band, solved over the half of the
+    # corner (0, 0) with dgamma < 0, mirrored by iota onto the other half
+    # and repeated at the other three corners; a fiber in the band between
+    # the disks has no expected status and is not solved
+    local = np.linspace(-2 * r_max, 2 * r_max, 32)
+    dgs, dts = (a.ravel()[:a.size // 2] for a in np.meshgrid(
+        local, local, indexing="ij"))
+    radius = np.hypot(dgs, dts)
+    checked = (radius > band_out) | (radius < band_in)
+    gs, ts, gammas, thetas, fill = _grid_orbits(grid)
+    solved = fiber_statuses(variant, s, np.concatenate([gammas, dgs[checked]]),
+                            np.concatenate([thetas, dts[checked]]))
+    status, half = fill(solved[:gammas.size]), solved[gammas.size:]
+    fibers = (gs, ts, status)
+
     def misplaced(dist, st):  # not two sheets outside, or not empty inside
         return (((dist > band_out) & (st != "two_sheets"))
                 | ((dist < band_in) & (st != "empty")))
-    gs, ts, status = fibers
     counts = {st: int(np.sum(status == st))
               for st in ("two_sheets", "fold_region", "empty")}
     dist = _corner_distance(*np.meshgrid(gs, ts, indexing="ij"))
@@ -576,16 +612,6 @@ def verify_topology(variant: str, s: float, grid: int = 64, *,
         notes.append(f"fiber ({gs[i]:.3f},{ts[j]:.3f}) {where} fold disks is "
                      f"{status[i, j]}")
 
-    # refined sweep near the fold band, solved over the half of the corner
-    # (0, 0) with dgamma < 0, mirrored by iota onto the other half and
-    # repeated at the other three corners; a fiber in the band between the
-    # disks has no expected status and is not solved
-    local = np.linspace(-2 * r_max, 2 * r_max, 32)
-    dgs, dts = (a.ravel()[:a.size // 2] for a in np.meshgrid(
-        local, local, indexing="ij"))
-    radius = np.hypot(dgs, dts)
-    checked = (radius > band_out) | (radius < band_in)
-    half = fiber_statuses(variant, s, dgs[checked], dts[checked])
     radius = radius[checked]
     radius = np.concatenate([radius, radius[::-1]])
     sweep = np.tile(np.concatenate([half, half[::-1]]), (len(corners), 1))

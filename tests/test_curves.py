@@ -577,7 +577,11 @@ def _brute_crossings(lift_a, lift_b, pad=1e-3, chunk=256):
             hit = (np.abs(den) > 0) & (t >= -eps) & (t < 1 - eps) & \
                 (u >= -eps) & (u < 1 - eps)
             pts = P0[ic] + t[:, None] * d1
-            hit &= C._corner_lattice_distance(pts) >= C.CORNER_TOL
+            # parallel pairs (den = 0) have no crossing point to measure
+            far = np.zeros(den.shape, dtype=bool)
+            far[den != 0] = (C._corner_lattice_distance(pts[den != 0])
+                             >= C.CORNER_TOL)
+            hit &= far
             a1 = np.arctan2(d1[:, 1], d1[:, 0])
             a2 = np.arctan2(d2[:, 1], d2[:, 0])
             ang = np.abs(np.mod(a1 - a2 + np.pi / 2, np.pi) - np.pi / 2)

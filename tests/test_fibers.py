@@ -197,6 +197,67 @@ def test_newton_fibers_matches_the_stencil_loop(variant):
     assert both > 0
 
 
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_newton_fibers_batches_give_each_element_its_own_bits(variant):
+    """One batch over two start sets, the seeds of both sheets of
+    ``_newton_starts``' fibers, gives each element the bits of the batch
+    of its own start set."""
+    g, t, nu0, tau0 = _newton_starts()
+    starts = [(nu0, tau0), (-nu0, tau0 + np.pi)]
+    alone = [K.newton_fibers(variant, S, g, t, *x) for x in starts]
+    both = K.newton_fibers(variant, S, np.tile(g, 2), np.tile(t, 2),
+                           *map(np.concatenate, zip(*starts)))
+    for a, b, c in zip(both, *alone):
+        assert a.tobytes() == np.concatenate([b, c]).tobytes()
+
+
+@pytest.mark.parametrize("variant", ["earring", "bypass"])
+def test_backtracking_evaluates_g_at_most_twice_per_iteration(variant,
+                                                               monkeypatch):
+    """The full steps are one evaluation of G and the halvings of the
+    refused ones one more, whatever the number of halvings."""
+    evaluations, per_step = [], []
+    g_impl, newton = K._g_impl, K.newton
+
+    def counted_g(*args):
+        evaluations.append(np.size(args[4]))
+        return g_impl(*args)
+
+    def counting(system, x, tol, maxit, inside=None, step=None):
+        def counted_step(*args):
+            evaluations.clear()
+            out = step(*args)
+            per_step.append(len(evaluations))
+            return out
+        return newton(system, x, tol, maxit, inside, counted_step)
+
+    monkeypatch.setattr(K, "_g_impl", counted_g)
+    monkeypatch.setattr(K, "newton", counting)
+    g, t, nu0, tau0 = _newton_starts()
+    K.newton_fibers(variant, S, g, t, nu0, tau0, 1e-13, 50)
+    # the starts near |nu| = 1 take halvings, some all 7 of them
+    assert max(per_step) == 2 and len(per_step) > 5
+
+
+def test_trace_grid_64_makes_few_array_jet_calls(monkeypatch):
+    """Work count of ``trace --grid 64``: one status pass, with both seeds'
+    Newton in one batch and the halvings of an iteration in one
+    evaluation, makes 44 array ``jet`` calls (219 with a batch per sheet
+    and per pass, and an evaluation per halving)."""
+    calls = []
+    jet = K.jet
+
+    def counted(code, s, gamma, *args, **kwargs):
+        if not np.isscalar(gamma):
+            calls.append(np.size(gamma))
+        return jet(code, s, gamma, *args, **kwargs)
+
+    monkeypatch.setattr(K, "jet", counted)
+    rep = V.verify_topology("earring", 0.05, 64)
+    assert rep.euler_characteristic == -8
+    assert len(calls) <= 60
+
+
 def test_classify_grid_counts_pinned():
     _, _, status = V.classify_grid("earring", 0.05, 64)
     kinds, counts = np.unique(status.astype(str), return_counts=True)

@@ -360,18 +360,26 @@ def test_topology_grid_checks_match_loop_reference(monkeypatch):
     circles = V.fold_locus("earring", s, n_samples=48)
     band_out = 1.3 * max(float(np.max(c.radii)) for c in circles)
     band_in = 0.7 * min(float(np.min(c.radii)) for c in circles)
-    gs = ts = np.linspace(0.0, 2 * np.pi, 48, endpoint=False)
+    gs, ts, orbits, _, fill = V._grid_orbits(48)
     rng = np.random.default_rng(5)
-    status = rng.choice(np.array(["two_sheets", "fold_region", "empty"],
-                                 dtype=object), size=(48, 48), p=[0.9, 0.05, 0.05])
-    status[::24, ::24] = "two_sheets"  # the four corners, inside the disks
-    monkeypatch.setattr(V, "classify_grid", lambda *a: (gs, ts, status))
-    # a refined sweep that agrees with the model adds no notes
-    monkeypatch.setattr(V, "fiber_statuses", lambda variant, s, g, t: np.where(
-        np.hypot(g - np.round(g / np.pi) * np.pi,
-                 t - np.round(t / np.pi) * np.pi) < band_in,
-        "empty", "two_sheets").astype(object).ravel())
+    planted = rng.choice(np.array(["two_sheets", "fold_region", "empty"],
+                                  dtype=object), size=orbits.size,
+                         p=[0.9, 0.05, 0.05])
+    planted[0] = "two_sheets"  # the four corners, inside the disks
+    status = fill(planted)
+
+    # random statuses on the grid's orbit representatives, which the one
+    # status pass lists first, and a refined sweep that agrees with the
+    # model, which adds no notes
+    def statuses(variant, s, g, t):
+        rest = g[orbits.size:], t[orbits.size:]
+        return np.concatenate([planted, np.where(
+            np.hypot(*(a - np.round(a / np.pi) * np.pi for a in rest))
+            < band_in, "empty", "two_sheets").astype(object)])
+
+    monkeypatch.setattr(V, "fiber_statuses", statuses)
     rep = V.verify_topology("earring", s, 48, circles=circles)
+    assert rep.fibers[2].tolist() == status.tolist()
 
     # the per-fiber loop the array expressions replaced
     counts = {"two_sheets": 0, "fold_region": 0, "empty": 0}
@@ -424,17 +432,25 @@ def test_refined_sweep_solves_only_the_fibers_it_checks(monkeypatch):
         return np.array([fs.status for fs in model(variant, s, g, t)],
                         dtype=object)
 
-    gs = ts = np.linspace(0.0, 2 * np.pi, 32, endpoint=False)
-    status = np.full((32, 32), "two_sheets", dtype=object)
-    status[::16, ::16] = "empty"  # the four corners, inside the disks
-    monkeypatch.setattr(V, "classify_grid", lambda *a: (gs, ts, status))
+    # the model reads the grid's corners, inside the disks, as empty and
+    # every other fiber of the grid as two sheets: no grid notes
     monkeypatch.setattr(V, "fiber_statuses", recording)
     rep = V.verify_topology("earring", s, 32, circles=circles)
+    _, _, orbit_g, orbit_t, fill = V._grid_orbits(32)
+    orbits = list(zip(orbit_g.tolist(), orbit_t.tolist()))
+    status = rep.fibers[2]
+    assert status.tolist() == fill([fs.status for fs in model(
+        "earring", s, orbit_g, orbit_t)]).tolist()
+    assert set(zip(*np.nonzero(status == "empty"))) == {
+        (0, 0), (0, 16), (16, 0), (16, 16)}
 
     # the full 32 x 32 sweep that the restricted one replaced; one request,
-    # over the checked fibers of the solved half only
+    # the grid's orbit representatives and then the checked fibers of the
+    # sweep's solved half only
     assert len(requested) == 1
     asked = requested[0]
+    assert asked[:len(orbits)] == orbits
+    asked = asked[len(orbits):]
     checked = [(a, b, r) for a, b, r in zip(dgs, dts, d)
                if r > band_out or r < band_in]
     assert asked == [(a, b) for a, b, _ in checked]
@@ -464,9 +480,9 @@ def test_refined_sweep_solves_only_the_fibers_it_checks(monkeypatch):
     ("earring", -0.45, V.FIBER_BLOCK), ("bypass", 0.05, V.FIBER_BLOCK),
 ])
 def test_sweep_statuses_match_solve_fibers(variant, s, block, monkeypatch):
-    """The refined sweep's one status pass over half of the corner (0, 0)
-    gives the statuses of ``solve_fibers``, also where blocks split the
-    pass."""
+    """``verify_topology``'s one status pass, over the grid's orbit
+    representatives and half of the corner (0, 0), gives the statuses of
+    ``solve_fibers``, also where blocks split the pass."""
     passes = []
     reader = V.fiber_statuses
 
@@ -477,10 +493,9 @@ def test_sweep_statuses_match_solve_fibers(variant, s, block, monkeypatch):
     monkeypatch.setattr(V, "fiber_statuses", recording)
     monkeypatch.setattr(V, "FIBER_BLOCK", block)
     assert VF.topology(V.verify_topology(variant, s, 4))
-    g, t, status = passes[-1]
+    [(g, t, status)] = passes
     n = g.size
-    # the half corner's pass, which blocks of 5 split and the default
-    # block does not
+    # the one pass, which blocks of 5 split and the default block does not
     assert g.shape == (n,) and (block < n) == (block == 5)
     monkeypatch.undo()
     assert status.tolist() == [fs.status for fs in V.solve_fibers(variant, s,
@@ -509,14 +524,22 @@ def test_mapped_statuses_are_the_solved_ones(variant, s, monkeypatch):
     monkeypatch.setattr(V, "fiber_statuses", recording)
     rep = V.verify_topology(variant, s, 33)
     monkeypatch.undo()
-    (gg, tt, _), (dgs, dts, half) = passes
+    # one pass: the grid's orbit representatives, then the sweep's half
+    [(g, t, solved)] = passes
+    n = (33 * 33 + 1) // 2
+    gg, tt, dgs, dts, half = g[:n], t[:n], g[n:], t[n:], solved[n:]
     # an odd grid is one tile, of which iota leaves one fiber per pair and
     # the fiber (0, 0) that it fixes
     gs = np.linspace(0.0, 2 * np.pi, 33, endpoint=False)
     i, j = np.divmod(np.arange(33 * 33), 33)
     first = i * 33 + j <= (-i % 33) * 33 + (-j % 33)
-    assert np.array_equal(gg, gs[i[first]]) and gg.size == (33 * 33 + 1) // 2
+    assert np.array_equal(gg, gs[i[first]]) and np.count_nonzero(first) == n
     assert np.array_equal(tt, gs[j[first]])
+    # the report's grid is the pass's grid part, filled in by the maps
+    status = np.empty(33 * 33, dtype=object)
+    status[first] = solved[:n]
+    status[~first] = status[(-i[~first] % 33) * 33 + (-j[~first] % 33)]
+    assert rep.fibers[2].ravel().tolist() == status.tolist()
     # the sweep at its actual points: the solved half at dgamma < 0, and
     # the other half, whose flat offset index 1023 - f mirrors f; solved at
     # all four corners, it is the half mirrored and repeated
@@ -554,9 +577,9 @@ def test_classify_grid_reads_each_fiber_from_its_orbit(grid, monkeypatch):
 
 
 def test_topology_solves_one_fiber_per_orbit(monkeypatch):
-    # at grid 64: 514 of the quarter's 1,024 fibers (iota sigma_1 sigma_2
-    # fixes four), 398 of the refined sweep's 796, and the fold Newton on
-    # the 192 samples of one corner
+    # at grid 64, one status pass of 912 fibers: 514 of the quarter's 1,024
+    # (iota sigma_1 sigma_2 fixes four), then 398 of the refined sweep's
+    # 796; and the fold Newton on the 192 samples of one corner
     sizes, newtons = [], []
     reader, newton = V.fiber_statuses, _kernels.newton
 
@@ -572,7 +595,7 @@ def test_topology_solves_one_fiber_per_orbit(monkeypatch):
     monkeypatch.setattr(V, "fiber_statuses", statuses)
     monkeypatch.setattr(_kernels, "newton", counting)
     assert VF.topology(V.verify_topology("earring", 0.05, 64))
-    assert sizes == [514, 398] and newtons == [192]
+    assert sizes == [514 + 398] and newtons == [192]
 
 
 def test_pi0_misses_corners():
